@@ -13,7 +13,12 @@ from pathlib import Path
 
 from ._version import __version__
 from .crossval import TASK_COMBOS
-from .dataset import GRANULARITIES, build_catalog
+from .dataset import (
+    GRANULARITIES,
+    build_catalog,
+    load_transcript,
+    load_trial_kinematics,
+)
 from .errors import ConfigError, DataError, SurgactError
 from .runner import (
     ExperimentConfig,
@@ -48,7 +53,6 @@ def _add_experiment_args(p: argparse.ArgumentParser, *, need_config: bool) -> No
     p.add_argument("--kernel-size", type=int,
                    help="override the derived kernel width (odd)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--expected-channels", type=int)
     p.add_argument("--output-dir")
 
@@ -67,7 +71,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         "epochs": args.epochs,
         "kernel_size": args.kernel_size,
         "seed": args.seed,
-        "workers": args.workers,
         "expected_channels": args.expected_channels,
         "output_dir": args.output_dir,
     }
@@ -82,20 +85,15 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_validate(args) -> int:
-    from .dataset import load_trial_kinematics, load_transcript
-    from .runner import _scan_transcript_labels
-
+    # the loader the experiments use: each file is read once, and every
+    # transcript is bound to its trial's length
     catalog = build_catalog(args.catalog)
-    checked = 0
     for entry in catalog.entries:
-        trial = load_trial_kinematics(
-            entry.kinematics, args.expected_channels,
-            task=entry.task, subject=entry.subject, trial=entry.trial)
+        length = load_trial_kinematics(entry.kinematics, args.expected_channels).num_frames
         for granularity, path in entry.transcripts:
-            vocab = sorted(_scan_transcript_labels(path))
-            load_transcript(path, vocab, trial.num_frames, granularity)
-        checked += 1
-    print(f"ok: {checked} trials, {len(catalog.tasks())} tasks "
+            parsed = load_transcript(path, granularity)
+            parsed.bind(sorted(parsed.labels), length)
+    print(f"ok: {len(catalog.entries)} trials, {len(catalog.tasks())} tasks "
           f"({', '.join(catalog.tasks())})")
     return EXIT_OK
 

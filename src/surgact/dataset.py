@@ -13,6 +13,7 @@ a segment (start=0, end=29) covers 30 frames.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,6 @@ from .errors import (
     DataError,
     DuplicateColumn,
     DuplicateTrialKey,
-    GapWithoutFill,
     IndexOutOfRange,
     InvalidConfig,
     MissingFile,
@@ -35,17 +35,23 @@ from .errors import (
     OverlappingSegments,
     RaggedRows,
     SegmentBeyondTrial,
+    TooShort,
     UnattributedSegment,
     UnknownLabel,
     UntiledTranscript,
 )
 
 GRANULARITIES = ("gesture", "mp", "mp-left", "mp-right")
+# the per-arm granularities and the tool side each one keeps
+ARM_SIDES = {"mp-left": "L", "mp-right": "R"}
 
 MP_VERBS = ("Grasp", "Release", "Touch", "Untouch", "Pull", "Push")
 IDLE = "Idle"
 
 DEFAULT_SAMPLE_RATE = 30.0
+
+# three pooling stages of width 2
+MIN_FRAMES = 8
 
 # One arm contributes 19 columns in the standard export: tool position (3),
 # rotation matrix (9), linear velocity (3), angular velocity (3), gripper
@@ -96,6 +102,18 @@ class MotionPrimitiveLabel:
 def mp_verb(label: str) -> str:
     """Collapse an MP label string to its verb (used for verb-level scoring)."""
     return MotionPrimitiveLabel.parse(label).verb
+
+
+def arm_of(label: str) -> Optional[str]:
+    """The tool side ("L" or "R") an MP label belongs to; None for Idle,
+    which belongs to neither arm. A non-Idle label that names no tool side
+    cannot be attributed and is an error."""
+    mp = MotionPrimitiveLabel.parse(label)
+    if mp.verb == IDLE:
+        return None
+    if mp.tool == "none":
+        raise UnattributedSegment(f"motion primitive {label!r} names no tool side")
+    return mp.tool
 
 
 # ---------------------------------------------------------------------------
@@ -182,39 +200,48 @@ class LabelTranscript:
         return sum(seg.num_frames for seg in self.segments)
 
 
-def _resolve_overlaps_keep_earliest(segments: list[Segment]) -> list[Segment]:
-    # earliest start keeps the contested frames; a swallowed segment is dropped
-    out: list[Segment] = []
-    for seg in segments:
-        if out and seg.start <= out[-1].end:
-            new_start = out[-1].end + 1
-            if new_start > seg.end:
-                continue
-            seg = Segment(new_start, seg.end, seg.label)
-        out.append(seg)
-    return out
+@dataclass(frozen=True)
+class TranscriptFile:
+    """A transcript file's segments, parsed without the trial length.
+
+    `bind` checks them against a vocabulary and a trial length.
+    """
+
+    path: Path
+    granularity: str
+    segments: tuple[Segment, ...]
+
+    @property
+    def labels(self) -> frozenset[str]:
+        return frozenset(seg.label for seg in self.segments)
+
+    def bind(self, vocabulary: Sequence[str], length: int) -> LabelTranscript:
+        """The transcript of a trial of `length` frames over `vocabulary`."""
+        if length < MIN_FRAMES:
+            raise TooShort(
+                f"{self.path}: trial has {length} frames, the model needs at "
+                f"least {MIN_FRAMES}")
+        try:
+            return LabelTranscript(
+                granularity=self.granularity,
+                vocabulary=tuple(vocabulary),
+                segments=self.segments,
+                length=length,
+            )
+        except DataError as exc:
+            raise type(exc)(f"{self.path}: {exc}") from None
 
 
-def load_transcript(
-    path,
-    vocabulary: Sequence[str],
-    trial_length: int,
-    granularity: str = "mp",
-    overlap_policy: str = "reject",
-) -> LabelTranscript:
+def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
     """Parse a `start end label` transcript file.
 
-    Records must be ordered by start frame. Overlaps are rejected unless
-    overlap_policy="earliest", in which case the earlier-started segment
-    keeps the contested frames (the rule used when combining per-arm
-    annotations into one bimanual transcript).
+    Records must be ordered by start frame and must not overlap. Labels of
+    the motion-primitive granularities must parse as `verb(tool, object)`
+    or `Idle`. Errors name the file and line.
     """
-    if overlap_policy not in ("reject", "earliest"):
-        raise InvalidConfig(f"unknown overlap_policy: {overlap_policy!r}")
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"transcript file not found: {p}")
-    vocab = set(vocabulary)
     segments: list[Segment] = []
     prev: Optional[Segment] = None
     for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
@@ -229,59 +256,26 @@ def load_transcript(
         except ValueError:
             raise NonNumericCell(f"{p}:{lineno}: frame indices must be integers")
         label = parts[2].strip()
-        if label not in vocab:
-            raise UnknownLabel(f"{p}:{lineno}: label {label!r} not in vocabulary")
+        if granularity != "gesture":
+            try:
+                MotionPrimitiveLabel.parse(label)
+            except UnknownLabel as exc:
+                raise UnknownLabel(f"{p}:{lineno}: {exc}") from None
         if start < 0 or end < start:
             raise OutOfOrderSegments(f"{p}:{lineno}: bad segment range [{start}, {end}]")
-        if end >= trial_length:
-            raise SegmentBeyondTrial(
-                f"{p}:{lineno}: segment [{start}, {end}] exceeds trial length {trial_length}")
         seg = Segment(start, end, label)
         if prev is not None:
             if seg.start <= prev.start:
                 raise OutOfOrderSegments(
                     f"{p}:{lineno}: segment starts must increase "
                     f"({seg.start} after {prev.start})")
-            if seg.start <= prev.end and overlap_policy == "reject":
+            if seg.start <= prev.end:
                 raise OverlappingSegments(
                     f"{p}:{lineno}: segment [{seg.start}, {seg.end}] overlaps "
                     f"[{prev.start}, {prev.end}]")
         segments.append(seg)
         prev = seg
-    if overlap_policy == "earliest":
-        segments = _resolve_overlaps_keep_earliest(segments)
-    return LabelTranscript(
-        granularity=granularity,
-        vocabulary=tuple(vocabulary),
-        segments=tuple(segments),
-        length=trial_length,
-    )
-
-
-def densify(transcript: LabelTranscript, fill: Optional[str] = None) -> list[str]:
-    """Expand segments to one label per frame.
-
-    Frames not covered by any segment take `fill`; with fill=None any gap is
-    an error.
-    """
-    out: list[str] = []
-    pos = 0
-    for seg in transcript.segments:
-        if seg.start > pos:
-            if fill is None:
-                raise GapWithoutFill(
-                    f"frames [{pos}, {seg.start - 1}] are unlabeled and no fill "
-                    f"label was given")
-            out.extend([fill] * (seg.start - pos))
-        out.extend([seg.label] * seg.num_frames)
-        pos = seg.end + 1
-    if pos < transcript.length:
-        if fill is None:
-            raise GapWithoutFill(
-                f"frames [{pos}, {transcript.length - 1}] are unlabeled and no "
-                f"fill label was given")
-        out.extend([fill] * (transcript.length - pos))
-    return out
+    return TranscriptFile(path=p, granularity=granularity, segments=tuple(segments))
 
 
 def encode_frames(
@@ -329,47 +323,28 @@ def _tile_with_idle(kept: list[Segment], length: int) -> list[Segment]:
     return merged
 
 
-def split_by_arm(
-    transcript: LabelTranscript,
-    frame_count: Optional[int] = None,
-) -> tuple[LabelTranscript, LabelTranscript]:
-    """Split a bimanual MP transcript into per-arm transcripts.
+def split_by_arm(transcript: LabelTranscript) -> tuple[LabelTranscript, LabelTranscript]:
+    """Split a bimanual MP transcript into (mp-left, mp-right) transcripts.
 
-    Each segment goes to the arm named by its tool field; Idle segments are
-    dropped. Gaps left on either side are filled with Idle so both outputs
-    tile the trial. A non-Idle segment without a tool side cannot be
-    attributed and is an error.
+    Each segment goes to the arm `arm_of` names; Idle segments go to
+    neither. Gaps left on either side are filled with Idle so both outputs
+    tile the trial.
     """
     if transcript.granularity != "mp":
         raise InvalidConfig(
             f"can only split combined 'mp' transcripts, got {transcript.granularity!r}")
-    length = transcript.length if frame_count is None else frame_count
-    if length < transcript.length:
-        raise DataError(
-            f"frame_count {length} is shorter than the transcript ({transcript.length})")
-    left: list[Segment] = []
-    right: list[Segment] = []
-    for seg in transcript.segments:
-        mp = MotionPrimitiveLabel.parse(seg.label)
-        if mp.verb == IDLE:
-            continue
-        if mp.tool == "L":
-            left.append(seg)
-        elif mp.tool == "R":
-            right.append(seg)
-        else:
-            raise UnattributedSegment(
-                f"segment [{seg.start}, {seg.end}] {seg.label!r} names no tool side")
+    arms = [arm_of(seg.label) for seg in transcript.segments]
     vocab = tuple(transcript.vocabulary)
     if IDLE not in vocab:
         vocab = vocab + (IDLE,)
     out = []
-    for granularity, kept in (("mp-left", left), ("mp-right", right)):
+    for granularity, side in ARM_SIDES.items():
+        kept = [seg for seg, arm in zip(transcript.segments, arms) if arm == side]
         out.append(LabelTranscript(
             granularity=granularity,
             vocabulary=vocab,
-            segments=tuple(_tile_with_idle(kept, length)),
-            length=length,
+            segments=tuple(_tile_with_idle(kept, transcript.length)),
+            length=transcript.length,
         ))
     return out[0], out[1]
 
@@ -379,13 +354,12 @@ def split_by_arm(
 
 @dataclass(frozen=True)
 class KinematicTrial:
-    """One trial's kinematic signal: frames by channels, fixed sample rate."""
+    """One trial's kinematic signal: frames by channels."""
 
     task: str
     subject: str
     trial: str
     data: np.ndarray
-    sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -394,8 +368,6 @@ class KinematicTrial:
                 f"kinematic data must be a non-empty 2-D array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonNumericCell("kinematic data contains non-finite values")
-        if self.sample_rate <= 0:
-            raise DataError(f"sample_rate must be positive, got {self.sample_rate}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -411,10 +383,6 @@ class KinematicTrial:
     def num_channels(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.num_frames / self.sample_rate
-
 
 def load_trial_kinematics(
     path,
@@ -423,7 +391,6 @@ def load_trial_kinematics(
     task: str = "",
     subject: str = "",
     trial: str = "",
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
 ) -> KinematicTrial:
     """Read a delimiter-separated numeric trial file.
 
@@ -461,8 +428,7 @@ def load_trial_kinematics(
     if expected_channels is not None and data.shape[1] != expected_channels:
         raise ChannelMismatch(
             f"{p}: {data.shape[1]} channels, expected {expected_channels}")
-    return KinematicTrial(task=task, subject=subject, trial=trial,
-                          data=data, sample_rate=sample_rate)
+    return KinematicTrial(task=task, subject=subject, trial=trial, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -507,26 +473,6 @@ def arm_columns_at(offset: int) -> ArmColumns:
 
 def both_arms_spec(left_offset: int = 0, right_offset: int = COLUMNS_PER_ARM) -> FeatureSpec:
     return FeatureSpec(arms=(arm_columns_at(left_offset), arm_columns_at(right_offset)))
-
-
-def single_arm_spec(side: str) -> FeatureSpec:
-    if side == "L":
-        return FeatureSpec(arms=(arm_columns_at(0),))
-    if side == "R":
-        return FeatureSpec(arms=(arm_columns_at(COLUMNS_PER_ARM),))
-    raise InvalidConfig(f"side must be 'L' or 'R', got {side!r}")
-
-
-def feature_spec_for_granularity(granularity: str) -> FeatureSpec:
-    """Default variable selection: both arms for bimanual models, one arm
-    for the per-arm MP models."""
-    if granularity in ("gesture", "mp"):
-        return both_arms_spec()
-    if granularity == "mp-left":
-        return single_arm_spec("L")
-    if granularity == "mp-right":
-        return single_arm_spec("R")
-    raise InvalidConfig(f"unknown granularity: {granularity!r}")
 
 
 def select_features(trial: KinematicTrial, spec: FeatureSpec) -> np.ndarray:
@@ -584,9 +530,11 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class Catalog:
-    """All known trials. Keys (task, subject, trial) are unique."""
+    """All known trials, recorded at one frame rate. Keys (task, subject,
+    trial) are unique."""
 
     entries: tuple[CatalogEntry, ...]
+    sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         seen: dict[TrialKey, CatalogEntry] = {}
@@ -613,10 +561,6 @@ class Catalog:
         wanted = set(tasks)
         return tuple(e for e in self.entries if e.task in wanted)
 
-    def subject_keys(self, tasks: Optional[Iterable[str]] = None) -> tuple[tuple[str, str], ...]:
-        pool = self.entries if tasks is None else self.entries_for_tasks(tasks)
-        return tuple(sorted({e.subject_key for e in pool}))
-
     def datasets_of_tasks(self, tasks: Iterable[str]) -> frozenset[str]:
         return frozenset(e.dataset for e in self.entries_for_tasks(tasks))
 
@@ -633,7 +577,9 @@ def build_catalog(manifest_path, root=None) -> Catalog:
     The manifest is either a list of entries or {"entries": [...]}; each
     entry carries dataset/task/subject/trial ids, a kinematics path, and a
     granularity-to-path transcript map. Relative paths resolve against
-    `root` (default: the manifest's directory).
+    `root` (default: the manifest's directory). The object form may give
+    the frame rate as "sample_rate", a positive number of Hz; without it the
+    rate is DEFAULT_SAMPLE_RATE.
     """
     mp = Path(manifest_path)
     if not mp.is_file():
@@ -646,6 +592,14 @@ def build_catalog(manifest_path, root=None) -> Catalog:
     raw_entries = doc.get("entries") if isinstance(doc, dict) else doc
     if not isinstance(raw_entries, list):
         raise DataError(f"catalog manifest must hold a list of entries: {mp}")
+    sample_rate = DEFAULT_SAMPLE_RATE
+    if isinstance(doc, dict):
+        sample_rate = doc.get("sample_rate", DEFAULT_SAMPLE_RATE)
+    if (isinstance(sample_rate, bool) or not isinstance(sample_rate, (int, float))
+            or not math.isfinite(sample_rate) or sample_rate <= 0):
+        raise DataError(
+            f"catalog manifest sample_rate must be a positive number of Hz, "
+            f"got {sample_rate!r}: {mp}")
     entries: list[CatalogEntry] = []
     for i, item in enumerate(raw_entries):
         try:
@@ -670,4 +624,4 @@ def build_catalog(manifest_path, root=None) -> Catalog:
         entries.append(CatalogEntry(
             dataset=dataset, task=task, subject=subject, trial=trial,
             kinematics=kin, transcripts=tuple(tpairs)))
-    return Catalog(entries=tuple(entries))
+    return Catalog(entries=tuple(entries), sample_rate=float(sample_rate))

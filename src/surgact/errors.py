@@ -54,10 +54,6 @@ class SegmentBeyondTrial(DataError):
     pass
 
 
-class GapWithoutFill(DataError):
-    pass
-
-
 class UnattributedSegment(DataError):
     """A non-Idle motion primitive names no tool side to assign it to."""
 

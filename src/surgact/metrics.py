@@ -205,12 +205,6 @@ class MapSummary:
     macro: float
     micro: float
 
-    def ap_of(self, name: str) -> Optional[float]:
-        for c, v in self.per_class:
-            if c == name:
-                return v
-        raise KeyError(name)
-
 
 def map_report(
     per_class_ap: Mapping[str, Optional[float]],

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,17 +32,18 @@ from .crossval import (
     resolve_task_combo,
 )
 from .dataset import (
+    ARM_SIDES,
     COLUMNS_PER_ARM,
-    DEFAULT_SAMPLE_RATE,
     GRANULARITIES,
     IDLE,
     Catalog,
     FeatureSpec,
     KinematicTrial,
     LabelTranscript,
-    MotionPrimitiveLabel,
+    TranscriptFile,
     TrialKey,
     arm_columns_at,
+    arm_of,
     both_arms_spec,
     build_catalog,
     encode_frames,
@@ -62,6 +61,7 @@ from .errors import (
     MissingTranscript,
     NoDefinedClasses,
     NonFiniteLoss,
+    UnattributedSegment,
 )
 from .metrics import (
     edit_score,
@@ -119,7 +119,6 @@ class ExperimentConfig:
     filters: tuple[int, int, int] = (32, 64, 96)
     kernel_size: Optional[int] = None  # None -> derived per fold
     seed: int = 0
-    workers: int = 1
     expected_channels: Optional[int] = None
     left_offset: int = 0
     right_offset: int = COLUMNS_PER_ARM
@@ -155,8 +154,6 @@ class ExperimentConfig:
             raise InvalidConfig("weight_decay must be >= 0")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
-        if self.workers < 1:
-            raise InvalidConfig("workers must be >= 1")
         if self.kernel_size is not None and (
                 self.kernel_size < 1 or self.kernel_size % 2 == 0):
             raise InvalidConfig("kernel_size override must be odd")
@@ -188,7 +185,7 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {
     "catalog", "granularity", "cv", "tasks", "task_combo", "test_task",
     "train_tasks", "learning_rate", "weight_decay", "epochs", "filters",
-    "kernel_size", "seed", "workers", "expected_channels", "left_offset",
+    "kernel_size", "seed", "expected_channels", "left_offset",
     "right_offset", "output_dir",
 }
 
@@ -250,45 +247,21 @@ def plan_folds(config: ExperimentConfig, catalog: Catalog) -> list[FoldPlan]:
 # ---------------------------------------------------------------------------
 # vocabulary
 
-def _scan_transcript_labels(path: Path) -> set[str]:
-    labels = set()
-    for raw in path.read_text().splitlines():
-        parts = raw.strip().split(None, 2)
-        if len(parts) == 3:
-            labels.add(parts[2].strip())
-    return labels
-
-
-def experiment_vocabulary(catalog: Catalog, keys: Sequence[TrialKey],
-                          granularity: str) -> tuple[str, ...]:
+def experiment_vocabulary(source: TrialDataSource,
+                          keys: Sequence[TrialKey]) -> tuple[str, ...]:
     """The fixed class list for an experiment: every label appearing at the
-    granularity across the involved trials, sorted; MP granularities always
-    include Idle (the gap/off-arm label). The output layer keeps this size
-    on every fold, so a class missing from some fold's training data stays
-    predictable-in-principle rather than silently dropped."""
+    source's granularity across the involved trials, sorted; MP
+    granularities always include Idle (the gap/off-arm label). The output
+    layer keeps this size on every fold, so a class missing from some
+    fold's training data stays predictable-in-principle rather than
+    silently dropped."""
     labels: set[str] = set()
-    side = {"mp-left": "L", "mp-right": "R"}.get(granularity)
     for key in keys:
-        entry = catalog.get(*key)
-        path = entry.transcript_path(granularity)
-        if path is not None:
-            labels |= _scan_transcript_labels(path)
-            continue
-        if side is None:
-            raise MissingTranscript(
-                f"trial {key} declares no {granularity!r} transcript")
-        mp_path = entry.transcript_path("mp")
-        if mp_path is None:
-            raise MissingTranscript(
-                f"trial {key} declares neither {granularity!r} nor 'mp' transcripts")
-        for label in _scan_transcript_labels(mp_path):
-            mp = MotionPrimitiveLabel.parse(label)
-            if mp.tool == side:
-                labels.add(label)
-    if granularity != "gesture":
+        labels |= source.labels(key)
+    if source.granularity != "gesture":
         labels.add(IDLE)
     if not labels:
-        raise DataError(f"no {granularity!r} labels found in the selected trials")
+        raise DataError(f"no {source.granularity!r} labels found in the selected trials")
     return tuple(sorted(labels))
 
 
@@ -296,84 +269,104 @@ def experiment_vocabulary(catalog: Catalog, keys: Sequence[TrialKey],
 # per-trial data access
 
 class TrialDataSource:
-    """Lazy, cached access to per-trial arrays, with an access log.
+    """Cached access to the arrays of an experiment's trials (`keys`), with
+    an access log.
+
+    Each trial's transcript file is parsed once. The class list
+    (`vocabulary`) is taken over `keys` from the parsed files alone, so it
+    needs no kinematics. A per-arm granularity that a trial declares no
+    file for is derived from its combined 'mp' transcript.
 
     The log (`events`) records every kinematics/transcript/feature access
     and explicit phase marks, so tests can prove training never touched a
-    held-out trial. Thread-safe; caching keeps LOUO's repeated training
-    reads cheap.
+    held-out trial.
     """
 
     def __init__(self, catalog: Catalog, granularity: str,
-                 feature_spec: FeatureSpec, vocabulary: Sequence[str], *,
-                 expected_channels: Optional[int] = None,
-                 sample_rate: float = DEFAULT_SAMPLE_RATE):
+                 feature_spec: FeatureSpec, keys: Sequence[TrialKey], *,
+                 expected_channels: Optional[int] = None):
         self.catalog = catalog
         self.granularity = granularity
         self.feature_spec = feature_spec
-        self.vocabulary = tuple(vocabulary)
-        self.label_to_id = {lab: i for i, lab in enumerate(self.vocabulary)}
+        self.keys = tuple(keys)
         self.expected_channels = expected_channels
-        self.sample_rate = sample_rate
         self.events: list[tuple[str, str]] = []
         self._trials: dict[TrialKey, KinematicTrial] = {}
+        self._files: dict[TrialKey, TranscriptFile] = {}
         self._transcripts: dict[TrialKey, LabelTranscript] = {}
-        self._lock = threading.Lock()
+        self.vocabulary = experiment_vocabulary(self, self.keys)
+        self.label_to_id = {lab: i for i, lab in enumerate(self.vocabulary)}
 
     def mark(self, note: str) -> None:
-        with self._lock:
-            self.events.append(("mark", note))
+        self.events.append(("mark", note))
 
     def _log(self, kind: str, key: TrialKey) -> None:
-        with self._lock:
-            self.events.append((kind, "/".join(key)))
+        self.events.append((kind, "/".join(key)))
 
     def _trial(self, key: TrialKey) -> KinematicTrial:
-        with self._lock:
-            cached = self._trials.get(key)
-        if cached is not None:
-            return cached
-        entry = self.catalog.get(*key)
-        self._log("kinematics", key)
-        trial = load_trial_kinematics(
-            entry.kinematics, self.expected_channels,
-            task=entry.task, subject=entry.subject, trial=entry.trial,
-            sample_rate=self.sample_rate)
-        with self._lock:
-            self._trials[key] = trial
+        trial = self._trials.get(key)
+        if trial is None:
+            entry = self.catalog.get(*key)
+            self._log("kinematics", key)
+            trial = self._trials[key] = load_trial_kinematics(
+                entry.kinematics, self.expected_channels,
+                task=entry.task, subject=entry.subject, trial=entry.trial)
         return trial
 
-    def transcript(self, key: TrialKey) -> LabelTranscript:
-        with self._lock:
-            cached = self._transcripts.get(key)
-        if cached is not None:
-            return cached
-        self._log("transcript", key)
-        entry = self.catalog.get(*key)
-        length = self._trial(key).num_frames
-        path = entry.transcript_path(self.granularity)
-        if path is not None:
-            out = load_transcript(path, self.vocabulary, length, self.granularity)
-        else:
-            side = {"mp-left": 0, "mp-right": 1}.get(self.granularity)
-            mp_path = entry.transcript_path("mp")
-            if side is None or mp_path is None:
+    def _file(self, key: TrialKey) -> TranscriptFile:
+        parsed = self._files.get(key)
+        if parsed is None:
+            entry = self.catalog.get(*key)
+            granularity = self.granularity
+            if entry.transcript_path(granularity) is None and granularity in ARM_SIDES:
+                granularity = "mp"
+            path = entry.transcript_path(granularity)
+            if path is None:
                 raise MissingTranscript(
-                    f"trial {key} declares no {self.granularity!r} transcript")
+                    f"trial {key} declares no {self.granularity!r} transcript"
+                    + ("" if granularity == self.granularity else " and no 'mp' one"))
+            parsed = self._files[key] = load_transcript(path, granularity)
+        return parsed
+
+    def labels(self, key: TrialKey) -> frozenset[str]:
+        """The trial's labels at the granularity, read without its kinematics."""
+        parsed = self._file(key)
+        if parsed.granularity == self.granularity:
+            return parsed.labels
+        side = ARM_SIDES[self.granularity]
+        try:
+            return frozenset(lab for lab in parsed.labels if arm_of(lab) == side)
+        except UnattributedSegment as exc:
+            raise UnattributedSegment(f"{parsed.path}: {exc}") from None
+
+    def transcript(self, key: TrialKey) -> LabelTranscript:
+        out = self._transcripts.get(key)
+        if out is not None:
+            return out
+        self._log("transcript", key)
+        parsed = self._file(key)
+        length = self._trial(key).num_frames
+        if parsed.granularity == self.granularity:
+            out = parsed.bind(self.vocabulary, length)
+        else:
             # derive the arm view from the combined transcript, then rebind
             # it to the experiment vocabulary
-            raw_vocab = sorted(_scan_transcript_labels(mp_path) | {IDLE})
-            combined = load_transcript(mp_path, raw_vocab, length, "mp")
-            derived = split_by_arm(combined)[side]
+            combined = parsed.bind(sorted(parsed.labels), length)
+            arms = {t.granularity: t for t in split_by_arm(combined)}
             out = LabelTranscript(
                 granularity=self.granularity,
                 vocabulary=self.vocabulary,
-                segments=derived.segments,
-                length=derived.length,
+                segments=arms[self.granularity].segments,
+                length=length,
             )
-        with self._lock:
-            self._transcripts[key] = out
+        self._transcripts[key] = out
         return out
+
+    def load(self, keys: Sequence[TrialKey]) -> None:
+        """Read and check these trials' kinematics and transcripts now, so
+        that bad input is rejected before any fold trains."""
+        for key in keys:
+            self.transcript(key)
 
     def features(self, key: TrialKey) -> np.ndarray:
         self._log("features", key)
@@ -560,30 +553,13 @@ class ExperimentReport:
                            indent=2) + "\n").encode()
 
 
-def _read_sample_rate(manifest_path) -> float:
-    try:
-        doc = json.loads(Path(manifest_path).read_text())
-    except (OSError, json.JSONDecodeError):
-        return DEFAULT_SAMPLE_RATE
-    if isinstance(doc, dict) and isinstance(doc.get("sample_rate"), (int, float)):
-        return float(doc["sample_rate"])
-    return DEFAULT_SAMPLE_RATE
-
-
 def _build_source(config: ExperimentConfig, catalog: Catalog,
                   plans: Sequence[FoldPlan]) -> TrialDataSource:
-    keys: list[TrialKey] = []
-    seen = set()
-    for plan in plans:
-        for key in plan.train_trials + plan.test_trials:
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    vocabulary = experiment_vocabulary(catalog, keys, config.granularity)
+    keys = dict.fromkeys(k for plan in plans
+                         for k in plan.train_trials + plan.test_trials)
     return TrialDataSource(
-        catalog, config.granularity, config.feature_spec(), vocabulary,
-        expected_channels=config.expected_channels,
-        sample_rate=_read_sample_rate(config.catalog))
+        catalog, config.granularity, config.feature_spec(), list(keys),
+        expected_channels=config.expected_channels)
 
 
 def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
@@ -602,12 +578,11 @@ def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
         "filters": list(config.filters),
         "kernel_size_override": config.kernel_size,
         "seed": config.seed,
-        "workers": config.workers,
         "expected_channels": config.expected_channels,
         "left_offset": config.left_offset,
         "right_offset": config.right_offset,
         "num_features": source.feature_spec.num_features,
-        "sample_rate": source.sample_rate,
+        "sample_rate": source.catalog.sample_rate,
         "vocabulary": list(source.vocabulary),
         "fold_names": [p.name for p in plans],
     }
@@ -616,71 +591,64 @@ def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every fold of the configured experiment.
 
-    Diverged folds (non-finite loss) are recorded and skipped by the
-    aggregates. Any other fold failure persists the partial report first
-    (when output_dir is set) and then re-raises with fold context.
+    Every involved trial is read and checked first, so bad input raises a
+    DataError before any fold trains. Diverged folds (non-finite loss) are
+    recorded and skipped by the aggregates. Any other fold failure stops
+    the run: the partial report is persisted first (when output_dir is
+    set), then the failure is re-raised with fold context.
     """
     started = time.perf_counter()
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
     source = _build_source(config, catalog, plans)
+    source.load(source.keys)
     experiment = _experiment_payload(config, plans, source)
 
-    fold_payloads: dict[str, dict] = {}
+    folds: list[dict] = []
     fold_seconds: dict[str, float] = {}
-    failure: Optional[tuple[FoldPlan, BaseException]] = None
-
-    def _execute(plan: FoldPlan) -> None:
-        nonlocal failure
+    failure: Optional[Exception] = None
+    for plan in plans:
         t0 = time.perf_counter()
         try:
-            payload, _ = run_fold(plan, source, config)
-            fold_payloads[plan.name] = payload
+            # the model is dropped here: it holds its last forward pass's
+            # buffers, which must not live on into the next fold
+            payload = run_fold(plan, source, config)[0]
         except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
-            fold_payloads[plan.name] = {
+            payload = {
                 "name": plan.name,
                 "held_out": plan.held_out,
                 "status": "failed",
                 "error": str(exc),
             }
-            if failure is None:
-                failure = (plan, exc)
-        finally:
-            fold_seconds[plan.name] = time.perf_counter() - t0
+            failure = exc
+        folds.append(payload)
+        fold_seconds[plan.name] = time.perf_counter() - t0
+        if failure is not None:
+            break
 
-    if config.workers == 1 or len(plans) <= 1:
-        for plan in plans:
-            _execute(plan)
-            if failure is not None:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(_execute, plans))
-
-    ordered = tuple(fold_payloads[p.name] for p in plans if p.name in fold_payloads)
     report = ExperimentReport(
         version=__version__,
         experiment=experiment,
-        folds=ordered,
-        aggregate=_aggregate(ordered),
+        folds=tuple(folds),
+        aggregate=_aggregate(folds),
         timing={
             "total_seconds": time.perf_counter() - started,
             "folds": dict(sorted(fold_seconds.items())),
         },
     )
-    if failure is not None:
-        plan, exc = failure
-        if config.output_dir:
-            emit_report(report, config.output_dir)
-        raise FoldFailure(f"fold {plan.name} failed: {exc}") from exc
     if config.output_dir:
         emit_report(report, config.output_dir)
+    if failure is not None:
+        raise FoldFailure(f"fold {folds[-1]['name']} failed: {failure}") from failure
     return report
 
 
 def run_single_fold(config: ExperimentConfig, fold_name: str,
                     checkpoint: Optional[str] = None) -> tuple[dict, TcnModel]:
-    """Train exactly one fold of the configured experiment (CLI `train`)."""
+    """Train exactly one fold of the configured experiment (CLI `train`).
+
+    The fold's trials are read and checked before it trains.
+    """
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
     matches = [p for p in plans if p.name == fold_name]
@@ -688,6 +656,7 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
         names = ", ".join(p.name for p in plans)
         raise InvalidConfig(f"no fold named {fold_name!r}; available: {names}")
     source = _build_source(config, catalog, plans)
+    source.load(matches[0].train_trials + matches[0].test_trials)
     payload, model = run_fold(matches[0], source, config)
     if checkpoint and model is not None:
         save_model(model, checkpoint)

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .dataset import LabelTranscript, TrialKey
+from .dataset import MIN_FRAMES, LabelTranscript, TrialKey
 from .errors import (
     ChannelMismatch,
     DataError,
@@ -73,9 +73,6 @@ HYPERPARAM_DEFAULTS: dict[str, dict[str, float]] = {
 }
 
 DEFAULT_EPOCHS = 60
-
-# three pooling stages of width 2
-MIN_FRAMES = 8
 
 CHECKPOINT_VERSION = 1
 
@@ -393,8 +390,8 @@ def load_model(path) -> TcnModel:
                     f"checkpoint array {name} has shape {stored.shape}, "
                     f"expected {target.shape}")
             target[:] = stored
-        extras = [k for k in bundle.files if k.startswith("param_")
-                  and int(k.split("_")[1]) >= len(params)]
+        expected = {"meta"} | {f"param_{i}" for i in range(len(params))}
+        extras = sorted(set(bundle.files) - expected)
         if extras:
             raise ShapeMismatch(f"checkpoint has unexpected arrays: {extras}")
     return model

@@ -120,17 +120,33 @@ class TestExperimentCommand:
         assert "folds: 3/3 ok" in out
         assert "accuracy" in out
 
-    def test_fold_failure_exits_3(self, synth_manifest, tmp_path, capsys):
+    def test_fold_failure_exits_3(self, synth_manifest, tmp_path, capsys,
+                                  monkeypatch):
+        import surgact.runner
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("disk fell over")
+
+        monkeypatch.setattr(surgact.runner, "compute_kernel_size", explode)
         rc = main(["experiment", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
-                   "--epochs", "0", "--expected-channels", "39",
-                   "--output-dir", str(tmp_path / "broken")])
+                   "--epochs", "0", "--output-dir", str(tmp_path / "broken")])
         assert rc == 3
         err = capsys.readouterr().err
         assert "failure:" in err and "louo-SYNTH-U01" in err
         # the partial report still landed for post-mortem
         partial = json.loads((tmp_path / "broken" / "report.json").read_text())
         assert partial["folds"][0]["status"] == "failed"
+
+    def test_bad_input_exits_2_before_training(self, synth_manifest, tmp_path,
+                                                capsys):
+        rc = main(["experiment", "--catalog", str(synth_manifest),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   "--epochs", "0", "--expected-channels", "39",
+                   "--output-dir", str(tmp_path / "broken")])
+        assert rc == 2
+        assert "38 channels, expected 39" in capsys.readouterr().err
+        assert not (tmp_path / "broken").exists()
 
 
 class TestTrainCommand:

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surgact.dataset import (
-    COLUMNS_PER_ARM,
+    DEFAULT_SAMPLE_RATE,
     IDLE,
+    MIN_FRAMES,
     Catalog,
     CatalogEntry,
     KinematicTrial,
@@ -17,16 +18,14 @@ from surgact.dataset import (
     MotionPrimitiveLabel,
     Segment,
     arm_columns_at,
+    arm_of,
     both_arms_spec,
     build_catalog,
-    densify,
     encode_frames,
-    feature_spec_for_granularity,
     load_transcript,
     load_trial_kinematics,
     mp_verb,
     select_features,
-    single_arm_spec,
     split_by_arm,
 )
 from surgact.errors import (
@@ -34,7 +33,6 @@ from surgact.errors import (
     DataError,
     DuplicateColumn,
     DuplicateTrialKey,
-    GapWithoutFill,
     IndexOutOfRange,
     InvalidConfig,
     MissingFile,
@@ -44,6 +42,7 @@ from surgact.errors import (
     OverlappingSegments,
     RaggedRows,
     SegmentBeyondTrial,
+    TooShort,
     UnattributedSegment,
     UnknownLabel,
     UntiledTranscript,
@@ -86,6 +85,13 @@ class TestMotionPrimitiveLabel:
     def test_mp_verb(self):
         assert mp_verb("Push(R, Block)") == "Push"
         assert mp_verb("Idle") == "Idle"
+
+    def test_arm_of(self):
+        assert arm_of("Grasp(L, Needle)") == "L"
+        assert arm_of("Push(R, Block)") == "R"
+        assert arm_of("Idle") is None
+        with pytest.raises(UnattributedSegment):
+            arm_of("Touch")
 
 
 class TestSegment:
@@ -157,78 +163,70 @@ class TestLoadTranscript:
     def test_labels_may_contain_spaces(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29 Grasp(L, Needle)\n\n30 59 Push(R, Block)\n")
-        tr = load_transcript(p, self.VOCAB, 60)
+        tr = load_transcript(p).bind(self.VOCAB, 60)
         assert tr.segments == (Segment(0, 29, "Grasp(L, Needle)"),
                                Segment(30, 59, "Push(R, Block)"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
-            load_transcript(tmp_path / "nope.txt", self.VOCAB, 60)
+            load_transcript(tmp_path / "nope.txt")
 
     def test_short_row(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29\n")
         with pytest.raises(RaggedRows):
-            load_transcript(p, self.VOCAB, 60)
+            load_transcript(p).bind(self.VOCAB, 60)
 
     def test_non_integer_frame(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 x Idle\n")
         with pytest.raises(NonNumericCell):
-            load_transcript(p, self.VOCAB, 60)
+            load_transcript(p).bind(self.VOCAB, 60)
 
     def test_unknown_label(self, tmp_path):
         p = tmp_path / "t.txt"
-        p.write_text("0 29 Wave(L, Hand)\n")
-        with pytest.raises(UnknownLabel):
-            load_transcript(p, self.VOCAB, 60)
+        p.write_text("0 29 Touch(L, Hand)\n")
+        with pytest.raises(UnknownLabel, match="t.txt"):
+            load_transcript(p).bind(self.VOCAB, 60)
 
     def test_segment_beyond_trial(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 60 Idle\n")
         with pytest.raises(SegmentBeyondTrial):
-            load_transcript(p, self.VOCAB, 60)
+            load_transcript(p).bind(self.VOCAB, 60)
 
     def test_overlap_rejected_by_default(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 10 Idle\n5 20 Push(R, Block)\n")
         with pytest.raises(OverlappingSegments):
-            load_transcript(p, self.VOCAB, 60)
+            load_transcript(p).bind(self.VOCAB, 60)
 
-    def test_overlap_earliest_keeps_contested_frames(self, tmp_path):
+    def test_unparseable_mp_label_names_the_line(self, tmp_path):
         p = tmp_path / "t.txt"
-        p.write_text("0 10 Idle\n5 20 Push(R, Block)\n")
-        tr = load_transcript(p, self.VOCAB, 60, overlap_policy="earliest")
-        assert tr.segments == (Segment(0, 10, "Idle"),
-                               Segment(11, 20, "Push(R, Block)"))
+        p.write_text("0 29 Grasp(L, Needle)\n30 59 Grab(L, Needle)\n")
+        with pytest.raises(UnknownLabel, match="t.txt:2"):
+            load_transcript(p, "mp")
+        # gesture labels are free-form tokens
+        assert load_transcript(p, "gesture").labels == {
+            "Grasp(L, Needle)", "Grab(L, Needle)"}
 
-    def test_overlap_earliest_drops_swallowed_segment(self, tmp_path):
+    def test_parse_needs_no_trial_length(self, tmp_path):
         p = tmp_path / "t.txt"
-        p.write_text("0 10 Idle\n2 6 Push(R, Block)\n")
-        tr = load_transcript(p, self.VOCAB, 60, overlap_policy="earliest")
-        assert tr.segments == (Segment(0, 10, "Idle"),)
+        p.write_text("0 29 Grasp(L, Needle)\n40 99 Idle\n")
+        parsed = load_transcript(p, "mp")
+        assert parsed.labels == {"Grasp(L, Needle)", "Idle"}
+        assert parsed.bind(self.VOCAB, 100).length == 100
+        with pytest.raises(SegmentBeyondTrial, match="t.txt"):
+            parsed.bind(self.VOCAB, 99)
 
-    def test_unknown_policy(self, tmp_path):
+    def test_trial_shorter_than_the_model_minimum(self, tmp_path):
         p = tmp_path / "t.txt"
-        p.write_text("0 1 Idle\n")
-        with pytest.raises(InvalidConfig):
-            load_transcript(p, self.VOCAB, 60, overlap_policy="latest")
+        p.write_text("0 4 Idle\n")
+        with pytest.raises(TooShort, match="t.txt"):
+            load_transcript(p).bind(self.VOCAB, MIN_FRAMES - 3)
 
 
 class TestDensifyAndEncode:
-    def test_densify_tiled(self):
-        tr = transcript([Segment(0, 1, "A"), Segment(2, 3, "B")], 4)
-        assert densify(tr) == ["A", "A", "B", "B"]
-
-    def test_densify_fills_gaps(self):
-        tr = transcript([Segment(1, 2, "A")], 5)
-        assert densify(tr, fill="-") == ["-", "A", "A", "-", "-"]
-
-    def test_densify_gap_without_fill(self):
-        tr = transcript([Segment(1, 2, "A")], 5)
-        with pytest.raises(GapWithoutFill):
-            densify(tr)
-
     def test_encode_with_fill(self):
         tr = transcript([Segment(1, 2, "A")], 4)
         ids, mask = encode_frames(tr, {"A": 1, IDLE: 0}, fill=IDLE)
@@ -282,18 +280,6 @@ class TestSplitByArm:
         left, _ = split_by_arm(tr)
         assert left.segments == (Segment(0, 19, GRASP_L),)
 
-    def test_frame_count_extends_tail(self):
-        tr = transcript([Segment(0, 9, GRASP_L)], 10, vocabulary=(GRASP_L,))
-        left, right = split_by_arm(tr, frame_count=16)
-        assert left.length == 16
-        assert left.segments == (Segment(0, 9, GRASP_L), Segment(10, 15, IDLE))
-        assert right.segments == (Segment(0, 15, IDLE),)
-
-    def test_frame_count_cannot_shrink(self):
-        tr = transcript([Segment(0, 9, GRASP_L)], 10, vocabulary=(GRASP_L,))
-        with pytest.raises(DataError):
-            split_by_arm(tr, frame_count=9)
-
     def test_only_combined_transcripts(self):
         tr = transcript([Segment(0, 9, "G1")], 10, granularity="gesture")
         with pytest.raises(InvalidConfig):
@@ -320,14 +306,15 @@ class TestSplitByArm:
             pos += n
         tr = transcript(segments, pos, vocabulary=(GRASP_L, PUSH_R, TOUCH_L, IDLE))
         left, right = split_by_arm(tr)
-        dense = densify(tr)
-        dense_left = densify(left)
-        dense_right = densify(right)
+        ids = {lab: i for i, lab in enumerate(tr.vocabulary)}
+        dense, _ = encode_frames(tr, ids)
+        dense_left, _ = encode_frames(left, ids)
+        dense_right, _ = encode_frames(right, ids)
         for f in range(pos):
-            label = dense[f]
+            label = tr.vocabulary[dense[f]]
             side = "none" if label == IDLE else MotionPrimitiveLabel.parse(label).tool
-            assert dense_left[f] == (label if side == "L" else IDLE)
-            assert dense_right[f] == (label if side == "R" else IDLE)
+            assert dense_left[f] == ids[label if side == "L" else IDLE]
+            assert dense_right[f] == ids[label if side == "R" else IDLE]
 
 
 class TestKinematics:
@@ -380,29 +367,12 @@ class TestKinematics:
         with pytest.raises(ChannelMismatch):
             load_trial_kinematics(p, expected_channels=38)
 
-    def test_duration(self):
-        trial = KinematicTrial(task="T", subject="S", trial="1",
-                               data=np.zeros((60, 2)), sample_rate=30.0)
-        assert trial.duration_seconds == pytest.approx(2.0)
-
-
 class TestFeatureSelection:
     def test_both_arms_columns(self):
         # per arm: position 0-2, linear velocity 12-14, gripper 18
         assert both_arms_spec().columns() == (
             0, 1, 2, 12, 13, 14, 18,
             19, 20, 21, 31, 32, 33, 37)
-
-    def test_single_arm_offsets(self):
-        assert single_arm_spec("L").columns() == (0, 1, 2, 12, 13, 14, 18)
-        assert single_arm_spec("R").columns() == tuple(
-            c + COLUMNS_PER_ARM for c in (0, 1, 2, 12, 13, 14, 18))
-
-    def test_granularity_defaults(self):
-        assert feature_spec_for_granularity("gesture").num_features == 14
-        assert feature_spec_for_granularity("mp").num_features == 14
-        assert feature_spec_for_granularity("mp-left").num_features == 7
-        assert feature_spec_for_granularity("mp-right").num_features == 7
 
     def test_select_is_bit_exact(self):
         rng = np.random.default_rng(3)
@@ -425,10 +395,6 @@ class TestFeatureSelection:
         spec = both_arms_spec(left_offset=0, right_offset=0)
         with pytest.raises(DuplicateColumn):
             select_features(trial, spec)
-
-    def test_bad_side(self):
-        with pytest.raises(InvalidConfig):
-            single_arm_spec("both")
 
     def test_arm_columns_at_offset(self):
         arm = arm_columns_at(19)
@@ -471,7 +437,6 @@ class TestCatalog:
         ))
         assert cat.tasks() == ("NP", "S")
         assert len(cat.entries_for_tasks(["S"])) == 2
-        assert cat.subject_keys(["S"]) == (("JIGSAWS", "B"), ("JIGSAWS", "C"))
         assert cat.datasets_of_tasks(["S", "NP"]) == {"JIGSAWS"}
         assert cat.task_has_granularity("S", "gesture")
         assert not cat.task_has_granularity("NP", "gesture")
@@ -538,4 +503,28 @@ class TestBuildCatalog:
         mp = tmp_path / "manifest.json"
         mp.write_text(json.dumps({"entries": 5}))
         with pytest.raises(DataError):
+            build_catalog(mp)
+
+    def test_sample_rate(self, tmp_path):
+        mp = self.write_corpus(tmp_path)
+        assert build_catalog(mp).sample_rate == 30.0
+        doc = json.loads(mp.read_text())
+        doc["sample_rate"] = 120
+        mp.write_text(json.dumps(doc))
+        assert build_catalog(mp).sample_rate == 120.0
+        del doc["sample_rate"]
+        mp.write_text(json.dumps(doc))
+        assert build_catalog(mp).sample_rate == DEFAULT_SAMPLE_RATE
+        mp.write_text(json.dumps(doc["entries"]))  # bare list form
+        assert build_catalog(mp).sample_rate == DEFAULT_SAMPLE_RATE
+
+    @pytest.mark.parametrize("rate", ["-5", "0", "\"120\"", "true", "NaN",
+                                      "Infinity", "null", "[30]"],
+                             ids=["negative", "zero", "string", "bool", "nan",
+                                  "infinite", "null", "list"])
+    def test_bad_sample_rate(self, tmp_path, rate):
+        mp = self.write_corpus(tmp_path)
+        mp.write_text(mp.read_text().replace('"sample_rate": 30.0',
+                                             f'"sample_rate": {rate}'))
+        with pytest.raises(DataError, match="sample_rate"):
             build_catalog(mp)

@@ -273,7 +273,7 @@ class TestMapReport:
         summary = map_report({"a": 80.0, "b": None}, {"a": 2, "b": 0})
         assert summary.macro == pytest.approx(80.0)
         assert summary.micro == pytest.approx(80.0)
-        assert summary.ap_of("b") is None
+        assert dict(summary.per_class)["b"] is None
 
     def test_support_recorded(self):
         summary = map_report({"a": 80.0, "b": None}, {"a": 2})
@@ -286,8 +286,3 @@ class TestMapReport:
     def test_missing_support(self):
         with pytest.raises(LengthMismatch):
             map_report({"a": 50.0}, {})
-
-    def test_unknown_class_lookup(self):
-        summary = map_report({"a": 50.0}, {"a": 1})
-        with pytest.raises(KeyError):
-            summary.ap_of("zzz")

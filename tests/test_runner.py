@@ -5,11 +5,17 @@ training length) live in the acceptance module; here experiments run with
 one or two epochs because the claims under test are structural.
 """
 
+import gc
 import json
+import weakref
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surgact.runner as runner_mod
+from surgact.cli import main as cli_main
 from surgact.dataset import build_catalog
 from surgact.errors import (
     CrossDatasetGestures,
@@ -19,6 +25,7 @@ from surgact.errors import (
     IoFailure,
     MissingTranscript,
     NonFiniteLoss,
+    UnattributedSegment,
 )
 from surgact.runner import (
     ExperimentConfig,
@@ -67,7 +74,7 @@ class TestExperimentConfig:
         {"learning_rate": 0.0},
         {"weight_decay": -1e-4},
         {"epochs": -1},
-        {"workers": 0},
+        {"cv": "loto", "test_task": "T02", "train_tasks": ("T01",)},  # keeps louo tasks
         {"kernel_size": 4},
     ])
     def test_rejections(self, synth_manifest, kwargs):
@@ -207,26 +214,28 @@ class TestPlanFolds:
         assert len(plan_folds(cfg, study_catalog)) == 22
 
 
+def synth_source(manifest, granularity="mp"):
+    catalog = build_catalog(manifest)
+    spec = synth_config(manifest, granularity=granularity).feature_spec()
+    return TrialDataSource(catalog, granularity, spec, [e.key for e in catalog.entries])
+
+
 class TestExperimentVocabulary:
     def test_mp_includes_idle(self, synth_manifest):
-        catalog = build_catalog(synth_manifest)
-        keys = [e.key for e in catalog.entries]
-        vocab = experiment_vocabulary(catalog, keys, "mp")
+        vocab = synth_source(synth_manifest).vocabulary
         assert "Idle" in vocab
         assert len(vocab) == 5  # 4 classes + Idle
         assert list(vocab) == sorted(vocab)
 
     def test_gesture_has_no_idle(self, synth_manifest):
-        catalog = build_catalog(synth_manifest)
-        keys = [e.key for e in catalog.entries]
-        vocab = experiment_vocabulary(catalog, keys, "gesture")
-        assert vocab == ("G1", "G2", "G3", "G4")
+        source = synth_source(synth_manifest, "gesture")
+        assert source.vocabulary == ("G1", "G2", "G3", "G4")
+        assert experiment_vocabulary(source, source.keys[:1]) == tuple(
+            sorted(source.labels(source.keys[0])))
 
     def test_per_arm_vocab_keeps_own_side_plus_idle(self, synth_manifest):
-        catalog = build_catalog(synth_manifest)
-        keys = [e.key for e in catalog.entries]
-        left = experiment_vocabulary(catalog, keys, "mp-left")
-        right = experiment_vocabulary(catalog, keys, "mp-right")
+        left = synth_source(synth_manifest, "mp-left").vocabulary
+        right = synth_source(synth_manifest, "mp-right").vocabulary
         assert "Idle" in left and "Idle" in right
         assert all("(L," in lab for lab in left if lab != "Idle")
         assert all("(R," in lab for lab in right if lab != "Idle")
@@ -266,12 +275,9 @@ def write_mini_corpus(root, *, with_gesture=True, with_arm_files=False):
 
 class TestTrialDataSource:
     def test_mp_tensors_have_no_mask(self, synth_manifest):
-        catalog = build_catalog(synth_manifest)
-        keys = [e.key for e in catalog.entries]
-        cfg = synth_config(synth_manifest)
-        vocab = experiment_vocabulary(catalog, keys, "mp")
-        source = TrialDataSource(catalog, "mp", cfg.feature_spec(), vocab)
-        tensors = source.tensors(keys[0])
+        source = synth_source(synth_manifest)
+        vocab = source.vocabulary
+        tensors = source.tensors(source.keys[0])
         assert tensors.mask is None
         assert tensors.features.shape[1] == 14
         assert tensors.features.shape[0] == tensors.targets.shape[0]
@@ -283,7 +289,8 @@ class TestTrialDataSource:
         cfg = ExperimentConfig(catalog=str(manifest), granularity="gesture",
                                cv="louo", tasks=("T",))
         source = TrialDataSource(catalog, "gesture", cfg.feature_spec(),
-                                 ("G1", "G2"), sample_rate=10.0)
+                                 [e.key for e in catalog.entries])
+        assert source.vocabulary == ("G1", "G2")
         tensors = source.tensors(("T", "A", "001"))
         assert tensors.mask is not None
         np.testing.assert_array_equal(tensors.mask[0:10], True)
@@ -295,12 +302,10 @@ class TestTrialDataSource:
         manifest = write_mini_corpus(tmp_path)
         catalog = build_catalog(manifest)
         keys = [e.key for e in catalog.entries]
-        vocab = experiment_vocabulary(catalog, keys, "mp-left")
-        assert vocab == ("Grasp(L, X)", "Idle")
         cfg = ExperimentConfig(catalog=str(manifest), granularity="mp-left",
                                cv="louo", tasks=("T",))
-        source = TrialDataSource(catalog, "mp-left", cfg.feature_spec(), vocab,
-                                 sample_rate=10.0)
+        source = TrialDataSource(catalog, "mp-left", cfg.feature_spec(), keys)
+        assert source.vocabulary == ("Grasp(L, X)", "Idle")
         tensors = source.tensors(("T", "A", "001"))
         np.testing.assert_array_equal(tensors.targets[:20], 0)   # the L grasp
         np.testing.assert_array_equal(tensors.targets[20:], 1)   # Idle
@@ -313,23 +318,32 @@ class TestTrialDataSource:
             catalog, "mp-left",
             ExperimentConfig(catalog=str(manifest), granularity="mp-left",
                              cv="louo", tasks=("T",)).feature_spec(),
-            ("Grasp(L, X)", "Idle"), sample_rate=10.0)
+            [e.key for e in catalog.entries])
+        assert source.vocabulary == ("Grasp(L, X)", "Idle")
         tensors = source.tensors(("T", "A", "001"))
         np.testing.assert_array_equal(tensors.targets[:20], 0)
+
+    def test_unattributed_label_cannot_be_derived(self, tmp_path):
+        manifest = write_mini_corpus(tmp_path)
+        (tmp_path / "lab" / "T_B_001_mp.txt").write_text("0 19 Touch\n20 39 Push(R, Y)\n")
+        catalog = build_catalog(manifest)
+        spec = ExperimentConfig(catalog=str(manifest), granularity="mp-left",
+                                cv="louo", tasks=("T",)).feature_spec()
+        with pytest.raises(UnattributedSegment, match="T_B_001_mp.txt"):
+            TrialDataSource(catalog, "mp-left", spec, [e.key for e in catalog.entries])
 
     def test_vocabulary_requires_transcripts_everywhere(self, tmp_path):
         manifest = write_mini_corpus(tmp_path, with_gesture=False)
         catalog = build_catalog(manifest)
+        spec = ExperimentConfig(catalog=str(manifest), granularity="gesture",
+                                cv="louo", tasks=("T",)).feature_spec()
         with pytest.raises(MissingTranscript):
-            experiment_vocabulary(catalog, [("T", "A", "001")], "gesture")
+            TrialDataSource(catalog, "gesture", spec, [("T", "A", "001")])
 
     def test_event_log_and_caching(self, synth_manifest):
-        catalog = build_catalog(synth_manifest)
-        keys = [e.key for e in catalog.entries]
-        cfg = synth_config(synth_manifest)
-        vocab = experiment_vocabulary(catalog, keys, "mp")
-        source = TrialDataSource(catalog, "mp", cfg.feature_spec(), vocab)
-        key = keys[0]
+        source = synth_source(synth_manifest)
+        assert source.events == []  # the vocabulary is not a trial access
+        key = source.keys[0]
         ident = "/".join(key)
         source.mark("phase-1")
         source.tensors(key)
@@ -350,8 +364,7 @@ class TestRunFold:
         cfg = synth_config(synth_manifest)
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        vocab = experiment_vocabulary(catalog, keys, "mp")
-        source = TrialDataSource(catalog, "mp", cfg.feature_spec(), vocab)
+        source = TrialDataSource(catalog, "mp", cfg.feature_spec(), keys)
         payload, model = run_fold(plans[0], source, cfg)
         assert payload["status"] == "ok"
         assert payload["name"] == "louo-SYNTH-U01"
@@ -377,8 +390,7 @@ class TestRunFold:
         cfg = synth_config(synth_manifest, kernel_size=5, epochs=0)
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        vocab = experiment_vocabulary(catalog, keys, "mp")
-        source = TrialDataSource(catalog, "mp", cfg.feature_spec(), vocab)
+        source = TrialDataSource(catalog, "mp", cfg.feature_spec(), keys)
         payload, _ = run_fold(plans[0], source, cfg)
         assert payload["kernel_size"] == 5
 
@@ -387,9 +399,8 @@ class TestRunFold:
         cfg = synth_config(synth_manifest, epochs=1)
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        vocab = experiment_vocabulary(catalog, keys, "mp")
         for plan in plans:
-            source = TrialDataSource(catalog, "mp", cfg.feature_spec(), vocab)
+            source = TrialDataSource(catalog, "mp", cfg.feature_spec(), keys)
             run_fold(plan, source, cfg)
             events = source.events
             begin = events.index(("mark", f"{plan.name}:train-begin"))
@@ -411,6 +422,7 @@ class TestRunExperiment:
         assert report.experiment["fold_names"] == [
             "louo-SYNTH-U01", "louo-SYNTH-U02", "louo-SYNTH-U03"]
         assert report.experiment["vocabulary"][-1] != ""
+        assert report.experiment["sample_rate"] == 30.0
         assert report.aggregate["num_ok_folds"] == 3
         agg_acc = np.mean([f["metrics"]["accuracy_mean"] for f in report.folds])
         assert report.aggregate["accuracy_mean"] == pytest.approx(agg_acc)
@@ -431,17 +443,23 @@ class TestRunExperiment:
         b = run_experiment(synth_config(synth_manifest))
         assert a.json_bytes(include_timing=False) == b.json_bytes(include_timing=False)
 
-    def test_worker_pool_matches_sequential(self, synth_manifest):
-        # the experiment block echoes the workers setting, so compare the
-        # result subtrees rather than whole-report bytes
-        seq = run_experiment(synth_config(synth_manifest, epochs=1))
-        par = run_experiment(synth_config(synth_manifest, epochs=1, workers=3))
-        assert seq.payload()["folds"] == par.payload()["folds"]
-        assert seq.payload()["aggregate"] == par.payload()["aggregate"]
+    def test_one_model_alive_at_a_time(self, synth_manifest, monkeypatch):
+        # a trained model holds its last forward pass's buffers
+        models = []
+        real_build_model = runner_mod.build_model
+
+        def build_model(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in models), "an earlier fold's model is alive"
+            model = real_build_model(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(runner_mod, "build_model", build_model)
+        run_experiment(synth_config(synth_manifest, epochs=0))
+        assert len(models) == 3
 
     def test_diverged_folds_are_skipped_not_fatal(self, synth_manifest, monkeypatch):
-        import surgact.runner as runner_mod
-
         def explode(*args, **kwargs):
             raise NonFiniteLoss("synthetic divergence")
 
@@ -455,8 +473,6 @@ class TestRunExperiment:
 
     def test_fold_failure_persists_partial_report(self, synth_manifest, tmp_path,
                                                   monkeypatch):
-        import surgact.runner as runner_mod
-
         def explode(*args, **kwargs):
             raise RuntimeError("disk fell over")
 
@@ -467,7 +483,7 @@ class TestRunExperiment:
                                         output_dir=str(out)))
         payload = json.loads((out / "report.json").read_text())
         statuses = [f["status"] for f in payload["folds"]]
-        assert "failed" in statuses
+        assert statuses == ["failed"]  # the run stops at the first failed fold
 
 
 class TestRunSingleFold:
@@ -530,3 +546,82 @@ class TestReportsOnDisk:
         table = combine_reports([tmp_path / "out" / "report.json"])
         assert "T01" in table
         assert "mp" in table
+
+
+def corrupt_grab_label(root):
+    (root / "lab" / "T_B_001_mp.txt").write_text("0 19 Grab(L, X)\n20 39 Push(R, Y)\n")
+
+
+def corrupt_short_trial(root):
+    np.savetxt(root / "kin" / "T_B_001.txt", np.zeros((5, 38)), fmt="%.4f")
+    (root / "lab" / "T_B_001_mp.txt").write_text("0 2 Grasp(L, X)\n3 4 Push(R, Y)\n")
+
+
+def corrupt_sample_rate(value):
+    def corrupt(root):
+        doc = json.loads((root / "manifest.json").read_text())
+        doc["sample_rate"] = value
+        (root / "manifest.json").write_text(json.dumps(doc))
+    return corrupt
+
+
+class TestBadInputIsRejectedBeforeTraining:
+    @pytest.mark.parametrize("corrupt", [
+        corrupt_grab_label,
+        corrupt_short_trial,
+        corrupt_sample_rate(-5),
+        corrupt_sample_rate("120"),
+    ], ids=["unparseable-mp-label", "5-frame-trial", "negative-rate", "string-rate"])
+    def test_rejected(self, tmp_path, monkeypatch, capsys, corrupt):
+        manifest = write_mini_corpus(tmp_path, with_gesture=False)
+        corrupt(tmp_path)
+        assert cli_main(["validate", "--catalog", str(manifest)]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+        trained = []
+        real_train_fold = runner_mod.train_fold
+
+        def spy(*args, **kwargs):
+            trained.append(args[1].name)
+            return real_train_fold(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "train_fold", spy)
+        cfg = ExperimentConfig(catalog=str(manifest), granularity="mp", cv="louo",
+                               tasks=("T",), epochs=1, output_dir=str(tmp_path / "out"))
+        with pytest.raises(DataError):
+            run_experiment(cfg)
+        with pytest.raises(DataError):
+            run_single_fold(cfg, "louo-MINI-A")
+        assert trained == []
+        assert not (tmp_path / "out").exists()
+
+
+class TestEachTranscriptIsReadOnce:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counts = Counter()
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            counts[path.name] += 1
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        return counts
+
+    @staticmethod
+    def transcript_reads(reads):
+        return {name: n for name, n in reads.items() if name.endswith("_mp.txt")}
+
+    @pytest.mark.parametrize("granularity", ["mp", "mp-left"])
+    def test_per_experiment(self, tmp_path, reads, granularity):
+        # mp is declared; mp-left is derived from the combined mp file
+        manifest = write_mini_corpus(tmp_path, with_gesture=False)
+        run_experiment(ExperimentConfig(catalog=str(manifest), granularity=granularity,
+                                        cv="louo", tasks=("T",), epochs=1))
+        assert self.transcript_reads(reads) == {"T_A_001_mp.txt": 1, "T_B_001_mp.txt": 1}
+
+    def test_per_validate(self, tmp_path, reads):
+        manifest = write_mini_corpus(tmp_path, with_gesture=False)
+        assert cli_main(["validate", "--catalog", str(manifest)]) == 0
+        assert self.transcript_reads(reads) == {"T_A_001_mp.txt": 1, "T_B_001_mp.txt": 1}

@@ -7,13 +7,12 @@ import pytest
 from surgact.dataset import (
     MotionPrimitiveLabel,
     build_catalog,
-    densify,
+    encode_frames,
     load_transcript,
     load_trial_kinematics,
     split_by_arm,
 )
 from surgact.errors import InvalidConfig
-from surgact.runner import _scan_transcript_labels
 from surgact.synth import generate_synthetic_dataset, synthetic_class_labels
 
 
@@ -47,34 +46,31 @@ class TestGeneratedCorpus:
         cat = build_catalog(synth_manifest)
         e = cat.entries[0]
         frames = load_trial_kinematics(e.kinematics).num_frames
-        vocab = sorted(_scan_transcript_labels(e.transcript_path("mp")))
-        tr = load_transcript(e.transcript_path("mp"), vocab, frames, "mp")
+        parsed = load_transcript(e.transcript_path("mp"), "mp")
+        tr = parsed.bind(sorted(parsed.labels), frames)
         assert tr.labeled_frame_count == frames  # no gaps
-        dense = densify(tr)
-        assert len(dense) == frames
+        _, mask = encode_frames(tr, {lab: i for i, lab in enumerate(tr.vocabulary)})
+        assert mask.shape == (frames,) and mask.all()
 
     def test_per_arm_files_match_the_production_split(self, synth_manifest):
         cat = build_catalog(synth_manifest)
         for e in cat.entries[:3]:
             frames = load_trial_kinematics(e.kinematics).num_frames
-            vocab = sorted(_scan_transcript_labels(e.transcript_path("mp")))
-            combined = load_transcript(e.transcript_path("mp"), vocab, frames, "mp")
-            left, right = split_by_arm(combined)
-            side_vocab = sorted(set(vocab) | {"Idle"})
+            parsed = load_transcript(e.transcript_path("mp"), "mp")
+            left, right = split_by_arm(parsed.bind(sorted(parsed.labels), frames))
+            side_vocab = sorted(parsed.labels | {"Idle"})
             for granularity, expected in (("mp-left", left), ("mp-right", right)):
-                on_disk = load_transcript(
-                    e.transcript_path(granularity), side_vocab, frames, granularity)
-                assert on_disk.segments == expected.segments
+                on_disk = load_transcript(e.transcript_path(granularity), granularity)
+                assert on_disk.bind(side_vocab, frames).segments == expected.segments
 
     def test_gesture_shares_mp_boundaries(self, synth_manifest):
         cat = build_catalog(synth_manifest)
         e = cat.entries[0]
         frames = load_trial_kinematics(e.kinematics).num_frames
-        mp_vocab = sorted(_scan_transcript_labels(e.transcript_path("mp")))
-        g_vocab = sorted(_scan_transcript_labels(e.transcript_path("gesture")))
-        mp = load_transcript(e.transcript_path("mp"), mp_vocab, frames, "mp")
-        gesture = load_transcript(e.transcript_path("gesture"), g_vocab, frames,
-                                  "gesture")
+        mp = load_transcript(e.transcript_path("mp"), "mp")
+        gesture = load_transcript(e.transcript_path("gesture"), "gesture")
+        mp.bind(sorted(mp.labels), frames)
+        gesture.bind(sorted(gesture.labels), frames)
         assert [(s.start, s.end) for s in mp.segments] == \
                [(s.start, s.end) for s in gesture.segments]
 

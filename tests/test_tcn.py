@@ -350,3 +350,15 @@ class TestCheckpoint:
             np.savez(fh, **arrays)
         with pytest.raises(ShapeMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("name", ["param_x", "param_", "weights"])
+    def test_stray_array_name_rejected(self, tmp_path, name):
+        model = build_model(SMALL, 3)
+        path = save_model(model, tmp_path / "model.npz")
+        with np.load(path, allow_pickle=False) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        arrays[name] = np.zeros(3)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(DataError, match=name):
+            load_model(path)
