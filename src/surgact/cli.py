@@ -14,6 +14,7 @@ from pathlib import Path
 from ._version import __version__
 from .crossval import TASK_COMBOS
 from .dataset import (
+    ARM_SIDES,
     GRANULARITIES,
     build_catalog,
     load_transcript,
@@ -85,14 +86,19 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_validate(args) -> int:
-    # the loader the experiments use: each file is read once, and every
-    # transcript is bound to its trial's length
+    # the loader the experiments use: each file is read once, every
+    # transcript is bound to its trial's length, and a combined 'mp' one must
+    # yield the per-arm views an experiment derives from it where the trial
+    # declares no per-arm file
     catalog = build_catalog(args.catalog)
     for entry in catalog.entries:
         length = load_trial_kinematics(entry.kinematics, args.expected_channels).num_frames
+        derived = any(entry.transcript_path(g) is None for g in ARM_SIDES)
         for granularity, path in entry.transcripts:
             parsed = load_transcript(path, granularity)
             parsed.bind(sorted(parsed.labels), length)
+            if granularity == "mp" and derived:
+                parsed.arm_labels()
     print(f"ok: {len(catalog.entries)} trials, {len(catalog.tasks())} tasks "
           f"({', '.join(catalog.tasks())})")
     return EXIT_OK

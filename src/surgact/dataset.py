@@ -215,6 +215,16 @@ class TranscriptFile:
     def labels(self) -> frozenset[str]:
         return frozenset(seg.label for seg in self.segments)
 
+    def arm_labels(self) -> dict[str, frozenset[str]]:
+        """The labels of each per-arm granularity (`ARM_SIDES`) derived from
+        this combined 'mp' file by `arm_of`."""
+        try:
+            arms = {lab: arm_of(lab) for lab in self.labels}
+        except UnattributedSegment as exc:
+            raise UnattributedSegment(f"{self.path}: {exc}") from None
+        return {granularity: frozenset(lab for lab, arm in arms.items() if arm == side)
+                for granularity, side in ARM_SIDES.items()}
+
     def bind(self, vocabulary: Sequence[str], length: int) -> LabelTranscript:
         """The transcript of a trial of `length` frames over `vocabulary`."""
         if length < MIN_FRAMES:
@@ -396,13 +406,45 @@ def load_trial_kinematics(
 
     Accepts whitespace or comma delimiters. Every row must have the same
     number of columns and every cell must parse to a finite float.
+
+    numpy parses the file; any file it rejects, or that holds a non-finite
+    cell or no data row, is parsed again line by line, which either raises
+    the error naming `path:line` or returns the cells `float()` accepts and
+    numpy does not (such as ``1_0``).
     """
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"kinematics file not found: {p}")
+    text = p.read_text()
+    # Python's line split, not numpy's: given the raw text, loadtxt reads
+    # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029 as spaces inside a row,
+    # where the line parser ends the row
+    lines = text.replace(",", " ").splitlines()
+    data = None
+    # a file of blank lines would make loadtxt warn "input contained no data"
+    if any(line.strip() for line in lines):
+        try:
+            # comments=None: a '#' line is a bad cell, not a comment
+            data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or not np.isfinite(data).all():
+        data = _parse_kinematics_lines(p, text)
+    if expected_channels is not None and data.shape[1] != expected_channels:
+        raise ChannelMismatch(
+            f"{p}: {data.shape[1]} channels, expected {expected_channels}")
+    return KinematicTrial(task=task, subject=subject, trial=trial, data=data)
+
+
+def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:
+    """Parse kinematics text one `float()` per cell; errors name `p:line`.
+
+    The reference that the numpy path of `load_trial_kinematics` is tested
+    against.
+    """
     rows: list[list[float]] = []
     width: Optional[int] = None
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -424,11 +466,7 @@ def load_trial_kinematics(
         rows.append(values)
     if not rows:
         raise DataError(f"kinematics file has no data rows: {p}")
-    data = np.array(rows, dtype=np.float64)
-    if expected_channels is not None and data.shape[1] != expected_channels:
-        raise ChannelMismatch(
-            f"{p}: {data.shape[1]} channels, expected {expected_channels}")
-    return KinematicTrial(task=task, subject=subject, trial=trial, data=data)
+    return np.array(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +513,23 @@ def both_arms_spec(left_offset: int = 0, right_offset: int = COLUMNS_PER_ARM) ->
     return FeatureSpec(arms=(arm_columns_at(left_offset), arm_columns_at(right_offset)))
 
 
-def select_features(trial: KinematicTrial, spec: FeatureSpec) -> np.ndarray:
-    """Gather the spec's columns into a (T, F) array, order preserved."""
+def check_feature_columns(spec: FeatureSpec, num_channels: int) -> tuple[int, ...]:
+    """The spec's columns, checked to be distinct and inside a trial of
+    `num_channels` columns."""
     cols = spec.columns()
     if len(set(cols)) != len(cols):
         seen = set()
         dup = next(c for c in cols if c in seen or seen.add(c))
         raise DuplicateColumn(f"column {dup} selected more than once")
-    d = trial.num_channels
     for c in cols:
-        if c < 0 or c >= d:
-            raise IndexOutOfRange(f"column {c} outside [0, {d})")
+        if c < 0 or c >= num_channels:
+            raise IndexOutOfRange(f"column {c} outside [0, {num_channels})")
+    return cols
+
+
+def select_features(trial: KinematicTrial, spec: FeatureSpec) -> np.ndarray:
+    """Gather the spec's columns into a (T, F) array, order preserved."""
+    cols = check_feature_columns(spec, trial.num_channels)
     return np.ascontiguousarray(trial.data[:, list(cols)])
 
 

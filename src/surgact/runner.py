@@ -43,9 +43,9 @@ from .dataset import (
     TranscriptFile,
     TrialKey,
     arm_columns_at,
-    arm_of,
     both_arms_spec,
     build_catalog,
+    check_feature_columns,
     encode_frames,
     load_transcript,
     load_trial_kinematics,
@@ -61,7 +61,6 @@ from .errors import (
     MissingTranscript,
     NoDefinedClasses,
     NonFiniteLoss,
-    UnattributedSegment,
 )
 from .metrics import (
     edit_score,
@@ -333,11 +332,7 @@ class TrialDataSource:
         parsed = self._file(key)
         if parsed.granularity == self.granularity:
             return parsed.labels
-        side = ARM_SIDES[self.granularity]
-        try:
-            return frozenset(lab for lab in parsed.labels if arm_of(lab) == side)
-        except UnattributedSegment as exc:
-            raise UnattributedSegment(f"{parsed.path}: {exc}") from None
+        return parsed.arm_labels()[self.granularity]
 
     def transcript(self, key: TrialKey) -> LabelTranscript:
         out = self._transcripts.get(key)
@@ -363,10 +358,11 @@ class TrialDataSource:
         return out
 
     def load(self, keys: Sequence[TrialKey]) -> None:
-        """Read and check these trials' kinematics and transcripts now, so
-        that bad input is rejected before any fold trains."""
+        """Read and check these trials' kinematics, transcripts and feature
+        columns now, so that bad input is rejected before any fold trains."""
         for key in keys:
             self.transcript(key)
+            check_feature_columns(self.feature_spec, self._trial(key).num_channels)
 
     def features(self, key: TrialKey) -> np.ndarray:
         self._log("features", key)

@@ -58,6 +58,33 @@ class TestValidateCommand:
         assert rc == 2
         assert "38" in capsys.readouterr().err
 
+    def test_mp_label_without_a_tool_side(self, tmp_path, capsys):
+        # validate and an mp-left experiment both accept the label while the
+        # trials declare per-arm files, and both reject it once the per-arm
+        # views must be derived from the combined mp transcript
+        main(["synth", "--out", str(tmp_path), "--tasks", "1", "--subjects", "2",
+              "--trials-per-subject", "1", "--min-frames", "40", "--max-frames", "60"])
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        mp = tmp_path / doc["entries"][0]["transcripts"]["mp"]
+        first, rest = mp.read_text().split("\n", 1)
+        start, end, _ = first.split(" ", 2)
+        mp.write_text(f"{start} {end} Touch\n{rest}")
+        validate = ["validate", "--catalog", str(manifest)]
+        experiment = ["experiment", "--catalog", str(manifest), "--granularity",
+                      "mp-left", "--cv", "louo", "--tasks", "T01", "--epochs", "0"]
+        assert main(validate) == 0
+        assert main(experiment) == 0
+        capsys.readouterr()
+
+        for entry in doc["entries"]:
+            entry["transcripts"] = {"mp": entry["transcripts"]["mp"]}
+        manifest.write_text(json.dumps(doc))
+        assert main(validate) == 2
+        assert f"{mp.name}: motion primitive 'Touch' names no tool side" in (
+            capsys.readouterr().err)
+        assert main(experiment) == 2
+
 
 class TestFoldsCommand:
     def test_prints_plans_as_json(self, synth_manifest, capsys):

@@ -1,6 +1,7 @@
 """Ingestion tests: label parsing, transcripts, kinematics files, catalog."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from surgact.dataset import (
     LabelTranscript,
     MotionPrimitiveLabel,
     Segment,
+    _parse_kinematics_lines,
     arm_columns_at,
     arm_of,
     both_arms_spec,
@@ -366,6 +368,122 @@ class TestKinematics:
         p.write_text("1 2 3\n")
         with pytest.raises(ChannelMismatch):
             load_trial_kinematics(p, expected_channels=38)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\n  \n"])
+    def test_no_data_rows_without_a_warning(self, tmp_path, text):
+        p = tmp_path / "k.txt"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows"):
+                load_trial_kinematics(p)
+
+    def test_hash_line_is_a_bad_cell_not_a_comment(self, tmp_path):
+        p = tmp_path / "k.txt"
+        p.write_text("1 2\n# note\n3 4\n")
+        with pytest.raises(NonNumericCell, match="k.txt:2: column 0: '#'"):
+            load_trial_kinematics(p)
+
+    def test_clean_file_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the line parser ran on a clean file")
+
+        monkeypatch.setattr("surgact.dataset._parse_kinematics_lines", refuse)
+        p = tmp_path / "k.txt"
+        p.write_text("1.5, -2e-3\t+7\r\n\n4 5 6")
+        np.testing.assert_array_equal(load_trial_kinematics(p).data,
+                                      [[1.5, -2e-3, 7], [4, 5, 6]])
+
+
+def parse_both(p):
+    """(line parser, load_trial_kinematics) on one file: the array's shape
+    and bytes, or the exception's type and message."""
+    def outcome(parse):
+        try:
+            data = parse()
+        except DataError as exc:
+            return type(exc), str(exc)
+        return data.shape, data.tobytes()
+
+    return (outcome(lambda: _parse_kinematics_lines(p, p.read_text())),
+            outcome(lambda: load_trial_kinematics(p).data))
+
+
+KINEMATICS_EDGE_CASES = {
+    "mixed-delimiters": "1,2 3\n4 ,5,  6\n",
+    "leading-and-doubled-commas": ",1,,2\n3 4,\n",
+    "tabs": "1\t2\n3\t\t4\n",
+    "crlf": "1 2\r\n3 4\r\n",
+    "lone-cr": "1 2\r3 4\r",
+    "vertical-tab": "1 2\v3 4\n",
+    "form-feed": "1 2\f3 4\n",
+    "file-separator": "1\x1c2\n",
+    "group-separator": "1\x1d2\n",
+    "record-separator": "1\x1e2\n",
+    "unit-separator": "1\x1f2\n3 4\n",
+    "next-line": "1\x852\n",
+    "no-break-space": "1\xa02\n3 4\n",
+    "line-separator": "1\u20282\n",
+    "paragraph-separator": "1\u20292\n",
+    "blank-lines": "\n1 2\n\n  \t \n3 4\n\n",
+    "no-trailing-newline": "1 2\n3 4",
+    "single-row": "1.5 -2.5 3e-300\n",
+    "single-column": "1\n2\n3\n",
+    "single-cell": "7",
+    "leading-plus": "+1 2\n",
+    "underscore-digits": "1_0 2\n3 4\n",
+    "non-ascii-digits": "\u0661\u0662 2\n3 4\n",
+    "hex": "0x1 2\n",
+    "fortran-exponent": "1.0D5 2\n",
+    "byte-order-mark": "\ufeff1 2\n",
+    "comment-line": "# comment\n1 2\n",
+    "trailing-comment": "1 2 # comment\n",
+    "nan": "1 2\n3 nan\n",
+    "inf": "1 inf\n",
+    "minus-inf": "-inf 1\n",
+    "overflow": "1e400 1\n",
+    "ragged": "1 2 3\n4 5\n",
+    "ragged-row-of-bad-cells": "1 2\nx\n",
+    "empty": "",
+    "whitespace-only": "  \n\t\n",
+}
+
+
+class TestKinematicsParserOracle:
+    """The numpy path of `load_trial_kinematics` against the line parser."""
+
+    @pytest.mark.parametrize("text", KINEMATICS_EDGE_CASES.values(),
+                             ids=KINEMATICS_EDGE_CASES.keys())
+    def test_edge_case(self, tmp_path, text):
+        p = tmp_path / "k.txt"
+        p.write_text(text, encoding="utf-8", newline="")
+        reference, fast = parse_both(p)
+        assert fast == reference
+
+    @given(grid=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=3, max_size=3),
+                         min_size=1, max_size=5).map(np.array),
+           delimiters=st.lists(st.sampled_from([" ", ",", "\t", ", ", " ,\t"]),
+                               min_size=1, max_size=3),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           trailing=st.booleans(),
+           data=st.data())
+    def test_random_grids(self, tmp_path_factory, grid, delimiters, newline,
+                          trailing, data):
+        width = data.draw(st.integers(1, 3))
+        grid = grid[:, :width]
+        rows = []
+        for row in grid:
+            line = repr(float(row[0]))
+            for v in row[1:]:
+                line += data.draw(st.sampled_from(delimiters)) + repr(float(v))
+            rows.append(line)
+        text = newline.join(rows) + (newline if trailing else "")
+        p = tmp_path_factory.mktemp("grid") / "k.txt"
+        p.write_text(text, encoding="utf-8", newline="")
+        reference, fast = parse_both(p)
+        assert fast == reference == (grid.shape, grid.astype(np.float64).tobytes())
+
 
 class TestFeatureSelection:
     def test_both_arms_columns(self):

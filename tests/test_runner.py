@@ -21,6 +21,7 @@ from surgact.errors import (
     CrossDatasetGestures,
     DataError,
     FoldFailure,
+    IndexOutOfRange,
     InvalidConfig,
     IoFailure,
     MissingTranscript,
@@ -577,7 +578,20 @@ class TestBadInputIsRejectedBeforeTraining:
         corrupt(tmp_path)
         assert cli_main(["validate", "--catalog", str(manifest)]) == 2
         assert "data error:" in capsys.readouterr().err
+        self.assert_nothing_trained(tmp_path, monkeypatch, manifest)
 
+    def test_feature_column_outside_a_trial(self, tmp_path, monkeypatch, capsys):
+        # validate knows no feature columns; the experiment checks them
+        # against every trial's width before the first fold
+        manifest = write_mini_corpus(tmp_path, with_gesture=False)
+        np.savetxt(tmp_path / "kin" / "T_B_001.txt", np.zeros((40, 20)), fmt="%.4f")
+        assert cli_main(["experiment", "--catalog", str(manifest), "--granularity", "mp",
+                         "--cv", "louo", "--tasks", "T", "--epochs", "1"]) == 2
+        assert "column 20 outside [0, 20)" in capsys.readouterr().err
+        self.assert_nothing_trained(tmp_path, monkeypatch, manifest, IndexOutOfRange)
+
+    @staticmethod
+    def assert_nothing_trained(tmp_path, monkeypatch, manifest, error=DataError):
         trained = []
         real_train_fold = runner_mod.train_fold
 
@@ -588,9 +602,9 @@ class TestBadInputIsRejectedBeforeTraining:
         monkeypatch.setattr(runner_mod, "train_fold", spy)
         cfg = ExperimentConfig(catalog=str(manifest), granularity="mp", cv="louo",
                                tasks=("T",), epochs=1, output_dir=str(tmp_path / "out"))
-        with pytest.raises(DataError):
+        with pytest.raises(error):
             run_experiment(cfg)
-        with pytest.raises(DataError):
+        with pytest.raises(error):
             run_single_fold(cfg, "louo-MINI-A")
         assert trained == []
         assert not (tmp_path / "out").exists()
