@@ -4,9 +4,11 @@ Everything operates on float64 arrays in channels-first layout: a signal is
 an array of shape (C, T), C channels by T frames. Each layer is a small class
 with `forward(x)` and `backward(grad_y)`; `backward` returns the gradient
 with respect to the layer input and, for parameterized layers, overwrites the
-stored parameter gradients (`grad_w`, `grad_b`). One forward call caches what
-the matching backward call needs, so a layer instance serves one signal at a
-time; model instances are not shared across threads.
+stored parameter gradients (`grad_w`, `grad_b`), which in a `TcnModel` are
+views into the model's flat vectors `theta` and `grad`. A forward call keeps
+what the matching backward call needs in `_cache` and that call drops it, so
+a layer instance serves one signal at a time; models are not shared across
+threads.
 
 No autograd framework is used anywhere: every backward pass below is the
 hand-derived exact gradient of the forward map, and `finite_diff_check`
@@ -41,6 +43,12 @@ __all__ = [
 ]
 
 
+# Adam updates each parameter array in slices of this many elements, so the
+# temporaries of one slice stay in cache; whole-vector expressions on the
+# model's flat parameter vector were slower than the per-layer arrays.
+ADAM_BLOCK = 32768
+
+
 def _as_signal(x, *, name: str = "x") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
@@ -48,7 +56,26 @@ def _as_signal(x, *, name: str = "x") -> np.ndarray:
     return arr
 
 
-class Conv1d:
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """cols[ci*k + j, t] = xp[ci, t + j] for a padded signal xp."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
+    return windows.transpose(0, 2, 1).reshape(xp.shape[0] * k, -1)
+
+
+class _Layer:
+    """What every layer shares: the one buffer its forward keeps."""
+
+    _cache = None  # set by forward, dropped by the matching backward
+
+    def _pop_cache(self):
+        cache = self._cache
+        if cache is None:
+            raise ShapeMismatch("backward called before forward")
+        self._cache = None
+        return cache
+
+
+class Conv1d(_Layer):
     """1-D convolution with 'same' zero padding and stride 1.
 
     y[co, t] = b[co] + sum_{ci, j} w[co, ci, j] * x[ci, t + j - k//2]
@@ -56,7 +83,10 @@ class Conv1d:
     with x taken as zero outside [0, T). Odd kernel widths only, so the
     output length equals the input length. Implemented as an im2col matrix
     product; the backward pass folds the column gradient back into the
-    padded signal and crops.
+    padded signal and crops. Forward keeps only the padded input and
+    backward builds the im2col matrix again: the matrix is k times larger,
+    and allocating it afresh after a backward pass freed it cost more, in
+    page faults, than the copy.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -78,14 +108,6 @@ class Conv1d:
             self.b = rng.uniform(-bound, bound, size=out_channels)
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
-        self._cols: Optional[np.ndarray] = None
-        self._in_len = 0
-
-    def params(self) -> list[np.ndarray]:
-        return [self.w, self.b]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.grad_w, self.grad_b]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_signal(x)
@@ -96,27 +118,22 @@ class Conv1d:
         pad = k // 2
         xp = np.zeros((c, t + 2 * pad))
         xp[:, pad:pad + t] = x
-        # cols[ci*k + j, t] = xp[ci, t + j]
-        windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-        cols = windows.transpose(0, 2, 1).reshape(c * k, t)
-        self._cols = cols
-        self._in_len = t
+        self._cache = xp
         w2 = self.w.reshape(self.out_channels, c * k)
-        return w2 @ cols + self.b[:, None]
+        return w2 @ _im2col(xp, k) + self.b[:, None]
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        if self._cols is None:
-            raise ShapeMismatch("backward called before forward")
+        xp = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
-        t = self._in_len
-        if grad_y.shape != (self.out_channels, t):
-            raise ShapeMismatch(
-                f"grad_y shape {grad_y.shape} != output shape {(self.out_channels, t)}")
         k = self.kernel_size
         c = self.in_channels
         pad = k // 2
+        t = xp.shape[1] - 2 * pad
+        if grad_y.shape != (self.out_channels, t):
+            raise ShapeMismatch(
+                f"grad_y shape {grad_y.shape} != output shape {(self.out_channels, t)}")
         self.grad_b[:] = grad_y.sum(axis=1)
-        self.grad_w[:] = (grad_y @ self._cols.T).reshape(self.w.shape)
+        self.grad_w[:] = (grad_y @ _im2col(xp, k).T).reshape(self.w.shape)
         w2 = self.w.reshape(self.out_channels, c * k)
         gcols = (w2.T @ grad_y).reshape(c, k, t)
         gxp = np.zeros((c, t + 2 * pad))
@@ -125,49 +142,29 @@ class Conv1d:
         return gxp[:, pad:pad + t]
 
 
-class Relu:
+class Relu(_Layer):
     """Elementwise max(x, 0); subgradient 0 at the kink."""
-
-    def __init__(self):
-        self._mask: Optional[np.ndarray] = None
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_signal(x)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._cache = mask = x > 0
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ShapeMismatch("backward called before forward")
+        mask = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != self._mask.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {self._mask.shape}")
-        return np.where(self._mask, grad_y, 0.0)
+        if grad_y.shape != mask.shape:
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {mask.shape}")
+        return np.where(mask, grad_y, 0.0)
 
 
-class MaxPool1d:
+class MaxPool1d(_Layer):
     """Non-overlapping max pooling of width 2.
 
     Output length is floor(T/2); a trailing odd frame is dropped. The
     backward pass routes each output gradient to the frame that won the max,
     and to the earlier frame on exact ties.
     """
-
-    def __init__(self):
-        self._take_right: Optional[np.ndarray] = None
-        self._in_shape: tuple[int, int] = (0, 0)
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_signal(x)
@@ -177,25 +174,23 @@ class MaxPool1d:
         t_out = t // 2
         left = x[:, 0:2 * t_out:2]
         right = x[:, 1:2 * t_out:2]
-        self._take_right = right > left  # tie -> left (lower index)
-        self._in_shape = (c, t)
-        return np.where(self._take_right, right, left)
+        take_right = right > left  # tie -> left (lower index)
+        self._cache = (take_right, t)
+        return np.where(take_right, right, left)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        if self._take_right is None:
-            raise ShapeMismatch("backward called before forward")
+        take_right, t = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != self._take_right.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {self._take_right.shape}")
-        c, t = self._in_shape
+        if grad_y.shape != take_right.shape:
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {take_right.shape}")
         t_out = t // 2
-        gx = np.zeros((c, t))
-        gx[:, 0:2 * t_out:2] = np.where(self._take_right, 0.0, grad_y)
-        gx[:, 1:2 * t_out:2] = np.where(self._take_right, grad_y, 0.0)
+        gx = np.zeros((take_right.shape[0], t))
+        gx[:, 0:2 * t_out:2] = np.where(take_right, 0.0, grad_y)
+        gx[:, 1:2 * t_out:2] = np.where(take_right, grad_y, 0.0)
         return gx
 
 
-class ChannelNorm:
+class ChannelNorm(_Layer):
     """Per-frame normalization by the largest channel magnitude.
 
     y[c, t] = x[c, t] / (max_c' |x[c', t]| + eps)
@@ -209,31 +204,19 @@ class ChannelNorm:
         if eps <= 0:
             raise InvalidConfig(f"eps must be positive, got {eps}")
         self.eps = eps
-        self._x: Optional[np.ndarray] = None
-        self._scale: Optional[np.ndarray] = None
-        self._argmax: Optional[np.ndarray] = None
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_signal(x)
         mag = np.abs(x)
-        self._argmax = np.argmax(mag, axis=0)
-        self._scale = mag.max(axis=0) + self.eps
-        self._x = x.copy()
-        return x / self._scale
+        scale = mag.max(axis=0) + self.eps
+        self._cache = (x.copy(), scale, np.argmax(mag, axis=0))
+        return x / scale
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise ShapeMismatch("backward called before forward")
+        x, s, idx = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != self._x.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {self._x.shape}")
-        x, s, idx = self._x, self._scale, self._argmax
+        if grad_y.shape != x.shape:
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {x.shape}")
         gx = grad_y / s
         # d(scale)/dx is sign(x[a, t]) on the argmax channel a only
         dot = np.einsum("ct,ct->t", grad_y, x)
@@ -242,36 +225,26 @@ class ChannelNorm:
         return gx
 
 
-class UpsampleRepeat:
+class UpsampleRepeat(_Layer):
     """Nearest-neighbor upsampling by 2: each frame is emitted twice.
 
     Backward sums the gradients of the two copies.
     """
 
-    def __init__(self):
-        self._in_len = 0
-        self._channels = 0
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_signal(x)
-        self._channels, self._in_len = x.shape
+        self._cache = x.shape
         return np.repeat(x, 2, axis=1)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
+        c, t = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != (self._channels, 2 * self._in_len):
-            raise ShapeMismatch(
-                f"grad_y shape {grad_y.shape} != {(self._channels, 2 * self._in_len)}")
-        return grad_y.reshape(self._channels, self._in_len, 2).sum(axis=2)
+        if grad_y.shape != (c, 2 * t):
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {(c, 2 * t)}")
+        return grad_y.reshape(c, t, 2).sum(axis=2)
 
 
-class RestoreLength:
+class RestoreLength(_Layer):
     """Crop or right-pad a signal to a target length.
 
     Needed because three pool/upsample stages reproduce the input length only
@@ -280,17 +253,6 @@ class RestoreLength:
     discards trailing frames, whose gradient is zero.
     """
 
-    def __init__(self):
-        self._in_len = 0
-        self._target = 0
-        self._channels = 0
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
-
     def forward(self, x: np.ndarray, target: int) -> np.ndarray:
         x = _as_signal(x)
         if target < 1:
@@ -298,7 +260,7 @@ class RestoreLength:
         c, t = x.shape
         if t < 1:
             raise TooShort("cannot restore an empty signal")
-        self._channels, self._in_len, self._target = c, t, target
+        self._cache = (c, t, target)
         if t == target:
             return x.copy()
         if t > target:
@@ -306,15 +268,14 @@ class RestoreLength:
         return np.concatenate([x, np.repeat(x[:, -1:], target - t, axis=1)], axis=1)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
+        c, t, target = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != (self._channels, self._target):
-            raise ShapeMismatch(
-                f"grad_y shape {grad_y.shape} != {(self._channels, self._target)}")
-        t, target = self._in_len, self._target
+        if grad_y.shape != (c, target):
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {(c, target)}")
         if t == target:
             return grad_y.copy()
         if t > target:
-            gx = np.zeros((self._channels, t))
+            gx = np.zeros((c, t))
             gx[:, :target] = grad_y
             return gx
         gx = grad_y[:, :t].copy()
@@ -381,7 +342,8 @@ class Adam:
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
     The moment buffers and step counter live on this object and are only
-    ever mutated by `step`, which updates the parameter arrays in place.
+    ever mutated by `step`, which updates the parameter arrays in place, one
+    `ADAM_BLOCK`-element slice at a time, in the order of operations above.
     """
 
     def __init__(self, params: Sequence[np.ndarray], learning_rate: float,
@@ -403,6 +365,8 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        scratch = min(ADAM_BLOCK, max((p.size for p in params), default=0))
+        self._scratch = (np.empty(scratch), np.empty(scratch))
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         if len(params) != len(self.m) or len(grads) != len(self.m):
@@ -413,19 +377,30 @@ class Adam:
             if p.shape != m.shape or g.shape != m.shape:
                 raise ShapeMismatch(
                     f"parameter/gradient shape {p.shape}/{g.shape} != state shape {m.shape}")
+            if not p.flags.c_contiguous:
+                raise ShapeMismatch("parameter arrays must be C-contiguous")
         self.step_count += 1
         t = self.step_count
-        lr, wd = self.learning_rate, self.weight_decay
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if wd != 0.0:
-                p -= lr * wd * p
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        lr, wd, b1, b2 = self.learning_rate, self.weight_decay, self.beta1, self.beta2
+        c1 = 1.0 - b1 ** t
+        c2 = 1.0 - b2 ** t
+        s1, s2 = self._scratch
+        for arrays in zip(params, grads, self.m, self.v):
+            p, g, m, v = (a.reshape(-1) for a in arrays)
+            for lo in range(0, p.size, ADAM_BLOCK):
+                hi = lo + ADAM_BLOCK
+                pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                d, e = s1[:pb.size], s2[:pb.size]
+                if wd != 0.0:
+                    pb -= np.multiply(pb, lr * wd, out=d)
+                mb *= b1
+                mb += np.multiply(gb, 1.0 - b1, out=d)
+                vb *= b2
+                vb += np.multiply(np.multiply(gb, gb, out=d), 1.0 - b2, out=d)
+                # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.add(np.sqrt(np.divide(vb, c2, out=e), out=e), self.eps, out=e)
+                np.multiply(np.divide(mb, c1, out=d), lr, out=d)
+                pb -= np.divide(d, e, out=d)
 
 
 def finite_diff_check(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -606,8 +607,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for plan in plans:
         t0 = time.perf_counter()
         try:
-            # the model is dropped here: it holds its last forward pass's
-            # buffers, which must not live on into the next fold
+            # the model is dropped here, so no two folds' models are alive
             payload = run_fold(plan, source, config)[0]
         except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
             payload = {
@@ -708,27 +708,31 @@ def render_tables(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def emit_report(report: ExperimentReport, out_dir,
-                formats: Sequence[str] = ("json", "text")) -> dict[str, Path]:
-    """Write report artifacts; returns {"json": path, "text": path}."""
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace `path` by `data` in one rename: readers see the old file or
+    the new one, and a failed write leaves the old file and no temp file."""
+    # opened by name, not by mkstemp, so the file gets the usual permissions
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def emit_report(report: ExperimentReport, out_dir) -> None:
+    """Write `report.json` and `tables.txt` under `out_dir`, each atomically."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create output directory {out}: {exc}")
-    written: dict[str, Path] = {}
     try:
-        if "json" in formats:
-            path = out / "report.json"
-            path.write_bytes(report.json_bytes(include_timing=True))
-            written["json"] = path
-        if "text" in formats:
-            path = out / "tables.txt"
-            path.write_text(render_tables(report.payload()))
-            written["text"] = path
+        _write_atomic(out / "report.json", report.json_bytes(include_timing=True))
+        _write_atomic(out / "tables.txt", render_tables(report.payload()).encode())
     except OSError as exc:
         raise IoFailure(f"cannot write report under {out}: {exc}")
-    return written
 
 
 def load_report(path) -> dict:

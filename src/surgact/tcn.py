@@ -16,6 +16,10 @@ never below 3.
 
 Training is full-sequence: one trial is one batch. Optimization is Adam
 with decoupled weight decay on a mean per-frame cross entropy.
+
+The parameters live in one float64 vector, `TcnModel.theta`, and their
+gradients in `TcnModel.grad`; each conv's `w`, `b`, `grad_w` and `grad_b`
+are views into them, ordered w0, b0, w1, b1, ... along the forward pass.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ HYPERPARAM_DEFAULTS: dict[str, dict[str, float]] = {
 
 DEFAULT_EPOCHS = 60
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,18 @@ class TcnModel:
                 (UpsampleRepeat(), Conv1d(c_in, c_out, k, rng), Relu(), ChannelNorm()))
         self.classifier = Conv1d(f1, config.num_classes, 1, rng)
         self.restore = RestoreLength()
+        # the convs drew their arrays above, in order; they move into two
+        # flat vectors and keep their names as views
+        tensors = [(conv, name) for conv in self.convs for name in ("w", "b")]
+        self.theta = np.concatenate([getattr(conv, name).ravel() for conv, name in tensors])
+        self.grad = np.zeros_like(self.theta)
+        offset = 0
+        for conv, name in tensors:
+            shape = getattr(conv, name).shape
+            end = offset + int(np.prod(shape))
+            setattr(conv, name, self.theta[offset:end].reshape(shape))
+            setattr(conv, "grad_" + name, self.grad[offset:end].reshape(shape))
+            offset = end
 
     @property
     def convs(self) -> list[Conv1d]:
@@ -148,20 +164,19 @@ class TcnModel:
         return out
 
     def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for conv in self.convs:
-            out.extend(conv.params())
-        return out
+        return [self.theta]
 
     def grads(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for conv in self.convs:
-            out.extend(conv.grads())
-        return out
+        return [self.grad]
 
     @property
     def num_params(self) -> int:
-        return sum(p.size for p in self.params())
+        return self.theta.size
+
+    def _drop_activations(self) -> None:
+        """Release what the last forward pass kept for a backward pass."""
+        for layer in (*sum(self.encoder + self.decoder, ()), self.classifier, self.restore):
+            layer._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(F, T) signal to (num_classes, T) logits; T must be >= 8."""
@@ -324,6 +339,7 @@ def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, n
     if not np.isfinite(feats).all():
         raise NonNumericCell("features contain non-finite values")
     logits = model.forward(feats.T)
+    model._drop_activations()
     z = logits - logits.max(axis=0, keepdims=True)
     ez = np.exp(z)
     probs = ez / ez.sum(axis=0, keepdims=True)
@@ -332,7 +348,7 @@ def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, n
 
 
 def save_model(model: TcnModel, path) -> Path:
-    """Checkpoint: config plus every parameter array, bit-exact."""
+    """Checkpoint: config plus the flat parameter vector, bit-exact."""
     p = Path(path)
     cfg = model.config
     meta = {
@@ -348,10 +364,9 @@ def save_model(model: TcnModel, path) -> Path:
             "seed": cfg.seed,
         },
     }
-    arrays = {f"param_{i}": arr for i, arr in enumerate(model.params())}
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), params=model.theta)
     return p
 
 
@@ -360,38 +375,40 @@ def load_model(path) -> TcnModel:
     if not p.is_file():
         raise DataError(f"checkpoint not found: {p}")
     with np.load(p, allow_pickle=False) as bundle:
+        if "meta" not in bundle:
+            raise DataError(f"checkpoint lacks metadata: {p}")
         try:
             meta = json.loads(str(bundle["meta"]))
-        except KeyError:
-            raise DataError(f"checkpoint lacks metadata: {p}")
+        except ValueError as exc:  # not JSON, or an array np.load refuses
+            raise DataError(f"checkpoint metadata is not JSON: {p}: {exc}")
+        if not isinstance(meta, dict):
+            raise DataError(f"checkpoint metadata is not an object: {p}")
         version = meta.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise DataError(
-                f"checkpoint format {version!r} unsupported (expected {CHECKPOINT_VERSION})")
-        raw = meta["config"]
-        config = ModelConfig(
-            num_classes=raw["num_classes"],
-            kernel_size=raw["kernel_size"],
-            filters=tuple(raw["filters"]),
-            learning_rate=raw["learning_rate"],
-            weight_decay=raw["weight_decay"],
-            epochs=raw["epochs"],
-            seed=raw["seed"],
-        )
-        model = TcnModel(config, meta["input_channels"], rng=None)
-        params = model.params()
-        for i, target in enumerate(params):
-            name = f"param_{i}"
-            if name not in bundle:
-                raise DataError(f"checkpoint missing array {name}: {p}")
-            stored = bundle[name]
-            if stored.shape != target.shape:
-                raise ShapeMismatch(
-                    f"checkpoint array {name} has shape {stored.shape}, "
-                    f"expected {target.shape}")
-            target[:] = stored
-        expected = {"meta"} | {f"param_{i}" for i in range(len(params))}
-        extras = sorted(set(bundle.files) - expected)
-        if extras:
-            raise ShapeMismatch(f"checkpoint has unexpected arrays: {extras}")
+                f"checkpoint format {version!r} unsupported "
+                f"(expected {CHECKPOINT_VERSION}): {p}")
+        try:
+            raw = meta["config"]
+            config = ModelConfig(
+                num_classes=raw["num_classes"],
+                kernel_size=raw["kernel_size"],
+                filters=tuple(raw["filters"]),
+                learning_rate=raw["learning_rate"],
+                weight_decay=raw["weight_decay"],
+                epochs=raw["epochs"],
+                seed=raw["seed"],
+            )
+            model = TcnModel(config, meta["input_channels"], rng=None)
+        except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+            raise DataError(f"checkpoint metadata is malformed: {p}: {exc!r}")
+        if sorted(bundle.files) != ["meta", "params"]:
+            raise ShapeMismatch(
+                f"checkpoint arrays {sorted(bundle.files)} are not meta and params: {p}")
+        stored = bundle["params"]
+        if stored.shape != model.theta.shape:
+            raise ShapeMismatch(
+                f"checkpoint array params has shape {stored.shape}, "
+                f"expected {model.theta.shape}: {p}")
+        model.theta[:] = stored
     return model

@@ -1,12 +1,15 @@
 """Command line behavior: flag plumbing, output artifacts, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surgact
 from surgact.cli import main
 from surgact.runner import load_report
 from surgact.tcn import load_model, predict_labels
@@ -225,7 +228,11 @@ class TestReportCommand:
 
 
 def test_module_entry_point_reports_version():
+    # the child imports the same package as this process, not another install
+    src = str(Path(surgact.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "surgact", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -27,6 +27,7 @@ from surgact.errors import (
     TooShort,
 )
 from surgact.nn import (
+    ADAM_BLOCK,
     Adam,
     ChannelNorm,
     Conv1d,
@@ -400,6 +401,44 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             q = q - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
             np.testing.assert_allclose(p, q, atol=1e-12)
+
+    @pytest.mark.parametrize("wd", [0.0, 1e-3])
+    def test_blockwise_step_matches_per_array_expression(self, wd):
+        # the whole-array update Adam.step made before it worked in blocks,
+        # kept as the oracle: the block-wise step must give the same bits
+        def reference_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+            c1 = 1.0 - b1 ** t
+            c2 = 1.0 - b2 ** t
+            if wd != 0.0:
+                p -= lr * wd * p
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+        rng = np.random.default_rng(113)
+        sizes = (2 * ADAM_BLOCK + 1237, 5, ADAM_BLOCK)
+        params = [rng.normal(size=n) for n in sizes]
+        params[1] = params[1].reshape(5, 1)
+        expected = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        lr = 1e-3
+        opt = Adam(params, learning_rate=lr, weight_decay=wd)
+        for t in range(1, 4):
+            grads = [rng.normal(size=p.shape) for p in params]
+            opt.step(params, grads)
+            for q, g, mq, vq in zip(expected, grads, m, v):
+                reference_step(q, g, mq, vq, t, lr, wd)
+            for p, q in zip(params, expected):
+                assert np.array_equal(p, q)
+
+    def test_rejects_non_contiguous_parameters(self):
+        p = np.zeros((4, 4))
+        opt = Adam([p[:, :2]], learning_rate=1e-3)
+        with pytest.raises(ShapeMismatch, match="contiguous"):
+            opt.step([p[:, :2]], [np.ones((4, 2))])
 
     def test_updates_in_place(self):
         p = np.array([1.0])

@@ -5,6 +5,7 @@ training length) live in the acceptance module; here experiments run with
 one or two epochs because the claims under test are structural.
 """
 
+import errno
 import gc
 import json
 import weakref
@@ -445,7 +446,7 @@ class TestRunExperiment:
         assert a.json_bytes(include_timing=False) == b.json_bytes(include_timing=False)
 
     def test_one_model_alive_at_a_time(self, synth_manifest, monkeypatch):
-        # a trained model holds its last forward pass's buffers
+        # each fold's model is dropped before the next fold builds its own
         models = []
         real_build_model = runner_mod.build_model
 
@@ -532,6 +533,33 @@ class TestReportsOnDisk:
         blocker.write_text("a file, not a directory")
         with pytest.raises(IoFailure):
             emit_report(report, blocker / "out")
+
+    @pytest.mark.parametrize("name", ["report.json", "tables.txt"])
+    def test_failed_write_keeps_the_previous_file(self, synth_manifest, tmp_path,
+                                                   monkeypatch, name):
+        out = tmp_path / "out"
+        emit_report(run_experiment(synth_config(synth_manifest, epochs=0)), out)
+        previous = (out / name).read_bytes()
+        newer = run_experiment(synth_config(synth_manifest, epochs=1))
+
+        def half_then_full_disk(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if Path(path).name.startswith(f".{name}."):
+                write = fh.write
+
+                def fail_partway(data):
+                    write(data[:len(data) // 2])
+                    fh.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                fh.write = fail_partway
+            return fh
+
+        monkeypatch.setattr(runner_mod, "open", half_then_full_disk, raising=False)
+        with pytest.raises(IoFailure, match="No space left"):
+            emit_report(newer, out)
+        assert (out / name).read_bytes() == previous
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "tables.txt"]
 
     def test_render_tables_lists_folds_and_means(self, synth_manifest):
         report = run_experiment(synth_config(synth_manifest, epochs=1))

@@ -1,6 +1,7 @@
 """Model assembly, kernel derivation, training loop, and checkpoint tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +19,17 @@ from surgact.errors import (
     TooShort,
     VocabularyMismatch,
 )
-from surgact.nn import finite_diff_check
+from surgact.nn import (
+    ChannelNorm,
+    Conv1d,
+    MaxPool1d,
+    Relu,
+    RestoreLength,
+    UpsampleRepeat,
+    finite_diff_check,
+)
 from surgact.tcn import (
+    CHECKPOINT_VERSION,
     DEFAULT_EPOCHS,
     HYPERPARAM_DEFAULTS,
     MIN_FRAMES,
@@ -173,6 +183,112 @@ class TestBuildModel:
             return loss, np.concatenate([g.ravel() for g in grads])
 
         assert finite_diff_check(f, point) < 1e-6
+
+
+def all_layers(model):
+    """Every layer of the model, in forward order."""
+    out = [layer for stage in model.encoder for layer in stage]
+    out += [layer for stage in model.decoder for layer in stage]
+    return out + [model.classifier, model.restore]
+
+
+def per_array_parameters(config, input_channels):
+    """The arrays each conv draws on its own from the model seed, in the
+    order the model builds its convs: the layout the flat store must keep."""
+    rng = np.random.default_rng(config.seed)
+    f1, f2, f3 = config.filters
+    k = config.kernel_size
+    chain = ((input_channels, f1, k), (f1, f2, k), (f2, f3, k),
+             (f3, f2, k), (f2, f1, k), (f1, f1, k), (f1, config.num_classes, 1))
+    out = []
+    for c_in, c_out, width in chain:
+        conv = Conv1d(c_in, c_out, width, rng)
+        out += [conv.w, conv.b]
+    return out
+
+
+class TestParameterStore:
+    def test_conv_arrays_are_views_into_the_two_vectors(self):
+        model = build_model(SMALL, 7)
+        assert model.params() == [model.theta] and model.grads() == [model.grad]
+        assert model.theta.shape == model.grad.shape == (model.num_params,)
+        for conv in model.convs:
+            for arr in (conv.w, conv.b):
+                assert np.shares_memory(arr, model.theta)
+                assert not np.shares_memory(arr, model.grad)
+            for arr in (conv.grad_w, conv.grad_b):
+                assert np.shares_memory(arr, model.grad)
+                assert not np.shares_memory(arr, model.theta)
+
+    def test_theta_keeps_the_per_array_order_and_draws(self):
+        model = build_model(SMALL, 7)
+        expected = np.concatenate([a.ravel() for a in per_array_parameters(SMALL, 7)])
+        assert np.array_equal(model.theta, expected)
+        # the same layout, read back through the views
+        views = np.concatenate([a.ravel() for conv in model.convs for a in (conv.w, conv.b)])
+        assert np.array_equal(views, model.theta)
+
+    def test_backward_fills_the_gradient_vector(self):
+        model = build_model(SMALL, 3)
+        x = np.random.default_rng(3).normal(size=(3, 16))
+        _, grads, _ = model.loss_and_grads(x, np.zeros(16, dtype=np.int64))
+        assert grads == [model.grad]
+        fills = np.concatenate(
+            [g.ravel() for conv in model.convs for g in (conv.grad_w, conv.grad_b)])
+        assert np.array_equal(fills, model.grad) and model.grad.any()
+
+    def test_a_training_step_moves_the_views(self):
+        cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
+                          learning_rate=1e-2, epochs=1, seed=1)
+        data = {("T", "U", "001"): toy_tensors(0)}
+        model = build_model(cfg, 3)
+        before = model.theta.copy()
+        record = train_fold(model, toy_fold(data), data, cfg)
+        assert record.num_steps == 1
+        assert not np.array_equal(model.theta, before)
+        offset = 0
+        for conv in model.convs:
+            for arr in (conv.w, conv.b):
+                assert np.shares_memory(arr, model.theta)
+                np.testing.assert_array_equal(
+                    arr.ravel(), model.theta[offset:offset + arr.size])
+                offset += arr.size
+        assert offset == model.theta.size
+
+
+class TestActivationBuffers:
+    def test_every_layer_type_is_covered(self):
+        kinds = {type(layer) for layer in all_layers(build_model(SMALL, 3))}
+        assert kinds == {Conv1d, Relu, MaxPool1d, ChannelNorm, UpsampleRepeat,
+                         RestoreLength}
+
+    def test_backward_drops_what_forward_kept(self):
+        model = build_model(SMALL, 3)
+        x = np.random.default_rng(4).normal(size=(3, 21))
+        grad_logits = model.forward(x)
+        assert all(layer._cache is not None for layer in all_layers(model))
+        model.backward(grad_logits)
+        assert all(layer._cache is None for layer in all_layers(model))
+
+    def test_second_backward_is_refused_by_every_layer(self):
+        model = build_model(SMALL, 3)
+        x = np.random.default_rng(5).normal(size=(3, 21))
+        model.backward(model.forward(x))
+        with pytest.raises(ShapeMismatch, match="backward called before forward"):
+            model.backward(np.zeros((4, 21)))
+        for layer in all_layers(model):
+            with pytest.raises(ShapeMismatch, match="backward called before forward"):
+                layer.backward(np.zeros((1, 1)))
+
+    def test_nothing_is_held_after_training_or_prediction(self):
+        data = {("T", "U", "001"): toy_tensors(0)}
+        cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
+                          learning_rate=1e-2, epochs=2, seed=1)
+        model = build_model(cfg, 3)
+        train_fold(model, toy_fold(data), data, cfg)
+        assert all(layer._cache is None for layer in all_layers(model))
+        predict_labels(model, toy_tensors(1).features)
+        assert all(layer._cache is None for layer in all_layers(model))
 
 
 def toy_tensors(seed, t=64):
@@ -329,12 +445,52 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_model(path)
 
+    def test_one_vector_and_metadata(self, tmp_path):
+        model = build_model(SMALL, 3)
+        path = save_model(model, tmp_path / "model.npz")
+        with np.load(path, allow_pickle=False) as bundle:
+            assert sorted(bundle.files) == ["meta", "params"]
+            assert json.loads(str(bundle["meta"]))["format_version"] == CHECKPOINT_VERSION == 2
+            assert np.array_equal(bundle["params"], model.theta)
+
+    def test_per_array_checkpoint_refused(self, tmp_path):
+        # the version-1 layout: one param_<i> array per conv weight and bias
+        model = build_model(SMALL, 3)
+        path = save_model(model, tmp_path / "model.npz")
+        with np.load(path, allow_pickle=False) as bundle:
+            meta = json.loads(str(bundle["meta"]))
+        meta["format_version"] = 1
+        arrays = {f"param_{i}": a for i, a in enumerate(per_array_parameters(SMALL, 3))}
+        assert len(arrays) == 14
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(DataError, match="format 1 unsupported"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: {k: v for k, v in meta.items() if k != "config"},
+        lambda meta: json.dumps(meta)[:-1],
+        lambda meta: [meta],
+        lambda meta: {**meta, "config": {**meta["config"], "num_classes": 1}},
+    ], ids=["no-config", "not-json", "json-list", "one-class"])
+    def test_malformed_metadata_is_a_data_error(self, tmp_path, edit):
+        model = build_model(SMALL, 3)
+        path = save_model(model, tmp_path / "model.npz")
+        with np.load(path, allow_pickle=False) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        meta = edit(json.loads(str(arrays["meta"])))
+        arrays["meta"] = np.array(meta if isinstance(meta, str) else json.dumps(meta))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_model(path)
+
     def test_tampered_shape(self, tmp_path):
         model = build_model(SMALL, 3)
         path = save_model(model, tmp_path / "model.npz")
         with np.load(path, allow_pickle=False) as bundle:
             arrays = {k: bundle[k] for k in bundle.files}
-        arrays["param_0"] = np.zeros((1, 1, 1))
+        arrays["params"] = np.zeros(model.num_params - 1)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(ShapeMismatch):
