@@ -138,7 +138,8 @@ def _cmd_train(args) -> int:
     else:
         sys.stdout.write(out)
     if payload["status"] != "ok":
-        print(f"fold {payload['name']} {payload['status']}: {payload['error']}",
+        unsaved = "; no checkpoint written" if args.checkpoint else ""
+        print(f"fold {payload['name']} {payload['status']}: {payload['error']}{unsaved}",
               file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -35,7 +35,6 @@ __all__ = [
     "Relu",
     "MaxPool1d",
     "ChannelNorm",
-    "UpsampleRepeat",
     "RestoreLength",
     "softmax_cross_entropy",
     "Adam",
@@ -76,28 +75,49 @@ class _Layer:
 
 
 class Conv1d(_Layer):
-    """1-D convolution with 'same' zero padding and stride 1.
+    """1-D convolution with 'same' zero padding and stride 1, optionally of a
+    signal first upsampled by repetition.
 
-    y[co, t] = b[co] + sum_{ci, j} w[co, ci, j] * x[ci, t + j - k//2]
+    y[co, t] = b[co] + sum_{ci, j} w[co, ci, j] * u[ci, t + j - k//2]
 
-    with x taken as zero outside [0, T). Odd kernel widths only, so the
-    output length equals the input length. Implemented as an im2col matrix
-    product; the backward pass folds the column gradient back into the
-    padded signal and crops. Forward keeps only the padded input and
-    backward builds the im2col matrix again: the matrix is k times larger,
-    and allocating it afresh after a backward pass freed it cost more, in
-    page faults, than the copy.
+    with u[:, m] = x[:, m // phases] on [0, phases*T) and zero outside. With
+    `phases=1` (the default) u is x; with `phases=2` the layer is the
+    ED-TCN decoder's nearest-neighbour upsampling by 2 followed by the conv,
+    and maps T frames to 2T. Odd kernel widths only.
+
+    Output frame phases*s + r reads x only at s + (r + j - k//2) // phases,
+    so a constant 0/1 fold matrix (k, phases*q) sums the k taps of w into one
+    q-slot kernel per phase r, and forward is one im2col of the padded,
+    un-upsampled input and one GEMM whose rows, one per (output channel,
+    phase), interleave into frames; backward sends the weight gradient back
+    through the fold's transpose and scatters the column gradient over q
+    taps. For `phases=1` the fold is the identity and q = k. Forward keeps
+    the padded input and the phase kernels, and backward builds the im2col
+    matrix again: the matrix is q times larger, and allocating it afresh
+    after a backward pass freed it cost more, in page faults, than the copy.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: Optional[np.random.Generator] = None):
+                 rng: Optional[np.random.Generator] = None, *, phases: int = 1):
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise InvalidConfig(f"kernel_size must be odd and >= 1, got {kernel_size}")
         if in_channels < 1 or out_channels < 1:
             raise InvalidConfig("channel counts must be positive")
+        if phases < 1:
+            raise InvalidConfig(f"phases must be >= 1, got {phases}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
+        self.phases = phases
+        # tap j of phase r reads input offset (r + j - k//2) // phases; slots
+        # number those offsets from the smallest, lo
+        taps = np.arange(kernel_size)
+        offsets = (np.arange(phases)[:, None] + taps - kernel_size // 2) // phases
+        self._lo = int(offsets.min())
+        self._slots = int(offsets.max()) - self._lo + 1
+        self._fold = np.zeros((kernel_size, phases * self._slots))
+        for r in range(phases):
+            self._fold[taps, r * self._slots + offsets[r] - self._lo] = 1.0
         # uniform +-sqrt(1/(C_in * k)), biases drawn from the same range
         bound = float(np.sqrt(1.0 / (in_channels * kernel_size)))
         if rng is None:
@@ -109,37 +129,44 @@ class Conv1d(_Layer):
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
 
+    def _phase_kernels(self) -> np.ndarray:
+        """(Cout*phases, Cin*q): row co*phases + r is phase r's kernel."""
+        co, ci, q, n = self.out_channels, self.in_channels, self._slots, self.phases
+        wp = (self.w.reshape(co * ci, self.kernel_size) @ self._fold).reshape(co, ci, n, q)
+        return wp.transpose(0, 2, 1, 3).reshape(co * n, ci * q)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_signal(x)
         c, t = x.shape
         if c != self.in_channels:
             raise ChannelMismatch(f"expected {self.in_channels} input channels, got {c}")
-        k = self.kernel_size
-        pad = k // 2
-        xp = np.zeros((c, t + 2 * pad))
-        xp[:, pad:pad + t] = x
-        self._cache = xp
-        w2 = self.w.reshape(self.out_channels, c * k)
-        return w2 @ _im2col(xp, k) + self.b[:, None]
+        q, lo, n = self._slots, self._lo, self.phases
+        xp = np.zeros((c, t + q - 1))
+        xp[:, -lo:t - lo] = x
+        wp = self._phase_kernels()
+        self._cache = (xp, wp)
+        y = (wp @ _im2col(xp, q)).reshape(self.out_channels, n, t).transpose(0, 2, 1)
+        # C order: by default the sum would keep y's transposed layout, and
+        # the reshape into frames would copy it a second time
+        return np.add(y, self.b[:, None, None], order="C").reshape(self.out_channels, t * n)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        xp = self._pop_cache()
+        xp, wp = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
-        k = self.kernel_size
-        c = self.in_channels
-        pad = k // 2
-        t = xp.shape[1] - 2 * pad
-        if grad_y.shape != (self.out_channels, t):
-            raise ShapeMismatch(
-                f"grad_y shape {grad_y.shape} != output shape {(self.out_channels, t)}")
+        c, co = self.in_channels, self.out_channels
+        q, lo, n = self._slots, self._lo, self.phases
+        t = xp.shape[1] - q + 1
+        if grad_y.shape != (co, t * n):
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != output shape {(co, t * n)}")
         self.grad_b[:] = grad_y.sum(axis=1)
-        self.grad_w[:] = (grad_y @ _im2col(xp, k).T).reshape(self.w.shape)
-        w2 = self.w.reshape(self.out_channels, c * k)
-        gcols = (w2.T @ grad_y).reshape(c, k, t)
-        gxp = np.zeros((c, t + 2 * pad))
-        for j in range(k):
+        g = grad_y.reshape(co, t, n).transpose(0, 2, 1).reshape(co * n, t)
+        gwp = (g @ _im2col(xp, q).T).reshape(co, n, c, q).transpose(0, 2, 1, 3)
+        self.grad_w[:] = (gwp.reshape(co * c, n * q) @ self._fold.T).reshape(self.w.shape)
+        gcols = (wp.T @ g).reshape(c, q, t)
+        gxp = np.zeros((c, t + q - 1))
+        for j in range(q):
             gxp[:, j:j + t] += gcols[:, j, :]
-        return gxp[:, pad:pad + t]
+        return gxp[:, -lo:t - lo]
 
 
 class Relu(_Layer):
@@ -223,25 +250,6 @@ class ChannelNorm(_Layer):
         cols = np.arange(x.shape[1])
         gx[idx, cols] -= dot * np.sign(x[idx, cols]) / (s * s)
         return gx
-
-
-class UpsampleRepeat(_Layer):
-    """Nearest-neighbor upsampling by 2: each frame is emitted twice.
-
-    Backward sums the gradients of the two copies.
-    """
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_signal(x)
-        self._cache = x.shape
-        return np.repeat(x, 2, axis=1)
-
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        c, t = self._pop_cache()
-        grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != (c, 2 * t):
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {(c, 2 * t)}")
-        return grad_y.reshape(c, t, 2).sum(axis=2)
 
 
 class RestoreLength(_Layer):

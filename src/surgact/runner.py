@@ -643,7 +643,9 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
                     checkpoint: Optional[str] = None) -> tuple[dict, TcnModel]:
     """Train exactly one fold of the configured experiment (CLI `train`).
 
-    The fold's trials are read and checked before it trains.
+    The fold's trials are read and checked before it trains. The checkpoint
+    is written only for a fold whose status is "ok": a diverged fold's
+    weights are not a model.
     """
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
@@ -654,7 +656,7 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
     source = _build_source(config, catalog, plans)
     source.load(matches[0].train_trials + matches[0].test_trials)
     payload, model = run_fold(matches[0], source, config)
-    if checkpoint and model is not None:
+    if checkpoint and payload["status"] == "ok":
         save_model(model, checkpoint)
     return payload, model
 

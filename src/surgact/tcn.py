@@ -9,10 +9,15 @@ Architecture, channels-first on (F, T) float64 signals:
     head:     1x1 conv f1 -> num_classes, then restore to the input length
 
 Defaults f = (32, 64, 96). Three pooling stages mean the input must be at
-least 8 frames. The kernel width is not fixed by hand: it is derived from
-the training transcripts as the mean duration (in frames) of the activity
-class whose mean duration is shortest, rounded to the nearest odd integer,
-never below 3.
+least 8 frames. The decoder keeps the maths of the upsample-then-conv above
+(to float rounding) but runs each stage as one `Conv1d(..., phases=2)` that
+reads the un-upsampled signal: a constant fold matrix sums the k taps of the
+conv's (Cout, Cin, k) weights into two half-rate phase kernels, one per
+output frame parity, so no repeated frame is built or multiplied.
+
+The kernel width is not fixed by hand: it is derived from the training
+transcripts as the mean duration (in frames) of the activity class whose
+mean duration is shortest, rounded to the nearest odd integer, never below 3.
 
 Training is full-sequence: one trial is one batch. Optimization is Adam
 with decoupled weight decay on a mean per-frame cross entropy.
@@ -51,7 +56,6 @@ from .nn import (
     MaxPool1d,
     Relu,
     RestoreLength,
-    UpsampleRepeat,
     softmax_cross_entropy,
 )
 
@@ -140,7 +144,7 @@ class TcnModel:
         self.decoder = []
         for c_in, c_out in ((f3, f2), (f2, f1), (f1, f1)):
             self.decoder.append(
-                (UpsampleRepeat(), Conv1d(c_in, c_out, k, rng), Relu(), ChannelNorm()))
+                (Conv1d(c_in, c_out, k, rng, phases=2), Relu(), ChannelNorm()))
         self.classifier = Conv1d(f1, config.num_classes, 1, rng)
         self.restore = RestoreLength()
         # the convs drew their arrays above, in order; they move into two
@@ -159,7 +163,7 @@ class TcnModel:
     @property
     def convs(self) -> list[Conv1d]:
         out = [stage[0] for stage in self.encoder]
-        out += [stage[1] for stage in self.decoder]
+        out += [stage[0] for stage in self.decoder]
         out.append(self.classifier)
         return out
 
@@ -192,8 +196,8 @@ class TcnModel:
         h = x
         for conv, relu, pool, norm in self.encoder:
             h = norm.forward(pool.forward(relu.forward(conv.forward(h))))
-        for up, conv, relu, norm in self.decoder:
-            h = norm.forward(relu.forward(conv.forward(up.forward(h))))
+        for conv, relu, norm in self.decoder:
+            h = norm.forward(relu.forward(conv.forward(h)))
         h = self.classifier.forward(h)
         return self.restore.forward(h, t)
 
@@ -202,8 +206,8 @@ class TcnModel:
         and returns the gradient with respect to the input signal."""
         g = self.restore.backward(grad_logits)
         g = self.classifier.backward(g)
-        for up, conv, relu, norm in reversed(self.decoder):
-            g = up.backward(conv.backward(relu.backward(norm.backward(g))))
+        for conv, relu, norm in reversed(self.decoder):
+            g = conv.backward(relu.backward(norm.backward(g)))
         for conv, relu, pool, norm in reversed(self.encoder):
             g = conv.backward(relu.backward(pool.backward(norm.backward(g))))
         return g
@@ -411,4 +415,6 @@ def load_model(path) -> TcnModel:
                 f"checkpoint array params has shape {stored.shape}, "
                 f"expected {model.theta.shape}: {p}")
         model.theta[:] = stored
+        if not np.isfinite(model.theta).all():
+            raise NonNumericCell(f"checkpoint array params holds non-finite values: {p}")
     return model

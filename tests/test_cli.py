@@ -195,6 +195,17 @@ class TestTrainCommand:
         assert labels.shape == (24,)
         np.testing.assert_allclose(scores.sum(axis=1), 1.0)
 
+    def test_diverged_fold_exits_3_without_a_checkpoint(self, synth_manifest, tmp_path,
+                                                        capsys):
+        ckpt = tmp_path / "model.npz"
+        rc = main(["train", "--catalog", str(synth_manifest),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   "--epochs", "1", "--learning-rate", "1e308",
+                   "--fold", "louo-SYNTH-U03", "--checkpoint", str(ckpt)])
+        assert rc == 3
+        assert "no checkpoint written" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_unknown_fold_name(self, synth_manifest, capsys):
         rc = main(["train", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",

@@ -34,10 +34,11 @@ from surgact.nn import (
     MaxPool1d,
     Relu,
     RestoreLength,
-    UpsampleRepeat,
     finite_diff_check,
     softmax_cross_entropy,
 )
+
+from reference_nn import UpsampleRepeat, im2col_conv
 
 
 def naive_conv(x, w, b):
@@ -153,6 +154,110 @@ class TestConv1d:
             return float((y * r).sum()), gx
 
         assert finite_diff_check(f, rng.normal(size=(2, 8))) < 1e-8
+
+
+KERNEL_WIDTHS = [1, 3, 5, 9, 19, 21]
+
+
+class TestUpsampledConv:
+    """A two-phase conv against the unfused upsample-then-conv it replaces."""
+
+    @pytest.mark.parametrize("k", KERNEL_WIDTHS)
+    @pytest.mark.parametrize("t", [1, 6, 7])
+    def test_matches_upsample_then_conv(self, k, t):
+        rng = np.random.default_rng(1000 * k + t)
+        c_in, c_out = 3, 4
+        fused = Conv1d(c_in, c_out, k, rng, phases=2)
+        plain = make_conv(fused.w.copy(), fused.b.copy())
+        up = UpsampleRepeat()
+        x = rng.normal(size=(c_in, t))
+        grad_y = rng.normal(size=(c_out, 2 * t))
+        y = fused.forward(x)
+        assert y.shape == (c_out, 2 * t)
+        np.testing.assert_allclose(y, plain.forward(up.forward(x)), rtol=0, atol=1e-12)
+        grad_x = fused.backward(grad_y)
+        np.testing.assert_allclose(grad_x, up.backward(plain.backward(grad_y)),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused.grad_w, plain.grad_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused.grad_b, plain.grad_b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", KERNEL_WIDTHS)
+    @pytest.mark.parametrize("t", [1, 6, 7])
+    def test_one_phase_is_the_im2col_kernel_bit_for_bit(self, k, t):
+        rng = np.random.default_rng(2000 * k + t)
+        conv = Conv1d(3, 4, k, rng)
+        x = rng.normal(size=(3, t))
+        grad_y = rng.normal(size=(4, t))
+        y, grad_w, grad_b, grad_x = im2col_conv(conv.w, conv.b, x, grad_y)
+        assert np.array_equal(conv.forward(x), y)
+        assert np.array_equal(conv.backward(grad_y), grad_x)
+        assert np.array_equal(conv.grad_w, grad_w)
+        assert np.array_equal(conv.grad_b, grad_b)
+
+    @pytest.mark.parametrize("k", KERNEL_WIDTHS)
+    def test_fold_sums_the_taps_into_half_rate_slots(self, k):
+        p = k // 2
+        lo = (-p) // 2
+        q = (k - p) // 2 - lo + 1
+        conv = Conv1d(1, 1, k, phases=2)
+        assert conv._fold.shape == (k, 2 * q)
+        expected = np.zeros((k, 2 * q))
+        for r in (0, 1):
+            for j in range(k):
+                expected[j, r * q + (r + j - p) // 2 - lo] = 1.0
+        assert np.array_equal(conv._fold, expected)
+        assert np.array_equal(Conv1d(1, 1, k)._fold, np.eye(k))
+        if k == 21:
+            assert q == 11
+
+    @staticmethod
+    def _grad_case(seed):
+        """Input x (2, 5), output weights r (3, 10) and a two-phase conv."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, 5))
+        r = rng.normal(size=(3, 10))
+        return x, r, Conv1d(2, 3, 5, rng, phases=2)
+
+    def test_grad_wrt_weights(self):
+        x, r, conv = self._grad_case(111)
+
+        def f(w):
+            conv.w[:] = w
+            y = conv.forward(x)
+            conv.backward(r)
+            return float((y * r).sum()), conv.grad_w.copy()
+
+        assert finite_diff_check(f, conv.w.copy()) < 1e-8
+
+    def test_grad_wrt_bias(self):
+        x, r, conv = self._grad_case(112)
+
+        def f(b):
+            conv.b[:] = b
+            y = conv.forward(x)
+            conv.backward(r)
+            return float((y * r).sum()), conv.grad_b.copy()
+
+        assert finite_diff_check(f, conv.b.copy()) < 1e-8
+
+    def test_grad_wrt_input(self):
+        x, r, conv = self._grad_case(113)
+
+        def f(x):
+            y = conv.forward(x)
+            return float((y * r).sum()), conv.backward(r)
+
+        assert finite_diff_check(f, x) < 1e-8
+
+    def test_rejects_a_gradient_of_the_input_length(self):
+        conv = Conv1d(2, 3, 3, np.random.default_rng(0), phases=2)
+        conv.forward(np.zeros((2, 4)))
+        with pytest.raises(ShapeMismatch):
+            conv.backward(np.zeros((3, 4)))
+
+    def test_rejects_no_phases(self):
+        with pytest.raises(InvalidConfig):
+            Conv1d(1, 1, 3, phases=0)
 
 
 class TestRelu:

@@ -501,6 +501,13 @@ class TestRunSingleFold:
         lb, _ = predict_labels(loaded, x)
         np.testing.assert_array_equal(la, lb)
 
+    def test_diverged_fold_writes_no_checkpoint(self, synth_manifest, tmp_path):
+        ckpt = tmp_path / "fold.npz"
+        cfg = synth_config(synth_manifest, epochs=1, learning_rate=1e308)
+        payload, _ = run_single_fold(cfg, "louo-SYNTH-U02", checkpoint=ckpt)
+        assert payload["status"] == "diverged"
+        assert not ckpt.exists()
+
     def test_unknown_fold_name(self, synth_manifest):
         with pytest.raises(InvalidConfig, match="louo-SYNTH-U01"):
             run_single_fold(synth_config(synth_manifest), "louo-SYNTH-U99")

@@ -25,7 +25,6 @@ from surgact.nn import (
     MaxPool1d,
     Relu,
     RestoreLength,
-    UpsampleRepeat,
     finite_diff_check,
 )
 from surgact.tcn import (
@@ -42,6 +41,8 @@ from surgact.tcn import (
     save_model,
     train_fold,
 )
+
+from reference_nn import UpsampleRepeat
 
 
 def transcript(durations_by_label, granularity="gesture"):
@@ -192,19 +193,44 @@ def all_layers(model):
     return out + [model.classifier, model.restore]
 
 
+def conv_chain(config, input_channels):
+    """(in, out, width) of every conv, in the order the model builds them."""
+    f1, f2, f3 = config.filters
+    k = config.kernel_size
+    return ((input_channels, f1, k), (f1, f2, k), (f2, f3, k),
+            (f3, f2, k), (f2, f1, k), (f1, f1, k), (f1, config.num_classes, 1))
+
+
 def per_array_parameters(config, input_channels):
     """The arrays each conv draws on its own from the model seed, in the
     order the model builds its convs: the layout the flat store must keep."""
     rng = np.random.default_rng(config.seed)
-    f1, f2, f3 = config.filters
-    k = config.kernel_size
-    chain = ((input_channels, f1, k), (f1, f2, k), (f2, f3, k),
-             (f3, f2, k), (f2, f1, k), (f1, f1, k), (f1, config.num_classes, 1))
     out = []
-    for c_in, c_out, width in chain:
+    for c_in, c_out, width in conv_chain(config, input_channels):
         conv = Conv1d(c_in, c_out, width, rng)
         out += [conv.w, conv.b]
     return out
+
+
+def unfused_logits(theta, config, input_channels, x):
+    """The ED-TCN as first written, decoder stages upsample -> one-phase conv,
+    with its convs read from `theta` in the version-2 checkpoint order."""
+    convs = []
+    offset = 0
+    for c_in, c_out, width in conv_chain(config, input_channels):
+        conv = Conv1d(c_in, c_out, width)
+        for name in ("w", "b"):
+            arr = getattr(conv, name)
+            arr[...] = theta[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        convs.append(conv)
+    assert offset == theta.size
+    h = x
+    for conv in convs[:3]:
+        h = ChannelNorm().forward(MaxPool1d().forward(Relu().forward(conv.forward(h))))
+    for conv in convs[3:6]:
+        h = ChannelNorm().forward(Relu().forward(conv.forward(UpsampleRepeat().forward(h))))
+    return RestoreLength().forward(convs[6].forward(h), x.shape[1])
 
 
 class TestParameterStore:
@@ -258,9 +284,11 @@ class TestParameterStore:
 
 class TestActivationBuffers:
     def test_every_layer_type_is_covered(self):
-        kinds = {type(layer) for layer in all_layers(build_model(SMALL, 3))}
-        assert kinds == {Conv1d, Relu, MaxPool1d, ChannelNorm, UpsampleRepeat,
-                         RestoreLength}
+        model = build_model(SMALL, 3)
+        kinds = {type(layer) for layer in all_layers(model)}
+        assert kinds == {Conv1d, Relu, MaxPool1d, ChannelNorm, RestoreLength}
+        # the decoder's upsampling lives inside its convs
+        assert [conv.phases for conv in model.convs] == [1, 1, 1, 2, 2, 2, 1]
 
     def test_backward_drops_what_forward_kept(self):
         model = build_model(SMALL, 3)
@@ -483,6 +511,28 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(DataError, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize("t", [8, 21, 64])
+    def test_fused_model_reads_the_unfused_layout(self, tmp_path, t):
+        # a version-2 checkpoint means the same network whether the decoder
+        # upsamples before its convs or inside them
+        cfg = ModelConfig(num_classes=4, kernel_size=5, filters=(4, 6, 8), seed=9)
+        model = load_model(save_model(build_model(cfg, 3), tmp_path / "model.npz"))
+        x = np.random.default_rng(t).normal(size=(3, t))
+        np.testing.assert_allclose(model.forward(x), unfused_logits(model.theta, cfg, 3, x),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, tmp_path, value):
+        model = build_model(SMALL, 3)
+        path = save_model(model, tmp_path / "model.npz")
+        with np.load(path, allow_pickle=False) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        arrays["params"][5] = value
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(NonNumericCell, match=re.escape(str(path))):
             load_model(path)
 
     def test_tampered_shape(self, tmp_path):
