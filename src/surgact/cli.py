@@ -20,9 +20,10 @@ from .dataset import (
     load_transcript,
     load_trial_kinematics,
 )
-from .errors import ConfigError, DataError, SurgactError
+from .errors import ConfigError, DataError, IoFailure, SurgactError
 from .runner import (
     ExperimentConfig,
+    _write_atomic,
     combine_reports,
     load_experiment_config,
     plan_folds,
@@ -85,6 +86,14 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**present)
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write an --out file atomically; a failure is an IoFailure."""
+    try:
+        _write_atomic(Path(path), text.encode())
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}")
+
+
 def _cmd_validate(args) -> int:
     # the loader the experiments use: each file is read once, every
     # transcript is bound to its trial's length, and a combined 'mp' one must
@@ -121,7 +130,7 @@ def _cmd_folds(args) -> int:
     ]
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
         print(f"{len(plans)} folds -> {args.out}")
     else:
         sys.stdout.write(text)
@@ -130,10 +139,13 @@ def _cmd_folds(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _experiment_config(args)
+    if args.out and not Path(args.out).parent.is_dir():
+        # refused before the fold trains, not after
+        raise IoFailure(f"cannot write {args.out}: no directory {Path(args.out).parent}")
     payload, _ = run_single_fold(config, args.fold, checkpoint=args.checkpoint)
     out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(out)
+        _write_out(args.out, out)
         print(f"fold report -> {args.out}")
     else:
         sys.stdout.write(out)
@@ -177,7 +189,7 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     text = combine_reports(args.inputs)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
         print(f"combined table -> {args.out}")
     else:
         sys.stdout.write(text)

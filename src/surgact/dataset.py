@@ -93,11 +93,6 @@ class MotionPrimitiveLabel:
             return cls(verb=verb)
         return cls(verb=verb, tool=tool, object=obj)
 
-    def format(self) -> str:
-        if self.tool == "none" and not self.object:
-            return self.verb
-        return f"{self.verb}({self.tool}, {self.object})"
-
 
 def mp_verb(label: str) -> str:
     """Collapse an MP label string to its verb (used for verb-level scoring)."""
@@ -190,14 +185,6 @@ class LabelTranscript:
                 raise UntiledTranscript(
                     f"{self.granularity} transcript leaves frames "
                     f"[{pos}, {self.length - 1}] unlabeled")
-
-    @property
-    def labels_present(self) -> frozenset[str]:
-        return frozenset(seg.label for seg in self.segments)
-
-    @property
-    def labeled_frame_count(self) -> int:
-        return sum(seg.num_frames for seg in self.segments)
 
 
 @dataclass(frozen=True)
@@ -382,10 +369,6 @@ class KinematicTrial:
         object.__setattr__(self, "data", arr)
 
     @property
-    def key(self) -> TrialKey:
-        return (self.task, self.subject, self.trial)
-
-    @property
     def num_frames(self) -> int:
         return self.data.shape[0]
 
@@ -567,10 +550,6 @@ class CatalogEntry:
                 return p
         return None
 
-    @property
-    def granularities(self) -> tuple[str, ...]:
-        return tuple(g for g, _ in self.transcripts)
-
 
 @dataclass(frozen=True)
 class Catalog:
@@ -655,6 +634,14 @@ def build_catalog(manifest_path, root=None) -> Catalog:
             transcripts = item.get("transcripts", {})
         except (TypeError, KeyError) as exc:
             raise DataError(f"manifest entry {i} is malformed: missing {exc}")
+        if not isinstance(kin_rel, str):
+            raise DataError(
+                f"manifest entry {i}: kinematics must be a path string, got {kin_rel!r}")
+        if not isinstance(transcripts, dict) or not all(
+                isinstance(path, str) for path in transcripts.values()):
+            raise DataError(
+                f"manifest entry {i}: transcripts must map granularities to path "
+                f"strings, got {transcripts!r}")
         kin = base / kin_rel
         if not kin.is_file():
             raise MissingFile(f"manifest entry {i}: kinematics file not found: {kin}")

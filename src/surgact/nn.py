@@ -1,14 +1,19 @@
 """From-scratch building blocks for 1-D temporal conv networks.
 
 Everything operates on float64 arrays in channels-first layout: a signal is
-an array of shape (C, T), C channels by T frames. Each layer is a small class
-with `forward(x)` and `backward(grad_y)`; `backward` returns the gradient
-with respect to the layer input and, for parameterized layers, overwrites the
-stored parameter gradients (`grad_w`, `grad_b`), which in a `TcnModel` are
-views into the model's flat vectors `theta` and `grad`. A forward call keeps
-what the matching backward call needs in `_cache` and that call drops it, so
-a layer instance serves one signal at a time; models are not shared across
-threads.
+an array of shape (C, T), C channels by T frames. `Conv1d` is a class with
+`forward(x)` and `backward(grad_y)`; `backward` returns the gradient with
+respect to the layer input and overwrites the stored parameter gradients
+(`grad_w`, `grad_b`), which in a `TcnModel` are views into the model's flat
+vectors `theta` and `grad`. A forward call keeps what the matching backward
+call needs in `_cache` and that call drops it, so a conv serves one signal at
+a time; models are not shared across threads.
+
+The ED-TCN's maths between its convs is two pairs of stage functions:
+`pool_relu_norm` for an encoder stage and `relu_norm` for a decoder stage.
+Each forward returns `(output, cache)`, and its backward takes the output
+gradient and that cache. They do not check their input: they take a conv's
+output, and `TcnModel.forward` validates the signal once.
 
 No autograd framework is used anywhere: every backward pass below is the
 hand-derived exact gradient of the forward map, and `finite_diff_check`
@@ -27,15 +32,14 @@ from .errors import (
     InvalidConfig,
     ShapeMismatch,
     TargetOutOfRange,
-    TooShort,
 )
 
 __all__ = [
     "Conv1d",
-    "Relu",
-    "MaxPool1d",
-    "ChannelNorm",
-    "RestoreLength",
+    "relu_norm",
+    "relu_norm_backward",
+    "pool_relu_norm",
+    "pool_relu_norm_backward",
     "softmax_cross_entropy",
     "Adam",
     "finite_diff_check",
@@ -46,6 +50,9 @@ __all__ = [
 # temporaries of one slice stay in cache; whole-vector expressions on the
 # model's flat parameter vector were slower than the per-layer arrays.
 ADAM_BLOCK = 32768
+
+# keeps the channel norm's denominator positive on an all-zero frame
+NORM_EPS = 1e-5
 
 
 def _as_signal(x, *, name: str = "x") -> np.ndarray:
@@ -61,20 +68,7 @@ def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
     return windows.transpose(0, 2, 1).reshape(xp.shape[0] * k, -1)
 
 
-class _Layer:
-    """What every layer shares: the one buffer its forward keeps."""
-
-    _cache = None  # set by forward, dropped by the matching backward
-
-    def _pop_cache(self):
-        cache = self._cache
-        if cache is None:
-            raise ShapeMismatch("backward called before forward")
-        self._cache = None
-        return cache
-
-
-class Conv1d(_Layer):
+class Conv1d:
     """1-D convolution with 'same' zero padding and stride 1, optionally of a
     signal first upsampled by repetition.
 
@@ -96,6 +90,8 @@ class Conv1d(_Layer):
     matrix again: the matrix is q times larger, and allocating it afresh
     after a backward pass freed it cost more, in page faults, than the copy.
     """
+
+    _cache = None  # set by forward, dropped by the matching backward
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: Optional[np.random.Generator] = None, *, phases: int = 1):
@@ -151,7 +147,9 @@ class Conv1d(_Layer):
         return np.add(y, self.b[:, None, None], order="C").reshape(self.out_channels, t * n)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        xp, wp = self._pop_cache()
+        if self._cache is None:
+            raise ShapeMismatch("backward called before forward")
+        (xp, wp), self._cache = self._cache, None
         grad_y = _as_signal(grad_y, name="grad_y")
         c, co = self.in_channels, self.out_channels
         q, lo, n = self._slots, self._lo, self.phases
@@ -169,126 +167,75 @@ class Conv1d(_Layer):
         return gxp[:, -lo:t - lo]
 
 
-class Relu(_Layer):
-    """Elementwise max(x, 0); subgradient 0 at the kink."""
+def _norm(h: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Per-frame normalization of h >= 0 by its largest channel:
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_signal(x)
-        self._cache = mask = x > 0
-        return np.where(mask, x, 0.0)
+        y[c, t] = h[c, t] / (max_c' h[c', t] + NORM_EPS)
 
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        mask = self._pop_cache()
-        grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != mask.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {mask.shape}")
-        return np.where(mask, grad_y, 0.0)
-
-
-class MaxPool1d(_Layer):
-    """Non-overlapping max pooling of width 2.
-
-    Output length is floor(T/2); a trailing odd frame is dropped. The
-    backward pass routes each output gradient to the frame that won the max,
-    and to the earlier frame on exact ties.
+    An all-zero frame maps to an all-zero frame. Returns y and what
+    `_norm_backward` needs; h is kept, not copied.
     """
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_signal(x)
-        c, t = x.shape
-        if t < 2:
-            raise TooShort(f"max pooling needs at least 2 frames, got {t}")
-        t_out = t // 2
-        left = x[:, 0:2 * t_out:2]
-        right = x[:, 1:2 * t_out:2]
-        take_right = right > left  # tie -> left (lower index)
-        self._cache = (take_right, t)
-        return np.where(take_right, right, left)
-
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        take_right, t = self._pop_cache()
-        grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != take_right.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {take_right.shape}")
-        t_out = t // 2
-        gx = np.zeros((take_right.shape[0], t))
-        gx[:, 0:2 * t_out:2] = np.where(take_right, 0.0, grad_y)
-        gx[:, 1:2 * t_out:2] = np.where(take_right, grad_y, 0.0)
-        return gx
+    scale = h.max(axis=0) + NORM_EPS
+    return h / scale, (h, scale, np.argmax(h, axis=0))
 
 
-class ChannelNorm(_Layer):
-    """Per-frame normalization by the largest channel magnitude.
+def _norm_backward(grad_y: np.ndarray, h: np.ndarray, scale: np.ndarray,
+                   idx: np.ndarray) -> np.ndarray:
+    """The max is piecewise smooth: the denominator's gradient goes to the
+    first channel attaining it (ties broken by lowest channel index)."""
+    gx = grad_y / scale
+    # d(scale)/dh is sign(h[a, t]) on the argmax channel a only
+    dot = np.einsum("ct,ct->t", grad_y, h)
+    cols = np.arange(h.shape[1])
+    gx[idx, cols] -= dot * np.sign(h[idx, cols]) / (scale * scale)
+    return gx
 
-    y[c, t] = x[c, t] / (max_c' |x[c', t]| + eps)
 
-    An all-zero frame maps to an all-zero frame. The max is piecewise smooth;
-    the backward pass attributes the denominator's gradient to the first
-    channel attaining the max (ties broken by lowest channel index).
+def relu_norm(y: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """A decoder stage after its conv: relu, then the channel norm.
+
+    Returns the stage output and the cache `relu_norm_backward` takes.
     """
-
-    def __init__(self, eps: float = 1e-5):
-        if eps <= 0:
-            raise InvalidConfig(f"eps must be positive, got {eps}")
-        self.eps = eps
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_signal(x)
-        mag = np.abs(x)
-        scale = mag.max(axis=0) + self.eps
-        self._cache = (x.copy(), scale, np.argmax(mag, axis=0))
-        return x / scale
-
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        x, s, idx = self._pop_cache()
-        grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != x.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {x.shape}")
-        gx = grad_y / s
-        # d(scale)/dx is sign(x[a, t]) on the argmax channel a only
-        dot = np.einsum("ct,ct->t", grad_y, x)
-        cols = np.arange(x.shape[1])
-        gx[idx, cols] -= dot * np.sign(x[idx, cols]) / (s * s)
-        return gx
+    return _norm(np.where(y > 0, y, 0.0))
 
 
-class RestoreLength(_Layer):
-    """Crop or right-pad a signal to a target length.
+def relu_norm_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
+    """Gradient of `relu_norm` with respect to y; relu's subgradient at 0 is 0."""
+    h = cache[0]
+    return np.where(h > 0, _norm_backward(grad_out, *cache), 0.0)
 
-    Needed because three pool/upsample stages reproduce the input length only
-    when it is a multiple of 8. Padding repeats the final frame, so its
-    backward pass sums all the pad-frame gradients into that frame; cropping
-    discards trailing frames, whose gradient is zero.
+
+def pool_relu_norm(y: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """An encoder stage after its conv: relu, max pooling of width 2, then
+    the channel norm.
+
+    The output has floor(T/2) frames, T >= 2; a trailing odd frame is
+    dropped. The relu runs on the left frame of each pair only: the right
+    frame wins iff right > relu(left), and then it is positive, so the
+    pooled values are those of maxpool(relu(y)) bit for bit, NaN included.
+    So is the gradient: it goes to the winning frame, to the earlier one on
+    exact ties, and nowhere when the winner is <= 0. The norm's input is
+    >= 0, so it needs no abs and keeps no copy.
     """
+    t = y.shape[1]
+    n = t // 2
+    left = np.where(y[:, 0:2 * n:2] > 0, y[:, 0:2 * n:2], 0.0)
+    right = y[:, 1:2 * n:2]
+    take_right = right > left
+    out, norm_cache = _norm(np.where(take_right, right, left))
+    return out, (take_right, t, norm_cache)
 
-    def forward(self, x: np.ndarray, target: int) -> np.ndarray:
-        x = _as_signal(x)
-        if target < 1:
-            raise ShapeMismatch(f"target length must be positive, got {target}")
-        c, t = x.shape
-        if t < 1:
-            raise TooShort("cannot restore an empty signal")
-        self._cache = (c, t, target)
-        if t == target:
-            return x.copy()
-        if t > target:
-            return x[:, :target].copy()
-        return np.concatenate([x, np.repeat(x[:, -1:], target - t, axis=1)], axis=1)
 
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        c, t, target = self._pop_cache()
-        grad_y = _as_signal(grad_y, name="grad_y")
-        if grad_y.shape != (c, target):
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {(c, target)}")
-        if t == target:
-            return grad_y.copy()
-        if t > target:
-            gx = np.zeros((c, t))
-            gx[:, :target] = grad_y
-            return gx
-        gx = grad_y[:, :t].copy()
-        gx[:, -1] += grad_y[:, t:].sum(axis=1)
-        return gx
+def pool_relu_norm_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
+    """Gradient of `pool_relu_norm` with respect to y."""
+    take_right, t, norm_cache = cache
+    h = norm_cache[0]
+    g = np.where(h > 0, _norm_backward(grad_out, *norm_cache), 0.0)
+    n = h.shape[1]
+    gx = np.zeros((h.shape[0], t))
+    gx[:, 0:2 * n:2] = np.where(take_right, 0.0, g)
+    gx[:, 1:2 * n:2] = np.where(take_right, g, 0.0)
+    return gx
 
 
 def softmax_cross_entropy(

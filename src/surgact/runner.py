@@ -17,7 +17,8 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -125,12 +126,25 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        # a config file can hold any JSON value, so types are checked first
+        for f in fields(self):
+            kind = _FIELD_TYPES.get(f.name)
+            value = getattr(self, f.name)
+            if kind is None or (value is None and f.default is None):
+                continue
+            if not _is_a(value, kind):
+                raise InvalidConfig(f"{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
         for name in ("tasks", "train_tasks"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
-        if not isinstance(self.filters, tuple):
-            object.__setattr__(self, "filters", tuple(self.filters))
+            if value is None:
+                continue
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+                raise InvalidConfig(f"{name} must be a list of task names, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if (not isinstance(self.filters, (list, tuple)) or len(self.filters) != 3
+                or not all(_is_a(n, Integral) and n >= 1 for n in self.filters)):
+            raise InvalidConfig(f"filters must be 3 positive counts, got {self.filters!r}")
+        object.__setattr__(self, "filters", tuple(self.filters))
         if self.granularity not in GRANULARITIES:
             raise InvalidConfig(f"unknown granularity: {self.granularity!r}")
         if self.cv not in CV_MODES:
@@ -182,6 +196,21 @@ class ExperimentConfig:
         return FeatureSpec(arms=(arm_columns_at(self.right_offset),))
 
 
+# the type of each scalar field; None passes where it is the default
+_FIELD_TYPES = {
+    "catalog": str, "task_combo": str, "test_task": str, "output_dir": str,
+    "learning_rate": Real, "weight_decay": Real, "epochs": Integral,
+    "kernel_size": Integral, "seed": Integral, "expected_channels": Integral,
+    "left_offset": Integral, "right_offset": Integral,
+}
+_TYPE_NAMES = {str: "a string", Real: "a number", Integral: "an integer"}
+
+
+def _is_a(value, kind: type) -> bool:
+    # bool is a subclass of int, but true is no count and no rate
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 _CONFIG_FIELDS = {
     "catalog", "granularity", "cv", "tasks", "task_combo", "test_task",
     "train_tasks", "learning_rate", "weight_decay", "epochs", "filters",
@@ -218,7 +247,7 @@ def load_experiment_config(path, **overrides) -> ExperimentConfig:
     if missing:
         raise InvalidConfig(f"config lacks required keys: {sorted(missing)}")
     for key in ("catalog", "output_dir"):
-        if merged.get(key) is not None and not Path(merged[key]).is_absolute():
+        if isinstance(merged.get(key), str) and not Path(merged[key]).is_absolute():
             merged[key] = str((p.parent / merged[key]).resolve())
     return ExperimentConfig(**merged)
 
@@ -746,15 +775,20 @@ def load_report(path) -> dict:
         payload = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"report is not valid JSON: {p}: {exc}")
-    recomputed = _aggregate(payload.get("folds", ()))
-    stored = payload.get("aggregate", {})
-    for key in ("accuracy_mean", "edit_score_mean", "map_macro_mean", "map_micro_mean"):
-        a, b = stored.get(key), recomputed.get(key)
-        if (a is None) != (b is None):
-            raise DataError(f"report aggregate {key!r} inconsistent with folds")
-        if a is not None and abs(a - b) > 1e-9:
-            raise DataError(
-                f"report aggregate {key!r} = {a} but folds imply {b}")
+    if not isinstance(payload, dict):
+        raise DataError(f"report must hold a JSON object: {p}")
+    try:
+        recomputed = _aggregate(payload.get("folds", ()))
+        stored = payload.get("aggregate", {})
+        for key in ("accuracy_mean", "edit_score_mean", "map_macro_mean", "map_micro_mean"):
+            a, b = stored.get(key), recomputed.get(key)
+            if (a is None) != (b is None):
+                raise DataError(f"report aggregate {key!r} inconsistent with folds")
+            if a is not None and abs(a - b) > 1e-9:
+                raise DataError(
+                    f"report aggregate {key!r} = {a} but folds imply {b}")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"report is malformed: {p}: {exc!r}")
     return payload
 
 
@@ -764,19 +798,22 @@ def combine_reports(paths: Sequence) -> str:
              f"{'acc':>7} {'edit':>7} {'macro':>7} {'micro':>7}"]
     for path in paths:
         payload = load_report(path)
-        exp = payload["experiment"]
-        agg = payload["aggregate"]
-        if exp["cv"] == "loto":
-            label = f"{exp['test_task']}<-{'+'.join(exp['train_tasks'])}"
-        elif exp["task_combo"]:
-            label = exp["task_combo"]
-        elif exp["tasks"]:
-            label = "+".join(exp["tasks"])
-        else:
-            label = exp["cv"]
-        lines.append(
-            f"{label:<28} {exp['granularity']:<10} {exp['cv']:<10} "
-            f"{_fmt(agg['accuracy_mean'])} {_fmt(agg['edit_score_mean'])} "
-            f"{_fmt(agg['map_macro_mean'])} {_fmt(agg['map_micro_mean'])}")
+        try:
+            exp = payload["experiment"]
+            agg = payload["aggregate"]
+            if exp["cv"] == "loto":
+                label = f"{exp['test_task']}<-{'+'.join(exp['train_tasks'])}"
+            elif exp["task_combo"]:
+                label = exp["task_combo"]
+            elif exp["tasks"]:
+                label = "+".join(exp["tasks"])
+            else:
+                label = exp["cv"]
+            lines.append(
+                f"{label:<28} {exp['granularity']:<10} {exp['cv']:<10} "
+                f"{_fmt(agg['accuracy_mean'])} {_fmt(agg['edit_score_mean'])} "
+                f"{_fmt(agg['map_macro_mean'])} {_fmt(agg['map_micro_mean'])}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"report is malformed: {path}: {exc!r}")
     lines.append("")
     return "\n".join(lines)

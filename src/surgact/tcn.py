@@ -6,14 +6,22 @@ Architecture, channels-first on (F, T) float64 signals:
               with channel progression F -> f1 -> f2 -> f3
     decoder:  3 x [upsample(2) -> conv(k) -> relu -> channel-norm]
               with channel progression f3 -> f2 -> f1 -> f1
-    head:     1x1 conv f1 -> num_classes, then restore to the input length
+    head:     1x1 conv f1 -> num_classes, then pad to the input length
 
 Defaults f = (32, 64, 96). Three pooling stages mean the input must be at
-least 8 frames. The decoder keeps the maths of the upsample-then-conv above
+least 8 frames, and the head gives 8 * floor(T/8) <= T of them: the pad
+repeats its last frame up to T, and backward sums the pad's gradients into
+that frame. The decoder keeps the maths of the upsample-then-conv above
 (to float rounding) but runs each stage as one `Conv1d(..., phases=2)` that
 reads the un-upsampled signal: a constant fold matrix sums the k taps of the
 conv's (Cout, Cin, k) weights into two half-rate phase kernels, one per
 output frame parity, so no repeated frame is built or multiplied.
+
+What follows each k-wide conv is one stage function: `nn.pool_relu_norm`
+in the encoder, which pools before its relu and gives the results of the
+order above bit for bit, and `nn.relu_norm` in the decoder. A forward pass
+puts their caches on one tape, which the next backward pass pops, so each
+forward pass serves one backward pass.
 
 The kernel width is not fixed by hand: it is derived from the training
 transcripts as the mean duration (in frames) of the activity class whose
@@ -51,11 +59,11 @@ from .errors import (
 )
 from .nn import (
     Adam,
-    ChannelNorm,
     Conv1d,
-    MaxPool1d,
-    Relu,
-    RestoreLength,
+    pool_relu_norm,
+    pool_relu_norm_backward,
+    relu_norm,
+    relu_norm_backward,
     softmax_cross_entropy,
 )
 
@@ -137,16 +145,15 @@ class TcnModel:
         self.input_channels = input_channels
         f1, f2, f3 = config.filters
         k = config.kernel_size
-        self.encoder = []
-        for c_in, c_out in ((input_channels, f1), (f1, f2), (f2, f3)):
-            self.encoder.append(
-                (Conv1d(c_in, c_out, k, rng), Relu(), MaxPool1d(), ChannelNorm()))
-        self.decoder = []
-        for c_in, c_out in ((f3, f2), (f2, f1), (f1, f1)):
-            self.decoder.append(
-                (Conv1d(c_in, c_out, k, rng, phases=2), Relu(), ChannelNorm()))
-        self.classifier = Conv1d(f1, config.num_classes, 1, rng)
-        self.restore = RestoreLength()
+        # encoder, decoder (upsampling inside) and classifier convs, built in
+        # the order theta keeps their arrays, which is the order rng draws them
+        self.convs = [Conv1d(c_in, c_out, k, rng)
+                      for c_in, c_out in ((input_channels, f1), (f1, f2), (f2, f3))]
+        self.convs += [Conv1d(c_in, c_out, k, rng, phases=2)
+                       for c_in, c_out in ((f3, f2), (f2, f1), (f1, f1))]
+        self.convs.append(Conv1d(f1, config.num_classes, 1, rng))
+        # the input length and the six stage caches of the last forward pass
+        self._tape: Optional[tuple[int, list]] = None
         # the convs drew their arrays above, in order; they move into two
         # flat vectors and keep their names as views
         tensors = [(conv, name) for conv in self.convs for name in ("w", "b")]
@@ -160,13 +167,6 @@ class TcnModel:
             setattr(conv, "grad_" + name, self.grad[offset:end].reshape(shape))
             offset = end
 
-    @property
-    def convs(self) -> list[Conv1d]:
-        out = [stage[0] for stage in self.encoder]
-        out += [stage[0] for stage in self.decoder]
-        out.append(self.classifier)
-        return out
-
     def params(self) -> list[np.ndarray]:
         return [self.theta]
 
@@ -179,8 +179,9 @@ class TcnModel:
 
     def _drop_activations(self) -> None:
         """Release what the last forward pass kept for a backward pass."""
-        for layer in (*sum(self.encoder + self.decoder, ()), self.classifier, self.restore):
-            layer._cache = None
+        self._tape = None
+        for conv in self.convs:
+            conv._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(F, T) signal to (num_classes, T) logits; T must be >= 8."""
@@ -193,23 +194,41 @@ class TcnModel:
         t = x.shape[1]
         if t < MIN_FRAMES:
             raise TooShort(f"need at least {MIN_FRAMES} frames, got {t}")
+        tape = []
         h = x
-        for conv, relu, pool, norm in self.encoder:
-            h = norm.forward(pool.forward(relu.forward(conv.forward(h))))
-        for conv, relu, norm in self.decoder:
-            h = norm.forward(relu.forward(conv.forward(h)))
-        h = self.classifier.forward(h)
-        return self.restore.forward(h, t)
+        for conv in self.convs[:3]:
+            h, cache = pool_relu_norm(conv.forward(h))
+            tape.append(cache)
+        for conv in self.convs[3:6]:
+            h, cache = relu_norm(conv.forward(h))
+            tape.append(cache)
+        self._tape = (t, tape)
+        logits = self.convs[6].forward(h)
+        # 8 * (t // 8) frames come out; the last one is repeated to t
+        return np.concatenate(
+            [logits, np.repeat(logits[:, -1:], t - logits.shape[1], axis=1)], axis=1)
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Gradient of the last forward pass; fills every conv's grad_w/grad_b
-        and returns the gradient with respect to the input signal."""
-        g = self.restore.backward(grad_logits)
-        g = self.classifier.backward(g)
-        for conv, relu, norm in reversed(self.decoder):
-            g = conv.backward(relu.backward(norm.backward(g)))
-        for conv, relu, pool, norm in reversed(self.encoder):
-            g = conv.backward(relu.backward(pool.backward(norm.backward(g))))
+        and returns the gradient with respect to the input signal. Each
+        forward pass serves one backward pass."""
+        if self._tape is None:
+            raise ShapeMismatch("backward called before forward")
+        (t, tape), self._tape = self._tape, None
+        grad_logits = np.asarray(grad_logits, dtype=np.float64)
+        if grad_logits.shape != (self.config.num_classes, t):
+            raise ShapeMismatch(
+                f"grad_logits shape {grad_logits.shape} != {(self.config.num_classes, t)}")
+        n = 8 * (t // 8)
+        g = grad_logits[:, :n]
+        if n < t:  # the repeated frames' gradients sum into the frame they copy
+            g = g.copy()
+            g[:, -1] += grad_logits[:, n:].sum(axis=1)
+        g = self.convs[6].backward(g)
+        for conv in reversed(self.convs[3:6]):
+            g = conv.backward(relu_norm_backward(g, tape.pop()))
+        for conv in reversed(self.convs[:3]):
+            g = conv.backward(pool_relu_norm_backward(g, tape.pop()))
         return g
 
     def loss_and_grads(
@@ -335,13 +354,9 @@ def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, n
     each row summing to 1.
     """
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ShapeMismatch(f"features must be (T, F), got shape {feats.shape}")
-    if feats.shape[1] != model.input_channels:
-        raise ChannelMismatch(
-            f"expected {model.input_channels} features, got {feats.shape[1]}")
     if not np.isfinite(feats).all():
         raise NonNumericCell("features contain non-finite values")
+    # forward checks the shape and the channel count
     logits = model.forward(feats.T)
     model._drop_activations()
     z = logits - logits.max(axis=0, keepdims=True)

@@ -4,12 +4,30 @@
 as first written; `im2col_conv` is the one-phase conv kernel before it gained
 phases. The fused decoder conv (`Conv1d(..., phases=2)`) and the encoder
 convs are checked against these.
+
+`Relu`, `MaxPool1d`, `ChannelNorm` and `RestoreLength` are the ED-TCN's
+non-conv layers as first written, one class each. `TcnModel` runs them as
+the stage functions `pool_relu_norm` and `relu_norm` and a two-line pad,
+which are checked against these chains bit for bit.
 """
 
 import numpy as np
 
-from surgact.errors import ShapeMismatch
-from surgact.nn import _as_signal, _im2col, _Layer
+from surgact.errors import InvalidConfig, ShapeMismatch, TooShort
+from surgact.nn import _as_signal, _im2col
+
+
+class _Layer:
+    """What every layer shares: the one buffer its forward keeps."""
+
+    _cache = None  # set by forward, dropped by the matching backward
+
+    def _pop_cache(self):
+        cache = self._cache
+        if cache is None:
+            raise ShapeMismatch("backward called before forward")
+        self._cache = None
+        return cache
 
 
 class UpsampleRepeat(_Layer):
@@ -29,6 +47,128 @@ class UpsampleRepeat(_Layer):
         if grad_y.shape != (c, 2 * t):
             raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {(c, 2 * t)}")
         return grad_y.reshape(c, t, 2).sum(axis=2)
+
+
+class Relu(_Layer):
+    """Elementwise max(x, 0); subgradient 0 at the kink."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = _as_signal(x)
+        self._cache = mask = x > 0
+        return np.where(mask, x, 0.0)
+
+    def backward(self, grad_y: np.ndarray) -> np.ndarray:
+        mask = self._pop_cache()
+        grad_y = _as_signal(grad_y, name="grad_y")
+        if grad_y.shape != mask.shape:
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {mask.shape}")
+        return np.where(mask, grad_y, 0.0)
+
+
+class MaxPool1d(_Layer):
+    """Non-overlapping max pooling of width 2.
+
+    Output length is floor(T/2); a trailing odd frame is dropped. The
+    backward pass routes each output gradient to the frame that won the max,
+    and to the earlier frame on exact ties.
+    """
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = _as_signal(x)
+        c, t = x.shape
+        if t < 2:
+            raise TooShort(f"max pooling needs at least 2 frames, got {t}")
+        t_out = t // 2
+        left = x[:, 0:2 * t_out:2]
+        right = x[:, 1:2 * t_out:2]
+        take_right = right > left  # tie -> left (lower index)
+        self._cache = (take_right, t)
+        return np.where(take_right, right, left)
+
+    def backward(self, grad_y: np.ndarray) -> np.ndarray:
+        take_right, t = self._pop_cache()
+        grad_y = _as_signal(grad_y, name="grad_y")
+        if grad_y.shape != take_right.shape:
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {take_right.shape}")
+        t_out = t // 2
+        gx = np.zeros((take_right.shape[0], t))
+        gx[:, 0:2 * t_out:2] = np.where(take_right, 0.0, grad_y)
+        gx[:, 1:2 * t_out:2] = np.where(take_right, grad_y, 0.0)
+        return gx
+
+
+class ChannelNorm(_Layer):
+    """Per-frame normalization by the largest channel magnitude.
+
+    y[c, t] = x[c, t] / (max_c' |x[c', t]| + eps)
+
+    An all-zero frame maps to an all-zero frame. The max is piecewise smooth;
+    the backward pass attributes the denominator's gradient to the first
+    channel attaining the max (ties broken by lowest channel index).
+    """
+
+    def __init__(self, eps: float = 1e-5):
+        if eps <= 0:
+            raise InvalidConfig(f"eps must be positive, got {eps}")
+        self.eps = eps
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = _as_signal(x)
+        mag = np.abs(x)
+        scale = mag.max(axis=0) + self.eps
+        self._cache = (x.copy(), scale, np.argmax(mag, axis=0))
+        return x / scale
+
+    def backward(self, grad_y: np.ndarray) -> np.ndarray:
+        x, s, idx = self._pop_cache()
+        grad_y = _as_signal(grad_y, name="grad_y")
+        if grad_y.shape != x.shape:
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {x.shape}")
+        gx = grad_y / s
+        # d(scale)/dx is sign(x[a, t]) on the argmax channel a only
+        dot = np.einsum("ct,ct->t", grad_y, x)
+        cols = np.arange(x.shape[1])
+        gx[idx, cols] -= dot * np.sign(x[idx, cols]) / (s * s)
+        return gx
+
+
+class RestoreLength(_Layer):
+    """Crop or right-pad a signal to a target length.
+
+    Needed because three pool/upsample stages reproduce the input length only
+    when it is a multiple of 8. Padding repeats the final frame, so its
+    backward pass sums all the pad-frame gradients into that frame; cropping
+    discards trailing frames, whose gradient is zero.
+    """
+
+    def forward(self, x: np.ndarray, target: int) -> np.ndarray:
+        x = _as_signal(x)
+        if target < 1:
+            raise ShapeMismatch(f"target length must be positive, got {target}")
+        c, t = x.shape
+        if t < 1:
+            raise TooShort("cannot restore an empty signal")
+        self._cache = (c, t, target)
+        if t == target:
+            return x.copy()
+        if t > target:
+            return x[:, :target].copy()
+        return np.concatenate([x, np.repeat(x[:, -1:], target - t, axis=1)], axis=1)
+
+    def backward(self, grad_y: np.ndarray) -> np.ndarray:
+        c, t, target = self._pop_cache()
+        grad_y = _as_signal(grad_y, name="grad_y")
+        if grad_y.shape != (c, target):
+            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {(c, target)}")
+        if t == target:
+            return grad_y.copy()
+        if t > target:
+            gx = np.zeros((c, t))
+            gx[:, :target] = grad_y
+            return gx
+        gx = grad_y[:, :t].copy()
+        gx[:, -1] += grad_y[:, t:].sum(axis=1)
+        return gx
 
 
 def im2col_conv(w, b, x, grad_y):

@@ -89,6 +89,22 @@ class TestValidateCommand:
         assert main(experiment) == 2
 
 
+    @pytest.mark.parametrize("transcripts", [["mp"], {"mp": 3}])
+    def test_transcripts_not_path_strings_is_data_error(self, tmp_path, capsys,
+                                                        transcripts):
+        main(["synth", "--out", str(tmp_path), "--tasks", "1", "--subjects", "2",
+              "--trials-per-subject", "1", "--min-frames", "40", "--max-frames", "60"])
+        capsys.readouterr()
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["entries"][1]["transcripts"] = transcripts
+        manifest.write_text(json.dumps(doc))
+        assert main(["validate", "--catalog", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: manifest entry 1: transcripts")
+        assert err.count("\n") == 1
+
+
 class TestFoldsCommand:
     def test_prints_plans_as_json(self, synth_manifest, capsys):
         rc = main(["folds", "--catalog", str(synth_manifest),
@@ -178,6 +194,20 @@ class TestExperimentCommand:
         assert "38 channels, expected 39" in capsys.readouterr().err
         assert not (tmp_path / "broken").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("filters", [4, 6]), ("epochs", "5"), ("tasks", "T01")])
+    def test_mistyped_config_field_exits_1(self, synth_manifest, tmp_path, capsys,
+                                           field, value):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "catalog": str(synth_manifest), "granularity": "mp",
+            "cv": "louo", "tasks": ["T01"], field: value}))
+        rc = main(["experiment", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainCommand:
     def test_single_fold_with_checkpoint(self, synth_manifest, tmp_path, capsys):
@@ -236,6 +266,56 @@ class TestReportCommand:
         rc = main(["report", "--inputs", str(bad)])
         assert rc == 2
         assert "edit_score_mean" in capsys.readouterr().err
+
+
+    def test_report_holding_a_list_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text("[]")
+        rc = main(["report", "--inputs", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+class TestOutFlag:
+    """--out into a missing directory fails with exit 3 and one line."""
+
+    def run(self, argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("failure: cannot write ") and err.count("\n") == 1
+
+    def test_folds(self, synth_manifest, tmp_path, capsys):
+        target = tmp_path / "missing" / "folds.json"
+        self.run(["folds", "--catalog", str(synth_manifest), "--granularity", "mp",
+                  "--cv", "louo", "--tasks", "T01", "--out", str(target)], capsys)
+        assert not target.parent.exists()
+
+    def test_train_refuses_before_training(self, synth_manifest, tmp_path, capsys,
+                                           monkeypatch):
+        import surgact.cli
+
+        def trained(*args, **kwargs):
+            raise AssertionError("the fold trained before --out was checked")
+
+        monkeypatch.setattr(surgact.cli, "run_single_fold", trained)
+        self.run(["train", "--catalog", str(synth_manifest), "--granularity", "mp",
+                  "--cv", "louo", "--tasks", "T01", "--epochs", "0",
+                  "--fold", "louo-SYNTH-U01",
+                  "--out", str(tmp_path / "missing" / "fold.json")], capsys)
+
+    def test_report(self, cli_report_dir, tmp_path, capsys):
+        self.run(["report", "--inputs", str(cli_report_dir / "report.json"),
+                  "--out", str(tmp_path / "missing" / "summary.txt")], capsys)
+
+    def test_unwritable_target(self, cli_report_dir, tmp_path, capsys):
+        # the directory exists, but the target is a directory itself
+        target = tmp_path / "summary.txt"
+        target.mkdir()
+        self.run(["report", "--inputs", str(cli_report_dir / "report.json"),
+                  "--out", str(target)], capsys)
+        assert not list(tmp_path.glob(".summary.txt.*"))
 
 
 def test_module_entry_point_reports_version():

@@ -65,8 +65,11 @@ class TestMotionPrimitiveLabel:
         assert (mp.verb, mp.tool, mp.object) == ("Idle", "none", "")
 
     def test_format_round_trip(self):
+        # the parsed fields spell the label again
         for text in ("Grasp(L, Needle)", "Release(R, Thread)", "Idle"):
-            assert MotionPrimitiveLabel.parse(text).format() == text
+            mp = MotionPrimitiveLabel.parse(text)
+            spelled = mp.verb if mp.tool == "none" else f"{mp.verb}({mp.tool}, {mp.object})"
+            assert spelled == text
 
     def test_unknown_verb(self):
         with pytest.raises(UnknownLabel):
@@ -120,8 +123,8 @@ def transcript(segments, length, granularity="mp", vocabulary=None):
 class TestLabelTranscript:
     def test_valid(self):
         tr = transcript([Segment(0, 4, "A"), Segment(10, 14, "B")], 20)
-        assert tr.labels_present == {"A", "B"}
-        assert tr.labeled_frame_count == 10
+        assert {seg.label for seg in tr.segments} == {"A", "B"}
+        assert sum(seg.num_frames for seg in tr.segments) == 10
 
     def test_label_outside_vocabulary(self):
         with pytest.raises(UnknownLabel):
@@ -148,7 +151,7 @@ class TestLabelTranscript:
     def test_per_arm_tiled_ok(self):
         tr = transcript([Segment(0, 4, "A"), Segment(5, 9, "B")], 10,
                         granularity="mp-right")
-        assert tr.labeled_frame_count == 10
+        assert sum(seg.num_frames for seg in tr.segments) == 10
 
     def test_duplicate_vocabulary(self):
         with pytest.raises(DataError):
@@ -326,7 +329,7 @@ class TestKinematics:
         trial = load_trial_kinematics(p, task="T", subject="S", trial="1")
         np.testing.assert_allclose(trial.data, [[1, 2, 3], [4, 5, 6]])
         assert trial.data.dtype == np.float64
-        assert trial.key == ("T", "S", "1")
+        assert (trial.task, trial.subject, trial.trial) == ("T", "S", "1")
 
     def test_data_is_read_only(self, tmp_path):
         p = tmp_path / "k.txt"
@@ -615,6 +618,21 @@ class TestBuildCatalog:
         mp = tmp_path / "manifest.json"
         mp.write_text(json.dumps({"entries": [{"dataset": "X"}]}))
         with pytest.raises(DataError):
+            build_catalog(mp)
+
+    @pytest.mark.parametrize("field,value", [
+        ("transcripts", ["mp"]),
+        ("transcripts", "t.txt"),
+        ("transcripts", {"gesture": 3}),
+        ("transcripts", {"gesture": ["t.txt"]}),
+        ("kinematics", ["k.txt"]),
+    ], ids=["list", "string", "number-path", "list-path", "kinematics-list"])
+    def test_entry_paths_must_be_strings(self, tmp_path, field, value):
+        mp = self.write_corpus(tmp_path)
+        doc = json.loads(mp.read_text())
+        doc["entries"][0][field] = value
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"manifest entry 0: {field} must"):
             build_catalog(mp)
 
     def test_non_list_entries(self, tmp_path):

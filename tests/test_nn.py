@@ -1,5 +1,9 @@
 """Layer-level oracles and finite-difference checks for the nn building blocks.
 
+The layer classes `Relu`, `MaxPool1d`, `ChannelNorm`, `RestoreLength` and
+`UpsampleRepeat` live in tests/reference_nn.py: the model no longer runs
+them, and they are tested here as the oracles its fused code is held to.
+
 Expected values fall into three groups:
 * hand-worked examples (the conv [-2,-2,-2,3] oracle, the ln 2 loss, the
   Adam first step) whose derivations are spelled out inline,
@@ -29,16 +33,23 @@ from surgact.errors import (
 from surgact.nn import (
     ADAM_BLOCK,
     Adam,
-    ChannelNorm,
     Conv1d,
-    MaxPool1d,
-    Relu,
-    RestoreLength,
     finite_diff_check,
+    pool_relu_norm,
+    pool_relu_norm_backward,
+    relu_norm,
+    relu_norm_backward,
     softmax_cross_entropy,
 )
 
-from reference_nn import UpsampleRepeat, im2col_conv
+from reference_nn import (
+    ChannelNorm,
+    MaxPool1d,
+    Relu,
+    RestoreLength,
+    UpsampleRepeat,
+    im2col_conv,
+)
 
 
 def naive_conv(x, w, b):
@@ -258,6 +269,105 @@ class TestUpsampledConv:
     def test_rejects_no_phases(self):
         with pytest.raises(InvalidConfig):
             Conv1d(1, 1, 3, phases=0)
+
+
+def stage_cases():
+    """(name, y) conv outputs: random draws of odd and even length, exact
+    ties, pairs that are both <= 0, all-zero frames, and non-finite values."""
+    rng = np.random.default_rng(120)
+    ties = rng.normal(size=(3, 12))
+    ties[:, 1::2] = ties[:, 0::2]  # every pair ties, half of them below 0
+    nonpositive = -np.abs(rng.normal(size=(3, 10)))
+    nonpositive[:, ::3] = 0.0
+    zero_frames = rng.normal(size=(4, 9))
+    zero_frames[:, [0, 1, 4, 8]] = 0.0
+    mixed = rng.normal(size=(3, 16))
+    mixed[0, 1:4] = mixed[1, 1:4] = mixed[2, 1:4] = 0.7  # channel ties
+    mixed[:, 6] = -0.0
+    special = rng.normal(size=(3, 14))
+    special[0, [0, 3, 5]] = np.nan
+    special[1, [2, 7]] = np.inf
+    special[2, [8, 11]] = -np.inf
+    return [
+        ("random-even", rng.normal(size=(5, 20))),
+        ("random-odd", rng.normal(size=(5, 21))),
+        ("two-frames", rng.normal(size=(2, 2))),
+        ("three-frames", rng.normal(size=(2, 3))),
+        ("ties", ties),
+        ("both-nonpositive", nonpositive),
+        ("zero-frames", zero_frames),
+        ("all-zero", np.zeros((3, 8))),
+        ("channel-ties", mixed),
+        ("non-finite", special),
+    ]
+
+
+STAGE_CASES = stage_cases()
+
+
+class TestStages:
+    """The fused stage functions against the layer chains they replace, bit
+    for bit, forward and backward."""
+
+    @pytest.mark.parametrize("name,y", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
+    def test_pool_relu_norm_is_the_encoder_chain(self, name, y):
+        relu, pool, norm = Relu(), MaxPool1d(), ChannelNorm()
+        grad_out = np.random.default_rng(121).normal(size=(y.shape[0], y.shape[1] // 2))
+        with np.errstate(invalid="ignore"):  # the non-finite case divides inf by inf
+            expected = norm.forward(pool.forward(relu.forward(y)))
+            expected_grad = relu.backward(pool.backward(norm.backward(grad_out)))
+            got, cache = pool_relu_norm(y)
+            grad = pool_relu_norm_backward(grad_out, cache)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert grad.shape == y.shape
+        assert np.array_equal(grad, expected_grad, equal_nan=True)
+
+    @pytest.mark.parametrize("name,y", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
+    def test_relu_norm_is_the_decoder_chain(self, name, y):
+        relu, norm = Relu(), ChannelNorm()
+        grad_out = np.random.default_rng(122).normal(size=y.shape)
+        with np.errstate(invalid="ignore"):
+            expected = norm.forward(relu.forward(y))
+            expected_grad = relu.backward(norm.backward(grad_out))
+            got, cache = relu_norm(y)
+            grad = relu_norm_backward(grad_out, cache)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(grad, expected_grad, equal_nan=True)
+
+    def test_signs_of_zero_match(self):
+        # the unfused relu writes +0.0 for every frame it zeroes, -0.0 included
+        y = np.array([[-0.0, -0.0, -1.0, 0.0, 2.0, -0.0]])
+        for fused, chain in ((pool_relu_norm(y)[0],
+                              ChannelNorm().forward(MaxPool1d().forward(Relu().forward(y)))),
+                             (relu_norm(y)[0], ChannelNorm().forward(Relu().forward(y)))):
+            assert np.array_equal(np.signbit(fused), np.signbit(chain))
+            assert not np.signbit(fused).any()
+
+    def test_tie_goes_to_earlier_frame_and_nonpositive_pairs_get_nothing(self):
+        y = np.array([[2.0, 2.0, -1.0, -3.0, 0.0, 5.0]])
+        out, cache = pool_relu_norm(y)
+        np.testing.assert_allclose(out, [[2.0, 0.0, 5.0]] / (np.array([2.0, 0.0, 5.0]) + 1e-5))
+        grad = pool_relu_norm_backward(np.ones((1, 3)), cache)
+        assert grad[0, 1] == grad[0, 2] == grad[0, 3] == grad[0, 4] == 0.0
+        assert grad[0, 0] != 0.0 and grad[0, 5] != 0.0
+
+    def test_grad_wrt_input(self):
+        rng = np.random.default_rng(123)
+        y0 = rng.normal(size=(3, 11))
+        y0 = np.where(np.abs(y0) < 0.05, 0.5, y0)  # away from the relu kink
+        r_pool = rng.normal(size=(3, 5))
+        r_dec = rng.normal(size=(3, 11))
+
+        def pooled(y):
+            out, cache = pool_relu_norm(y)
+            return float((out * r_pool).sum()), pool_relu_norm_backward(r_pool, cache)
+
+        def decoded(y):
+            out, cache = relu_norm(y)
+            return float((out * r_dec).sum()), relu_norm_backward(r_dec, cache)
+
+        assert finite_diff_check(pooled, y0) < 1e-6
+        assert finite_diff_check(decoded, y0) < 1e-6
 
 
 class TestRelu:

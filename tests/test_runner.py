@@ -78,6 +78,16 @@ class TestExperimentConfig:
         {"epochs": -1},
         {"cv": "loto", "test_task": "T02", "train_tasks": ("T01",)},  # keeps louo tasks
         {"kernel_size": 4},
+        # as a config file can spell them: rejected before any file is read
+        {"filters": [4, 6]},
+        {"filters": [4, 6, "8"]},
+        {"epochs": "5"},
+        {"epochs": 2.0},
+        {"seed": True},
+        {"learning_rate": "1e-3"},
+        {"tasks": "T01"},
+        {"tasks": ["T01", 2]},
+        {"catalog": 7},
     ])
     def test_rejections(self, synth_manifest, kwargs):
         with pytest.raises(InvalidConfig):
@@ -533,6 +543,23 @@ class TestReportsOnDisk:
         bad.write_text("{")
         with pytest.raises(DataError):
             load_report(bad)
+
+    @pytest.mark.parametrize("doc", [
+        [], [{"folds": []}], "report", 3,
+        {"folds": 5}, {"folds": [{"name": "f"}]}, {"folds": [], "aggregate": []},
+    ], ids=["empty-list", "list", "string", "number", "folds-number",
+            "fold-without-status", "aggregate-list"])
+    def test_load_report_rejects_other_json(self, tmp_path, doc):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=str(bad)):
+            load_report(bad)
+
+    def test_combine_reports_rejects_a_report_without_its_experiment(self, tmp_path):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"folds": [], "aggregate": {}}))
+        with pytest.raises(DataError, match="experiment"):
+            combine_reports([bad])
 
     def test_emit_report_refuses_unwritable_target(self, synth_manifest, tmp_path):
         report = run_experiment(synth_config(synth_manifest, epochs=0))

@@ -34,7 +34,7 @@ class TestGeneratedCorpus:
         assert len(cat.entries) == 2 * 3 * 2
         assert cat.tasks() == ("T01", "T02")
         for e in cat.entries:
-            assert e.granularities == ("gesture", "mp", "mp-left", "mp-right")
+            assert [g for g, _ in e.transcripts] == ["gesture", "mp", "mp-left", "mp-right"]
 
     def test_kinematics_have_38_channels(self, synth_manifest):
         cat = build_catalog(synth_manifest)
@@ -48,7 +48,7 @@ class TestGeneratedCorpus:
         frames = load_trial_kinematics(e.kinematics).num_frames
         parsed = load_transcript(e.transcript_path("mp"), "mp")
         tr = parsed.bind(sorted(parsed.labels), frames)
-        assert tr.labeled_frame_count == frames  # no gaps
+        assert sum(seg.num_frames for seg in tr.segments) == frames  # no gaps
         _, mask = encode_frames(tr, {lab: i for i, lab in enumerate(tr.vocabulary)})
         assert mask.shape == (frames,) and mask.all()
 

@@ -19,14 +19,7 @@ from surgact.errors import (
     TooShort,
     VocabularyMismatch,
 )
-from surgact.nn import (
-    ChannelNorm,
-    Conv1d,
-    MaxPool1d,
-    Relu,
-    RestoreLength,
-    finite_diff_check,
-)
+from surgact.nn import Conv1d, finite_diff_check
 from surgact.tcn import (
     CHECKPOINT_VERSION,
     DEFAULT_EPOCHS,
@@ -42,7 +35,7 @@ from surgact.tcn import (
     train_fold,
 )
 
-from reference_nn import UpsampleRepeat
+from reference_nn import ChannelNorm, MaxPool1d, Relu, RestoreLength, UpsampleRepeat
 
 
 def transcript(durations_by_label, granularity="gesture"):
@@ -186,13 +179,6 @@ class TestBuildModel:
         assert finite_diff_check(f, point) < 1e-6
 
 
-def all_layers(model):
-    """Every layer of the model, in forward order."""
-    out = [layer for stage in model.encoder for layer in stage]
-    out += [layer for stage in model.decoder for layer in stage]
-    return out + [model.classifier, model.restore]
-
-
 def conv_chain(config, input_channels):
     """(in, out, width) of every conv, in the order the model builds them."""
     f1, f2, f3 = config.filters
@@ -282,11 +268,63 @@ class TestParameterStore:
         assert offset == model.theta.size
 
 
+def holds_activations(model):
+    """Whether anything a forward pass keeps for its backward pass is held."""
+    return model._tape is not None or any(conv._cache is not None for conv in model.convs)
+
+
+def reference_pass(model, x, grad_logits):
+    """The model's own convs with the unfused layer classes between them, the
+    ED-TCN as first written. Returns (logits, parameter gradient, input
+    gradient)."""
+    convs = model.convs
+    encoder = [(Relu(), MaxPool1d(), ChannelNorm()) for _ in range(3)]
+    decoder = [(Relu(), ChannelNorm()) for _ in range(3)]
+    restore = RestoreLength()
+    h = x
+    for conv, (relu, pool, norm) in zip(convs[:3], encoder):
+        h = norm.forward(pool.forward(relu.forward(conv.forward(h))))
+    for conv, (relu, norm) in zip(convs[3:6], decoder):
+        h = norm.forward(relu.forward(conv.forward(h)))
+    logits = restore.forward(convs[6].forward(h), x.shape[1])
+    g = convs[6].backward(restore.backward(grad_logits))
+    for conv, (relu, norm) in zip(reversed(convs[3:6]), reversed(decoder)):
+        g = conv.backward(relu.backward(norm.backward(g)))
+    for conv, (relu, pool, norm) in zip(reversed(convs[:3]), reversed(encoder)):
+        g = conv.backward(relu.backward(pool.backward(norm.backward(g))))
+    return logits, model.grad.copy(), g
+
+
+class TestFusedStages:
+    @pytest.mark.parametrize("k", [3, 9])
+    @pytest.mark.parametrize("t", [8, 9, 13, 16, 64, 301])
+    def test_model_is_the_layer_chain_bit_for_bit(self, k, t):
+        cfg = ModelConfig(num_classes=4, kernel_size=k, filters=(4, 6, 8), seed=t)
+        model = build_model(cfg, 3)
+        rng = np.random.default_rng(1000 + t)
+        x = rng.normal(size=(3, t))
+        grad_logits = rng.normal(size=(4, t))
+        logits, grad, grad_x = reference_pass(model, x, grad_logits)
+        assert np.array_equal(model.forward(x), logits)
+        assert np.array_equal(model.backward(grad_logits), grad_x)
+        assert np.array_equal(model.grad, grad) and grad.any()
+
+    @pytest.mark.parametrize("t", [8, 13])
+    def test_pad_repeats_the_last_frame(self, t):
+        model = build_model(SMALL, 3)
+        logits = model.forward(np.random.default_rng(t).normal(size=(3, t)))
+        n = 8 * (t // 8)
+        assert np.array_equal(logits[:, n:], np.repeat(logits[:, n - 1:n], t - n, axis=1))
+
+
 class TestActivationBuffers:
     def test_every_layer_type_is_covered(self):
+        # a forward pass fills the tape and the seven convs' caches, which
+        # `holds_activations` checks; the model holds no other layer
         model = build_model(SMALL, 3)
-        kinds = {type(layer) for layer in all_layers(model)}
-        assert kinds == {Conv1d, Relu, MaxPool1d, ChannelNorm, RestoreLength}
+        assert set(vars(model)) == {"config", "input_channels", "convs", "_tape",
+                                    "theta", "grad"}
+        assert [type(conv) for conv in model.convs] == [Conv1d] * 7
         # the decoder's upsampling lives inside its convs
         assert [conv.phases for conv in model.convs] == [1, 1, 1, 2, 2, 2, 1]
 
@@ -294,9 +332,11 @@ class TestActivationBuffers:
         model = build_model(SMALL, 3)
         x = np.random.default_rng(4).normal(size=(3, 21))
         grad_logits = model.forward(x)
-        assert all(layer._cache is not None for layer in all_layers(model))
+        t, stages = model._tape
+        assert t == 21 and len(stages) == 6
+        assert all(conv._cache is not None for conv in model.convs)
         model.backward(grad_logits)
-        assert all(layer._cache is None for layer in all_layers(model))
+        assert not holds_activations(model)
 
     def test_second_backward_is_refused_by_every_layer(self):
         model = build_model(SMALL, 3)
@@ -304,9 +344,16 @@ class TestActivationBuffers:
         model.backward(model.forward(x))
         with pytest.raises(ShapeMismatch, match="backward called before forward"):
             model.backward(np.zeros((4, 21)))
-        for layer in all_layers(model):
+        for conv in model.convs:
             with pytest.raises(ShapeMismatch, match="backward called before forward"):
-                layer.backward(np.zeros((1, 1)))
+                conv.backward(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("shape", [(4, 20), (3, 21), (4,), (4, 21, 1)])
+    def test_gradient_of_another_shape_is_refused(self, shape):
+        model = build_model(SMALL, 3)
+        model.forward(np.random.default_rng(6).normal(size=(3, 21)))
+        with pytest.raises(ShapeMismatch, match="grad_logits shape"):
+            model.backward(np.zeros(shape))
 
     def test_nothing_is_held_after_training_or_prediction(self):
         data = {("T", "U", "001"): toy_tensors(0)}
@@ -314,9 +361,9 @@ class TestActivationBuffers:
                           learning_rate=1e-2, epochs=2, seed=1)
         model = build_model(cfg, 3)
         train_fold(model, toy_fold(data), data, cfg)
-        assert all(layer._cache is None for layer in all_layers(model))
+        assert not holds_activations(model)
         predict_labels(model, toy_tensors(1).features)
-        assert all(layer._cache is None for layer in all_layers(model))
+        assert not holds_activations(model)
 
 
 def toy_tensors(seed, t=64):
@@ -428,8 +475,8 @@ class TestPredictLabels:
 
     def test_tied_logits_take_lowest_id(self):
         model = build_model(SMALL, 3)
-        model.classifier.w[:] = 0.0
-        model.classifier.b[:] = 0.0
+        model.convs[-1].w[:] = 0.0
+        model.convs[-1].b[:] = 0.0
         labels, scores = predict_labels(model, np.zeros((10, 3)))
         np.testing.assert_array_equal(labels, np.zeros(10, dtype=np.int64))
         np.testing.assert_allclose(scores, 0.25)
