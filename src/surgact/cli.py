@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from ._version import __version__
+from .atomic import write_atomic
 from .crossval import TASK_COMBOS
 from .dataset import (
     ARM_SIDES,
@@ -22,8 +24,8 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, IoFailure, SurgactError
 from .runner import (
+    CV_MODES,
     ExperimentConfig,
-    _write_atomic,
     combine_reports,
     load_experiment_config,
     plan_folds,
@@ -38,12 +40,12 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
 
-def _add_experiment_args(p: argparse.ArgumentParser, *, need_config: bool) -> None:
-    if need_config:
-        p.add_argument("--config", help="JSON experiment config file")
+def _add_experiment_args(p: argparse.ArgumentParser) -> None:
+    # each flag's dest is the ExperimentConfig field it sets
+    p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--catalog", help="catalog manifest path")
     p.add_argument("--granularity", choices=GRANULARITIES)
-    p.add_argument("--cv", choices=("louo", "loto", "loto-suite"))
+    p.add_argument("--cv", choices=CV_MODES)
     p.add_argument("--tasks", nargs="+", help="explicit task list (louo)")
     p.add_argument("--task-combo", choices=sorted(TASK_COMBOS),
                    help="named task selection (louo)")
@@ -60,36 +62,16 @@ def _add_experiment_args(p: argparse.ArgumentParser, *, need_config: bool) -> No
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {
-        "catalog": args.catalog,
-        "granularity": args.granularity,
-        "cv": args.cv,
-        "tasks": tuple(args.tasks) if args.tasks else None,
-        "task_combo": args.task_combo,
-        "test_task": args.test_task,
-        "train_tasks": tuple(args.train_tasks) if args.train_tasks else None,
-        "learning_rate": args.learning_rate,
-        "weight_decay": args.weight_decay,
-        "epochs": args.epochs,
-        "kernel_size": args.kernel_size,
-        "seed": args.seed,
-        "expected_channels": args.expected_channels,
-        "output_dir": args.output_dir,
-    }
-    if getattr(args, "config", None):
-        return load_experiment_config(args.config, **overrides)
-    present = {k: v for k, v in overrides.items() if v is not None}
-    missing = {"catalog", "granularity", "cv"} - set(present)
-    if missing:
-        raise ConfigError(
-            f"missing required options (or pass --config): {sorted(missing)}")
-    return ExperimentConfig(**present)
+    # a field without a flag reads None, which leaves the config file's value
+    return load_experiment_config(
+        args.config,
+        **{f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)})
 
 
 def _write_out(path: str, text: str) -> None:
     """Write an --out file atomically; a failure is an IoFailure."""
     try:
-        _write_atomic(Path(path), text.encode())
+        write_atomic(Path(path), text.encode())
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}")
 
@@ -209,19 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("folds", help="emit cross-validation fold plans")
-    _add_experiment_args(p, need_config=True)
+    _add_experiment_args(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_folds)
 
     p = sub.add_parser("train", help="train a single fold")
-    _add_experiment_args(p, need_config=True)
+    _add_experiment_args(p)
     p.add_argument("--fold", required=True, help="fold name from `folds`")
     p.add_argument("--checkpoint", help="write the trained model here (.npz)")
     p.add_argument("--out", help="write the fold report JSON here")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("experiment", help="run all folds and report")
-    _add_experiment_args(p, need_config=True)
+    _add_experiment_args(p)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

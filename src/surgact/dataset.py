@@ -8,6 +8,9 @@ strings. A catalog maps (task, subject, trial) keys to the files on disk.
 
 Frame indexing is 0-based and segment ranges are inclusive on both ends, so
 a segment (start=0, end=29) covers 30 frames.
+
+The model reads 7 of each arm's columns (`arm_columns`); a feature
+selection is a plain tuple of column indices, arms ordered left then right.
 """
 
 from __future__ import annotations
@@ -353,9 +356,6 @@ def split_by_arm(transcript: LabelTranscript) -> tuple[LabelTranscript, LabelTra
 class KinematicTrial:
     """One trial's kinematic signal: frames by channels."""
 
-    task: str
-    subject: str
-    trial: str
     data: np.ndarray
 
     def __post_init__(self):
@@ -377,14 +377,7 @@ class KinematicTrial:
         return self.data.shape[1]
 
 
-def load_trial_kinematics(
-    path,
-    expected_channels: Optional[int] = None,
-    *,
-    task: str = "",
-    subject: str = "",
-    trial: str = "",
-) -> KinematicTrial:
+def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> KinematicTrial:
     """Read a delimiter-separated numeric trial file.
 
     Accepts whitespace or comma delimiters. Every row must have the same
@@ -416,7 +409,7 @@ def load_trial_kinematics(
     if expected_channels is not None and data.shape[1] != expected_channels:
         raise ChannelMismatch(
             f"{p}: {data.shape[1]} channels, expected {expected_channels}")
-    return KinematicTrial(task=task, subject=subject, trial=trial, data=data)
+    return KinematicTrial(data=data)
 
 
 def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:
@@ -455,51 +448,16 @@ def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # feature selection
 
-@dataclass(frozen=True)
-class ArmColumns:
-    """Column indices of one arm's modeling variables in the raw file."""
-
-    position: tuple[int, int, int]
-    linear_velocity: tuple[int, int, int]
-    gripper: int
-
-    def columns(self) -> tuple[int, ...]:
-        return (*self.position, *self.linear_velocity, self.gripper)
+def arm_columns(offset: int) -> tuple[int, ...]:
+    """The 7 modeling columns of the arm whose block starts at `offset`:
+    position (3), linear velocity (3) and gripper angle (1)."""
+    return (offset, offset + 1, offset + 2, offset + 12, offset + 13, offset + 14,
+            offset + 18)
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Which raw columns feed the model; arms ordered left then right."""
-
-    arms: tuple[ArmColumns, ...]
-
-    def columns(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for arm in self.arms:
-            out.extend(arm.columns())
-        return tuple(out)
-
-    @property
-    def num_features(self) -> int:
-        return 7 * len(self.arms)
-
-
-def arm_columns_at(offset: int) -> ArmColumns:
-    return ArmColumns(
-        position=(offset, offset + 1, offset + 2),
-        linear_velocity=(offset + 12, offset + 13, offset + 14),
-        gripper=offset + 18,
-    )
-
-
-def both_arms_spec(left_offset: int = 0, right_offset: int = COLUMNS_PER_ARM) -> FeatureSpec:
-    return FeatureSpec(arms=(arm_columns_at(left_offset), arm_columns_at(right_offset)))
-
-
-def check_feature_columns(spec: FeatureSpec, num_channels: int) -> tuple[int, ...]:
-    """The spec's columns, checked to be distinct and inside a trial of
-    `num_channels` columns."""
-    cols = spec.columns()
+def check_feature_columns(cols: tuple[int, ...], num_channels: int) -> tuple[int, ...]:
+    """`cols`, checked to be distinct and inside a trial of `num_channels`
+    columns."""
     if len(set(cols)) != len(cols):
         seen = set()
         dup = next(c for c in cols if c in seen or seen.add(c))
@@ -510,9 +468,9 @@ def check_feature_columns(spec: FeatureSpec, num_channels: int) -> tuple[int, ..
     return cols
 
 
-def select_features(trial: KinematicTrial, spec: FeatureSpec) -> np.ndarray:
-    """Gather the spec's columns into a (T, F) array, order preserved."""
-    cols = check_feature_columns(spec, trial.num_channels)
+def select_features(trial: KinematicTrial, cols: tuple[int, ...]) -> np.ndarray:
+    """Gather the columns into a (T, F) array, order preserved."""
+    check_feature_columns(cols, trial.num_channels)
     return np.ascontiguousarray(trial.data[:, list(cols)])
 
 
@@ -529,11 +487,6 @@ class CatalogEntry:
     trial: str
     kinematics: Path
     transcripts: tuple[tuple[str, Path], ...]  # (granularity, path), sorted
-
-    def __post_init__(self):
-        for granularity, _ in self.transcripts:
-            if granularity not in GRANULARITIES:
-                raise InvalidConfig(f"unknown granularity: {granularity!r}")
 
     @property
     def key(self) -> TrialKey:
@@ -598,11 +551,11 @@ def build_catalog(manifest_path, root=None) -> Catalog:
     """Load a JSON manifest and verify every referenced file exists.
 
     The manifest is either a list of entries or {"entries": [...]}; each
-    entry carries dataset/task/subject/trial ids, a kinematics path, and a
-    granularity-to-path transcript map. Relative paths resolve against
-    `root` (default: the manifest's directory). The object form may give
-    the frame rate as "sample_rate", a positive number of Hz; without it the
-    rate is DEFAULT_SAMPLE_RATE.
+    entry carries dataset/task/subject/trial id strings, a kinematics path,
+    and a map from granularities (`GRANULARITIES`) to transcript paths.
+    Relative paths resolve against `root` (default: the manifest's
+    directory). The object form may give the frame rate as "sample_rate", a
+    positive number of Hz; without it the rate is DEFAULT_SAMPLE_RATE.
     """
     mp = Path(manifest_path)
     if not mp.is_file():
@@ -634,6 +587,10 @@ def build_catalog(manifest_path, root=None) -> Catalog:
             transcripts = item.get("transcripts", {})
         except (TypeError, KeyError) as exc:
             raise DataError(f"manifest entry {i} is malformed: missing {exc}")
+        for name, value in (("dataset", dataset), ("task", task),
+                            ("subject", subject), ("trial", trial)):
+            if not isinstance(value, str):
+                raise DataError(f"manifest entry {i}: {name} must be a string, got {value!r}")
         if not isinstance(kin_rel, str):
             raise DataError(
                 f"manifest entry {i}: kinematics must be a path string, got {kin_rel!r}")
@@ -645,6 +602,10 @@ def build_catalog(manifest_path, root=None) -> Catalog:
         kin = base / kin_rel
         if not kin.is_file():
             raise MissingFile(f"manifest entry {i}: kinematics file not found: {kin}")
+        unknown = sorted(set(transcripts) - set(GRANULARITIES))
+        if unknown:
+            raise DataError(f"manifest entry {i}: unknown transcript granularity "
+                            f"{unknown[0]!r}; known: {', '.join(GRANULARITIES)}")
         tpairs = []
         for granularity in sorted(transcripts):
             tp = base / transcripts[granularity]

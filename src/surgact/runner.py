@@ -8,23 +8,29 @@ fresh model, and scores the held-out trials. Report payloads are fully
 deterministic for a given catalog and config; wall-clock numbers live in a
 separate "timing" subtree so two identical runs produce byte-identical
 payloads once timing is dropped.
+
+Each setting is declared once, as an `ExperimentConfig` field: the field
+names are the config file's keys and the CLI flags' destinations, and
+`load_experiment_config` builds the one config from a file, from flags, or
+from both. The model settings are checked by `tcn.check_model_settings`,
+the rule set `ModelConfig` and checkpoints use too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from dataclasses import MISSING, dataclass, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._version import __version__
+from .atomic import write_atomic
 from .crossval import (
     FoldPlan,
     check_gesture_transfer,
@@ -39,13 +45,11 @@ from .dataset import (
     GRANULARITIES,
     IDLE,
     Catalog,
-    FeatureSpec,
     KinematicTrial,
     LabelTranscript,
     TranscriptFile,
     TrialKey,
-    arm_columns_at,
-    both_arms_spec,
+    arm_columns,
     build_catalog,
     check_feature_columns,
     encode_frames,
@@ -77,7 +81,9 @@ from .tcn import (
     ModelConfig,
     TcnModel,
     TrialTensors,
+    _is_a,
     build_model,
+    check_model_settings,
     compute_kernel_size,
     predict_labels,
     save_model,
@@ -105,7 +111,11 @@ CV_MODES = ("louo", "loto", "loto-suite")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    Every field is a config file key and a CLI flag (the flag's `dest`);
+    `filters`, `left_offset` and `right_offset` are config keys only.
+    """
 
     catalog: str
     granularity: str
@@ -141,10 +151,6 @@ class ExperimentConfig:
             if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
                 raise InvalidConfig(f"{name} must be a list of task names, got {value!r}")
             object.__setattr__(self, name, tuple(value))
-        if (not isinstance(self.filters, (list, tuple)) or len(self.filters) != 3
-                or not all(_is_a(n, Integral) and n >= 1 for n in self.filters)):
-            raise InvalidConfig(f"filters must be 3 positive counts, got {self.filters!r}")
-        object.__setattr__(self, "filters", tuple(self.filters))
         if self.granularity not in GRANULARITIES:
             raise InvalidConfig(f"unknown granularity: {self.granularity!r}")
         if self.cv not in CV_MODES:
@@ -162,15 +168,10 @@ class ExperimentConfig:
         else:  # loto-suite
             if any((self.tasks, self.task_combo, self.test_task, self.train_tasks)):
                 raise InvalidConfig("loto-suite takes no task arguments")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be > 0")
-        if self.weight_decay is not None and self.weight_decay < 0:
-            raise InvalidConfig("weight_decay must be >= 0")
-        if self.epochs < 0:
-            raise InvalidConfig("epochs must be >= 0")
-        if self.kernel_size is not None and (
-                self.kernel_size < 1 or self.kernel_size % 2 == 0):
-            raise InvalidConfig("kernel_size override must be odd")
+        # the values the folds' models get, checked before any file is read
+        object.__setattr__(self, "filters", check_model_settings(
+            self.filters, self.resolved_learning_rate, self.resolved_weight_decay,
+            self.epochs, self.kernel_size))
 
     @property
     def hyperparam_mode(self) -> str:
@@ -188,67 +189,59 @@ class ExperimentConfig:
             return self.weight_decay
         return HYPERPARAM_DEFAULTS[self.hyperparam_mode]["weight_decay"]
 
-    def feature_spec(self) -> FeatureSpec:
+    def feature_columns(self) -> tuple[int, ...]:
+        """The model's input columns: both arms for gesture and mp, the
+        modeled arm alone for mp-left and mp-right."""
         if self.granularity in ("gesture", "mp"):
-            return both_arms_spec(self.left_offset, self.right_offset)
+            return arm_columns(self.left_offset) + arm_columns(self.right_offset)
         if self.granularity == "mp-left":
-            return FeatureSpec(arms=(arm_columns_at(self.left_offset),))
-        return FeatureSpec(arms=(arm_columns_at(self.right_offset),))
+            return arm_columns(self.left_offset)
+        return arm_columns(self.right_offset)
 
 
-# the type of each scalar field; None passes where it is the default
+# the type of each scalar field the model-setting rules do not cover; None
+# passes where it is the default
 _FIELD_TYPES = {
     "catalog": str, "task_combo": str, "test_task": str, "output_dir": str,
-    "learning_rate": Real, "weight_decay": Real, "epochs": Integral,
-    "kernel_size": Integral, "seed": Integral, "expected_channels": Integral,
+    "seed": Integral, "expected_channels": Integral,
     "left_offset": Integral, "right_offset": Integral,
 }
-_TYPE_NAMES = {str: "a string", Real: "a number", Integral: "an integer"}
+_TYPE_NAMES = {str: "a string", Integral: "an integer"}
 
 
-def _is_a(value, kind: type) -> bool:
-    # bool is a subclass of int, but true is no count and no rate
-    return isinstance(value, kind) and not isinstance(value, bool)
+def load_experiment_config(path=None, **overrides) -> ExperimentConfig:
+    """The experiment a JSON config file and keyword overrides (CLI flags)
+    describe; either may be absent. An override wins unless it is None.
 
-
-_CONFIG_FIELDS = {
-    "catalog", "granularity", "cv", "tasks", "task_combo", "test_task",
-    "train_tasks", "learning_rate", "weight_decay", "epochs", "filters",
-    "kernel_size", "seed", "expected_channels", "left_offset",
-    "right_offset", "output_dir",
-}
-
-
-def load_experiment_config(path, **overrides) -> ExperimentConfig:
-    """Read a JSON config file; keyword overrides (CLI flags) win.
-
-    Relative catalog/output paths resolve against the config file's
-    directory.
+    Relative catalog/output paths read from the file resolve against the
+    file's directory; override paths are kept as given, so relative ones
+    resolve against the working directory.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise InvalidConfig(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config file is not valid JSON: {p}: {exc}")
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"config file must hold a JSON object: {p}")
-    unknown = set(doc) - _CONFIG_FIELDS
+    names = {f.name for f in fields(ExperimentConfig)}
+    unknown = set(overrides) - names
     if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(doc)
-    for key, value in overrides.items():
-        if key not in _CONFIG_FIELDS:
-            raise InvalidConfig(f"unknown config override: {key}")
-        if value is not None:
-            merged[key] = value
-    missing = {"catalog", "granularity", "cv"} - set(merged)
+        raise InvalidConfig(f"unknown config override: {sorted(unknown)}")
+    merged: dict = {}
+    if path is not None:
+        p = Path(path)
+        if not p.is_file():
+            raise InvalidConfig(f"config file not found: {p}")
+        try:
+            merged = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"config file is not valid JSON: {p}: {exc}")
+        if not isinstance(merged, dict):
+            raise InvalidConfig(f"config file must hold a JSON object: {p}")
+        unknown = set(merged) - names
+        if unknown:
+            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+        for key in ("catalog", "output_dir"):
+            if isinstance(merged.get(key), str) and not Path(merged[key]).is_absolute():
+                merged[key] = str((p.parent / merged[key]).resolve())
+    merged.update((k, v) for k, v in overrides.items() if v is not None)
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(merged)
     if missing:
-        raise InvalidConfig(f"config lacks required keys: {sorted(missing)}")
-    for key in ("catalog", "output_dir"):
-        if isinstance(merged.get(key), str) and not Path(merged[key]).is_absolute():
-            merged[key] = str((p.parent / merged[key]).resolve())
+        raise InvalidConfig(f"missing required settings (config keys or flags): {sorted(missing)}")
     return ExperimentConfig(**merged)
 
 
@@ -312,11 +305,11 @@ class TrialDataSource:
     """
 
     def __init__(self, catalog: Catalog, granularity: str,
-                 feature_spec: FeatureSpec, keys: Sequence[TrialKey], *,
+                 feature_columns: tuple[int, ...], keys: Sequence[TrialKey], *,
                  expected_channels: Optional[int] = None):
         self.catalog = catalog
         self.granularity = granularity
-        self.feature_spec = feature_spec
+        self.feature_columns = feature_columns
         self.keys = tuple(keys)
         self.expected_channels = expected_channels
         self.events: list[tuple[str, str]] = []
@@ -338,8 +331,7 @@ class TrialDataSource:
             entry = self.catalog.get(*key)
             self._log("kinematics", key)
             trial = self._trials[key] = load_trial_kinematics(
-                entry.kinematics, self.expected_channels,
-                task=entry.task, subject=entry.subject, trial=entry.trial)
+                entry.kinematics, self.expected_channels)
         return trial
 
     def _file(self, key: TrialKey) -> TranscriptFile:
@@ -392,11 +384,11 @@ class TrialDataSource:
         columns now, so that bad input is rejected before any fold trains."""
         for key in keys:
             self.transcript(key)
-            check_feature_columns(self.feature_spec, self._trial(key).num_channels)
+            check_feature_columns(self.feature_columns, self._trial(key).num_channels)
 
     def features(self, key: TrialKey) -> np.ndarray:
         self._log("features", key)
-        return select_features(self._trial(key), self.feature_spec)
+        return select_features(self._trial(key), self.feature_columns)
 
     def tensors(self, key: TrialKey) -> TrialTensors:
         transcript = self.transcript(key)
@@ -432,7 +424,7 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         epochs=config.epochs,
         seed=fold_seed,
     )
-    model = build_model(model_config, source.feature_spec.num_features)
+    model = build_model(model_config, len(source.feature_columns))
     train_data = {key: source.tensors(key) for key in fold.train_trials}
 
     payload: dict = {
@@ -584,7 +576,7 @@ def _build_source(config: ExperimentConfig, catalog: Catalog,
     keys = dict.fromkeys(k for plan in plans
                          for k in plan.train_trials + plan.test_trials)
     return TrialDataSource(
-        catalog, config.granularity, config.feature_spec(), list(keys),
+        catalog, config.granularity, config.feature_columns(), list(keys),
         expected_channels=config.expected_channels)
 
 
@@ -607,7 +599,7 @@ def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
         "expected_channels": config.expected_channels,
         "left_offset": config.left_offset,
         "right_offset": config.right_offset,
-        "num_features": source.feature_spec.num_features,
+        "num_features": len(source.feature_columns),
         "sample_rate": source.catalog.sample_rate,
         "vocabulary": list(source.vocabulary),
         "fold_names": [p.name for p in plans],
@@ -672,9 +664,9 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
                     checkpoint: Optional[str] = None) -> tuple[dict, TcnModel]:
     """Train exactly one fold of the configured experiment (CLI `train`).
 
-    The fold's trials are read and checked before it trains. The checkpoint
-    is written only for a fold whose status is "ok": a diverged fold's
-    weights are not a model.
+    The fold's trials are read and checked, and the checkpoint's directory
+    is made, before it trains. The checkpoint is written only for a fold
+    whose status is "ok": a diverged fold's weights are not a model.
     """
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
@@ -684,6 +676,12 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
         raise InvalidConfig(f"no fold named {fold_name!r}; available: {names}")
     source = _build_source(config, catalog, plans)
     source.load(matches[0].train_trials + matches[0].test_trials)
+    if checkpoint:
+        directory = Path(checkpoint).parent
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create checkpoint directory {directory}: {exc}")
     payload, model = run_fold(matches[0], source, config)
     if checkpoint and payload["status"] == "ok":
         save_model(model, checkpoint)
@@ -739,19 +737,6 @@ def render_tables(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace `path` by `data` in one rename: readers see the old file or
-    the new one, and a failed write leaves the old file and no temp file."""
-    # opened by name, not by mkstemp, so the file gets the usual permissions
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def emit_report(report: ExperimentReport, out_dir) -> None:
     """Write `report.json` and `tables.txt` under `out_dir`, each atomically."""
     out = Path(out_dir)
@@ -760,8 +745,8 @@ def emit_report(report: ExperimentReport, out_dir) -> None:
     except OSError as exc:
         raise IoFailure(f"cannot create output directory {out}: {exc}")
     try:
-        _write_atomic(out / "report.json", report.json_bytes(include_timing=True))
-        _write_atomic(out / "tables.txt", render_tables(report.payload()).encode())
+        write_atomic(out / "report.json", report.json_bytes(include_timing=True))
+        write_atomic(out / "tables.txt", render_tables(report.payload()).encode())
     except OSError as exc:
         raise IoFailure(f"cannot write report under {out}: {exc}")
 

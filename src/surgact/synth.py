@@ -24,7 +24,7 @@ from .dataset import (
     MP_VERBS,
     LabelTranscript,
     Segment,
-    arm_columns_at,
+    arm_columns,
     split_by_arm,
 )
 from .errors import InvalidConfig
@@ -104,8 +104,8 @@ def generate_synthetic_dataset(
     num_columns = 2 * COLUMNS_PER_ARM
 
     # one signature per class on its own arm's modeling columns
-    left_cols = np.array(arm_columns_at(0).columns())
-    right_cols = np.array(arm_columns_at(COLUMNS_PER_ARM).columns())
+    left_cols = np.array(arm_columns(0))
+    right_cols = np.array(arm_columns(COLUMNS_PER_ARM))
     signatures = []
     for i in range(num_classes):
         direction = rng.normal(size=left_cols.size)

@@ -33,24 +33,35 @@ with decoupled weight decay on a mean per-frame cross entropy.
 The parameters live in one float64 vector, `TcnModel.theta`, and their
 gradients in `TcnModel.grad`; each conv's `w`, `b`, `grad_w` and `grad_b`
 are views into them, ordered w0, b0, w1, b1, ... along the forward pass.
+
+`check_model_settings` holds the rules for the training settings
+(filters, learning rate, weight decay, epochs, kernel width). An experiment
+config, a `ModelConfig` and a checkpoint's metadata are all checked by it.
+A checkpoint stores `asdict(ModelConfig)` and is read back with
+`ModelConfig(**config)`.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
+from .atomic import write_atomic
 from .dataset import MIN_FRAMES, LabelTranscript, TrialKey
 from .errors import (
     ChannelMismatch,
     DataError,
     EmptyTranscripts,
     InvalidConfig,
+    IoFailure,
     NonFiniteLoss,
     NonNumericCell,
     ShapeMismatch,
@@ -74,6 +85,7 @@ __all__ = [
     "TrainRecord",
     "HYPERPARAM_DEFAULTS",
     "MIN_FRAMES",
+    "check_model_settings",
     "compute_kernel_size",
     "build_model",
     "train_fold",
@@ -93,6 +105,38 @@ DEFAULT_EPOCHS = 60
 CHECKPOINT_VERSION = 2
 
 
+def _is_a(value, kind: type) -> bool:
+    # bool is a subclass of int, but true is no count and no rate
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_model_settings(filters, learning_rate, weight_decay, epochs,
+                         kernel_size) -> tuple[int, ...]:
+    """Check the settings a model is built and trained with; returns
+    `filters` as a tuple.
+
+    Counts are integers, and a bool is none; rates are finite numbers, so a
+    NaN or infinite rate is refused. A `kernel_size` of None is derived per
+    fold from the training transcripts.
+    """
+    if (not isinstance(filters, (list, tuple)) or len(filters) != 3
+            or not all(_is_a(n, Integral) and n >= 1 for n in filters)):
+        raise InvalidConfig(f"filters must be 3 positive counts, got {filters!r}")
+    # chained comparisons refuse NaN and need no float() of a huge int
+    if not (_is_a(learning_rate, Real) and 0 < learning_rate < math.inf):
+        raise InvalidConfig(
+            f"learning_rate must be a finite number > 0, got {learning_rate!r}")
+    if not (_is_a(weight_decay, Real) and 0 <= weight_decay < math.inf):
+        raise InvalidConfig(
+            f"weight_decay must be a finite number >= 0, got {weight_decay!r}")
+    if not (_is_a(epochs, Integral) and epochs >= 0):
+        raise InvalidConfig(f"epochs must be an integer >= 0, got {epochs!r}")
+    if kernel_size is not None and not (
+            _is_a(kernel_size, Integral) and kernel_size >= 1 and kernel_size % 2 == 1):
+        raise InvalidConfig(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
+    return tuple(filters)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_classes: int
@@ -104,18 +148,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise InvalidConfig(f"need at least 2 classes, got {self.num_classes}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise InvalidConfig(f"kernel_size must be odd, got {self.kernel_size}")
-        if len(self.filters) != 3 or any(f < 1 for f in self.filters):
-            raise InvalidConfig(f"filters must be 3 positive counts, got {self.filters}")
-        if self.learning_rate <= 0:
-            raise InvalidConfig(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise InvalidConfig(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.epochs < 0:
-            raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
+        if not (_is_a(self.num_classes, Integral) and self.num_classes >= 2):
+            raise InvalidConfig(f"need at least 2 classes, got {self.num_classes!r}")
+        if self.kernel_size is None:  # a model has a kernel width; only a config derives it
+            raise InvalidConfig("kernel_size must be an odd positive integer, got None")
+        object.__setattr__(self, "filters", check_model_settings(
+            self.filters, self.learning_rate, self.weight_decay, self.epochs,
+            self.kernel_size))
 
 
 def compute_kernel_size(transcripts: Iterable[LabelTranscript]) -> int:
@@ -172,10 +211,6 @@ class TcnModel:
 
     def grads(self) -> list[np.ndarray]:
         return [self.grad]
-
-    @property
-    def num_params(self) -> int:
-        return self.theta.size
 
     def _drop_activations(self) -> None:
         """Release what the last forward pass kept for a backward pass."""
@@ -298,6 +333,9 @@ def train_fold(
     reshuffled each epoch from a generator seeded by config.seed, so a fold
     replays exactly given the same seed. Only training trials are touched;
     the mapping may contain them exclusively.
+
+    A non-finite loss before a step, or non-finite parameters after the
+    last one, raises NonFiniteLoss naming the fold.
     """
     start = time.perf_counter()
     keys = sorted(fold.train_trials)
@@ -336,6 +374,9 @@ def train_fold(
             steps += 1
         losses.append(epoch_loss / len(keys))
         accs.append(100.0 * correct / counted if counted else 0.0)
+    # each loss is checked before its step, so only the last step is unchecked
+    if not np.isfinite(model.theta).all():
+        raise NonFiniteLoss(f"fold {fold.name}: parameters are non-finite after training")
     return TrainRecord(
         fold_name=fold.name,
         seed=config.seed,
@@ -367,25 +408,23 @@ def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, n
 
 
 def save_model(model: TcnModel, path) -> Path:
-    """Checkpoint: config plus the flat parameter vector, bit-exact."""
+    """Checkpoint: config plus the flat parameter vector, bit-exact.
+
+    The file is replaced atomically in an existing directory; an OSError
+    becomes an IoFailure and leaves no partial file.
+    """
     p = Path(path)
-    cfg = model.config
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "input_channels": model.input_channels,
-        "config": {
-            "num_classes": cfg.num_classes,
-            "kernel_size": cfg.kernel_size,
-            "filters": list(cfg.filters),
-            "learning_rate": cfg.learning_rate,
-            "weight_decay": cfg.weight_decay,
-            "epochs": cfg.epochs,
-            "seed": cfg.seed,
-        },
+        "config": asdict(model.config),
     }
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), params=model.theta)
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.array(json.dumps(meta, sort_keys=True)), params=model.theta)
+    try:
+        write_atomic(p, buf.getvalue())
+    except OSError as exc:
+        raise IoFailure(f"cannot write checkpoint {p}: {exc}")
     return p
 
 
@@ -409,16 +448,11 @@ def load_model(path) -> TcnModel:
                 f"(expected {CHECKPOINT_VERSION}): {p}")
         try:
             raw = meta["config"]
-            config = ModelConfig(
-                num_classes=raw["num_classes"],
-                kernel_size=raw["kernel_size"],
-                filters=tuple(raw["filters"]),
-                learning_rate=raw["learning_rate"],
-                weight_decay=raw["weight_decay"],
-                epochs=raw["epochs"],
-                seed=raw["seed"],
-            )
-            model = TcnModel(config, meta["input_channels"], rng=None)
+            keys = {f.name for f in fields(ModelConfig)}
+            # a missing key would fall back to a default without saying so
+            if not isinstance(raw, dict) or set(raw) != keys:
+                raise DataError(f"checkpoint config must hold exactly {sorted(keys)}: {p}")
+            model = TcnModel(ModelConfig(**raw), meta["input_channels"], rng=None)
         except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
             raise DataError(f"checkpoint metadata is malformed: {p}: {exc!r}")
         if sorted(bundle.files) != ["meta", "params"]:

@@ -104,6 +104,23 @@ class TestValidateCommand:
         assert err.startswith("data error: manifest entry 1: transcripts")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("subject", 3, "subject must be a string, got 3"),
+        ("transcripts", {"frame": "x.txt"}, "unknown transcript granularity 'frame'"),
+    ])
+    def test_malformed_entry_is_data_error(self, tmp_path, capsys, field, value, message):
+        main(["synth", "--out", str(tmp_path), "--tasks", "1", "--subjects", "2",
+              "--trials-per-subject", "1", "--min-frames", "40", "--max-frames", "60"])
+        capsys.readouterr()
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["entries"][1][field] = value
+        manifest.write_text(json.dumps(doc))
+        assert main(["validate", "--catalog", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: manifest entry 1: {message}")
+        assert err.count("\n") == 1
+
 
 class TestFoldsCommand:
     def test_prints_plans_as_json(self, synth_manifest, capsys):
@@ -209,6 +226,33 @@ class TestExperimentCommand:
         assert not (tmp_path / "out").exists()
 
 
+class TestNonFiniteRates:
+    """A NaN or infinite rate is refused before any file is read: the
+    catalog does not exist, and reading it would exit 2."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+        ("--weight-decay", "nan"), ("--weight-decay", "-inf"),
+    ])
+    def test_flag(self, tmp_path, capsys, flag, value):
+        rc = main(["experiment", "--catalog", str(tmp_path / "none.json"),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   f"{flag}={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + flag[2:].replace("-", "_")) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_config_file(self, tmp_path, capsys, value):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text('{"catalog": "none.json", "granularity": "mp", "cv": "louo", '
+                       f'"tasks": ["T01"], "learning_rate": {value}}}')
+        rc = main(["experiment", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: learning_rate") and err.count("\n") == 1
+
+
 class TestTrainCommand:
     def test_single_fold_with_checkpoint(self, synth_manifest, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
@@ -235,6 +279,26 @@ class TestTrainCommand:
         assert rc == 3
         assert "no checkpoint written" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_checkpoint_under_a_file_exits_3_before_training(self, synth_manifest,
+                                                              tmp_path, capsys,
+                                                              monkeypatch):
+        import surgact.runner
+
+        def trained(*args, **kwargs):
+            raise AssertionError("the fold trained before the checkpoint path was checked")
+
+        monkeypatch.setattr(surgact.runner, "train_fold", trained)
+        (tmp_path / "afile").write_text("a file, not a directory")
+        rc = main(["train", "--catalog", str(synth_manifest),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   "--epochs", "1", "--fold", "louo-SYNTH-U03",
+                   "--checkpoint", str(tmp_path / "afile" / "model.npz")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("failure: cannot create checkpoint directory")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
     def test_unknown_fold_name(self, synth_manifest, capsys):
         rc = main(["train", "--catalog", str(synth_manifest),

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surgact.dataset import (
+    COLUMNS_PER_ARM,
     DEFAULT_SAMPLE_RATE,
     IDLE,
     MIN_FRAMES,
@@ -19,9 +20,8 @@ from surgact.dataset import (
     MotionPrimitiveLabel,
     Segment,
     _parse_kinematics_lines,
-    arm_columns_at,
+    arm_columns,
     arm_of,
-    both_arms_spec,
     build_catalog,
     encode_frames,
     load_transcript,
@@ -326,10 +326,9 @@ class TestKinematics:
     def test_loads_mixed_delimiters(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1.0 2.0, 3.0\n4,5,6\n")
-        trial = load_trial_kinematics(p, task="T", subject="S", trial="1")
+        trial = load_trial_kinematics(p)
         np.testing.assert_allclose(trial.data, [[1, 2, 3], [4, 5, 6]])
         assert trial.data.dtype == np.float64
-        assert (trial.task, trial.subject, trial.trial) == ("T", "S", "1")
 
     def test_data_is_read_only(self, tmp_path):
         p = tmp_path / "k.txt"
@@ -488,40 +487,36 @@ class TestKinematicsParserOracle:
         assert fast == reference == (grid.shape, grid.astype(np.float64).tobytes())
 
 
+BOTH_ARMS = arm_columns(0) + arm_columns(COLUMNS_PER_ARM)
+
+
 class TestFeatureSelection:
     def test_both_arms_columns(self):
         # per arm: position 0-2, linear velocity 12-14, gripper 18
-        assert both_arms_spec().columns() == (
+        assert BOTH_ARMS == (
             0, 1, 2, 12, 13, 14, 18,
             19, 20, 21, 31, 32, 33, 37)
 
     def test_select_is_bit_exact(self):
         rng = np.random.default_rng(3)
-        trial = KinematicTrial(task="T", subject="S", trial="1",
-                               data=rng.normal(size=(5, 38)))
-        spec = both_arms_spec()
-        got = select_features(trial, spec)
-        np.testing.assert_array_equal(got, trial.data[:, list(spec.columns())])
+        trial = KinematicTrial(data=rng.normal(size=(5, 38)))
+        got = select_features(trial, BOTH_ARMS)
+        np.testing.assert_array_equal(got, trial.data[:, list(BOTH_ARMS)])
         assert got.shape == (5, 14)
 
     def test_out_of_range_column(self):
-        trial = KinematicTrial(task="T", subject="S", trial="1",
-                               data=np.zeros((3, 10)))
+        trial = KinematicTrial(data=np.zeros((3, 10)))
         with pytest.raises(IndexOutOfRange):
-            select_features(trial, both_arms_spec())
+            select_features(trial, BOTH_ARMS)
 
     def test_duplicate_column(self):
-        trial = KinematicTrial(task="T", subject="S", trial="1",
-                               data=np.zeros((3, 38)))
-        spec = both_arms_spec(left_offset=0, right_offset=0)
+        trial = KinematicTrial(data=np.zeros((3, 38)))
         with pytest.raises(DuplicateColumn):
-            select_features(trial, spec)
+            select_features(trial, arm_columns(0) + arm_columns(0))
 
     def test_arm_columns_at_offset(self):
-        arm = arm_columns_at(19)
-        assert arm.position == (19, 20, 21)
-        assert arm.linear_velocity == (31, 32, 33)
-        assert arm.gripper == 37
+        # position, linear velocity, gripper of the block starting at 19
+        assert arm_columns(19) == (19, 20, 21, 31, 32, 33, 37)
 
 
 def entry(dataset="JIGSAWS", task="S", subject="B", trial="001",
@@ -618,6 +613,26 @@ class TestBuildCatalog:
         mp = tmp_path / "manifest.json"
         mp.write_text(json.dumps({"entries": [{"dataset": "X"}]}))
         with pytest.raises(DataError):
+            build_catalog(mp)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dataset", None), ("task", ["S"]), ("subject", 3), ("trial", 1.0),
+    ])
+    def test_ids_must_be_strings(self, tmp_path, field, value):
+        mp = self.write_corpus(tmp_path)
+        doc = json.loads(mp.read_text())
+        doc["entries"][0][field] = value
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"manifest entry 0: {field} must be a string"):
+            build_catalog(mp)
+
+    def test_unknown_transcript_granularity(self, tmp_path):
+        mp = self.write_corpus(tmp_path)
+        doc = json.loads(mp.read_text())
+        doc["entries"][0]["transcripts"]["frame"] = "t.txt"
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="manifest entry 0: unknown transcript "
+                                            "granularity 'frame'"):
             build_catalog(mp)
 
     @pytest.mark.parametrize("field,value", [

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import surgact.atomic as atomic_mod
 import surgact.runner as runner_mod
 from surgact.cli import main as cli_main
-from surgact.dataset import build_catalog
+from surgact.dataset import arm_columns, build_catalog
 from surgact.errors import (
     CrossDatasetGestures,
     DataError,
@@ -29,6 +30,7 @@ from surgact.errors import (
     NonFiniteLoss,
     UnattributedSegment,
 )
+from surgact.nn import Adam
 from surgact.runner import (
     ExperimentConfig,
     TrialDataSource,
@@ -74,10 +76,17 @@ class TestExperimentConfig:
         {"granularity": "frame"},
         {"cv": "kfold", "tasks": None},
         {"learning_rate": 0.0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": float("-inf")},
         {"weight_decay": -1e-4},
+        {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")},
+        {"weight_decay": float("-inf")},
         {"epochs": -1},
         {"cv": "loto", "test_task": "T02", "train_tasks": ("T01",)},  # keeps louo tasks
         {"kernel_size": 4},
+        {"kernel_size": True},
         # as a config file can spell them: rejected before any file is read
         {"filters": [4, 6]},
         {"filters": [4, 6, "8"]},
@@ -116,14 +125,16 @@ class TestExperimentConfig:
         assert cfg.resolved_weight_decay == 1e-4
 
     def test_feature_spec_follows_granularity(self, synth_manifest):
-        assert synth_config(synth_manifest).feature_spec().num_features == 14
+        for granularity in ("gesture", "mp"):
+            assert synth_config(synth_manifest, granularity=granularity).feature_columns() == (
+                arm_columns(0) + arm_columns(19))
         left = synth_config(synth_manifest, granularity="mp-left")
-        assert left.feature_spec().num_features == 7
-        assert left.feature_spec().columns()[0] == 0
+        assert left.feature_columns() == arm_columns(0)
         right = synth_config(synth_manifest, granularity="mp-right")
-        assert right.feature_spec().columns()[0] == 19
+        assert right.feature_columns() == arm_columns(19)
         shifted = synth_config(synth_manifest, granularity="mp-left", left_offset=2)
-        assert shifted.feature_spec().columns()[0] == 2
+        assert shifted.feature_columns() == arm_columns(2)
+        assert len(shifted.feature_columns()) == 7
 
 
 class TestLoadExperimentConfig:
@@ -141,6 +152,22 @@ class TestLoadExperimentConfig:
         cfg = load_experiment_config(p)
         assert cfg.catalog == str((tmp_path / "cfg" / "data" / "manifest.json").resolve())
         assert cfg.output_dir == str((tmp_path / "cfg" / "out").resolve())
+
+    def test_override_paths_resolve_against_the_working_directory(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        p = self.write(tmp_path, dict(self.BASE, output_dir="out"))
+        cfg = load_experiment_config(p, catalog="c/m.json")
+        assert Path(cfg.catalog).resolve() == tmp_path / "c" / "m.json"
+        assert cfg.output_dir == str((tmp_path / "cfg" / "out").resolve())
+
+    def test_overrides_alone(self, tmp_path):
+        cfg = load_experiment_config(catalog="m.json", granularity="mp", cv="louo",
+                                     tasks=["T01"], epochs=None)
+        assert cfg == ExperimentConfig(catalog="m.json", granularity="mp", cv="louo",
+                                       tasks=("T01",))
+        with pytest.raises(InvalidConfig, match="catalog"):
+            load_experiment_config(granularity="mp", cv="louo", tasks=["T01"])
 
     def test_overrides_win_and_none_is_ignored(self, tmp_path):
         p = self.write(tmp_path, dict(self.BASE, epochs=10))
@@ -228,8 +255,8 @@ class TestPlanFolds:
 
 def synth_source(manifest, granularity="mp"):
     catalog = build_catalog(manifest)
-    spec = synth_config(manifest, granularity=granularity).feature_spec()
-    return TrialDataSource(catalog, granularity, spec, [e.key for e in catalog.entries])
+    columns = synth_config(manifest, granularity=granularity).feature_columns()
+    return TrialDataSource(catalog, granularity, columns, [e.key for e in catalog.entries])
 
 
 class TestExperimentVocabulary:
@@ -300,7 +327,7 @@ class TestTrialDataSource:
         catalog = build_catalog(manifest)
         cfg = ExperimentConfig(catalog=str(manifest), granularity="gesture",
                                cv="louo", tasks=("T",))
-        source = TrialDataSource(catalog, "gesture", cfg.feature_spec(),
+        source = TrialDataSource(catalog, "gesture", cfg.feature_columns(),
                                  [e.key for e in catalog.entries])
         assert source.vocabulary == ("G1", "G2")
         tensors = source.tensors(("T", "A", "001"))
@@ -316,7 +343,7 @@ class TestTrialDataSource:
         keys = [e.key for e in catalog.entries]
         cfg = ExperimentConfig(catalog=str(manifest), granularity="mp-left",
                                cv="louo", tasks=("T",))
-        source = TrialDataSource(catalog, "mp-left", cfg.feature_spec(), keys)
+        source = TrialDataSource(catalog, "mp-left", cfg.feature_columns(), keys)
         assert source.vocabulary == ("Grasp(L, X)", "Idle")
         tensors = source.tensors(("T", "A", "001"))
         np.testing.assert_array_equal(tensors.targets[:20], 0)   # the L grasp
@@ -329,7 +356,7 @@ class TestTrialDataSource:
         source = TrialDataSource(
             catalog, "mp-left",
             ExperimentConfig(catalog=str(manifest), granularity="mp-left",
-                             cv="louo", tasks=("T",)).feature_spec(),
+                             cv="louo", tasks=("T",)).feature_columns(),
             [e.key for e in catalog.entries])
         assert source.vocabulary == ("Grasp(L, X)", "Idle")
         tensors = source.tensors(("T", "A", "001"))
@@ -339,18 +366,18 @@ class TestTrialDataSource:
         manifest = write_mini_corpus(tmp_path)
         (tmp_path / "lab" / "T_B_001_mp.txt").write_text("0 19 Touch\n20 39 Push(R, Y)\n")
         catalog = build_catalog(manifest)
-        spec = ExperimentConfig(catalog=str(manifest), granularity="mp-left",
-                                cv="louo", tasks=("T",)).feature_spec()
+        columns = ExperimentConfig(catalog=str(manifest), granularity="mp-left",
+                                   cv="louo", tasks=("T",)).feature_columns()
         with pytest.raises(UnattributedSegment, match="T_B_001_mp.txt"):
-            TrialDataSource(catalog, "mp-left", spec, [e.key for e in catalog.entries])
+            TrialDataSource(catalog, "mp-left", columns, [e.key for e in catalog.entries])
 
     def test_vocabulary_requires_transcripts_everywhere(self, tmp_path):
         manifest = write_mini_corpus(tmp_path, with_gesture=False)
         catalog = build_catalog(manifest)
-        spec = ExperimentConfig(catalog=str(manifest), granularity="gesture",
-                                cv="louo", tasks=("T",)).feature_spec()
+        columns = ExperimentConfig(catalog=str(manifest), granularity="gesture",
+                                   cv="louo", tasks=("T",)).feature_columns()
         with pytest.raises(MissingTranscript):
-            TrialDataSource(catalog, "gesture", spec, [("T", "A", "001")])
+            TrialDataSource(catalog, "gesture", columns, [("T", "A", "001")])
 
     def test_event_log_and_caching(self, synth_manifest):
         source = synth_source(synth_manifest)
@@ -376,7 +403,7 @@ class TestRunFold:
         cfg = synth_config(synth_manifest)
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        source = TrialDataSource(catalog, "mp", cfg.feature_spec(), keys)
+        source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
         payload, model = run_fold(plans[0], source, cfg)
         assert payload["status"] == "ok"
         assert payload["name"] == "louo-SYNTH-U01"
@@ -402,7 +429,7 @@ class TestRunFold:
         cfg = synth_config(synth_manifest, kernel_size=5, epochs=0)
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        source = TrialDataSource(catalog, "mp", cfg.feature_spec(), keys)
+        source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
         payload, _ = run_fold(plans[0], source, cfg)
         assert payload["kernel_size"] == 5
 
@@ -412,7 +439,7 @@ class TestRunFold:
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
         for plan in plans:
-            source = TrialDataSource(catalog, "mp", cfg.feature_spec(), keys)
+            source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
             run_fold(plan, source, cfg)
             events = source.events
             begin = events.index(("mark", f"{plan.name}:train-begin"))
@@ -518,6 +545,27 @@ class TestRunSingleFold:
         assert payload["status"] == "diverged"
         assert not ckpt.exists()
 
+    def test_non_finite_parameters_after_the_last_step(self, synth_manifest, tmp_path,
+                                                       monkeypatch):
+        # every loss is finite; only the last step leaves non-finite parameters
+        steps = []
+        real_step = Adam.step
+
+        def poisoning_step(self, params, grads):
+            real_step(self, params, grads)
+            steps.append(None)
+            if len(steps) == 4:  # 4 training trials, 1 epoch
+                params[0][0] = np.nan
+
+        monkeypatch.setattr(Adam, "step", poisoning_step)
+        ckpt = tmp_path / "fold.npz"
+        cfg = synth_config(synth_manifest, epochs=1)
+        payload, _ = run_single_fold(cfg, "louo-SYNTH-U02", checkpoint=ckpt)
+        assert len(steps) == 4
+        assert payload["status"] == "diverged"
+        assert "louo-SYNTH-U02" in payload["error"] and "non-finite" in payload["error"]
+        assert not ckpt.exists()
+
     def test_unknown_fold_name(self, synth_manifest):
         with pytest.raises(InvalidConfig, match="louo-SYNTH-U01"):
             run_single_fold(synth_config(synth_manifest), "louo-SYNTH-U99")
@@ -589,7 +637,7 @@ class TestReportsOnDisk:
                 fh.write = fail_partway
             return fh
 
-        monkeypatch.setattr(runner_mod, "open", half_then_full_disk, raising=False)
+        monkeypatch.setattr(atomic_mod, "open", half_then_full_disk, raising=False)
         with pytest.raises(IoFailure, match="No space left"):
             emit_report(newer, out)
         assert (out / name).read_bytes() == previous

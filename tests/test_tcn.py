@@ -1,10 +1,13 @@
 """Model assembly, kernel derivation, training loop, and checkpoint tests."""
 
+import errno
 import json
 import re
 
 import numpy as np
 import pytest
+
+import surgact.atomic as atomic_mod
 
 from surgact.crossval import FoldPlan
 from surgact.dataset import LabelTranscript, Segment
@@ -13,13 +16,14 @@ from surgact.errors import (
     DataError,
     EmptyTranscripts,
     InvalidConfig,
+    IoFailure,
     NonFiniteLoss,
     NonNumericCell,
     ShapeMismatch,
     TooShort,
     VocabularyMismatch,
 )
-from surgact.nn import Conv1d, finite_diff_check
+from surgact.nn import Adam, Conv1d, finite_diff_check
 from surgact.tcn import (
     CHECKPOINT_VERSION,
     DEFAULT_EPOCHS,
@@ -104,12 +108,23 @@ class TestModelConfig:
         {"num_classes": 4, "kernel_size": 3, "filters": (4, 6)},
         {"num_classes": 4, "kernel_size": 3, "filters": (4, 0, 6)},
         {"num_classes": 4, "kernel_size": 3, "learning_rate": 0.0},
+        {"num_classes": 4, "kernel_size": 3, "learning_rate": float("nan")},
+        {"num_classes": 4, "kernel_size": 3, "learning_rate": float("inf")},
+        {"num_classes": 4, "kernel_size": 3, "learning_rate": float("-inf")},
         {"num_classes": 4, "kernel_size": 3, "weight_decay": -1e-3},
+        {"num_classes": 4, "kernel_size": 3, "weight_decay": float("nan")},
+        {"num_classes": 4, "kernel_size": 3, "weight_decay": float("inf")},
+        {"num_classes": 4, "kernel_size": 3, "weight_decay": float("-inf")},
         {"num_classes": 4, "kernel_size": 3, "epochs": -1},
+        {"num_classes": 4, "kernel_size": True},
+        {"num_classes": 4, "kernel_size": None},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(InvalidConfig):
             ModelConfig(**kwargs)
+
+    def test_filters_become_a_tuple(self):
+        assert ModelConfig(num_classes=4, kernel_size=3, filters=[4, 6, 8]).filters == (4, 6, 8)
 
 
 SMALL = ModelConfig(num_classes=4, kernel_size=3, filters=(4, 6, 8),
@@ -139,7 +154,7 @@ class TestBuildModel:
         for c_in, c_out in ((7, 4), (4, 6), (6, 8), (8, 6), (6, 4), (4, 4)):
             expected += c_out * c_in * 3 + c_out
         expected += 4 * 4 * 1 + 4
-        assert model.num_params == expected
+        assert model.theta.size == expected
 
     def test_output_shape_tracks_input_length(self):
         model = build_model(SMALL, 3)
@@ -223,7 +238,7 @@ class TestParameterStore:
     def test_conv_arrays_are_views_into_the_two_vectors(self):
         model = build_model(SMALL, 7)
         assert model.params() == [model.theta] and model.grads() == [model.grad]
-        assert model.theta.shape == model.grad.shape == (model.num_params,)
+        assert model.theta.shape == model.grad.shape == (model.theta.size,)
         for conv in model.convs:
             for arr in (conv.w, conv.b):
                 assert np.shares_memory(arr, model.theta)
@@ -464,6 +479,20 @@ class TestTrainFold:
         with pytest.raises(NonFiniteLoss, match=r"toy.*\('T', 'U', '001'\)"):
             train_fold(model, toy_fold(data), data, TOY)
 
+    def test_non_finite_parameters_after_the_last_step(self, monkeypatch):
+        # the loss before each step is finite; the last step poisons theta
+        data = {("T", "U", "001"): toy_tensors(0)}
+        cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8), epochs=1)
+        real_step = Adam.step
+
+        def poisoning_step(self, params, grads):
+            real_step(self, params, grads)
+            params[0][-1] = np.inf
+
+        monkeypatch.setattr(Adam, "step", poisoning_step)
+        with pytest.raises(NonFiniteLoss, match="fold toy: parameters are non-finite"):
+            train_fold(build_model(cfg, 3), toy_fold(data), data, cfg)
+
 
 class TestPredictLabels:
     def test_scores_are_distributions(self):
@@ -520,6 +549,41 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_model(path)
 
+    def test_metadata_string_is_pinned(self, tmp_path):
+        cfg = ModelConfig(num_classes=5, kernel_size=7, filters=[4, 6, 8],
+                          learning_rate=1e-3, weight_decay=1e-4, epochs=3, seed=11)
+        path = save_model(build_model(cfg, 14), tmp_path / "model.npz")
+        with np.load(path, allow_pickle=False) as bundle:
+            assert str(bundle["meta"]) == (
+                '{"config": {"epochs": 3, "filters": [4, 6, 8], "kernel_size": 7, '
+                '"learning_rate": 0.001, "num_classes": 5, "seed": 11, '
+                '"weight_decay": 0.0001}, "format_version": 2, "input_channels": 14}')
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        model = build_model(SMALL, 3)
+        (tmp_path / "afile").write_text("a file, not a directory")
+        with pytest.raises(IoFailure, match="cannot write checkpoint"):
+            save_model(model, tmp_path / "afile" / "model.npz")
+        path = save_model(model, tmp_path / "model.npz")
+        previous = path.read_bytes()
+
+        def full_disk(name, mode="r", *args, **kwargs):
+            fh = open(name, mode, *args, **kwargs)
+            write = fh.write
+
+            def fail_partway(data):
+                write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = fail_partway
+            return fh
+
+        monkeypatch.setattr(atomic_mod, "open", full_disk, raising=False)
+        with pytest.raises(IoFailure, match="No space left"):
+            save_model(build_model(TOY, 3), path)
+        assert path.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "model.npz"]
+
     def test_one_vector_and_metadata(self, tmp_path):
         model = build_model(SMALL, 3)
         path = save_model(model, tmp_path / "model.npz")
@@ -547,7 +611,13 @@ class TestCheckpoint:
         lambda meta: json.dumps(meta)[:-1],
         lambda meta: [meta],
         lambda meta: {**meta, "config": {**meta["config"], "num_classes": 1}},
-    ], ids=["no-config", "not-json", "json-list", "one-class"])
+        lambda meta: {**meta, "config": {**meta["config"], "learning_rate": float("nan")}},
+        lambda meta: {**meta, "config": {**meta["config"], "kernel_size": True}},
+        lambda meta: {**meta, "config": {**meta["config"], "momentum": 0.9}},
+        lambda meta: {**meta, "config": {k: v for k, v in meta["config"].items()
+                                         if k != "weight_decay"}},
+    ], ids=["no-config", "not-json", "json-list", "one-class", "nan-learning-rate",
+            "bool-kernel", "extra-key", "missing-key"])
     def test_malformed_metadata_is_a_data_error(self, tmp_path, edit):
         model = build_model(SMALL, 3)
         path = save_model(model, tmp_path / "model.npz")
@@ -587,7 +657,7 @@ class TestCheckpoint:
         path = save_model(model, tmp_path / "model.npz")
         with np.load(path, allow_pickle=False) as bundle:
             arrays = {k: bundle[k] for k in bundle.files}
-        arrays["params"] = np.zeros(model.num_params - 1)
+        arrays["params"] = np.zeros(model.theta.size - 1)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(ShapeMismatch):
