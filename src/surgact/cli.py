@@ -26,6 +26,7 @@ from .errors import ConfigError, DataError, IoFailure, SurgactError
 from .runner import (
     CV_MODES,
     ExperimentConfig,
+    check_minimum,
     combine_reports,
     load_experiment_config,
     plan_folds,
@@ -81,6 +82,7 @@ def _cmd_validate(args) -> int:
     # transcript is bound to its trial's length, and a combined 'mp' one must
     # yield the per-arm views an experiment derives from it where the trial
     # declares no per-arm file
+    check_minimum("expected_channels", args.expected_channels)
     catalog = build_catalog(args.catalog)
     for entry in catalog.entries:
         length = load_trial_kinematics(entry.kinematics, args.expected_channels).num_frames

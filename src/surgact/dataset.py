@@ -455,22 +455,16 @@ def arm_columns(offset: int) -> tuple[int, ...]:
             offset + 18)
 
 
-def check_feature_columns(cols: tuple[int, ...], num_channels: int) -> tuple[int, ...]:
-    """`cols`, checked to be distinct and inside a trial of `num_channels`
-    columns."""
+def select_features(trial: KinematicTrial, cols: tuple[int, ...]) -> np.ndarray:
+    """Gather the columns into a (T, F) array, order preserved; the columns
+    must be distinct and inside the trial."""
     if len(set(cols)) != len(cols):
         seen = set()
         dup = next(c for c in cols if c in seen or seen.add(c))
         raise DuplicateColumn(f"column {dup} selected more than once")
     for c in cols:
-        if c < 0 or c >= num_channels:
-            raise IndexOutOfRange(f"column {c} outside [0, {num_channels})")
-    return cols
-
-
-def select_features(trial: KinematicTrial, cols: tuple[int, ...]) -> np.ndarray:
-    """Gather the columns into a (T, F) array, order preserved."""
-    check_feature_columns(cols, trial.num_channels)
+        if c < 0 or c >= trial.num_channels:
+            raise IndexOutOfRange(f"column {c} outside [0, {trial.num_channels})")
     return np.ascontiguousarray(trial.data[:, list(cols)])
 
 
@@ -547,20 +541,19 @@ class Catalog:
         return all(e.transcript_path(granularity) is not None for e in pool)
 
 
-def build_catalog(manifest_path, root=None) -> Catalog:
+def build_catalog(manifest_path) -> Catalog:
     """Load a JSON manifest and verify every referenced file exists.
 
     The manifest is either a list of entries or {"entries": [...]}; each
     entry carries dataset/task/subject/trial id strings, a kinematics path,
     and a map from granularities (`GRANULARITIES`) to transcript paths.
-    Relative paths resolve against `root` (default: the manifest's
-    directory). The object form may give the frame rate as "sample_rate", a
-    positive number of Hz; without it the rate is DEFAULT_SAMPLE_RATE.
+    Relative paths resolve against the manifest's directory. The object
+    form may give the frame rate as "sample_rate", a positive number of Hz;
+    without it the rate is DEFAULT_SAMPLE_RATE.
     """
     mp = Path(manifest_path)
     if not mp.is_file():
         raise MissingFile(f"catalog manifest not found: {mp}")
-    base = Path(root) if root is not None else mp.parent
     try:
         doc = json.loads(mp.read_text())
     except json.JSONDecodeError as exc:
@@ -599,7 +592,7 @@ def build_catalog(manifest_path, root=None) -> Catalog:
             raise DataError(
                 f"manifest entry {i}: transcripts must map granularities to path "
                 f"strings, got {transcripts!r}")
-        kin = base / kin_rel
+        kin = mp.parent / kin_rel
         if not kin.is_file():
             raise MissingFile(f"manifest entry {i}: kinematics file not found: {kin}")
         unknown = sorted(set(transcripts) - set(GRANULARITIES))
@@ -608,7 +601,7 @@ def build_catalog(manifest_path, root=None) -> Catalog:
                             f"{unknown[0]!r}; known: {', '.join(GRANULARITIES)}")
         tpairs = []
         for granularity in sorted(transcripts):
-            tp = base / transcripts[granularity]
+            tp = mp.parent / transcripts[granularity]
             if not tp.is_file():
                 raise MissingTranscript(
                     f"manifest entry {i}: {granularity} transcript not found: {tp}")

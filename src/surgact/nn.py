@@ -50,6 +50,10 @@ __all__ = [
 # temporaries of one slice stay in cache; whole-vector expressions on the
 # model's flat parameter vector were slower than the per-layer arrays.
 ADAM_BLOCK = 32768
+# Adam's moment decay rates and the denominator's guard (b1, b2, eps below)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # keeps the channel norm's denominator positive on an all-zero frame
 NORM_EPS = 1e-5
@@ -302,21 +306,13 @@ class Adam:
     """
 
     def __init__(self, params: Sequence[np.ndarray], learning_rate: float,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         if learning_rate < 0:
             raise InvalidConfig(f"learning_rate must be >= 0, got {learning_rate}")
         if weight_decay < 0:
             raise InvalidConfig(f"weight_decay must be >= 0, got {weight_decay}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise InvalidConfig("betas must lie in [0, 1)")
-        if eps <= 0:
-            raise InvalidConfig("eps must be positive")
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -336,7 +332,7 @@ class Adam:
                 raise ShapeMismatch("parameter arrays must be C-contiguous")
         self.step_count += 1
         t = self.step_count
-        lr, wd, b1, b2 = self.learning_rate, self.weight_decay, self.beta1, self.beta2
+        lr, wd, b1, b2 = self.learning_rate, self.weight_decay, ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** t
         c2 = 1.0 - b2 ** t
         s1, s2 = self._scratch
@@ -353,7 +349,7 @@ class Adam:
                 vb *= b2
                 vb += np.multiply(np.multiply(gb, gb, out=d), 1.0 - b2, out=d)
                 # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-                np.add(np.sqrt(np.divide(vb, c2, out=e), out=e), self.eps, out=e)
+                np.add(np.sqrt(np.divide(vb, c2, out=e), out=e), ADAM_EPS, out=e)
                 np.multiply(np.divide(mb, c1, out=d), lr, out=d)
                 pb -= np.divide(d, e, out=d)
 

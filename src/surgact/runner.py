@@ -9,6 +9,10 @@ deterministic for a given catalog and config; wall-clock numbers live in a
 separate "timing" subtree so two identical runs produce byte-identical
 payloads once timing is dropped.
 
+Every trial a run uses is read and checked once, before the first fold,
+into its bound transcript and model-ready arrays (`TrialDataSource`), and
+the folds share them.
+
 Each setting is declared once, as an `ExperimentConfig` field: the field
 names are the config file's keys and the CLI flags' destinations, and
 `load_experiment_config` builds the one config from a file, from flags, or
@@ -45,13 +49,11 @@ from .dataset import (
     GRANULARITIES,
     IDLE,
     Catalog,
-    KinematicTrial,
     LabelTranscript,
     TranscriptFile,
     TrialKey,
     arm_columns,
     build_catalog,
-    check_feature_columns,
     encode_frames,
     load_transcript,
     load_trial_kinematics,
@@ -168,6 +170,13 @@ class ExperimentConfig:
         else:  # loto-suite
             if any((self.tasks, self.task_combo, self.test_task, self.train_tasks)):
                 raise InvalidConfig("loto-suite takes no task arguments")
+        for name in _FIELD_MINIMUMS:
+            check_minimum(name, getattr(self, name))
+        twice = sorted(c for c, n in Counter(self.feature_columns()).items() if n > 1)
+        if twice:
+            raise InvalidConfig(
+                f"left_offset {self.left_offset} and right_offset {self.right_offset} "
+                f"select columns {twice} twice")
         # the values the folds' models get, checked before any file is read
         object.__setattr__(self, "filters", check_model_settings(
             self.filters, self.resolved_learning_rate, self.resolved_weight_decay,
@@ -207,6 +216,16 @@ _FIELD_TYPES = {
     "left_offset": Integral, "right_offset": Integral,
 }
 _TYPE_NAMES = {str: "a string", Integral: "an integer"}
+# the least value of each column setting
+_FIELD_MINIMUMS = {"expected_channels": 1, "left_offset": 0, "right_offset": 0}
+
+
+def check_minimum(name: str, value: Optional[int]) -> None:
+    """Raise InvalidConfig if the column setting `name` is below its least
+    value; None passes."""
+    least = _FIELD_MINIMUMS[name]
+    if value is not None and value < least:
+        raise InvalidConfig(f"{name} must be >= {least}, got {value}")
 
 
 def load_experiment_config(path=None, **overrides) -> ExperimentConfig:
@@ -276,14 +295,16 @@ def experiment_vocabulary(source: TrialDataSource,
     granularities always include Idle (the gap/off-arm label). The output
     layer keeps this size on every fold, so a class missing from some
     fold's training data stays predictable-in-principle rather than
-    silently dropped."""
+    silently dropped. Fewer than two classes is a data error."""
     labels: set[str] = set()
     for key in keys:
         labels |= source.labels(key)
     if source.granularity != "gesture":
         labels.add(IDLE)
-    if not labels:
-        raise DataError(f"no {source.granularity!r} labels found in the selected trials")
+    if len(labels) < 2:
+        raise DataError(
+            f"the selected trials' {source.granularity!r} labels give "
+            f"{len(labels)} class(es) {sorted(labels)}; a model needs at least 2")
     return tuple(sorted(labels))
 
 
@@ -291,17 +312,18 @@ def experiment_vocabulary(source: TrialDataSource,
 # per-trial data access
 
 class TrialDataSource:
-    """Cached access to the arrays of an experiment's trials (`keys`), with
-    an access log.
+    """The trials of an experiment (`keys`), each read once into what a fold
+    uses.
 
     Each trial's transcript file is parsed once. The class list
     (`vocabulary`) is taken over `keys` from the parsed files alone, so it
     needs no kinematics. A per-arm granularity that a trial declares no
     file for is derived from its combined 'mp' transcript.
 
-    The log (`events`) records every kinematics/transcript/feature access
-    and explicit phase marks, so tests can prove training never touched a
-    held-out trial.
+    `load` reads and checks the kinematics of the trials a run uses and
+    keeps, for each, its bound transcript (for the kernel width) and its
+    `TrialTensors`; `transcript` and `tensors` return what `load` stored.
+    The kinematics themselves are not kept.
     """
 
     def __init__(self, catalog: Catalog, granularity: str,
@@ -312,27 +334,10 @@ class TrialDataSource:
         self.feature_columns = feature_columns
         self.keys = tuple(keys)
         self.expected_channels = expected_channels
-        self.events: list[tuple[str, str]] = []
-        self._trials: dict[TrialKey, KinematicTrial] = {}
         self._files: dict[TrialKey, TranscriptFile] = {}
-        self._transcripts: dict[TrialKey, LabelTranscript] = {}
+        self._loaded: dict[TrialKey, tuple[LabelTranscript, TrialTensors]] = {}
         self.vocabulary = experiment_vocabulary(self, self.keys)
         self.label_to_id = {lab: i for i, lab in enumerate(self.vocabulary)}
-
-    def mark(self, note: str) -> None:
-        self.events.append(("mark", note))
-
-    def _log(self, kind: str, key: TrialKey) -> None:
-        self.events.append((kind, "/".join(key)))
-
-    def _trial(self, key: TrialKey) -> KinematicTrial:
-        trial = self._trials.get(key)
-        if trial is None:
-            entry = self.catalog.get(*key)
-            self._log("kinematics", key)
-            trial = self._trials[key] = load_trial_kinematics(
-                entry.kinematics, self.expected_channels)
-        return trial
 
     def _file(self, key: TrialKey) -> TranscriptFile:
         parsed = self._files.get(key)
@@ -356,48 +361,38 @@ class TrialDataSource:
             return parsed.labels
         return parsed.arm_labels()[self.granularity]
 
-    def transcript(self, key: TrialKey) -> LabelTranscript:
-        out = self._transcripts.get(key)
-        if out is not None:
-            return out
-        self._log("transcript", key)
-        parsed = self._file(key)
-        length = self._trial(key).num_frames
-        if parsed.granularity == self.granularity:
-            out = parsed.bind(self.vocabulary, length)
-        else:
-            # derive the arm view from the combined transcript, then rebind
-            # it to the experiment vocabulary
-            combined = parsed.bind(sorted(parsed.labels), length)
-            arms = {t.granularity: t for t in split_by_arm(combined)}
-            out = LabelTranscript(
-                granularity=self.granularity,
-                vocabulary=self.vocabulary,
-                segments=arms[self.granularity].segments,
-                length=length,
-            )
-        self._transcripts[key] = out
-        return out
-
     def load(self, keys: Sequence[TrialKey]) -> None:
         """Read and check these trials' kinematics, transcripts and feature
         columns now, so that bad input is rejected before any fold trains."""
         for key in keys:
-            self.transcript(key)
-            check_feature_columns(self.feature_columns, self._trial(key).num_channels)
+            if key in self._loaded:
+                continue
+            trial = load_trial_kinematics(self.catalog.get(*key).kinematics,
+                                          self.expected_channels)
+            parsed = self._file(key)
+            if parsed.granularity == self.granularity:
+                transcript = parsed.bind(self.vocabulary, trial.num_frames)
+            else:
+                # the arm view keeps the combined file's vocabulary; encoding
+                # rejects any label outside the experiment's
+                left, right = split_by_arm(
+                    parsed.bind(sorted(parsed.labels), trial.num_frames))
+                transcript = left if self.granularity == "mp-left" else right
+            features = select_features(trial, self.feature_columns)
+            gesture = self.granularity == "gesture"
+            targets, mask = encode_frames(transcript, self.label_to_id,
+                                          fill=None if gesture else IDLE)
+            # every fold that uses the trial shares these arrays
+            for array in (features, targets, mask):
+                array.setflags(write=False)
+            self._loaded[key] = (transcript, TrialTensors(
+                features=features, targets=targets, mask=mask if gesture else None))
 
-    def features(self, key: TrialKey) -> np.ndarray:
-        self._log("features", key)
-        return select_features(self._trial(key), self.feature_columns)
+    def transcript(self, key: TrialKey) -> LabelTranscript:
+        return self._loaded[key][0]
 
     def tensors(self, key: TrialKey) -> TrialTensors:
-        transcript = self.transcript(key)
-        feats = self.features(key)
-        if self.granularity == "gesture":
-            targets, mask = encode_frames(transcript, self.label_to_id, fill=None)
-            return TrialTensors(features=feats, targets=targets, mask=mask)
-        targets, _ = encode_frames(transcript, self.label_to_id, fill=IDLE)
-        return TrialTensors(features=feats, targets=targets, mask=None)
+        return self._loaded[key][1]
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +437,12 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         "map": None,
     }
 
-    source.mark(f"{fold.name}:train-begin")
     try:
         record = train_fold(model, fold, train_data, model_config)
     except NonFiniteLoss as exc:
-        source.mark(f"{fold.name}:train-end")
         payload["status"] = "diverged"
         payload["error"] = str(exc)
         return payload, model
-    source.mark(f"{fold.name}:train-end")
     payload["training"] = {
         "epoch_losses": list(record.epoch_mean_losses),
         "epoch_accuracies": list(record.epoch_frame_accuracies),
@@ -582,23 +574,14 @@ def _build_source(config: ExperimentConfig, catalog: Catalog,
 
 def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
                         source: TrialDataSource) -> dict:
+    """Every setting but `output_dir`, the rates as resolved, and what the
+    run derived from the catalog."""
+    out = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "output_dir"}
+    out["kernel_size_override"] = out.pop("kernel_size")
     return {
-        "catalog": str(config.catalog),
-        "granularity": config.granularity,
-        "cv": config.cv,
-        "task_combo": config.task_combo,
-        "tasks": list(config.tasks) if config.tasks else None,
-        "test_task": config.test_task,
-        "train_tasks": list(config.train_tasks) if config.train_tasks else None,
+        **out,
         "learning_rate": config.resolved_learning_rate,
         "weight_decay": config.resolved_weight_decay,
-        "epochs": config.epochs,
-        "filters": list(config.filters),
-        "kernel_size_override": config.kernel_size,
-        "seed": config.seed,
-        "expected_channels": config.expected_channels,
-        "left_offset": config.left_offset,
-        "right_offset": config.right_offset,
         "num_features": len(source.feature_columns),
         "sample_rate": source.catalog.sample_rate,
         "vocabulary": list(source.vocabulary),

@@ -21,6 +21,7 @@ import numpy as np
 
 from .dataset import (
     COLUMNS_PER_ARM,
+    DEFAULT_SAMPLE_RATE,
     MP_VERBS,
     LabelTranscript,
     Segment,
@@ -32,6 +33,8 @@ from .errors import InvalidConfig
 __all__ = ["generate_synthetic_dataset", "synthetic_class_labels"]
 
 DATASET_NAME = "SYNTH"
+NOISE_SCALE = 0.5  # standard deviation of every column's noise
+SIGNATURE_SCALE = 3.0  # norm of each class's signature on its arm's columns
 
 
 def synthetic_class_labels(num_classes: int) -> list[str]:
@@ -73,11 +76,7 @@ def generate_synthetic_dataset(
     num_classes: int = 4,
     frames_range: tuple[int, int] = (280, 320),
     segment_frames: tuple[int, int] = (20, 45),
-    noise_scale: float = 0.5,
-    signature_scale: float = 3.0,
-    sample_rate: float = 30.0,
     seed: int = 0,
-    dataset_name: str = DATASET_NAME,
 ) -> Path:
     """Write a synthetic catalog under `out_dir`; returns the manifest path.
 
@@ -109,7 +108,7 @@ def generate_synthetic_dataset(
     signatures = []
     for i in range(num_classes):
         direction = rng.normal(size=left_cols.size)
-        direction *= signature_scale / np.linalg.norm(direction)
+        direction *= SIGNATURE_SCALE / np.linalg.norm(direction)
         cols = left_cols if i % 2 == 0 else right_cols
         signatures.append((cols, direction))
 
@@ -125,7 +124,7 @@ def generate_synthetic_dataset(
                 segs = _make_segments(rng, num_frames, num_classes,
                                       segment_frames[0], segment_frames[1])
 
-                data = rng.normal(0.0, noise_scale, size=(num_frames, num_columns))
+                data = rng.normal(0.0, NOISE_SCALE, size=(num_frames, num_columns))
                 for start, end, cls in segs:
                     cols, direction = signatures[cls]
                     data[start:end + 1, cols] += direction
@@ -159,7 +158,7 @@ def generate_synthetic_dataset(
                 transcripts["gesture"] = gesture_rel
 
                 entries.append({
-                    "dataset": dataset_name,
+                    "dataset": DATASET_NAME,
                     "task": task,
                     "subject": subject,
                     "trial": trial,
@@ -168,7 +167,7 @@ def generate_synthetic_dataset(
                 })
 
     manifest = {
-        "sample_rate": sample_rate,
+        "sample_rate": DEFAULT_SAMPLE_RATE,
         "entries": entries,
     }
     manifest_path = root / "manifest.json"

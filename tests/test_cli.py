@@ -61,6 +61,16 @@ class TestValidateCommand:
         assert rc == 2
         assert "38" in capsys.readouterr().err
 
+    def test_channel_count_below_one_is_a_bad_request(self, tmp_path, capsys):
+        # refused before any file is read: the catalog does not exist
+        for argv in (["validate"], ["experiment", "--granularity", "mp", "--cv", "louo",
+                                    "--tasks", "T01"]):
+            rc = main(argv + ["--catalog", str(tmp_path / "none.json"),
+                              "--expected-channels", "0"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == "error: expected_channels must be >= 1, got 0\n"
+
     def test_mp_label_without_a_tool_side(self, tmp_path, capsys):
         # validate and an mp-left experiment both accept the label while the
         # trials declare per-arm files, and both reject it once the per-arm

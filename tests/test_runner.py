@@ -10,6 +10,7 @@ import gc
 import json
 import weakref
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,13 @@ class TestExperimentConfig:
         {"tasks": "T01"},
         {"tasks": ["T01", 2]},
         {"catalog": 7},
+        # column settings out of range, rejected before any file is read
+        {"left_offset": -1},
+        {"right_offset": -1},
+        {"expected_channels": 0},
+        {"expected_channels": -3},
+        {"right_offset": 5},                               # column 18 twice
+        {"left_offset": 19, "right_offset": 19},
     ])
     def test_rejections(self, synth_manifest, kwargs):
         with pytest.raises(InvalidConfig):
@@ -316,6 +324,7 @@ class TestTrialDataSource:
     def test_mp_tensors_have_no_mask(self, synth_manifest):
         source = synth_source(synth_manifest)
         vocab = source.vocabulary
+        source.load(source.keys[:1])
         tensors = source.tensors(source.keys[0])
         assert tensors.mask is None
         assert tensors.features.shape[1] == 14
@@ -330,6 +339,7 @@ class TestTrialDataSource:
         source = TrialDataSource(catalog, "gesture", cfg.feature_columns(),
                                  [e.key for e in catalog.entries])
         assert source.vocabulary == ("G1", "G2")
+        source.load(source.keys)
         tensors = source.tensors(("T", "A", "001"))
         assert tensors.mask is not None
         np.testing.assert_array_equal(tensors.mask[0:10], True)
@@ -345,6 +355,7 @@ class TestTrialDataSource:
                                cv="louo", tasks=("T",))
         source = TrialDataSource(catalog, "mp-left", cfg.feature_columns(), keys)
         assert source.vocabulary == ("Grasp(L, X)", "Idle")
+        source.load(source.keys)
         tensors = source.tensors(("T", "A", "001"))
         np.testing.assert_array_equal(tensors.targets[:20], 0)   # the L grasp
         np.testing.assert_array_equal(tensors.targets[20:], 1)   # Idle
@@ -359,6 +370,7 @@ class TestTrialDataSource:
                              cv="louo", tasks=("T",)).feature_columns(),
             [e.key for e in catalog.entries])
         assert source.vocabulary == ("Grasp(L, X)", "Idle")
+        source.load(source.keys)
         tensors = source.tensors(("T", "A", "001"))
         np.testing.assert_array_equal(tensors.targets[:20], 0)
 
@@ -379,22 +391,18 @@ class TestTrialDataSource:
         with pytest.raises(MissingTranscript):
             TrialDataSource(catalog, "gesture", columns, [("T", "A", "001")])
 
-    def test_event_log_and_caching(self, synth_manifest):
+    def test_load_keeps_arrays_the_folds_share(self, synth_manifest):
         source = synth_source(synth_manifest)
-        assert source.events == []  # the vocabulary is not a trial access
         key = source.keys[0]
-        ident = "/".join(key)
-        source.mark("phase-1")
-        source.tensors(key)
-        first = list(source.events)
-        assert ("mark", "phase-1") in first
-        assert ("transcript", ident) in first
-        assert ("kinematics", ident) in first
-        assert ("features", ident) in first
-        source.tensors(key)
-        second = source.events[len(first):]
-        # cached: only the features gather is re-logged
-        assert second == [("features", ident)]
+        source.load([key])
+        tensors = source.tensors(key)
+        source.load([key])  # a loaded trial is not read again
+        assert source.tensors(key) is tensors
+        assert source.transcript(key).length == tensors.features.shape[0]
+        for array in (tensors.features, tensors.targets):
+            assert not array.flags.writeable
+        with pytest.raises(KeyError):
+            source.tensors(source.keys[1])  # not loaded
 
 
 class TestRunFold:
@@ -404,6 +412,7 @@ class TestRunFold:
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
         source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
+        source.load(keys)
         payload, model = run_fold(plans[0], source, cfg)
         assert payload["status"] == "ok"
         assert payload["name"] == "louo-SYNTH-U01"
@@ -430,27 +439,41 @@ class TestRunFold:
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
         source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
+        source.load(keys)
         payload, _ = run_fold(plans[0], source, cfg)
         assert payload["kernel_size"] == 5
 
-    def test_training_never_touches_held_out_trials(self, synth_manifest):
+    def test_training_never_touches_held_out_trials(self, synth_manifest, monkeypatch):
+        # the kernel width and the training steps see exactly the fold's
+        # training trials, however many trials the source holds
+        seen = []
+        real_kernel, real_train = runner_mod.compute_kernel_size, runner_mod.train_fold
+
+        def kernel_spy(transcripts):
+            transcripts = list(transcripts)
+            seen.append(("kernel", transcripts))
+            return real_kernel(transcripts)
+
+        def train_spy(model, fold, data, model_config):
+            seen.append(("train", sorted(data)))
+            return real_train(model, fold, data, model_config)
+
+        monkeypatch.setattr(runner_mod, "compute_kernel_size", kernel_spy)
+        monkeypatch.setattr(runner_mod, "train_fold", train_spy)
         catalog = build_catalog(synth_manifest)
         cfg = synth_config(synth_manifest, epochs=1)
         plans = plan_folds(cfg, catalog)
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
+        source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
+        source.load(keys)
         for plan in plans:
-            source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
+            seen.clear()
             run_fold(plan, source, cfg)
-            events = source.events
-            begin = events.index(("mark", f"{plan.name}:train-begin"))
-            end = events.index(("mark", f"{plan.name}:train-end"))
-            assert begin < end
-            test_idents = {"/".join(k) for k in plan.test_trials}
-            for i, (kind, ident) in enumerate(events):
-                if kind != "mark" and ident in test_idents:
-                    assert i > end, (
-                        f"{kind} access to held-out {ident} at {i} before "
-                        f"training finished at {end}")
+            assert not set(plan.train_trials) & set(plan.test_trials)
+            assert seen == [
+                ("kernel", [source.transcript(k) for k in plan.train_trials]),
+                ("train", sorted(plan.train_trials)),
+            ]
 
 
 class TestRunExperiment:
@@ -469,6 +492,16 @@ class TestRunExperiment:
         loaded = load_report(tmp_path / "out" / "report.json")
         assert loaded["aggregate"]["num_folds"] == 3
         assert (tmp_path / "out" / "tables.txt").is_file()
+
+    def test_experiment_block_holds_every_setting(self, synth_manifest):
+        cfg = synth_config(synth_manifest, epochs=1, kernel_size=5)
+        experiment = run_experiment(cfg).experiment
+        names = {f.name for f in fields(ExperimentConfig)} - {"output_dir", "kernel_size"}
+        assert names | {"kernel_size_override"} <= set(experiment)
+        assert "output_dir" not in experiment and "kernel_size" not in experiment
+        assert experiment["kernel_size_override"] == 5
+        assert experiment["learning_rate"] == cfg.resolved_learning_rate
+        assert experiment["weight_decay"] == cfg.resolved_weight_decay
 
     def test_timing_is_segregated(self, synth_manifest):
         report = run_experiment(synth_config(synth_manifest, epochs=1))
@@ -668,6 +701,18 @@ def corrupt_short_trial(root):
     (root / "lab" / "T_B_001_mp.txt").write_text("0 2 Grasp(L, X)\n3 4 Push(R, Y)\n")
 
 
+def keep_right_arm_only(root):
+    # the combined files name no left-arm primitive, so mp-left has only Idle
+    for subject in ("A", "B"):
+        (root / "lab" / f"T_{subject}_001_mp.txt").write_text(
+            "0 19 Grasp(R, X)\n20 39 Push(R, Y)\n")
+
+
+def keep_one_gesture(root):
+    for subject in ("A", "B"):
+        (root / "lab" / f"T_{subject}_001_gesture.txt").write_text("0 39 G1\n")
+
+
 def corrupt_sample_rate(value):
     def corrupt(root):
         doc = json.loads((root / "manifest.json").read_text())
@@ -700,8 +745,25 @@ class TestBadInputIsRejectedBeforeTraining:
         assert "column 20 outside [0, 20)" in capsys.readouterr().err
         self.assert_nothing_trained(tmp_path, monkeypatch, manifest, IndexOutOfRange)
 
+    @pytest.mark.parametrize("granularity, corrupt, only", [
+        ("mp-left", keep_right_arm_only, "Idle"),
+        ("gesture", keep_one_gesture, "G1"),
+    ])
+    def test_fewer_than_two_classes(self, tmp_path, monkeypatch, capsys, granularity,
+                                    corrupt, only):
+        manifest = write_mini_corpus(tmp_path)
+        corrupt(tmp_path)
+        assert cli_main(["experiment", "--catalog", str(manifest), "--granularity",
+                         granularity, "--cv", "louo", "--tasks", "T", "--epochs", "1",
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert repr(granularity) in err and repr(only) in err and "at least 2" in err
+        self.assert_nothing_trained(tmp_path, monkeypatch, manifest, granularity=granularity)
+
     @staticmethod
-    def assert_nothing_trained(tmp_path, monkeypatch, manifest, error=DataError):
+    def assert_nothing_trained(tmp_path, monkeypatch, manifest, error=DataError,
+                               granularity="mp"):
         trained = []
         real_train_fold = runner_mod.train_fold
 
@@ -710,7 +772,7 @@ class TestBadInputIsRejectedBeforeTraining:
             return real_train_fold(*args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "train_fold", spy)
-        cfg = ExperimentConfig(catalog=str(manifest), granularity="mp", cv="louo",
+        cfg = ExperimentConfig(catalog=str(manifest), granularity=granularity, cv="louo",
                                tasks=("T",), epochs=1, output_dir=str(tmp_path / "out"))
         with pytest.raises(error):
             run_experiment(cfg)
@@ -739,11 +801,14 @@ class TestEachTranscriptIsReadOnce:
 
     @pytest.mark.parametrize("granularity", ["mp", "mp-left"])
     def test_per_experiment(self, tmp_path, reads, granularity):
-        # mp is declared; mp-left is derived from the combined mp file
+        # mp is declared; mp-left is derived from the combined mp file. Each
+        # trial is in two folds, and its kinematics file is read once too.
         manifest = write_mini_corpus(tmp_path, with_gesture=False)
         run_experiment(ExperimentConfig(catalog=str(manifest), granularity=granularity,
                                         cv="louo", tasks=("T",), epochs=1))
         assert self.transcript_reads(reads) == {"T_A_001_mp.txt": 1, "T_B_001_mp.txt": 1}
+        kinematics = {name: n for name, n in reads.items() if name.endswith("_001.txt")}
+        assert kinematics == {"T_A_001.txt": 1, "T_B_001.txt": 1}
 
     def test_per_validate(self, tmp_path, reads):
         manifest = write_mini_corpus(tmp_path, with_gesture=False)
