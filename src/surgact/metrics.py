@@ -67,17 +67,36 @@ def run_length_segments(frames: Sequence) -> list[tuple[int, int, Any]]:
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimum number of unit-cost insertions, deletions, substitutions."""
+    # a shared prefix or suffix costs nothing and is left out of the table
+    n, m = len(a), len(b)
+    start = 0
+    while start < n and start < m and a[start] == b[start]:
+        start += 1
+    while n > start and m > start and a[n - 1] == b[m - 1]:
+        n -= 1
+        m -= 1
+    a, b = a[start:n], b[start:m]
     if len(a) < len(b):
         a, b = b, a
+    if not b:
+        return len(a)
     prev = list(range(len(b) + 1))
-    for i in range(1, len(a) + 1):
-        cur = [i] + [0] * len(b)
-        ai = a[i - 1]
-        for j in range(1, len(b) + 1):
-            sub = prev[j - 1] + (0 if ai == b[j - 1] else 1)
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, sub)
+    for i, ai in enumerate(a, 1):
+        # left is cur[j], up is prev[j + 1], diag is prev[j]
+        left, diag = i, i - 1
+        cur = [i]
+        for j, bj in enumerate(b):
+            up = prev[j + 1]
+            best = diag if ai == bj else diag + 1
+            if up + 1 < best:
+                best = up + 1
+            if left + 1 < best:
+                best = left + 1
+            cur.append(best)
+            left = best
+            diag = up
         prev = cur
-    return prev[len(b)]
+    return prev[-1]
 
 
 def edit_score(predicted_frames: Sequence, reference_frames: Sequence) -> float:

@@ -3,11 +3,13 @@
 Everything operates on float64 arrays in channels-first layout: a signal is
 an array of shape (C, T), C channels by T frames. `Conv1d` is a class with
 `forward(x)` and `backward(grad_y)`; `backward` returns the gradient with
-respect to the layer input and overwrites the stored parameter gradients
-(`grad_w`, `grad_b`), which in a `TcnModel` are views into the model's flat
-vectors `theta` and `grad`. A forward call keeps what the matching backward
-call needs in `_cache` and that call drops it, so a conv serves one signal at
-a time; models are not shared across threads.
+respect to the layer input (unless told not to compute it) and overwrites
+the stored parameter gradients (`grad_w`, `grad_b`), which in a `TcnModel`
+are views into the model's flat vectors `theta` and `grad`. A forward call
+keeps what the matching backward call needs in `_cache` and that call drops
+it, so a conv serves one signal at a time; its scratch memory, a
+`ColumnBuffer`, may be shared with other convs that run one at a time.
+Models are not shared across threads.
 
 The ED-TCN's maths between its convs is two pairs of stage functions:
 `pool_relu_norm` for an encoder stage and `relu_norm` for a decoder stage.
@@ -22,6 +24,8 @@ is the harness used to verify them against central differences.
 
 from __future__ import annotations
 
+import math
+import mmap
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +39,7 @@ from .errors import (
 )
 
 __all__ = [
+    "ColumnBuffer",
     "Conv1d",
     "relu_norm",
     "relu_norm_backward",
@@ -55,6 +60,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+BYTES_PER_VALUE = 8  # float64
+
 # keeps the channel norm's denominator positive on an all-zero frame
 NORM_EPS = 1e-5
 
@@ -66,10 +73,31 @@ def _as_signal(x, *, name: str = "x") -> np.ndarray:
     return arr
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    """cols[ci*k + j, t] = xp[ci, t + j] for a padded signal xp."""
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-    return windows.transpose(0, 2, 1).reshape(xp.shape[0] * k, -1)
+class ColumnBuffer:
+    """Scratch memory for the column matrices of convs that run one at a
+    time, such as the seven convs of one model.
+
+    It is one anonymous memory map, not a heap array: a fresh multi-megabyte
+    array per call, or one kept on the heap, left the process's peak
+    resident memory to the allocator's history. A request larger than the
+    map replaces it, so the buffer grows to the largest need it has seen.
+    What it holds is valid only until the next conv call that uses it.
+    """
+
+    def __init__(self):
+        self._map: Optional[mmap.mmap] = None
+        self.capacity = 0  # float64 values
+
+    def reserve(self, size: int) -> None:
+        """Make room for `size` float64 values; growing drops the contents."""
+        if size > self.capacity:
+            self._map = mmap.mmap(-1, size * BYTES_PER_VALUE)
+            self.capacity = size
+
+    def view(self, shape: tuple, strides: tuple, offset: int = 0) -> np.ndarray:
+        """An array over the buffer; strides and offset count float64 values."""
+        return np.ndarray(shape, np.float64, self._map, offset * BYTES_PER_VALUE,
+                          tuple(BYTES_PER_VALUE * s for s in strides))
 
 
 class Conv1d:
@@ -84,15 +112,18 @@ class Conv1d:
     and maps T frames to 2T. Odd kernel widths only.
 
     Output frame phases*s + r reads x only at s + (r + j - k//2) // phases,
-    so a constant 0/1 fold matrix (k, phases*q) sums the k taps of w into one
+    so a constant 0/1 fold (phases, k, q) sums the k taps of w into one
     q-slot kernel per phase r, and forward is one im2col of the padded,
     un-upsampled input and one GEMM whose rows, one per (output channel,
-    phase), interleave into frames; backward sends the weight gradient back
-    through the fold's transpose and scatters the column gradient over q
-    taps. For `phases=1` the fold is the identity and q = k. Forward keeps
-    the padded input and the phase kernels, and backward builds the im2col
-    matrix again: the matrix is q times larger, and allocating it afresh
-    after a backward pass freed it cost more, in page faults, than the copy.
+    phase), interleave into frames. With one phase the fold is the identity,
+    q = k, and the kernel is a view of w. Backward sends the weight gradient
+    back through the fold, per phase, and sums the column gradient over its
+    q taps in one reduction.
+
+    The im2col matrix and the column gradient live in `columns`, a
+    `ColumnBuffer` that a model shares among its convs: forward keeps only
+    the padded input and the kernels, and backward builds the im2col matrix
+    again in the same memory.
     """
 
     _cache = None  # set by forward, dropped by the matching backward
@@ -109,15 +140,16 @@ class Conv1d:
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.phases = phases
+        self.columns = ColumnBuffer()
         # tap j of phase r reads input offset (r + j - k//2) // phases; slots
         # number those offsets from the smallest, lo
         taps = np.arange(kernel_size)
         offsets = (np.arange(phases)[:, None] + taps - kernel_size // 2) // phases
         self._lo = int(offsets.min())
         self._slots = int(offsets.max()) - self._lo + 1
-        self._fold = np.zeros((kernel_size, phases * self._slots))
+        self._fold_by_phase = np.zeros((phases, kernel_size, self._slots))
         for r in range(phases):
-            self._fold[taps, r * self._slots + offsets[r] - self._lo] = 1.0
+            self._fold_by_phase[r, taps, offsets[r] - self._lo] = 1.0
         # uniform +-sqrt(1/(C_in * k)), biases drawn from the same range
         bound = float(np.sqrt(1.0 / (in_channels * kernel_size)))
         if rng is None:
@@ -130,27 +162,46 @@ class Conv1d:
         self.grad_b = np.zeros_like(self.b)
 
     def _phase_kernels(self) -> np.ndarray:
-        """(Cout*phases, Cin*q): row co*phases + r is phase r's kernel."""
-        co, ci, q, n = self.out_channels, self.in_channels, self._slots, self.phases
-        wp = (self.w.reshape(co * ci, self.kernel_size) @ self._fold).reshape(co, ci, n, q)
-        return wp.transpose(0, 2, 1, 3).reshape(co * n, ci * q)
+        """(Cout*phases, Cin*q): row co*phases + r is phase r's kernel; a
+        view of w for one phase."""
+        co = self.out_channels
+        if self.phases == 1:
+            return self.w.reshape(co, -1)
+        # (Cout, 1, Cin, k) @ (phases, k, q) is (Cout, phases, Cin, q)
+        return np.matmul(self.w[:, None], self._fold_by_phase).reshape(co * self.phases, -1)
+
+    def _im2col(self, xp: np.ndarray, t: int) -> np.ndarray:
+        """cols[ci*q + j, s] = xp[ci, s + j], written into the column buffer."""
+        c, q = self.in_channels, self._slots
+        self.columns.reserve(c * q * (t + q + 1))
+        cols = self.columns.view((c, q, t), (q * t, t, 1))
+        row = xp.strides[0]
+        np.copyto(cols, np.ndarray((c, q, t), np.float64, xp, 0,
+                                   (row, BYTES_PER_VALUE, BYTES_PER_VALUE)))
+        return cols.reshape(c * q, t)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_signal(x)
         c, t = x.shape
         if c != self.in_channels:
             raise ChannelMismatch(f"expected {self.in_channels} input channels, got {c}")
-        q, lo, n = self._slots, self._lo, self.phases
+        q, lo, n, co = self._slots, self._lo, self.phases, self.out_channels
         xp = np.zeros((c, t + q - 1))
         xp[:, -lo:t - lo] = x
         wp = self._phase_kernels()
         self._cache = (xp, wp)
-        y = (wp @ _im2col(xp, q)).reshape(self.out_channels, n, t).transpose(0, 2, 1)
-        # C order: by default the sum would keep y's transposed layout, and
+        y = np.matmul(wp, self._im2col(xp, t))
+        if n == 1:
+            y += self.b[:, None]
+            return y
+        # C order: by default the sum would keep the transposed layout, and
         # the reshape into frames would copy it a second time
-        return np.add(y, self.b[:, None, None], order="C").reshape(self.out_channels, t * n)
+        y = y.reshape(co, n, t).transpose(0, 2, 1)
+        return np.add(y, self.b[:, None, None], order="C").reshape(co, t * n)
 
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
+    def backward(self, grad_y: np.ndarray, *, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Fill grad_w and grad_b; return the input gradient, or None when
+        `input_grad` is false."""
         if self._cache is None:
             raise ShapeMismatch("backward called before forward")
         (xp, wp), self._cache = self._cache, None
@@ -160,15 +211,30 @@ class Conv1d:
         t = xp.shape[1] - q + 1
         if grad_y.shape != (co, t * n):
             raise ShapeMismatch(f"grad_y shape {grad_y.shape} != output shape {(co, t * n)}")
-        self.grad_b[:] = grad_y.sum(axis=1)
-        g = grad_y.reshape(co, t, n).transpose(0, 2, 1).reshape(co * n, t)
-        gwp = (g @ _im2col(xp, q).T).reshape(co, n, c, q).transpose(0, 2, 1, 3)
-        self.grad_w[:] = (gwp.reshape(co * c, n * q) @ self._fold.T).reshape(self.w.shape)
-        gcols = (wp.T @ g).reshape(c, q, t)
-        gxp = np.zeros((c, t + q - 1))
-        for j in range(q):
-            gxp[:, j:j + t] += gcols[:, j, :]
-        return gxp[:, -lo:t - lo]
+        np.sum(grad_y, axis=1, out=self.grad_b)
+        cols = self._im2col(xp, t)
+        if n == 1:
+            g = grad_y
+            np.matmul(g, cols.T, out=self.grad_w.reshape(co, c * q))
+        else:
+            g = grad_y.reshape(co, t, n).transpose(0, 2, 1).reshape(co * n, t)
+            gwp = np.matmul(g, cols.T).reshape(co, n, c, q)
+            fold = self._fold_by_phase
+            np.matmul(gwp[:, 0], fold[0].T, out=self.grad_w)
+            for r in range(1, n):
+                self.grad_w += np.matmul(gwp[:, r], fold[r].T)
+        if not input_grad:
+            return None
+        # The (Cin*q, T) column gradient goes into the buffer with row
+        # stride T+q+1. Read back with stride T+q per tap, a channel's block
+        # holds tap j's gradient for output frame s at column s + j, the
+        # padded input frame it belongs to, so the taps sum in one
+        # reduction; the q+1 values after each row are the zeros between.
+        rows = t + q + 1
+        self.columns.view((c * q, q + 1), (rows, 1), t)[...] = 0.0
+        np.matmul(wp.T, g, out=self.columns.view((c * q, t), (rows, 1)))
+        taps = self.columns.view((c, q, t), (q * rows, rows - 1, 1), -lo)
+        return taps.sum(axis=1)
 
 
 def _norm(h: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -177,21 +243,24 @@ def _norm(h: np.ndarray) -> tuple[np.ndarray, tuple]:
         y[c, t] = h[c, t] / (max_c' h[c', t] + NORM_EPS)
 
     An all-zero frame maps to an all-zero frame. Returns y and what
-    `_norm_backward` needs; h is kept, not copied.
+    `_norm_backward` needs; h is kept, not copied. The peak is read at the
+    argmax, which is the max bit for bit on h >= 0, NaN included.
     """
-    scale = h.max(axis=0) + NORM_EPS
-    return h / scale, (h, scale, np.argmax(h, axis=0))
+    idx = np.argmax(h, axis=0)
+    cols = np.arange(h.shape[1])
+    peak = h[idx, cols]
+    scale = peak + NORM_EPS
+    return h / scale, (h, scale, idx, cols, peak)
 
 
 def _norm_backward(grad_y: np.ndarray, h: np.ndarray, scale: np.ndarray,
-                   idx: np.ndarray) -> np.ndarray:
+                   idx: np.ndarray, cols: np.ndarray, peak: np.ndarray) -> np.ndarray:
     """The max is piecewise smooth: the denominator's gradient goes to the
     first channel attaining it (ties broken by lowest channel index)."""
     gx = grad_y / scale
     # d(scale)/dh is sign(h[a, t]) on the argmax channel a only
     dot = np.einsum("ct,ct->t", grad_y, h)
-    cols = np.arange(h.shape[1])
-    gx[idx, cols] -= dot * np.sign(h[idx, cols]) / (scale * scale)
+    gx[idx, cols] -= dot * np.sign(peak) / (scale * scale)
     return gx
 
 
@@ -200,13 +269,15 @@ def relu_norm(y: np.ndarray) -> tuple[np.ndarray, tuple]:
 
     Returns the stage output and the cache `relu_norm_backward` takes.
     """
-    return _norm(np.where(y > 0, y, 0.0))
+    positive = y > 0
+    out, norm_cache = _norm(np.where(positive, y, 0.0))
+    return out, (positive, norm_cache)
 
 
 def relu_norm_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     """Gradient of `relu_norm` with respect to y; relu's subgradient at 0 is 0."""
-    h = cache[0]
-    return np.where(h > 0, _norm_backward(grad_out, *cache), 0.0)
+    positive, norm_cache = cache
+    return np.where(positive, _norm_backward(grad_out, *norm_cache), 0.0)
 
 
 def pool_relu_norm(y: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -223,22 +294,25 @@ def pool_relu_norm(y: np.ndarray) -> tuple[np.ndarray, tuple]:
     """
     t = y.shape[1]
     n = t // 2
-    left = np.where(y[:, 0:2 * n:2] > 0, y[:, 0:2 * n:2], 0.0)
+    left = y[:, 0:2 * n:2]
+    left_positive = left > 0
+    left = np.where(left_positive, left, 0.0)
     right = y[:, 1:2 * n:2]
     take_right = right > left
+    # the left frame takes the gradient where it wins and is positive
+    take_left = np.greater(left_positive, take_right)
     out, norm_cache = _norm(np.where(take_right, right, left))
-    return out, (take_right, t, norm_cache)
+    return out, (take_left, take_right, t, norm_cache)
 
 
 def pool_relu_norm_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     """Gradient of `pool_relu_norm` with respect to y."""
-    take_right, t, norm_cache = cache
-    h = norm_cache[0]
-    g = np.where(h > 0, _norm_backward(grad_out, *norm_cache), 0.0)
-    n = h.shape[1]
-    gx = np.zeros((h.shape[0], t))
-    gx[:, 0:2 * n:2] = np.where(take_right, 0.0, g)
-    gx[:, 1:2 * n:2] = np.where(take_right, g, 0.0)
+    take_left, take_right, t, norm_cache = cache
+    g = _norm_backward(grad_out, *norm_cache)
+    n = g.shape[1]
+    gx = np.zeros((g.shape[0], t))
+    np.copyto(gx[:, 0:2 * n:2], g, where=take_left)
+    np.copyto(gx[:, 1:2 * n:2], g, where=take_right)
     return gx
 
 
@@ -264,17 +338,18 @@ def softmax_cross_entropy(
         raise ShapeMismatch(f"targets shape {targets.shape} != ({t},)")
     if not np.issubdtype(targets.dtype, np.integer):
         raise ShapeMismatch("targets must be integers")
-    if targets.size and (targets.min() < 0 or targets.max() >= c):
+    # one pass over the ids: read as unsigned, a negative one is huge
+    if targets.size and targets.view(f"u{targets.itemsize}").max() >= c:
         raise TargetOutOfRange(
             f"targets must lie in [0, {c}), got range "
             f"[{targets.min()}, {targets.max()}]")
     if mask is None:
-        keep = np.ones(t, dtype=bool)
+        keep, n = None, t
     else:
         keep = np.asarray(mask, dtype=bool)
         if keep.shape != (t,):
             raise ShapeMismatch(f"mask shape {keep.shape} != ({t},)")
-    n = int(keep.sum())
+        n = int(keep.sum())
     if n == 0:
         raise AllFramesMasked("every frame is masked out")
 
@@ -282,12 +357,14 @@ def softmax_cross_entropy(
     lse = np.log(np.exp(z).sum(axis=0, keepdims=True))
     logp = z - lse
     cols = np.arange(t)
-    loss = float(-logp[targets, cols][keep].sum() / n)
+    picked = logp[targets, cols]
+    loss = float(-(picked if keep is None else picked[keep]).sum() / n)
 
     grad = np.exp(logp)
     grad[targets, cols] -= 1.0
     grad /= n
-    grad[:, ~keep] = 0.0
+    if keep is not None:
+        grad[:, ~keep] = 0.0
     return loss, grad
 
 
@@ -300,9 +377,14 @@ class Adam:
         m <- b1 m + (1-b1) g        v <- b2 v + (1-b2) g^2
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
+    The moment buffers hold m / (1-b1) and v / (1-b2), so they take g and
+    g^2 unscaled, and the step folds both bias corrections into one step
+    size and one eps, and the decay into one multiply: 11 passes over each
+    slice, equal to the textbook update to float rounding.
+
     The moment buffers and step counter live on this object and are only
     ever mutated by `step`, which updates the parameter arrays in place, one
-    `ADAM_BLOCK`-element slice at a time, in the order of operations above.
+    `ADAM_BLOCK`-element slice at a time.
     """
 
     def __init__(self, params: Sequence[np.ndarray], learning_rate: float,
@@ -333,8 +415,11 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         lr, wd, b1, b2 = self.learning_rate, self.weight_decay, ADAM_BETA1, ADAM_BETA2
-        c1 = 1.0 - b1 ** t
-        c2 = 1.0 - b2 ** t
+        # sqrt(v / (1-b2^t)) is sqrt(v / (1-b2)) / scale
+        scale = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+        step = lr * (1.0 - b1) / (1.0 - b1 ** t) * scale
+        eps = ADAM_EPS * scale
+        decay = 1.0 - lr * wd
         s1, s2 = self._scratch
         for arrays in zip(params, grads, self.m, self.v):
             p, g, m, v = (a.reshape(-1) for a in arrays)
@@ -343,15 +428,17 @@ class Adam:
                 pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
                 d, e = s1[:pb.size], s2[:pb.size]
                 if wd != 0.0:
-                    pb -= np.multiply(pb, lr * wd, out=d)
+                    pb *= decay
                 mb *= b1
-                mb += np.multiply(gb, 1.0 - b1, out=d)
+                mb += gb
                 vb *= b2
-                vb += np.multiply(np.multiply(gb, gb, out=d), 1.0 - b2, out=d)
-                # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-                np.add(np.sqrt(np.divide(vb, c2, out=e), out=e), ADAM_EPS, out=e)
-                np.multiply(np.divide(mb, c1, out=d), lr, out=d)
-                pb -= np.divide(d, e, out=d)
+                vb += np.multiply(gb, gb, out=d)
+                # p -= step * m / (sqrt(v) + eps)
+                np.sqrt(vb, out=e)
+                e += eps
+                np.divide(mb, e, out=d)
+                d *= step
+                pb -= d
 
 
 def finite_diff_check(

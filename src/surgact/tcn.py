@@ -13,9 +13,12 @@ least 8 frames, and the head gives 8 * floor(T/8) <= T of them: the pad
 repeats its last frame up to T, and backward sums the pad's gradients into
 that frame. The decoder keeps the maths of the upsample-then-conv above
 (to float rounding) but runs each stage as one `Conv1d(..., phases=2)` that
-reads the un-upsampled signal: a constant fold matrix sums the k taps of the
+reads the un-upsampled signal: a constant 0/1 fold sums the k taps of the
 conv's (Cout, Cin, k) weights into two half-rate phase kernels, one per
-output frame parity, so no repeated frame is built or multiplied.
+output frame parity, so no repeated frame is built or multiplied. The seven
+convs run one at a time and share one `nn.ColumnBuffer` for their im2col
+matrices and column gradients, which grows to the longest trial the model
+has seen.
 
 What follows each k-wide conv is one stage function: `nn.pool_relu_norm`
 in the encoder, which pools before its relu and gives the results of the
@@ -28,7 +31,10 @@ transcripts as the mean duration (in frames) of the activity class whose
 mean duration is shortest, rounded to the nearest odd integer, never below 3.
 
 Training is full-sequence: one trial is one batch. Optimization is Adam
-with decoupled weight decay on a mean per-frame cross entropy.
+with decoupled weight decay on a mean per-frame cross entropy. A training
+step computes no gradient with respect to the input signal, which only
+`TcnModel.backward` returns, and runs with numpy's floating-point warnings
+off: a diverging fold is reported by its non-finite loss or parameters.
 
 The parameters live in one float64 vector, `TcnModel.theta`, and their
 gradients in `TcnModel.grad`; each conv's `w`, `b`, `grad_w` and `grad_b`
@@ -70,6 +76,7 @@ from .errors import (
 )
 from .nn import (
     Adam,
+    ColumnBuffer,
     Conv1d,
     pool_relu_norm,
     pool_relu_norm_backward,
@@ -191,6 +198,10 @@ class TcnModel:
         self.convs += [Conv1d(c_in, c_out, k, rng, phases=2)
                        for c_in, c_out in ((f3, f2), (f2, f1), (f1, f1))]
         self.convs.append(Conv1d(f1, config.num_classes, 1, rng))
+        # the convs run one at a time, so their column matrices share memory
+        self.columns = ColumnBuffer()
+        for conv in self.convs:
+            conv.columns = self.columns
         # the input length and the six stage caches of the last forward pass
         self._tape: Optional[tuple[int, list]] = None
         # the convs drew their arrays above, in order; they move into two
@@ -243,10 +254,12 @@ class TcnModel:
         return np.concatenate(
             [logits, np.repeat(logits[:, -1:], t - logits.shape[1], axis=1)], axis=1)
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward(self, grad_logits: np.ndarray, *,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
         """Gradient of the last forward pass; fills every conv's grad_w/grad_b
-        and returns the gradient with respect to the input signal. Each
-        forward pass serves one backward pass."""
+        and returns the gradient with respect to the input signal, or None
+        when `input_grad` is false. Each forward pass serves one backward
+        pass."""
         if self._tape is None:
             raise ShapeMismatch("backward called before forward")
         (t, tape), self._tape = self._tape, None
@@ -262,9 +275,10 @@ class TcnModel:
         g = self.convs[6].backward(g)
         for conv in reversed(self.convs[3:6]):
             g = conv.backward(relu_norm_backward(g, tape.pop()))
-        for conv in reversed(self.convs[:3]):
+        for conv in reversed(self.convs[1:3]):
             g = conv.backward(pool_relu_norm_backward(g, tape.pop()))
-        return g
+        return self.convs[0].backward(pool_relu_norm_backward(g, tape.pop()),
+                                      input_grad=input_grad)
 
     def loss_and_grads(
         self,
@@ -273,10 +287,11 @@ class TcnModel:
         mask: Optional[np.ndarray] = None,
     ) -> tuple[float, list[np.ndarray], np.ndarray]:
         """One forward/backward pass. Returns (loss, parameter gradients,
-        logits); the gradient arrays are the model's own buffers."""
+        logits); the gradient arrays are the model's own buffers. The
+        gradient with respect to x is not computed."""
         logits = self.forward(x)
         loss, grad_logits = softmax_cross_entropy(logits, targets, mask)
-        self.backward(grad_logits)
+        self.backward(grad_logits, input_grad=False)
         return loss, self.grads(), logits
 
 
@@ -351,29 +366,32 @@ def train_fold(
     losses: list[float] = []
     accs: list[float] = []
     steps = 0
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(keys))
-        epoch_loss = 0.0
-        correct = 0
-        counted = 0
-        for idx in order:
-            key = keys[idx]
-            tensors = data[key]
-            loss, grads, logits = model.loss_and_grads(
-                tensors.features.T, tensors.targets, tensors.mask)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(
-                    f"fold {fold.name}: epoch {epoch}, trial {key}: loss={loss}")
-            pred = np.argmax(logits, axis=0)
-            keep = tensors.mask if tensors.mask is not None else np.ones(
-                pred.shape[0], dtype=bool)
-            correct += int((pred[keep] == tensors.targets[keep]).sum())
-            counted += int(keep.sum())
-            optimizer.step(model.params(), grads)
-            epoch_loss += loss
-            steps += 1
-        losses.append(epoch_loss / len(keys))
-        accs.append(100.0 * correct / counted if counted else 0.0)
+    # a diverging fold overflows on its way to a non-finite loss; the checks
+    # below report it, so numpy's warnings would only repeat them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(len(keys))
+            epoch_loss = 0.0
+            correct = 0
+            counted = 0
+            for idx in order:
+                key = keys[idx]
+                tensors = data[key]
+                loss, grads, logits = model.loss_and_grads(
+                    tensors.features.T, tensors.targets, tensors.mask)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(
+                        f"fold {fold.name}: epoch {epoch}, trial {key}: loss={loss}")
+                pred = np.argmax(logits, axis=0)
+                keep = tensors.mask if tensors.mask is not None else np.ones(
+                    pred.shape[0], dtype=bool)
+                correct += int((pred[keep] == tensors.targets[keep]).sum())
+                counted += int(keep.sum())
+                optimizer.step(model.params(), grads)
+                epoch_loss += loss
+                steps += 1
+            losses.append(epoch_loss / len(keys))
+            accs.append(100.0 * correct / counted if counted else 0.0)
     # each loss is checked before its step, so only the last step is unchecked
     if not np.isfinite(model.theta).all():
         raise NonFiniteLoss(f"fold {fold.name}: parameters are non-finite after training")

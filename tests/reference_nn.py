@@ -2,8 +2,11 @@
 
 `UpsampleRepeat` followed by a one-phase `Conv1d` is the ED-TCN decoder stage
 as first written; `im2col_conv` is the one-phase conv kernel before it gained
-phases. The fused decoder conv (`Conv1d(..., phases=2)`) and the encoder
-convs are checked against these.
+phases, and `fold_gemm_conv` the kernel for any phase count before the
+column buffer: a fold GEMM and a transposed copy for the phase kernels, a
+fold-transpose GEMM for the weight gradient and a q-tap scatter loop for the
+input gradient. The fused decoder conv (`Conv1d(..., phases=2)`) and the
+encoder convs are checked against these.
 
 `Relu`, `MaxPool1d`, `ChannelNorm` and `RestoreLength` are the ED-TCN's
 non-conv layers as first written, one class each. `TcnModel` runs them as
@@ -14,7 +17,13 @@ which are checked against these chains bit for bit.
 import numpy as np
 
 from surgact.errors import InvalidConfig, ShapeMismatch, TooShort
-from surgact.nn import _as_signal, _im2col
+from surgact.nn import _as_signal
+
+
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """cols[ci*k + j, t] = xp[ci, t + j] for a padded signal xp."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
+    return windows.transpose(0, 2, 1).reshape(xp.shape[0] * k, -1)
 
 
 class _Layer:
@@ -192,3 +201,38 @@ def im2col_conv(w, b, x, grad_y):
     for j in range(k):
         gxp[:, j:j + t] += gcols[:, j, :]
     return y, grad_w, grad_b, gxp[:, pad:pad + t]
+
+
+def fold_gemm_conv(w, b, x, grad_y, phases):
+    """The conv of `surgact.nn.Conv1d` with `phases`, as one GEMM over a
+    fresh im2col through a (k, phases*q) fold matrix.
+
+    Returns (y, grad_w, grad_b, grad_x) like `im2col_conv`; y and grad_y
+    have phases*T frames.
+    """
+    c_out, c, k = w.shape
+    n = phases
+    t = x.shape[1]
+    taps = np.arange(k)
+    offsets = (np.arange(n)[:, None] + taps - k // 2) // n
+    lo = int(offsets.min())
+    q = int(offsets.max()) - lo + 1
+    fold = np.zeros((k, n * q))
+    for r in range(n):
+        fold[taps, r * q + offsets[r] - lo] = 1.0
+    xp = np.zeros((c, t + q - 1))
+    xp[:, -lo:t - lo] = x
+    wp = (w.reshape(c_out * c, k) @ fold).reshape(c_out, c, n, q)
+    wp = wp.transpose(0, 2, 1, 3).reshape(c_out * n, c * q)
+    cols = _im2col(xp, q)
+    y = (wp @ cols).reshape(c_out, n, t).transpose(0, 2, 1)
+    y = np.add(y, b[:, None, None], order="C").reshape(c_out, t * n)
+    grad_b = grad_y.sum(axis=1)
+    g = grad_y.reshape(c_out, t, n).transpose(0, 2, 1).reshape(c_out * n, t)
+    gwp = (g @ cols.T).reshape(c_out, n, c, q).transpose(0, 2, 1, 3)
+    grad_w = (gwp.reshape(c_out * c, n * q) @ fold.T).reshape(w.shape)
+    gcols = (wp.T @ g).reshape(c, q, t)
+    gxp = np.zeros((c, t + q - 1))
+    for j in range(q):
+        gxp[:, j:j + t] += gcols[:, j, :]
+    return y, grad_w, grad_b, gxp[:, -lo:t - lo]

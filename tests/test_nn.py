@@ -17,6 +17,9 @@ pooling tie; those would make central differences disagree with the exact
 subgradient for reasons that are not bugs.
 """
 
+import math
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,6 +36,7 @@ from surgact.errors import (
 from surgact.nn import (
     ADAM_BLOCK,
     Adam,
+    ColumnBuffer,
     Conv1d,
     finite_diff_check,
     pool_relu_norm,
@@ -48,6 +52,7 @@ from reference_nn import (
     Relu,
     RestoreLength,
     UpsampleRepeat,
+    fold_gemm_conv,
     im2col_conv,
 )
 
@@ -205,19 +210,92 @@ class TestUpsampledConv:
         assert np.array_equal(conv.grad_w, grad_w)
         assert np.array_equal(conv.grad_b, grad_b)
 
+    @pytest.mark.parametrize("phases", [1, 2, 3])
+    @pytest.mark.parametrize("k", KERNEL_WIDTHS)
+    @pytest.mark.parametrize("t", [1, 6, 7, 40])
+    def test_matches_the_fold_gemm_kernel(self, phases, k, t):
+        # with one or two phases a kernel slot sums at most two taps, so
+        # the order of the sums cannot change the bits; with three it can
+        rng = np.random.default_rng(3000 * k + 10 * t + phases)
+        conv = Conv1d(4, 5, k, rng, phases=phases)
+        x = rng.normal(size=(4, t))
+        grad_y = rng.normal(size=(5, phases * t))
+        expected = fold_gemm_conv(conv.w, conv.b, x, grad_y, phases)
+        got = (conv.forward(x), conv.backward(grad_y), conv.grad_w, conv.grad_b)
+        for a, b in zip(got, (expected[0], expected[3], expected[1], expected[2])):
+            if phases <= 2:
+                assert np.array_equal(a, b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("phases", [1, 2])
+    def test_no_input_gradient_leaves_the_parameter_gradients(self, phases):
+        rng = np.random.default_rng(130 + phases)
+        conv = Conv1d(3, 4, 5, rng, phases=phases)
+        x = rng.normal(size=(3, 11))
+        grad_y = rng.normal(size=(4, phases * 11))
+        conv.forward(x)
+        assert conv.backward(grad_y, input_grad=False) is None
+        grads = conv.grad_w.copy(), conv.grad_b.copy()
+        conv.forward(x)
+        assert conv.backward(grad_y).shape == x.shape
+        assert np.array_equal(conv.grad_w, grads[0])
+        assert np.array_equal(conv.grad_b, grads[1])
+
+    def test_one_phase_kernel_is_a_view_of_the_weights(self):
+        conv = Conv1d(3, 4, 5, np.random.default_rng(0))
+        assert np.shares_memory(conv._phase_kernels(), conv.w)
+        assert not np.shares_memory(Conv1d(3, 4, 5, phases=2)._phase_kernels(), conv.w)
+
+    @pytest.mark.parametrize("phases", [1, 2])
+    def test_a_shared_buffer_gives_the_bits_of_a_fresh_one(self, phases):
+        # a long signal grows the buffer that two convs share; a short one
+        # then runs over the stale values the long one left in it
+        rng = np.random.default_rng(140 + phases)
+        convs = [Conv1d(3, 4, 7, rng, phases=phases), Conv1d(4, 3, 3, rng)]
+
+        def run(x, buffer):
+            for conv in convs:
+                conv.columns = buffer
+            y = convs[1].forward(convs[0].forward(x))
+            g = convs[0].backward(convs[1].backward(np.cos(y)))
+            return [y, g] + [a.copy() for conv in convs for a in (conv.grad_w, conv.grad_b)]
+
+        shared = ColumnBuffer()
+        run(rng.normal(size=(3, 50)), shared)
+        grown = shared.capacity
+        x = rng.normal(size=(3, 9))
+        for a, b in zip(run(x, shared), run(x, ColumnBuffer())):
+            assert np.array_equal(a, b)
+        assert shared.capacity == grown
+
+    def test_column_buffer_is_mapped_memory_that_grows(self):
+        buf = ColumnBuffer()
+        assert buf.capacity == 0
+        buf.reserve(100)
+        first = buf._map
+        assert isinstance(first, mmap.mmap) and len(first) == 800
+        buf.reserve(50)
+        assert buf._map is first and buf.capacity == 100
+        buf.reserve(101)
+        assert buf._map is not first and buf.capacity == 101
+        view = buf.view((2, 3), (5, 1), 1)
+        view[...] = 7.0
+        assert np.frombuffer(buf._map)[[1, 3, 6, 8]].tolist() == [7.0] * 4
+
     @pytest.mark.parametrize("k", KERNEL_WIDTHS)
     def test_fold_sums_the_taps_into_half_rate_slots(self, k):
         p = k // 2
         lo = (-p) // 2
         q = (k - p) // 2 - lo + 1
         conv = Conv1d(1, 1, k, phases=2)
-        assert conv._fold.shape == (k, 2 * q)
-        expected = np.zeros((k, 2 * q))
+        assert conv._fold_by_phase.shape == (2, k, q)
+        expected = np.zeros((2, k, q))
         for r in (0, 1):
             for j in range(k):
-                expected[j, r * q + (r + j - p) // 2 - lo] = 1.0
-        assert np.array_equal(conv._fold, expected)
-        assert np.array_equal(Conv1d(1, 1, k)._fold, np.eye(k))
+                expected[r, j, (r + j - p) // 2 - lo] = 1.0
+        assert np.array_equal(conv._fold_by_phase, expected)
+        assert np.array_equal(Conv1d(1, 1, k)._fold_by_phase, np.eye(k)[None])
         if k == 21:
             assert q == 11
 
@@ -569,6 +647,18 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(TargetOutOfRange):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 2, 1]))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint8])
+    def test_target_range_for_every_integer_type(self, dtype):
+        # the range check reads the ids as unsigned: a negative id is huge
+        logits = np.zeros((2, 3))
+        if np.issubdtype(dtype, np.signedinteger):
+            with pytest.raises(TargetOutOfRange, match=r"\[-1, 1\]"):
+                softmax_cross_entropy(logits, np.array([0, -1, 1], dtype=dtype))
+        with pytest.raises(TargetOutOfRange):
+            softmax_cross_entropy(logits, np.array([0, 2, 1], dtype=dtype))
+        loss, _ = softmax_cross_entropy(logits, np.array([0, 1, 1], dtype=dtype))
+        assert loss == pytest.approx(np.log(2.0))
+
     def test_all_frames_masked(self):
         with pytest.raises(AllFramesMasked):
             softmax_cross_entropy(np.zeros((2, 3)), np.zeros(3, dtype=int),
@@ -617,20 +707,40 @@ class TestAdam:
             q = q - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
             np.testing.assert_allclose(p, q, atol=1e-12)
 
+    def test_stays_on_the_reference_recurrence_for_300_steps(self):
+        # the folded step size and eps are not the textbook's bits; over a
+        # long run on gradients of varied scale the two may drift apart by
+        # float rounding only
+        rng = np.random.default_rng(114)
+        p = rng.normal(size=1000)
+        q = p.copy()
+        lr, wd, b1, b2, eps = 1e-3, 1e-3, 0.9, 0.999, 1e-8
+        opt = Adam([p], learning_rate=lr, weight_decay=wd)
+        m = np.zeros_like(q)
+        v = np.zeros_like(q)
+        for t in range(1, 301):
+            g = rng.normal(size=q.shape) * rng.uniform(1e-6, 10.0)
+            opt.step([p], [g])
+            q = q - lr * wd * q
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            q = q - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        np.testing.assert_allclose(p, q, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("wd", [0.0, 1e-3])
     def test_blockwise_step_matches_per_array_expression(self, wd):
-        # the whole-array update Adam.step made before it worked in blocks,
-        # kept as the oracle: the block-wise step must give the same bits
+        # the whole-array form of the update, with the moments kept divided
+        # by (1-b1) and (1-b2): the block-wise step must give the same bits
         def reference_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
-            c1 = 1.0 - b1 ** t
-            c2 = 1.0 - b2 ** t
+            scale = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+            step = lr * (1.0 - b1) / (1.0 - b1 ** t) * scale
             if wd != 0.0:
-                p -= lr * wd * p
+                p *= 1.0 - lr * wd
             m *= b1
-            m += (1.0 - b1) * g
+            m += g
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            v += g * g
+            p -= m / (np.sqrt(v) + eps * scale) * step
 
         rng = np.random.default_rng(113)
         sizes = (2 * ADAM_BLOCK + 1237, 5, ADAM_BLOCK)

@@ -23,7 +23,7 @@ from surgact.errors import (
     TooShort,
     VocabularyMismatch,
 )
-from surgact.nn import Adam, Conv1d, finite_diff_check
+from surgact.nn import Adam, Conv1d, finite_diff_check, softmax_cross_entropy
 from surgact.tcn import (
     CHECKPOINT_VERSION,
     DEFAULT_EPOCHS,
@@ -310,6 +310,40 @@ def reference_pass(model, x, grad_logits):
     return logits, model.grad.copy(), g
 
 
+class TestTrainingPass:
+    def test_loss_and_grads_leaves_the_gradient_of_backward(self):
+        # it skips the input gradient, and nothing else
+        model = build_model(SMALL, 3)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 37))
+        targets = rng.integers(0, 4, size=37)
+        loss, grads, logits = model.loss_and_grads(x, targets)
+        assert grads == [model.grad]
+        grad = model.grad.copy()
+        expected_loss, grad_logits = softmax_cross_entropy(model.forward(x), targets)
+        assert model.backward(grad_logits).shape == x.shape
+        assert loss == expected_loss
+        assert np.array_equal(grad, model.grad) and grad.any()
+
+    def test_a_shared_buffer_gives_the_bits_of_a_fresh_model(self):
+        # a long trial grows the model's column buffer; a short trial then
+        # runs in it as it runs in a model that never saw the long one
+        used = build_model(SMALL, 3)
+        rng = np.random.default_rng(9)
+        long_x = rng.normal(size=(3, 203))
+        used.loss_and_grads(long_x, rng.integers(0, 4, size=203))
+        grown = used.columns.capacity
+        x = rng.normal(size=(3, 29))
+        targets = rng.integers(0, 4, size=29)
+        fresh = build_model(SMALL, 3)
+        got = used.loss_and_grads(x, targets)
+        expected = fresh.loss_and_grads(x, targets)
+        assert used.columns.capacity == grown > fresh.columns.capacity
+        assert got[0] == expected[0]
+        assert np.array_equal(got[2], expected[2])
+        assert np.array_equal(used.grad, fresh.grad)
+
+
 class TestFusedStages:
     @pytest.mark.parametrize("k", [3, 9])
     @pytest.mark.parametrize("t", [8, 9, 13, 16, 64, 301])
@@ -335,11 +369,13 @@ class TestFusedStages:
 class TestActivationBuffers:
     def test_every_layer_type_is_covered(self):
         # a forward pass fills the tape and the seven convs' caches, which
-        # `holds_activations` checks; the model holds no other layer
+        # `holds_activations` checks; the model holds no other layer, and
+        # its column buffer holds scratch valid only within one conv call
         model = build_model(SMALL, 3)
         assert set(vars(model)) == {"config", "input_channels", "convs", "_tape",
-                                    "theta", "grad"}
+                                    "theta", "grad", "columns"}
         assert [type(conv) for conv in model.convs] == [Conv1d] * 7
+        assert all(conv.columns is model.columns for conv in model.convs)
         # the decoder's upsampling lives inside its convs
         assert [conv.phases for conv in model.convs] == [1, 1, 1, 2, 2, 2, 1]
 
