@@ -126,15 +126,24 @@ class Segment:
     label: str
 
     def __post_init__(self):
-        if self.start < 0:
-            raise OutOfOrderSegments(f"segment start must be >= 0, got {self.start}")
-        if self.end < self.start:
-            raise OutOfOrderSegments(
-                f"segment end {self.end} precedes start {self.start}")
+        if self.start < 0 or self.end < self.start:
+            raise OutOfOrderSegments(f"bad segment range [{self.start}, {self.end}]")
 
     @property
     def num_frames(self) -> int:
         return self.end - self.start + 1
+
+
+def _check_follows(prev: Optional[Segment], seg: Segment) -> None:
+    """A segment must start after the one before it and not overlap it."""
+    if prev is None:
+        return
+    if seg.start <= prev.start:
+        raise OutOfOrderSegments(
+            f"segment starts must increase ({seg.start} after {prev.start})")
+    if seg.start <= prev.end:
+        raise OverlappingSegments(
+            f"segment [{seg.start}, {seg.end}] overlaps [{prev.start}, {prev.end}]")
 
 
 @dataclass(frozen=True)
@@ -161,21 +170,13 @@ class LabelTranscript:
         if len(set(self.vocabulary)) != len(self.vocabulary):
             raise DataError("vocabulary contains duplicates")
         vocab = set(self.vocabulary)
-        prev: Optional[Segment] = None
-        for seg in self.segments:
+        for prev, seg in zip((None, *self.segments), self.segments):
             if seg.label not in vocab:
                 raise UnknownLabel(f"label {seg.label!r} not in vocabulary")
             if seg.end >= self.length:
                 raise SegmentBeyondTrial(
                     f"segment [{seg.start}, {seg.end}] exceeds trial length {self.length}")
-            if prev is not None:
-                if seg.start <= prev.start:
-                    raise OutOfOrderSegments(
-                        f"segment at {seg.start} does not follow segment at {prev.start}")
-                if seg.start <= prev.end:
-                    raise OverlappingSegments(
-                        f"segment [{seg.start}, {seg.end}] overlaps [{prev.start}, {prev.end}]")
-            prev = seg
+            _check_follows(prev, seg)
         if self.granularity in ("mp-left", "mp-right"):
             pos = 0
             for seg in self.segments:
@@ -243,7 +244,6 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
     if not p.is_file():
         raise MissingFile(f"transcript file not found: {p}")
     segments: list[Segment] = []
-    prev: Optional[Segment] = None
     for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -256,25 +256,14 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
         except ValueError:
             raise NonNumericCell(f"{p}:{lineno}: frame indices must be integers")
         label = parts[2].strip()
-        if granularity != "gesture":
-            try:
+        try:
+            if granularity != "gesture":
                 MotionPrimitiveLabel.parse(label)
-            except UnknownLabel as exc:
-                raise UnknownLabel(f"{p}:{lineno}: {exc}") from None
-        if start < 0 or end < start:
-            raise OutOfOrderSegments(f"{p}:{lineno}: bad segment range [{start}, {end}]")
-        seg = Segment(start, end, label)
-        if prev is not None:
-            if seg.start <= prev.start:
-                raise OutOfOrderSegments(
-                    f"{p}:{lineno}: segment starts must increase "
-                    f"({seg.start} after {prev.start})")
-            if seg.start <= prev.end:
-                raise OverlappingSegments(
-                    f"{p}:{lineno}: segment [{seg.start}, {seg.end}] overlaps "
-                    f"[{prev.start}, {prev.end}]")
+            seg = Segment(start, end, label)
+            _check_follows(segments[-1] if segments else None, seg)
+        except DataError as exc:
+            raise type(exc)(f"{p}:{lineno}: {exc}") from None
         segments.append(seg)
-        prev = seg
     return TranscriptFile(path=p, granularity=granularity, segments=tuple(segments))
 
 

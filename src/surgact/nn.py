@@ -17,16 +17,18 @@ Each forward returns `(output, cache)`, and its backward takes the output
 gradient and that cache. They do not check their input: they take a conv's
 output, and `TcnModel.forward` validates the signal once.
 
+A training step (`TcnModel.train_step`) runs `softmax_cross_entropy` and
+`Adam.step` around the model's forward and backward passes.
+
 No autograd framework is used anywhere: every backward pass below is the
-hand-derived exact gradient of the forward map, and `finite_diff_check`
-is the harness used to verify them against central differences.
+hand-derived exact gradient of the forward map.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +49,6 @@ __all__ = [
     "pool_relu_norm_backward",
     "softmax_cross_entropy",
     "Adam",
-    "finite_diff_check",
 ]
 
 
@@ -440,42 +441,3 @@ class Adam:
                 d *= step
                 pb -= d
 
-
-def finite_diff_check(
-    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    point: np.ndarray,
-    h: float = 1e-5,
-) -> float:
-    """Compare an analytic gradient against central differences.
-
-    `f(x)` must return `(value, grad)` with `grad` shaped like `x`, and must
-    not hold on to `x` (it is perturbed in place between calls). Returns
-
-        max_i |g_analytic[i] - g_fd[i]| / max(1, |g_fd[i]|)
-
-    where g_fd[i] = (f(x + h e_i) - f(x - h e_i)) / (2h). The max(1, .)
-    denominator makes the comparison absolute for small gradients and
-    relative for large ones.
-    """
-    if h <= 0:
-        raise InvalidConfig(f"h must be positive, got {h}")
-    x = np.array(point, dtype=np.float64)
-    _, g = f(x)
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != x.shape:
-        raise ShapeMismatch(f"analytic gradient shape {g.shape} != point shape {x.shape}")
-    if x.size == 0:
-        return 0.0
-    g_fd = np.zeros_like(x)
-    flat_x = x.ravel()
-    flat_fd = g_fd.ravel()
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + h
-        up, _ = f(x)
-        flat_x[i] = orig - h
-        down, _ = f(x)
-        flat_x[i] = orig
-        flat_fd[i] = (up - down) / (2.0 * h)
-    rel = np.abs(g - g_fd) / np.maximum(1.0, np.abs(g_fd))
-    return float(rel.max())

@@ -63,6 +63,7 @@ from .dataset import (
 )
 from .errors import (
     DataError,
+    EmptyTranscripts,
     FoldFailure,
     InvalidConfig,
     IoFailure,
@@ -363,7 +364,8 @@ class TrialDataSource:
 
     def load(self, keys: Sequence[TrialKey]) -> None:
         """Read and check these trials' kinematics, transcripts and feature
-        columns now, so that bad input is rejected before any fold trains."""
+        columns now, so that bad input, such as a gesture transcript that
+        labels no frame, is rejected before any fold trains."""
         for key in keys:
             if key in self._loaded:
                 continue
@@ -378,8 +380,10 @@ class TrialDataSource:
                 left, right = split_by_arm(
                     parsed.bind(sorted(parsed.labels), trial.num_frames))
                 transcript = left if self.granularity == "mp-left" else right
-            features = select_features(trial, self.feature_columns)
             gesture = self.granularity == "gesture"
+            if gesture and not transcript.segments:
+                raise EmptyTranscripts(f"{parsed.path}: gesture transcript labels no frame")
+            features = select_features(trial, self.feature_columns)
             targets, mask = encode_frames(transcript, self.label_to_id,
                                           fill=None if gesture else IDLE)
             # every fold that uses the trial shares these arrays

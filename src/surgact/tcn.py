@@ -30,11 +30,11 @@ The kernel width is not fixed by hand: it is derived from the training
 transcripts as the mean duration (in frames) of the activity class whose
 mean duration is shortest, rounded to the nearest odd integer, never below 3.
 
-Training is full-sequence: one trial is one batch. Optimization is Adam
-with decoupled weight decay on a mean per-frame cross entropy. A training
-step computes no gradient with respect to the input signal, which only
-`TcnModel.backward` returns, and runs with numpy's floating-point warnings
-off: a diverging fold is reported by its non-finite loss or parameters.
+Training is full-sequence: one trial is one batch, and one step,
+`TcnModel.train_step`, is forward, a mean per-frame cross entropy, backward
+without the input gradient, and Adam with decoupled weight decay.
+`train_fold` runs the steps with numpy's floating-point warnings off: a
+diverging fold is reported by its non-finite loss or parameters.
 
 The parameters live in one float64 vector, `TcnModel.theta`, and their
 gradients in `TcnModel.grad`; each conv's `w`, `b`, `grad_w` and `grad_b`
@@ -217,12 +217,6 @@ class TcnModel:
             setattr(conv, "grad_" + name, self.grad[offset:end].reshape(shape))
             offset = end
 
-    def params(self) -> list[np.ndarray]:
-        return [self.theta]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.grad]
-
     def _drop_activations(self) -> None:
         """Release what the last forward pass kept for a backward pass."""
         self._tape = None
@@ -280,19 +274,23 @@ class TcnModel:
         return self.convs[0].backward(pool_relu_norm_backward(g, tape.pop()),
                                       input_grad=input_grad)
 
-    def loss_and_grads(
-        self,
-        x: np.ndarray,
-        targets: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-    ) -> tuple[float, list[np.ndarray], np.ndarray]:
-        """One forward/backward pass. Returns (loss, parameter gradients,
-        logits); the gradient arrays are the model's own buffers. The
-        gradient with respect to x is not computed."""
+    def train_step(self, x: np.ndarray, targets: np.ndarray,
+                   mask: Optional[np.ndarray], optimizer: Adam) -> tuple[float, np.ndarray]:
+        """One optimization step on one (F, T) signal; returns the loss and
+        the logits, both from before the update.
+
+        A non-finite loss raises NonFiniteLoss before anything is updated,
+        so `theta` keeps its values. The gradient with respect to x is not
+        computed.
+        """
         logits = self.forward(x)
         loss, grad_logits = softmax_cross_entropy(logits, targets, mask)
+        if not np.isfinite(loss):
+            self._drop_activations()
+            raise NonFiniteLoss(f"loss={loss}")
         self.backward(grad_logits, input_grad=False)
-        return loss, self.grads(), logits
+        optimizer.step([self.theta], [self.grad])
+        return loss, logits
 
 
 def build_model(config: ModelConfig, input_channels: int) -> TcnModel:
@@ -360,14 +358,14 @@ def train_fold(
         if key not in data:
             raise DataError(f"fold {fold.name}: no tensors for training trial {key}")
         _check_targets(key, data[key], config.num_classes)
-    optimizer = Adam(model.params(), config.learning_rate, config.weight_decay)
+    optimizer = Adam([model.theta], config.learning_rate, config.weight_decay)
     # separate stream from the parameter-init draw on the same seed
     shuffle_rng = np.random.default_rng((config.seed, 1))
     losses: list[float] = []
     accs: list[float] = []
     steps = 0
-    # a diverging fold overflows on its way to a non-finite loss; the checks
-    # below report it, so numpy's warnings would only repeat them
+    # a diverging fold overflows on its way to a non-finite loss; the loss
+    # and theta checks report it, so numpy's warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(len(keys))
@@ -377,17 +375,17 @@ def train_fold(
             for idx in order:
                 key = keys[idx]
                 tensors = data[key]
-                loss, grads, logits = model.loss_and_grads(
-                    tensors.features.T, tensors.targets, tensors.mask)
-                if not np.isfinite(loss):
+                try:
+                    loss, logits = model.train_step(
+                        tensors.features.T, tensors.targets, tensors.mask, optimizer)
+                except NonFiniteLoss as exc:
                     raise NonFiniteLoss(
-                        f"fold {fold.name}: epoch {epoch}, trial {key}: loss={loss}")
+                        f"fold {fold.name}: epoch {epoch}, trial {key}: {exc}") from None
                 pred = np.argmax(logits, axis=0)
                 keep = tensors.mask if tensors.mask is not None else np.ones(
                     pred.shape[0], dtype=bool)
                 correct += int((pred[keep] == tensors.targets[keep]).sum())
                 counted += int(keep.sum())
-                optimizer.step(model.params(), grads)
                 epoch_loss += loss
                 steps += 1
             losses.append(epoch_loss / len(keys))

@@ -12,12 +12,19 @@ encoder convs are checked against these.
 non-conv layers as first written, one class each. `TcnModel` runs them as
 the stage functions `pool_relu_norm` and `relu_norm` and a two-line pad,
 which are checked against these chains bit for bit.
+
+`composed_train_step` is a training step as `train_fold` first composed
+it from the model's entry points (`gradient_pass`, then the optimizer),
+the oracle for `TcnModel.train_step`.
+`finite_diff_check` compares analytic gradients with central differences.
 """
+
+from typing import Callable
 
 import numpy as np
 
 from surgact.errors import InvalidConfig, ShapeMismatch, TooShort
-from surgact.nn import _as_signal
+from surgact.nn import _as_signal, softmax_cross_entropy
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
@@ -236,3 +243,60 @@ def fold_gemm_conv(w, b, x, grad_y, phases):
     for j in range(q):
         gxp[:, j:j + t] += gcols[:, j, :]
     return y, grad_w, grad_b, gxp[:, -lo:t - lo]
+
+
+def gradient_pass(model, x, targets, mask=None):
+    """forward, the loss and backward without the input gradient, which
+    fills model.grad; returns (loss, logits)."""
+    logits = model.forward(x)
+    loss, grad_logits = softmax_cross_entropy(logits, targets, mask)
+    model.backward(grad_logits, input_grad=False)
+    return loss, logits
+
+
+def composed_train_step(model, x, targets, mask, optimizer):
+    """`gradient_pass`, then the optimizer's step; returns (loss, logits)
+    from before the update."""
+    loss, logits = gradient_pass(model, x, targets, mask)
+    optimizer.step([model.theta], [model.grad])
+    return loss, logits
+
+
+def finite_diff_check(
+    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    point: np.ndarray,
+    h: float = 1e-5,
+) -> float:
+    """Compare an analytic gradient against central differences.
+
+    `f(x)` must return `(value, grad)` with `grad` shaped like `x`, and must
+    not hold on to `x` (it is perturbed in place between calls). Returns
+
+        max_i |g_analytic[i] - g_fd[i]| / max(1, |g_fd[i]|)
+
+    where g_fd[i] = (f(x + h e_i) - f(x - h e_i)) / (2h). The max(1, .)
+    denominator makes the comparison absolute for small gradients and
+    relative for large ones.
+    """
+    if h <= 0:
+        raise InvalidConfig(f"h must be positive, got {h}")
+    x = np.array(point, dtype=np.float64)
+    _, g = f(x)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != x.shape:
+        raise ShapeMismatch(f"analytic gradient shape {g.shape} != point shape {x.shape}")
+    if x.size == 0:
+        return 0.0
+    g_fd = np.zeros_like(x)
+    flat_x = x.ravel()
+    flat_fd = g_fd.ravel()
+    for i in range(flat_x.size):
+        orig = flat_x[i]
+        flat_x[i] = orig + h
+        up, _ = f(x)
+        flat_x[i] = orig - h
+        down, _ = f(x)
+        flat_x[i] = orig
+        flat_fd[i] = (up - down) / (2.0 * h)
+    rel = np.abs(g - g_fd) / np.maximum(1.0, np.abs(g_fd))
+    return float(rel.max())

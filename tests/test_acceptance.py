@@ -28,12 +28,12 @@ from surgact.crossval import (
 )
 from surgact.dataset import Catalog, CatalogEntry
 from surgact.metrics import average_precision, edit_score, levenshtein
-from surgact.nn import finite_diff_check
 from surgact.runner import ExperimentConfig, run_experiment
 from surgact.synth import generate_synthetic_dataset
 from surgact.tcn import ModelConfig, build_model
 
 from conftest import make_study_catalog
+from reference_nn import finite_diff_check, gradient_pass
 
 
 def check(label: str, ok: bool, detail: str) -> None:
@@ -46,15 +46,11 @@ def check(label: str, ok: bool, detail: str) -> None:
 
 def _flat_loss(model, x, targets):
     """Loss as a function of the flattened parameter vector."""
-    sizes = [p.size for p in model.params()]
 
     def f(flat):
-        offset = 0
-        for p, size in zip(model.params(), sizes):
-            p[...] = flat[offset:offset + size].reshape(p.shape)
-            offset += size
-        loss, grads, _ = model.loss_and_grads(x, targets)
-        return loss, np.concatenate([g.ravel() for g in grads])
+        model.theta[...] = flat
+        loss, _ = gradient_pass(model, x, targets)
+        return loss, model.grad.copy()
 
     return f
 
@@ -73,7 +69,7 @@ def test_1_gradient_oracle():
         model = build_model(config, features)
         x = rng.normal(size=(features, frames))
         targets = rng.integers(0, classes, size=frames)
-        point = np.concatenate([p.ravel() for p in model.params()])
+        point = model.theta.copy()
         worst = max(worst, finite_diff_check(
             _flat_loss(model, x, targets), point, h=1e-5))
     elapsed = time.perf_counter() - t0

@@ -206,6 +206,28 @@ class TestLoadTranscript:
         with pytest.raises(OverlappingSegments):
             load_transcript(p).bind(self.VOCAB, 60)
 
+    @pytest.mark.parametrize("lines, error, message", [
+        (("0 9 Idle", "20 15 Idle"), OutOfOrderSegments, "bad segment range [20, 15]"),
+        (("10 19 Idle", "0 4 Idle"), OutOfOrderSegments,
+         "segment starts must increase (0 after 10)"),
+        (("0 10 Idle", "5 20 Idle"), OverlappingSegments,
+         "segment [5, 20] overlaps [0, 10]"),
+    ], ids=["range", "order", "overlap"])
+    def test_segment_rules_read_alike_from_a_file_and_in_memory(self, tmp_path, lines,
+                                                                error, message):
+        # one rule, one message: a file's error adds its path and line
+        p = tmp_path / "t.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error) as from_file:
+            load_transcript(p, "mp")
+        assert type(from_file.value) is error
+        assert str(from_file.value) == f"{p}:2: {message}"
+        with pytest.raises(error) as in_memory:
+            transcript([Segment(int(a), int(b), "Idle")
+                        for a, b, _ in (line.split() for line in lines)], 60)
+        assert type(in_memory.value) is error
+        assert str(in_memory.value) == message
+
     def test_unparseable_mp_label_names_the_line(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29 Grasp(L, Needle)\n30 59 Grab(L, Needle)\n")

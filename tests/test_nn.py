@@ -9,7 +9,8 @@ Expected values fall into three groups:
   Adam first step) whose derivations are spelled out inline,
 * dual-route comparisons against naive reference implementations written
   here in plain loops,
-* central-difference gradient checks through `finite_diff_check`.
+* central-difference gradient checks through `finite_diff_check`, which
+  tests/reference_nn.py keeps with the oracles.
 
 Random inputs for gradient checks are drawn from fixed seeds chosen so no
 coordinate sits within the finite-difference step of a ReLU kink or a
@@ -38,7 +39,6 @@ from surgact.nn import (
     Adam,
     ColumnBuffer,
     Conv1d,
-    finite_diff_check,
     pool_relu_norm,
     pool_relu_norm_backward,
     relu_norm,
@@ -52,6 +52,7 @@ from reference_nn import (
     Relu,
     RestoreLength,
     UpsampleRepeat,
+    finite_diff_check,
     fold_gemm_conv,
     im2col_conv,
 )

@@ -23,6 +23,7 @@ from surgact.dataset import arm_columns, build_catalog
 from surgact.errors import (
     CrossDatasetGestures,
     DataError,
+    EmptyTranscripts,
     FoldFailure,
     IndexOutOfRange,
     InvalidConfig,
@@ -760,6 +761,21 @@ class TestBadInputIsRejectedBeforeTraining:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert repr(granularity) in err and repr(only) in err and "at least 2" in err
         self.assert_nothing_trained(tmp_path, monkeypatch, manifest, granularity=granularity)
+
+    @pytest.mark.parametrize("subject", ["A", "B"], ids=["held-out", "in-training"])
+    def test_gesture_transcript_that_labels_no_frame(self, tmp_path, monkeypatch, capsys,
+                                                     subject):
+        # fold louo-MINI-A holds out subject A's trial and trains on B's
+        manifest = write_mini_corpus(tmp_path)
+        empty = tmp_path / "lab" / f"T_{subject}_001_gesture.txt"
+        empty.write_text("")
+        assert cli_main(["experiment", "--catalog", str(manifest), "--granularity",
+                         "gesture", "--cv", "louo", "--tasks", "T", "--epochs", "1",
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {empty}: gesture transcript labels no frame\n")
+        self.assert_nothing_trained(tmp_path, monkeypatch, manifest, EmptyTranscripts,
+                                    granularity="gesture")
 
     @staticmethod
     def assert_nothing_trained(tmp_path, monkeypatch, manifest, error=DataError,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import surgact.atomic as atomic_mod
+import surgact.tcn as tcn_mod
 
 from surgact.crossval import FoldPlan
 from surgact.dataset import LabelTranscript, Segment
@@ -23,7 +24,7 @@ from surgact.errors import (
     TooShort,
     VocabularyMismatch,
 )
-from surgact.nn import Adam, Conv1d, finite_diff_check, softmax_cross_entropy
+from surgact.nn import Adam, Conv1d, softmax_cross_entropy
 from surgact.tcn import (
     CHECKPOINT_VERSION,
     DEFAULT_EPOCHS,
@@ -39,7 +40,16 @@ from surgact.tcn import (
     train_fold,
 )
 
-from reference_nn import ChannelNorm, MaxPool1d, Relu, RestoreLength, UpsampleRepeat
+from reference_nn import (
+    ChannelNorm,
+    MaxPool1d,
+    Relu,
+    RestoreLength,
+    UpsampleRepeat,
+    composed_train_step,
+    finite_diff_check,
+    gradient_pass,
+)
 
 
 def transcript(durations_by_label, granularity="gesture"):
@@ -135,16 +145,14 @@ class TestBuildModel:
     def test_same_seed_same_parameters(self):
         a = build_model(SMALL, 7)
         b = build_model(SMALL, 7)
-        for pa, pb in zip(a.params(), b.params()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_different_seed_differs(self):
         a = build_model(SMALL, 7)
         b = build_model(ModelConfig(num_classes=4, kernel_size=3,
                                     filters=(4, 6, 8), learning_rate=1e-2,
                                     weight_decay=0.0, epochs=40, seed=2), 7)
-        assert any(not np.array_equal(pa, pb)
-                   for pa, pb in zip(a.params(), b.params()))
+        assert not np.array_equal(a.theta, b.theta)
 
     def test_parameter_count(self):
         # six k-wide convs along 7->4->6->8->6->4->4 plus the 1x1 head to 4:
@@ -179,19 +187,13 @@ class TestBuildModel:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 12))
         targets = rng.integers(0, 3, size=12)
-        shapes = [p.shape for p in model.params()]
-        sizes = [p.size for p in model.params()]
-        point = np.concatenate([p.ravel() for p in model.params()])
 
         def f(flat):
-            offset = 0
-            for p, size, shape in zip(model.params(), sizes, shapes):
-                p[:] = flat[offset:offset + size].reshape(shape)
-                offset += size
-            loss, grads, _ = model.loss_and_grads(x, targets)
-            return loss, np.concatenate([g.ravel() for g in grads])
+            model.theta[:] = flat
+            loss, _ = gradient_pass(model, x, targets)
+            return loss, model.grad.copy()
 
-        assert finite_diff_check(f, point) < 1e-6
+        assert finite_diff_check(f, model.theta.copy()) < 1e-6
 
 
 def conv_chain(config, input_channels):
@@ -237,7 +239,6 @@ def unfused_logits(theta, config, input_channels, x):
 class TestParameterStore:
     def test_conv_arrays_are_views_into_the_two_vectors(self):
         model = build_model(SMALL, 7)
-        assert model.params() == [model.theta] and model.grads() == [model.grad]
         assert model.theta.shape == model.grad.shape == (model.theta.size,)
         for conv in model.convs:
             for arr in (conv.w, conv.b):
@@ -258,8 +259,7 @@ class TestParameterStore:
     def test_backward_fills_the_gradient_vector(self):
         model = build_model(SMALL, 3)
         x = np.random.default_rng(3).normal(size=(3, 16))
-        _, grads, _ = model.loss_and_grads(x, np.zeros(16, dtype=np.int64))
-        assert grads == [model.grad]
+        gradient_pass(model, x, np.zeros(16, dtype=np.int64))
         fills = np.concatenate(
             [g.ravel() for conv in model.convs for g in (conv.grad_w, conv.grad_b)])
         assert np.array_equal(fills, model.grad) and model.grad.any()
@@ -311,19 +311,21 @@ def reference_pass(model, x, grad_logits):
 
 
 class TestTrainingPass:
-    def test_loss_and_grads_leaves_the_gradient_of_backward(self):
+    def test_train_step_leaves_the_gradient_of_backward(self):
         # it skips the input gradient, and nothing else
         model = build_model(SMALL, 3)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 37))
         targets = rng.integers(0, 4, size=37)
-        loss, grads, logits = model.loss_and_grads(x, targets)
-        assert grads == [model.grad]
+        loss, logits = model.train_step(x, targets, None, Adam([model.theta], 1e-2))
         grad = model.grad.copy()
-        expected_loss, grad_logits = softmax_cross_entropy(model.forward(x), targets)
-        assert model.backward(grad_logits).shape == x.shape
+        fresh = build_model(SMALL, 3)
+        expected_logits = fresh.forward(x)
+        expected_loss, grad_logits = softmax_cross_entropy(expected_logits, targets)
+        assert fresh.backward(grad_logits).shape == x.shape
         assert loss == expected_loss
-        assert np.array_equal(grad, model.grad) and grad.any()
+        assert np.array_equal(logits, expected_logits)
+        assert np.array_equal(grad, fresh.grad) and grad.any()
 
     def test_a_shared_buffer_gives_the_bits_of_a_fresh_model(self):
         # a long trial grows the model's column buffer; a short trial then
@@ -331,17 +333,72 @@ class TestTrainingPass:
         used = build_model(SMALL, 3)
         rng = np.random.default_rng(9)
         long_x = rng.normal(size=(3, 203))
-        used.loss_and_grads(long_x, rng.integers(0, 4, size=203))
+        gradient_pass(used, long_x, rng.integers(0, 4, size=203))
         grown = used.columns.capacity
         x = rng.normal(size=(3, 29))
         targets = rng.integers(0, 4, size=29)
         fresh = build_model(SMALL, 3)
-        got = used.loss_and_grads(x, targets)
-        expected = fresh.loss_and_grads(x, targets)
+        got = gradient_pass(used, x, targets)
+        expected = gradient_pass(fresh, x, targets)
         assert used.columns.capacity == grown > fresh.columns.capacity
         assert got[0] == expected[0]
-        assert np.array_equal(got[2], expected[2])
+        assert np.array_equal(got[1], expected[1])
         assert np.array_equal(used.grad, fresh.grad)
+
+
+class TestTrainStep:
+    """`TcnModel.train_step` against the step as first composed from the
+    model's entry points (`reference_nn.composed_train_step`)."""
+
+    CONFIG = ModelConfig(num_classes=4, kernel_size=3, filters=(4, 6, 8),
+                         learning_rate=1e-2, weight_decay=1e-3, seed=1)
+
+    @staticmethod
+    def trials():
+        rng = np.random.default_rng(12)
+        out = [(rng.normal(size=(3, t)), rng.integers(0, 4, size=t), None)
+               for t in (37, 64, 29)]
+        # a gesture trial: frames no segment labels are masked out
+        mask = np.ones(50, dtype=bool)
+        mask[10:20] = False
+        mask[45:] = False
+        out.append((rng.normal(size=(3, 50)), rng.integers(0, 4, size=50), mask))
+        return out
+
+    def test_is_the_composed_step_bit_for_bit(self):
+        cfg = self.CONFIG
+        model, oracle = build_model(cfg, 3), build_model(cfg, 3)
+        start = model.theta.copy()
+        opt = Adam([model.theta], cfg.learning_rate, cfg.weight_decay)
+        oracle_opt = Adam([oracle.theta], cfg.learning_rate, cfg.weight_decay)
+        for x, targets, mask in self.trials() * 2:
+            loss, logits = model.train_step(x, targets, mask, opt)
+            expected_loss, expected_logits = composed_train_step(
+                oracle, x, targets, mask, oracle_opt)
+            assert loss == expected_loss
+            assert np.array_equal(logits, expected_logits)
+            assert np.array_equal(model.theta, oracle.theta)
+            assert np.array_equal(opt.m[0], oracle_opt.m[0])
+            assert np.array_equal(opt.v[0], oracle_opt.v[0])
+        assert opt.step_count == 8
+        assert not np.array_equal(model.theta, start)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_loss_raises_before_the_update(self, monkeypatch, bad):
+        model = build_model(self.CONFIG, 3)
+        opt = Adam([model.theta], 1e-2)
+        x, targets, _ = self.trials()[0]
+        model.train_step(x, targets, None, opt)  # the moments are now nonzero
+        before = [a.copy() for a in (model.theta, opt.m[0], opt.v[0])]
+        # the real loss and gradient, with the loss made non-finite
+        monkeypatch.setattr(tcn_mod, "softmax_cross_entropy",
+                            lambda *args: (bad, softmax_cross_entropy(*args)[1]))
+        with pytest.raises(NonFiniteLoss, match=f"^loss={bad}$"):
+            model.train_step(x, targets, None, opt)
+        for got, expected in zip((model.theta, opt.m[0], opt.v[0]), before):
+            assert np.array_equal(got, expected)
+        assert opt.step_count == 1
+        assert not holds_activations(model)
 
 
 class TestFusedStages:
@@ -456,22 +513,20 @@ class TestTrainFold:
         for _ in range(2):
             model = build_model(TOY, 3)
             records.append(train_fold(model, toy_fold(data), data, TOY))
-            finals.append([p.copy() for p in model.params()])
+            finals.append(model.theta.copy())
         assert records[0].epoch_mean_losses == records[1].epoch_mean_losses
-        for a, b in zip(*finals):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(*finals)
 
     def test_zero_epochs_changes_nothing(self):
         cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
                           learning_rate=1e-2, epochs=0, seed=1)
         data = {("T", "U", "001"): toy_tensors(0)}
         model = build_model(cfg, 3)
-        before = [p.copy() for p in model.params()]
+        before = model.theta.copy()
         record = train_fold(model, toy_fold(data), data, cfg)
         assert record.num_steps == 0
         assert record.epoch_mean_losses == ()
-        for p, q in zip(model.params(), before):
-            np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(model.theta, before)
 
     def test_masked_frames_are_ignored(self):
         t = toy_tensors(0)
@@ -507,13 +562,14 @@ class TestTrainFold:
         with pytest.raises(VocabularyMismatch):
             train_fold(build_model(TOY, 3), toy_fold(data), data, TOY)
 
-    def test_non_finite_loss_aborts_with_context(self):
+    def test_non_finite_loss_aborts_with_context(self, monkeypatch):
         data = {("T", "U", "001"): toy_tensors(0)}
         model = build_model(TOY, 3)
-        model.loss_and_grads = lambda *a, **k: (
-            float("nan"), model.grads(), np.zeros((2, 64)))
-        with pytest.raises(NonFiniteLoss, match=r"toy.*\('T', 'U', '001'\)"):
+        monkeypatch.setattr(tcn_mod, "softmax_cross_entropy",
+                            lambda logits, *a: (float("nan"), np.zeros_like(logits)))
+        with pytest.raises(NonFiniteLoss) as caught:
             train_fold(model, toy_fold(data), data, TOY)
+        assert str(caught.value) == "fold toy: epoch 0, trial ('T', 'U', '001'): loss=nan"
 
     def test_non_finite_parameters_after_the_last_step(self, monkeypatch):
         # the loss before each step is finite; the last step poisons theta
@@ -566,8 +622,7 @@ class TestCheckpoint:
         loaded = load_model(path)
         assert loaded.config == model.config
         assert loaded.input_channels == model.input_channels
-        for a, b in zip(model.params(), loaded.params()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(model.theta, loaded.theta)
         la, sa = predict_labels(model, x)
         lb, sb = predict_labels(loaded, x)
         np.testing.assert_array_equal(la, lb)
