@@ -80,17 +80,16 @@ def _write_out(path: str, text: str) -> None:
 def _cmd_validate(args) -> int:
     # the loader the experiments use: each file is read once, every
     # transcript is bound to its trial's length, and a combined 'mp' one must
-    # yield the per-arm views an experiment derives from it where the trial
-    # declares no per-arm file
+    # yield the per-arm views an experiment reads from it
     check_minimum("expected_channels", args.expected_channels)
     catalog = build_catalog(args.catalog)
     for entry in catalog.entries:
-        length = load_trial_kinematics(entry.kinematics, args.expected_channels).num_frames
-        derived = any(entry.transcript_path(g) is None for g in ARM_SIDES)
+        length = len(load_trial_kinematics(entry.kinematics, args.expected_channels))
         for granularity, path in entry.transcripts:
             parsed = load_transcript(path, granularity)
-            parsed.bind(sorted(parsed.labels), length)
-            if granularity == "mp" and derived:
+            parsed.bind(length)
+            if granularity == "mp" and any(
+                    entry.transcript_source(g)[0] == "mp" for g in ARM_SIDES):
                 parsed.arm_labels()
     print(f"ok: {len(catalog.entries)} trials, {len(catalog.tasks())} tasks "
           f"({', '.join(catalog.tasks())})")

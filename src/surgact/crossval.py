@@ -115,7 +115,8 @@ def _sorted_keys(entries) -> tuple[TrialKey, ...]:
 
 
 def louo_folds(catalog: Catalog, tasks: Sequence[str]) -> list[FoldPlan]:
-    """One fold per (dataset, subject) with at least one trial in `tasks`."""
+    """One fold per (dataset, subject) with at least one trial in `tasks`;
+    fewer than two subjects leave a fold nothing to train on."""
     tasks = _ordered_tasks(tasks)
     if not tasks:
         raise EmptySelection("no tasks selected")
@@ -125,8 +126,10 @@ def louo_folds(catalog: Catalog, tasks: Sequence[str]) -> list[FoldPlan]:
         raise UnknownTask(f"tasks not in catalog: {unknown}")
     pool = catalog.entries_for_tasks(tasks)
     subjects = sorted({e.subject_key for e in pool})
-    if not subjects:
-        raise EmptySelection(f"no subjects found for tasks {tasks}")
+    if len(subjects) < 2:
+        raise EmptySelection(
+            f"leave-one-user-out needs at least 2 subjects; tasks {list(tasks)} "
+            f"have {len(subjects)}")
     folds = []
     for ds, subj in subjects:
         test = [e for e in pool if e.subject_key == (ds, subj)]

@@ -1,10 +1,20 @@
 """Kinematic trial ingestion, label transcripts, and the trial catalog.
 
 A trial is a fixed-rate multichannel recording stored as delimiter-separated
-numeric text, one row per frame. Labels arrive as transcripts: ordered
-`start end label` records over inclusive frame ranges. Motion-primitive (MP)
-labels are strings like ``Grasp(L, Needle)``; gesture labels are opaque
-strings. A catalog maps (task, subject, trial) keys to the files on disk.
+numeric text, one row per frame; `load_trial_kinematics` reads it into a
+read-only (frames, channels) float64 array. Labels arrive as transcripts:
+ordered `start end label` records over inclusive frame ranges.
+Motion-primitive (MP) labels are strings like ``Grasp(L, Needle)``; gesture
+labels are opaque strings. A catalog maps (task, subject, trial) keys to the
+files on disk.
+
+Each rule has one home. `TranscriptFile.bind` fits a transcript to its
+trial: an MP transcript that labels no frame leaves the trial all Idle, a
+gesture transcript must label one. A transcript carries no class list;
+`encode_frames` is the one check that its labels are an experiment's
+classes. `CatalogEntry.transcript_source` names the file a granularity is
+read from: a per-arm granularity a trial declares no file for comes from
+its combined 'mp' file.
 
 Frame indexing is 0-based and segment ranges are inclusive on both ends, so
 a segment (start=0, end=29) covers 30 frames.
@@ -20,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -29,6 +39,7 @@ from .errors import (
     DataError,
     DuplicateColumn,
     DuplicateTrialKey,
+    EmptyTranscripts,
     IndexOutOfRange,
     InvalidConfig,
     MissingFile,
@@ -156,7 +167,6 @@ class LabelTranscript:
     """
 
     granularity: str
-    vocabulary: tuple[str, ...]
     segments: tuple[Segment, ...]
     length: int
 
@@ -165,14 +175,7 @@ class LabelTranscript:
             raise InvalidConfig(f"unknown granularity: {self.granularity!r}")
         if self.length < 1:
             raise DataError(f"transcript length must be >= 1, got {self.length}")
-        if not self.vocabulary:
-            raise DataError("vocabulary must not be empty")
-        if len(set(self.vocabulary)) != len(self.vocabulary):
-            raise DataError("vocabulary contains duplicates")
-        vocab = set(self.vocabulary)
         for prev, seg in zip((None, *self.segments), self.segments):
-            if seg.label not in vocab:
-                raise UnknownLabel(f"label {seg.label!r} not in vocabulary")
             if seg.end >= self.length:
                 raise SegmentBeyondTrial(
                     f"segment [{seg.start}, {seg.end}] exceeds trial length {self.length}")
@@ -195,7 +198,7 @@ class LabelTranscript:
 class TranscriptFile:
     """A transcript file's segments, parsed without the trial length.
 
-    `bind` checks them against a vocabulary and a trial length.
+    `bind` checks them against a trial length.
     """
 
     path: Path
@@ -216,19 +219,19 @@ class TranscriptFile:
         return {granularity: frozenset(lab for lab, arm in arms.items() if arm == side)
                 for granularity, side in ARM_SIDES.items()}
 
-    def bind(self, vocabulary: Sequence[str], length: int) -> LabelTranscript:
-        """The transcript of a trial of `length` frames over `vocabulary`."""
+    def bind(self, length: int) -> LabelTranscript:
+        """The transcript of a trial of `length` frames. A gesture
+        transcript must label a frame; an MP one may leave the trial all
+        Idle."""
         if length < MIN_FRAMES:
             raise TooShort(
                 f"{self.path}: trial has {length} frames, the model needs at "
                 f"least {MIN_FRAMES}")
+        if self.granularity == "gesture" and not self.segments:
+            raise EmptyTranscripts(f"{self.path}: gesture transcript labels no frame")
         try:
             return LabelTranscript(
-                granularity=self.granularity,
-                vocabulary=tuple(vocabulary),
-                segments=self.segments,
-                length=length,
-            )
+                granularity=self.granularity, segments=self.segments, length=length)
         except DataError as exc:
             raise type(exc)(f"{self.path}: {exc}") from None
 
@@ -323,15 +326,11 @@ def split_by_arm(transcript: LabelTranscript) -> tuple[LabelTranscript, LabelTra
         raise InvalidConfig(
             f"can only split combined 'mp' transcripts, got {transcript.granularity!r}")
     arms = [arm_of(seg.label) for seg in transcript.segments]
-    vocab = tuple(transcript.vocabulary)
-    if IDLE not in vocab:
-        vocab = vocab + (IDLE,)
     out = []
     for granularity, side in ARM_SIDES.items():
         kept = [seg for seg, arm in zip(transcript.segments, arms) if arm == side]
         out.append(LabelTranscript(
             granularity=granularity,
-            vocabulary=vocab,
             segments=tuple(_tile_with_idle(kept, transcript.length)),
             length=transcript.length,
         ))
@@ -341,41 +340,18 @@ def split_by_arm(transcript: LabelTranscript) -> tuple[LabelTranscript, LabelTra
 # ---------------------------------------------------------------------------
 # kinematics
 
-@dataclass(frozen=True)
-class KinematicTrial:
-    """One trial's kinematic signal: frames by channels."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DataError(
-                f"kinematic data must be a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NonNumericCell("kinematic data contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.data.shape[1]
-
-
-def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> KinematicTrial:
-    """Read a delimiter-separated numeric trial file.
+def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.ndarray:
+    """Read a delimiter-separated numeric trial file into a read-only
+    (frames, channels) float64 array.
 
     Accepts whitespace or comma delimiters. Every row must have the same
-    number of columns and every cell must parse to a finite float.
+    number of columns, at least one, and every cell must parse to a finite
+    float.
 
     numpy parses the file; any file it rejects, or that holds a non-finite
-    cell or no data row, is parsed again line by line, which either raises
-    the error naming `path:line` or returns the cells `float()` accepts and
-    numpy does not (such as ``1_0``).
+    cell, a row of commas alone or no data row, is parsed again line by
+    line, which either raises the error naming `path:line` or returns the
+    cells `float()` accepts and numpy does not (such as ``1_0``).
     """
     p = Path(path)
     if not p.is_file():
@@ -393,12 +369,17 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> Kine
             data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             pass
+    # loadtxt skips a row of commas alone as blank; the line parser names it
+    if data is not None and len(data) < len(lines) and any(
+            raw.strip() and not line.strip() for raw, line in zip(text.splitlines(), lines)):
+        data = None
     if data is None or not np.isfinite(data).all():
         data = _parse_kinematics_lines(p, text)
     if expected_channels is not None and data.shape[1] != expected_channels:
         raise ChannelMismatch(
             f"{p}: {data.shape[1]} channels, expected {expected_channels}")
-    return KinematicTrial(data=data)
+    data.setflags(write=False)
+    return data
 
 
 def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:
@@ -414,6 +395,8 @@ def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:
         if not line:
             continue
         tokens = line.replace(",", " ").split()
+        if not tokens:
+            raise DataError(f"{p}:{lineno}: row has delimiters but no values")
         if width is None:
             width = len(tokens)
         elif len(tokens) != width:
@@ -444,17 +427,18 @@ def arm_columns(offset: int) -> tuple[int, ...]:
             offset + 18)
 
 
-def select_features(trial: KinematicTrial, cols: tuple[int, ...]) -> np.ndarray:
-    """Gather the columns into a (T, F) array, order preserved; the columns
-    must be distinct and inside the trial."""
+def select_features(kinematics: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
+    """Gather the columns of a (frames, channels) array into a (T, F) array,
+    order preserved; the columns must be distinct and inside the trial."""
     if len(set(cols)) != len(cols):
         seen = set()
         dup = next(c for c in cols if c in seen or seen.add(c))
         raise DuplicateColumn(f"column {dup} selected more than once")
+    channels = kinematics.shape[1]
     for c in cols:
-        if c < 0 or c >= trial.num_channels:
-            raise IndexOutOfRange(f"column {c} outside [0, {trial.num_channels})")
-    return np.ascontiguousarray(trial.data[:, list(cols)])
+        if c < 0 or c >= channels:
+            raise IndexOutOfRange(f"column {c} outside [0, {channels})")
+    return np.ascontiguousarray(kinematics[:, list(cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +469,20 @@ class CatalogEntry:
             if g == granularity:
                 return p
         return None
+
+    def transcript_source(self, granularity: str) -> tuple[str, Path]:
+        """The (file granularity, path) this trial's `granularity` labels are
+        read from: its own file, or, for a per-arm granularity it declares
+        no file for, its combined 'mp' file. Reads no file."""
+        source = granularity
+        if granularity in ARM_SIDES and self.transcript_path(granularity) is None:
+            source = "mp"
+        path = self.transcript_path(source)
+        if path is None:
+            raise MissingTranscript(
+                f"trial {self.key} declares no {granularity!r} transcript"
+                + ("" if source == granularity else " and no 'mp' one"))
+        return source, path
 
 
 @dataclass(frozen=True)

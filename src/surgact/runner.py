@@ -44,7 +44,6 @@ from .crossval import (
     resolve_task_combo,
 )
 from .dataset import (
-    ARM_SIDES,
     COLUMNS_PER_ARM,
     GRANULARITIES,
     IDLE,
@@ -63,11 +62,9 @@ from .dataset import (
 )
 from .errors import (
     DataError,
-    EmptyTranscripts,
     FoldFailure,
     InvalidConfig,
     IoFailure,
-    MissingTranscript,
     NoDefinedClasses,
     NonFiniteLoss,
 )
@@ -316,15 +313,16 @@ class TrialDataSource:
     """The trials of an experiment (`keys`), each read once into what a fold
     uses.
 
-    Each trial's transcript file is parsed once. The class list
-    (`vocabulary`) is taken over `keys` from the parsed files alone, so it
-    needs no kinematics. A per-arm granularity that a trial declares no
-    file for is derived from its combined 'mp' transcript.
+    Each trial's transcript file (`CatalogEntry.transcript_source`) is
+    parsed once; a per-arm view of a combined 'mp' file is split from it by
+    `split_by_arm`. The class list (`vocabulary`) is taken over `keys` from
+    the parsed files alone, so it needs no kinematics.
 
-    `load` reads and checks the kinematics of the trials a run uses and
-    keeps, for each, its bound transcript (for the kernel width) and its
-    `TrialTensors`; `transcript` and `tensors` return what `load` stored.
-    The kinematics themselves are not kept.
+    `load` reads the kinematics of the trials a run uses, binds each
+    transcript to its trial, and keeps, for each trial, its bound
+    transcript (for the kernel width) and its `TrialTensors`; `transcript`
+    and `tensors` return what `load` stored. The data rules are the
+    loaders' and `encode_frames`'s; the kinematics are not kept.
     """
 
     def __init__(self, catalog: Catalog, granularity: str,
@@ -343,15 +341,7 @@ class TrialDataSource:
     def _file(self, key: TrialKey) -> TranscriptFile:
         parsed = self._files.get(key)
         if parsed is None:
-            entry = self.catalog.get(*key)
-            granularity = self.granularity
-            if entry.transcript_path(granularity) is None and granularity in ARM_SIDES:
-                granularity = "mp"
-            path = entry.transcript_path(granularity)
-            if path is None:
-                raise MissingTranscript(
-                    f"trial {key} declares no {self.granularity!r} transcript"
-                    + ("" if granularity == self.granularity else " and no 'mp' one"))
+            granularity, path = self.catalog.get(*key).transcript_source(self.granularity)
             parsed = self._files[key] = load_transcript(path, granularity)
         return parsed
 
@@ -364,26 +354,18 @@ class TrialDataSource:
 
     def load(self, keys: Sequence[TrialKey]) -> None:
         """Read and check these trials' kinematics, transcripts and feature
-        columns now, so that bad input, such as a gesture transcript that
-        labels no frame, is rejected before any fold trains."""
+        columns now, so that bad input is rejected before any fold trains."""
         for key in keys:
             if key in self._loaded:
                 continue
-            trial = load_trial_kinematics(self.catalog.get(*key).kinematics,
-                                          self.expected_channels)
-            parsed = self._file(key)
-            if parsed.granularity == self.granularity:
-                transcript = parsed.bind(self.vocabulary, trial.num_frames)
-            else:
-                # the arm view keeps the combined file's vocabulary; encoding
-                # rejects any label outside the experiment's
-                left, right = split_by_arm(
-                    parsed.bind(sorted(parsed.labels), trial.num_frames))
+            kinematics = load_trial_kinematics(self.catalog.get(*key).kinematics,
+                                               self.expected_channels)
+            transcript = self._file(key).bind(len(kinematics))
+            if transcript.granularity != self.granularity:
+                left, right = split_by_arm(transcript)
                 transcript = left if self.granularity == "mp-left" else right
             gesture = self.granularity == "gesture"
-            if gesture and not transcript.segments:
-                raise EmptyTranscripts(f"{parsed.path}: gesture transcript labels no frame")
-            features = select_features(trial, self.feature_columns)
+            features = select_features(kinematics, self.feature_columns)
             targets, mask = encode_frames(transcript, self.label_to_id,
                                           fill=None if gesture else IDLE)
             # every fold that uses the trial shares these arrays
@@ -597,7 +579,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every fold of the configured experiment.
 
     Every involved trial is read and checked first, so bad input raises a
-    DataError before any fold trains. Diverged folds (non-finite loss) are
+    DataError before any fold trains; then output_dir is made, so an
+    unusable one fails before training too. Diverged folds (non-finite loss) are
     recorded and skipped by the aggregates. Any other fold failure stops
     the run: the partial report is persisted first (when output_dir is
     set), then the failure is re-raised with fold context.
@@ -607,6 +590,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     plans = plan_folds(config, catalog)
     source = _build_source(config, catalog, plans)
     source.load(source.keys)
+    if config.output_dir:
+        _make_directory(Path(config.output_dir), "output")
     experiment = _experiment_payload(config, plans, source)
 
     folds: list[dict] = []
@@ -664,11 +649,7 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
     source = _build_source(config, catalog, plans)
     source.load(matches[0].train_trials + matches[0].test_trials)
     if checkpoint:
-        directory = Path(checkpoint).parent
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot create checkpoint directory {directory}: {exc}")
+        _make_directory(Path(checkpoint).parent, "checkpoint")
     payload, model = run_fold(matches[0], source, config)
     if checkpoint and payload["status"] == "ok":
         save_model(model, checkpoint)
@@ -724,13 +705,17 @@ def render_tables(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _make_directory(directory: Path, what: str) -> None:
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {what} directory {directory}: {exc}")
+
+
 def emit_report(report: ExperimentReport, out_dir) -> None:
     """Write `report.json` and `tables.txt` under `out_dir`, each atomically."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create output directory {out}: {exc}")
+    _make_directory(out, "output")
     try:
         write_atomic(out / "report.json", report.json_bytes(include_timing=True))
         write_atomic(out / "tables.txt", render_tables(report.payload()).encode())

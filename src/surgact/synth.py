@@ -132,12 +132,9 @@ def generate_synthetic_dataset(
                 kin_rel = f"kinematics/{stem}.txt"
                 np.savetxt(root / kin_rel, data, fmt="%.6f")
 
-                mp_segments = tuple(
-                    Segment(s, e, mp_labels[c]) for s, e, c in segs)
                 mp_transcript = LabelTranscript(
                     granularity="mp",
-                    vocabulary=tuple(mp_labels),
-                    segments=mp_segments,
+                    segments=tuple(Segment(s, e, mp_labels[c]) for s, e, c in segs),
                     length=num_frames,
                 )
                 left, right = split_by_arm(mp_transcript)

@@ -26,6 +26,40 @@ def cli_report_dir(synth_manifest, tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def train_calls(monkeypatch):
+    """The names of the folds `runner.train_fold` is called for."""
+    import surgact.runner
+
+    calls = []
+    real_train_fold = surgact.runner.train_fold
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].name)
+        return real_train_fold(*args, **kwargs)
+
+    monkeypatch.setattr(surgact.runner, "train_fold", spy)
+    return calls
+
+
+def small_corpus(root, subjects):
+    """A one-task synthetic corpus of one trial per subject whose per-arm
+    views are derived from the combined mp files."""
+    main(["synth", "--out", str(root), "--tasks", "1", "--subjects", str(subjects),
+          "--trials-per-subject", "1", "--min-frames", "40", "--max-frames", "60"])
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    for entry in doc["entries"]:
+        del entry["transcripts"]["mp-left"], entry["transcripts"]["mp-right"]
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+def experiment_argv(manifest, granularity, out):
+    return ["experiment", "--catalog", str(manifest), "--granularity", granularity,
+            "--cv", "louo", "--tasks", "T01", "--epochs", "1", "--output-dir", str(out)]
+
+
 class TestSynthCommand:
     def test_generates_and_prints_manifest(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "corpus"), "--tasks", "1",
@@ -220,6 +254,65 @@ class TestExperimentCommand:
         assert rc == 2
         assert "38 channels, expected 39" in capsys.readouterr().err
         assert not (tmp_path / "broken").exists()
+
+    def test_one_subject_louo_exits_1_while_planning(self, tmp_path, capsys, train_calls):
+        # each fold trains on the subjects it does not hold out
+        manifest = small_corpus(tmp_path / "corpus", subjects=1)
+        capsys.readouterr()
+        assert main(["folds", "--catalog", str(manifest), "--granularity", "mp",
+                     "--cv", "louo", "--tasks", "T01",
+                     "--out", str(tmp_path / "folds.json")]) == 1
+        assert main(experiment_argv(manifest, "mp", tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: leave-one-user-out needs at least 2 subjects") == 2
+        assert train_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+    def test_output_dir_under_a_file_exits_3_before_training(self, synth_manifest,
+                                                             tmp_path, capsys,
+                                                             train_calls):
+        (tmp_path / "afile").write_text("a file, not a directory")
+        rc = main(["experiment", "--catalog", str(synth_manifest),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   "--epochs", "1", "--output-dir", str(tmp_path / "afile" / "run")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("failure: cannot create output directory")
+        assert err.count("\n") == 1
+        assert train_calls == []
+
+    @pytest.mark.parametrize("target, text, exits, message", [
+        ("transcripts/mp/T01_U02_001.txt", "",
+         {"validate": 0, "mp": 0, "mp-left": 0}, None),
+        ("transcripts/gesture/T01_U02_001.txt", "",
+         {"validate": 2, "gesture": 2}, ": gesture transcript labels no frame"),
+        ("kinematics/T01_U02_001.txt", ",,,\n,,,\n",
+         {"validate": 2, "mp": 2}, ":1: row has delimiters but no values"),
+    ], ids=["empty-mp-transcript", "empty-gesture-transcript", "comma-only-rows"])
+    def test_empty_transcripts_and_rows(self, tmp_path, capsys, train_calls, target,
+                                        text, exits, message):
+        # validate and every experiment apply one rule to the same file: an
+        # MP transcript may label no frame (the trial is all Idle), a
+        # gesture transcript may not, and a row must hold a value
+        manifest = small_corpus(tmp_path / "corpus", subjects=3)
+        bad = tmp_path / "corpus" / target
+        bad.write_text(text)
+        capsys.readouterr()
+        for run, code in exits.items():
+            out = tmp_path / run
+            argv = (["validate", "--catalog", str(manifest)] if run == "validate"
+                    else experiment_argv(manifest, run, out))
+            assert main(argv) == code, run
+            err = capsys.readouterr().err
+            if code == 0:
+                assert err == ""
+                if run != "validate":
+                    assert load_report(out / "report.json")["aggregate"]["num_ok_folds"] == 3
+            else:
+                assert err == f"data error: {bad}{message}\n"
+                assert not out.exists()
+        trained = sum(code == 0 for run, code in exits.items() if run != "validate")
+        assert len(train_calls) == 3 * trained
 
     @pytest.mark.parametrize("field,value", [
         ("filters", [4, 6]), ("epochs", "5"), ("tasks", "T01")])

@@ -15,7 +15,6 @@ from surgact.dataset import (
     MIN_FRAMES,
     Catalog,
     CatalogEntry,
-    KinematicTrial,
     LabelTranscript,
     MotionPrimitiveLabel,
     Segment,
@@ -113,11 +112,9 @@ class TestSegment:
             Segment(-1, 5, "A")
 
 
-def transcript(segments, length, granularity="mp", vocabulary=None):
-    if vocabulary is None:
-        vocabulary = tuple(sorted({s.label for s in segments}))
-    return LabelTranscript(granularity=granularity, vocabulary=tuple(vocabulary),
-                           segments=tuple(segments), length=length)
+def transcript(segments, length, granularity="mp"):
+    return LabelTranscript(granularity=granularity, segments=tuple(segments),
+                           length=length)
 
 
 class TestLabelTranscript:
@@ -125,10 +122,6 @@ class TestLabelTranscript:
         tr = transcript([Segment(0, 4, "A"), Segment(10, 14, "B")], 20)
         assert {seg.label for seg in tr.segments} == {"A", "B"}
         assert sum(seg.num_frames for seg in tr.segments) == 10
-
-    def test_label_outside_vocabulary(self):
-        with pytest.raises(UnknownLabel):
-            transcript([Segment(0, 4, "A")], 10, vocabulary=("B",))
 
     def test_segment_beyond_length(self):
         with pytest.raises(SegmentBeyondTrial):
@@ -153,22 +146,16 @@ class TestLabelTranscript:
                         granularity="mp-right")
         assert sum(seg.num_frames for seg in tr.segments) == 10
 
-    def test_duplicate_vocabulary(self):
-        with pytest.raises(DataError):
-            transcript([Segment(0, 4, "A")], 10, vocabulary=("A", "A"))
-
     def test_bad_granularity(self):
         with pytest.raises(InvalidConfig):
             transcript([Segment(0, 4, "A")], 10, granularity="frame")
 
 
 class TestLoadTranscript:
-    VOCAB = ("Grasp(L, Needle)", "Push(R, Block)", "Idle")
-
     def test_labels_may_contain_spaces(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29 Grasp(L, Needle)\n\n30 59 Push(R, Block)\n")
-        tr = load_transcript(p).bind(self.VOCAB, 60)
+        tr = load_transcript(p).bind(60)
         assert tr.segments == (Segment(0, 29, "Grasp(L, Needle)"),
                                Segment(30, 59, "Push(R, Block)"))
 
@@ -180,31 +167,25 @@ class TestLoadTranscript:
         p = tmp_path / "t.txt"
         p.write_text("0 29\n")
         with pytest.raises(RaggedRows):
-            load_transcript(p).bind(self.VOCAB, 60)
+            load_transcript(p).bind(60)
 
     def test_non_integer_frame(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 x Idle\n")
         with pytest.raises(NonNumericCell):
-            load_transcript(p).bind(self.VOCAB, 60)
-
-    def test_unknown_label(self, tmp_path):
-        p = tmp_path / "t.txt"
-        p.write_text("0 29 Touch(L, Hand)\n")
-        with pytest.raises(UnknownLabel, match="t.txt"):
-            load_transcript(p).bind(self.VOCAB, 60)
+            load_transcript(p).bind(60)
 
     def test_segment_beyond_trial(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 60 Idle\n")
         with pytest.raises(SegmentBeyondTrial):
-            load_transcript(p).bind(self.VOCAB, 60)
+            load_transcript(p).bind(60)
 
     def test_overlap_rejected_by_default(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 10 Idle\n5 20 Push(R, Block)\n")
         with pytest.raises(OverlappingSegments):
-            load_transcript(p).bind(self.VOCAB, 60)
+            load_transcript(p).bind(60)
 
     @pytest.mark.parametrize("lines, error, message", [
         (("0 9 Idle", "20 15 Idle"), OutOfOrderSegments, "bad segment range [20, 15]"),
@@ -242,15 +223,15 @@ class TestLoadTranscript:
         p.write_text("0 29 Grasp(L, Needle)\n40 99 Idle\n")
         parsed = load_transcript(p, "mp")
         assert parsed.labels == {"Grasp(L, Needle)", "Idle"}
-        assert parsed.bind(self.VOCAB, 100).length == 100
+        assert parsed.bind(100).length == 100
         with pytest.raises(SegmentBeyondTrial, match="t.txt"):
-            parsed.bind(self.VOCAB, 99)
+            parsed.bind(99)
 
     def test_trial_shorter_than_the_model_minimum(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 4 Idle\n")
         with pytest.raises(TooShort, match="t.txt"):
-            load_transcript(p).bind(self.VOCAB, MIN_FRAMES - 3)
+            load_transcript(p).bind(MIN_FRAMES - 3)
 
 
 class TestDensifyAndEncode:
@@ -284,26 +265,23 @@ TOUCH_L = "Touch(L, Fabric)"
 
 class TestSplitByArm:
     def test_worked_example(self):
-        tr = transcript([Segment(0, 29, GRASP_L), Segment(30, 59, PUSH_R)], 60,
-                        vocabulary=(GRASP_L, PUSH_R))
+        tr = transcript([Segment(0, 29, GRASP_L), Segment(30, 59, PUSH_R)], 60)
         left, right = split_by_arm(tr)
         assert left.granularity == "mp-left"
         assert left.segments == (Segment(0, 29, GRASP_L), Segment(30, 59, IDLE))
         assert right.segments == (Segment(0, 29, IDLE), Segment(30, 59, PUSH_R))
-        assert IDLE in left.vocabulary and IDLE in right.vocabulary
 
     def test_idle_source_segments_dropped(self):
         tr = transcript(
             [Segment(0, 9, GRASP_L), Segment(10, 19, IDLE), Segment(20, 29, GRASP_L)],
-            30, vocabulary=(GRASP_L, IDLE))
+            30)
         left, right = split_by_arm(tr)
         assert left.segments == (Segment(0, 9, GRASP_L), Segment(10, 19, IDLE),
                                  Segment(20, 29, GRASP_L))
         assert right.segments == (Segment(0, 29, IDLE),)
 
     def test_adjacent_same_label_segments_merge(self):
-        tr = transcript([Segment(0, 9, GRASP_L), Segment(10, 19, GRASP_L)], 20,
-                        vocabulary=(GRASP_L,))
+        tr = transcript([Segment(0, 9, GRASP_L), Segment(10, 19, GRASP_L)], 20)
         left, _ = split_by_arm(tr)
         assert left.segments == (Segment(0, 19, GRASP_L),)
 
@@ -313,7 +291,7 @@ class TestSplitByArm:
             split_by_arm(tr)
 
     def test_toolless_segment_rejected(self):
-        tr = transcript([Segment(0, 9, "Touch")], 10, vocabulary=("Touch",))
+        tr = transcript([Segment(0, 9, "Touch")], 10)
         with pytest.raises(UnattributedSegment):
             split_by_arm(tr)
 
@@ -331,14 +309,15 @@ class TestSplitByArm:
             else:
                 segments.append(Segment(pos, pos + n - 1, label))
             pos += n
-        tr = transcript(segments, pos, vocabulary=(GRASP_L, PUSH_R, TOUCH_L, IDLE))
+        tr = transcript(segments, pos)
         left, right = split_by_arm(tr)
-        ids = {lab: i for i, lab in enumerate(tr.vocabulary)}
+        vocabulary = (GRASP_L, PUSH_R, TOUCH_L, IDLE)
+        ids = {lab: i for i, lab in enumerate(vocabulary)}
         dense, _ = encode_frames(tr, ids)
         dense_left, _ = encode_frames(left, ids)
         dense_right, _ = encode_frames(right, ids)
         for f in range(pos):
-            label = tr.vocabulary[dense[f]]
+            label = vocabulary[dense[f]]
             side = "none" if label == IDLE else MotionPrimitiveLabel.parse(label).tool
             assert dense_left[f] == ids[label if side == "L" else IDLE]
             assert dense_right[f] == ids[label if side == "R" else IDLE]
@@ -348,16 +327,16 @@ class TestKinematics:
     def test_loads_mixed_delimiters(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1.0 2.0, 3.0\n4,5,6\n")
-        trial = load_trial_kinematics(p)
-        np.testing.assert_allclose(trial.data, [[1, 2, 3], [4, 5, 6]])
-        assert trial.data.dtype == np.float64
+        data = load_trial_kinematics(p)
+        np.testing.assert_allclose(data, [[1, 2, 3], [4, 5, 6]])
+        assert data.dtype == np.float64
 
     def test_data_is_read_only(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1 2\n")
-        trial = load_trial_kinematics(p)
+        data = load_trial_kinematics(p)
         with pytest.raises(ValueError):
-            trial.data[0, 0] = 9.0
+            data[0, 0] = 9.0
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "k.txt"
@@ -415,7 +394,7 @@ class TestKinematics:
         monkeypatch.setattr("surgact.dataset._parse_kinematics_lines", refuse)
         p = tmp_path / "k.txt"
         p.write_text("1.5, -2e-3\t+7\r\n\n4 5 6")
-        np.testing.assert_array_equal(load_trial_kinematics(p).data,
+        np.testing.assert_array_equal(load_trial_kinematics(p),
                                       [[1.5, -2e-3, 7], [4, 5, 6]])
 
 
@@ -430,7 +409,7 @@ def parse_both(p):
         return data.shape, data.tobytes()
 
     return (outcome(lambda: _parse_kinematics_lines(p, p.read_text())),
-            outcome(lambda: load_trial_kinematics(p).data))
+            outcome(lambda: load_trial_kinematics(p)))
 
 
 KINEMATICS_EDGE_CASES = {
@@ -470,6 +449,8 @@ KINEMATICS_EDGE_CASES = {
     "ragged-row-of-bad-cells": "1 2\nx\n",
     "empty": "",
     "whitespace-only": "  \n\t\n",
+    "comma-only": ",,,\n,,,\n",
+    "comma-only-row-between-rows": "1 2\n , \n3 4\n",
 }
 
 
@@ -521,20 +502,18 @@ class TestFeatureSelection:
 
     def test_select_is_bit_exact(self):
         rng = np.random.default_rng(3)
-        trial = KinematicTrial(data=rng.normal(size=(5, 38)))
-        got = select_features(trial, BOTH_ARMS)
-        np.testing.assert_array_equal(got, trial.data[:, list(BOTH_ARMS)])
+        data = rng.normal(size=(5, 38))
+        got = select_features(data, BOTH_ARMS)
+        np.testing.assert_array_equal(got, data[:, list(BOTH_ARMS)])
         assert got.shape == (5, 14)
 
     def test_out_of_range_column(self):
-        trial = KinematicTrial(data=np.zeros((3, 10)))
         with pytest.raises(IndexOutOfRange):
-            select_features(trial, BOTH_ARMS)
+            select_features(np.zeros((3, 10)), BOTH_ARMS)
 
     def test_duplicate_column(self):
-        trial = KinematicTrial(data=np.zeros((3, 38)))
         with pytest.raises(DuplicateColumn):
-            select_features(trial, arm_columns(0) + arm_columns(0))
+            select_features(np.zeros((3, 38)), arm_columns(0) + arm_columns(0))
 
     def test_arm_columns_at_offset(self):
         # position, linear velocity, gripper of the block starting at 19
@@ -558,6 +537,18 @@ class TestCatalog:
         assert e.subject_key == ("JIGSAWS", "B")
         assert e.transcript_path("gesture") is not None
         assert e.transcript_path("mp-left") is None
+
+    def test_transcript_source(self):
+        e = entry(granularities=("mp", "mp-right"))
+        assert e.transcript_source("mp-right") == ("mp-right", e.transcript_path("mp-right"))
+        # a per-arm view the trial declares no file for comes from 'mp'
+        assert e.transcript_source("mp-left") == ("mp", e.transcript_path("mp"))
+        with pytest.raises(MissingTranscript,
+                           match=r"declares no 'gesture' transcript$"):
+            e.transcript_source("gesture")
+        with pytest.raises(MissingTranscript,
+                           match=r"declares no 'mp-left' transcript and no 'mp' one$"):
+            entry(granularities=("gesture",)).transcript_source("mp-left")
 
     def test_duplicate_key(self):
         with pytest.raises(DuplicateTrialKey):

@@ -677,6 +677,18 @@ class TestReportsOnDisk:
         assert (out / name).read_bytes() == previous
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "tables.txt"]
 
+    def test_written_data_is_synced_before_the_rename(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("fsync", "replace"):
+            def spy(*args, _real=getattr(atomic_mod.os, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(atomic_mod.os, name, spy)
+        atomic_mod.write_atomic(tmp_path / "report.json", b"{}")
+        assert calls == ["fsync", "replace"]
+        assert (tmp_path / "report.json").read_bytes() == b"{}"
+
     def test_render_tables_lists_folds_and_means(self, synth_manifest):
         report = run_experiment(synth_config(synth_manifest, epochs=1))
         text = render_tables(report.payload())

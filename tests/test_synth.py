@@ -39,38 +39,37 @@ class TestGeneratedCorpus:
     def test_kinematics_have_38_channels(self, synth_manifest):
         cat = build_catalog(synth_manifest)
         e = cat.entries[0]
-        trial = load_trial_kinematics(e.kinematics, expected_channels=38)
-        assert 120 <= trial.num_frames <= 160
+        data = load_trial_kinematics(e.kinematics, expected_channels=38)
+        assert 120 <= len(data) <= 160
 
     def test_mp_transcript_tiles_the_trial(self, synth_manifest):
         cat = build_catalog(synth_manifest)
         e = cat.entries[0]
-        frames = load_trial_kinematics(e.kinematics).num_frames
+        frames = len(load_trial_kinematics(e.kinematics))
         parsed = load_transcript(e.transcript_path("mp"), "mp")
-        tr = parsed.bind(sorted(parsed.labels), frames)
+        tr = parsed.bind(frames)
         assert sum(seg.num_frames for seg in tr.segments) == frames  # no gaps
-        _, mask = encode_frames(tr, {lab: i for i, lab in enumerate(tr.vocabulary)})
+        _, mask = encode_frames(tr, {lab: i for i, lab in enumerate(sorted(parsed.labels))})
         assert mask.shape == (frames,) and mask.all()
 
     def test_per_arm_files_match_the_production_split(self, synth_manifest):
         cat = build_catalog(synth_manifest)
         for e in cat.entries[:3]:
-            frames = load_trial_kinematics(e.kinematics).num_frames
+            frames = len(load_trial_kinematics(e.kinematics))
             parsed = load_transcript(e.transcript_path("mp"), "mp")
-            left, right = split_by_arm(parsed.bind(sorted(parsed.labels), frames))
-            side_vocab = sorted(parsed.labels | {"Idle"})
+            left, right = split_by_arm(parsed.bind(frames))
             for granularity, expected in (("mp-left", left), ("mp-right", right)):
                 on_disk = load_transcript(e.transcript_path(granularity), granularity)
-                assert on_disk.bind(side_vocab, frames).segments == expected.segments
+                assert on_disk.bind(frames).segments == expected.segments
 
     def test_gesture_shares_mp_boundaries(self, synth_manifest):
         cat = build_catalog(synth_manifest)
         e = cat.entries[0]
-        frames = load_trial_kinematics(e.kinematics).num_frames
+        frames = len(load_trial_kinematics(e.kinematics))
         mp = load_transcript(e.transcript_path("mp"), "mp")
         gesture = load_transcript(e.transcript_path("gesture"), "gesture")
-        mp.bind(sorted(mp.labels), frames)
-        gesture.bind(sorted(gesture.labels), frames)
+        mp.bind(frames)
+        gesture.bind(frames)
         assert [(s.start, s.end) for s in mp.segments] == \
                [(s.start, s.end) for s in gesture.segments]
 

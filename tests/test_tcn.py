@@ -60,12 +60,7 @@ def transcript(durations_by_label, granularity="gesture"):
         for n in durations:
             segments.append(Segment(pos, pos + n - 1, label))
             pos += n
-    return LabelTranscript(
-        granularity=granularity,
-        vocabulary=tuple(durations_by_label),
-        segments=tuple(segments),
-        length=pos,
-    )
+    return LabelTranscript(granularity=granularity, segments=tuple(segments), length=pos)
 
 
 class TestComputeKernelSize:
