@@ -1,21 +1,20 @@
 """From-scratch building blocks for 1-D temporal conv networks.
 
 Everything operates on float64 arrays in channels-first layout: a signal is
-an array of shape (C, T), C channels by T frames. `Conv1d` is a class with
-`forward(x)` and `backward(grad_y)`; `backward` returns the gradient with
-respect to the layer input (unless told not to compute it) and overwrites
-the stored parameter gradients (`grad_w`, `grad_b`), which in a `TcnModel`
-are views into the model's flat vectors `theta` and `grad`. A forward call
-keeps what the matching backward call needs in `_cache` and that call drops
-it, so a conv serves one signal at a time; its scratch memory, a
-`ColumnBuffer`, may be shared with other convs that run one at a time.
-Models are not shared across threads.
+an array of shape (C, T), C channels by T frames. Every forward pass is
+stateless: it returns `(output, cache)`, and its backward pass takes the
+output gradient and that cache, which it only reads, so it may run again.
+`Conv1d.backward` returns the gradient with respect to the layer input
+(unless told not to compute it) and overwrites the parameter gradients
+(`grad_w`, `grad_b`), which in a `TcnModel` are views into the model's flat
+vectors `theta` and `grad`. A conv's scratch memory, a `ColumnBuffer`, may
+be shared with other convs that run one at a time. Models are not shared
+across threads.
 
 The ED-TCN's maths between its convs is two pairs of stage functions:
 `pool_relu_norm` for an encoder stage and `relu_norm` for a decoder stage.
-Each forward returns `(output, cache)`, and its backward takes the output
-gradient and that cache. They do not check their input: they take a conv's
-output, and `TcnModel.forward` validates the signal once.
+They do not check their input: they take a conv's output, and
+`TcnModel.forward` validates the signal once.
 
 A training step (`TcnModel.train_step`) runs `softmax_cross_entropy` and
 `Adam.step` around the model's forward and backward passes.
@@ -122,12 +121,10 @@ class Conv1d:
     q taps in one reduction.
 
     The im2col matrix and the column gradient live in `columns`, a
-    `ColumnBuffer` that a model shares among its convs: forward keeps only
-    the padded input and the kernels, and backward builds the im2col matrix
-    again in the same memory.
+    `ColumnBuffer` that a model shares among its convs: the cache forward
+    returns holds only the padded input and the kernels, and backward builds
+    the im2col matrix again in the same memory.
     """
-
-    _cache = None  # set by forward, dropped by the matching backward
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: Optional[np.random.Generator] = None, *, phases: int = 1):
@@ -181,7 +178,8 @@ class Conv1d:
                                    (row, BYTES_PER_VALUE, BYTES_PER_VALUE)))
         return cols.reshape(c * q, t)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The output and the cache `backward` takes."""
         x = _as_signal(x)
         c, t = x.shape
         if c != self.in_channels:
@@ -190,22 +188,20 @@ class Conv1d:
         xp = np.zeros((c, t + q - 1))
         xp[:, -lo:t - lo] = x
         wp = self._phase_kernels()
-        self._cache = (xp, wp)
         y = np.matmul(wp, self._im2col(xp, t))
         if n == 1:
             y += self.b[:, None]
-            return y
+            return y, (xp, wp)
         # C order: by default the sum would keep the transposed layout, and
         # the reshape into frames would copy it a second time
         y = y.reshape(co, n, t).transpose(0, 2, 1)
-        return np.add(y, self.b[:, None, None], order="C").reshape(co, t * n)
+        return np.add(y, self.b[:, None, None], order="C").reshape(co, t * n), (xp, wp)
 
-    def backward(self, grad_y: np.ndarray, *, input_grad: bool = True) -> Optional[np.ndarray]:
-        """Fill grad_w and grad_b; return the input gradient, or None when
-        `input_grad` is false."""
-        if self._cache is None:
-            raise ShapeMismatch("backward called before forward")
-        (xp, wp), self._cache = self._cache, None
+    def backward(self, grad_y: np.ndarray, cache: tuple, *,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """Fill grad_w and grad_b from a forward pass's cache; return the
+        input gradient, or None when `input_grad` is false."""
+        xp, wp = cache
         grad_y = _as_signal(grad_y, name="grad_y")
         c, co = self.in_channels, self.out_channels
         q, lo, n = self._slots, self._lo, self.phases
@@ -238,47 +234,58 @@ class Conv1d:
         return taps.sum(axis=1)
 
 
+def _keep(g: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.where(mask, g, 0.0) into `out`, bit for bit and branch-free: an AND
+    with an all-ones or all-zero word, where a product leaves NaN * 0 = NaN."""
+    words = np.negative(mask.view(np.int8))  # true is -1, every bit set
+    np.bitwise_and(g.view(np.int64), words, out=out.view(np.int64))
+    return out
+
+
 def _norm(h: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Per-frame normalization of h >= 0 by its largest channel:
 
         y[c, t] = h[c, t] / (max_c' h[c', t] + NORM_EPS)
 
     An all-zero frame maps to an all-zero frame. Returns y and what
-    `_norm_backward` needs; h is kept, not copied. The peak is read at the
-    argmax, which is the max bit for bit on h >= 0, NaN included.
+    `_norm_backward` needs; h is kept, not copied.
     """
-    idx = np.argmax(h, axis=0)
-    cols = np.arange(h.shape[1])
-    peak = h[idx, cols]
+    peak = h.max(axis=0)
     scale = peak + NORM_EPS
-    return h / scale, (h, scale, idx, cols, peak)
+    return h / scale, (h, scale, peak)
 
 
 def _norm_backward(grad_y: np.ndarray, h: np.ndarray, scale: np.ndarray,
-                   idx: np.ndarray, cols: np.ndarray, peak: np.ndarray) -> np.ndarray:
+                   peak: np.ndarray) -> np.ndarray:
     """The max is piecewise smooth: the denominator's gradient goes to the
     first channel attaining it (ties broken by lowest channel index)."""
     gx = grad_y / scale
     # d(scale)/dh is sign(h[a, t]) on the argmax channel a only
     dot = np.einsum("ct,ct->t", grad_y, h)
-    gx[idx, cols] -= dot * np.sign(peak) / (scale * scale)
+    gx[np.argmax(h, axis=0), np.arange(h.shape[1])] -= dot * np.sign(peak) / (scale * scale)
     return gx
+
+
+def _relu(y: np.ndarray) -> np.ndarray:
+    """max(y, 0) with NaN to +0.0, as np.where(y > 0, y, 0.0) gives it: fmax
+    drops the NaN, and abs clears the sign fmax may leave on a -0.0 tie."""
+    h = np.fmax(y, 0.0)
+    return np.abs(h, out=h)
 
 
 def relu_norm(y: np.ndarray) -> tuple[np.ndarray, tuple]:
     """A decoder stage after its conv: relu, then the channel norm.
 
-    Returns the stage output and the cache `relu_norm_backward` takes.
+    Returns the stage output and the cache `relu_norm_backward` takes, the
+    norm's, whose input h = relu(y) gives the relu mask h > 0.
     """
-    positive = y > 0
-    out, norm_cache = _norm(np.where(positive, y, 0.0))
-    return out, (positive, norm_cache)
+    return _norm(_relu(y))
 
 
 def relu_norm_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     """Gradient of `relu_norm` with respect to y; relu's subgradient at 0 is 0."""
-    positive, norm_cache = cache
-    return np.where(positive, _norm_backward(grad_out, *norm_cache), 0.0)
+    g = _norm_backward(grad_out, *cache)
+    return _keep(g, cache[0] > 0, out=g)
 
 
 def pool_relu_norm(y: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -290,30 +297,29 @@ def pool_relu_norm(y: np.ndarray) -> tuple[np.ndarray, tuple]:
     frame wins iff right > relu(left), and then it is positive, so the
     pooled values are those of maxpool(relu(y)) bit for bit, NaN included.
     So is the gradient: it goes to the winning frame, to the earlier one on
-    exact ties, and nowhere when the winner is <= 0. The norm's input is
-    >= 0, so it needs no abs and keeps no copy.
+    exact ties, and nowhere when the winner is <= 0: the left frame takes it
+    where the pooled h > 0 and the right frame did not win.
     """
     t = y.shape[1]
     n = t // 2
-    left = y[:, 0:2 * n:2]
-    left_positive = left > 0
-    left = np.where(left_positive, left, 0.0)
+    left = _relu(y[:, 0:2 * n:2])
     right = y[:, 1:2 * n:2]
     take_right = right > left
-    # the left frame takes the gradient where it wins and is positive
-    take_left = np.greater(left_positive, take_right)
-    out, norm_cache = _norm(np.where(take_right, right, left))
-    return out, (take_left, take_right, t, norm_cache)
+    # fmax never takes a NaN right frame; on a tie of zeros it may take the
+    # right frame's -0.0, whose sign abs clears
+    h = np.abs(np.fmax(right, left, out=left), out=left)
+    out, norm = _norm(h)
+    return out, (take_right, t, norm)
 
 
 def pool_relu_norm_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     """Gradient of `pool_relu_norm` with respect to y."""
-    take_left, take_right, t, norm_cache = cache
-    g = _norm_backward(grad_out, *norm_cache)
+    take_right, t, norm = cache
+    g = _norm_backward(grad_out, *norm)
     n = g.shape[1]
     gx = np.zeros((g.shape[0], t))
-    np.copyto(gx[:, 0:2 * n:2], g, where=take_left)
-    np.copyto(gx[:, 1:2 * n:2], g, where=take_right)
+    _keep(g, (norm[0] > 0) & ~take_right, out=gx[:, 0:2 * n:2])
+    _keep(g, take_right, out=gx[:, 1:2 * n:2])
     return gx
 
 

@@ -2,9 +2,10 @@
 
 An experiment is: a catalog, a label granularity, a cross-validation setup
 (LOUO, a single LOTO split, or the full LOTO suite), and model settings.
-Each fold derives its own RNG seed from the experiment seed and the fold
-name, computes its kernel width from its own training transcripts, trains a
-fresh model, and scores the held-out trials. Report payloads are fully
+Before the first fold trains, every fold's model settings are derived: its
+RNG seed, from the experiment seed and the fold name, and its kernel width,
+from its own training transcripts. Then each fold trains a fresh model and
+scores the held-out trials. Report payloads are fully
 deterministic for a given catalog and config; wall-clock numbers live in a
 separate "timing" subtree so two identical runs produce byte-identical
 payloads once timing is dropped.
@@ -62,6 +63,7 @@ from .dataset import (
 )
 from .errors import (
     DataError,
+    EmptyTranscripts,
     FoldFailure,
     InvalidConfig,
     IoFailure,
@@ -98,6 +100,7 @@ __all__ = [
     "derive_fold_seed",
     "plan_folds",
     "experiment_vocabulary",
+    "fold_model_config",
     "run_fold",
     "run_experiment",
     "run_single_fold",
@@ -384,35 +387,48 @@ class TrialDataSource:
 # ---------------------------------------------------------------------------
 # fold execution
 
-def run_fold(fold: FoldPlan, source: TrialDataSource,
-             config: ExperimentConfig) -> tuple[dict, Optional[TcnModel]]:
-    """Train and evaluate one fold; returns (payload, model).
+def fold_model_config(fold: FoldPlan, source: TrialDataSource,
+                      config: ExperimentConfig) -> ModelConfig:
+    """One fold's model settings: the seed derived from the fold name, the
+    kernel width (the config's, or derived from the fold's training
+    transcripts, which `source` must have loaded) and the class count.
 
-    A non-finite training loss marks the fold "diverged" instead of raising:
-    the payload records the error and the fold is skipped by aggregation.
+    A fold whose kernel width cannot be derived is a data error naming it.
     """
-    fold_seed = derive_fold_seed(config.seed, fold.name)
-    vocab = source.vocabulary
-    train_transcripts = [source.transcript(k) for k in fold.train_trials]
-    kernel = (config.kernel_size if config.kernel_size is not None
-              else compute_kernel_size(train_transcripts))
-    model_config = ModelConfig(
-        num_classes=len(vocab),
+    kernel = config.kernel_size
+    if kernel is None:
+        try:
+            kernel = compute_kernel_size(source.transcript(k) for k in fold.train_trials)
+        except EmptyTranscripts as exc:
+            raise EmptyTranscripts(f"fold {fold.name}: {exc}") from None
+    return ModelConfig(
+        num_classes=len(source.vocabulary),
         kernel_size=kernel,
         filters=config.filters,
         learning_rate=config.resolved_learning_rate,
         weight_decay=config.resolved_weight_decay,
         epochs=config.epochs,
-        seed=fold_seed,
+        seed=derive_fold_seed(config.seed, fold.name),
     )
+
+
+def run_fold(fold: FoldPlan, source: TrialDataSource,
+             model_config: ModelConfig) -> tuple[dict, Optional[TcnModel]]:
+    """Train and evaluate one fold with the settings `fold_model_config`
+    gave it; returns (payload, model).
+
+    A non-finite training loss marks the fold "diverged" instead of raising:
+    the payload records the error and the fold is skipped by aggregation.
+    """
+    vocab = source.vocabulary
     model = build_model(model_config, len(source.feature_columns))
     train_data = {key: source.tensors(key) for key in fold.train_trials}
 
     payload: dict = {
         "name": fold.name,
         "held_out": fold.held_out,
-        "seed": fold_seed,
-        "kernel_size": kernel,
+        "seed": model_config.seed,
+        "kernel_size": model_config.kernel_size,
         "num_classes": len(vocab),
         "num_train_trials": len(fold.train_trials),
         "num_test_trials": len(fold.test_trials),
@@ -578,10 +594,11 @@ def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every fold of the configured experiment.
 
-    Every involved trial is read and checked first, so bad input raises a
-    DataError before any fold trains; then output_dir is made, so an
-    unusable one fails before training too. Diverged folds (non-finite loss) are
-    recorded and skipped by the aggregates. Any other fold failure stops
+    Every involved trial is read and checked, and every fold's model
+    settings are derived, first, so bad input raises a DataError before any
+    fold trains; then output_dir is made, so an unusable one fails before
+    training too. Diverged folds (non-finite loss) are recorded and skipped
+    by the aggregates. Any other fold failure stops
     the run: the partial report is persisted first (when output_dir is
     set), then the failure is re-raised with fold context.
     """
@@ -590,6 +607,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     plans = plan_folds(config, catalog)
     source = _build_source(config, catalog, plans)
     source.load(source.keys)
+    model_configs = [fold_model_config(plan, source, config) for plan in plans]
     if config.output_dir:
         _make_directory(Path(config.output_dir), "output")
     experiment = _experiment_payload(config, plans, source)
@@ -597,11 +615,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     folds: list[dict] = []
     fold_seconds: dict[str, float] = {}
     failure: Optional[Exception] = None
-    for plan in plans:
+    for plan, model_config in zip(plans, model_configs):
         t0 = time.perf_counter()
         try:
             # the model is dropped here, so no two folds' models are alive
-            payload = run_fold(plan, source, config)[0]
+            payload = run_fold(plan, source, model_config)[0]
         except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
             payload = {
                 "name": plan.name,
@@ -636,9 +654,10 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
                     checkpoint: Optional[str] = None) -> tuple[dict, TcnModel]:
     """Train exactly one fold of the configured experiment (CLI `train`).
 
-    The fold's trials are read and checked, and the checkpoint's directory
-    is made, before it trains. The checkpoint is written only for a fold
-    whose status is "ok": a diverged fold's weights are not a model.
+    The fold's trials are read and checked, its model settings derived, and
+    the checkpoint's directory made, before it trains. The checkpoint is
+    written only for a fold whose status is "ok": a diverged fold's weights
+    are not a model.
     """
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
@@ -647,10 +666,12 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
         names = ", ".join(p.name for p in plans)
         raise InvalidConfig(f"no fold named {fold_name!r}; available: {names}")
     source = _build_source(config, catalog, plans)
-    source.load(matches[0].train_trials + matches[0].test_trials)
+    fold = matches[0]
+    source.load(fold.train_trials + fold.test_trials)
+    model_config = fold_model_config(fold, source, config)
     if checkpoint:
         _make_directory(Path(checkpoint).parent, "checkpoint")
-    payload, model = run_fold(matches[0], source, config)
+    payload, model = run_fold(fold, source, model_config)
     if checkpoint and payload["status"] == "ok":
         save_model(model, checkpoint)
     return payload, model

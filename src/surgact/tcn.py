@@ -22,9 +22,11 @@ has seen.
 
 What follows each k-wide conv is one stage function: `nn.pool_relu_norm`
 in the encoder, which pools before its relu and gives the results of the
-order above bit for bit, and `nn.relu_norm` in the decoder. A forward pass
-puts their caches on one tape, which the next backward pass pops, so each
-forward pass serves one backward pass.
+order above bit for bit, and `nn.relu_norm` in the decoder. The model lists
+its six (conv, stage, stage backward) layers once, and a pass is one loop
+over them plus the head that keeps nothing on the model: `forward` returns
+the logits and a tape of the convs' and stages' caches, which `backward`
+takes back and only reads.
 
 The kernel width is not fixed by hand: it is derived from the training
 transcripts as the mean duration (in frames) of the activity class whose
@@ -192,18 +194,18 @@ class TcnModel:
         f1, f2, f3 = config.filters
         k = config.kernel_size
         # encoder, decoder (upsampling inside) and classifier convs, built in
-        # the order theta keeps their arrays, which is the order rng draws them
-        self.convs = [Conv1d(c_in, c_out, k, rng)
-                      for c_in, c_out in ((input_channels, f1), (f1, f2), (f2, f3))]
-        self.convs += [Conv1d(c_in, c_out, k, rng, phases=2)
-                       for c_in, c_out in ((f3, f2), (f2, f1), (f1, f1))]
+        # the order theta keeps their arrays, which is the order rng draws
+        # them; each k-wide conv is listed with the stage that follows it
+        self.layers = [(Conv1d(c_in, c_out, k, rng), pool_relu_norm, pool_relu_norm_backward)
+                       for c_in, c_out in ((input_channels, f1), (f1, f2), (f2, f3))]
+        self.layers += [(Conv1d(c_in, c_out, k, rng, phases=2), relu_norm, relu_norm_backward)
+                        for c_in, c_out in ((f3, f2), (f2, f1), (f1, f1))]
+        self.convs = [conv for conv, _, _ in self.layers]
         self.convs.append(Conv1d(f1, config.num_classes, 1, rng))
         # the convs run one at a time, so their column matrices share memory
         self.columns = ColumnBuffer()
         for conv in self.convs:
             conv.columns = self.columns
-        # the input length and the six stage caches of the last forward pass
-        self._tape: Optional[tuple[int, list]] = None
         # the convs drew their arrays above, in order; they move into two
         # flat vectors and keep their names as views
         tensors = [(conv, name) for conv in self.convs for name in ("w", "b")]
@@ -217,14 +219,9 @@ class TcnModel:
             setattr(conv, "grad_" + name, self.grad[offset:end].reshape(shape))
             offset = end
 
-    def _drop_activations(self) -> None:
-        """Release what the last forward pass kept for a backward pass."""
-        self._tape = None
-        for conv in self.convs:
-            conv._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(F, T) signal to (num_classes, T) logits; T must be >= 8."""
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(F, T) signal to (num_classes, T) logits and the tape `backward`
+        takes; T must be >= 8."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeMismatch(f"expected (channels, frames), got shape {x.shape}")
@@ -234,29 +231,25 @@ class TcnModel:
         t = x.shape[1]
         if t < MIN_FRAMES:
             raise TooShort(f"need at least {MIN_FRAMES} frames, got {t}")
-        tape = []
+        caches = []
         h = x
-        for conv in self.convs[:3]:
-            h, cache = pool_relu_norm(conv.forward(h))
-            tape.append(cache)
-        for conv in self.convs[3:6]:
-            h, cache = relu_norm(conv.forward(h))
-            tape.append(cache)
-        self._tape = (t, tape)
-        logits = self.convs[6].forward(h)
+        for conv, stage, _ in self.layers:
+            # each output is freed as soon as the next function has read it
+            h, for_conv = conv.forward(h)
+            h, for_stage = stage(h)
+            caches.append((for_conv, for_stage))
+        logits, for_head = self.convs[6].forward(h)
         # 8 * (t // 8) frames come out; the last one is repeated to t
-        return np.concatenate(
+        logits = np.concatenate(
             [logits, np.repeat(logits[:, -1:], t - logits.shape[1], axis=1)], axis=1)
+        return logits, (t, caches, for_head)
 
-    def backward(self, grad_logits: np.ndarray, *,
+    def backward(self, grad_logits: np.ndarray, tape: tuple, *,
                  input_grad: bool = True) -> Optional[np.ndarray]:
-        """Gradient of the last forward pass; fills every conv's grad_w/grad_b
-        and returns the gradient with respect to the input signal, or None
-        when `input_grad` is false. Each forward pass serves one backward
-        pass."""
-        if self._tape is None:
-            raise ShapeMismatch("backward called before forward")
-        (t, tape), self._tape = self._tape, None
+        """Gradient of the forward pass that made `tape`; fills every conv's
+        grad_w/grad_b and returns the gradient with respect to the input
+        signal, or None when `input_grad` is false."""
+        t, caches, for_head = tape
         grad_logits = np.asarray(grad_logits, dtype=np.float64)
         if grad_logits.shape != (self.config.num_classes, t):
             raise ShapeMismatch(
@@ -266,13 +259,13 @@ class TcnModel:
         if n < t:  # the repeated frames' gradients sum into the frame they copy
             g = g.copy()
             g[:, -1] += grad_logits[:, n:].sum(axis=1)
-        g = self.convs[6].backward(g)
-        for conv in reversed(self.convs[3:6]):
-            g = conv.backward(relu_norm_backward(g, tape.pop()))
-        for conv in reversed(self.convs[1:3]):
-            g = conv.backward(pool_relu_norm_backward(g, tape.pop()))
-        return self.convs[0].backward(pool_relu_norm_backward(g, tape.pop()),
-                                      input_grad=input_grad)
+        g = self.convs[6].backward(g, for_head)
+        for i in reversed(range(len(self.layers))):
+            (conv, _, stage_backward), (for_conv, for_stage) = self.layers[i], caches[i]
+            g = stage_backward(g, for_stage)
+            # the first conv's input gradient is the model's
+            g = conv.backward(g, for_conv, input_grad=input_grad or i > 0)
+        return g
 
     def train_step(self, x: np.ndarray, targets: np.ndarray,
                    mask: Optional[np.ndarray], optimizer: Adam) -> tuple[float, np.ndarray]:
@@ -283,12 +276,11 @@ class TcnModel:
         so `theta` keeps its values. The gradient with respect to x is not
         computed.
         """
-        logits = self.forward(x)
+        logits, tape = self.forward(x)
         loss, grad_logits = softmax_cross_entropy(logits, targets, mask)
         if not np.isfinite(loss):
-            self._drop_activations()
             raise NonFiniteLoss(f"loss={loss}")
-        self.backward(grad_logits, input_grad=False)
+        self.backward(grad_logits, tape, input_grad=False)
         optimizer.step([self.theta], [self.grad])
         return loss, logits
 
@@ -414,8 +406,7 @@ def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, n
     if not np.isfinite(feats).all():
         raise NonNumericCell("features contain non-finite values")
     # forward checks the shape and the channel count
-    logits = model.forward(feats.T)
-    model._drop_activations()
+    logits, _ = model.forward(feats.T)
     z = logits - logits.max(axis=0, keepdims=True)
     ez = np.exp(z)
     probs = ez / ez.sum(axis=0, keepdims=True)

@@ -248,9 +248,9 @@ def fold_gemm_conv(w, b, x, grad_y, phases):
 def gradient_pass(model, x, targets, mask=None):
     """forward, the loss and backward without the input gradient, which
     fills model.grad; returns (loss, logits)."""
-    logits = model.forward(x)
+    logits, tape = model.forward(x)
     loss, grad_logits = softmax_cross_entropy(logits, targets, mask)
-    model.backward(grad_logits, input_grad=False)
+    model.backward(grad_logits, tape, input_grad=False)
     return loss, logits
 
 

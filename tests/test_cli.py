@@ -234,7 +234,7 @@ class TestExperimentCommand:
         def explode(*args, **kwargs):
             raise RuntimeError("disk fell over")
 
-        monkeypatch.setattr(surgact.runner, "compute_kernel_size", explode)
+        monkeypatch.setattr(surgact.runner, "build_model", explode)
         rc = main(["experiment", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
                    "--epochs", "0", "--output-dir", str(tmp_path / "broken")])
@@ -313,6 +313,28 @@ class TestExperimentCommand:
                 assert not out.exists()
         trained = sum(code == 0 for run, code in exits.items() if run != "validate")
         assert len(train_calls) == 3 * trained
+
+    def test_a_fold_without_a_kernel_width_exits_2_before_training(self, tmp_path, capsys,
+                                                                   train_calls):
+        # the mp files of U02 and U03 label no frame: fold louo-SYNTH-U01
+        # trains on them alone, so no kernel width can be derived for it,
+        # while louo-SYNTH-U02 trains on U01's segments too
+        manifest = small_corpus(tmp_path / "corpus", subjects=3)
+        for subject in ("U02", "U03"):
+            (tmp_path / "corpus" / "transcripts" / "mp" / f"T01_{subject}_001.txt").write_text("")
+        capsys.readouterr()
+        assert main(experiment_argv(manifest, "mp", tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            "data error: fold louo-SYNTH-U01: no labeled segments in any training transcript\n")
+        assert train_calls == []
+        assert not (tmp_path / "out").exists()
+        train = ["train", "--catalog", str(manifest), "--granularity", "mp", "--cv", "louo",
+                 "--tasks", "T01", "--epochs", "1", "--fold"]
+        assert main(train + ["louo-SYNTH-U01"]) == 2
+        assert "fold louo-SYNTH-U01: no labeled segments" in capsys.readouterr().err
+        assert train_calls == []
+        assert main(train + ["louo-SYNTH-U02"]) == 0
+        assert train_calls == ["louo-SYNTH-U02"]
 
     @pytest.mark.parametrize("field,value", [
         ("filters", [4, 6]), ("epochs", "5"), ("tasks", "T01")])

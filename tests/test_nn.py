@@ -89,17 +89,17 @@ class TestConv1d:
         # y[t] = x[t-1] - x[t+1] with zeros outside:
         # t=0: 0-2=-2, t=1: 1-3=-2, t=2: 2-4=-2, t=3: 3-0=3
         conv = make_conv(np.array([[[1.0, 0.0, -1.0]]]), np.zeros(1))
-        y = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        y, _ = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]]))
         np.testing.assert_allclose(y, [[-2.0, -2.0, -2.0, 3.0]])
 
     def test_identity_kernel(self):
         conv = make_conv(np.array([[[0.0, 1.0, 0.0]]]), np.zeros(1))
         x = np.array([[5.0, -1.0, 2.0, 0.5, 7.0]])
-        np.testing.assert_allclose(conv.forward(x), x)
+        np.testing.assert_allclose(conv.forward(x)[0], x)
 
     def test_bias_only(self):
         conv = make_conv(np.zeros((2, 1, 3)), np.array([1.5, -2.0]))
-        y = conv.forward(np.zeros((1, 4)))
+        y, _ = conv.forward(np.zeros((1, 4)))
         np.testing.assert_allclose(y, [[1.5] * 4, [-2.0] * 4])
 
     @given(st.integers(1, 3), st.integers(1, 3),
@@ -110,7 +110,7 @@ class TestConv1d:
         x = rng.normal(size=(c_in, t))
         w = rng.normal(size=(c_out, c_in, k))
         b = rng.normal(size=c_out)
-        got = make_conv(w, b).forward(x)
+        got, _ = make_conv(w, b).forward(x)
         np.testing.assert_allclose(got, naive_conv(x, w, b), atol=1e-12)
 
     def test_init_bound_and_determinism(self):
@@ -140,8 +140,8 @@ class TestConv1d:
 
         def f(w):
             conv.w[:] = w
-            y = conv.forward(x)
-            conv.backward(r)
+            y, cache = conv.forward(x)
+            conv.backward(r, cache)
             return float((y * r).sum()), conv.grad_w.copy()
 
         assert finite_diff_check(f, conv.w.copy()) < 1e-8
@@ -154,8 +154,8 @@ class TestConv1d:
 
         def f(b):
             conv.b[:] = b
-            y = conv.forward(x)
-            conv.backward(r)
+            y, cache = conv.forward(x)
+            conv.backward(r, cache)
             return float((y * r).sum()), conv.grad_b.copy()
 
         assert finite_diff_check(f, conv.b.copy()) < 1e-8
@@ -166,8 +166,8 @@ class TestConv1d:
         conv = Conv1d(2, 3, 3, rng)
 
         def f(x):
-            y = conv.forward(x)
-            gx = conv.backward(r)
+            y, cache = conv.forward(x)
+            gx = conv.backward(r, cache)
             return float((y * r).sum()), gx
 
         assert finite_diff_check(f, rng.normal(size=(2, 8))) < 1e-8
@@ -189,11 +189,12 @@ class TestUpsampledConv:
         up = UpsampleRepeat()
         x = rng.normal(size=(c_in, t))
         grad_y = rng.normal(size=(c_out, 2 * t))
-        y = fused.forward(x)
+        y, cache = fused.forward(x)
         assert y.shape == (c_out, 2 * t)
-        np.testing.assert_allclose(y, plain.forward(up.forward(x)), rtol=0, atol=1e-12)
-        grad_x = fused.backward(grad_y)
-        np.testing.assert_allclose(grad_x, up.backward(plain.backward(grad_y)),
+        expected, plain_cache = plain.forward(up.forward(x))
+        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
+        grad_x = fused.backward(grad_y, cache)
+        np.testing.assert_allclose(grad_x, up.backward(plain.backward(grad_y, plain_cache)),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(fused.grad_w, plain.grad_w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fused.grad_b, plain.grad_b, rtol=0, atol=1e-12)
@@ -206,8 +207,9 @@ class TestUpsampledConv:
         x = rng.normal(size=(3, t))
         grad_y = rng.normal(size=(4, t))
         y, grad_w, grad_b, grad_x = im2col_conv(conv.w, conv.b, x, grad_y)
-        assert np.array_equal(conv.forward(x), y)
-        assert np.array_equal(conv.backward(grad_y), grad_x)
+        got, cache = conv.forward(x)
+        assert np.array_equal(got, y)
+        assert np.array_equal(conv.backward(grad_y, cache), grad_x)
         assert np.array_equal(conv.grad_w, grad_w)
         assert np.array_equal(conv.grad_b, grad_b)
 
@@ -222,7 +224,8 @@ class TestUpsampledConv:
         x = rng.normal(size=(4, t))
         grad_y = rng.normal(size=(5, phases * t))
         expected = fold_gemm_conv(conv.w, conv.b, x, grad_y, phases)
-        got = (conv.forward(x), conv.backward(grad_y), conv.grad_w, conv.grad_b)
+        y, cache = conv.forward(x)
+        got = (y, conv.backward(grad_y, cache), conv.grad_w, conv.grad_b)
         for a, b in zip(got, (expected[0], expected[3], expected[1], expected[2])):
             if phases <= 2:
                 assert np.array_equal(a, b)
@@ -235,11 +238,10 @@ class TestUpsampledConv:
         conv = Conv1d(3, 4, 5, rng, phases=phases)
         x = rng.normal(size=(3, 11))
         grad_y = rng.normal(size=(4, phases * 11))
-        conv.forward(x)
-        assert conv.backward(grad_y, input_grad=False) is None
+        _, cache = conv.forward(x)
+        assert conv.backward(grad_y, cache, input_grad=False) is None
         grads = conv.grad_w.copy(), conv.grad_b.copy()
-        conv.forward(x)
-        assert conv.backward(grad_y).shape == x.shape
+        assert conv.backward(grad_y, cache).shape == x.shape
         assert np.array_equal(conv.grad_w, grads[0])
         assert np.array_equal(conv.grad_b, grads[1])
 
@@ -258,8 +260,9 @@ class TestUpsampledConv:
         def run(x, buffer):
             for conv in convs:
                 conv.columns = buffer
-            y = convs[1].forward(convs[0].forward(x))
-            g = convs[0].backward(convs[1].backward(np.cos(y)))
+            h, first = convs[0].forward(x)
+            y, second = convs[1].forward(h)
+            g = convs[0].backward(convs[1].backward(np.cos(y), second), first)
             return [y, g] + [a.copy() for conv in convs for a in (conv.grad_w, conv.grad_b)]
 
         shared = ColumnBuffer()
@@ -313,8 +316,8 @@ class TestUpsampledConv:
 
         def f(w):
             conv.w[:] = w
-            y = conv.forward(x)
-            conv.backward(r)
+            y, cache = conv.forward(x)
+            conv.backward(r, cache)
             return float((y * r).sum()), conv.grad_w.copy()
 
         assert finite_diff_check(f, conv.w.copy()) < 1e-8
@@ -324,8 +327,8 @@ class TestUpsampledConv:
 
         def f(b):
             conv.b[:] = b
-            y = conv.forward(x)
-            conv.backward(r)
+            y, cache = conv.forward(x)
+            conv.backward(r, cache)
             return float((y * r).sum()), conv.grad_b.copy()
 
         assert finite_diff_check(f, conv.b.copy()) < 1e-8
@@ -334,16 +337,16 @@ class TestUpsampledConv:
         x, r, conv = self._grad_case(113)
 
         def f(x):
-            y = conv.forward(x)
-            return float((y * r).sum()), conv.backward(r)
+            y, cache = conv.forward(x)
+            return float((y * r).sum()), conv.backward(r, cache)
 
         assert finite_diff_check(f, x) < 1e-8
 
     def test_rejects_a_gradient_of_the_input_length(self):
         conv = Conv1d(2, 3, 3, np.random.default_rng(0), phases=2)
-        conv.forward(np.zeros((2, 4)))
+        _, cache = conv.forward(np.zeros((2, 4)))
         with pytest.raises(ShapeMismatch):
-            conv.backward(np.zeros((3, 4)))
+            conv.backward(np.zeros((3, 4)), cache)
 
     def test_rejects_no_phases(self):
         with pytest.raises(InvalidConfig):
@@ -447,6 +450,106 @@ class TestStages:
 
         assert finite_diff_check(pooled, y0) < 1e-6
         assert finite_diff_check(decoded, y0) < 1e-6
+
+
+def edge_cases():
+    """(name, y) hand-built conv outputs at the stages' edges:
+    signed zeros, NaN and infinities, exact ties within a pool pair and at
+    the channel max, odd lengths and T=2."""
+    nan, inf = np.nan, np.inf
+    return [
+        ("signed-zeros", np.array([[-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0],
+                                   [-0.0, -1.0, 0.0, 2.0, -3.0, -0.0, 1.5, -0.0]])),
+        ("nan", np.array([[nan, 1.0, 2.0, nan, nan, nan, -1.0, nan],
+                          [0.5, nan, nan, 3.0, 1.0, -2.0, nan, -0.0],
+                          [nan, nan, 0.7, 0.7, nan, 2.0, 0.0, nan]])),
+        ("infinities", np.array([[inf, 1.0, -inf, inf, inf, inf, -inf, -inf],
+                                 [2.0, inf, 1.0, -inf, inf, 3.0, -inf, 0.0],
+                                 [-1.0, -inf, inf, nan, -0.0, inf, 1.0, -inf]])),
+        ("pair-ties", np.array([[1.5, 1.5, 0.0, 0.0, -2.0, -2.0, -0.0, 0.0, 3.0],
+                                [0.0, -0.0, 4.0, 4.0, -0.0, -0.0, 1.0, 1.0, -1.0]])),
+        ("channel-max-ties", np.array([[2.0, 1.0, 2.0, 0.5, 0.0, 3.0, inf],
+                                       [2.0, 2.0, 1.0, 2.0, 0.0, 3.0, inf],
+                                       [1.0, 2.0, 2.0, 2.0, -0.0, 3.0, 1.0]])),
+        ("odd-five", np.array([[0.3, -0.2, 1.1, 1.1, -0.0],
+                               [-0.5, 0.9, 0.0, 2.0, 7.0]])),
+        ("two-frames", np.array([[-0.0, 0.0], [0.0, -0.0], [1.0, 1.0], [-1.0, 2.0]])),
+        # a zero tie in every pair, over lengths that fill vector lanes and
+        # leave a remainder: the pooled zero is +0.0 wherever it falls
+        ("zero-pairs", np.tile([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]], 17)),
+        ("zero-pairs-odd", np.tile([[0.0, -0.0, -0.0], [-0.0, 0.0, 0.0]], 5)),
+        ("two-frames-left-wins", np.array([[3.0, -inf], [nan, -1.0]])),
+    ]
+
+
+EDGE_CASES = edge_cases()
+
+
+def bits(a):
+    """The float64 bit patterns of an array, so -0.0 != 0.0 and NaN payloads count."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def signed_grad(shape, seed):
+    """An output gradient of mixed signs with exact zeros of both signs."""
+    g = np.random.default_rng(seed).normal(size=shape)
+    g.flat[::3] = -0.0
+    g.flat[1::5] = 0.0
+    return g
+
+
+class TestStageEdgeCases:
+    """The stage functions against the unfused layers of
+    tests/reference_nn.py at the edges, bit for bit: values, signs of zero
+    and NaN, forward and backward."""
+
+    @pytest.mark.parametrize("name,y", EDGE_CASES + STAGE_CASES,
+                             ids=[c[0] for c in EDGE_CASES + STAGE_CASES])
+    def test_encoder_stage(self, name, y):
+        relu, pool, norm = Relu(), MaxPool1d(), ChannelNorm()
+        grad_out = signed_grad((y.shape[0], y.shape[1] // 2), 131)
+        with np.errstate(invalid="ignore"):
+            expected = norm.forward(pool.forward(relu.forward(y)))
+            expected_grad = relu.backward(pool.backward(norm.backward(grad_out)))
+            got, cache = pool_relu_norm(y)
+            grad = pool_relu_norm_backward(grad_out, cache)
+        assert np.array_equal(bits(got), bits(expected))
+        assert np.array_equal(bits(grad), bits(expected_grad))
+
+    @pytest.mark.parametrize("name,y", EDGE_CASES + STAGE_CASES,
+                             ids=[c[0] for c in EDGE_CASES + STAGE_CASES])
+    def test_decoder_stage(self, name, y):
+        relu, norm = Relu(), ChannelNorm()
+        grad_out = signed_grad(y.shape, 132)
+        with np.errstate(invalid="ignore"):
+            expected = norm.forward(relu.forward(y))
+            expected_grad = relu.backward(norm.backward(grad_out))
+            got, cache = relu_norm(y)
+            grad = relu_norm_backward(grad_out, cache)
+        assert np.array_equal(bits(got), bits(expected))
+        assert np.array_equal(bits(grad), bits(expected_grad))
+
+    @pytest.mark.parametrize("name,y", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+    def test_a_cache_serves_any_number_of_backward_passes(self, name, y):
+        for stage, backward, frames in ((pool_relu_norm, pool_relu_norm_backward, 2),
+                                        (relu_norm, relu_norm_backward, 1)):
+            grad_out = signed_grad((y.shape[0], y.shape[1] // frames), 133)
+            with np.errstate(invalid="ignore"):
+                _, cache = stage(y)
+                grad = backward(grad_out, cache)
+                assert np.array_equal(bits(backward(grad_out, cache)), bits(grad))
+
+    def test_channel_max_tie_sends_the_peak_gradient_to_the_first_channel(self):
+        # frame 0: channels 0 and 1 tie at the max, so only channel 0 takes
+        # the denominator's gradient; channel 1's gradient is g / scale alone
+        y = np.array([[2.0], [2.0], [1.0]])
+        grad_out = np.array([[1.0], [1.0], [1.0]])
+        _, cache = relu_norm(y)
+        grad = relu_norm_backward(grad_out, cache)
+        scale = 2.0 + 1e-5
+        dot = 2.0 + 2.0 + 1.0
+        assert grad[1, 0] == grad[2, 0] == 1.0 / scale
+        assert grad[0, 0] == 1.0 / scale - dot / (scale * scale)
 
 
 class TestRelu:

@@ -40,6 +40,7 @@ from surgact.runner import (
     derive_fold_seed,
     emit_report,
     experiment_vocabulary,
+    fold_model_config,
     load_experiment_config,
     load_report,
     plan_folds,
@@ -414,7 +415,7 @@ class TestRunFold:
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
         source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
         source.load(keys)
-        payload, model = run_fold(plans[0], source, cfg)
+        payload, model = run_fold(plans[0], source, fold_model_config(plans[0], source, cfg))
         assert payload["status"] == "ok"
         assert payload["name"] == "louo-SYNTH-U01"
         assert payload["held_out"] == "SYNTH/U01"
@@ -441,7 +442,7 @@ class TestRunFold:
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
         source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
         source.load(keys)
-        payload, _ = run_fold(plans[0], source, cfg)
+        payload, _ = run_fold(plans[0], source, fold_model_config(plans[0], source, cfg))
         assert payload["kernel_size"] == 5
 
     def test_training_never_touches_held_out_trials(self, synth_manifest, monkeypatch):
@@ -469,7 +470,7 @@ class TestRunFold:
         source.load(keys)
         for plan in plans:
             seen.clear()
-            run_fold(plan, source, cfg)
+            run_fold(plan, source, fold_model_config(plan, source, cfg))
             assert not set(plan.train_trials) & set(plan.test_trials)
             assert seen == [
                 ("kernel", [source.transcript(k) for k in plan.train_trials]),
@@ -549,7 +550,7 @@ class TestRunExperiment:
         def explode(*args, **kwargs):
             raise RuntimeError("disk fell over")
 
-        monkeypatch.setattr(runner_mod, "compute_kernel_size", explode)
+        monkeypatch.setattr(runner_mod, "build_model", explode)
         out = tmp_path / "partial"
         with pytest.raises(FoldFailure, match="louo-SYNTH-U01"):
             run_experiment(synth_config(synth_manifest, epochs=1,

@@ -24,7 +24,15 @@ from surgact.errors import (
     TooShort,
     VocabularyMismatch,
 )
-from surgact.nn import Adam, Conv1d, softmax_cross_entropy
+from surgact.nn import (
+    Adam,
+    Conv1d,
+    pool_relu_norm,
+    pool_relu_norm_backward,
+    relu_norm,
+    relu_norm_backward,
+    softmax_cross_entropy,
+)
 from surgact.tcn import (
     CHECKPOINT_VERSION,
     DEFAULT_EPOCHS,
@@ -163,7 +171,7 @@ class TestBuildModel:
         model = build_model(SMALL, 3)
         for t in (8, 9, 13, 16, 24, 40):
             x = np.random.default_rng(t).normal(size=(3, t))
-            assert model.forward(x).shape == (4, t)
+            assert model.forward(x)[0].shape == (4, t)
 
     def test_too_short(self):
         model = build_model(SMALL, 3)
@@ -225,10 +233,10 @@ def unfused_logits(theta, config, input_channels, x):
     assert offset == theta.size
     h = x
     for conv in convs[:3]:
-        h = ChannelNorm().forward(MaxPool1d().forward(Relu().forward(conv.forward(h))))
+        h = ChannelNorm().forward(MaxPool1d().forward(Relu().forward(conv.forward(h)[0])))
     for conv in convs[3:6]:
-        h = ChannelNorm().forward(Relu().forward(conv.forward(UpsampleRepeat().forward(h))))
-    return RestoreLength().forward(convs[6].forward(h), x.shape[1])
+        h = ChannelNorm().forward(Relu().forward(conv.forward(UpsampleRepeat().forward(h))[0]))
+    return RestoreLength().forward(convs[6].forward(h)[0], x.shape[1])
 
 
 class TestParameterStore:
@@ -278,9 +286,17 @@ class TestParameterStore:
         assert offset == model.theta.size
 
 
+# what a model and a conv hold: parameters, gradients, fold data, the
+# column buffer and the layer structure, never a pass's activations
+MODEL_ATTRIBUTES = {"config", "input_channels", "convs", "layers", "theta", "grad", "columns"}
+CONV_ATTRIBUTES = {"in_channels", "out_channels", "kernel_size", "phases", "columns",
+                   "_lo", "_slots", "_fold_by_phase", "w", "b", "grad_w", "grad_b"}
+
+
 def holds_activations(model):
-    """Whether anything a forward pass keeps for its backward pass is held."""
-    return model._tape is not None or any(conv._cache is not None for conv in model.convs)
+    """Whether the model or one of its convs holds anything else."""
+    return (set(vars(model)) != MODEL_ATTRIBUTES
+            or any(set(vars(conv)) != CONV_ATTRIBUTES for conv in model.convs))
 
 
 def reference_pass(model, x, grad_logits):
@@ -291,17 +307,24 @@ def reference_pass(model, x, grad_logits):
     encoder = [(Relu(), MaxPool1d(), ChannelNorm()) for _ in range(3)]
     decoder = [(Relu(), ChannelNorm()) for _ in range(3)]
     restore = RestoreLength()
+    caches = []
+
+    def conv_forward(conv, h):
+        y, cache = conv.forward(h)
+        caches.append(cache)
+        return y
+
     h = x
     for conv, (relu, pool, norm) in zip(convs[:3], encoder):
-        h = norm.forward(pool.forward(relu.forward(conv.forward(h))))
+        h = norm.forward(pool.forward(relu.forward(conv_forward(conv, h))))
     for conv, (relu, norm) in zip(convs[3:6], decoder):
-        h = norm.forward(relu.forward(conv.forward(h)))
-    logits = restore.forward(convs[6].forward(h), x.shape[1])
-    g = convs[6].backward(restore.backward(grad_logits))
+        h = norm.forward(relu.forward(conv_forward(conv, h)))
+    logits = restore.forward(conv_forward(convs[6], h), x.shape[1])
+    g = convs[6].backward(restore.backward(grad_logits), caches.pop())
     for conv, (relu, norm) in zip(reversed(convs[3:6]), reversed(decoder)):
-        g = conv.backward(relu.backward(norm.backward(g)))
+        g = conv.backward(relu.backward(norm.backward(g)), caches.pop())
     for conv, (relu, pool, norm) in zip(reversed(convs[:3]), reversed(encoder)):
-        g = conv.backward(relu.backward(pool.backward(norm.backward(g))))
+        g = conv.backward(relu.backward(pool.backward(norm.backward(g))), caches.pop())
     return logits, model.grad.copy(), g
 
 
@@ -315,9 +338,9 @@ class TestTrainingPass:
         loss, logits = model.train_step(x, targets, None, Adam([model.theta], 1e-2))
         grad = model.grad.copy()
         fresh = build_model(SMALL, 3)
-        expected_logits = fresh.forward(x)
+        expected_logits, tape = fresh.forward(x)
         expected_loss, grad_logits = softmax_cross_entropy(expected_logits, targets)
-        assert fresh.backward(grad_logits).shape == x.shape
+        assert fresh.backward(grad_logits, tape).shape == x.shape
         assert loss == expected_loss
         assert np.array_equal(logits, expected_logits)
         assert np.array_equal(grad, fresh.grad) and grad.any()
@@ -406,57 +429,61 @@ class TestFusedStages:
         x = rng.normal(size=(3, t))
         grad_logits = rng.normal(size=(4, t))
         logits, grad, grad_x = reference_pass(model, x, grad_logits)
-        assert np.array_equal(model.forward(x), logits)
-        assert np.array_equal(model.backward(grad_logits), grad_x)
+        got, tape = model.forward(x)
+        assert np.array_equal(got, logits)
+        assert np.array_equal(model.backward(grad_logits, tape), grad_x)
         assert np.array_equal(model.grad, grad) and grad.any()
 
     @pytest.mark.parametrize("t", [8, 13])
     def test_pad_repeats_the_last_frame(self, t):
         model = build_model(SMALL, 3)
-        logits = model.forward(np.random.default_rng(t).normal(size=(3, t)))
+        logits, _ = model.forward(np.random.default_rng(t).normal(size=(3, t)))
         n = 8 * (t // 8)
         assert np.array_equal(logits[:, n:], np.repeat(logits[:, n - 1:n], t - n, axis=1))
 
 
 class TestActivationBuffers:
     def test_every_layer_type_is_covered(self):
-        # a forward pass fills the tape and the seven convs' caches, which
-        # `holds_activations` checks; the model holds no other layer, and
-        # its column buffer holds scratch valid only within one conv call
+        # `holds_activations` checks the model's and the convs' attributes;
+        # the model holds no other layer, and its column buffer holds
+        # scratch valid only within one conv call
         model = build_model(SMALL, 3)
-        assert set(vars(model)) == {"config", "input_channels", "convs", "_tape",
-                                    "theta", "grad", "columns"}
+        assert not holds_activations(model)
         assert [type(conv) for conv in model.convs] == [Conv1d] * 7
         assert all(conv.columns is model.columns for conv in model.convs)
         # the decoder's upsampling lives inside its convs
         assert [conv.phases for conv in model.convs] == [1, 1, 1, 2, 2, 2, 1]
+        assert [conv for conv, _, _ in model.layers] == model.convs[:6]
+        assert [stage for _, stage, _ in model.layers] == [pool_relu_norm] * 3 + [relu_norm] * 3
+        assert [back for _, _, back in model.layers] == (
+            [pool_relu_norm_backward] * 3 + [relu_norm_backward] * 3)
 
-    def test_backward_drops_what_forward_kept(self):
+    def test_forward_keeps_nothing_on_the_model(self):
         model = build_model(SMALL, 3)
         x = np.random.default_rng(4).normal(size=(3, 21))
-        grad_logits = model.forward(x)
-        t, stages = model._tape
-        assert t == 21 and len(stages) == 6
-        assert all(conv._cache is not None for conv in model.convs)
-        model.backward(grad_logits)
+        logits, tape = model.forward(x)
+        t, caches, _ = tape
+        assert t == 21 and len(caches) == 6
+        assert not holds_activations(model)
+        model.backward(logits, tape)
         assert not holds_activations(model)
 
-    def test_second_backward_is_refused_by_every_layer(self):
+    def test_a_second_backward_over_one_tape_gives_the_same_gradients(self):
         model = build_model(SMALL, 3)
         x = np.random.default_rng(5).normal(size=(3, 21))
-        model.backward(model.forward(x))
-        with pytest.raises(ShapeMismatch, match="backward called before forward"):
-            model.backward(np.zeros((4, 21)))
-        for conv in model.convs:
-            with pytest.raises(ShapeMismatch, match="backward called before forward"):
-                conv.backward(np.zeros((1, 1)))
+        logits, tape = model.forward(x)
+        grad_x = model.backward(logits, tape)
+        grad = model.grad.copy()
+        model.grad[:] = 0.0
+        assert np.array_equal(model.backward(logits, tape), grad_x)
+        assert np.array_equal(model.grad, grad) and grad.any()
 
     @pytest.mark.parametrize("shape", [(4, 20), (3, 21), (4,), (4, 21, 1)])
     def test_gradient_of_another_shape_is_refused(self, shape):
         model = build_model(SMALL, 3)
-        model.forward(np.random.default_rng(6).normal(size=(3, 21)))
+        _, tape = model.forward(np.random.default_rng(6).normal(size=(3, 21)))
         with pytest.raises(ShapeMismatch, match="grad_logits shape"):
-            model.backward(np.zeros(shape))
+            model.backward(np.zeros(shape), tape)
 
     def test_nothing_is_held_after_training_or_prediction(self):
         data = {("T", "U", "001"): toy_tensors(0)}
@@ -723,7 +750,7 @@ class TestCheckpoint:
         cfg = ModelConfig(num_classes=4, kernel_size=5, filters=(4, 6, 8), seed=9)
         model = load_model(save_model(build_model(cfg, 3), tmp_path / "model.npz"))
         x = np.random.default_rng(t).normal(size=(3, t))
-        np.testing.assert_allclose(model.forward(x), unfused_logits(model.theta, cfg, 3, x),
+        np.testing.assert_allclose(model.forward(x)[0], unfused_logits(model.theta, cfg, 3, x),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
