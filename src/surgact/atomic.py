@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
+
+from .errors import IoFailure
 
 
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace `path` by `data` in one rename: readers see the old file or
     the new one, and a failed write leaves the old file and no temp file.
     The data reaches the disk before the rename, so a power loss cannot
-    leave the new name on an empty file."""
+    leave the new name on an empty file.
+
+    An OSError becomes IoFailure("cannot write <path>: <reason>"), which
+    names `path`, not the temp file."""
     # opened by name, not by mkstemp, so the file gets the usual permissions
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -19,5 +25,9 @@ def write_atomic(path: Path, data: bytes) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
-        tmp.unlink(missing_ok=True)
+        # gone after the rename, or never made where the directory is missing
+        with contextlib.suppress(OSError):
+            tmp.unlink()

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 bad request/configuration, 2 malformed input data,
-3 runtime failure.
+3 runtime failure (also `experiment` when no fold trained).
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         **{f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)})
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write an --out file atomically; a failure is an IoFailure."""
-    try:
-        write_atomic(Path(path), text.encode())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}")
-
-
 def _cmd_validate(args) -> int:
     # the loader the experiments use: each file is read once, every
     # transcript is bound to its trial's length, and a combined 'mp' one must
@@ -113,7 +105,7 @@ def _cmd_folds(args) -> int:
     ]
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write_out(args.out, text)
+        write_atomic(Path(args.out), text.encode())
         print(f"{len(plans)} folds -> {args.out}")
     else:
         sys.stdout.write(text)
@@ -128,7 +120,7 @@ def _cmd_train(args) -> int:
     payload, _ = run_single_fold(config, args.fold, checkpoint=args.checkpoint)
     out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write_out(args.out, out)
+        write_atomic(Path(args.out), out.encode())
         print(f"fold report -> {args.out}")
     else:
         sys.stdout.write(out)
@@ -152,6 +144,11 @@ def _cmd_experiment(args) -> int:
         summary += (f"; accuracy {agg['accuracy_mean']:.2f}"
                     f", edit {agg['edit_score_mean']:.2f}")
     print(summary)
+    if agg["num_ok_folds"] == 0:
+        # every fold diverged: the report is written, but no model trained
+        print(f"failure: no fold trained; {agg['num_diverged_folds']} of "
+              f"{agg['num_folds']} diverged", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -172,7 +169,7 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     text = combine_reports(args.inputs)
     if args.out:
-        _write_out(args.out, text)
+        write_atomic(Path(args.out), text.encode())
         print(f"combined table -> {args.out}")
     else:
         sys.stdout.write(text)

@@ -106,10 +106,6 @@ class InvalidConfig(ConfigError):
     pass
 
 
-class VocabularyMismatch(DataError):
-    pass
-
-
 class NonFiniteLoss(SurgactError):
     """Training produced a NaN/Inf loss; carries fold/epoch/trial context."""
 

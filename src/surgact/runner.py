@@ -12,7 +12,13 @@ payloads once timing is dropped.
 
 Every trial a run uses is read and checked once, before the first fold,
 into its bound transcript and model-ready arrays (`TrialDataSource`), and
-the folds share them.
+the folds share them. Each trial's arrays carry the mask of the frames that
+count: every frame for motion primitives, the labelled ones for gestures.
+Training and evaluation read it the same way for every granularity.
+
+Every fold of a report has the same keys (`_fold_payload`), whether it is
+ok, diverged or failed; a fold that did not finish has no training,
+metrics or map.
 
 Each setting is declared once, as an `ExperimentConfig` field: the field
 names are the config file's keys and the CLI flags' destinations, and
@@ -323,9 +329,11 @@ class TrialDataSource:
 
     `load` reads the kinematics of the trials a run uses, binds each
     transcript to its trial, and keeps, for each trial, its bound
-    transcript (for the kernel width) and its `TrialTensors`; `transcript`
-    and `tensors` return what `load` stored. The data rules are the
-    loaders' and `encode_frames`'s; the kinematics are not kept.
+    transcript (for the kernel width) and its `TrialTensors`, whose mask is
+    `encode_frames`'s: all True at an MP granularity, where Idle fills the
+    gaps, and False on a gesture transcript's gaps. `transcript` and
+    `tensors` return what `load` stored. The data rules are the loaders'
+    and `encode_frames`'s; the kinematics are not kept.
     """
 
     def __init__(self, catalog: Catalog, granularity: str,
@@ -367,15 +375,15 @@ class TrialDataSource:
             if transcript.granularity != self.granularity:
                 left, right = split_by_arm(transcript)
                 transcript = left if self.granularity == "mp-left" else right
-            gesture = self.granularity == "gesture"
             features = select_features(kinematics, self.feature_columns)
-            targets, mask = encode_frames(transcript, self.label_to_id,
-                                          fill=None if gesture else IDLE)
+            # Idle fills an MP transcript's gaps; a gesture one's are masked
+            targets, mask = encode_frames(
+                transcript, self.label_to_id,
+                fill=None if self.granularity == "gesture" else IDLE)
             # every fold that uses the trial shares these arrays
             for array in (features, targets, mask):
                 array.setflags(write=False)
-            self._loaded[key] = (transcript, TrialTensors(
-                features=features, targets=targets, mask=mask if gesture else None))
+            self._loaded[key] = (transcript, TrialTensors(features, targets, mask))
 
     def transcript(self, key: TrialKey) -> LabelTranscript:
         return self._loaded[key][0]
@@ -412,24 +420,16 @@ def fold_model_config(fold: FoldPlan, source: TrialDataSource,
     )
 
 
-def run_fold(fold: FoldPlan, source: TrialDataSource,
-             model_config: ModelConfig) -> tuple[dict, Optional[TcnModel]]:
-    """Train and evaluate one fold with the settings `fold_model_config`
-    gave it; returns (payload, model).
-
-    A non-finite training loss marks the fold "diverged" instead of raising:
-    the payload records the error and the fold is skipped by aggregation.
-    """
-    vocab = source.vocabulary
-    model = build_model(model_config, len(source.feature_columns))
-    train_data = {key: source.tensors(key) for key in fold.train_trials}
-
-    payload: dict = {
+def _fold_payload(fold: FoldPlan, model_config: ModelConfig) -> dict:
+    """A fold's report entry before it trains: what the plan and its model
+    settings fix, status "ok", and no error, training, metrics or map yet.
+    Every fold of a report, ok, diverged or failed, has these keys."""
+    return {
         "name": fold.name,
         "held_out": fold.held_out,
         "seed": model_config.seed,
         "kernel_size": model_config.kernel_size,
-        "num_classes": len(vocab),
+        "num_classes": model_config.num_classes,
         "num_train_trials": len(fold.train_trials),
         "num_test_trials": len(fold.test_trials),
         "status": "ok",
@@ -439,17 +439,27 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         "map": None,
     }
 
+
+def run_fold(fold: FoldPlan, source: TrialDataSource,
+             model_config: ModelConfig) -> tuple[dict, Optional[TcnModel]]:
+    """Train and evaluate one fold with the settings `fold_model_config`
+    gave it; returns (payload, model). The payload is `_fold_payload`'s
+    with `training` as `train_fold` returns it, and the held-out trials'
+    metrics over the frames their masks keep.
+
+    A non-finite training loss marks the fold "diverged" instead of raising:
+    the payload records the error and the fold is skipped by aggregation.
+    """
+    vocab = source.vocabulary
+    model = build_model(model_config, len(source.feature_columns))
+    train_data = {key: source.tensors(key) for key in fold.train_trials}
+    payload = _fold_payload(fold, model_config)
     try:
-        record = train_fold(model, fold, train_data, model_config)
+        payload["training"] = train_fold(model, fold, train_data, model_config)
     except NonFiniteLoss as exc:
         payload["status"] = "diverged"
         payload["error"] = str(exc)
         return payload, model
-    payload["training"] = {
-        "epoch_losses": list(record.epoch_mean_losses),
-        "epoch_accuracies": list(record.epoch_frame_accuracies),
-        "steps": record.num_steps,
-    }
 
     if source.granularity == "gesture":
         collapse = None
@@ -459,15 +469,14 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         group_of = collapse
 
     per_trial: dict[str, dict] = {}
-    pooled: list[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = []
+    pooled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     support: Counter = Counter()
     accs: list[float] = []
     edits: list[float] = []
     for key in fold.test_trials:
         tensors = source.tensors(key)
         pred, scores = predict_labels(model, tensors.features)
-        keep = (tensors.mask if tensors.mask is not None
-                else np.ones(pred.shape[0], dtype=bool))
+        keep = tensors.mask
         pred_kept = pred[keep].tolist()
         ref_kept = tensors.targets[keep].tolist()
         acc = frame_accuracy(pred_kept, ref_kept)
@@ -598,9 +607,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     settings are derived, first, so bad input raises a DataError before any
     fold trains; then output_dir is made, so an unusable one fails before
     training too. Diverged folds (non-finite loss) are recorded and skipped
-    by the aggregates. Any other fold failure stops
-    the run: the partial report is persisted first (when output_dir is
-    set), then the failure is re-raised with fold context.
+    by the aggregates. Any other fold failure stops the run: the failed
+    fold is recorded with its error, the partial report is persisted
+    (when output_dir is set), then the failure is re-raised with fold
+    context.
     """
     started = time.perf_counter()
     catalog = build_catalog(config.catalog)
@@ -621,12 +631,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             # the model is dropped here, so no two folds' models are alive
             payload = run_fold(plan, source, model_config)[0]
         except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
-            payload = {
-                "name": plan.name,
-                "held_out": plan.held_out,
-                "status": "failed",
-                "error": str(exc),
-            }
+            payload = {**_fold_payload(plan, model_config),
+                       "status": "failed", "error": str(exc)}
             failure = exc
         folds.append(payload)
         fold_seconds[plan.name] = time.perf_counter() - t0
@@ -700,8 +706,8 @@ def render_tables(payload: dict) -> str:
     for fold in payload["folds"]:
         if fold["status"] != "ok":
             lines.append(
-                f"{fold['name']:<34} {fold.get('held_out', ''):<18} "
-                f"{'-':>3} [{fold['status']}] {fold.get('error', '')}")
+                f"{fold['name']:<34} {fold['held_out']:<18} "
+                f"{'-':>3} [{fold['status']}] {fold['error']}")
             continue
         metrics = fold["metrics"]
         lines.append(
@@ -734,14 +740,12 @@ def _make_directory(directory: Path, what: str) -> None:
 
 
 def emit_report(report: ExperimentReport, out_dir) -> None:
-    """Write `report.json` and `tables.txt` under `out_dir`, each atomically."""
+    """Write `report.json` and `tables.txt` under `out_dir`, each atomically;
+    a failed write is an IoFailure naming the file."""
     out = Path(out_dir)
     _make_directory(out, "output")
-    try:
-        write_atomic(out / "report.json", report.json_bytes(include_timing=True))
-        write_atomic(out / "tables.txt", render_tables(report.payload()).encode())
-    except OSError as exc:
-        raise IoFailure(f"cannot write report under {out}: {exc}")
+    write_atomic(out / "report.json", report.json_bytes(include_timing=True))
+    write_atomic(out / "tables.txt", render_tables(report.payload()).encode())
 
 
 def load_report(path) -> dict:
@@ -762,7 +766,8 @@ def load_report(path) -> dict:
             a, b = stored.get(key), recomputed.get(key)
             if (a is None) != (b is None):
                 raise DataError(f"report aggregate {key!r} inconsistent with folds")
-            if a is not None and abs(a - b) > 1e-9:
+            # written so that a NaN on either side is refused
+            if a is not None and not abs(a - b) <= 1e-9:
                 raise DataError(
                     f"report aggregate {key!r} = {a} but folds imply {b}")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:

@@ -33,10 +33,14 @@ transcripts as the mean duration (in frames) of the activity class whose
 mean duration is shortest, rounded to the nearest odd integer, never below 3.
 
 Training is full-sequence: one trial is one batch, and one step,
-`TcnModel.train_step`, is forward, a mean per-frame cross entropy, backward
-without the input gradient, and Adam with decoupled weight decay.
-`train_fold` runs the steps with numpy's floating-point warnings off: a
-diverging fold is reported by its non-finite loss or parameters.
+`TcnModel.train_step`, is forward, a mean per-frame cross entropy over the
+frames the trial's mask keeps, backward without the input gradient, and
+Adam with decoupled weight decay. Every trial carries its mask
+(`TrialTensors.mask`): all True for motion primitives, False on a gesture
+transcript's gaps. `train_fold` runs the steps with numpy's floating-point
+warnings off: a diverging fold is reported by its non-finite loss or
+parameters. It returns the fold report's training block, the per-epoch
+mean losses and frame accuracies and the step count.
 
 The parameters live in one float64 vector, `TcnModel.theta`, and their
 gradients in `TcnModel.grad`; each conv's `w`, `b`, `grad_w` and `grad_b`
@@ -54,7 +58,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
@@ -69,12 +72,10 @@ from .errors import (
     DataError,
     EmptyTranscripts,
     InvalidConfig,
-    IoFailure,
     NonFiniteLoss,
     NonNumericCell,
     ShapeMismatch,
     TooShort,
-    VocabularyMismatch,
 )
 from .nn import (
     Adam,
@@ -91,7 +92,6 @@ __all__ = [
     "ModelConfig",
     "TcnModel",
     "TrialTensors",
-    "TrainRecord",
     "HYPERPARAM_DEFAULTS",
     "MIN_FRAMES",
     "check_model_settings",
@@ -297,33 +297,7 @@ class TrialTensors:
 
     features: np.ndarray  # (T, F)
     targets: np.ndarray  # (T,) int
-    mask: Optional[np.ndarray] = None  # (T,) bool; None means all frames count
-
-
-@dataclass(frozen=True)
-class TrainRecord:
-    """What happened during one fold's training run.
-
-    epoch_frame_accuracies are measured on each step's pre-update logits,
-    so they trail a fresh post-training evaluation slightly.
-    """
-
-    fold_name: str
-    seed: int
-    epoch_mean_losses: tuple[float, ...]
-    epoch_frame_accuracies: tuple[float, ...]
-    num_steps: int
-    wall_clock_seconds: float
-
-
-def _check_targets(key: TrialKey, tensors: TrialTensors, num_classes: int) -> None:
-    t = tensors.targets
-    if t.ndim != 1 or t.shape[0] != tensors.features.shape[0]:
-        raise ShapeMismatch(
-            f"trial {key}: targets shape {t.shape} vs {tensors.features.shape[0]} frames")
-    if t.size and (t.min() < 0 or t.max() >= num_classes):
-        raise VocabularyMismatch(
-            f"trial {key}: targets outside [0, {num_classes})")
+    mask: np.ndarray  # (T,) bool: the frames the loss and the metrics count
 
 
 def train_fold(
@@ -331,31 +305,33 @@ def train_fold(
     fold,
     data: Mapping[TrialKey, TrialTensors],
     config: ModelConfig,
-) -> TrainRecord:
-    """Train `model` in place on the fold's training trials.
+) -> dict:
+    """Train `model` in place on the fold's training trials; returns
+    `{"epoch_losses": [...], "epoch_accuracies": [...], "steps": n}`, the
+    fold report's training block.
 
     One trial is one optimization step (full-sequence batch). Trial order is
     reshuffled each epoch from a generator seeded by config.seed, so a fold
     replays exactly given the same seed. Only training trials are touched;
-    the mapping may contain them exclusively.
+    the mapping may contain them exclusively. An epoch's accuracy is
+    measured on each step's pre-update logits over the masked-in frames, so
+    it trails a fresh post-training evaluation slightly.
 
-    A non-finite loss before a step, or non-finite parameters after the
-    last one, raises NonFiniteLoss naming the fold.
+    The loss checks each trial's targets and mask at its first step. A
+    non-finite loss before a step, or non-finite parameters after the last
+    one, raises NonFiniteLoss naming the fold.
     """
-    start = time.perf_counter()
     keys = sorted(fold.train_trials)
     if not keys:
         raise DataError(f"fold {fold.name}: no training trials")
     for key in keys:
         if key not in data:
             raise DataError(f"fold {fold.name}: no tensors for training trial {key}")
-        _check_targets(key, data[key], config.num_classes)
     optimizer = Adam([model.theta], config.learning_rate, config.weight_decay)
     # separate stream from the parameter-init draw on the same seed
     shuffle_rng = np.random.default_rng((config.seed, 1))
     losses: list[float] = []
     accs: list[float] = []
-    steps = 0
     # a diverging fold overflows on its way to a non-finite loss; the loss
     # and theta checks report it, so numpy's warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -374,25 +350,16 @@ def train_fold(
                     raise NonFiniteLoss(
                         f"fold {fold.name}: epoch {epoch}, trial {key}: {exc}") from None
                 pred = np.argmax(logits, axis=0)
-                keep = tensors.mask if tensors.mask is not None else np.ones(
-                    pred.shape[0], dtype=bool)
+                keep = tensors.mask
                 correct += int((pred[keep] == tensors.targets[keep]).sum())
                 counted += int(keep.sum())
                 epoch_loss += loss
-                steps += 1
             losses.append(epoch_loss / len(keys))
             accs.append(100.0 * correct / counted if counted else 0.0)
     # each loss is checked before its step, so only the last step is unchecked
     if not np.isfinite(model.theta).all():
         raise NonFiniteLoss(f"fold {fold.name}: parameters are non-finite after training")
-    return TrainRecord(
-        fold_name=fold.name,
-        seed=config.seed,
-        epoch_mean_losses=tuple(losses),
-        epoch_frame_accuracies=tuple(accs),
-        num_steps=steps,
-        wall_clock_seconds=time.perf_counter() - start,
-    )
+    return {"epoch_losses": losses, "epoch_accuracies": accs, "steps": config.epochs * len(keys)}
 
 
 def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,8 +384,8 @@ def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, n
 def save_model(model: TcnModel, path) -> Path:
     """Checkpoint: config plus the flat parameter vector, bit-exact.
 
-    The file is replaced atomically in an existing directory; an OSError
-    becomes an IoFailure and leaves no partial file.
+    The file is replaced atomically in an existing directory; a failed
+    write is an IoFailure naming `path` and leaves no partial file.
     """
     p = Path(path)
     meta = {
@@ -428,10 +395,7 @@ def save_model(model: TcnModel, path) -> Path:
     }
     buf = io.BytesIO()
     np.savez(buf, meta=np.array(json.dumps(meta, sort_keys=True)), params=model.theta)
-    try:
-        write_atomic(p, buf.getvalue())
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint {p}: {exc}")
+    write_atomic(p, buf.getvalue())
     return p
 
 

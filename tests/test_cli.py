@@ -245,6 +245,39 @@ class TestExperimentCommand:
         partial = json.loads((tmp_path / "broken" / "report.json").read_text())
         assert partial["folds"][0]["status"] == "failed"
 
+    def test_no_fold_trained_exits_3_after_the_report(self, synth_manifest, tmp_path,
+                                                       capsys):
+        out = tmp_path / "run"
+        rc = main(["experiment", "--catalog", str(synth_manifest),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   "--epochs", "1", "--learning-rate", "1e300",
+                   "--output-dir", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "folds: 0/3 ok" in captured.out
+        assert captured.err == "failure: no fold trained; 3 of 3 diverged\n"
+        payload = load_report(out / "report.json")
+        assert [f["status"] for f in payload["folds"]] == ["diverged"] * 3
+
+    def test_some_folds_diverged_exits_0(self, synth_manifest, capsys, monkeypatch):
+        import surgact.runner
+        from surgact.errors import NonFiniteLoss
+
+        real_train_fold = surgact.runner.train_fold
+
+        def first_diverges(model, fold, data, model_config):
+            if fold.name == "louo-SYNTH-U01":
+                raise NonFiniteLoss("synthetic divergence")
+            return real_train_fold(model, fold, data, model_config)
+
+        monkeypatch.setattr(surgact.runner, "train_fold", first_diverges)
+        rc = main(["experiment", "--catalog", str(synth_manifest),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   "--epochs", "0"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "folds: 2/3 ok" in captured.out and captured.err == ""
+
     def test_bad_input_exits_2_before_training(self, synth_manifest, tmp_path,
                                                 capsys):
         rc = main(["experiment", "--catalog", str(synth_manifest),
@@ -457,6 +490,19 @@ class TestReportCommand:
         assert "edit_score_mean" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_aggregate_is_data_error(self, cli_report_dir, tmp_path, capsys,
+                                                value):
+        payload = json.loads((cli_report_dir / "report.json").read_text())
+        payload["aggregate"]["accuracy_mean"] = float(value)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(payload))  # written as NaN / Infinity
+        rc = main(["report", "--inputs", str(bad)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: report aggregate 'accuracy_mean'")
+
     def test_report_holding_a_list_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "report.json"
         bad.write_text("[]")
@@ -497,6 +543,16 @@ class TestOutFlag:
     def test_report(self, cli_report_dir, tmp_path, capsys):
         self.run(["report", "--inputs", str(cli_report_dir / "report.json"),
                   "--out", str(tmp_path / "missing" / "summary.txt")], capsys)
+
+    def test_message_names_the_target_not_the_temp_file(self, synth_manifest, tmp_path,
+                                                         capsys):
+        target = tmp_path / "missing" / "folds.json"
+        rc = main(["folds", "--catalog", str(synth_manifest), "--granularity", "mp",
+                   "--cv", "louo", "--tasks", "T01", "--out", str(target)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"failure: cannot write {target}: No such file or directory\n"
+        assert ".tmp" not in err
 
     def test_unwritable_target(self, cli_report_dir, tmp_path, capsys):
         # the directory exists, but the target is a directory itself

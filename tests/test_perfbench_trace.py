@@ -9,8 +9,11 @@ requires. The tracer's source is read, not imported, so nothing is written
 under perfbench/.
 """
 
+import json
 import types
 from pathlib import Path
+
+import pytest
 
 from surgact.dataset import build_catalog
 from surgact.runner import ExperimentConfig, plan_folds, run_experiment
@@ -46,15 +49,37 @@ def test_every_traced_entry_point_exists():
     assert missing == []
 
 
-def test_a_traced_experiment_counts_the_work_its_inputs_imply(tmp_path):
+def combined_mp_only(manifest):
+    """Keep only each entry's combined mp transcript, as the benchmark's
+    ingest workload does, so a per-arm run derives its views from it."""
+    doc = json.loads(manifest.read_text())
+    for entry in doc["entries"]:
+        entry["transcripts"] = {"mp": entry["transcripts"]["mp"]}
+    manifest.write_text(json.dumps(doc))
+
+
+# (granularity, cv settings, whether the per-arm view is derived)
+CASES = {
+    "mp-louo": ("mp", dict(cv="louo", tasks=("T01",)), False),
+    "mp-left-loto-derived": (
+        "mp-left", dict(cv="loto", test_task="T02", train_tasks=("T01",)), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_traced_experiment_counts_the_work_its_inputs_imply(tmp_path, case):
+    granularity, cv, derived = CASES[case]
     spans = load_spans()
     manifest = generate_synthetic_dataset(
-        tmp_path / "corpus", num_tasks=1, num_subjects=3, trials_per_subject=1,
+        tmp_path / "corpus", num_tasks=2, num_subjects=3, trials_per_subject=1,
         num_classes=3, frames_range=(40, 60), seed=7)
-    config = ExperimentConfig(catalog=str(manifest), granularity="mp", cv="louo",
-                              tasks=("T01",), epochs=2, kernel_size=3)
+    if derived:
+        combined_mp_only(manifest)
+    config = ExperimentConfig(catalog=str(manifest), granularity=granularity,
+                              epochs=2, kernel_size=3, **cv)
     plans = plan_folds(config, build_catalog(config.catalog))
     frames = kinematics_frames(build_catalog(config.catalog))
+    loaded = {k for p in plans for k in p.train_trials + p.test_trials}
     originals = [getattr(owner, attr) for owner, attr, _, _ in spans.TARGETS]
 
     tracer = spans.Tracer()
@@ -72,6 +97,9 @@ def test_a_traced_experiment_counts_the_work_its_inputs_imply(tmp_path):
     assert counts["tcn.predict_calls"] == evaluated
     # seven convs: forward and backward in a training step, forward in evaluation
     assert counts["nn.conv_calls"] == 14 * steps + 7 * evaluated
+    # each loaded trial's arm view is split from its combined file once
+    assert counts["dataset.split_by_arm_calls"] == (len(loaded) if derived else 0)
+    assert counts["dataset.kinematics_calls"] == len(loaded)
     assert PASS_SPANS <= set(tracer.self_times(1))
     # the block restores every entry point
     assert [getattr(owner, attr) for owner, attr, _, _ in spans.TARGETS] == originals

@@ -19,7 +19,7 @@ import pytest
 import surgact.atomic as atomic_mod
 import surgact.runner as runner_mod
 from surgact.cli import main as cli_main
-from surgact.dataset import arm_columns, build_catalog
+from surgact.dataset import GRANULARITIES, IDLE, arm_columns, build_catalog, encode_frames
 from surgact.errors import (
     CrossDatasetGestures,
     DataError,
@@ -323,12 +323,12 @@ def write_mini_corpus(root, *, with_gesture=True, with_arm_files=False):
 
 
 class TestTrialDataSource:
-    def test_mp_tensors_have_no_mask(self, synth_manifest):
+    def test_mp_tensors_mask_every_frame(self, synth_manifest):
         source = synth_source(synth_manifest)
         vocab = source.vocabulary
         source.load(source.keys[:1])
         tensors = source.tensors(source.keys[0])
-        assert tensors.mask is None
+        assert tensors.mask.shape == tensors.targets.shape and tensors.mask.all()
         assert tensors.features.shape[1] == 14
         assert tensors.features.shape[0] == tensors.targets.shape[0]
         assert set(np.unique(tensors.targets)) <= set(range(len(vocab)))
@@ -343,7 +343,7 @@ class TestTrialDataSource:
         assert source.vocabulary == ("G1", "G2")
         source.load(source.keys)
         tensors = source.tensors(("T", "A", "001"))
-        assert tensors.mask is not None
+        assert tensors.mask.dtype == bool
         np.testing.assert_array_equal(tensors.mask[0:10], True)
         np.testing.assert_array_equal(tensors.mask[10:20], False)
         np.testing.assert_array_equal(tensors.mask[20:40], True)
@@ -361,7 +361,31 @@ class TestTrialDataSource:
         tensors = source.tensors(("T", "A", "001"))
         np.testing.assert_array_equal(tensors.targets[:20], 0)   # the L grasp
         np.testing.assert_array_equal(tensors.targets[20:], 1)   # Idle
-        assert tensors.mask is None
+        assert tensors.mask.all()
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_every_trial_carries_the_encoded_mask(self, tmp_path, granularity):
+        # the mask encode_frames gives the bound transcript, for every
+        # granularity: all True where Idle fills the gaps, False on a
+        # gesture transcript's unlabelled frames
+        manifest = write_mini_corpus(tmp_path)
+        catalog = build_catalog(manifest)
+        cfg = ExperimentConfig(catalog=str(manifest), granularity=granularity,
+                               cv="louo", tasks=("T",))
+        source = TrialDataSource(catalog, granularity, cfg.feature_columns(),
+                                 [e.key for e in catalog.entries])
+        source.load(source.keys)
+        for key in source.keys:
+            tensors = source.tensors(key)
+            _, expected = encode_frames(
+                source.transcript(key), source.label_to_id,
+                fill=None if granularity == "gesture" else IDLE)
+            np.testing.assert_array_equal(tensors.mask, expected)
+            assert not tensors.mask.flags.writeable
+            if granularity == "gesture":
+                assert not tensors.mask[10:20].any() and tensors.mask.sum() == 30
+            else:
+                assert tensors.mask.all()
 
     def test_declared_arm_file_wins_over_derivation(self, tmp_path):
         manifest = write_mini_corpus(tmp_path, with_arm_files=True)
@@ -401,7 +425,7 @@ class TestTrialDataSource:
         source.load([key])  # a loaded trial is not read again
         assert source.tensors(key) is tensors
         assert source.transcript(key).length == tensors.features.shape[0]
-        for array in (tensors.features, tensors.targets):
+        for array in (tensors.features, tensors.targets, tensors.mask):
             assert not array.flags.writeable
         with pytest.raises(KeyError):
             source.tensors(source.keys[1])  # not loaded
@@ -544,6 +568,49 @@ class TestRunExperiment:
         assert report.aggregate["accuracy_mean"] is None
         assert all(f["status"] == "diverged" for f in report.folds)
         assert all("divergence" in f["error"] for f in report.folds)
+
+    def test_every_fold_payload_has_the_same_keys(self, synth_manifest, tmp_path,
+                                                  monkeypatch):
+        # an ok fold, a diverged one, then a failed one that stops the run
+        real_build_model, real_train_fold = runner_mod.build_model, runner_mod.train_fold
+        calls = []
+
+        def build_model(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("disk fell over")
+            return real_build_model(*args, **kwargs)
+
+        def train_fold(model, fold, data, model_config):
+            if len(calls) == 2:
+                raise NonFiniteLoss("synthetic divergence")
+            return real_train_fold(model, fold, data, model_config)
+
+        monkeypatch.setattr(runner_mod, "build_model", build_model)
+        monkeypatch.setattr(runner_mod, "train_fold", train_fold)
+        out = tmp_path / "partial"
+        cfg = synth_config(synth_manifest, epochs=1, output_dir=str(out))
+        with pytest.raises(FoldFailure, match="louo-SYNTH-U03"):
+            run_experiment(cfg)
+        folds = json.loads((out / "report.json").read_text())["folds"]
+        assert [f["status"] for f in folds] == ["ok", "diverged", "failed"]
+        assert set(folds[0]) == set(folds[1]) == set(folds[2])
+        catalog = build_catalog(synth_manifest)
+        plans = plan_folds(cfg, catalog)
+        keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
+        source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
+        source.load(keys)
+        plan, failed = plans[2], folds[2]
+        model_config = fold_model_config(plan, source, cfg)
+        assert failed["name"] == plan.name and failed["held_out"] == plan.held_out
+        assert failed["seed"] == model_config.seed
+        assert failed["kernel_size"] == model_config.kernel_size
+        assert failed["num_classes"] == model_config.num_classes
+        assert failed["num_train_trials"] == len(plan.train_trials)
+        assert failed["num_test_trials"] == len(plan.test_trials)
+        assert failed["error"] == "disk fell over"
+        assert failed["training"] is failed["metrics"] is failed["map"] is None
+        assert "[failed] disk fell over" in (out / "tables.txt").read_text()
 
     def test_fold_failure_persists_partial_report(self, synth_manifest, tmp_path,
                                                   monkeypatch):
