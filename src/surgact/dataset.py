@@ -241,11 +241,13 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
 
     Records must be ordered by start frame and must not overlap. Labels of
     the motion-primitive granularities must parse as `verb(tool, object)`
-    or `Idle`. Errors name the file and line.
+    or `Idle`; a per-arm file's must be `Idle` or name its arm's tool side,
+    as a view `split_by_arm` derives would. Errors name the file and line.
     """
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"transcript file not found: {p}")
+    side = ARM_SIDES.get(granularity)
     segments: list[Segment] = []
     for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -261,7 +263,11 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
         label = parts[2].strip()
         try:
             if granularity != "gesture":
-                MotionPrimitiveLabel.parse(label)
+                mp = MotionPrimitiveLabel.parse(label)
+                if side is not None and mp.verb != IDLE and mp.tool != side:
+                    raise UnattributedSegment(
+                        f"{granularity} label {label!r} is neither Idle nor "
+                        f"an action of tool side {side}")
             seg = Segment(start, end, label)
             _check_follows(segments[-1] if segments else None, seg)
         except DataError as exc:

@@ -124,10 +124,6 @@ class NoPositives(DataError):
     """No positive frames for the class; average precision is undefined."""
 
 
-class NoDefinedClasses(DataError):
-    pass
-
-
 # --- cross-validation planning ---------------------------------------------
 
 class UnknownCombo(ConfigError):

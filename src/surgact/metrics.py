@@ -6,16 +6,19 @@ Three families:
 * edit score: 100 * (1 - levenshtein(G, P) / max(|G|, |P|)) over run-length
   segment label sequences, so over-segmentation is punished even when frame
   accuracy is high.
-* average precision: one-vs-rest AP per class over pooled per-frame scores,
-  summed over descending unique score thresholds (tied scores share a
-  threshold); macro and support-weighted micro means on top.
+* average precision: one-vs-rest AP per class group over pooled per-frame
+  scores, summed over descending unique score thresholds (tied scores share
+  a threshold); macro and support-weighted micro means on top, as the
+  report's `map` block (`map_report`).
 
-All scores are on a 0..100 percent scale.
+Every metric reads the frames that count and nothing else: the caller
+selects them once (a gesture trial's labelled frames, every frame of an
+MP trial) and passes the same frames to each. All scores are on a 0..100
+percent scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -23,7 +26,6 @@ import numpy as np
 from .errors import (
     EmptyInput,
     LengthMismatch,
-    NoDefinedClasses,
     NoPositives,
     ShapeMismatch,
 )
@@ -35,7 +37,6 @@ __all__ = [
     "edit_score",
     "average_precision",
     "pooled_class_average_precisions",
-    "MapSummary",
     "map_report",
 ]
 
@@ -149,17 +150,18 @@ def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
 
 
 def pooled_class_average_precisions(
-    trials: Sequence[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
+    trials: Sequence[tuple[np.ndarray, np.ndarray]],
     class_names: Sequence[str],
-    collapse: Optional[Mapping[str, str]] = None,
+    group_of: Mapping[str, str],
 ) -> dict[str, Optional[float]]:
-    """Per-class AP over frames pooled from several trials.
+    """Per-group AP over frames pooled from several trials.
 
-    Each trial is (scores, targets, mask): scores (T, C) per-frame class
-    scores, targets (T,) true class ids, mask optional (T,) validity. With a
-    `collapse` mapping (class name -> group name) the score of a group is
-    the sum of its member classes' scores and a frame is positive when its
-    true class maps to the group; without one every class is its own group.
+    Each trial is (scores, targets): scores (T, C) per-frame class scores,
+    targets (T,) true class ids, over the frames that count only; the
+    caller drops the others. `group_of` maps every class name to its group
+    (the class itself, or an MP class's verb): the score of a group is the
+    sum of its member classes' scores and a frame is positive when its true
+    class maps to the group.
 
     Returns group -> AP percent, or None where the pooled frames contain no
     positives (the undefined 'N/A' case).
@@ -167,88 +169,58 @@ def pooled_class_average_precisions(
     if not trials:
         raise EmptyInput("no trials to score")
     names = list(class_names)
-    if collapse is None:
-        groups = list(dict.fromkeys(names))
-        group_of = {c: c for c in names}
-    else:
-        group_of = dict(collapse)
-        missing = [c for c in names if c not in group_of]
-        if missing:
-            raise LengthMismatch(f"collapse map lacks classes: {missing}")
-        groups = list(dict.fromkeys(group_of[c] for c in names))
-    member_ids: dict[str, list[int]] = {g: [] for g in groups}
-    for i, c in enumerate(names):
-        member_ids[group_of[c]].append(i)
+    missing = [c for c in names if c not in group_of]
+    if missing:
+        raise LengthMismatch(f"group map lacks classes: {missing}")
+    groups = list(dict.fromkeys(group_of[c] for c in names))
+    group_ids = np.array([groups.index(group_of[c]) for c in names])
 
-    score_chunks: list[np.ndarray] = []
-    target_chunks: list[np.ndarray] = []
-    for scores, targets, mask in trials:
-        scores = np.asarray(scores, dtype=np.float64)
-        targets = np.asarray(targets)
-        if scores.ndim != 2 or scores.shape[1] != len(names):
+    for scores, targets in trials:
+        if np.ndim(scores) != 2 or np.shape(scores)[1] != len(names):
             raise ShapeMismatch(
-                f"scores shape {scores.shape} != (T, {len(names)})")
-        if targets.shape != (scores.shape[0],):
+                f"scores shape {np.shape(scores)} != (T, {len(names)})")
+        if np.shape(targets) != (np.shape(scores)[0],):
             raise LengthMismatch(
-                f"targets shape {targets.shape} vs {scores.shape[0]} frames")
-        if mask is not None:
-            keep = np.asarray(mask, dtype=bool)
-            if keep.shape != targets.shape:
-                raise LengthMismatch("mask shape differs from targets")
-            scores, targets = scores[keep], targets[keep]
-        score_chunks.append(scores)
-        target_chunks.append(targets)
-    pooled_scores = np.concatenate(score_chunks, axis=0)
-    pooled_targets = np.concatenate(target_chunks, axis=0)
+                f"targets shape {np.shape(targets)} vs {np.shape(scores)[0]} frames")
+    pooled_scores = np.concatenate([s for s, _ in trials], axis=0, dtype=np.float64)
+    pooled_targets = np.concatenate([t for _, t in trials])
     if pooled_targets.size == 0:
-        raise EmptyInput("all frames are masked out")
+        raise EmptyInput("no frames to score")
 
-    target_groups = np.array([group_of[names[t]] for t in pooled_targets])
+    target_groups = group_ids[pooled_targets]
     out: dict[str, Optional[float]] = {}
-    for g in groups:
+    for g, name in enumerate(groups):
         positives = target_groups == g
         if not positives.any():
-            out[g] = None
+            out[name] = None
             continue
-        g_scores = pooled_scores[:, member_ids[g]].sum(axis=1)
-        out[g] = average_precision(g_scores, positives)
+        out[name] = average_precision(
+            pooled_scores[:, group_ids == g].sum(axis=1), positives)
     return out
-
-
-@dataclass(frozen=True)
-class MapSummary:
-    """Per-class APs with their supports plus macro/micro means (percent)."""
-
-    per_class: tuple[tuple[str, Optional[float]], ...]
-    support: tuple[tuple[str, int], ...]
-    macro: float
-    micro: float
 
 
 def map_report(
     per_class_ap: Mapping[str, Optional[float]],
     support: Mapping[str, int],
-) -> MapSummary:
-    """Aggregate per-class APs into macro and micro means.
+) -> Optional[dict]:
+    """A fold's `map` block: per-class APs, their supports, and the macro
+    and micro means; None when no class has a defined AP.
 
     Classes with undefined AP (None) are excluded from both means, matching
     the 'N/A' convention for classes absent from the test data. Micro
-    weights each defined class by its ground-truth instance count.
+    weights each defined class by its ground-truth instance count, so each
+    needs a support of at least 1.
     """
-    defined = [(c, v) for c, v in per_class_ap.items() if v is not None]
+    defined = {c: v for c, v in per_class_ap.items() if v is not None}
     if not defined:
-        raise NoDefinedClasses("no class has a defined average precision")
-    for c, _ in defined:
-        if c not in support:
-            raise LengthMismatch(f"no support count for class {c!r}")
-    macro = sum(v for _, v in defined) / len(defined)
-    total = sum(support[c] for c, _ in defined)
-    if total <= 0:
-        raise NoDefinedClasses("defined classes have zero total support")
-    micro = sum(v * support[c] for c, v in defined) / total
-    return MapSummary(
-        per_class=tuple(per_class_ap.items()),
-        support=tuple((c, int(support.get(c, 0))) for c in per_class_ap),
-        macro=macro,
-        micro=micro,
-    )
+        return None
+    unsupported = [c for c in defined if support.get(c, 0) < 1]
+    if unsupported:
+        raise LengthMismatch(f"no support for classes with a defined AP: {unsupported}")
+    return {
+        "per_class": dict(per_class_ap),
+        "support": {c: int(support.get(c, 0)) for c in per_class_ap},
+        "macro": sum(defined.values()) / len(defined),
+        "micro": sum(v * support[c] for c, v in defined.items())
+        / sum(support[c] for c in defined),
+    }

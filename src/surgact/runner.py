@@ -14,7 +14,9 @@ Every trial a run uses is read and checked once, before the first fold,
 into its bound transcript and model-ready arrays (`TrialDataSource`), and
 the folds share them. Each trial's arrays carry the mask of the frames that
 count: every frame for motion primitives, the labelled ones for gestures.
-Training and evaluation read it the same way for every granularity.
+Training and evaluation read it the same way for every granularity:
+`run_fold` selects a held-out trial's kept frames once and scores accuracy,
+edit score and AP on those frames alone.
 
 Every fold of a report has the same keys (`_fold_payload`), whether it is
 ok, diverged or failed; a fold that did not finish has no training,
@@ -73,7 +75,6 @@ from .errors import (
     FoldFailure,
     InvalidConfig,
     IoFailure,
-    NoDefinedClasses,
     NonFiniteLoss,
 )
 from .metrics import (
@@ -369,13 +370,16 @@ class TrialDataSource:
         for key in keys:
             if key in self._loaded:
                 continue
-            kinematics = load_trial_kinematics(self.catalog.get(*key).kinematics,
-                                               self.expected_channels)
+            path = self.catalog.get(*key).kinematics
+            kinematics = load_trial_kinematics(path, self.expected_channels)
             transcript = self._file(key).bind(len(kinematics))
             if transcript.granularity != self.granularity:
                 left, right = split_by_arm(transcript)
                 transcript = left if self.granularity == "mp-left" else right
-            features = select_features(kinematics, self.feature_columns)
+            try:
+                features = select_features(kinematics, self.feature_columns)
+            except DataError as exc:
+                raise type(exc)(f"{path}: {exc}") from None
             # Idle fills an MP transcript's gaps; a gesture one's are masked
             targets, mask = encode_frames(
                 transcript, self.label_to_id,
@@ -445,7 +449,10 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
     """Train and evaluate one fold with the settings `fold_model_config`
     gave it; returns (payload, model). The payload is `_fold_payload`'s
     with `training` as `train_fold` returns it, and the held-out trials'
-    metrics over the frames their masks keep.
+    scores. Each trial's mask selects its kept frames once, and accuracy,
+    edit score and AP all read those frames alone; AP and support group
+    each class by `group_of` (itself, or an MP class's verb), and `map` is
+    `map_report`'s block, None when no class has a defined AP.
 
     A non-finite training loss marks the fold "diverged" instead of raising:
     the payload records the error and the fold is skipped by aggregation.
@@ -461,15 +468,11 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         payload["error"] = str(exc)
         return payload, model
 
-    if source.granularity == "gesture":
-        collapse = None
-        group_of = {lab: lab for lab in vocab}
-    else:
-        collapse = {lab: mp_verb(lab) for lab in vocab}
-        group_of = collapse
-
+    # AP scores a gesture class alone and an MP class by its verb
+    group_of = {lab: lab if source.granularity == "gesture" else mp_verb(lab)
+                for lab in vocab}
     per_trial: dict[str, dict] = {}
-    pooled: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    pooled: list[tuple[np.ndarray, np.ndarray]] = []
     support: Counter = Counter()
     accs: list[float] = []
     edits: list[float] = []
@@ -477,8 +480,9 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         tensors = source.tensors(key)
         pred, scores = predict_labels(model, tensors.features)
         keep = tensors.mask
+        targets = tensors.targets[keep]
         pred_kept = pred[keep].tolist()
-        ref_kept = tensors.targets[keep].tolist()
+        ref_kept = targets.tolist()
         acc = frame_accuracy(pred_kept, ref_kept)
         edit = edit_score(pred_kept, ref_kept)
         accs.append(acc)
@@ -489,7 +493,7 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
             "frames": int(pred.shape[0]),
             "labeled_frames": int(keep.sum()),
         }
-        pooled.append((scores, tensors.targets, tensors.mask))
+        pooled.append((scores[keep], targets))
         for _, _, label_id in run_length_segments(ref_kept):
             support[group_of[vocab[label_id]]] += 1
 
@@ -498,18 +502,8 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         "edit_score_mean": float(np.mean(edits)),
         "per_trial": per_trial,
     }
-    ap = pooled_class_average_precisions(pooled, vocab, collapse)
-    try:
-        summary = map_report(ap, support)
-    except NoDefinedClasses:
-        summary = None
-    if summary is not None:
-        payload["map"] = {
-            "per_class": {c: v for c, v in summary.per_class},
-            "support": {c: s for c, s in summary.support},
-            "macro": summary.macro,
-            "micro": summary.micro,
-        }
+    payload["map"] = map_report(
+        pooled_class_average_precisions(pooled, vocab, group_of), support)
     return payload, model
 
 
@@ -534,11 +528,7 @@ def _aggregate(fold_payloads: Sequence[dict]) -> dict:
     if with_map:
         agg["map_macro_mean"] = float(np.mean([f["map"]["macro"] for f in with_map]))
         agg["map_micro_mean"] = float(np.mean([f["map"]["micro"] for f in with_map]))
-        classes: list[str] = []
-        for f in with_map:
-            for c in f["map"]["per_class"]:
-                if c not in classes:
-                    classes.append(c)
+        classes = {c for f in with_map for c in f["map"]["per_class"]}
         for c in sorted(classes):
             values = [f["map"]["per_class"][c] for f in with_map
                       if f["map"]["per_class"].get(c) is not None]

@@ -133,6 +133,27 @@ class TestValidateCommand:
         assert main(experiment) == 2
 
 
+    @pytest.mark.parametrize("label", ["Grasp(R, Obj1)", "Grasp"])
+    def test_declared_arm_file_holds_the_arm_rule(self, tmp_path, capsys, label):
+        # a declared mp-left file is held to the rule its derived view keeps:
+        # each label is Idle or names the left tool
+        main(["synth", "--out", str(tmp_path), "--tasks", "1", "--subjects", "2",
+              "--trials-per-subject", "1", "--min-frames", "40", "--max-frames", "60"])
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        left = tmp_path / doc["entries"][0]["transcripts"]["mp-left"]
+        first, rest = left.read_text().split("\n", 1)
+        start, end, _ = first.split(" ", 2)
+        left.write_text(f"{start} {end} {label}\n{rest}")
+        capsys.readouterr()
+        message = (f"data error: {left}:1: mp-left label {label!r} is neither Idle "
+                   f"nor an action of tool side L\n")
+        assert main(["validate", "--catalog", str(tmp_path / "manifest.json")]) == 2
+        assert capsys.readouterr().err == message
+        assert main(experiment_argv(tmp_path / "manifest.json", "mp-left",
+                                    tmp_path / "out")) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("transcripts", [["mp"], {"mp": 3}])
     def test_transcripts_not_path_strings_is_data_error(self, tmp_path, capsys,
                                                         transcripts):
@@ -287,6 +308,21 @@ class TestExperimentCommand:
         assert rc == 2
         assert "38 channels, expected 39" in capsys.readouterr().err
         assert not (tmp_path / "broken").exists()
+
+    def test_a_trial_too_narrow_for_the_features_is_named(self, tmp_path, capsys,
+                                                          train_calls):
+        # the model reads column 31 (the right arm's first), which a
+        # 30-column trial does not have
+        manifest = small_corpus(tmp_path / "corpus", subjects=2)
+        narrow = tmp_path / "corpus" / "kinematics" / "T01_U02_001.txt"
+        rows = [line.split()[:30] for line in narrow.read_text().splitlines()]
+        narrow.write_text("".join(" ".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(experiment_argv(manifest, "mp", tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {narrow}: column 31 outside [0, 30)\n")
+        assert train_calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_one_subject_louo_exits_1_while_planning(self, tmp_path, capsys, train_calls):
         # each fold trains on the subjects it does not hold out

@@ -218,6 +218,21 @@ class TestLoadTranscript:
         assert load_transcript(p, "gesture").labels == {
             "Grasp(L, Needle)", "Grab(L, Needle)"}
 
+    @pytest.mark.parametrize("granularity, own, other", [
+        ("mp-left", "Grasp(L, Needle)", "Grasp(R, Needle)"),
+        ("mp-right", "Grasp(R, Needle)", "Grasp(L, Needle)"),
+    ])
+    def test_per_arm_labels_name_their_arm(self, tmp_path, granularity, own, other):
+        # the rule a view split_by_arm derives keeps: Idle or its own side
+        p = tmp_path / "t.txt"
+        p.write_text(f"0 29 {own}\n30 59 Idle\n")
+        assert load_transcript(p, granularity).labels == {own, "Idle"}
+        for label in (other, "Grasp"):
+            p.write_text(f"0 29 Idle\n30 59 {label}\n")
+            with pytest.raises(UnattributedSegment, match=f"t.txt:2: {granularity} label"):
+                load_transcript(p, granularity)
+        assert load_transcript(p, "mp").labels == {"Idle", "Grasp"}
+
     def test_parse_needs_no_trial_length(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29 Grasp(L, Needle)\n40 99 Idle\n")

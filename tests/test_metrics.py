@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from surgact.errors import (
     EmptyInput,
     LengthMismatch,
-    NoDefinedClasses,
     NoPositives,
+    ShapeMismatch,
 )
 from surgact.metrics import (
     average_precision,
@@ -206,6 +206,10 @@ class TestAveragePrecision:
                                     abs=1e-9)
 
 
+# every class its own group, as gestures are scored
+SELF = {name: name for name in "abc"}
+
+
 class TestPooledClassAP:
     def test_matches_manual_pooling(self):
         rng = np.random.default_rng(7)
@@ -214,10 +218,10 @@ class TestPooledClassAP:
             scores = rng.random((t, 3))
             scores /= scores.sum(axis=1, keepdims=True)
             targets = rng.integers(0, 3, size=t)
-            trials.append((scores, targets, None))
-        got = pooled_class_average_precisions(trials, ["a", "b", "c"])
-        all_scores = np.concatenate([s for s, _, _ in trials])
-        all_targets = np.concatenate([t for _, t, _ in trials])
+            trials.append((scores, targets))
+        got = pooled_class_average_precisions(trials, ["a", "b", "c"], SELF)
+        all_scores = np.concatenate([s for s, _ in trials])
+        all_targets = np.concatenate([t for _, t in trials])
         for i, name in enumerate(["a", "b", "c"]):
             expected = average_precision(all_scores[:, i], all_targets == i)
             assert got[name] == pytest.approx(expected)
@@ -227,62 +231,88 @@ class TestPooledClassAP:
                            [0.2, 0.5, 0.3],
                            [0.1, 0.2, 0.7]])
         targets = np.array([0, 1, 2])
-        collapse = {"a": "grab", "b": "grab", "c": "push"}
+        group_of = {"a": "grab", "b": "grab", "c": "push"}
         got = pooled_class_average_precisions(
-            [(scores, targets, None)], ["a", "b", "c"], collapse)
-        assert set(got) == {"grab", "push"}
+            [(scores, targets)], ["a", "b", "c"], group_of)
+        assert list(got) == ["grab", "push"]
         expected_grab = average_precision(scores[:, 0] + scores[:, 1],
                                           np.array([True, True, False]))
         assert got["grab"] == pytest.approx(expected_grab)
+        assert got["push"] == average_precision(scores[:, 2], targets == 2)
+
+    def test_groups_of_interleaved_members(self):
+        # members of one group need not be adjacent in the class list, and
+        # groups come in the order their first member does
+        rng = np.random.default_rng(3)
+        scores = rng.random((12, 4))
+        targets = np.array([0, 1, 2, 3] * 3)
+        group_of = {"a": "y", "b": "x", "c": "y", "d": "x"}
+        got = pooled_class_average_precisions(
+            [(scores[:5], targets[:5]), (scores[5:], targets[5:])],
+            ["a", "b", "c", "d"], group_of)
+        assert list(got) == ["y", "x"]
+        assert got["y"] == average_precision(scores[:, [0, 2]].sum(axis=1),
+                                             np.isin(targets, [0, 2]))
+        assert got["x"] == average_precision(scores[:, [1, 3]].sum(axis=1),
+                                             np.isin(targets, [1, 3]))
 
     def test_absent_class_is_none(self):
         scores = np.array([[0.9, 0.1], [0.8, 0.2]])
         got = pooled_class_average_precisions(
-            [(scores, np.array([0, 0]), None)], ["a", "b"])
+            [(scores, np.array([0, 0]))], ["a", "b"], SELF)
         assert got["b"] is None
         assert got["a"] == pytest.approx(100.0)
-
-    def test_mask_drops_frames(self):
-        scores = np.array([[0.9, 0.1], [0.1, 0.9], [0.4, 0.6]])
-        targets = np.array([0, 1, 0])
-        mask = np.array([True, True, False])
-        got = pooled_class_average_precisions([(scores, targets, mask)], ["a", "b"])
-        kept = pooled_class_average_precisions(
-            [(scores[:2], targets[:2], None)], ["a", "b"])
-        assert got == kept
 
     def test_incomplete_collapse_map(self):
         with pytest.raises(LengthMismatch):
             pooled_class_average_precisions(
-                [(np.ones((2, 2)), np.zeros(2, dtype=int), None)],
+                [(np.ones((2, 2)), np.zeros(2, dtype=int))],
                 ["a", "b"], {"a": "g"})
 
     def test_no_trials(self):
         with pytest.raises(EmptyInput):
-            pooled_class_average_precisions([], ["a"])
+            pooled_class_average_precisions([], ["a"], {"a": "a"})
+
+    def test_no_kept_frames(self):
+        empty = (np.ones((0, 2)), np.zeros(0, dtype=int))
+        with pytest.raises(EmptyInput):
+            pooled_class_average_precisions([empty, empty], ["a", "b"], SELF)
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ShapeMismatch):
+            pooled_class_average_precisions(
+                [(np.ones((2, 3)), np.zeros(2, dtype=int))], ["a", "b"], SELF)
+        with pytest.raises(LengthMismatch):
+            pooled_class_average_precisions(
+                [(np.ones((2, 2)), np.zeros(3, dtype=int))], ["a", "b"], SELF)
 
 
 class TestMapReport:
     def test_macro_micro_oracle(self):
         # macro: (50 + 100) / 2 = 75; micro: (50*1 + 100*3) / 4 = 87.5
-        summary = map_report({"a": 50.0, "b": 100.0}, {"a": 1, "b": 3})
-        assert summary.macro == pytest.approx(75.0)
-        assert summary.micro == pytest.approx(87.5)
+        block = map_report({"a": 50.0, "b": 100.0}, {"a": 1, "b": 3})
+        assert block["macro"] == pytest.approx(75.0)
+        assert block["micro"] == pytest.approx(87.5)
 
     def test_undefined_classes_excluded(self):
-        summary = map_report({"a": 80.0, "b": None}, {"a": 2, "b": 0})
-        assert summary.macro == pytest.approx(80.0)
-        assert summary.micro == pytest.approx(80.0)
-        assert dict(summary.per_class)["b"] is None
+        block = map_report({"a": 80.0, "b": None}, {"a": 2, "b": 0})
+        assert block["macro"] == pytest.approx(80.0)
+        assert block["micro"] == pytest.approx(80.0)
+        assert block["per_class"]["b"] is None
 
     def test_support_recorded(self):
-        summary = map_report({"a": 80.0, "b": None}, {"a": 2})
-        assert dict(summary.support) == {"a": 2, "b": 0}
+        block = map_report({"a": 80.0, "b": None}, {"a": 2})
+        assert block == {"per_class": {"a": 80.0, "b": None},
+                         "support": {"a": 2, "b": 0}, "macro": 80.0, "micro": 80.0}
 
     def test_all_undefined(self):
-        with pytest.raises(NoDefinedClasses):
-            map_report({"a": None}, {"a": 0})
+        assert map_report({"a": None}, {"a": 0}) is None
+        assert map_report({}, {}) is None
 
     def test_missing_support(self):
         with pytest.raises(LengthMismatch):
             map_report({"a": 50.0}, {})
+
+    def test_defined_class_without_support(self):
+        with pytest.raises(LengthMismatch, match=r"\['b'\]"):
+            map_report({"a": 50.0, "b": 10.0}, {"a": 1, "b": 0})

@@ -24,6 +24,8 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 # the spans every training and evaluation pass goes through
 PASS_SPANS = {"tcn.train", "tcn.predict", "tcn.forward", "tcn.backward", "nn.loss",
               "nn.conv_forward", "nn.conv_backward", "nn.adam"}
+# the spans every scored fold goes through
+SCORE_SPANS = {"metrics.accuracy", "metrics.edit", "metrics.ap"}
 
 
 def load_spans() -> types.ModuleType:
@@ -100,6 +102,9 @@ def test_a_traced_experiment_counts_the_work_its_inputs_imply(tmp_path, case):
     # each loaded trial's arm view is split from its combined file once
     assert counts["dataset.split_by_arm_calls"] == (len(loaded) if derived else 0)
     assert counts["dataset.kinematics_calls"] == len(loaded)
-    assert PASS_SPANS <= set(tracer.self_times(1))
+    assert PASS_SPANS | SCORE_SPANS <= set(tracer.self_times(1))
+    # the edit score is traced where the runner calls it, with its two
+    # frame sequences
+    assert counts["metrics.edit_cells"] > 0
     # the block restores every entry point
     assert [getattr(owner, attr) for owner, attr, _, _ in spans.TARGETS] == originals

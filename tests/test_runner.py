@@ -32,6 +32,7 @@ from surgact.errors import (
     NonFiniteLoss,
     UnattributedSegment,
 )
+from surgact.metrics import average_precision, map_report
 from surgact.nn import Adam
 from surgact.runner import (
     ExperimentConfig,
@@ -458,6 +459,33 @@ class TestRunFold:
         assert set(payload["map"]["per_class"]) <= {
             "Grasp", "Release", "Touch", "Untouch", "Pull", "Push", "Idle"}
         assert model is not None
+
+    def test_map_scores_the_kept_frames_alone(self, tmp_path):
+        # frames 10-19 of each gesture trial are unlabelled: the fold's map
+        # is map_report over the model's scores on the other 30 frames
+        manifest = write_mini_corpus(tmp_path)
+        catalog = build_catalog(manifest)
+        cfg = ExperimentConfig(catalog=str(manifest), granularity="gesture", cv="louo",
+                               tasks=("T",), epochs=1, kernel_size=3)
+        plan = plan_folds(cfg, catalog)[0]
+        source = TrialDataSource(catalog, "gesture", cfg.feature_columns(),
+                                 [e.key for e in catalog.entries])
+        source.load(source.keys)
+        payload, model = run_fold(plan, source, fold_model_config(plan, source, cfg))
+        (key,) = plan.test_trials
+        tensors = source.tensors(key)
+        _, scores = predict_labels(model, tensors.features)
+
+        def block(frames):
+            return map_report(
+                {name: average_precision(scores[frames, i], tensors.targets[frames] == i)
+                 for i, name in enumerate(source.vocabulary)},
+                {"G1": 1, "G2": 1})
+
+        assert tensors.mask.sum() == 30
+        assert payload["map"] == block(tensors.mask)
+        # the unlabelled frames, read as target 0, would change G1's AP
+        assert payload["map"] != block(np.ones(40, dtype=bool))
 
     def test_kernel_override_is_used(self, synth_manifest):
         catalog = build_catalog(synth_manifest)
