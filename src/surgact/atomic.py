@@ -1,4 +1,4 @@
-"""Atomic file replacement, shared by reports, CLI outputs and checkpoints."""
+"""Atomic file replacement, shared by reports and CLI outputs."""
 
 from __future__ import annotations
 

@@ -117,7 +117,7 @@ def _cmd_train(args) -> int:
     if args.out and not Path(args.out).parent.is_dir():
         # refused before the fold trains, not after
         raise IoFailure(f"cannot write {args.out}: no directory {Path(args.out).parent}")
-    payload, _ = run_single_fold(config, args.fold, checkpoint=args.checkpoint)
+    payload = run_single_fold(config, args.fold)
     out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         write_atomic(Path(args.out), out.encode())
@@ -125,8 +125,7 @@ def _cmd_train(args) -> int:
     else:
         sys.stdout.write(out)
     if payload["status"] != "ok":
-        unsaved = "; no checkpoint written" if args.checkpoint else ""
-        print(f"fold {payload['name']} {payload['status']}: {payload['error']}{unsaved}",
+        print(f"fold {payload['name']} {payload['status']}: {payload['error']}",
               file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a single fold")
     _add_experiment_args(p)
     p.add_argument("--fold", required=True, help="fold name from `folds`")
-    p.add_argument("--checkpoint", help="write the trained model here (.npz)")
     p.add_argument("--out", help="write the fold report JSON here")
     p.set_defaults(func=_cmd_train)
 

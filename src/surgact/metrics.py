@@ -11,10 +11,10 @@ Three families:
   a threshold); macro and support-weighted micro means on top, as the
   report's `map` block (`map_report`).
 
-Every metric reads the frames that count and nothing else: the caller
-selects them once (a gesture trial's labelled frames, every frame of an
-MP trial) and passes the same frames to each. All scores are on a 0..100
-percent scale.
+Accuracy and AP read the frames that count alone (a gesture trial's
+labelled frames, every frame of an MP trial); the edit score reads the
+whole trial with GAP at the other frames, so that a gap ends a segment.
+All scores are on a 0..100 percent scale.
 """
 
 from __future__ import annotations
@@ -31,14 +31,18 @@ from .errors import (
 )
 
 __all__ = [
+    "GAP",
     "frame_accuracy",
     "run_length_segments",
+    "segment_labels",
     "levenshtein",
     "edit_score",
     "average_precision",
     "pooled_class_average_precisions",
     "map_report",
 ]
+
+GAP = -1  # the label of a frame that no segment covers
 
 
 def frame_accuracy(predicted: Sequence, reference: Sequence) -> float:
@@ -64,6 +68,11 @@ def run_length_segments(frames: Sequence) -> list[tuple[int, int, Any]]:
             start = i
     out.append((start, len(frames) - 1, frames[start]))
     return out
+
+
+def segment_labels(frames: Sequence) -> list:
+    """A frame sequence's segment labels: its runs, less the GAP runs."""
+    return [label for _, _, label in run_length_segments(frames) if label != GAP]
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -103,15 +112,16 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
 def edit_score(predicted_frames: Sequence, reference_frames: Sequence) -> float:
     """Segmental edit score between two frame sequences.
 
-    Both sequences are run-length collapsed first; the score is
+    Both sequences are collapsed into their segments first
+    (`segment_labels`: the runs, less the GAP runs); the score is
     100 * (1 - d / max(|G|, |P|)) with d the Levenshtein distance between
-    the collapsed label sequences. Repeating every frame k times therefore
+    the two segment label sequences. Repeating every frame k times therefore
     leaves the score unchanged.
     """
-    if len(predicted_frames) == 0 or len(reference_frames) == 0:
-        raise EmptyInput("cannot score empty sequences")
-    pred = [label for _, _, label in run_length_segments(predicted_frames)]
-    ref = [label for _, _, label in run_length_segments(reference_frames)]
+    pred = segment_labels(predicted_frames)
+    ref = segment_labels(reference_frames)
+    if not pred and not ref:
+        raise EmptyInput("cannot score two sequences without a segment")
     dist = levenshtein(pred, ref)
     return 100.0 * (1.0 - dist / max(len(pred), len(ref)))
 

@@ -15,8 +15,8 @@ into its bound transcript and model-ready arrays (`TrialDataSource`), and
 the folds share them. Each trial's arrays carry the mask of the frames that
 count: every frame for motion primitives, the labelled ones for gestures.
 Training and evaluation read it the same way for every granularity:
-`run_fold` selects a held-out trial's kept frames once and scores accuracy,
-edit score and AP on those frames alone.
+`run_fold` scores accuracy and AP on a held-out trial's kept frames, and
+the edit score on their segments, which a dropped frame ends.
 
 Every fold of a report has the same keys (`_fold_payload`), whether it is
 ok, diverged or failed; a fold that did not finish has no training,
@@ -26,7 +26,7 @@ Each setting is declared once, as an `ExperimentConfig` field: the field
 names are the config file's keys and the CLI flags' destinations, and
 `load_experiment_config` builds the one config from a file, from flags, or
 from both. The model settings are checked by `tcn.check_model_settings`,
-the rule set `ModelConfig` and checkpoints use too.
+the rule set `ModelConfig` uses too.
 """
 
 from __future__ import annotations
@@ -78,24 +78,23 @@ from .errors import (
     NonFiniteLoss,
 )
 from .metrics import (
+    GAP,
     edit_score,
     frame_accuracy,
     map_report,
     pooled_class_average_precisions,
-    run_length_segments,
+    segment_labels,
 )
 from .tcn import (
     DEFAULT_EPOCHS,
     HYPERPARAM_DEFAULTS,
     ModelConfig,
-    TcnModel,
     TrialTensors,
     _is_a,
     build_model,
     check_model_settings,
     compute_kernel_size,
     predict_labels,
-    save_model,
     train_fold,
 )
 
@@ -445,14 +444,15 @@ def _fold_payload(fold: FoldPlan, model_config: ModelConfig) -> dict:
 
 
 def run_fold(fold: FoldPlan, source: TrialDataSource,
-             model_config: ModelConfig) -> tuple[dict, Optional[TcnModel]]:
+             model_config: ModelConfig) -> dict:
     """Train and evaluate one fold with the settings `fold_model_config`
-    gave it; returns (payload, model). The payload is `_fold_payload`'s
-    with `training` as `train_fold` returns it, and the held-out trials'
-    scores. Each trial's mask selects its kept frames once, and accuracy,
-    edit score and AP all read those frames alone; AP and support group
-    each class by `group_of` (itself, or an MP class's verb), and `map` is
-    `map_report`'s block, None when no class has a defined AP.
+    gave it; returns the payload: `_fold_payload`'s with `training` as
+    `train_fold` returns it, and the held-out trials' scores. Accuracy and
+    AP read the frames each trial's mask keeps; the edit score and the
+    support count read its segments, with the dropped frames set to GAP in
+    truth and prediction alike, so a gap ends a segment. AP and support
+    group each class by `group_of` (itself, or an MP class's verb), and
+    `map` is `map_report`'s block, None when no class has a defined AP.
 
     A non-finite training loss marks the fold "diverged" instead of raising:
     the payload records the error and the fold is skipped by aggregation.
@@ -466,7 +466,7 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
     except NonFiniteLoss as exc:
         payload["status"] = "diverged"
         payload["error"] = str(exc)
-        return payload, model
+        return payload
 
     # AP scores a gesture class alone and an MP class by its verb
     group_of = {lab: lab if source.granularity == "gesture" else mp_verb(lab)
@@ -481,10 +481,10 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         pred, scores = predict_labels(model, tensors.features)
         keep = tensors.mask
         targets = tensors.targets[keep]
-        pred_kept = pred[keep].tolist()
-        ref_kept = targets.tolist()
-        acc = frame_accuracy(pred_kept, ref_kept)
-        edit = edit_score(pred_kept, ref_kept)
+        acc = frame_accuracy(pred[keep].tolist(), targets.tolist())
+        pred_frames = np.where(keep, pred, GAP).tolist()
+        ref_frames = np.where(keep, tensors.targets, GAP).tolist()
+        edit = edit_score(pred_frames, ref_frames)
         accs.append(acc)
         edits.append(edit)
         per_trial["/".join(key)] = {
@@ -494,7 +494,7 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
             "labeled_frames": int(keep.sum()),
         }
         pooled.append((scores[keep], targets))
-        for _, _, label_id in run_length_segments(ref_kept):
+        for label_id in segment_labels(ref_frames):
             support[group_of[vocab[label_id]]] += 1
 
     payload["metrics"] = {
@@ -504,7 +504,7 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
     }
     payload["map"] = map_report(
         pooled_class_average_precisions(pooled, vocab, group_of), support)
-    return payload, model
+    return payload
 
 
 def _aggregate(fold_payloads: Sequence[dict]) -> dict:
@@ -609,7 +609,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     source.load(source.keys)
     model_configs = [fold_model_config(plan, source, config) for plan in plans]
     if config.output_dir:
-        _make_directory(Path(config.output_dir), "output")
+        _make_directory(Path(config.output_dir))
     experiment = _experiment_payload(config, plans, source)
 
     folds: list[dict] = []
@@ -618,8 +618,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for plan, model_config in zip(plans, model_configs):
         t0 = time.perf_counter()
         try:
-            # the model is dropped here, so no two folds' models are alive
-            payload = run_fold(plan, source, model_config)[0]
+            payload = run_fold(plan, source, model_config)
         except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
             payload = {**_fold_payload(plan, model_config),
                        "status": "failed", "error": str(exc)}
@@ -646,15 +645,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def run_single_fold(config: ExperimentConfig, fold_name: str,
-                    checkpoint: Optional[str] = None) -> tuple[dict, TcnModel]:
-    """Train exactly one fold of the configured experiment (CLI `train`).
-
-    The fold's trials are read and checked, its model settings derived, and
-    the checkpoint's directory made, before it trains. The checkpoint is
-    written only for a fold whose status is "ok": a diverged fold's weights
-    are not a model.
-    """
+def run_single_fold(config: ExperimentConfig, fold_name: str) -> dict:
+    """Train exactly one fold of the configured experiment (CLI `train`)
+    and return its payload. The fold's trials are read and checked, and its
+    model settings derived, before it trains."""
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
     matches = [p for p in plans if p.name == fold_name]
@@ -664,13 +658,7 @@ def run_single_fold(config: ExperimentConfig, fold_name: str,
     source = _build_source(config, catalog, plans)
     fold = matches[0]
     source.load(fold.train_trials + fold.test_trials)
-    model_config = fold_model_config(fold, source, config)
-    if checkpoint:
-        _make_directory(Path(checkpoint).parent, "checkpoint")
-    payload, model = run_fold(fold, source, model_config)
-    if checkpoint and payload["status"] == "ok":
-        save_model(model, checkpoint)
-    return payload, model
+    return run_fold(fold, source, fold_model_config(fold, source, config))
 
 
 # ---------------------------------------------------------------------------
@@ -722,18 +710,18 @@ def render_tables(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _make_directory(directory: Path, what: str) -> None:
+def _make_directory(directory: Path) -> None:
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot create {what} directory {directory}: {exc}")
+        raise IoFailure(f"cannot create output directory {directory}: {exc}")
 
 
 def emit_report(report: ExperimentReport, out_dir) -> None:
     """Write `report.json` and `tables.txt` under `out_dir`, each atomically;
     a failed write is an IoFailure naming the file."""
     out = Path(out_dir)
-    _make_directory(out, "output")
+    _make_directory(out)
     write_atomic(out / "report.json", report.json_bytes(include_timing=True))
     write_atomic(out / "tables.txt", render_tables(report.payload()).encode())
 

@@ -48,24 +48,18 @@ are views into them, ordered w0, b0, w1, b1, ... along the forward pass.
 
 `check_model_settings` holds the rules for the training settings
 (filters, learning rate, weight decay, epochs, kernel width). An experiment
-config, a `ModelConfig` and a checkpoint's metadata are all checked by it.
-A checkpoint stores `asdict(ModelConfig)` and is read back with
-`ModelConfig(**config)`.
+config and a `ModelConfig` are both checked by it.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from numbers import Integral, Real
-from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .atomic import write_atomic
 from .dataset import MIN_FRAMES, LabelTranscript, TrialKey
 from .errors import (
     ChannelMismatch,
@@ -99,8 +93,6 @@ __all__ = [
     "build_model",
     "train_fold",
     "predict_labels",
-    "save_model",
-    "load_model",
 ]
 
 # Optimizer settings that go with each cross-validation setup.
@@ -110,8 +102,6 @@ HYPERPARAM_DEFAULTS: dict[str, dict[str, float]] = {
 }
 
 DEFAULT_EPOCHS = 60
-
-CHECKPOINT_VERSION = 2
 
 
 def _is_a(value, kind: type) -> bool:
@@ -186,7 +176,7 @@ class TcnModel:
     """The encoder-decoder network with hand-written backward passes."""
 
     def __init__(self, config: ModelConfig, input_channels: int,
-                 rng: Optional[np.random.Generator] = None):
+                 rng: np.random.Generator):
         if input_channels < 1:
             raise InvalidConfig(f"input_channels must be >= 1, got {input_channels}")
         self.config = config
@@ -379,62 +369,3 @@ def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, n
     probs = ez / ez.sum(axis=0, keepdims=True)
     labels = np.argmax(logits, axis=0)
     return labels, probs.T
-
-
-def save_model(model: TcnModel, path) -> Path:
-    """Checkpoint: config plus the flat parameter vector, bit-exact.
-
-    The file is replaced atomically in an existing directory; a failed
-    write is an IoFailure naming `path` and leaves no partial file.
-    """
-    p = Path(path)
-    meta = {
-        "format_version": CHECKPOINT_VERSION,
-        "input_channels": model.input_channels,
-        "config": asdict(model.config),
-    }
-    buf = io.BytesIO()
-    np.savez(buf, meta=np.array(json.dumps(meta, sort_keys=True)), params=model.theta)
-    write_atomic(p, buf.getvalue())
-    return p
-
-
-def load_model(path) -> TcnModel:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"checkpoint not found: {p}")
-    with np.load(p, allow_pickle=False) as bundle:
-        if "meta" not in bundle:
-            raise DataError(f"checkpoint lacks metadata: {p}")
-        try:
-            meta = json.loads(str(bundle["meta"]))
-        except ValueError as exc:  # not JSON, or an array np.load refuses
-            raise DataError(f"checkpoint metadata is not JSON: {p}: {exc}")
-        if not isinstance(meta, dict):
-            raise DataError(f"checkpoint metadata is not an object: {p}")
-        version = meta.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise DataError(
-                f"checkpoint format {version!r} unsupported "
-                f"(expected {CHECKPOINT_VERSION}): {p}")
-        try:
-            raw = meta["config"]
-            keys = {f.name for f in fields(ModelConfig)}
-            # a missing key would fall back to a default without saying so
-            if not isinstance(raw, dict) or set(raw) != keys:
-                raise DataError(f"checkpoint config must hold exactly {sorted(keys)}: {p}")
-            model = TcnModel(ModelConfig(**raw), meta["input_channels"], rng=None)
-        except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
-            raise DataError(f"checkpoint metadata is malformed: {p}: {exc!r}")
-        if sorted(bundle.files) != ["meta", "params"]:
-            raise ShapeMismatch(
-                f"checkpoint arrays {sorted(bundle.files)} are not meta and params: {p}")
-        stored = bundle["params"]
-        if stored.shape != model.theta.shape:
-            raise ShapeMismatch(
-                f"checkpoint array params has shape {stored.shape}, "
-                f"expected {model.theta.shape}: {p}")
-        model.theta[:] = stored
-        if not np.isfinite(model.theta).all():
-            raise NonNumericCell(f"checkpoint array params holds non-finite values: {p}")
-    return model

@@ -6,13 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import surgact
 from surgact.cli import main
 from surgact.runner import load_report
-from surgact.tcn import load_model, predict_labels
 
 
 @pytest.fixture(scope="module")
@@ -448,51 +446,23 @@ class TestNonFiniteRates:
 
 
 class TestTrainCommand:
-    def test_single_fold_with_checkpoint(self, synth_manifest, tmp_path, capsys):
-        ckpt = tmp_path / "model.npz"
+    def test_single_fold_writes_its_report(self, synth_manifest, tmp_path, capsys):
         out = tmp_path / "fold.json"
         rc = main(["train", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
-                   "--epochs", "1", "--fold", "louo-SYNTH-U03",
-                   "--checkpoint", str(ckpt), "--out", str(out)])
+                   "--epochs", "1", "--fold", "louo-SYNTH-U03", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["name"] == "louo-SYNTH-U03"
-        model = load_model(ckpt)
-        labels, scores = predict_labels(model, np.zeros((24, 14)))
-        assert labels.shape == (24,)
-        np.testing.assert_allclose(scores.sum(axis=1), 1.0)
 
-    def test_diverged_fold_exits_3_without_a_checkpoint(self, synth_manifest, tmp_path,
-                                                        capsys):
-        ckpt = tmp_path / "model.npz"
+    def test_diverged_fold_exits_3(self, synth_manifest, capsys):
         rc = main(["train", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
                    "--epochs", "1", "--learning-rate", "1e308",
-                   "--fold", "louo-SYNTH-U03", "--checkpoint", str(ckpt)])
-        assert rc == 3
-        assert "no checkpoint written" in capsys.readouterr().err
-        assert not ckpt.exists()
-
-    def test_checkpoint_under_a_file_exits_3_before_training(self, synth_manifest,
-                                                              tmp_path, capsys,
-                                                              monkeypatch):
-        import surgact.runner
-
-        def trained(*args, **kwargs):
-            raise AssertionError("the fold trained before the checkpoint path was checked")
-
-        monkeypatch.setattr(surgact.runner, "train_fold", trained)
-        (tmp_path / "afile").write_text("a file, not a directory")
-        rc = main(["train", "--catalog", str(synth_manifest),
-                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
-                   "--epochs", "1", "--fold", "louo-SYNTH-U03",
-                   "--checkpoint", str(tmp_path / "afile" / "model.npz")])
+                   "--fold", "louo-SYNTH-U03"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith("failure: cannot create checkpoint directory")
-        assert err.count("\n") == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert err.startswith("fold louo-SYNTH-U03 diverged: ") and err.count("\n") == 1
 
     def test_unknown_fold_name(self, synth_manifest, capsys):
         rc = main(["train", "--catalog", str(synth_manifest),

@@ -1,17 +1,20 @@
-"""numpy is the package's only runtime dependency, and each module's
-`__all__` names only what it defines or imports.
+"""numpy is the package's only runtime dependency, each module's `__all__`
+names only what it defines or imports, and every name a submodule exports
+is read somewhere in the package or the benchmark.
 
 Every module under src/surgact is parsed, not imported, so a module that
 would fail to import is still checked.
 """
 
 import ast
+import functools
 import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "surgact"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 ALLOWED = sys.stdlib_module_names | {"numpy"}
 
 
@@ -77,3 +80,39 @@ def test_the_export_check_sees_a_stale_name(tmp_path):
                      "__all__ = ['a', 'b', 'c', 'D', 'Gone']\n")
     exported, bound = exported_and_bound(probe)
     assert [name for name in exported if name not in bound] == ["Gone"]
+
+
+def used_names(paths) -> set[str]:
+    """The names these files read, as a bare name or as an attribute."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+@functools.cache
+def names_read_by_the_code() -> set[str]:
+    return used_names(MODULES + sorted(PERFBENCH.rglob("*.py")))
+
+
+# the package's own __all__ lists its submodules, which a caller imports
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_exported_name_is_read(path):
+    exported, _ = exported_and_bound(path)
+    assert [name for name in exported if name not in names_read_by_the_code()] == []
+
+
+def test_the_read_check_sees_an_unread_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("__all__ = ['a', 'b', 'Unread']\n"
+                     "def a(): pass\ndef b(): pass\nclass Unread: pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from . import probe\nfrom .probe import Unread, a\na()\nprobe.b()\n")
+    exported, _ = exported_and_bound(probe)
+    used = used_names([probe, user])
+    assert [name for name in exported if name not in used] == ["Unread"]

@@ -19,6 +19,7 @@ from surgact.errors import (
     ShapeMismatch,
 )
 from surgact.metrics import (
+    GAP,
     average_precision,
     edit_score,
     frame_accuracy,
@@ -26,6 +27,7 @@ from surgact.metrics import (
     map_report,
     pooled_class_average_precisions,
     run_length_segments,
+    segment_labels,
 )
 
 
@@ -154,6 +156,18 @@ class TestEditScore:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             edit_score([], [1])
+
+    def test_a_gap_ends_a_segment_and_is_none(self):
+        ref = [0] * 10 + [GAP] * 10 + [0] * 10 + [1] * 10
+        assert segment_labels(ref) == [0, 0, 1]
+        # [0, 1] against [0, 0, 1]; kept as a token, the gap would give 75
+        pred = [0] * 10 + [GAP] * 10 + [1] * 20
+        assert edit_score(pred, ref) == pytest.approx(200 / 3)
+
+    def test_gaps_alone(self):
+        assert edit_score([GAP, GAP], [GAP, 1]) == 0.0
+        with pytest.raises(EmptyInput):
+            edit_score([GAP], [GAP, GAP])
 
 
 class TestAveragePrecision:

@@ -50,7 +50,7 @@ from surgact.runner import (
     run_fold,
     run_single_fold,
 )
-from surgact.tcn import HYPERPARAM_DEFAULTS, load_model, predict_labels
+from surgact.tcn import HYPERPARAM_DEFAULTS, predict_labels
 
 
 def synth_config(manifest, **kwargs):
@@ -440,7 +440,7 @@ class TestRunFold:
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
         source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
         source.load(keys)
-        payload, model = run_fold(plans[0], source, fold_model_config(plans[0], source, cfg))
+        payload = run_fold(plans[0], source, fold_model_config(plans[0], source, cfg))
         assert payload["status"] == "ok"
         assert payload["name"] == "louo-SYNTH-U01"
         assert payload["held_out"] == "SYNTH/U01"
@@ -458,11 +458,18 @@ class TestRunFold:
         # verb grouping: map classes are verbs, not full labels
         assert set(payload["map"]["per_class"]) <= {
             "Grasp", "Release", "Touch", "Untouch", "Pull", "Push", "Idle"}
-        assert model is not None
 
-    def test_map_scores_the_kept_frames_alone(self, tmp_path):
+    def test_map_scores_the_kept_frames_alone(self, tmp_path, monkeypatch):
         # frames 10-19 of each gesture trial are unlabelled: the fold's map
         # is map_report over the model's scores on the other 30 frames
+        models = []
+        real_predict = runner_mod.predict_labels
+
+        def predict_spy(model, features):
+            models.append(model)
+            return real_predict(model, features)
+
+        monkeypatch.setattr(runner_mod, "predict_labels", predict_spy)
         manifest = write_mini_corpus(tmp_path)
         catalog = build_catalog(manifest)
         cfg = ExperimentConfig(catalog=str(manifest), granularity="gesture", cv="louo",
@@ -471,7 +478,8 @@ class TestRunFold:
         source = TrialDataSource(catalog, "gesture", cfg.feature_columns(),
                                  [e.key for e in catalog.entries])
         source.load(source.keys)
-        payload, model = run_fold(plan, source, fold_model_config(plan, source, cfg))
+        payload = run_fold(plan, source, fold_model_config(plan, source, cfg))
+        (model,) = models
         (key,) = plan.test_trials
         tensors = source.tensors(key)
         _, scores = predict_labels(model, tensors.features)
@@ -487,6 +495,33 @@ class TestRunFold:
         # the unlabelled frames, read as target 0, would change G1's AP
         assert payload["map"] != block(np.ones(40, dtype=bool))
 
+    def test_a_gap_ends_a_segment(self, tmp_path, monkeypatch):
+        # three segments, two of them G1 with only a gap between them
+        manifest = write_mini_corpus(tmp_path)
+        for subject in ("A", "B"):
+            (tmp_path / "lab" / f"T_{subject}_001_gesture.txt").write_text(
+                "0 9 G1\n20 29 G1\n30 39 G2\n")
+        # G1 on frames 0-19, G2 on 20-39: the second G1 segment is missed
+        pred = np.repeat([0, 1], 20)
+
+        def predict(model, features):
+            return pred, np.eye(2)[pred]
+
+        monkeypatch.setattr(runner_mod, "predict_labels", predict)
+        catalog = build_catalog(manifest)
+        cfg = ExperimentConfig(catalog=str(manifest), granularity="gesture", cv="louo",
+                               tasks=("T",), epochs=0, kernel_size=3)
+        plan = plan_folds(cfg, catalog)[0]
+        source = TrialDataSource(catalog, "gesture", cfg.feature_columns(),
+                                 [e.key for e in catalog.entries])
+        source.load(source.keys)
+        payload = run_fold(plan, source, fold_model_config(plan, source, cfg))
+        assert payload["map"]["support"] == {"G1": 2, "G2": 1}
+        # segments [G1, G2] against [G1, G1, G2]: one deletion over three
+        (trial,) = payload["metrics"]["per_trial"].values()
+        assert trial["edit_score"] == pytest.approx(200 / 3)
+        assert trial["accuracy"] == pytest.approx(200 / 3)
+
     def test_kernel_override_is_used(self, synth_manifest):
         catalog = build_catalog(synth_manifest)
         cfg = synth_config(synth_manifest, kernel_size=5, epochs=0)
@@ -494,7 +529,7 @@ class TestRunFold:
         keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
         source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
         source.load(keys)
-        payload, _ = run_fold(plans[0], source, fold_model_config(plans[0], source, cfg))
+        payload = run_fold(plans[0], source, fold_model_config(plans[0], source, cfg))
         assert payload["kernel_size"] == 5
 
     def test_training_never_touches_held_out_trials(self, synth_manifest, monkeypatch):
@@ -656,27 +691,20 @@ class TestRunExperiment:
 
 
 class TestRunSingleFold:
-    def test_named_fold_with_checkpoint(self, synth_manifest, tmp_path):
+    def test_named_fold_is_the_experiment_fold(self, synth_manifest):
         cfg = synth_config(synth_manifest, epochs=1)
-        ckpt = tmp_path / "fold.npz"
-        payload, model = run_single_fold(cfg, "louo-SYNTH-U02", checkpoint=ckpt)
+        payload = run_single_fold(cfg, "louo-SYNTH-U02")
         assert payload["name"] == "louo-SYNTH-U02"
         assert payload["status"] == "ok"
-        loaded = load_model(ckpt)
-        x = np.zeros((20, 14))
-        la, _ = predict_labels(model, x)
-        lb, _ = predict_labels(loaded, x)
-        np.testing.assert_array_equal(la, lb)
+        assert payload == run_experiment(cfg).folds[1]
 
-    def test_diverged_fold_writes_no_checkpoint(self, synth_manifest, tmp_path):
-        ckpt = tmp_path / "fold.npz"
+    def test_diverged_fold_is_returned(self, synth_manifest):
         cfg = synth_config(synth_manifest, epochs=1, learning_rate=1e308)
-        payload, _ = run_single_fold(cfg, "louo-SYNTH-U02", checkpoint=ckpt)
+        payload = run_single_fold(cfg, "louo-SYNTH-U02")
         assert payload["status"] == "diverged"
-        assert not ckpt.exists()
+        assert "louo-SYNTH-U02" in payload["error"]
 
-    def test_non_finite_parameters_after_the_last_step(self, synth_manifest, tmp_path,
-                                                       monkeypatch):
+    def test_non_finite_parameters_after_the_last_step(self, synth_manifest, monkeypatch):
         # every loss is finite; only the last step leaves non-finite parameters
         steps = []
         real_step = Adam.step
@@ -688,13 +716,11 @@ class TestRunSingleFold:
                 params[0][0] = np.nan
 
         monkeypatch.setattr(Adam, "step", poisoning_step)
-        ckpt = tmp_path / "fold.npz"
         cfg = synth_config(synth_manifest, epochs=1)
-        payload, _ = run_single_fold(cfg, "louo-SYNTH-U02", checkpoint=ckpt)
+        payload = run_single_fold(cfg, "louo-SYNTH-U02")
         assert len(steps) == 4
         assert payload["status"] == "diverged"
         assert "louo-SYNTH-U02" in payload["error"] and "non-finite" in payload["error"]
-        assert not ckpt.exists()
 
     def test_unknown_fold_name(self, synth_manifest):
         with pytest.raises(InvalidConfig, match="louo-SYNTH-U01"):

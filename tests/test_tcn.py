@@ -1,13 +1,8 @@
-"""Model assembly, kernel derivation, training loop, and checkpoint tests."""
-
-import errno
-import json
-import re
+"""Model assembly, kernel derivation, parameter store and training loop tests."""
 
 import numpy as np
 import pytest
 
-import surgact.atomic as atomic_mod
 import surgact.tcn as tcn_mod
 
 from surgact.crossval import FoldPlan
@@ -17,7 +12,6 @@ from surgact.errors import (
     DataError,
     EmptyTranscripts,
     InvalidConfig,
-    IoFailure,
     NonFiniteLoss,
     NonNumericCell,
     ShapeMismatch,
@@ -34,7 +28,6 @@ from surgact.nn import (
     softmax_cross_entropy,
 )
 from surgact.tcn import (
-    CHECKPOINT_VERSION,
     DEFAULT_EPOCHS,
     HYPERPARAM_DEFAULTS,
     MIN_FRAMES,
@@ -42,9 +35,7 @@ from surgact.tcn import (
     TrialTensors,
     build_model,
     compute_kernel_size,
-    load_model,
     predict_labels,
-    save_model,
     train_fold,
 )
 
@@ -220,7 +211,7 @@ def per_array_parameters(config, input_channels):
 
 def unfused_logits(theta, config, input_channels, x):
     """The ED-TCN as first written, decoder stages upsample -> one-phase conv,
-    with its convs read from `theta` in the version-2 checkpoint order."""
+    with its convs read from `theta` in the order the model keeps them."""
     convs = []
     offset = 0
     for c_in, c_out, width in conv_chain(config, input_channels):
@@ -258,6 +249,16 @@ class TestParameterStore:
         # the same layout, read back through the views
         views = np.concatenate([a.ravel() for conv in model.convs for a in (conv.w, conv.b)])
         assert np.array_equal(views, model.theta)
+
+    @pytest.mark.parametrize("t", [8, 21, 64])
+    def test_fused_model_reads_the_unfused_layout(self, t):
+        # one theta means the same network whether the decoder upsamples
+        # before its convs or inside them
+        cfg = ModelConfig(num_classes=4, kernel_size=5, filters=(4, 6, 8), seed=9)
+        model = build_model(cfg, 3)
+        x = np.random.default_rng(t).normal(size=(3, t))
+        np.testing.assert_allclose(model.forward(x)[0], unfused_logits(model.theta, cfg, 3, x),
+                                   rtol=0, atol=1e-12)
 
     def test_backward_fills_the_gradient_vector(self):
         model = build_model(SMALL, 3)
@@ -639,169 +640,3 @@ class TestPredictLabels:
         bad[3, 1] = np.inf
         with pytest.raises(NonNumericCell):
             predict_labels(model, bad)
-
-
-class TestCheckpoint:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        model = build_model(SMALL, 3)
-        x = np.random.default_rng(1).normal(size=(24, 3))
-        path = save_model(model, tmp_path / "model.npz")
-        loaded = load_model(path)
-        assert loaded.config == model.config
-        assert loaded.input_channels == model.input_channels
-        np.testing.assert_array_equal(model.theta, loaded.theta)
-        la, sa = predict_labels(model, x)
-        lb, sb = predict_labels(loaded, x)
-        np.testing.assert_array_equal(la, lb)
-        np.testing.assert_array_equal(sa, sb)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            load_model(tmp_path / "nope.npz")
-
-    def test_unsupported_version(self, tmp_path):
-        meta = {"format_version": 99, "input_channels": 3, "config": {}}
-        path = tmp_path / "model.npz"
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)))
-        with pytest.raises(DataError):
-            load_model(path)
-
-    def test_metadata_string_is_pinned(self, tmp_path):
-        cfg = ModelConfig(num_classes=5, kernel_size=7, filters=[4, 6, 8],
-                          learning_rate=1e-3, weight_decay=1e-4, epochs=3, seed=11)
-        path = save_model(build_model(cfg, 14), tmp_path / "model.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            assert str(bundle["meta"]) == (
-                '{"config": {"epochs": 3, "filters": [4, 6, 8], "kernel_size": 7, '
-                '"learning_rate": 0.001, "num_classes": 5, "seed": 11, '
-                '"weight_decay": 0.0001}, "format_version": 2, "input_channels": 14}')
-
-    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        model = build_model(SMALL, 3)
-        (tmp_path / "afile").write_text("a file, not a directory")
-        target = tmp_path / "afile" / "model.npz"
-        with pytest.raises(IoFailure) as caught:
-            save_model(model, target)
-        assert str(caught.value) == f"cannot write {target}: Not a directory"
-        path = save_model(model, tmp_path / "model.npz")
-        previous = path.read_bytes()
-
-        def full_disk(name, mode="r", *args, **kwargs):
-            fh = open(name, mode, *args, **kwargs)
-            write = fh.write
-
-            def fail_partway(data):
-                write(data[:len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-            fh.write = fail_partway
-            return fh
-
-        monkeypatch.setattr(atomic_mod, "open", full_disk, raising=False)
-        with pytest.raises(IoFailure, match="No space left"):
-            save_model(build_model(TOY, 3), path)
-        assert path.read_bytes() == previous
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "model.npz"]
-
-    def test_one_vector_and_metadata(self, tmp_path):
-        model = build_model(SMALL, 3)
-        path = save_model(model, tmp_path / "model.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            assert sorted(bundle.files) == ["meta", "params"]
-            assert json.loads(str(bundle["meta"]))["format_version"] == CHECKPOINT_VERSION == 2
-            assert np.array_equal(bundle["params"], model.theta)
-
-    def test_per_array_checkpoint_refused(self, tmp_path):
-        # the version-1 layout: one param_<i> array per conv weight and bias
-        model = build_model(SMALL, 3)
-        path = save_model(model, tmp_path / "model.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            meta = json.loads(str(bundle["meta"]))
-        meta["format_version"] = 1
-        arrays = {f"param_{i}": a for i, a in enumerate(per_array_parameters(SMALL, 3))}
-        assert len(arrays) == 14
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(DataError, match="format 1 unsupported"):
-            load_model(path)
-
-    @pytest.mark.parametrize("edit", [
-        lambda meta: {k: v for k, v in meta.items() if k != "config"},
-        lambda meta: json.dumps(meta)[:-1],
-        lambda meta: [meta],
-        lambda meta: {**meta, "config": {**meta["config"], "num_classes": 1}},
-        lambda meta: {**meta, "config": {**meta["config"], "learning_rate": float("nan")}},
-        lambda meta: {**meta, "config": {**meta["config"], "kernel_size": True}},
-        lambda meta: {**meta, "config": {**meta["config"], "momentum": 0.9}},
-        lambda meta: {**meta, "config": {k: v for k, v in meta["config"].items()
-                                         if k != "weight_decay"}},
-    ], ids=["no-config", "not-json", "json-list", "one-class", "nan-learning-rate",
-            "bool-kernel", "extra-key", "missing-key"])
-    def test_malformed_metadata_is_a_data_error(self, tmp_path, edit):
-        model = build_model(SMALL, 3)
-        path = save_model(model, tmp_path / "model.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        meta = edit(json.loads(str(arrays["meta"])))
-        arrays["meta"] = np.array(meta if isinstance(meta, str) else json.dumps(meta))
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(DataError, match=re.escape(str(path))):
-            load_model(path)
-
-    @pytest.mark.parametrize("t", [8, 21, 64])
-    def test_fused_model_reads_the_unfused_layout(self, tmp_path, t):
-        # a version-2 checkpoint means the same network whether the decoder
-        # upsamples before its convs or inside them
-        cfg = ModelConfig(num_classes=4, kernel_size=5, filters=(4, 6, 8), seed=9)
-        model = load_model(save_model(build_model(cfg, 3), tmp_path / "model.npz"))
-        x = np.random.default_rng(t).normal(size=(3, t))
-        np.testing.assert_allclose(model.forward(x)[0], unfused_logits(model.theta, cfg, 3, x),
-                                   rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_params_rejected(self, tmp_path, value):
-        model = build_model(SMALL, 3)
-        path = save_model(model, tmp_path / "model.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        arrays["params"][5] = value
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(NonNumericCell, match=re.escape(str(path))):
-            load_model(path)
-
-    def test_tampered_shape(self, tmp_path):
-        model = build_model(SMALL, 3)
-        path = save_model(model, tmp_path / "model.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        arrays["params"] = np.zeros(model.theta.size - 1)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(ShapeMismatch):
-            load_model(path)
-
-    def test_extra_array_rejected(self, tmp_path):
-        model = build_model(SMALL, 3)
-        path = save_model(model, tmp_path / "model.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        arrays["param_99"] = np.zeros(3)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(ShapeMismatch):
-            load_model(path)
-
-    @pytest.mark.parametrize("name", ["param_x", "param_", "weights"])
-    def test_stray_array_name_rejected(self, tmp_path, name):
-        model = build_model(SMALL, 3)
-        path = save_model(model, tmp_path / "model.npz")
-        with np.load(path, allow_pickle=False) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        arrays[name] = np.zeros(3)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(DataError, match=name):
-            load_model(path)
