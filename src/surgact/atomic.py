@@ -6,7 +6,7 @@ import contextlib
 import os
 from pathlib import Path
 
-from .errors import IoFailure
+from .errors import SurgactError
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -15,7 +15,7 @@ def write_atomic(path: Path, data: bytes) -> None:
     The data reaches the disk before the rename, so a power loss cannot
     leave the new name on an empty file.
 
-    An OSError becomes IoFailure("cannot write <path>: <reason>"), which
+    An OSError becomes SurgactError("cannot write <path>: <reason>"), which
     names `path`, not the temp file."""
     # opened by name, not by mkstemp, so the file gets the usual permissions
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -26,7 +26,7 @@ def write_atomic(path: Path, data: bytes) -> None:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise SurgactError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         # gone after the rename, or never made where the directory is missing
         with contextlib.suppress(OSError):

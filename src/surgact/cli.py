@@ -22,7 +22,7 @@ from .dataset import (
     load_transcript,
     load_trial_kinematics,
 )
-from .errors import ConfigError, DataError, IoFailure, SurgactError
+from .errors import ConfigError, DataError, SurgactError
 from .runner import (
     CV_MODES,
     ExperimentConfig,
@@ -116,7 +116,7 @@ def _cmd_train(args) -> int:
     config = _experiment_config(args)
     if args.out and not Path(args.out).parent.is_dir():
         # refused before the fold trains, not after
-        raise IoFailure(f"cannot write {args.out}: no directory {Path(args.out).parent}")
+        raise SurgactError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
     payload = run_single_fold(config, args.fold)
     out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:

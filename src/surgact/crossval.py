@@ -21,15 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .dataset import Catalog, TrialKey
-from .errors import (
-    CrossDatasetGestures,
-    EmptySelection,
-    InvalidConfig,
-    MissingTask,
-    TaskOverlap,
-    UnknownCombo,
-    UnknownTask,
-)
+from .errors import ConfigError
 
 # Canonical task order: the two tasks with gesture and MP labels from the
 # eight-subject teleoperation dataset (S, NP) and its third task (KT), then
@@ -91,7 +83,7 @@ class FoldPlan:
     def __post_init__(self):
         overlap = set(self.train_trials) & set(self.test_trials)
         if overlap:
-            raise InvalidConfig(f"fold {self.name}: trials in both sides: {sorted(overlap)}")
+            raise ConfigError(f"fold {self.name}: trials in both sides: {sorted(overlap)}")
 
 
 def resolve_task_combo(name: str) -> tuple[str, ...]:
@@ -99,8 +91,7 @@ def resolve_task_combo(name: str) -> tuple[str, ...]:
     try:
         return TASK_COMBOS[name]
     except KeyError:
-        raise UnknownCombo(
-            f"unknown task combo {name!r}; known: {', '.join(TASK_COMBOS)}")
+        raise ConfigError(f"unknown task combo {name!r}; known: {', '.join(TASK_COMBOS)}")
 
 
 def _ordered_tasks(tasks: Iterable[str]) -> tuple[str, ...]:
@@ -119,15 +110,15 @@ def louo_folds(catalog: Catalog, tasks: Sequence[str]) -> list[FoldPlan]:
     fewer than two subjects leave a fold nothing to train on."""
     tasks = _ordered_tasks(tasks)
     if not tasks:
-        raise EmptySelection("no tasks selected")
+        raise ConfigError("no tasks selected")
     available = set(catalog.tasks())
     unknown = [t for t in tasks if t not in available]
     if unknown:
-        raise UnknownTask(f"tasks not in catalog: {unknown}")
+        raise ConfigError(f"tasks not in catalog: {unknown}")
     pool = catalog.entries_for_tasks(tasks)
     subjects = sorted({e.subject_key for e in pool})
     if len(subjects) < 2:
-        raise EmptySelection(
+        raise ConfigError(
             f"leave-one-user-out needs at least 2 subjects; tasks {list(tasks)} "
             f"have {len(subjects)}")
     folds = []
@@ -149,11 +140,10 @@ def check_gesture_transfer(catalog: Catalog, tasks: Sequence[str]) -> None:
     source dataset."""
     no_labels = [t for t in tasks if not catalog.task_has_granularity(t, "gesture")]
     if no_labels:
-        raise CrossDatasetGestures(
-            f"tasks without gesture labels: {no_labels}")
+        raise ConfigError(f"tasks without gesture labels: {no_labels}")
     datasets = catalog.datasets_of_tasks(tasks)
     if len(datasets) > 1:
-        raise CrossDatasetGestures(
+        raise ConfigError(
             f"gesture vocabularies do not transfer across datasets: {sorted(datasets)}")
 
 
@@ -166,13 +156,13 @@ def loto_folds(
     """Plan a single task-transfer fold: train tasks -> held-out task."""
     train_tasks = _ordered_tasks(train_tasks)
     if not train_tasks:
-        raise EmptySelection("no training tasks selected")
+        raise ConfigError("no training tasks selected")
     if test_task in train_tasks:
-        raise TaskOverlap(f"test task {test_task!r} also in training tasks")
+        raise ConfigError(f"test task {test_task!r} also in training tasks")
     available = set(catalog.tasks())
     unknown = [t for t in (test_task, *train_tasks) if t not in available]
     if unknown:
-        raise UnknownTask(f"tasks not in catalog: {unknown}")
+        raise ConfigError(f"tasks not in catalog: {unknown}")
     if granularity == "gesture":
         check_gesture_transfer(catalog, (test_task, *train_tasks))
     return FoldPlan(
@@ -193,13 +183,13 @@ def loto_suite(catalog: Catalog, granularity: Optional[str] = None) -> list[Fold
     available = set(catalog.tasks())
     missing = [t for t in TASK_ORDER if t not in available]
     if missing:
-        raise MissingTask(f"catalog lacks tasks required by the suite: {missing}")
+        raise ConfigError(f"catalog lacks tasks required by the suite: {missing}")
     plans = []
     for test_task, train_tasks in LOTO_SUITE_ROWS:
         if granularity == "gesture":
             try:
                 check_gesture_transfer(catalog, (test_task, *train_tasks))
-            except CrossDatasetGestures:
+            except ConfigError:
                 continue
         plans.append(loto_folds(catalog, test_task, train_tasks, granularity))
     return plans

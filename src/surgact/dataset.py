@@ -34,26 +34,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (
-    ChannelMismatch,
-    DataError,
-    DuplicateColumn,
-    DuplicateTrialKey,
-    EmptyTranscripts,
-    IndexOutOfRange,
-    InvalidConfig,
-    MissingFile,
-    MissingTranscript,
-    NonNumericCell,
-    OutOfOrderSegments,
-    OverlappingSegments,
-    RaggedRows,
-    SegmentBeyondTrial,
-    TooShort,
-    UnattributedSegment,
-    UnknownLabel,
-    UntiledTranscript,
-)
+from .errors import ConfigError, DataError
 
 GRANULARITIES = ("gesture", "mp", "mp-left", "mp-right")
 # the per-arm granularities and the tool side each one keeps
@@ -91,17 +72,17 @@ class MotionPrimitiveLabel:
 
     def __post_init__(self):
         if self.verb != IDLE and self.verb not in MP_VERBS:
-            raise UnknownLabel(f"unknown motion primitive verb: {self.verb!r}")
+            raise DataError(f"unknown motion primitive verb: {self.verb!r}")
         if self.tool not in ("L", "R", "none"):
-            raise UnknownLabel(f"unknown tool side: {self.tool!r}")
+            raise DataError(f"unknown tool side: {self.tool!r}")
         if self.verb == IDLE and (self.tool != "none" or self.object):
-            raise UnknownLabel("Idle takes no tool or object")
+            raise DataError("Idle takes no tool or object")
 
     @classmethod
     def parse(cls, text: str) -> "MotionPrimitiveLabel":
         m = _MP_PATTERN.match(text)
         if not m:
-            raise UnknownLabel(f"cannot parse motion primitive label: {text!r}")
+            raise DataError(f"cannot parse motion primitive label: {text!r}")
         verb, tool, obj = m.group(1), m.group(2), m.group(3)
         if tool is None:
             return cls(verb=verb)
@@ -121,7 +102,7 @@ def arm_of(label: str) -> Optional[str]:
     if mp.verb == IDLE:
         return None
     if mp.tool == "none":
-        raise UnattributedSegment(f"motion primitive {label!r} names no tool side")
+        raise DataError(f"motion primitive {label!r} names no tool side")
     return mp.tool
 
 
@@ -138,7 +119,7 @@ class Segment:
 
     def __post_init__(self):
         if self.start < 0 or self.end < self.start:
-            raise OutOfOrderSegments(f"bad segment range [{self.start}, {self.end}]")
+            raise DataError(f"bad segment range [{self.start}, {self.end}]")
 
     @property
     def num_frames(self) -> int:
@@ -150,11 +131,9 @@ def _check_follows(prev: Optional[Segment], seg: Segment) -> None:
     if prev is None:
         return
     if seg.start <= prev.start:
-        raise OutOfOrderSegments(
-            f"segment starts must increase ({seg.start} after {prev.start})")
+        raise DataError(f"segment starts must increase ({seg.start} after {prev.start})")
     if seg.start <= prev.end:
-        raise OverlappingSegments(
-            f"segment [{seg.start}, {seg.end}] overlaps [{prev.start}, {prev.end}]")
+        raise DataError(f"segment [{seg.start}, {seg.end}] overlaps [{prev.start}, {prev.end}]")
 
 
 @dataclass(frozen=True)
@@ -172,24 +151,24 @@ class LabelTranscript:
 
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
-            raise InvalidConfig(f"unknown granularity: {self.granularity!r}")
+            raise ConfigError(f"unknown granularity: {self.granularity!r}")
         if self.length < 1:
             raise DataError(f"transcript length must be >= 1, got {self.length}")
         for prev, seg in zip((None, *self.segments), self.segments):
             if seg.end >= self.length:
-                raise SegmentBeyondTrial(
+                raise DataError(
                     f"segment [{seg.start}, {seg.end}] exceeds trial length {self.length}")
             _check_follows(prev, seg)
         if self.granularity in ("mp-left", "mp-right"):
             pos = 0
             for seg in self.segments:
                 if seg.start != pos:
-                    raise UntiledTranscript(
+                    raise DataError(
                         f"{self.granularity} transcript leaves frames "
                         f"[{pos}, {seg.start - 1}] unlabeled")
                 pos = seg.end + 1
             if pos != self.length:
-                raise UntiledTranscript(
+                raise DataError(
                     f"{self.granularity} transcript leaves frames "
                     f"[{pos}, {self.length - 1}] unlabeled")
 
@@ -214,8 +193,8 @@ class TranscriptFile:
         this combined 'mp' file by `arm_of`."""
         try:
             arms = {lab: arm_of(lab) for lab in self.labels}
-        except UnattributedSegment as exc:
-            raise UnattributedSegment(f"{self.path}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{self.path}: {exc}") from None
         return {granularity: frozenset(lab for lab, arm in arms.items() if arm == side)
                 for granularity, side in ARM_SIDES.items()}
 
@@ -224,16 +203,16 @@ class TranscriptFile:
         transcript must label a frame; an MP one may leave the trial all
         Idle."""
         if length < MIN_FRAMES:
-            raise TooShort(
+            raise DataError(
                 f"{self.path}: trial has {length} frames, the model needs at "
                 f"least {MIN_FRAMES}")
         if self.granularity == "gesture" and not self.segments:
-            raise EmptyTranscripts(f"{self.path}: gesture transcript labels no frame")
+            raise DataError(f"{self.path}: gesture transcript labels no frame")
         try:
             return LabelTranscript(
                 granularity=self.granularity, segments=self.segments, length=length)
         except DataError as exc:
-            raise type(exc)(f"{self.path}: {exc}") from None
+            raise DataError(f"{self.path}: {exc}") from None
 
 
 def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
@@ -246,7 +225,7 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
     """
     p = Path(path)
     if not p.is_file():
-        raise MissingFile(f"transcript file not found: {p}")
+        raise DataError(f"transcript file not found: {p}")
     side = ARM_SIDES.get(granularity)
     segments: list[Segment] = []
     for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
@@ -255,23 +234,23 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
             continue
         parts = line.split(None, 2)
         if len(parts) != 3:
-            raise RaggedRows(f"{p}:{lineno}: expected 'start end label', got {raw!r}")
+            raise DataError(f"{p}:{lineno}: expected 'start end label', got {raw!r}")
         try:
             start, end = int(parts[0]), int(parts[1])
         except ValueError:
-            raise NonNumericCell(f"{p}:{lineno}: frame indices must be integers")
+            raise DataError(f"{p}:{lineno}: frame indices must be integers")
         label = parts[2].strip()
         try:
             if granularity != "gesture":
                 mp = MotionPrimitiveLabel.parse(label)
                 if side is not None and mp.verb != IDLE and mp.tool != side:
-                    raise UnattributedSegment(
+                    raise DataError(
                         f"{granularity} label {label!r} is neither Idle nor "
                         f"an action of tool side {side}")
             seg = Segment(start, end, label)
             _check_follows(segments[-1] if segments else None, seg)
         except DataError as exc:
-            raise type(exc)(f"{p}:{lineno}: {exc}") from None
+            raise DataError(f"{p}:{lineno}: {exc}") from None
         segments.append(seg)
     return TranscriptFile(path=p, granularity=granularity, segments=tuple(segments))
 
@@ -290,12 +269,12 @@ def encode_frames(
     mask = np.zeros(transcript.length, dtype=bool)
     if fill is not None:
         if fill not in label_to_id:
-            raise UnknownLabel(f"fill label {fill!r} not in label mapping")
+            raise DataError(f"fill label {fill!r} not in label mapping")
         ids[:] = label_to_id[fill]
         mask[:] = True
     for seg in transcript.segments:
         if seg.label not in label_to_id:
-            raise UnknownLabel(f"label {seg.label!r} not in label mapping")
+            raise DataError(f"label {seg.label!r} not in label mapping")
         ids[seg.start:seg.end + 1] = label_to_id[seg.label]
         mask[seg.start:seg.end + 1] = True
     return ids, mask
@@ -329,7 +308,7 @@ def split_by_arm(transcript: LabelTranscript) -> tuple[LabelTranscript, LabelTra
     tile the trial.
     """
     if transcript.granularity != "mp":
-        raise InvalidConfig(
+        raise ConfigError(
             f"can only split combined 'mp' transcripts, got {transcript.granularity!r}")
     arms = [arm_of(seg.label) for seg in transcript.segments]
     out = []
@@ -361,7 +340,7 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.n
     """
     p = Path(path)
     if not p.is_file():
-        raise MissingFile(f"kinematics file not found: {p}")
+        raise DataError(f"kinematics file not found: {p}")
     text = p.read_text()
     # Python's line split, not numpy's: given the raw text, loadtxt reads
     # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029 as spaces inside a row,
@@ -382,8 +361,7 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.n
     if data is None or not np.isfinite(data).all():
         data = _parse_kinematics_lines(p, text)
     if expected_channels is not None and data.shape[1] != expected_channels:
-        raise ChannelMismatch(
-            f"{p}: {data.shape[1]} channels, expected {expected_channels}")
+        raise DataError(f"{p}: {data.shape[1]} channels, expected {expected_channels}")
     data.setflags(write=False)
     return data
 
@@ -406,16 +384,15 @@ def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:
         if width is None:
             width = len(tokens)
         elif len(tokens) != width:
-            raise RaggedRows(
-                f"{p}:{lineno}: {len(tokens)} columns, expected {width}")
+            raise DataError(f"{p}:{lineno}: {len(tokens)} columns, expected {width}")
         values = []
         for col, tok in enumerate(tokens):
             try:
                 v = float(tok)
             except ValueError:
-                raise NonNumericCell(f"{p}:{lineno}: column {col}: {tok!r}")
+                raise DataError(f"{p}:{lineno}: column {col}: {tok!r}")
             if not np.isfinite(v):
-                raise NonNumericCell(f"{p}:{lineno}: column {col}: non-finite {tok!r}")
+                raise DataError(f"{p}:{lineno}: column {col}: non-finite {tok!r}")
             values.append(v)
         rows.append(values)
     if not rows:
@@ -439,11 +416,11 @@ def select_features(kinematics: np.ndarray, cols: tuple[int, ...]) -> np.ndarray
     if len(set(cols)) != len(cols):
         seen = set()
         dup = next(c for c in cols if c in seen or seen.add(c))
-        raise DuplicateColumn(f"column {dup} selected more than once")
+        raise DataError(f"column {dup} selected more than once")
     channels = kinematics.shape[1]
     for c in cols:
         if c < 0 or c >= channels:
-            raise IndexOutOfRange(f"column {c} outside [0, {channels})")
+            raise DataError(f"column {c} outside [0, {channels})")
     return np.ascontiguousarray(kinematics[:, list(cols)])
 
 
@@ -485,7 +462,7 @@ class CatalogEntry:
             source = "mp"
         path = self.transcript_path(source)
         if path is None:
-            raise MissingTranscript(
+            raise DataError(
                 f"trial {self.key} declares no {granularity!r} transcript"
                 + ("" if source == granularity else " and no 'mp' one"))
         return source, path
@@ -503,11 +480,10 @@ class Catalog:
         seen: dict[TrialKey, CatalogEntry] = {}
         for e in self.entries:
             if e.key in seen:
-                raise DuplicateTrialKey(f"duplicate trial key {e.key}")
+                raise DataError(f"duplicate trial key {e.key}")
             seen[e.key] = e
             if e.dataset == "ROSMA" and e.transcript_path("gesture") is not None:
-                raise DataError(
-                    f"trial {e.key}: ROSMA recordings carry no gesture labels")
+                raise DataError(f"trial {e.key}: ROSMA recordings carry no gesture labels")
         object.__setattr__(self, "_by_key", seen)
 
     def get(self, task: str, subject: str, trial: str) -> CatalogEntry:
@@ -546,7 +522,7 @@ def build_catalog(manifest_path) -> Catalog:
     """
     mp = Path(manifest_path)
     if not mp.is_file():
-        raise MissingFile(f"catalog manifest not found: {mp}")
+        raise DataError(f"catalog manifest not found: {mp}")
     try:
         doc = json.loads(mp.read_text())
     except json.JSONDecodeError as exc:
@@ -587,7 +563,7 @@ def build_catalog(manifest_path) -> Catalog:
                 f"strings, got {transcripts!r}")
         kin = mp.parent / kin_rel
         if not kin.is_file():
-            raise MissingFile(f"manifest entry {i}: kinematics file not found: {kin}")
+            raise DataError(f"manifest entry {i}: kinematics file not found: {kin}")
         unknown = sorted(set(transcripts) - set(GRANULARITIES))
         if unknown:
             raise DataError(f"manifest entry {i}: unknown transcript granularity "
@@ -596,8 +572,7 @@ def build_catalog(manifest_path) -> Catalog:
         for granularity in sorted(transcripts):
             tp = mp.parent / transcripts[granularity]
             if not tp.is_file():
-                raise MissingTranscript(
-                    f"manifest entry {i}: {granularity} transcript not found: {tp}")
+                raise DataError(f"manifest entry {i}: {granularity} transcript not found: {tp}")
             tpairs.append((granularity, tp))
         entries.append(CatalogEntry(
             dataset=dataset, task=task, subject=subject, trial=trial,

@@ -23,12 +23,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    LengthMismatch,
-    NoPositives,
-    ShapeMismatch,
-)
+from .errors import DataError
 
 __all__ = [
     "GAP",
@@ -48,10 +43,9 @@ GAP = -1  # the label of a frame that no segment covers
 def frame_accuracy(predicted: Sequence, reference: Sequence) -> float:
     """Percent of positions where the two sequences agree."""
     if len(predicted) != len(reference):
-        raise LengthMismatch(
-            f"predicted has {len(predicted)} frames, reference {len(reference)}")
+        raise DataError(f"predicted has {len(predicted)} frames, reference {len(reference)}")
     if len(reference) == 0:
-        raise EmptyInput("cannot score empty sequences")
+        raise DataError("cannot score empty sequences")
     hits = sum(1 for p, r in zip(predicted, reference) if p == r)
     return 100.0 * hits / len(reference)
 
@@ -59,7 +53,7 @@ def frame_accuracy(predicted: Sequence, reference: Sequence) -> float:
 def run_length_segments(frames: Sequence) -> list[tuple[int, int, Any]]:
     """Collapse a frame sequence into (start, end, label) runs, ends inclusive."""
     if len(frames) == 0:
-        raise EmptyInput("cannot segment an empty sequence")
+        raise DataError("cannot segment an empty sequence")
     out: list[tuple[int, int, Any]] = []
     start = 0
     for i in range(1, len(frames)):
@@ -121,7 +115,7 @@ def edit_score(predicted_frames: Sequence, reference_frames: Sequence) -> float:
     pred = segment_labels(predicted_frames)
     ref = segment_labels(reference_frames)
     if not pred and not ref:
-        raise EmptyInput("cannot score two sequences without a segment")
+        raise DataError("cannot score two sequences without a segment")
     dist = levenshtein(pred, ref)
     return 100.0 * (1.0 - dist / max(len(pred), len(ref)))
 
@@ -136,12 +130,12 @@ def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(positives).ravel().astype(bool)
     if s.shape != y.shape:
-        raise LengthMismatch(f"scores {s.shape} vs positives {y.shape}")
+        raise DataError(f"scores {s.shape} vs positives {y.shape}")
     if s.size == 0:
-        raise EmptyInput("no frames to score")
+        raise DataError("no frames to score")
     n_pos = int(y.sum())
     if n_pos == 0:
-        raise NoPositives("average precision is undefined without positive frames")
+        raise DataError("average precision is undefined without positive frames")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     y_sorted = y[order]
@@ -177,25 +171,23 @@ def pooled_class_average_precisions(
     positives (the undefined 'N/A' case).
     """
     if not trials:
-        raise EmptyInput("no trials to score")
+        raise DataError("no trials to score")
     names = list(class_names)
     missing = [c for c in names if c not in group_of]
     if missing:
-        raise LengthMismatch(f"group map lacks classes: {missing}")
+        raise DataError(f"group map lacks classes: {missing}")
     groups = list(dict.fromkeys(group_of[c] for c in names))
     group_ids = np.array([groups.index(group_of[c]) for c in names])
 
     for scores, targets in trials:
         if np.ndim(scores) != 2 or np.shape(scores)[1] != len(names):
-            raise ShapeMismatch(
-                f"scores shape {np.shape(scores)} != (T, {len(names)})")
+            raise DataError(f"scores shape {np.shape(scores)} != (T, {len(names)})")
         if np.shape(targets) != (np.shape(scores)[0],):
-            raise LengthMismatch(
-                f"targets shape {np.shape(targets)} vs {np.shape(scores)[0]} frames")
+            raise DataError(f"targets shape {np.shape(targets)} vs {np.shape(scores)[0]} frames")
     pooled_scores = np.concatenate([s for s, _ in trials], axis=0, dtype=np.float64)
     pooled_targets = np.concatenate([t for _, t in trials])
     if pooled_targets.size == 0:
-        raise EmptyInput("no frames to score")
+        raise DataError("no frames to score")
 
     target_groups = group_ids[pooled_targets]
     out: dict[str, Optional[float]] = {}
@@ -226,7 +218,7 @@ def map_report(
         return None
     unsupported = [c for c in defined if support.get(c, 0) < 1]
     if unsupported:
-        raise LengthMismatch(f"no support for classes with a defined AP: {unsupported}")
+        raise DataError(f"no support for classes with a defined AP: {unsupported}")
     return {
         "per_class": dict(per_class_ap),
         "support": {c: int(support.get(c, 0)) for c in per_class_ap},

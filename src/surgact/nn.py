@@ -31,13 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllFramesMasked,
-    ChannelMismatch,
-    InvalidConfig,
-    ShapeMismatch,
-    TargetOutOfRange,
-)
+from .errors import ConfigError, DataError
 
 __all__ = [
     "ColumnBuffer",
@@ -69,7 +63,7 @@ NORM_EPS = 1e-5
 def _as_signal(x, *, name: str = "x") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D (channels, frames), got shape {arr.shape}")
+        raise DataError(f"{name} must be 2-D (channels, frames), got shape {arr.shape}")
     return arr
 
 
@@ -129,11 +123,11 @@ class Conv1d:
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: Optional[np.random.Generator] = None, *, phases: int = 1):
         if kernel_size < 1 or kernel_size % 2 == 0:
-            raise InvalidConfig(f"kernel_size must be odd and >= 1, got {kernel_size}")
+            raise ConfigError(f"kernel_size must be odd and >= 1, got {kernel_size}")
         if in_channels < 1 or out_channels < 1:
-            raise InvalidConfig("channel counts must be positive")
+            raise ConfigError("channel counts must be positive")
         if phases < 1:
-            raise InvalidConfig(f"phases must be >= 1, got {phases}")
+            raise ConfigError(f"phases must be >= 1, got {phases}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -183,7 +177,7 @@ class Conv1d:
         x = _as_signal(x)
         c, t = x.shape
         if c != self.in_channels:
-            raise ChannelMismatch(f"expected {self.in_channels} input channels, got {c}")
+            raise DataError(f"expected {self.in_channels} input channels, got {c}")
         q, lo, n, co = self._slots, self._lo, self.phases, self.out_channels
         xp = np.zeros((c, t + q - 1))
         xp[:, -lo:t - lo] = x
@@ -207,7 +201,7 @@ class Conv1d:
         q, lo, n = self._slots, self._lo, self.phases
         t = xp.shape[1] - q + 1
         if grad_y.shape != (co, t * n):
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != output shape {(co, t * n)}")
+            raise DataError(f"grad_y shape {grad_y.shape} != output shape {(co, t * n)}")
         np.sum(grad_y, axis=1, out=self.grad_b)
         cols = self._im2col(xp, t)
         if n == 1:
@@ -342,12 +336,12 @@ def softmax_cross_entropy(
     c, t = logits.shape
     targets = np.asarray(targets)
     if targets.shape != (t,):
-        raise ShapeMismatch(f"targets shape {targets.shape} != ({t},)")
+        raise DataError(f"targets shape {targets.shape} != ({t},)")
     if not np.issubdtype(targets.dtype, np.integer):
-        raise ShapeMismatch("targets must be integers")
+        raise DataError("targets must be integers")
     # one pass over the ids: read as unsigned, a negative one is huge
     if targets.size and targets.view(f"u{targets.itemsize}").max() >= c:
-        raise TargetOutOfRange(
+        raise DataError(
             f"targets must lie in [0, {c}), got range "
             f"[{targets.min()}, {targets.max()}]")
     if mask is None:
@@ -355,10 +349,10 @@ def softmax_cross_entropy(
     else:
         keep = np.asarray(mask, dtype=bool)
         if keep.shape != (t,):
-            raise ShapeMismatch(f"mask shape {keep.shape} != ({t},)")
+            raise DataError(f"mask shape {keep.shape} != ({t},)")
         n = int(keep.sum())
     if n == 0:
-        raise AllFramesMasked("every frame is masked out")
+        raise DataError("every frame is masked out")
 
     z = logits - logits.max(axis=0, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=0, keepdims=True))
@@ -397,9 +391,9 @@ class Adam:
     def __init__(self, params: Sequence[np.ndarray], learning_rate: float,
                  weight_decay: float = 0.0):
         if learning_rate < 0:
-            raise InvalidConfig(f"learning_rate must be >= 0, got {learning_rate}")
+            raise ConfigError(f"learning_rate must be >= 0, got {learning_rate}")
         if weight_decay < 0:
-            raise InvalidConfig(f"weight_decay must be >= 0, got {weight_decay}")
+            raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.step_count = 0
@@ -410,15 +404,15 @@ class Adam:
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ShapeMismatch(
+            raise DataError(
                 f"expected {len(self.m)} parameter/gradient arrays, "
                 f"got {len(params)}/{len(grads)}")
         for p, g, m in zip(params, grads, self.m):
             if p.shape != m.shape or g.shape != m.shape:
-                raise ShapeMismatch(
+                raise DataError(
                     f"parameter/gradient shape {p.shape}/{g.shape} != state shape {m.shape}")
             if not p.flags.c_contiguous:
-                raise ShapeMismatch("parameter arrays must be C-contiguous")
+                raise DataError("parameter arrays must be C-contiguous")
         self.step_count += 1
         t = self.step_count
         lr, wd, b1, b2 = self.learning_rate, self.weight_decay, ADAM_BETA1, ADAM_BETA2

@@ -69,14 +69,7 @@ from .dataset import (
     select_features,
     split_by_arm,
 )
-from .errors import (
-    DataError,
-    EmptyTranscripts,
-    FoldFailure,
-    InvalidConfig,
-    IoFailure,
-    NonFiniteLoss,
-)
+from .errors import ConfigError, DataError, NonFiniteLoss, SurgactError
 from .metrics import (
     GAP,
     edit_score,
@@ -152,58 +145,47 @@ class ExperimentConfig:
             if kind is None or (value is None and f.default is None):
                 continue
             if not _is_a(value, kind):
-                raise InvalidConfig(f"{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
         for name in ("tasks", "train_tasks"):
             value = getattr(self, name)
             if value is None:
                 continue
             if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-                raise InvalidConfig(f"{name} must be a list of task names, got {value!r}")
+                raise ConfigError(f"{name} must be a list of task names, got {value!r}")
             object.__setattr__(self, name, tuple(value))
         if self.granularity not in GRANULARITIES:
-            raise InvalidConfig(f"unknown granularity: {self.granularity!r}")
+            raise ConfigError(f"unknown granularity: {self.granularity!r}")
         if self.cv not in CV_MODES:
-            raise InvalidConfig(f"cv must be one of {CV_MODES}, got {self.cv!r}")
+            raise ConfigError(f"cv must be one of {CV_MODES}, got {self.cv!r}")
         if self.cv == "louo":
             if (self.tasks is None) == (self.task_combo is None):
-                raise InvalidConfig("louo needs exactly one of tasks / task_combo")
+                raise ConfigError("louo needs exactly one of tasks / task_combo")
             if self.test_task or self.train_tasks:
-                raise InvalidConfig("test_task/train_tasks are for loto runs")
+                raise ConfigError("test_task/train_tasks are for loto runs")
         elif self.cv == "loto":
             if not self.test_task or not self.train_tasks:
-                raise InvalidConfig("loto needs test_task and train_tasks")
+                raise ConfigError("loto needs test_task and train_tasks")
             if self.tasks or self.task_combo:
-                raise InvalidConfig("tasks/task_combo are for louo runs")
+                raise ConfigError("tasks/task_combo are for louo runs")
         else:  # loto-suite
             if any((self.tasks, self.task_combo, self.test_task, self.train_tasks)):
-                raise InvalidConfig("loto-suite takes no task arguments")
+                raise ConfigError("loto-suite takes no task arguments")
         for name in _FIELD_MINIMUMS:
             check_minimum(name, getattr(self, name))
         twice = sorted(c for c, n in Counter(self.feature_columns()).items() if n > 1)
         if twice:
-            raise InvalidConfig(
+            raise ConfigError(
                 f"left_offset {self.left_offset} and right_offset {self.right_offset} "
                 f"select columns {twice} twice")
+        # a rate left None takes its cv mode's default, LOTO's for the suite
+        defaults = HYPERPARAM_DEFAULTS["louo" if self.cv == "louo" else "loto"]
+        for name in ("learning_rate", "weight_decay"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, defaults[name])
         # the values the folds' models get, checked before any file is read
         object.__setattr__(self, "filters", check_model_settings(
-            self.filters, self.resolved_learning_rate, self.resolved_weight_decay,
-            self.epochs, self.kernel_size))
-
-    @property
-    def hyperparam_mode(self) -> str:
-        return "louo" if self.cv == "louo" else "loto"
-
-    @property
-    def resolved_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return HYPERPARAM_DEFAULTS[self.hyperparam_mode]["learning_rate"]
-
-    @property
-    def resolved_weight_decay(self) -> float:
-        if self.weight_decay is not None:
-            return self.weight_decay
-        return HYPERPARAM_DEFAULTS[self.hyperparam_mode]["weight_decay"]
+            self.filters, self.learning_rate, self.weight_decay, self.epochs,
+            self.kernel_size))
 
     def feature_columns(self) -> tuple[int, ...]:
         """The model's input columns: both arms for gesture and mp, the
@@ -228,11 +210,11 @@ _FIELD_MINIMUMS = {"expected_channels": 1, "left_offset": 0, "right_offset": 0}
 
 
 def check_minimum(name: str, value: Optional[int]) -> None:
-    """Raise InvalidConfig if the column setting `name` is below its least
+    """Raise ConfigError if the column setting `name` is below its least
     value; None passes."""
     least = _FIELD_MINIMUMS[name]
     if value is not None and value < least:
-        raise InvalidConfig(f"{name} must be >= {least}, got {value}")
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 def load_experiment_config(path=None, **overrides) -> ExperimentConfig:
@@ -246,28 +228,28 @@ def load_experiment_config(path=None, **overrides) -> ExperimentConfig:
     names = {f.name for f in fields(ExperimentConfig)}
     unknown = set(overrides) - names
     if unknown:
-        raise InvalidConfig(f"unknown config override: {sorted(unknown)}")
+        raise ConfigError(f"unknown config override: {sorted(unknown)}")
     merged: dict = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
-            raise InvalidConfig(f"config file not found: {p}")
+            raise ConfigError(f"config file not found: {p}")
         try:
             merged = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config file is not valid JSON: {p}: {exc}")
+            raise ConfigError(f"config file is not valid JSON: {p}: {exc}")
         if not isinstance(merged, dict):
-            raise InvalidConfig(f"config file must hold a JSON object: {p}")
+            raise ConfigError(f"config file must hold a JSON object: {p}")
         unknown = set(merged) - names
         if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("catalog", "output_dir"):
             if isinstance(merged.get(key), str) and not Path(merged[key]).is_absolute():
                 merged[key] = str((p.parent / merged[key]).resolve())
     merged.update((k, v) for k, v in overrides.items() if v is not None)
     missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(merged)
     if missing:
-        raise InvalidConfig(f"missing required settings (config keys or flags): {sorted(missing)}")
+        raise ConfigError(f"missing required settings (config keys or flags): {sorted(missing)}")
     return ExperimentConfig(**merged)
 
 
@@ -378,7 +360,7 @@ class TrialDataSource:
             try:
                 features = select_features(kinematics, self.feature_columns)
             except DataError as exc:
-                raise type(exc)(f"{path}: {exc}") from None
+                raise DataError(f"{path}: {exc}") from None
             # Idle fills an MP transcript's gaps; a gesture one's are masked
             targets, mask = encode_frames(
                 transcript, self.label_to_id,
@@ -410,14 +392,14 @@ def fold_model_config(fold: FoldPlan, source: TrialDataSource,
     if kernel is None:
         try:
             kernel = compute_kernel_size(source.transcript(k) for k in fold.train_trials)
-        except EmptyTranscripts as exc:
-            raise EmptyTranscripts(f"fold {fold.name}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"fold {fold.name}: {exc}") from None
     return ModelConfig(
         num_classes=len(source.vocabulary),
         kernel_size=kernel,
         filters=config.filters,
-        learning_rate=config.resolved_learning_rate,
-        weight_decay=config.resolved_weight_decay,
+        learning_rate=config.learning_rate,
+        weight_decay=config.weight_decay,
         epochs=config.epochs,
         seed=derive_fold_seed(config.seed, fold.name),
     )
@@ -575,14 +557,12 @@ def _build_source(config: ExperimentConfig, catalog: Catalog,
 
 def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
                         source: TrialDataSource) -> dict:
-    """Every setting but `output_dir`, the rates as resolved, and what the
-    run derived from the catalog."""
+    """Every setting but `output_dir`, and what the run derived from the
+    catalog."""
     out = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "output_dir"}
     out["kernel_size_override"] = out.pop("kernel_size")
     return {
         **out,
-        "learning_rate": config.resolved_learning_rate,
-        "weight_decay": config.resolved_weight_decay,
         "num_features": len(source.feature_columns),
         "sample_rate": source.catalog.sample_rate,
         "vocabulary": list(source.vocabulary),
@@ -641,7 +621,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.output_dir:
         emit_report(report, config.output_dir)
     if failure is not None:
-        raise FoldFailure(f"fold {folds[-1]['name']} failed: {failure}") from failure
+        raise SurgactError(f"fold {folds[-1]['name']} failed: {failure}") from failure
     return report
 
 
@@ -654,7 +634,7 @@ def run_single_fold(config: ExperimentConfig, fold_name: str) -> dict:
     matches = [p for p in plans if p.name == fold_name]
     if not matches:
         names = ", ".join(p.name for p in plans)
-        raise InvalidConfig(f"no fold named {fold_name!r}; available: {names}")
+        raise ConfigError(f"no fold named {fold_name!r}; available: {names}")
     source = _build_source(config, catalog, plans)
     fold = matches[0]
     source.load(fold.train_trials + fold.test_trials)
@@ -714,12 +694,12 @@ def _make_directory(directory: Path) -> None:
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot create output directory {directory}: {exc}")
+        raise SurgactError(f"cannot create output directory {directory}: {exc}")
 
 
 def emit_report(report: ExperimentReport, out_dir) -> None:
     """Write `report.json` and `tables.txt` under `out_dir`, each atomically;
-    a failed write is an IoFailure naming the file."""
+    a failed write is a SurgactError naming the file."""
     out = Path(out_dir)
     _make_directory(out)
     write_atomic(out / "report.json", report.json_bytes(include_timing=True))
@@ -746,8 +726,7 @@ def load_report(path) -> dict:
                 raise DataError(f"report aggregate {key!r} inconsistent with folds")
             # written so that a NaN on either side is refused
             if a is not None and not abs(a - b) <= 1e-9:
-                raise DataError(
-                    f"report aggregate {key!r} = {a} but folds imply {b}")
+                raise DataError(f"report aggregate {key!r} = {a} but folds imply {b}")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"report is malformed: {p}: {exc!r}")
     return payload

@@ -28,7 +28,7 @@ from .dataset import (
     arm_columns,
     split_by_arm,
 )
-from .errors import InvalidConfig
+from .errors import ConfigError
 
 __all__ = ["generate_synthetic_dataset", "synthetic_class_labels"]
 
@@ -84,13 +84,13 @@ def generate_synthetic_dataset(
     so leave-one-user-out folds hold out a subject's trials everywhere.
     """
     if num_tasks < 1 or num_subjects < 1 or trials_per_subject < 1:
-        raise InvalidConfig("need at least one task, subject, and trial")
+        raise ConfigError("need at least one task, subject, and trial")
     if num_classes < 2:
-        raise InvalidConfig("need at least two classes")
+        raise ConfigError("need at least two classes")
     if frames_range[0] < 8 or frames_range[0] > frames_range[1]:
-        raise InvalidConfig(f"bad frames_range {frames_range}")
+        raise ConfigError(f"bad frames_range {frames_range}")
     if segment_frames[0] < 1 or segment_frames[0] > segment_frames[1]:
-        raise InvalidConfig(f"bad segment_frames {segment_frames}")
+        raise ConfigError(f"bad segment_frames {segment_frames}")
 
     root = Path(out_dir)
     (root / "kinematics").mkdir(parents=True, exist_ok=True)

@@ -61,16 +61,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .dataset import MIN_FRAMES, LabelTranscript, TrialKey
-from .errors import (
-    ChannelMismatch,
-    DataError,
-    EmptyTranscripts,
-    InvalidConfig,
-    NonFiniteLoss,
-    NonNumericCell,
-    ShapeMismatch,
-    TooShort,
-)
+from .errors import ConfigError, DataError, NonFiniteLoss
 from .nn import (
     Adam,
     ColumnBuffer,
@@ -120,19 +111,17 @@ def check_model_settings(filters, learning_rate, weight_decay, epochs,
     """
     if (not isinstance(filters, (list, tuple)) or len(filters) != 3
             or not all(_is_a(n, Integral) and n >= 1 for n in filters)):
-        raise InvalidConfig(f"filters must be 3 positive counts, got {filters!r}")
+        raise ConfigError(f"filters must be 3 positive counts, got {filters!r}")
     # chained comparisons refuse NaN and need no float() of a huge int
     if not (_is_a(learning_rate, Real) and 0 < learning_rate < math.inf):
-        raise InvalidConfig(
-            f"learning_rate must be a finite number > 0, got {learning_rate!r}")
+        raise ConfigError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
     if not (_is_a(weight_decay, Real) and 0 <= weight_decay < math.inf):
-        raise InvalidConfig(
-            f"weight_decay must be a finite number >= 0, got {weight_decay!r}")
+        raise ConfigError(f"weight_decay must be a finite number >= 0, got {weight_decay!r}")
     if not (_is_a(epochs, Integral) and epochs >= 0):
-        raise InvalidConfig(f"epochs must be an integer >= 0, got {epochs!r}")
+        raise ConfigError(f"epochs must be an integer >= 0, got {epochs!r}")
     if kernel_size is not None and not (
             _is_a(kernel_size, Integral) and kernel_size >= 1 and kernel_size % 2 == 1):
-        raise InvalidConfig(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
+        raise ConfigError(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
     return tuple(filters)
 
 
@@ -148,9 +137,9 @@ class ModelConfig:
 
     def __post_init__(self):
         if not (_is_a(self.num_classes, Integral) and self.num_classes >= 2):
-            raise InvalidConfig(f"need at least 2 classes, got {self.num_classes!r}")
+            raise ConfigError(f"need at least 2 classes, got {self.num_classes!r}")
         if self.kernel_size is None:  # a model has a kernel width; only a config derives it
-            raise InvalidConfig("kernel_size must be an odd positive integer, got None")
+            raise ConfigError("kernel_size must be an odd positive integer, got None")
         object.__setattr__(self, "filters", check_model_settings(
             self.filters, self.learning_rate, self.weight_decay, self.epochs,
             self.kernel_size))
@@ -164,7 +153,7 @@ def compute_kernel_size(transcripts: Iterable[LabelTranscript]) -> int:
         for seg in tr.segments:
             durations.setdefault(seg.label, []).append(seg.num_frames)
     if not durations:
-        raise EmptyTranscripts("no labeled segments in any training transcript")
+        raise DataError("no labeled segments in any training transcript")
     shortest = min(sum(v) / len(v) for v in durations.values())
     k = int(np.floor(shortest + 0.5))
     if k % 2 == 0:
@@ -178,7 +167,7 @@ class TcnModel:
     def __init__(self, config: ModelConfig, input_channels: int,
                  rng: np.random.Generator):
         if input_channels < 1:
-            raise InvalidConfig(f"input_channels must be >= 1, got {input_channels}")
+            raise ConfigError(f"input_channels must be >= 1, got {input_channels}")
         self.config = config
         self.input_channels = input_channels
         f1, f2, f3 = config.filters
@@ -214,13 +203,12 @@ class TcnModel:
         takes; T must be >= 8."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
-            raise ShapeMismatch(f"expected (channels, frames), got shape {x.shape}")
+            raise DataError(f"expected (channels, frames), got shape {x.shape}")
         if x.shape[0] != self.input_channels:
-            raise ChannelMismatch(
-                f"expected {self.input_channels} channels, got {x.shape[0]}")
+            raise DataError(f"expected {self.input_channels} channels, got {x.shape[0]}")
         t = x.shape[1]
         if t < MIN_FRAMES:
-            raise TooShort(f"need at least {MIN_FRAMES} frames, got {t}")
+            raise DataError(f"need at least {MIN_FRAMES} frames, got {t}")
         caches = []
         h = x
         for conv, stage, _ in self.layers:
@@ -242,7 +230,7 @@ class TcnModel:
         t, caches, for_head = tape
         grad_logits = np.asarray(grad_logits, dtype=np.float64)
         if grad_logits.shape != (self.config.num_classes, t):
-            raise ShapeMismatch(
+            raise DataError(
                 f"grad_logits shape {grad_logits.shape} != {(self.config.num_classes, t)}")
         n = 8 * (t // 8)
         g = grad_logits[:, :n]
@@ -361,7 +349,7 @@ def predict_labels(model: TcnModel, features: np.ndarray) -> tuple[np.ndarray, n
     """
     feats = np.asarray(features, dtype=np.float64)
     if not np.isfinite(feats).all():
-        raise NonNumericCell("features contain non-finite values")
+        raise DataError("features contain non-finite values")
     # forward checks the shape and the channel count
     logits, _ = model.forward(feats.T)
     z = logits - logits.max(axis=0, keepdims=True)

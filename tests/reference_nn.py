@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from surgact.errors import InvalidConfig, ShapeMismatch, TooShort
+from surgact.errors import ConfigError, DataError
 from surgact.nn import _as_signal, softmax_cross_entropy
 
 
@@ -41,7 +41,7 @@ class _Layer:
     def _pop_cache(self):
         cache = self._cache
         if cache is None:
-            raise ShapeMismatch("backward called before forward")
+            raise DataError("backward called before forward")
         self._cache = None
         return cache
 
@@ -61,7 +61,7 @@ class UpsampleRepeat(_Layer):
         c, t = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
         if grad_y.shape != (c, 2 * t):
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {(c, 2 * t)}")
+            raise DataError(f"grad_y shape {grad_y.shape} != {(c, 2 * t)}")
         return grad_y.reshape(c, t, 2).sum(axis=2)
 
 
@@ -77,7 +77,7 @@ class Relu(_Layer):
         mask = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
         if grad_y.shape != mask.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {mask.shape}")
+            raise DataError(f"grad_y shape {grad_y.shape} != {mask.shape}")
         return np.where(mask, grad_y, 0.0)
 
 
@@ -93,7 +93,7 @@ class MaxPool1d(_Layer):
         x = _as_signal(x)
         c, t = x.shape
         if t < 2:
-            raise TooShort(f"max pooling needs at least 2 frames, got {t}")
+            raise DataError(f"max pooling needs at least 2 frames, got {t}")
         t_out = t // 2
         left = x[:, 0:2 * t_out:2]
         right = x[:, 1:2 * t_out:2]
@@ -105,7 +105,7 @@ class MaxPool1d(_Layer):
         take_right, t = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
         if grad_y.shape != take_right.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {take_right.shape}")
+            raise DataError(f"grad_y shape {grad_y.shape} != {take_right.shape}")
         t_out = t // 2
         gx = np.zeros((take_right.shape[0], t))
         gx[:, 0:2 * t_out:2] = np.where(take_right, 0.0, grad_y)
@@ -125,7 +125,7 @@ class ChannelNorm(_Layer):
 
     def __init__(self, eps: float = 1e-5):
         if eps <= 0:
-            raise InvalidConfig(f"eps must be positive, got {eps}")
+            raise ConfigError(f"eps must be positive, got {eps}")
         self.eps = eps
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -139,7 +139,7 @@ class ChannelNorm(_Layer):
         x, s, idx = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
         if grad_y.shape != x.shape:
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {x.shape}")
+            raise DataError(f"grad_y shape {grad_y.shape} != {x.shape}")
         gx = grad_y / s
         # d(scale)/dx is sign(x[a, t]) on the argmax channel a only
         dot = np.einsum("ct,ct->t", grad_y, x)
@@ -160,10 +160,10 @@ class RestoreLength(_Layer):
     def forward(self, x: np.ndarray, target: int) -> np.ndarray:
         x = _as_signal(x)
         if target < 1:
-            raise ShapeMismatch(f"target length must be positive, got {target}")
+            raise DataError(f"target length must be positive, got {target}")
         c, t = x.shape
         if t < 1:
-            raise TooShort("cannot restore an empty signal")
+            raise DataError("cannot restore an empty signal")
         self._cache = (c, t, target)
         if t == target:
             return x.copy()
@@ -175,7 +175,7 @@ class RestoreLength(_Layer):
         c, t, target = self._pop_cache()
         grad_y = _as_signal(grad_y, name="grad_y")
         if grad_y.shape != (c, target):
-            raise ShapeMismatch(f"grad_y shape {grad_y.shape} != {(c, target)}")
+            raise DataError(f"grad_y shape {grad_y.shape} != {(c, target)}")
         if t == target:
             return grad_y.copy()
         if t > target:
@@ -279,12 +279,12 @@ def finite_diff_check(
     relative for large ones.
     """
     if h <= 0:
-        raise InvalidConfig(f"h must be positive, got {h}")
+        raise ConfigError(f"h must be positive, got {h}")
     x = np.array(point, dtype=np.float64)
     _, g = f(x)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != x.shape:
-        raise ShapeMismatch(f"analytic gradient shape {g.shape} != point shape {x.shape}")
+        raise DataError(f"analytic gradient shape {g.shape} != point shape {x.shape}")
     if x.size == 0:
         return 0.0
     g_fd = np.zeros_like(x)

@@ -16,15 +16,7 @@ from surgact.crossval import (
     resolve_task_combo,
 )
 from surgact.dataset import Catalog
-from surgact.errors import (
-    CrossDatasetGestures,
-    EmptySelection,
-    InvalidConfig,
-    MissingTask,
-    TaskOverlap,
-    UnknownCombo,
-    UnknownTask,
-)
+from surgact.errors import ConfigError
 
 from conftest import STUDY_SHAPE, SUBJECT_POOLS
 
@@ -42,7 +34,7 @@ class TestTaskCombos:
             assert resolve_task_combo(task) == (task,)
 
     def test_unknown_combo(self):
-        with pytest.raises(UnknownCombo):
+        with pytest.raises(ConfigError, match="unknown task combo"):
             resolve_task_combo("Everything")
 
     def test_combo_tasks_follow_canonical_order(self):
@@ -54,7 +46,7 @@ class TestTaskCombos:
 class TestFoldPlan:
     def test_rejects_shared_trials(self):
         key = ("S", "B", "001")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="trials in both sides"):
             FoldPlan(name="x", held_out="y", train_trials=(key,), test_trials=(key,))
 
 
@@ -104,11 +96,11 @@ class TestLouoFolds:
         assert len(set(names)) == len(names)
 
     def test_unknown_task(self, study_catalog):
-        with pytest.raises(UnknownTask):
+        with pytest.raises(ConfigError, match="tasks not in catalog"):
             louo_folds(study_catalog, ["XX"])
 
     def test_empty_selection(self, study_catalog):
-        with pytest.raises(EmptySelection):
+        with pytest.raises(ConfigError, match="no tasks selected"):
             louo_folds(study_catalog, [])
 
 
@@ -117,11 +109,12 @@ class TestGestureTransfer:
         check_gesture_transfer(study_catalog, ("S", "NP", "KT"))
 
     def test_cross_source_rejected(self, study_catalog):
-        with pytest.raises(CrossDatasetGestures):
+        with pytest.raises(ConfigError,
+                           match="gesture vocabularies do not transfer across datasets"):
             check_gesture_transfer(study_catalog, ("S", "PT"))
 
     def test_unlabeled_task_rejected(self, study_catalog):
-        with pytest.raises(CrossDatasetGestures):
+        with pytest.raises(ConfigError, match="tasks without gesture labels"):
             check_gesture_transfer(study_catalog, ("PaS",))
 
 
@@ -140,19 +133,20 @@ class TestLotoFolds:
         assert plan.name == "loto-S-from-KT+PaS"
 
     def test_test_task_in_train_rejected(self, study_catalog):
-        with pytest.raises(TaskOverlap):
+        with pytest.raises(ConfigError, match="also in training tasks"):
             loto_folds(study_catalog, "S", ["S", "NP"])
 
     def test_unknown_task(self, study_catalog):
-        with pytest.raises(UnknownTask):
+        with pytest.raises(ConfigError, match="tasks not in catalog"):
             loto_folds(study_catalog, "S", ["XX"])
 
     def test_empty_train(self, study_catalog):
-        with pytest.raises(EmptySelection):
+        with pytest.raises(ConfigError, match="no training tasks selected"):
             loto_folds(study_catalog, "S", [])
 
     def test_gesture_transfer_guard(self, study_catalog):
-        with pytest.raises(CrossDatasetGestures):
+        with pytest.raises(ConfigError,
+                           match="gesture vocabularies do not transfer across datasets"):
             loto_folds(study_catalog, "KT", ["PT"], granularity="gesture")
         loto_folds(study_catalog, "S", ["NP"], granularity="gesture")
 
@@ -194,7 +188,7 @@ class TestLotoSuite:
     def test_missing_task_rejected(self, study_catalog):
         partial = Catalog(entries=tuple(
             e for e in study_catalog.entries if e.task != "PoaP"))
-        with pytest.raises(MissingTask):
+        with pytest.raises(ConfigError, match="catalog lacks tasks required by the suite"):
             loto_suite(partial)
 
 

@@ -29,25 +29,7 @@ from surgact.dataset import (
     select_features,
     split_by_arm,
 )
-from surgact.errors import (
-    ChannelMismatch,
-    DataError,
-    DuplicateColumn,
-    DuplicateTrialKey,
-    IndexOutOfRange,
-    InvalidConfig,
-    MissingFile,
-    MissingTranscript,
-    NonNumericCell,
-    OutOfOrderSegments,
-    OverlappingSegments,
-    RaggedRows,
-    SegmentBeyondTrial,
-    TooShort,
-    UnattributedSegment,
-    UnknownLabel,
-    UntiledTranscript,
-)
+from surgact.errors import ConfigError, DataError
 
 
 class TestMotionPrimitiveLabel:
@@ -71,19 +53,19 @@ class TestMotionPrimitiveLabel:
             assert spelled == text
 
     def test_unknown_verb(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(DataError, match="unknown motion primitive verb"):
             MotionPrimitiveLabel.parse("Juggle(L, Ball)")
 
     def test_unknown_tool_side(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(DataError, match="unknown tool side"):
             MotionPrimitiveLabel.parse("Grasp(M, Needle)")
 
     def test_idle_takes_no_arguments(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(DataError, match="Idle takes no tool or object"):
             MotionPrimitiveLabel(verb="Idle", tool="L", object="x")
 
     def test_unparseable(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(DataError, match="cannot parse motion primitive label"):
             MotionPrimitiveLabel.parse("123")
 
     def test_mp_verb(self):
@@ -94,7 +76,7 @@ class TestMotionPrimitiveLabel:
         assert arm_of("Grasp(L, Needle)") == "L"
         assert arm_of("Push(R, Block)") == "R"
         assert arm_of("Idle") is None
-        with pytest.raises(UnattributedSegment):
+        with pytest.raises(DataError, match="names no tool side"):
             arm_of("Touch")
 
 
@@ -104,11 +86,11 @@ class TestSegment:
         assert Segment(5, 5, "A").num_frames == 1
 
     def test_reversed_range(self):
-        with pytest.raises(OutOfOrderSegments):
+        with pytest.raises(DataError, match=r"bad segment range \[10, 9\]"):
             Segment(10, 9, "A")
 
     def test_negative_start(self):
-        with pytest.raises(OutOfOrderSegments):
+        with pytest.raises(DataError, match=r"bad segment range \[-1, 5\]"):
             Segment(-1, 5, "A")
 
 
@@ -124,21 +106,21 @@ class TestLabelTranscript:
         assert sum(seg.num_frames for seg in tr.segments) == 10
 
     def test_segment_beyond_length(self):
-        with pytest.raises(SegmentBeyondTrial):
+        with pytest.raises(DataError, match=r"segment \[0, 10\] exceeds trial length 10"):
             transcript([Segment(0, 10, "A")], 10)
 
     def test_overlap(self):
-        with pytest.raises(OverlappingSegments):
+        with pytest.raises(DataError, match=r"segment \[5, 9\] overlaps \[0, 5\]"):
             transcript([Segment(0, 5, "A"), Segment(5, 9, "B")], 10)
 
     def test_out_of_order(self):
-        with pytest.raises(OutOfOrderSegments):
+        with pytest.raises(DataError, match="segment starts must increase"):
             transcript([Segment(5, 9, "A"), Segment(0, 4, "B")], 10)
 
     def test_per_arm_must_tile(self):
-        with pytest.raises(UntiledTranscript):
+        with pytest.raises(DataError, match=r"transcript leaves frames \[5, 9\] unlabeled"):
             transcript([Segment(0, 4, "A")], 10, granularity="mp-left")
-        with pytest.raises(UntiledTranscript):
+        with pytest.raises(DataError, match=r"transcript leaves frames \[0, 1\] unlabeled"):
             transcript([Segment(2, 9, "A")], 10, granularity="mp-left")
 
     def test_per_arm_tiled_ok(self):
@@ -147,7 +129,7 @@ class TestLabelTranscript:
         assert sum(seg.num_frames for seg in tr.segments) == 10
 
     def test_bad_granularity(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="unknown granularity"):
             transcript([Segment(0, 4, "A")], 10, granularity="frame")
 
 
@@ -160,38 +142,38 @@ class TestLoadTranscript:
                                Segment(30, 59, "Push(R, Block)"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(DataError, match="transcript file not found"):
             load_transcript(tmp_path / "nope.txt")
 
     def test_short_row(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29\n")
-        with pytest.raises(RaggedRows):
+        with pytest.raises(DataError, match="t.txt:1: expected 'start end label', got '0 29'"):
             load_transcript(p).bind(60)
 
     def test_non_integer_frame(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 x Idle\n")
-        with pytest.raises(NonNumericCell):
+        with pytest.raises(DataError, match="frame indices must be integers"):
             load_transcript(p).bind(60)
 
     def test_segment_beyond_trial(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 60 Idle\n")
-        with pytest.raises(SegmentBeyondTrial):
+        with pytest.raises(DataError, match=r"t.txt: segment \[0, 60\] exceeds trial length 60"):
             load_transcript(p).bind(60)
 
     def test_overlap_rejected_by_default(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 10 Idle\n5 20 Push(R, Block)\n")
-        with pytest.raises(OverlappingSegments):
+        with pytest.raises(DataError, match=r"t.txt:2: segment \[5, 20\] overlaps \[0, 10\]"):
             load_transcript(p).bind(60)
 
     @pytest.mark.parametrize("lines, error, message", [
-        (("0 9 Idle", "20 15 Idle"), OutOfOrderSegments, "bad segment range [20, 15]"),
-        (("10 19 Idle", "0 4 Idle"), OutOfOrderSegments,
+        (("0 9 Idle", "20 15 Idle"), DataError, "bad segment range [20, 15]"),
+        (("10 19 Idle", "0 4 Idle"), DataError,
          "segment starts must increase (0 after 10)"),
-        (("0 10 Idle", "5 20 Idle"), OverlappingSegments,
+        (("0 10 Idle", "5 20 Idle"), DataError,
          "segment [5, 20] overlaps [0, 10]"),
     ], ids=["range", "order", "overlap"])
     def test_segment_rules_read_alike_from_a_file_and_in_memory(self, tmp_path, lines,
@@ -212,7 +194,7 @@ class TestLoadTranscript:
     def test_unparseable_mp_label_names_the_line(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29 Grasp(L, Needle)\n30 59 Grab(L, Needle)\n")
-        with pytest.raises(UnknownLabel, match="t.txt:2"):
+        with pytest.raises(DataError, match="t.txt:2: unknown motion primitive verb: 'Grab'"):
             load_transcript(p, "mp")
         # gesture labels are free-form tokens
         assert load_transcript(p, "gesture").labels == {
@@ -229,7 +211,8 @@ class TestLoadTranscript:
         assert load_transcript(p, granularity).labels == {own, "Idle"}
         for label in (other, "Grasp"):
             p.write_text(f"0 29 Idle\n30 59 {label}\n")
-            with pytest.raises(UnattributedSegment, match=f"t.txt:2: {granularity} label"):
+            with pytest.raises(DataError, match=f"t.txt:2: {granularity} label .* is neither "
+                                                "Idle nor an action of tool side"):
                 load_transcript(p, granularity)
         assert load_transcript(p, "mp").labels == {"Idle", "Grasp"}
 
@@ -239,13 +222,14 @@ class TestLoadTranscript:
         parsed = load_transcript(p, "mp")
         assert parsed.labels == {"Grasp(L, Needle)", "Idle"}
         assert parsed.bind(100).length == 100
-        with pytest.raises(SegmentBeyondTrial, match="t.txt"):
+        with pytest.raises(DataError, match=r"t.txt: segment \[40, 99\] exceeds trial length 99"):
             parsed.bind(99)
 
     def test_trial_shorter_than_the_model_minimum(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 4 Idle\n")
-        with pytest.raises(TooShort, match="t.txt"):
+        with pytest.raises(DataError,
+                           match="t.txt: trial has 5 frames, the model needs at least 8"):
             load_transcript(p).bind(MIN_FRAMES - 3)
 
 
@@ -264,12 +248,12 @@ class TestDensifyAndEncode:
 
     def test_encode_unknown_fill(self):
         tr = transcript([Segment(0, 3, "A")], 4)
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(DataError, match="not in label mapping"):
             encode_frames(tr, {"A": 0}, fill="B")
 
     def test_encode_unmapped_label(self):
         tr = transcript([Segment(0, 3, "A")], 4)
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(DataError, match="not in label mapping"):
             encode_frames(tr, {"B": 0})
 
 
@@ -302,12 +286,13 @@ class TestSplitByArm:
 
     def test_only_combined_transcripts(self):
         tr = transcript([Segment(0, 9, "G1")], 10, granularity="gesture")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError,
+                           match="can only split combined 'mp' transcripts, got 'gesture'"):
             split_by_arm(tr)
 
     def test_toolless_segment_rejected(self):
         tr = transcript([Segment(0, 9, "Touch")], 10)
-        with pytest.raises(UnattributedSegment):
+        with pytest.raises(DataError, match="names no tool side"):
             split_by_arm(tr)
 
     @given(st.lists(st.tuples(st.sampled_from([GRASP_L, PUSH_R, TOUCH_L, IDLE]),
@@ -356,19 +341,19 @@ class TestKinematics:
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1 2 3\n4 5\n")
-        with pytest.raises(RaggedRows, match="k.txt:2"):
+        with pytest.raises(DataError, match="k.txt:2: 2 columns, expected 3"):
             load_trial_kinematics(p)
 
     def test_non_numeric_cell_with_location(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1 2\n3 oops\n")
-        with pytest.raises(NonNumericCell, match="k.txt:2: column 1"):
+        with pytest.raises(DataError, match="k.txt:2: column 1: 'oops'"):
             load_trial_kinematics(p)
 
     def test_non_finite_cell(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1 nan\n")
-        with pytest.raises(NonNumericCell):
+        with pytest.raises(DataError, match="k.txt:1: column 1: non-finite 'nan'"):
             load_trial_kinematics(p)
 
     def test_empty_file(self, tmp_path):
@@ -378,13 +363,13 @@ class TestKinematics:
             load_trial_kinematics(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(DataError, match="kinematics file not found"):
             load_trial_kinematics(tmp_path / "nope.txt")
 
     def test_channel_check(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1 2 3\n")
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(DataError, match="k.txt: 3 channels, expected 38"):
             load_trial_kinematics(p, expected_channels=38)
 
     @pytest.mark.parametrize("text", ["", "\n\n", " \t\n  \n"])
@@ -399,7 +384,7 @@ class TestKinematics:
     def test_hash_line_is_a_bad_cell_not_a_comment(self, tmp_path):
         p = tmp_path / "k.txt"
         p.write_text("1 2\n# note\n3 4\n")
-        with pytest.raises(NonNumericCell, match="k.txt:2: column 0: '#'"):
+        with pytest.raises(DataError, match="k.txt:2: column 0: '#'"):
             load_trial_kinematics(p)
 
     def test_clean_file_is_parsed_by_numpy(self, tmp_path, monkeypatch):
@@ -523,11 +508,11 @@ class TestFeatureSelection:
         assert got.shape == (5, 14)
 
     def test_out_of_range_column(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DataError, match=r"column 12 outside \[0, 10\)"):
             select_features(np.zeros((3, 10)), BOTH_ARMS)
 
     def test_duplicate_column(self):
-        with pytest.raises(DuplicateColumn):
+        with pytest.raises(DataError, match="selected more than once"):
             select_features(np.zeros((3, 38)), arm_columns(0) + arm_columns(0))
 
     def test_arm_columns_at_offset(self):
@@ -558,15 +543,13 @@ class TestCatalog:
         assert e.transcript_source("mp-right") == ("mp-right", e.transcript_path("mp-right"))
         # a per-arm view the trial declares no file for comes from 'mp'
         assert e.transcript_source("mp-left") == ("mp", e.transcript_path("mp"))
-        with pytest.raises(MissingTranscript,
-                           match=r"declares no 'gesture' transcript$"):
+        with pytest.raises(DataError, match=r"declares no 'gesture' transcript$"):
             e.transcript_source("gesture")
-        with pytest.raises(MissingTranscript,
-                           match=r"declares no 'mp-left' transcript and no 'mp' one$"):
+        with pytest.raises(DataError, match=r"declares no 'mp-left' transcript and no 'mp' one$"):
             entry(granularities=("gesture",)).transcript_source("mp-left")
 
     def test_duplicate_key(self):
-        with pytest.raises(DuplicateTrialKey):
+        with pytest.raises(DataError, match="duplicate trial key"):
             Catalog(entries=(entry(), entry()))
 
     def test_rosma_cannot_declare_gestures(self):
@@ -616,7 +599,7 @@ class TestBuildCatalog:
         assert e.transcript_path("gesture") == tmp_path / "t.txt"
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(DataError, match="catalog manifest not found"):
             build_catalog(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
@@ -628,13 +611,13 @@ class TestBuildCatalog:
     def test_missing_kinematics_file(self, tmp_path):
         mp = self.write_corpus(tmp_path)
         (tmp_path / "k.txt").unlink()
-        with pytest.raises(MissingFile):
+        with pytest.raises(DataError, match="kinematics file not found"):
             build_catalog(mp)
 
     def test_missing_transcript_file(self, tmp_path):
         mp = self.write_corpus(tmp_path)
         (tmp_path / "t.txt").unlink()
-        with pytest.raises(MissingTranscript):
+        with pytest.raises(DataError, match="transcript not found"):
             build_catalog(mp)
 
     def test_malformed_entry(self, tmp_path):

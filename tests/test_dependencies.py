@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency, each module's `__all__`
-names only what it defines or imports, and every name a submodule exports
-is read somewhere in the package or the benchmark.
+names only what it defines or imports, every name a submodule exports is
+read somewhere in the package or the benchmark, and every exception class
+is one of the three exit-code tiers or is caught by type in the package.
 
 Every module under src/surgact is parsed, not imported, so a module that
 would fail to import is still checked.
@@ -116,3 +117,50 @@ def test_the_read_check_sees_an_unread_name(tmp_path):
     exported, _ = exported_and_bound(probe)
     used = used_names([probe, user])
     assert [name for name in exported if name not in used] == ["Unread"]
+
+
+# the classes `cli.main` maps to exit codes 3, 1 and 2
+TIERS = {"SurgactError", "ConfigError", "DataError"}
+
+
+def defined_classes(path: Path) -> list[str]:
+    """The classes a module defines at its top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def caught_names(paths) -> set[str]:
+    """The names the `except` clauses of these files catch, bare or as an
+    attribute, alone or in a tuple."""
+    caught = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(t.attr if isinstance(t, ast.Attribute) else t.id
+                              for t in types if isinstance(t, (ast.Name, ast.Attribute)))
+    return caught
+
+
+def test_every_error_class_is_a_tier_or_caught():
+    # a class no caller tells apart from its tier is one more name to import
+    caught = caught_names(MODULES)
+    assert [name for name in defined_classes(PACKAGE / "errors.py")
+            if name not in TIERS | caught] == []
+
+
+def test_the_error_check_sees_an_uncaught_class(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text("class SurgactError(Exception): pass\n"
+                      "class ConfigError(SurgactError): pass\n"
+                      "class DataError(SurgactError): pass\n"
+                      "class Caught(SurgactError): pass\n"
+                      "class Uncaught(DataError): pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from . import errors\nfrom .errors import Caught, Uncaught\n"
+                    "try:\n    raise Uncaught('x')\n"
+                    "except (errors.Caught, KeyError):\n    pass\n")
+    caught = caught_names([errors, user])
+    assert caught == {"Caught", "KeyError"}
+    assert [name for name in defined_classes(errors)
+            if name not in TIERS | caught] == ["Uncaught"]

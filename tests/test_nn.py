@@ -26,14 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surgact.errors import (
-    AllFramesMasked,
-    ChannelMismatch,
-    InvalidConfig,
-    ShapeMismatch,
-    TargetOutOfRange,
-    TooShort,
-)
+from surgact.errors import ConfigError, DataError
 from surgact.nn import (
     ADAM_BLOCK,
     Adam,
@@ -124,12 +117,12 @@ class TestConv1d:
         assert np.abs(conv1.b).max() <= bound
 
     def test_rejects_even_kernel(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="kernel_size must be odd and >= 1, got 2"):
             Conv1d(1, 1, 2)
 
     def test_rejects_wrong_channels(self):
         conv = Conv1d(2, 1, 3, np.random.default_rng(0))
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(DataError, match="expected 2 input channels, got 3"):
             conv.forward(np.zeros((3, 5)))
 
     def test_grad_wrt_weights(self):
@@ -345,11 +338,11 @@ class TestUpsampledConv:
     def test_rejects_a_gradient_of_the_input_length(self):
         conv = Conv1d(2, 3, 3, np.random.default_rng(0), phases=2)
         _, cache = conv.forward(np.zeros((2, 4)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match=r"grad_y shape \(3, 4\) != output shape \(3, 8\)"):
             conv.backward(np.zeros((3, 4)), cache)
 
     def test_rejects_no_phases(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="phases must be >= 1, got 0"):
             Conv1d(1, 1, 3, phases=0)
 
 
@@ -589,7 +582,7 @@ class TestMaxPool1d:
         np.testing.assert_allclose(y, [[3.0]])
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(DataError, match="max pooling needs at least 2 frames, got 1"):
             MaxPool1d().forward(np.array([[1.0]]))
 
     def test_backward_routes_to_winner(self):
@@ -748,7 +741,7 @@ class TestSoftmaxCrossEntropy:
         assert finite_diff_check(f, rng.normal(size=(3, 7))) < 1e-8
 
     def test_target_out_of_range(self):
-        with pytest.raises(TargetOutOfRange):
+        with pytest.raises(DataError, match=r"targets must lie in \[0, 2\), got range \[0, 2\]"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 2, 1]))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint8])
@@ -756,20 +749,21 @@ class TestSoftmaxCrossEntropy:
         # the range check reads the ids as unsigned: a negative id is huge
         logits = np.zeros((2, 3))
         if np.issubdtype(dtype, np.signedinteger):
-            with pytest.raises(TargetOutOfRange, match=r"\[-1, 1\]"):
+            with pytest.raises(DataError,
+                               match=r"targets must lie in \[0, 2\), got range \[-1, 1\]"):
                 softmax_cross_entropy(logits, np.array([0, -1, 1], dtype=dtype))
-        with pytest.raises(TargetOutOfRange):
+        with pytest.raises(DataError, match=r"targets must lie in \[0, 2\), got range \[0, 2\]"):
             softmax_cross_entropy(logits, np.array([0, 2, 1], dtype=dtype))
         loss, _ = softmax_cross_entropy(logits, np.array([0, 1, 1], dtype=dtype))
         assert loss == pytest.approx(np.log(2.0))
 
     def test_all_frames_masked(self):
-        with pytest.raises(AllFramesMasked):
+        with pytest.raises(DataError, match="every frame is masked out"):
             softmax_cross_entropy(np.zeros((2, 3)), np.zeros(3, dtype=int),
                                   np.zeros(3, dtype=bool))
 
     def test_float_targets_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="targets must be integers"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0.0, 1.0, 0.0]))
 
 
@@ -866,7 +860,7 @@ class TestAdam:
     def test_rejects_non_contiguous_parameters(self):
         p = np.zeros((4, 4))
         opt = Adam([p[:, :2]], learning_rate=1e-3)
-        with pytest.raises(ShapeMismatch, match="contiguous"):
+        with pytest.raises(DataError, match="parameter arrays must be C-contiguous"):
             opt.step([p[:, :2]], [np.ones((4, 2))])
 
     def test_updates_in_place(self):
@@ -879,15 +873,15 @@ class TestAdam:
     def test_rejects_mismatched_state(self):
         p = np.array([1.0])
         opt = Adam([p], learning_rate=1e-3)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="expected 1 parameter/gradient arrays, got 2/2"):
             opt.step([p, p], [np.array([1.0]), np.array([1.0])])
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match=r"shape \(2,\)/\(2,\) != state shape \(1,\)"):
             opt.step([np.zeros(2)], [np.zeros(2)])
 
     def test_rejects_negative_settings(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="learning_rate must be >= 0, got -1.0"):
             Adam([np.zeros(1)], learning_rate=-1.0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="weight_decay must be >= 0, got -0.1"):
             Adam([np.zeros(1)], learning_rate=1e-3, weight_decay=-0.1)
 
 
@@ -907,5 +901,5 @@ class TestFiniteDiffCheck:
         assert err > 0.4
 
     def test_rejects_bad_step(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="h must be positive, got 0.0"):
             finite_diff_check(lambda x: (0.0, x), np.zeros(1), h=0.0)

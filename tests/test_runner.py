@@ -20,18 +20,7 @@ import surgact.atomic as atomic_mod
 import surgact.runner as runner_mod
 from surgact.cli import main as cli_main
 from surgact.dataset import GRANULARITIES, IDLE, arm_columns, build_catalog, encode_frames
-from surgact.errors import (
-    CrossDatasetGestures,
-    DataError,
-    EmptyTranscripts,
-    FoldFailure,
-    IndexOutOfRange,
-    InvalidConfig,
-    IoFailure,
-    MissingTranscript,
-    NonFiniteLoss,
-    UnattributedSegment,
-)
+from surgact.errors import ConfigError, DataError, NonFiniteLoss, SurgactError
 from surgact.metrics import average_precision, map_report
 from surgact.nn import Adam
 from surgact.runner import (
@@ -70,70 +59,80 @@ class TestExperimentConfig:
         assert cfg.tasks == ("T01", "T02")
         assert cfg.filters == (8, 12, 16)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"tasks": None},                                   # louo needs a selection
-        {"task_combo": "All"},                             # but not two of them
-        {"test_task": "T02"},                              # loto argument on louo
-        {"cv": "loto", "tasks": None},                     # loto needs both sides
-        {"cv": "loto", "tasks": None, "test_task": "T01"},
-        {"cv": "loto-suite"},                              # suite takes no tasks
-        {"granularity": "frame"},
-        {"cv": "kfold", "tasks": None},
-        {"learning_rate": 0.0},
-        {"learning_rate": float("nan")},
-        {"learning_rate": float("inf")},
-        {"learning_rate": float("-inf")},
-        {"weight_decay": -1e-4},
-        {"weight_decay": float("nan")},
-        {"weight_decay": float("inf")},
-        {"weight_decay": float("-inf")},
-        {"epochs": -1},
-        {"cv": "loto", "test_task": "T02", "train_tasks": ("T01",)},  # keeps louo tasks
-        {"kernel_size": 4},
-        {"kernel_size": True},
+    @pytest.mark.parametrize("kwargs, message", [
+        # louo needs a selection
+        ({"tasks": None}, "louo needs exactly one of tasks / task_combo"),
+        # but not two of them
+        ({"task_combo": "All"}, "louo needs exactly one of tasks / task_combo"),
+        # loto argument on louo
+        ({"test_task": "T02"}, "test_task/train_tasks are for loto runs"),
+        # loto needs both sides
+        ({"cv": "loto", "tasks": None}, "loto needs test_task and train_tasks"),
+        ({"cv": "loto", "tasks": None, "test_task": "T01"},
+         "loto needs test_task and train_tasks"),
+        # suite takes no tasks
+        ({"cv": "loto-suite"}, "loto-suite takes no task arguments"),
+        ({"granularity": "frame"}, "unknown granularity: 'frame'"),
+        ({"cv": "kfold", "tasks": None}, r"cv must be one of \(.*\), got 'kfold'"),
+        ({"learning_rate": 0.0}, "learning_rate must be a finite number > 0, got 0.0"),
+        ({"learning_rate": float("nan")}, "learning_rate must be a finite number > 0, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be a finite number > 0, got inf"),
+        ({"learning_rate": float("-inf")}, "learning_rate must be a finite number > 0, got -inf"),
+        ({"weight_decay": -1e-4}, "weight_decay must be a finite number >= 0, got -0.0001"),
+        ({"weight_decay": float("nan")}, "weight_decay must be a finite number >= 0, got nan"),
+        ({"weight_decay": float("inf")}, "weight_decay must be a finite number >= 0, got inf"),
+        ({"weight_decay": float("-inf")}, "weight_decay must be a finite number >= 0, got -inf"),
+        ({"epochs": -1}, "epochs must be an integer >= 0, got -1"),
+        # keeps louo tasks
+        ({"cv": "loto", "test_task": "T02", "train_tasks": ("T01",)},
+         "tasks/task_combo are for louo runs"),
+        ({"kernel_size": 4}, "kernel_size must be an odd positive integer, got 4"),
+        ({"kernel_size": True}, "kernel_size must be an odd positive integer, got True"),
         # as a config file can spell them: rejected before any file is read
-        {"filters": [4, 6]},
-        {"filters": [4, 6, "8"]},
-        {"epochs": "5"},
-        {"epochs": 2.0},
-        {"seed": True},
-        {"learning_rate": "1e-3"},
-        {"tasks": "T01"},
-        {"tasks": ["T01", 2]},
-        {"catalog": 7},
+        ({"filters": [4, 6]}, r"filters must be 3 positive counts, got \[4, 6\]"),
+        ({"filters": [4, 6, "8"]}, r"filters must be 3 positive counts, got \[4, 6, '8'\]"),
+        ({"epochs": "5"}, "epochs must be an integer >= 0, got '5'"),
+        ({"epochs": 2.0}, "epochs must be an integer >= 0, got 2.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"learning_rate": "1e-3"}, "learning_rate must be a finite number > 0, got '1e-3'"),
+        ({"tasks": "T01"}, "tasks must be a list of task names, got 'T01'"),
+        ({"tasks": ["T01", 2]}, r"tasks must be a list of task names, got \['T01', 2\]"),
+        ({"catalog": 7}, "catalog must be a string, got 7"),
         # column settings out of range, rejected before any file is read
-        {"left_offset": -1},
-        {"right_offset": -1},
-        {"expected_channels": 0},
-        {"expected_channels": -3},
-        {"right_offset": 5},                               # column 18 twice
-        {"left_offset": 19, "right_offset": 19},
-    ])
-    def test_rejections(self, synth_manifest, kwargs):
-        with pytest.raises(InvalidConfig):
+        ({"left_offset": -1}, "left_offset must be >= 0, got -1"),
+        ({"right_offset": -1}, "right_offset must be >= 0, got -1"),
+        ({"expected_channels": 0}, "expected_channels must be >= 1, got 0"),
+        ({"expected_channels": -3}, "expected_channels must be >= 1, got -3"),
+        # column 18 twice
+        ({"right_offset": 5}, r"left_offset 0 and right_offset 5 select columns \[18\] twice"),
+        ({"left_offset": 19, "right_offset": 19},
+         r"right_offset 19 select columns \[19, 20, 21, 31, 32, 33, 37\] twice"),
+    ], ids=[f"kwargs{i}" for i in range(35)])
+    def test_rejections(self, synth_manifest, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
             synth_config(synth_manifest, **kwargs)
 
     def test_loto_form(self, synth_manifest):
         cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
                                cv="loto", test_task="T01", train_tasks=("T02",))
-        assert cfg.hyperparam_mode == "loto"
+        assert cfg.learning_rate == HYPERPARAM_DEFAULTS["loto"]["learning_rate"]
 
     def test_hyperparameter_defaults_per_mode(self, synth_manifest):
         louo = synth_config(synth_manifest)
-        assert louo.resolved_learning_rate == HYPERPARAM_DEFAULTS["louo"]["learning_rate"]
-        assert louo.resolved_weight_decay == HYPERPARAM_DEFAULTS["louo"]["weight_decay"]
+        assert louo.learning_rate == HYPERPARAM_DEFAULTS["louo"]["learning_rate"]
+        assert louo.weight_decay == HYPERPARAM_DEFAULTS["louo"]["weight_decay"]
         loto = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
                                 cv="loto", test_task="T01", train_tasks=("T02",))
-        assert loto.resolved_learning_rate == HYPERPARAM_DEFAULTS["loto"]["learning_rate"]
-        assert loto.resolved_weight_decay == HYPERPARAM_DEFAULTS["loto"]["weight_decay"]
+        assert loto.learning_rate == HYPERPARAM_DEFAULTS["loto"]["learning_rate"]
+        assert loto.weight_decay == HYPERPARAM_DEFAULTS["loto"]["weight_decay"]
         suite = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
                                  cv="loto-suite")
-        assert suite.resolved_learning_rate == HYPERPARAM_DEFAULTS["loto"]["learning_rate"]
+        assert suite.learning_rate == HYPERPARAM_DEFAULTS["loto"]["learning_rate"]
 
     def test_explicit_hyperparameters_win(self, synth_manifest):
         cfg = synth_config(synth_manifest, learning_rate=1e-3, weight_decay=1e-4)
-        assert cfg.resolved_learning_rate == 1e-3
-        assert cfg.resolved_weight_decay == 1e-4
+        assert cfg.learning_rate == 1e-3
+        assert cfg.weight_decay == 1e-4
 
     def test_feature_spec_follows_granularity(self, synth_manifest):
         for granularity in ("gesture", "mp"):
@@ -177,7 +176,8 @@ class TestLoadExperimentConfig:
                                      tasks=["T01"], epochs=None)
         assert cfg == ExperimentConfig(catalog="m.json", granularity="mp", cv="louo",
                                        tasks=("T01",))
-        with pytest.raises(InvalidConfig, match="catalog"):
+        with pytest.raises(ConfigError, match=r"missing required settings "
+                                              r"\(config keys or flags\): \['catalog'\]"):
             load_experiment_config(granularity="mp", cv="louo", tasks=["T01"])
 
     def test_overrides_win_and_none_is_ignored(self, tmp_path):
@@ -189,27 +189,28 @@ class TestLoadExperimentConfig:
 
     def test_unknown_file_key(self, tmp_path):
         p = self.write(tmp_path, dict(self.BASE, batch_size=4))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="unknown config keys"):
             load_experiment_config(p)
 
     def test_unknown_override(self, tmp_path):
         p = self.write(tmp_path, self.BASE)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="unknown config override"):
             load_experiment_config(p, momentum=0.9)
 
     def test_missing_required_key(self, tmp_path):
         p = self.write(tmp_path, {"granularity": "mp", "cv": "louo"})
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError,
+                           match=r"missing required settings \(config keys or flags\)"):
             load_experiment_config(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="config file not found"):
             load_experiment_config(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "exp.json"
         p.write_text("{oops")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="config file is not valid JSON"):
             load_experiment_config(p)
 
 
@@ -247,7 +248,7 @@ class TestPlanFolds:
     def test_louo_gesture_guard(self, study_catalog, synth_manifest):
         cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="gesture",
                                cv="louo", task_combo="All")
-        with pytest.raises(CrossDatasetGestures):
+        with pytest.raises(ConfigError, match="tasks without gesture labels"):
             plan_folds(cfg, study_catalog)
 
     def test_loto_single_plan(self, synth_manifest):
@@ -407,7 +408,8 @@ class TestTrialDataSource:
         catalog = build_catalog(manifest)
         columns = ExperimentConfig(catalog=str(manifest), granularity="mp-left",
                                    cv="louo", tasks=("T",)).feature_columns()
-        with pytest.raises(UnattributedSegment, match="T_B_001_mp.txt"):
+        with pytest.raises(DataError,
+                           match="T_B_001_mp.txt: motion primitive 'Touch' names no tool side"):
             TrialDataSource(catalog, "mp-left", columns, [e.key for e in catalog.entries])
 
     def test_vocabulary_requires_transcripts_everywhere(self, tmp_path):
@@ -415,7 +417,7 @@ class TestTrialDataSource:
         catalog = build_catalog(manifest)
         columns = ExperimentConfig(catalog=str(manifest), granularity="gesture",
                                    cv="louo", tasks=("T",)).feature_columns()
-        with pytest.raises(MissingTranscript):
+        with pytest.raises(DataError, match="declares no 'gesture' transcript"):
             TrialDataSource(catalog, "gesture", columns, [("T", "A", "001")])
 
     def test_load_keeps_arrays_the_folds_share(self, synth_manifest):
@@ -589,8 +591,8 @@ class TestRunExperiment:
         assert names | {"kernel_size_override"} <= set(experiment)
         assert "output_dir" not in experiment and "kernel_size" not in experiment
         assert experiment["kernel_size_override"] == 5
-        assert experiment["learning_rate"] == cfg.resolved_learning_rate
-        assert experiment["weight_decay"] == cfg.resolved_weight_decay
+        assert experiment["learning_rate"] == HYPERPARAM_DEFAULTS["louo"]["learning_rate"]
+        assert experiment["weight_decay"] == HYPERPARAM_DEFAULTS["louo"]["weight_decay"]
 
     def test_timing_is_segregated(self, synth_manifest):
         report = run_experiment(synth_config(synth_manifest, epochs=1))
@@ -653,7 +655,7 @@ class TestRunExperiment:
         monkeypatch.setattr(runner_mod, "train_fold", train_fold)
         out = tmp_path / "partial"
         cfg = synth_config(synth_manifest, epochs=1, output_dir=str(out))
-        with pytest.raises(FoldFailure, match="louo-SYNTH-U03"):
+        with pytest.raises(SurgactError, match="fold louo-SYNTH-U03 failed"):
             run_experiment(cfg)
         folds = json.loads((out / "report.json").read_text())["folds"]
         assert [f["status"] for f in folds] == ["ok", "diverged", "failed"]
@@ -682,7 +684,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runner_mod, "build_model", explode)
         out = tmp_path / "partial"
-        with pytest.raises(FoldFailure, match="louo-SYNTH-U01"):
+        with pytest.raises(SurgactError, match="fold louo-SYNTH-U01 failed"):
             run_experiment(synth_config(synth_manifest, epochs=1,
                                         output_dir=str(out)))
         payload = json.loads((out / "report.json").read_text())
@@ -723,7 +725,8 @@ class TestRunSingleFold:
         assert "louo-SYNTH-U02" in payload["error"] and "non-finite" in payload["error"]
 
     def test_unknown_fold_name(self, synth_manifest):
-        with pytest.raises(InvalidConfig, match="louo-SYNTH-U01"):
+        with pytest.raises(ConfigError,
+                           match="no fold named 'louo-SYNTH-U99'; available: louo-SYNTH-U01"):
             run_single_fold(synth_config(synth_manifest), "louo-SYNTH-U99")
 
 
@@ -769,7 +772,7 @@ class TestReportsOnDisk:
         report = run_experiment(synth_config(synth_manifest, epochs=0))
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
-        with pytest.raises(IoFailure):
+        with pytest.raises(SurgactError, match="cannot create output directory"):
             emit_report(report, blocker / "out")
 
     @pytest.mark.parametrize("name", ["report.json", "tables.txt"])
@@ -794,7 +797,7 @@ class TestReportsOnDisk:
             return fh
 
         monkeypatch.setattr(atomic_mod, "open", half_then_full_disk, raising=False)
-        with pytest.raises(IoFailure, match="No space left"):
+        with pytest.raises(SurgactError, match="cannot write .*: No space left"):
             emit_report(newer, out)
         assert (out / name).read_bytes() == previous
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "tables.txt"]
@@ -878,7 +881,8 @@ class TestBadInputIsRejectedBeforeTraining:
         assert cli_main(["experiment", "--catalog", str(manifest), "--granularity", "mp",
                          "--cv", "louo", "--tasks", "T", "--epochs", "1"]) == 2
         assert "column 20 outside [0, 20)" in capsys.readouterr().err
-        self.assert_nothing_trained(tmp_path, monkeypatch, manifest, IndexOutOfRange)
+        self.assert_nothing_trained(tmp_path, monkeypatch, manifest,
+                                    match=r"column 20 outside \[0, 20\)")
 
     @pytest.mark.parametrize("granularity, corrupt, only", [
         ("mp-left", keep_right_arm_only, "Idle"),
@@ -908,12 +912,12 @@ class TestBadInputIsRejectedBeforeTraining:
                          "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             f"data error: {empty}: gesture transcript labels no frame\n")
-        self.assert_nothing_trained(tmp_path, monkeypatch, manifest, EmptyTranscripts,
-                                    granularity="gesture")
+        self.assert_nothing_trained(tmp_path, monkeypatch, manifest, granularity="gesture",
+                                    match="gesture transcript labels no frame")
 
     @staticmethod
-    def assert_nothing_trained(tmp_path, monkeypatch, manifest, error=DataError,
-                               granularity="mp"):
+    def assert_nothing_trained(tmp_path, monkeypatch, manifest, granularity="mp",
+                               match=None):
         trained = []
         real_train_fold = runner_mod.train_fold
 
@@ -924,9 +928,9 @@ class TestBadInputIsRejectedBeforeTraining:
         monkeypatch.setattr(runner_mod, "train_fold", spy)
         cfg = ExperimentConfig(catalog=str(manifest), granularity=granularity, cv="louo",
                                tasks=("T",), epochs=1, output_dir=str(tmp_path / "out"))
-        with pytest.raises(error):
+        with pytest.raises(DataError, match=match):
             run_experiment(cfg)
-        with pytest.raises(error):
+        with pytest.raises(DataError, match=match):
             run_single_fold(cfg, "louo-MINI-A")
         assert trained == []
         assert not (tmp_path / "out").exists()

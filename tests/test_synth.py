@@ -12,7 +12,7 @@ from surgact.dataset import (
     load_trial_kinematics,
     split_by_arm,
 )
-from surgact.errors import InvalidConfig
+from surgact.errors import ConfigError
 from surgact.synth import generate_synthetic_dataset, synthetic_class_labels
 
 
@@ -88,13 +88,13 @@ class TestGeneratedCorpus:
             assert manifest.name == "manifest.json"
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("kwargs", [
-        {"num_tasks": 0},
-        {"num_classes": 1},
-        {"frames_range": (4, 100)},
-        {"frames_range": (100, 50)},
-        {"segment_frames": (0, 10)},
-    ])
-    def test_rejects_bad_arguments(self, tmp_path, kwargs):
-        with pytest.raises(InvalidConfig):
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_tasks": 0}, "need at least one task, subject, and trial"),
+        ({"num_classes": 1}, "need at least two classes"),
+        ({"frames_range": (4, 100)}, r"bad frames_range \(4, 100\)"),
+        ({"frames_range": (100, 50)}, r"bad frames_range \(100, 50\)"),
+        ({"segment_frames": (0, 10)}, r"bad segment_frames \(0, 10\)"),
+    ], ids=[f"kwargs{i}" for i in range(5)])
+    def test_rejects_bad_arguments(self, tmp_path, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
             generate_synthetic_dataset(tmp_path, **kwargs)

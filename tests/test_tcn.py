@@ -7,17 +7,7 @@ import surgact.tcn as tcn_mod
 
 from surgact.crossval import FoldPlan
 from surgact.dataset import LabelTranscript, Segment
-from surgact.errors import (
-    ChannelMismatch,
-    DataError,
-    EmptyTranscripts,
-    InvalidConfig,
-    NonFiniteLoss,
-    NonNumericCell,
-    ShapeMismatch,
-    TargetOutOfRange,
-    TooShort,
-)
+from surgact.errors import ConfigError, DataError, NonFiniteLoss
 from surgact.nn import (
     Adam,
     Conv1d,
@@ -93,7 +83,7 @@ class TestComputeKernelSize:
         assert compute_kernel_size([t1, t2]) == 15
 
     def test_no_segments(self):
-        with pytest.raises(EmptyTranscripts):
+        with pytest.raises(DataError, match="no labeled segments in any training transcript"):
             compute_kernel_size([])
 
 
@@ -105,26 +95,41 @@ class TestModelConfig:
         assert cfg.epochs == DEFAULT_EPOCHS
         assert cfg.filters == (32, 64, 96)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"num_classes": 1, "kernel_size": 3},
-        {"num_classes": 4, "kernel_size": 4},
-        {"num_classes": 4, "kernel_size": 0},
-        {"num_classes": 4, "kernel_size": 3, "filters": (4, 6)},
-        {"num_classes": 4, "kernel_size": 3, "filters": (4, 0, 6)},
-        {"num_classes": 4, "kernel_size": 3, "learning_rate": 0.0},
-        {"num_classes": 4, "kernel_size": 3, "learning_rate": float("nan")},
-        {"num_classes": 4, "kernel_size": 3, "learning_rate": float("inf")},
-        {"num_classes": 4, "kernel_size": 3, "learning_rate": float("-inf")},
-        {"num_classes": 4, "kernel_size": 3, "weight_decay": -1e-3},
-        {"num_classes": 4, "kernel_size": 3, "weight_decay": float("nan")},
-        {"num_classes": 4, "kernel_size": 3, "weight_decay": float("inf")},
-        {"num_classes": 4, "kernel_size": 3, "weight_decay": float("-inf")},
-        {"num_classes": 4, "kernel_size": 3, "epochs": -1},
-        {"num_classes": 4, "kernel_size": True},
-        {"num_classes": 4, "kernel_size": None},
-    ])
-    def test_rejects_bad_settings(self, kwargs):
-        with pytest.raises(InvalidConfig):
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_classes": 1, "kernel_size": 3}, "need at least 2 classes, got 1"),
+        ({"num_classes": 4, "kernel_size": 4},
+         "kernel_size must be an odd positive integer, got 4"),
+        ({"num_classes": 4, "kernel_size": 0},
+         "kernel_size must be an odd positive integer, got 0"),
+        ({"num_classes": 4, "kernel_size": 3, "filters": (4, 6)},
+         r"filters must be 3 positive counts, got \(4, 6\)"),
+        ({"num_classes": 4, "kernel_size": 3, "filters": (4, 0, 6)},
+         r"filters must be 3 positive counts, got \(4, 0, 6\)"),
+        ({"num_classes": 4, "kernel_size": 3, "learning_rate": 0.0},
+         "learning_rate must be a finite number > 0, got 0.0"),
+        ({"num_classes": 4, "kernel_size": 3, "learning_rate": float("nan")},
+         "learning_rate must be a finite number > 0, got nan"),
+        ({"num_classes": 4, "kernel_size": 3, "learning_rate": float("inf")},
+         "learning_rate must be a finite number > 0, got inf"),
+        ({"num_classes": 4, "kernel_size": 3, "learning_rate": float("-inf")},
+         "learning_rate must be a finite number > 0, got -inf"),
+        ({"num_classes": 4, "kernel_size": 3, "weight_decay": -1e-3},
+         "weight_decay must be a finite number >= 0, got -0.001"),
+        ({"num_classes": 4, "kernel_size": 3, "weight_decay": float("nan")},
+         "weight_decay must be a finite number >= 0, got nan"),
+        ({"num_classes": 4, "kernel_size": 3, "weight_decay": float("inf")},
+         "weight_decay must be a finite number >= 0, got inf"),
+        ({"num_classes": 4, "kernel_size": 3, "weight_decay": float("-inf")},
+         "weight_decay must be a finite number >= 0, got -inf"),
+        ({"num_classes": 4, "kernel_size": 3, "epochs": -1},
+         "epochs must be an integer >= 0, got -1"),
+        ({"num_classes": 4, "kernel_size": True},
+         "kernel_size must be an odd positive integer, got True"),
+        ({"num_classes": 4, "kernel_size": None},
+         "kernel_size must be an odd positive integer, got None"),
+    ], ids=[f"kwargs{i}" for i in range(16)])
+    def test_rejects_bad_settings(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
             ModelConfig(**kwargs)
 
     def test_filters_become_a_tuple(self):
@@ -166,12 +171,12 @@ class TestBuildModel:
 
     def test_too_short(self):
         model = build_model(SMALL, 3)
-        with pytest.raises(TooShort):
+        with pytest.raises(DataError, match="need at least 8 frames, got 7"):
             model.forward(np.zeros((3, MIN_FRAMES - 1)))
 
     def test_channel_mismatch(self):
         model = build_model(SMALL, 3)
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(DataError, match="expected 3 channels, got 5"):
             model.forward(np.zeros((5, 16)))
 
     def test_composite_gradient_check(self):
@@ -483,7 +488,7 @@ class TestActivationBuffers:
     def test_gradient_of_another_shape_is_refused(self, shape):
         model = build_model(SMALL, 3)
         _, tape = model.forward(np.random.default_rng(6).normal(size=(3, 21)))
-        with pytest.raises(ShapeMismatch, match="grad_logits shape"):
+        with pytest.raises(DataError, match="grad_logits shape"):
             model.backward(np.zeros(shape), tape)
 
     def test_nothing_is_held_after_training_or_prediction(self):
@@ -586,7 +591,7 @@ class TestTrainFold:
         data = {("T", "U", "001"): bad}
         model = build_model(TOY, 3)
         before = model.theta.copy()
-        with pytest.raises(TargetOutOfRange, match=r"\[0, 2\)"):
+        with pytest.raises(DataError, match=r"targets must lie in \[0, 2\)"):
             train_fold(model, toy_fold(data), data, TOY)
         np.testing.assert_array_equal(model.theta, before)
 
@@ -632,11 +637,11 @@ class TestPredictLabels:
 
     def test_rejects_bad_features(self):
         model = build_model(SMALL, 3)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match=r"expected \(channels, frames\), got shape"):
             predict_labels(model, np.zeros(10))
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(DataError, match="expected 3 channels, got 5"):
             predict_labels(model, np.zeros((10, 5)))
         bad = np.zeros((10, 3))
         bad[3, 1] = np.inf
-        with pytest.raises(NonNumericCell):
+        with pytest.raises(DataError, match="features contain non-finite values"):
             predict_labels(model, bad)
