@@ -12,9 +12,11 @@ Each rule has one home. `TranscriptFile.bind` fits a transcript to its
 trial: an MP transcript that labels no frame leaves the trial all Idle, a
 gesture transcript must label one. A transcript carries no class list;
 `encode_frames` is the one check that its labels are an experiment's
-classes. `CatalogEntry.transcript_source` names the file a granularity is
-read from: a per-arm granularity a trial declares no file for comes from
-its combined 'mp' file.
+classes, and it marks a frame no segment covers as `GAP`, the one form an
+unlabelled frame takes: the loss counts it for nothing, accuracy and AP
+drop it, and it ends a segment. `CatalogEntry.transcript_source` names the
+file a granularity is read from: a per-arm granularity a trial declares no
+file for comes from its combined 'mp' file.
 
 Frame indexing is 0-based and segment ranges are inclusive on both ends, so
 a segment (start=0, end=29) covers 30 frames.
@@ -54,6 +56,8 @@ MIN_FRAMES = 8
 COLUMNS_PER_ARM = 19
 
 TrialKey = tuple[str, str, str]
+
+GAP = -1  # the target of a frame that no segment covers
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +263,19 @@ def encode_frames(
     transcript: LabelTranscript,
     label_to_id: Mapping[str, int],
     fill: Optional[str] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame integer targets plus a validity mask.
-
-    With a fill label every frame is valid. Without one, uncovered frames get
-    target 0 and mask False so the loss and the metrics can skip them.
-    """
-    ids = np.zeros(transcript.length, dtype=np.int64)
-    mask = np.zeros(transcript.length, dtype=bool)
+) -> np.ndarray:
+    """Per-frame integer targets: each segment's class id, and on the frames
+    no segment covers the fill label's id or, without a fill, `GAP`."""
+    ids = np.full(transcript.length, GAP, dtype=np.int64)
     if fill is not None:
         if fill not in label_to_id:
             raise DataError(f"fill label {fill!r} not in label mapping")
         ids[:] = label_to_id[fill]
-        mask[:] = True
     for seg in transcript.segments:
         if seg.label not in label_to_id:
             raise DataError(f"label {seg.label!r} not in label mapping")
         ids[seg.start:seg.end + 1] = label_to_id[seg.label]
-        mask[seg.start:seg.end + 1] = True
-    return ids, mask
+    return ids
 
 
 def _tile_with_idle(kept: list[Segment], length: int) -> list[Segment]:

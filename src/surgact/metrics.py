@@ -11,9 +11,9 @@ Three families:
   a threshold); macro and support-weighted micro means on top, as the
   report's `map` block (`map_report`).
 
-Accuracy and AP read the frames that count alone (a gesture trial's
-labelled frames, every frame of an MP trial); the edit score reads the
-whole trial with GAP at the other frames, so that a gap ends a segment.
+A frame no segment covers holds `dataset.GAP`. Accuracy and AP read the
+other frames alone (a gesture trial's labelled frames, every frame of an MP
+trial); the edit score reads the whole trial, so that a gap ends a segment.
 All scores are on a 0..100 percent scale.
 """
 
@@ -23,10 +23,10 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .dataset import GAP
 from .errors import DataError
 
 __all__ = [
-    "GAP",
     "frame_accuracy",
     "run_length_segments",
     "segment_labels",
@@ -36,8 +36,6 @@ __all__ = [
     "pooled_class_average_precisions",
     "map_report",
 ]
-
-GAP = -1  # the label of a frame that no segment covers
 
 
 def frame_accuracy(predicted: Sequence, reference: Sequence) -> float:

@@ -17,7 +17,8 @@ They do not check their input: they take a conv's output, and
 `TcnModel.forward` validates the signal once.
 
 A training step (`TcnModel.train_step`) runs `softmax_cross_entropy` and
-`Adam.step` around the model's forward and backward passes.
+`Adam.step` around the model's forward and backward passes. The loss counts
+a frame whose target is `dataset.GAP`, one no segment covers, for nothing.
 
 No autograd framework is used anywhere: every backward pass below is the
 hand-derived exact gradient of the forward map.
@@ -31,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dataset import GAP
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -317,20 +319,18 @@ def pool_relu_norm_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     return gx
 
 
-def softmax_cross_entropy(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-) -> tuple[float, np.ndarray]:
+def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean per-frame cross entropy under a column-wise softmax.
 
-    logits: (C, T). targets: (T,) integer class ids. mask: optional (T,)
-    booleans; masked-out frames contribute neither loss nor gradient and the
-    mean is over unmasked frames only.
+    logits: (C, T). targets: (T,) integer class ids in [0, C), or `GAP` on a
+    frame no segment covers. A GAP frame counts for nothing: it adds neither
+    loss nor gradient, and the mean is over the other frames. Ids outside
+    [GAP, C), and targets that are GAP on every frame, are refused.
 
     Returns (loss, grad) where grad has the shape of logits and equals
-    (softmax(logits) - onehot(targets)) / n_unmasked on unmasked columns.
-    Stabilized by subtracting each column's max before exponentiating.
+    (softmax(logits) - onehot(targets)) / n_labelled on labelled columns and
+    0 on GAP ones. Stabilized by subtracting each column's max before
+    exponentiating.
     """
     logits = _as_signal(logits, name="logits")
     c, t = logits.shape
@@ -339,32 +339,27 @@ def softmax_cross_entropy(
         raise DataError(f"targets shape {targets.shape} != ({t},)")
     if not np.issubdtype(targets.dtype, np.integer):
         raise DataError("targets must be integers")
-    # one pass over the ids: read as unsigned, a negative one is huge
-    if targets.size and targets.view(f"u{targets.itemsize}").max() >= c:
+    if targets.size and not (targets.min() >= GAP and targets.max() < c):
         raise DataError(
-            f"targets must lie in [0, {c}), got range "
+            f"targets must lie in [{GAP}, {c}), got range "
             f"[{targets.min()}, {targets.max()}]")
-    if mask is None:
-        keep, n = None, t
-    else:
-        keep = np.asarray(mask, dtype=bool)
-        if keep.shape != (t,):
-            raise DataError(f"mask shape {keep.shape} != ({t},)")
-        n = int(keep.sum())
+    keep = targets != GAP
+    n = int(np.count_nonzero(keep))
     if n == 0:
-        raise DataError("every frame is masked out")
+        raise DataError("every target is GAP")
 
     z = logits - logits.max(axis=0, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=0, keepdims=True))
     logp = z - lse
     cols = np.arange(t)
+    # a GAP frame indexes the last class here; its entries are dropped
     picked = logp[targets, cols]
-    loss = float(-(picked if keep is None else picked[keep]).sum() / n)
+    loss = float(-(picked if n == t else picked[keep]).sum() / n)
 
     grad = np.exp(logp)
     grad[targets, cols] -= 1.0
     grad /= n
-    if keep is not None:
+    if n < t:
         grad[:, ~keep] = 0.0
     return loss, grad
 

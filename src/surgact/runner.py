@@ -11,12 +11,13 @@ separate "timing" subtree so two identical runs produce byte-identical
 payloads once timing is dropped.
 
 Every trial a run uses is read and checked once, before the first fold,
-into its bound transcript and model-ready arrays (`TrialDataSource`), and
-the folds share them. Each trial's arrays carry the mask of the frames that
-count: every frame for motion primitives, the labelled ones for gestures.
-Training and evaluation read it the same way for every granularity:
-`run_fold` scores accuracy and AP on a held-out trial's kept frames, and
-the edit score on their segments, which a dropped frame ends.
+into its bound transcript and model-ready arrays (`read_trials`), and the
+folds share the one immutable record it returns. A trial's targets hold
+`GAP` on the frames no segment covers: none for motion primitives, a
+gesture transcript's gaps. Training and evaluation read them the same way
+for every granularity: the loss counts a GAP frame for nothing, and
+`run_fold` scores accuracy and AP on a held-out trial's other frames and
+the edit score on its targets' segments, which a gap ends.
 
 Every fold of a report has the same keys (`_fold_payload`), whether it is
 ok, diverged or failed; a fold that did not finish has no training,
@@ -38,7 +39,8 @@ from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from numbers import Integral
 from pathlib import Path
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .crossval import (
 )
 from .dataset import (
     COLUMNS_PER_ARM,
+    GAP,
     GRANULARITIES,
     IDLE,
     Catalog,
@@ -71,7 +74,6 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, NonFiniteLoss, SurgactError
 from .metrics import (
-    GAP,
     edit_score,
     frame_accuracy,
     map_report,
@@ -83,10 +85,10 @@ from .tcn import (
     HYPERPARAM_DEFAULTS,
     ModelConfig,
     TrialTensors,
-    _is_a,
     build_model,
     check_model_settings,
     compute_kernel_size,
+    is_a,
     predict_labels,
     train_fold,
 )
@@ -94,11 +96,12 @@ from .tcn import (
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
-    "TrialDataSource",
+    "TrialData",
     "load_experiment_config",
     "derive_fold_seed",
     "plan_folds",
     "experiment_vocabulary",
+    "read_trials",
     "fold_model_config",
     "run_fold",
     "run_experiment",
@@ -144,7 +147,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if kind is None or (value is None and f.default is None):
                 continue
-            if not _is_a(value, kind):
+            if not is_a(value, kind):
                 raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
         for name in ("tasks", "train_tasks"):
             value = getattr(self, name)
@@ -275,127 +278,114 @@ def plan_folds(config: ExperimentConfig, catalog: Catalog) -> list[FoldPlan]:
 
 
 # ---------------------------------------------------------------------------
-# vocabulary
+# trial data
 
-def experiment_vocabulary(source: TrialDataSource,
-                          keys: Sequence[TrialKey]) -> tuple[str, ...]:
-    """The fixed class list for an experiment: every label appearing at the
-    source's granularity across the involved trials, sorted; MP
-    granularities always include Idle (the gap/off-arm label). The output
-    layer keeps this size on every fold, so a class missing from some
-    fold's training data stays predictable-in-principle rather than
-    silently dropped. Fewer than two classes is a data error."""
+def experiment_vocabulary(granularity: str,
+                          files: Iterable[TranscriptFile]) -> tuple[str, ...]:
+    """The fixed class list for an experiment: every label the transcript
+    files give at `granularity` (a per-arm view of a combined 'mp' file
+    gives its arm's, `TranscriptFile.arm_labels`), sorted; MP granularities
+    always include Idle (the gap/off-arm label). The output layer keeps this
+    size on every fold, so a class missing from some fold's training data
+    stays predictable-in-principle rather than silently dropped. Fewer than
+    two classes is a data error."""
     labels: set[str] = set()
-    for key in keys:
-        labels |= source.labels(key)
-    if source.granularity != "gesture":
+    for parsed in files:
+        labels |= (parsed.labels if parsed.granularity == granularity
+                   else parsed.arm_labels()[granularity])
+    if granularity != "gesture":
         labels.add(IDLE)
     if len(labels) < 2:
         raise DataError(
-            f"the selected trials' {source.granularity!r} labels give "
+            f"the selected trials' {granularity!r} labels give "
             f"{len(labels)} class(es) {sorted(labels)}; a model needs at least 2")
     return tuple(sorted(labels))
 
 
-# ---------------------------------------------------------------------------
-# per-trial data access
+@dataclass(frozen=True)
+class TrialData:
+    """The trials a run reads, each once, into what a fold uses: the class
+    list, and for each trial read its bound transcript (for the kernel
+    width) and its `TrialTensors`. Every fold shares it, read-only."""
 
-class TrialDataSource:
-    """The trials of an experiment (`keys`), each read once into what a fold
-    uses.
+    granularity: str
+    feature_columns: tuple[int, ...]
+    vocabulary: tuple[str, ...]
+    transcripts: Mapping[TrialKey, LabelTranscript]
+    tensors: Mapping[TrialKey, TrialTensors]
 
-    Each trial's transcript file (`CatalogEntry.transcript_source`) is
-    parsed once; a per-arm view of a combined 'mp' file is split from it by
-    `split_by_arm`. The class list (`vocabulary`) is taken over `keys` from
-    the parsed files alone, so it needs no kinematics.
 
-    `load` reads the kinematics of the trials a run uses, binds each
-    transcript to its trial, and keeps, for each trial, its bound
-    transcript (for the kernel width) and its `TrialTensors`, whose mask is
-    `encode_frames`'s: all True at an MP granularity, where Idle fills the
-    gaps, and False on a gesture transcript's gaps. `transcript` and
-    `tensors` return what `load` stored. The data rules are the loaders'
-    and `encode_frames`'s; the kinematics are not kept.
+def _planned_trials(plans: Sequence[FoldPlan]) -> list[TrialKey]:
+    """Every trial the plans use, once each, in plan order."""
+    return list(dict.fromkeys(
+        k for plan in plans for k in plan.train_trials + plan.test_trials))
+
+
+def read_trials(config: ExperimentConfig, catalog: Catalog,
+                plans: Sequence[FoldPlan], keys: Sequence[TrialKey]) -> TrialData:
+    """Read and check the trials `keys` (planned ones) now, so that bad
+    input is rejected before any fold trains.
+
+    Every planned trial's transcript file (`CatalogEntry.transcript_source`)
+    is parsed, since the class list (`experiment_vocabulary`) is taken over
+    all of them, whatever `keys` holds. Then each trial of `keys` has its
+    kinematics read, its transcript bound to its length (a per-arm view of
+    a combined 'mp' file is split from it by `split_by_arm`), and its
+    feature columns and `encode_frames` targets kept: Idle fills an MP
+    transcript's gaps, and a gesture one's are GAP. The data rules are the
+    loaders' and `encode_frames`'s; the kinematics are not kept.
     """
-
-    def __init__(self, catalog: Catalog, granularity: str,
-                 feature_columns: tuple[int, ...], keys: Sequence[TrialKey], *,
-                 expected_channels: Optional[int] = None):
-        self.catalog = catalog
-        self.granularity = granularity
-        self.feature_columns = feature_columns
-        self.keys = tuple(keys)
-        self.expected_channels = expected_channels
-        self._files: dict[TrialKey, TranscriptFile] = {}
-        self._loaded: dict[TrialKey, tuple[LabelTranscript, TrialTensors]] = {}
-        self.vocabulary = experiment_vocabulary(self, self.keys)
-        self.label_to_id = {lab: i for i, lab in enumerate(self.vocabulary)}
-
-    def _file(self, key: TrialKey) -> TranscriptFile:
-        parsed = self._files.get(key)
-        if parsed is None:
-            granularity, path = self.catalog.get(*key).transcript_source(self.granularity)
-            parsed = self._files[key] = load_transcript(path, granularity)
-        return parsed
-
-    def labels(self, key: TrialKey) -> frozenset[str]:
-        """The trial's labels at the granularity, read without its kinematics."""
-        parsed = self._file(key)
-        if parsed.granularity == self.granularity:
-            return parsed.labels
-        return parsed.arm_labels()[self.granularity]
-
-    def load(self, keys: Sequence[TrialKey]) -> None:
-        """Read and check these trials' kinematics, transcripts and feature
-        columns now, so that bad input is rejected before any fold trains."""
-        for key in keys:
-            if key in self._loaded:
-                continue
-            path = self.catalog.get(*key).kinematics
-            kinematics = load_trial_kinematics(path, self.expected_channels)
-            transcript = self._file(key).bind(len(kinematics))
-            if transcript.granularity != self.granularity:
-                left, right = split_by_arm(transcript)
-                transcript = left if self.granularity == "mp-left" else right
-            try:
-                features = select_features(kinematics, self.feature_columns)
-            except DataError as exc:
-                raise DataError(f"{path}: {exc}") from None
-            # Idle fills an MP transcript's gaps; a gesture one's are masked
-            targets, mask = encode_frames(
-                transcript, self.label_to_id,
-                fill=None if self.granularity == "gesture" else IDLE)
-            # every fold that uses the trial shares these arrays
-            for array in (features, targets, mask):
-                array.setflags(write=False)
-            self._loaded[key] = (transcript, TrialTensors(features, targets, mask))
-
-    def transcript(self, key: TrialKey) -> LabelTranscript:
-        return self._loaded[key][0]
-
-    def tensors(self, key: TrialKey) -> TrialTensors:
-        return self._loaded[key][1]
+    granularity = config.granularity
+    files: dict[TrialKey, TranscriptFile] = {}
+    for key in _planned_trials(plans):
+        source, path = catalog.get(*key).transcript_source(granularity)
+        files[key] = load_transcript(path, source)
+    vocabulary = experiment_vocabulary(granularity, files.values())
+    label_to_id = {lab: i for i, lab in enumerate(vocabulary)}
+    columns = config.feature_columns()
+    transcripts: dict[TrialKey, LabelTranscript] = {}
+    tensors: dict[TrialKey, TrialTensors] = {}
+    for key in keys:
+        path = catalog.get(*key).kinematics
+        kinematics = load_trial_kinematics(path, config.expected_channels)
+        transcript = files[key].bind(len(kinematics))
+        if transcript.granularity != granularity:
+            left, right = split_by_arm(transcript)
+            transcript = left if granularity == "mp-left" else right
+        try:
+            features = select_features(kinematics, columns)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        targets = encode_frames(
+            transcript, label_to_id, fill=None if granularity == "gesture" else IDLE)
+        # every fold that uses the trial shares these arrays
+        features.setflags(write=False)
+        targets.setflags(write=False)
+        transcripts[key] = transcript
+        tensors[key] = TrialTensors(features, targets)
+    return TrialData(granularity, columns, vocabulary,
+                     MappingProxyType(transcripts), MappingProxyType(tensors))
 
 
 # ---------------------------------------------------------------------------
 # fold execution
 
-def fold_model_config(fold: FoldPlan, source: TrialDataSource,
+def fold_model_config(fold: FoldPlan, trials: TrialData,
                       config: ExperimentConfig) -> ModelConfig:
     """One fold's model settings: the seed derived from the fold name, the
     kernel width (the config's, or derived from the fold's training
-    transcripts, which `source` must have loaded) and the class count.
+    transcripts, which `trials` must hold) and the class count.
 
     A fold whose kernel width cannot be derived is a data error naming it.
     """
     kernel = config.kernel_size
     if kernel is None:
         try:
-            kernel = compute_kernel_size(source.transcript(k) for k in fold.train_trials)
+            kernel = compute_kernel_size(trials.transcripts[k] for k in fold.train_trials)
         except DataError as exc:
             raise DataError(f"fold {fold.name}: {exc}") from None
     return ModelConfig(
-        num_classes=len(source.vocabulary),
+        num_classes=len(trials.vocabulary),
         kernel_size=kernel,
         filters=config.filters,
         learning_rate=config.learning_rate,
@@ -425,23 +415,23 @@ def _fold_payload(fold: FoldPlan, model_config: ModelConfig) -> dict:
     }
 
 
-def run_fold(fold: FoldPlan, source: TrialDataSource,
+def run_fold(fold: FoldPlan, trials: TrialData,
              model_config: ModelConfig) -> dict:
     """Train and evaluate one fold with the settings `fold_model_config`
     gave it; returns the payload: `_fold_payload`'s with `training` as
     `train_fold` returns it, and the held-out trials' scores. Accuracy and
-    AP read the frames each trial's mask keeps; the edit score and the
-    support count read its segments, with the dropped frames set to GAP in
-    truth and prediction alike, so a gap ends a segment. AP and support
-    group each class by `group_of` (itself, or an MP class's verb), and
-    `map` is `map_report`'s block, None when no class has a defined AP.
+    AP read the frames whose target is not GAP; the edit score and the
+    support count read the targets' segments, with the prediction set to
+    GAP where the target is, so a gap ends a segment in both. AP and
+    support group each class by `group_of` (itself, or an MP class's verb),
+    and `map` is `map_report`'s block, None when no class has a defined AP.
 
     A non-finite training loss marks the fold "diverged" instead of raising:
     the payload records the error and the fold is skipped by aggregation.
     """
-    vocab = source.vocabulary
-    model = build_model(model_config, len(source.feature_columns))
-    train_data = {key: source.tensors(key) for key in fold.train_trials}
+    vocab = trials.vocabulary
+    model = build_model(model_config, len(trials.feature_columns))
+    train_data = {key: trials.tensors[key] for key in fold.train_trials}
     payload = _fold_payload(fold, model_config)
     try:
         payload["training"] = train_fold(model, fold, train_data, model_config)
@@ -451,7 +441,7 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
         return payload
 
     # AP scores a gesture class alone and an MP class by its verb
-    group_of = {lab: lab if source.granularity == "gesture" else mp_verb(lab)
+    group_of = {lab: lab if trials.granularity == "gesture" else mp_verb(lab)
                 for lab in vocab}
     per_trial: dict[str, dict] = {}
     pooled: list[tuple[np.ndarray, np.ndarray]] = []
@@ -459,14 +449,13 @@ def run_fold(fold: FoldPlan, source: TrialDataSource,
     accs: list[float] = []
     edits: list[float] = []
     for key in fold.test_trials:
-        tensors = source.tensors(key)
+        tensors = trials.tensors[key]
         pred, scores = predict_labels(model, tensors.features)
-        keep = tensors.mask
+        keep = tensors.targets != GAP
         targets = tensors.targets[keep]
         acc = frame_accuracy(pred[keep].tolist(), targets.tolist())
-        pred_frames = np.where(keep, pred, GAP).tolist()
-        ref_frames = np.where(keep, tensors.targets, GAP).tolist()
-        edit = edit_score(pred_frames, ref_frames)
+        ref_frames = tensors.targets.tolist()
+        edit = edit_score(np.where(keep, pred, GAP).tolist(), ref_frames)
         accs.append(acc)
         edits.append(edit)
         per_trial["/".join(key)] = {
@@ -546,26 +535,17 @@ class ExperimentReport:
                            indent=2) + "\n").encode()
 
 
-def _build_source(config: ExperimentConfig, catalog: Catalog,
-                  plans: Sequence[FoldPlan]) -> TrialDataSource:
-    keys = dict.fromkeys(k for plan in plans
-                         for k in plan.train_trials + plan.test_trials)
-    return TrialDataSource(
-        catalog, config.granularity, config.feature_columns(), list(keys),
-        expected_channels=config.expected_channels)
-
-
-def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
-                        source: TrialDataSource) -> dict:
+def _experiment_payload(config: ExperimentConfig, catalog: Catalog,
+                        plans: Sequence[FoldPlan], trials: TrialData) -> dict:
     """Every setting but `output_dir`, and what the run derived from the
     catalog."""
     out = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "output_dir"}
     out["kernel_size_override"] = out.pop("kernel_size")
     return {
         **out,
-        "num_features": len(source.feature_columns),
-        "sample_rate": source.catalog.sample_rate,
-        "vocabulary": list(source.vocabulary),
+        "num_features": len(trials.feature_columns),
+        "sample_rate": catalog.sample_rate,
+        "vocabulary": list(trials.vocabulary),
         "fold_names": [p.name for p in plans],
     }
 
@@ -585,12 +565,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
-    source = _build_source(config, catalog, plans)
-    source.load(source.keys)
-    model_configs = [fold_model_config(plan, source, config) for plan in plans]
+    trials = read_trials(config, catalog, plans, _planned_trials(plans))
+    model_configs = [fold_model_config(plan, trials, config) for plan in plans]
     if config.output_dir:
         _make_directory(Path(config.output_dir))
-    experiment = _experiment_payload(config, plans, source)
+    experiment = _experiment_payload(config, catalog, plans, trials)
 
     folds: list[dict] = []
     fold_seconds: dict[str, float] = {}
@@ -598,7 +577,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for plan, model_config in zip(plans, model_configs):
         t0 = time.perf_counter()
         try:
-            payload = run_fold(plan, source, model_config)
+            payload = run_fold(plan, trials, model_config)
         except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
             payload = {**_fold_payload(plan, model_config),
                        "status": "failed", "error": str(exc)}
@@ -627,18 +606,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def run_single_fold(config: ExperimentConfig, fold_name: str) -> dict:
     """Train exactly one fold of the configured experiment (CLI `train`)
-    and return its payload. The fold's trials are read and checked, and its
-    model settings derived, before it trains."""
+    and return its payload. Only the fold's trials are read and checked,
+    and its model settings derived, before it trains; the class list is
+    still the experiment's, taken over every planned trial's transcript."""
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
     matches = [p for p in plans if p.name == fold_name]
     if not matches:
         names = ", ".join(p.name for p in plans)
         raise ConfigError(f"no fold named {fold_name!r}; available: {names}")
-    source = _build_source(config, catalog, plans)
     fold = matches[0]
-    source.load(fold.train_trials + fold.test_trials)
-    return run_fold(fold, source, fold_model_config(fold, source, config))
+    trials = read_trials(config, catalog, plans, fold.train_trials + fold.test_trials)
+    return run_fold(fold, trials, fold_model_config(fold, trials, config))
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,14 @@ mean duration is shortest, rounded to the nearest odd integer, never below 3.
 
 Training is full-sequence: one trial is one batch, and one step,
 `TcnModel.train_step`, is forward, a mean per-frame cross entropy over the
-frames the trial's mask keeps, backward without the input gradient, and
-Adam with decoupled weight decay. Every trial carries its mask
-(`TrialTensors.mask`): all True for motion primitives, False on a gesture
-transcript's gaps. `train_fold` runs the steps with numpy's floating-point
-warnings off: a diverging fold is reported by its non-finite loss or
-parameters. It returns the fold report's training block, the per-epoch
-mean losses and frame accuracies and the step count.
+frames whose target is not `GAP`, backward without the input gradient, and
+Adam with decoupled weight decay. A trial's targets
+(`TrialTensors.targets`) hold GAP on the frames no segment covers: none for
+motion primitives, whose gaps Idle fills, and a gesture transcript's gaps.
+`train_fold` runs the steps with numpy's floating-point warnings off: a
+diverging fold is reported by its non-finite loss or parameters. It returns
+the fold report's training block, the per-epoch mean losses and frame
+accuracies and the step count.
 
 The parameters live in one float64 vector, `TcnModel.theta`, and their
 gradients in `TcnModel.grad`; each conv's `w`, `b`, `grad_w` and `grad_b`
@@ -60,7 +61,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .dataset import MIN_FRAMES, LabelTranscript, TrialKey
+from .dataset import GAP, MIN_FRAMES, LabelTranscript, TrialKey
 from .errors import ConfigError, DataError, NonFiniteLoss
 from .nn import (
     Adam,
@@ -80,6 +81,7 @@ __all__ = [
     "HYPERPARAM_DEFAULTS",
     "MIN_FRAMES",
     "check_model_settings",
+    "is_a",
     "compute_kernel_size",
     "build_model",
     "train_fold",
@@ -95,8 +97,9 @@ HYPERPARAM_DEFAULTS: dict[str, dict[str, float]] = {
 DEFAULT_EPOCHS = 60
 
 
-def _is_a(value, kind: type) -> bool:
-    # bool is a subclass of int, but true is no count and no rate
+def is_a(value, kind: type) -> bool:
+    """`isinstance(value, kind)`, where a bool is neither a count nor a
+    rate."""
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
@@ -110,17 +113,17 @@ def check_model_settings(filters, learning_rate, weight_decay, epochs,
     fold from the training transcripts.
     """
     if (not isinstance(filters, (list, tuple)) or len(filters) != 3
-            or not all(_is_a(n, Integral) and n >= 1 for n in filters)):
+            or not all(is_a(n, Integral) and n >= 1 for n in filters)):
         raise ConfigError(f"filters must be 3 positive counts, got {filters!r}")
     # chained comparisons refuse NaN and need no float() of a huge int
-    if not (_is_a(learning_rate, Real) and 0 < learning_rate < math.inf):
+    if not (is_a(learning_rate, Real) and 0 < learning_rate < math.inf):
         raise ConfigError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
-    if not (_is_a(weight_decay, Real) and 0 <= weight_decay < math.inf):
+    if not (is_a(weight_decay, Real) and 0 <= weight_decay < math.inf):
         raise ConfigError(f"weight_decay must be a finite number >= 0, got {weight_decay!r}")
-    if not (_is_a(epochs, Integral) and epochs >= 0):
+    if not (is_a(epochs, Integral) and epochs >= 0):
         raise ConfigError(f"epochs must be an integer >= 0, got {epochs!r}")
     if kernel_size is not None and not (
-            _is_a(kernel_size, Integral) and kernel_size >= 1 and kernel_size % 2 == 1):
+            is_a(kernel_size, Integral) and kernel_size >= 1 and kernel_size % 2 == 1):
         raise ConfigError(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
     return tuple(filters)
 
@@ -136,7 +139,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_a(self.num_classes, Integral) and self.num_classes >= 2):
+        if not (is_a(self.num_classes, Integral) and self.num_classes >= 2):
             raise ConfigError(f"need at least 2 classes, got {self.num_classes!r}")
         if self.kernel_size is None:  # a model has a kernel width; only a config derives it
             raise ConfigError("kernel_size must be an odd positive integer, got None")
@@ -246,7 +249,7 @@ class TcnModel:
         return g
 
     def train_step(self, x: np.ndarray, targets: np.ndarray,
-                   mask: Optional[np.ndarray], optimizer: Adam) -> tuple[float, np.ndarray]:
+                   optimizer: Adam) -> tuple[float, np.ndarray]:
         """One optimization step on one (F, T) signal; returns the loss and
         the logits, both from before the update.
 
@@ -255,7 +258,7 @@ class TcnModel:
         computed.
         """
         logits, tape = self.forward(x)
-        loss, grad_logits = softmax_cross_entropy(logits, targets, mask)
+        loss, grad_logits = softmax_cross_entropy(logits, targets)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss={loss}")
         self.backward(grad_logits, tape, input_grad=False)
@@ -274,8 +277,7 @@ class TrialTensors:
     """Model-ready arrays for one trial."""
 
     features: np.ndarray  # (T, F)
-    targets: np.ndarray  # (T,) int
-    mask: np.ndarray  # (T,) bool: the frames the loss and the metrics count
+    targets: np.ndarray  # (T,) int: class ids, GAP where no segment covers
 
 
 def train_fold(
@@ -292,10 +294,10 @@ def train_fold(
     reshuffled each epoch from a generator seeded by config.seed, so a fold
     replays exactly given the same seed. Only training trials are touched;
     the mapping may contain them exclusively. An epoch's accuracy is
-    measured on each step's pre-update logits over the masked-in frames, so
-    it trails a fresh post-training evaluation slightly.
+    measured on each step's pre-update logits over the frames whose target
+    is not GAP, so it trails a fresh post-training evaluation slightly.
 
-    The loss checks each trial's targets and mask at its first step. A
+    The loss checks each trial's targets at its first step. A
     non-finite loss before a step, or non-finite parameters after the last
     one, raises NonFiniteLoss naming the fold.
     """
@@ -323,14 +325,13 @@ def train_fold(
                 tensors = data[key]
                 try:
                     loss, logits = model.train_step(
-                        tensors.features.T, tensors.targets, tensors.mask, optimizer)
+                        tensors.features.T, tensors.targets, optimizer)
                 except NonFiniteLoss as exc:
                     raise NonFiniteLoss(
                         f"fold {fold.name}: epoch {epoch}, trial {key}: {exc}") from None
-                pred = np.argmax(logits, axis=0)
-                keep = tensors.mask
-                correct += int((pred[keep] == tensors.targets[keep]).sum())
-                counted += int(keep.sum())
+                # a prediction is a class id, so it never matches a GAP frame
+                correct += int((np.argmax(logits, axis=0) == tensors.targets).sum())
+                counted += int(np.count_nonzero(tensors.targets != GAP))
                 epoch_loss += loss
             losses.append(epoch_loss / len(keys))
             accs.append(100.0 * correct / counted if counted else 0.0)

@@ -245,19 +245,19 @@ def fold_gemm_conv(w, b, x, grad_y, phases):
     return y, grad_w, grad_b, gxp[:, -lo:t - lo]
 
 
-def gradient_pass(model, x, targets, mask=None):
+def gradient_pass(model, x, targets):
     """forward, the loss and backward without the input gradient, which
     fills model.grad; returns (loss, logits)."""
     logits, tape = model.forward(x)
-    loss, grad_logits = softmax_cross_entropy(logits, targets, mask)
+    loss, grad_logits = softmax_cross_entropy(logits, targets)
     model.backward(grad_logits, tape, input_grad=False)
     return loss, logits
 
 
-def composed_train_step(model, x, targets, mask, optimizer):
+def composed_train_step(model, x, targets, optimizer):
     """`gradient_pass`, then the optimizer's step; returns (loss, logits)
     from before the update."""
-    loss, logits = gradient_pass(model, x, targets, mask)
+    loss, logits = gradient_pass(model, x, targets)
     optimizer.step([model.theta], [model.grad])
     return loss, logits
 

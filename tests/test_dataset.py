@@ -12,6 +12,7 @@ from surgact.dataset import (
     COLUMNS_PER_ARM,
     DEFAULT_SAMPLE_RATE,
     IDLE,
+    GAP,
     MIN_FRAMES,
     Catalog,
     CatalogEntry,
@@ -236,15 +237,15 @@ class TestLoadTranscript:
 class TestDensifyAndEncode:
     def test_encode_with_fill(self):
         tr = transcript([Segment(1, 2, "A")], 4)
-        ids, mask = encode_frames(tr, {"A": 1, IDLE: 0}, fill=IDLE)
+        ids = encode_frames(tr, {"A": 1, IDLE: 0}, fill=IDLE)
         np.testing.assert_array_equal(ids, [0, 1, 1, 0])
-        assert mask.all()
+        assert ids.dtype == np.int64
 
-    def test_encode_without_fill_masks_gaps(self):
+    def test_encode_without_fill_marks_gaps(self):
         tr = transcript([Segment(1, 2, "A")], 4)
-        ids, mask = encode_frames(tr, {"A": 1})
-        np.testing.assert_array_equal(ids, [0, 1, 1, 0])
-        np.testing.assert_array_equal(mask, [False, True, True, False])
+        ids = encode_frames(tr, {"A": 1})
+        np.testing.assert_array_equal(ids, [GAP, 1, 1, GAP])
+        assert ids.dtype == np.int64
 
     def test_encode_unknown_fill(self):
         tr = transcript([Segment(0, 3, "A")], 4)
@@ -313,9 +314,9 @@ class TestSplitByArm:
         left, right = split_by_arm(tr)
         vocabulary = (GRASP_L, PUSH_R, TOUCH_L, IDLE)
         ids = {lab: i for i, lab in enumerate(vocabulary)}
-        dense, _ = encode_frames(tr, ids)
-        dense_left, _ = encode_frames(left, ids)
-        dense_right, _ = encode_frames(right, ids)
+        dense = encode_frames(tr, ids)
+        dense_left = encode_frames(left, ids)
+        dense_right = encode_frames(right, ids)
         for f in range(pos):
             label = vocabulary[dense[f]]
             side = "none" if label == IDLE else MotionPrimitiveLabel.parse(label).tool

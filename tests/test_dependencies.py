@@ -1,7 +1,9 @@
 """numpy is the package's only runtime dependency, each module's `__all__`
 names only what it defines or imports, every name a submodule exports is
-read somewhere in the package or the benchmark, and every exception class
-is one of the three exit-code tiers or is caught by type in the package.
+read somewhere in the package or the benchmark, every exception class is
+one of the three exit-code tiers or is caught by type in the package, each
+UPPER_CASE constant is assigned in one module, and no module imports
+another's underscore name.
 
 Every module under src/surgact is parsed, not imported, so a module that
 would fail to import is still checked.
@@ -164,3 +166,62 @@ def test_the_error_check_sees_an_uncaught_class(tmp_path):
     assert caught == {"Caught", "KeyError"}
     assert [name for name in defined_classes(errors)
             if name not in TIERS | caught] == ["Uncaught"]
+
+
+def constants_assigned(path: Path) -> set[str]:
+    """The UPPER_CASE names a module's top level assigns."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets
+                         if isinstance(t, ast.Name) and t.id.isupper())
+    return names
+
+
+def constants_assigned_twice(paths) -> dict[str, list[str]]:
+    """Each constant that more than one of these modules assigns, with them."""
+    owners: dict[str, list[str]] = {}
+    for path in paths:
+        for name in constants_assigned(path):
+            owners.setdefault(name, []).append(path.name)
+    return {name: where for name, where in owners.items() if len(where) > 1}
+
+
+def test_every_constant_is_assigned_in_one_module():
+    # a second assignment is a second definition that can drift
+    assert constants_assigned_twice(MODULES) == {}
+
+
+def test_the_constant_check_sees_a_second_assignment(tmp_path):
+    first = tmp_path / "first.py"
+    first.write_text("GAP = -1\nLIMIT: int = 3\nlower = 1\n")
+    second = tmp_path / "second.py"
+    second.write_text("from .first import LIMIT\nGAP = -1\n"
+                      "def f():\n    LIMIT = 4\n")
+    assert constants_assigned_twice([first, second]) == {"GAP": ["first.py", "second.py"]}
+
+
+def private_names_imported(path: Path) -> list[str]:
+    """The underscore names, dunders aside, a module imports from another."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name.startswith("_") and not a.name.endswith("__")]
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_an_underscore_name(path):
+    # an underscore name is its module's own; a second reader makes it API
+    assert private_names_imported(path) == []
+
+
+def test_the_private_import_check_sees_an_underscore_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from ._version import __version__\nfrom . import nn\n"
+                     "from .tcn import _is_a, is_a\n"
+                     "def f():\n    from .nn import _as_signal\n")
+    assert private_names_imported(probe) == ["tcn._is_a", "nn._as_signal"]

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from surgact.dataset import GAP
 from surgact.errors import DataError
 from surgact.metrics import (
-    GAP,
     average_precision,
     edit_score,
     frame_accuracy,

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from surgact.dataset import GAP
 from surgact.errors import ConfigError, DataError
 from surgact.nn import (
     ADAM_BLOCK,
@@ -711,56 +712,82 @@ class TestSoftmaxCrossEntropy:
         loss, _ = softmax_cross_entropy(logits, np.array([1]))
         assert loss == pytest.approx(1000.0, rel=1e-12)
 
-    def test_mask_mean_matches_submatrix(self):
+    def test_gap_mean_matches_submatrix(self):
         rng = np.random.default_rng(109)
         logits = rng.normal(size=(4, 10))
         targets = rng.integers(0, 4, size=10)
-        mask = np.array([True, False] * 5)
-        masked_loss, _ = softmax_cross_entropy(logits, targets, mask)
-        sub_loss, _ = softmax_cross_entropy(logits[:, mask], targets[mask])
-        assert masked_loss == pytest.approx(sub_loss, rel=1e-12)
+        labelled = np.array([True, False] * 5)
+        gapped_loss, _ = softmax_cross_entropy(logits, np.where(labelled, targets, GAP))
+        sub_loss, _ = softmax_cross_entropy(logits[:, labelled], targets[labelled])
+        assert gapped_loss == pytest.approx(sub_loss, rel=1e-12)
 
     def test_grad_columns(self):
         rng = np.random.default_rng(110)
         logits = rng.normal(size=(3, 6))
         targets = rng.integers(0, 3, size=6)
-        mask = np.array([True, True, False, True, False, True])
-        _, grad = softmax_cross_entropy(logits, targets, mask)
-        # softmax minus one-hot sums to zero per frame; masked frames are zero
+        gap = np.array([False, False, True, False, True, False])
+        targets[gap] = GAP
+        _, grad = softmax_cross_entropy(logits, targets)
+        # softmax minus one-hot sums to zero per frame; GAP frames are zero
         np.testing.assert_allclose(grad.sum(axis=0), np.zeros(6), atol=1e-12)
-        np.testing.assert_allclose(grad[:, ~mask], 0.0)
+        assert not grad[:, gap].any()
 
     def test_grad_wrt_logits(self):
         rng = np.random.default_rng(111)
-        targets = rng.integers(0, 3, size=7)
-        mask = rng.random(7) > 0.3
+        targets = np.where(rng.random(7) > 0.3, rng.integers(0, 3, size=7), GAP)
 
         def f(logits):
-            return softmax_cross_entropy(logits, targets, mask)
+            return softmax_cross_entropy(logits, targets)
 
         assert finite_diff_check(f, rng.normal(size=(3, 7))) < 1e-8
 
+    @pytest.mark.parametrize("t", [1, 7, 300])
+    def test_logits_at_gap_frames_change_no_bit(self, t):
+        # a GAP frame counts for nothing: whatever the model says there,
+        # the loss and the gradient are the same bits
+        rng = np.random.default_rng(112)
+        targets = rng.integers(0, 4, size=t)
+        gap = rng.random(t) < 0.4
+        gap[0] = False  # one labelled frame at least
+        targets[gap] = GAP
+        logits = rng.normal(size=(4, t))
+        other = logits.copy()
+        other[:, gap] = rng.normal(scale=50.0, size=(4, int(gap.sum())))
+        loss, grad = softmax_cross_entropy(logits, targets)
+        other_loss, other_grad = softmax_cross_entropy(other, targets)
+        assert loss == other_loss
+        assert np.array_equal(grad, other_grad)
+        assert not grad[:, gap].any()
+
     def test_target_out_of_range(self):
-        with pytest.raises(DataError, match=r"targets must lie in \[0, 2\), got range \[0, 2\]"):
+        with pytest.raises(DataError, match=r"targets must lie in \[-1, 2\), got range \[0, 2\]"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 2, 1]))
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint8])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16, np.int8,
+                                       np.uint64, np.uint32, np.uint16, np.uint8])
     def test_target_range_for_every_integer_type(self, dtype):
-        # the range check reads the ids as unsigned: a negative id is huge
         logits = np.zeros((2, 3))
         if np.issubdtype(dtype, np.signedinteger):
             with pytest.raises(DataError,
-                               match=r"targets must lie in \[0, 2\), got range \[-1, 1\]"):
-                softmax_cross_entropy(logits, np.array([0, -1, 1], dtype=dtype))
-        with pytest.raises(DataError, match=r"targets must lie in \[0, 2\), got range \[0, 2\]"):
+                               match=r"targets must lie in \[-1, 2\), got range \[-2, 1\]"):
+                softmax_cross_entropy(logits, np.array([0, -2, 1], dtype=dtype))
+            lowest = np.iinfo(dtype).min
+            with pytest.raises(DataError, match=rf"got range \[{lowest}, 1\]"):
+                softmax_cross_entropy(logits, np.array([0, lowest, 1], dtype=dtype))
+            loss, _ = softmax_cross_entropy(logits, np.array([GAP, 1, 1], dtype=dtype))
+            assert loss == pytest.approx(np.log(2.0))
+        with pytest.raises(DataError, match=r"targets must lie in \[-1, 2\), got range \[0, 2\]"):
             softmax_cross_entropy(logits, np.array([0, 2, 1], dtype=dtype))
+        highest = np.iinfo(dtype).max
+        with pytest.raises(DataError, match=rf"got range \[0, {highest}\]"):
+            softmax_cross_entropy(logits, np.array([0, highest, 1], dtype=dtype))
         loss, _ = softmax_cross_entropy(logits, np.array([0, 1, 1], dtype=dtype))
         assert loss == pytest.approx(np.log(2.0))
 
-    def test_all_frames_masked(self):
-        with pytest.raises(DataError, match="every frame is masked out"):
-            softmax_cross_entropy(np.zeros((2, 3)), np.zeros(3, dtype=int),
-                                  np.zeros(3, dtype=bool))
+    def test_all_gap_targets_are_refused(self):
+        for t in (1, 3):
+            with pytest.raises(DataError, match="every target is GAP"):
+                softmax_cross_entropy(np.zeros((2, t)), np.full(t, GAP))
 
     def test_float_targets_rejected(self):
         with pytest.raises(DataError, match="targets must be integers"):

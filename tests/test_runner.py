@@ -10,7 +10,7 @@ import gc
 import json
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,21 @@ import pytest
 import surgact.atomic as atomic_mod
 import surgact.runner as runner_mod
 from surgact.cli import main as cli_main
-from surgact.dataset import GRANULARITIES, IDLE, arm_columns, build_catalog, encode_frames
+from surgact.crossval import TASK_ORDER, FoldPlan
+from surgact.dataset import (
+    GAP,
+    GRANULARITIES,
+    IDLE,
+    arm_columns,
+    build_catalog,
+    encode_frames,
+    load_transcript,
+)
 from surgact.errors import ConfigError, DataError, NonFiniteLoss, SurgactError
 from surgact.metrics import average_precision, map_report
 from surgact.nn import Adam
 from surgact.runner import (
     ExperimentConfig,
-    TrialDataSource,
     combine_reports,
     derive_fold_seed,
     emit_report,
@@ -34,11 +42,13 @@ from surgact.runner import (
     load_experiment_config,
     load_report,
     plan_folds,
+    read_trials,
     render_tables,
     run_experiment,
     run_fold,
     run_single_fold,
 )
+from surgact.synth import generate_synthetic_dataset
 from surgact.tcn import HYPERPARAM_DEFAULTS, predict_labels
 
 
@@ -265,28 +275,38 @@ class TestPlanFolds:
         assert len(plan_folds(cfg, study_catalog)) == 22
 
 
-def synth_source(manifest, granularity="mp"):
-    catalog = build_catalog(manifest)
-    columns = synth_config(manifest, granularity=granularity).feature_columns()
-    return TrialDataSource(catalog, granularity, columns, [e.key for e in catalog.entries])
+def read_planned(cfg, keys=None):
+    """`read_trials` as `run_experiment` calls it: every planned trial, or
+    the planned trials `keys`."""
+    catalog = build_catalog(cfg.catalog)
+    plans = plan_folds(cfg, catalog)
+    if keys is None:
+        keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
+    return read_trials(cfg, catalog, plans, keys)
+
+
+def synth_trials(manifest, granularity="mp"):
+    """Every trial of the synthetic corpus, read at `granularity`."""
+    return read_planned(synth_config(manifest, granularity=granularity,
+                                     tasks=("T01", "T02")))
 
 
 class TestExperimentVocabulary:
     def test_mp_includes_idle(self, synth_manifest):
-        vocab = synth_source(synth_manifest).vocabulary
+        vocab = synth_trials(synth_manifest).vocabulary
         assert "Idle" in vocab
         assert len(vocab) == 5  # 4 classes + Idle
         assert list(vocab) == sorted(vocab)
 
     def test_gesture_has_no_idle(self, synth_manifest):
-        source = synth_source(synth_manifest, "gesture")
-        assert source.vocabulary == ("G1", "G2", "G3", "G4")
-        assert experiment_vocabulary(source, source.keys[:1]) == tuple(
-            sorted(source.labels(source.keys[0])))
+        assert synth_trials(synth_manifest, "gesture").vocabulary == ("G1", "G2", "G3", "G4")
+        entry = build_catalog(synth_manifest).entries[0]
+        parsed = load_transcript(entry.transcript_path("gesture"), "gesture")
+        assert experiment_vocabulary("gesture", [parsed]) == tuple(sorted(parsed.labels))
 
     def test_per_arm_vocab_keeps_own_side_plus_idle(self, synth_manifest):
-        left = synth_source(synth_manifest, "mp-left").vocabulary
-        right = synth_source(synth_manifest, "mp-right").vocabulary
+        left = synth_trials(synth_manifest, "mp-left").vocabulary
+        right = synth_trials(synth_manifest, "mp-right").vocabulary
         assert "Idle" in left and "Idle" in right
         assert all("(L," in lab for lab in left if lab != "Idle")
         assert all("(R," in lab for lab in right if lab != "Idle")
@@ -295,7 +315,7 @@ class TestExperimentVocabulary:
 
 def write_mini_corpus(root, *, with_gesture=True, with_arm_files=False):
     """Two-subject corpus with a gap in the gesture labels and no per-arm
-    transcript files, to exercise masking and the arm-derivation path."""
+    transcript files, to exercise the GAP targets and the arm-derivation path."""
     (root / "kin").mkdir(parents=True)
     (root / "lab").mkdir()
     rng = np.random.default_rng(0)
@@ -324,125 +344,103 @@ def write_mini_corpus(root, *, with_gesture=True, with_arm_files=False):
     return manifest
 
 
-class TestTrialDataSource:
-    def test_mp_tensors_mask_every_frame(self, synth_manifest):
-        source = synth_source(synth_manifest)
-        vocab = source.vocabulary
-        source.load(source.keys[:1])
-        tensors = source.tensors(source.keys[0])
-        assert tensors.mask.shape == tensors.targets.shape and tensors.mask.all()
-        assert tensors.features.shape[1] == 14
-        assert tensors.features.shape[0] == tensors.targets.shape[0]
-        assert set(np.unique(tensors.targets)) <= set(range(len(vocab)))
+def mini_config(manifest, granularity, **kwargs):
+    return ExperimentConfig(catalog=str(manifest), granularity=granularity, cv="louo",
+                            tasks=("T",), **kwargs)
 
-    def test_gesture_gap_becomes_mask(self, tmp_path):
+
+class TestReadTrials:
+    def test_mp_targets_label_every_frame(self, synth_manifest):
+        cfg = synth_config(synth_manifest)
+        everything = read_planned(cfg)
+        key = sorted(everything.tensors)[0]
+        trials = read_planned(cfg, [key])
+        assert trials.vocabulary == everything.vocabulary
+        tensors = trials.tensors[key]
+        assert tensors.targets.dtype == np.int64
+        assert tensors.features.shape == (tensors.targets.shape[0], 14)
+        assert set(np.unique(tensors.targets)) <= set(range(len(trials.vocabulary)))
+
+    def test_gesture_gap_is_gap(self, tmp_path):
         manifest = write_mini_corpus(tmp_path)
-        catalog = build_catalog(manifest)
-        cfg = ExperimentConfig(catalog=str(manifest), granularity="gesture",
-                               cv="louo", tasks=("T",))
-        source = TrialDataSource(catalog, "gesture", cfg.feature_columns(),
-                                 [e.key for e in catalog.entries])
-        assert source.vocabulary == ("G1", "G2")
-        source.load(source.keys)
-        tensors = source.tensors(("T", "A", "001"))
-        assert tensors.mask.dtype == bool
-        np.testing.assert_array_equal(tensors.mask[0:10], True)
-        np.testing.assert_array_equal(tensors.mask[10:20], False)
-        np.testing.assert_array_equal(tensors.mask[20:40], True)
-        np.testing.assert_array_equal(tensors.targets[20:40], 1)
+        trials = read_planned(mini_config(manifest, "gesture"))
+        assert trials.vocabulary == ("G1", "G2")
+        targets = trials.tensors[("T", "A", "001")].targets
+        np.testing.assert_array_equal(targets[0:10], 0)
+        np.testing.assert_array_equal(targets[10:20], GAP)
+        np.testing.assert_array_equal(targets[20:40], 1)
 
     def test_arm_view_derived_from_combined_transcript(self, tmp_path):
         manifest = write_mini_corpus(tmp_path)
-        catalog = build_catalog(manifest)
-        keys = [e.key for e in catalog.entries]
-        cfg = ExperimentConfig(catalog=str(manifest), granularity="mp-left",
-                               cv="louo", tasks=("T",))
-        source = TrialDataSource(catalog, "mp-left", cfg.feature_columns(), keys)
-        assert source.vocabulary == ("Grasp(L, X)", "Idle")
-        source.load(source.keys)
-        tensors = source.tensors(("T", "A", "001"))
-        np.testing.assert_array_equal(tensors.targets[:20], 0)   # the L grasp
-        np.testing.assert_array_equal(tensors.targets[20:], 1)   # Idle
-        assert tensors.mask.all()
+        trials = read_planned(mini_config(manifest, "mp-left"))
+        assert trials.vocabulary == ("Grasp(L, X)", "Idle")
+        targets = trials.tensors[("T", "A", "001")].targets
+        np.testing.assert_array_equal(targets[:20], 0)   # the L grasp
+        np.testing.assert_array_equal(targets[20:], 1)   # Idle
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
-    def test_every_trial_carries_the_encoded_mask(self, tmp_path, granularity):
-        # the mask encode_frames gives the bound transcript, for every
-        # granularity: all True where Idle fills the gaps, False on a
-        # gesture transcript's unlabelled frames
+    def test_every_trial_carries_the_encoded_targets(self, tmp_path, granularity):
+        # the targets encode_frames gives the bound transcript, for every
+        # granularity: no GAP where Idle fills the gaps, GAP on a gesture
+        # transcript's unlabelled frames
         manifest = write_mini_corpus(tmp_path)
-        catalog = build_catalog(manifest)
-        cfg = ExperimentConfig(catalog=str(manifest), granularity=granularity,
-                               cv="louo", tasks=("T",))
-        source = TrialDataSource(catalog, granularity, cfg.feature_columns(),
-                                 [e.key for e in catalog.entries])
-        source.load(source.keys)
-        for key in source.keys:
-            tensors = source.tensors(key)
-            _, expected = encode_frames(
-                source.transcript(key), source.label_to_id,
-                fill=None if granularity == "gesture" else IDLE)
-            np.testing.assert_array_equal(tensors.mask, expected)
-            assert not tensors.mask.flags.writeable
+        trials = read_planned(mini_config(manifest, granularity))
+        label_to_id = {lab: i for i, lab in enumerate(trials.vocabulary)}
+        for key, tensors in trials.tensors.items():
+            expected = encode_frames(trials.transcripts[key], label_to_id,
+                                     fill=None if granularity == "gesture" else IDLE)
+            np.testing.assert_array_equal(tensors.targets, expected)
+            gap = tensors.targets == GAP
             if granularity == "gesture":
-                assert not tensors.mask[10:20].any() and tensors.mask.sum() == 30
+                assert gap[10:20].all() and gap.sum() == 10
             else:
-                assert tensors.mask.all()
+                assert not gap.any()
 
     def test_declared_arm_file_wins_over_derivation(self, tmp_path):
         manifest = write_mini_corpus(tmp_path, with_arm_files=True)
-        catalog = build_catalog(manifest)
-        source = TrialDataSource(
-            catalog, "mp-left",
-            ExperimentConfig(catalog=str(manifest), granularity="mp-left",
-                             cv="louo", tasks=("T",)).feature_columns(),
-            [e.key for e in catalog.entries])
-        assert source.vocabulary == ("Grasp(L, X)", "Idle")
-        source.load(source.keys)
-        tensors = source.tensors(("T", "A", "001"))
-        np.testing.assert_array_equal(tensors.targets[:20], 0)
+        trials = read_planned(mini_config(manifest, "mp-left"))
+        assert trials.vocabulary == ("Grasp(L, X)", "Idle")
+        np.testing.assert_array_equal(trials.tensors[("T", "A", "001")].targets[:20], 0)
 
     def test_unattributed_label_cannot_be_derived(self, tmp_path):
         manifest = write_mini_corpus(tmp_path)
         (tmp_path / "lab" / "T_B_001_mp.txt").write_text("0 19 Touch\n20 39 Push(R, Y)\n")
-        catalog = build_catalog(manifest)
-        columns = ExperimentConfig(catalog=str(manifest), granularity="mp-left",
-                                   cv="louo", tasks=("T",)).feature_columns()
         with pytest.raises(DataError,
                            match="T_B_001_mp.txt: motion primitive 'Touch' names no tool side"):
-            TrialDataSource(catalog, "mp-left", columns, [e.key for e in catalog.entries])
+            read_planned(mini_config(manifest, "mp-left"), keys=[])
 
     def test_vocabulary_requires_transcripts_everywhere(self, tmp_path):
         manifest = write_mini_corpus(tmp_path, with_gesture=False)
-        catalog = build_catalog(manifest)
-        columns = ExperimentConfig(catalog=str(manifest), granularity="gesture",
-                                   cv="louo", tasks=("T",)).feature_columns()
+        plan = FoldPlan(name="f", held_out="B", train_trials=(("T", "A", "001"),),
+                        test_trials=(("T", "B", "001"),))
         with pytest.raises(DataError, match="declares no 'gesture' transcript"):
-            TrialDataSource(catalog, "gesture", columns, [("T", "A", "001")])
+            read_trials(mini_config(manifest, "gesture"), build_catalog(manifest),
+                        [plan], [])
 
-    def test_load_keeps_arrays_the_folds_share(self, synth_manifest):
-        source = synth_source(synth_manifest)
-        key = source.keys[0]
-        source.load([key])
-        tensors = source.tensors(key)
-        source.load([key])  # a loaded trial is not read again
-        assert source.tensors(key) is tensors
-        assert source.transcript(key).length == tensors.features.shape[0]
-        for array in (tensors.features, tensors.targets, tensors.mask):
+    def test_the_record_holds_what_the_folds_share_read_only(self, synth_manifest):
+        cfg = synth_config(synth_manifest)
+        catalog = build_catalog(synth_manifest)
+        plans = plan_folds(cfg, catalog)
+        key, other = plans[0].test_trials
+        trials = read_trials(cfg, catalog, plans, [key])
+        assert (trials.granularity, trials.feature_columns) == ("mp", cfg.feature_columns())
+        assert set(trials.tensors) == set(trials.transcripts) == {key}
+        tensors = trials.tensors[key]
+        assert trials.transcripts[key].length == tensors.features.shape[0]
+        for array in (tensors.features, tensors.targets):
             assert not array.flags.writeable
-        with pytest.raises(KeyError):
-            source.tensors(source.keys[1])  # not loaded
+        with pytest.raises(TypeError):
+            trials.tensors[other] = tensors
+        with pytest.raises(FrozenInstanceError):
+            trials.vocabulary = ()
 
 
 class TestRunFold:
     def test_payload_shape(self, synth_manifest):
-        catalog = build_catalog(synth_manifest)
         cfg = synth_config(synth_manifest)
-        plans = plan_folds(cfg, catalog)
-        keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
-        source.load(keys)
-        payload = run_fold(plans[0], source, fold_model_config(plans[0], source, cfg))
+        plans = plan_folds(cfg, build_catalog(synth_manifest))
+        trials = read_planned(cfg)
+        payload = run_fold(plans[0], trials, fold_model_config(plans[0], trials, cfg))
         assert payload["status"] == "ok"
         assert payload["name"] == "louo-SYNTH-U01"
         assert payload["held_out"] == "SYNTH/U01"
@@ -462,7 +460,7 @@ class TestRunFold:
             "Grasp", "Release", "Touch", "Untouch", "Pull", "Push", "Idle"}
 
     def test_map_scores_the_kept_frames_alone(self, tmp_path, monkeypatch):
-        # frames 10-19 of each gesture trial are unlabelled: the fold's map
+        # frames 10-19 of each gesture trial are GAP: the fold's map
         # is map_report over the model's scores on the other 30 frames
         models = []
         real_predict = runner_mod.predict_labels
@@ -473,28 +471,25 @@ class TestRunFold:
 
         monkeypatch.setattr(runner_mod, "predict_labels", predict_spy)
         manifest = write_mini_corpus(tmp_path)
-        catalog = build_catalog(manifest)
-        cfg = ExperimentConfig(catalog=str(manifest), granularity="gesture", cv="louo",
-                               tasks=("T",), epochs=1, kernel_size=3)
-        plan = plan_folds(cfg, catalog)[0]
-        source = TrialDataSource(catalog, "gesture", cfg.feature_columns(),
-                                 [e.key for e in catalog.entries])
-        source.load(source.keys)
-        payload = run_fold(plan, source, fold_model_config(plan, source, cfg))
+        cfg = mini_config(manifest, "gesture", epochs=1, kernel_size=3)
+        plan = plan_folds(cfg, build_catalog(manifest))[0]
+        trials = read_planned(cfg)
+        payload = run_fold(plan, trials, fold_model_config(plan, trials, cfg))
         (model,) = models
         (key,) = plan.test_trials
-        tensors = source.tensors(key)
+        tensors = trials.tensors[key]
         _, scores = predict_labels(model, tensors.features)
 
         def block(frames):
             return map_report(
                 {name: average_precision(scores[frames, i], tensors.targets[frames] == i)
-                 for i, name in enumerate(source.vocabulary)},
+                 for i, name in enumerate(trials.vocabulary)},
                 {"G1": 1, "G2": 1})
 
-        assert tensors.mask.sum() == 30
-        assert payload["map"] == block(tensors.mask)
-        # the unlabelled frames, read as target 0, would change G1's AP
+        labelled = tensors.targets != GAP
+        assert labelled.sum() == 30
+        assert payload["map"] == block(labelled)
+        # the GAP frames, read as negatives of every class, would change the APs
         assert payload["map"] != block(np.ones(40, dtype=bool))
 
     def test_a_gap_ends_a_segment(self, tmp_path, monkeypatch):
@@ -510,14 +505,10 @@ class TestRunFold:
             return pred, np.eye(2)[pred]
 
         monkeypatch.setattr(runner_mod, "predict_labels", predict)
-        catalog = build_catalog(manifest)
-        cfg = ExperimentConfig(catalog=str(manifest), granularity="gesture", cv="louo",
-                               tasks=("T",), epochs=0, kernel_size=3)
-        plan = plan_folds(cfg, catalog)[0]
-        source = TrialDataSource(catalog, "gesture", cfg.feature_columns(),
-                                 [e.key for e in catalog.entries])
-        source.load(source.keys)
-        payload = run_fold(plan, source, fold_model_config(plan, source, cfg))
+        cfg = mini_config(manifest, "gesture", epochs=0, kernel_size=3)
+        plan = plan_folds(cfg, build_catalog(manifest))[0]
+        trials = read_planned(cfg)
+        payload = run_fold(plan, trials, fold_model_config(plan, trials, cfg))
         assert payload["map"]["support"] == {"G1": 2, "G2": 1}
         # segments [G1, G2] against [G1, G1, G2]: one deletion over three
         (trial,) = payload["metrics"]["per_trial"].values()
@@ -525,18 +516,15 @@ class TestRunFold:
         assert trial["accuracy"] == pytest.approx(200 / 3)
 
     def test_kernel_override_is_used(self, synth_manifest):
-        catalog = build_catalog(synth_manifest)
         cfg = synth_config(synth_manifest, kernel_size=5, epochs=0)
-        plans = plan_folds(cfg, catalog)
-        keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
-        source.load(keys)
-        payload = run_fold(plans[0], source, fold_model_config(plans[0], source, cfg))
+        plans = plan_folds(cfg, build_catalog(synth_manifest))
+        trials = read_planned(cfg)
+        payload = run_fold(plans[0], trials, fold_model_config(plans[0], trials, cfg))
         assert payload["kernel_size"] == 5
 
     def test_training_never_touches_held_out_trials(self, synth_manifest, monkeypatch):
         # the kernel width and the training steps see exactly the fold's
-        # training trials, however many trials the source holds
+        # training trials, however many trials the record holds
         seen = []
         real_kernel, real_train = runner_mod.compute_kernel_size, runner_mod.train_fold
 
@@ -551,18 +539,15 @@ class TestRunFold:
 
         monkeypatch.setattr(runner_mod, "compute_kernel_size", kernel_spy)
         monkeypatch.setattr(runner_mod, "train_fold", train_spy)
-        catalog = build_catalog(synth_manifest)
         cfg = synth_config(synth_manifest, epochs=1)
-        plans = plan_folds(cfg, catalog)
-        keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
-        source.load(keys)
+        plans = plan_folds(cfg, build_catalog(synth_manifest))
+        trials = read_planned(cfg)
         for plan in plans:
             seen.clear()
-            run_fold(plan, source, fold_model_config(plan, source, cfg))
+            run_fold(plan, trials, fold_model_config(plan, trials, cfg))
             assert not set(plan.train_trials) & set(plan.test_trials)
             assert seen == [
-                ("kernel", [source.transcript(k) for k in plan.train_trials]),
+                ("kernel", [trials.transcripts[k] for k in plan.train_trials]),
                 ("train", sorted(plan.train_trials)),
             ]
 
@@ -660,13 +645,8 @@ class TestRunExperiment:
         folds = json.loads((out / "report.json").read_text())["folds"]
         assert [f["status"] for f in folds] == ["ok", "diverged", "failed"]
         assert set(folds[0]) == set(folds[1]) == set(folds[2])
-        catalog = build_catalog(synth_manifest)
-        plans = plan_folds(cfg, catalog)
-        keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-        source = TrialDataSource(catalog, "mp", cfg.feature_columns(), keys)
-        source.load(keys)
-        plan, failed = plans[2], folds[2]
-        model_config = fold_model_config(plan, source, cfg)
+        plan, failed = plan_folds(cfg, build_catalog(synth_manifest))[2], folds[2]
+        model_config = fold_model_config(plan, read_planned(cfg), cfg)
         assert failed["name"] == plan.name and failed["held_out"] == plan.held_out
         assert failed["seed"] == model_config.seed
         assert failed["kernel_size"] == model_config.kernel_size
@@ -723,6 +703,48 @@ class TestRunSingleFold:
         assert len(steps) == 4
         assert payload["status"] == "diverged"
         assert "louo-SYNTH-U02" in payload["error"] and "non-finite" in payload["error"]
+
+    def test_reads_its_fold_kinematics_only(self, tmp_path, monkeypatch):
+        # a suite plans every trial of six tasks; fold loto-S-from-NP reads
+        # the kinematics of S and NP alone, and its class list is still
+        # every planned trial's, including a label only a PoaP trial has
+        manifest = generate_synthetic_dataset(
+            tmp_path, num_tasks=len(TASK_ORDER), num_subjects=2, trials_per_subject=1,
+            num_classes=3, frames_range=(40, 48), seed=5)
+        doc = json.loads(manifest.read_text())
+        names = {f"T{i + 1:02d}": task for i, task in enumerate(TASK_ORDER)}
+        for entry in doc["entries"]:
+            entry["task"] = names[entry["task"]]
+            if entry["task"] == "PoaP" and entry["subject"] == "U01":
+                (manifest.parent / entry["transcripts"]["mp"]).write_text(
+                    "0 3 Touch(L, Extra)\n")
+        manifest.write_text(json.dumps(doc))
+        read, vocabularies = [], []
+        real_kinematics = runner_mod.load_trial_kinematics
+        real_vocabulary = runner_mod.experiment_vocabulary
+
+        def kinematics_spy(path, *args):
+            read.append(Path(path).name)
+            return real_kinematics(path, *args)
+
+        def vocabulary_spy(*args):
+            vocabularies.append(real_vocabulary(*args))
+            return vocabularies[-1]
+
+        monkeypatch.setattr(runner_mod, "load_trial_kinematics", kinematics_spy)
+        monkeypatch.setattr(runner_mod, "experiment_vocabulary", vocabulary_spy)
+        cfg = ExperimentConfig(catalog=str(manifest), granularity="mp", cv="loto-suite",
+                               epochs=0, kernel_size=3)
+        payload = run_single_fold(cfg, "loto-S-from-NP")
+        assert payload["status"] == "ok"
+        assert sorted(read) == [f"{task}_{subject}_001.txt" for task in ("T01", "T02")
+                                for subject in ("U01", "U02")]
+        read.clear()
+        report = run_experiment(cfg)
+        assert len(read) == 2 * len(TASK_ORDER)
+        assert vocabularies[0] == vocabularies[1] == tuple(report.experiment["vocabulary"])
+        assert "Touch(L, Extra)" in vocabularies[0]
+        assert payload["num_classes"] == len(vocabularies[0])
 
     def test_unknown_fold_name(self, synth_manifest):
         with pytest.raises(ConfigError,

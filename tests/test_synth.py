@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from surgact.dataset import (
+    GAP,
     MotionPrimitiveLabel,
     build_catalog,
     encode_frames,
@@ -49,8 +50,8 @@ class TestGeneratedCorpus:
         parsed = load_transcript(e.transcript_path("mp"), "mp")
         tr = parsed.bind(frames)
         assert sum(seg.num_frames for seg in tr.segments) == frames  # no gaps
-        _, mask = encode_frames(tr, {lab: i for i, lab in enumerate(sorted(parsed.labels))})
-        assert mask.shape == (frames,) and mask.all()
+        ids = encode_frames(tr, {lab: i for i, lab in enumerate(sorted(parsed.labels))})
+        assert ids.shape == (frames,) and (ids != GAP).all()
 
     def test_per_arm_files_match_the_production_split(self, synth_manifest):
         cat = build_catalog(synth_manifest)

@@ -6,7 +6,7 @@ import pytest
 import surgact.tcn as tcn_mod
 
 from surgact.crossval import FoldPlan
-from surgact.dataset import LabelTranscript, Segment
+from surgact.dataset import GAP, LabelTranscript, Segment
 from surgact.errors import ConfigError, DataError, NonFiniteLoss
 from surgact.nn import (
     Adam,
@@ -341,7 +341,7 @@ class TestTrainingPass:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 37))
         targets = rng.integers(0, 4, size=37)
-        loss, logits = model.train_step(x, targets, None, Adam([model.theta], 1e-2))
+        loss, logits = model.train_step(x, targets, Adam([model.theta], 1e-2))
         grad = model.grad.copy()
         fresh = build_model(SMALL, 3)
         expected_logits, tape = fresh.forward(x)
@@ -380,13 +380,13 @@ class TestTrainStep:
     @staticmethod
     def trials():
         rng = np.random.default_rng(12)
-        out = [(rng.normal(size=(3, t)), rng.integers(0, 4, size=t), None)
+        out = [(rng.normal(size=(3, t)), rng.integers(0, 4, size=t))
                for t in (37, 64, 29)]
-        # a gesture trial: frames no segment labels are masked out
-        mask = np.ones(50, dtype=bool)
-        mask[10:20] = False
-        mask[45:] = False
-        out.append((rng.normal(size=(3, 50)), rng.integers(0, 4, size=50), mask))
+        # a gesture trial: frames no segment labels are GAP
+        targets = rng.integers(0, 4, size=50)
+        targets[10:20] = GAP
+        targets[45:] = GAP
+        out.append((rng.normal(size=(3, 50)), targets))
         return out
 
     def test_is_the_composed_step_bit_for_bit(self):
@@ -395,10 +395,10 @@ class TestTrainStep:
         start = model.theta.copy()
         opt = Adam([model.theta], cfg.learning_rate, cfg.weight_decay)
         oracle_opt = Adam([oracle.theta], cfg.learning_rate, cfg.weight_decay)
-        for x, targets, mask in self.trials() * 2:
-            loss, logits = model.train_step(x, targets, mask, opt)
+        for x, targets in self.trials() * 2:
+            loss, logits = model.train_step(x, targets, opt)
             expected_loss, expected_logits = composed_train_step(
-                oracle, x, targets, mask, oracle_opt)
+                oracle, x, targets, oracle_opt)
             assert loss == expected_loss
             assert np.array_equal(logits, expected_logits)
             assert np.array_equal(model.theta, oracle.theta)
@@ -411,14 +411,14 @@ class TestTrainStep:
     def test_a_non_finite_loss_raises_before_the_update(self, monkeypatch, bad):
         model = build_model(self.CONFIG, 3)
         opt = Adam([model.theta], 1e-2)
-        x, targets, _ = self.trials()[0]
-        model.train_step(x, targets, None, opt)  # the moments are now nonzero
+        x, targets = self.trials()[0]
+        model.train_step(x, targets, opt)  # the moments are now nonzero
         before = [a.copy() for a in (model.theta, opt.m[0], opt.v[0])]
         # the real loss and gradient, with the loss made non-finite
         monkeypatch.setattr(tcn_mod, "softmax_cross_entropy",
                             lambda *args: (bad, softmax_cross_entropy(*args)[1]))
         with pytest.raises(NonFiniteLoss, match=f"^loss={bad}$"):
-            model.train_step(x, targets, None, opt)
+            model.train_step(x, targets, opt)
         for got, expected in zip((model.theta, opt.m[0], opt.v[0]), before):
             assert np.array_equal(got, expected)
         assert opt.step_count == 1
@@ -510,7 +510,7 @@ def toy_tensors(seed, t=64):
     feats[:, 0] = np.where(targets == 0, 1.0, -1.0)
     feats[:, 1] = np.where(targets == 0, -0.5, 0.8)
     feats += rng.normal(scale=0.1, size=feats.shape)
-    return TrialTensors(features=feats, targets=targets, mask=np.ones(t, dtype=bool))
+    return TrialTensors(features=feats, targets=targets)
 
 
 TOY = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
@@ -555,24 +555,33 @@ class TestTrainFold:
         assert record == {"epoch_losses": [], "epoch_accuracies": [], "steps": 0}
         np.testing.assert_array_equal(model.theta, before)
 
-    def test_masked_frames_are_ignored(self):
+    def test_gap_frames_are_ignored(self):
         t = toy_tensors(0)
-        poisoned = t.targets.copy()
-        mask = np.ones(len(poisoned), dtype=bool)
-        mask[::4] = False
-        poisoned[~mask] = 1 - poisoned[~mask]  # corrupt only masked frames
+        gapped = t.targets.copy()
+        gapped[::4] = GAP
         data_clean = {("T", "U", "001"): t}
-        data_masked = {("T", "U", "001"): TrialTensors(
-            features=t.features, targets=poisoned, mask=mask)}
+        data_gapped = {("T", "U", "001"): TrialTensors(features=t.features, targets=gapped)}
         rec_clean = train_fold(build_model(TOY, 3), toy_fold(data_clean),
                                data_clean, TOY)
-        rec_masked = train_fold(build_model(TOY, 3), toy_fold(data_masked),
-                                data_masked, TOY)
-        # identical unmasked supervision cannot produce identical losses here
-        # because the clean run also averages over the corrupted frames, but
-        # both runs must converge on the toy problem
+        rec_gapped = train_fold(build_model(TOY, 3), toy_fold(data_gapped),
+                                data_gapped, TOY)
+        # the gapped run averages over fewer frames, so its losses differ,
+        # but both runs must converge on the toy problem
+        assert rec_clean["epoch_losses"] != rec_gapped["epoch_losses"]
         assert rec_clean["epoch_accuracies"][-1] > 90.0
-        assert rec_masked["epoch_accuracies"][-1] > 90.0
+        assert rec_gapped["epoch_accuracies"][-1] > 90.0
+
+    def test_epoch_accuracy_counts_the_labelled_frames_alone(self, monkeypatch):
+        # the model predicts class 0 everywhere; the GAP frames count as
+        # neither right nor wrong
+        targets = np.array([0] * 8 + [GAP] * 8 + [1] * 8 + [0] * 8)
+        data = {("T", "U", "001"): TrialTensors(np.zeros((32, 3)), targets)}
+        cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8), epochs=1)
+        model = build_model(cfg, 3)
+        monkeypatch.setattr(tcn_mod.TcnModel, "train_step",
+                            lambda self, x, targets, optimizer: (0.5, np.eye(2)[[0] * 32].T))
+        record = train_fold(model, toy_fold(data), data, cfg)
+        assert record["epoch_accuracies"] == [pytest.approx(100.0 * 16 / 24)]
 
     def test_missing_tensors(self):
         data = {("T", "U", "001"): toy_tensors(0)}
@@ -586,12 +595,11 @@ class TestTrainFold:
         # the loss checks the range at the trial's first step, before any
         # parameter changes
         good = toy_tensors(0)
-        bad = TrialTensors(features=good.features,
-                           targets=np.full(64, 7, dtype=np.int64), mask=good.mask)
+        bad = TrialTensors(features=good.features, targets=np.full(64, 7, dtype=np.int64))
         data = {("T", "U", "001"): bad}
         model = build_model(TOY, 3)
         before = model.theta.copy()
-        with pytest.raises(DataError, match=r"targets must lie in \[0, 2\)"):
+        with pytest.raises(DataError, match=r"targets must lie in \[-1, 2\)"):
             train_fold(model, toy_fold(data), data, TOY)
         np.testing.assert_array_equal(model.theta, before)
 
