@@ -19,7 +19,7 @@ All scores are on a 0..100 percent scale.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import DataError
 
 __all__ = [
     "frame_accuracy",
-    "run_length_segments",
     "segment_labels",
     "levenshtein",
     "edit_score",
@@ -48,23 +47,17 @@ def frame_accuracy(predicted: Sequence, reference: Sequence) -> float:
     return 100.0 * hits / len(reference)
 
 
-def run_length_segments(frames: Sequence) -> list[tuple[int, int, Any]]:
-    """Collapse a frame sequence into (start, end, label) runs, ends inclusive."""
+def segment_labels(frames: Sequence) -> list:
+    """The label of each maximal run of equal frames, less the GAP runs."""
     if len(frames) == 0:
         raise DataError("cannot segment an empty sequence")
-    out: list[tuple[int, int, Any]] = []
-    start = 0
-    for i in range(1, len(frames)):
-        if frames[i] != frames[i - 1]:
-            out.append((start, i - 1, frames[start]))
-            start = i
-    out.append((start, len(frames) - 1, frames[start]))
+    out = []
+    prev = GAP  # a run that starts the sequence is a new segment
+    for label in frames:
+        if label != prev and label != GAP:
+            out.append(label)
+        prev = label
     return out
-
-
-def segment_labels(frames: Sequence) -> list:
-    """A frame sequence's segment labels: its runs, less the GAP runs."""
-    return [label for _, _, label in run_length_segments(frames) if label != GAP]
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:

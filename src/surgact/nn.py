@@ -184,14 +184,12 @@ class Conv1d:
         xp = np.zeros((c, t + q - 1))
         xp[:, -lo:t - lo] = x
         wp = self._phase_kernels()
-        y = np.matmul(wp, self._im2col(xp, t))
-        if n == 1:
-            y += self.b[:, None]
-            return y, (xp, wp)
-        # C order: by default the sum would keep the transposed layout, and
-        # the reshape into frames would copy it a second time
-        y = y.reshape(co, n, t).transpose(0, 2, 1)
-        return np.add(y, self.b[:, None, None], order="C").reshape(co, t * n), (xp, wp)
+        y = np.matmul(wp, self._im2col(xp, t)).reshape(co, n, t)
+        # phase r's row block adds its bias into output frames r, r+n, ...
+        out = np.empty((co, n * t))
+        for r in range(n):
+            np.add(y[:, r], self.b[:, None], out=out[:, r::n])
+        return out, (xp, wp)
 
     def backward(self, grad_y: np.ndarray, cache: tuple, *,
                  input_grad: bool = True) -> Optional[np.ndarray]:
@@ -353,14 +351,12 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
     logp = z - lse
     cols = np.arange(t)
     # a GAP frame indexes the last class here; its entries are dropped
-    picked = logp[targets, cols]
-    loss = float(-(picked if n == t else picked[keep]).sum() / n)
+    loss = float(-logp[targets, cols][keep].sum() / n)
 
     grad = np.exp(logp)
     grad[targets, cols] -= 1.0
     grad /= n
-    if n < t:
-        grad[:, ~keep] = 0.0
+    grad[:, ~keep] = 0.0
     return loss, grad
 
 
@@ -423,8 +419,7 @@ class Adam:
                 hi = lo + ADAM_BLOCK
                 pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
                 d, e = s1[:pb.size], s2[:pb.size]
-                if wd != 0.0:
-                    pb *= decay
+                pb *= decay
                 mb *= b1
                 mb += gb
                 vb *= b2

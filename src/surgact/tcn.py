@@ -334,7 +334,7 @@ def train_fold(
                 counted += int(np.count_nonzero(tensors.targets != GAP))
                 epoch_loss += loss
             losses.append(epoch_loss / len(keys))
-            accs.append(100.0 * correct / counted if counted else 0.0)
+            accs.append(100.0 * correct / counted)
     # each loss is checked before its step, so only the last step is unchecked
     if not np.isfinite(model.theta).all():
         raise NonFiniteLoss(f"fold {fold.name}: parameters are non-finite after training")

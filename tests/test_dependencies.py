@@ -2,8 +2,9 @@
 names only what it defines or imports, every name a submodule exports is
 read somewhere in the package or the benchmark, every exception class is
 one of the three exit-code tiers or is caught by type in the package, each
-UPPER_CASE constant is assigned in one module, and no module imports
-another's underscore name.
+UPPER_CASE constant is assigned in one module, no module imports
+another's underscore name, and under the repository's pytest settings a
+failing hypothesis test fails alone instead of stopping the suite.
 
 Every module under src/surgact is parsed, not imported, so a module that
 would fail to import is still checked.
@@ -11,6 +12,7 @@ would fail to import is still checked.
 
 import ast
 import functools
+import subprocess
 import sys
 from pathlib import Path
 
@@ -225,3 +227,33 @@ def test_the_private_import_check_sees_an_underscore_name(tmp_path):
                      "from .tcn import _is_a, is_a\n"
                      "def f():\n    from .nn import _as_signal\n")
     assert private_names_imported(probe) == ["tcn._is_a", "nn._as_signal"]
+
+
+# the test tools' own deprecations are not the package's: the one a failing
+# @given test meets must not turn that failure into an INTERNALERROR that
+# ends the run
+FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_given_test_does_not_stop_the_suite(tmp_path):
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(FAILING_GIVEN)
+    config = PACKAGE.parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), str(probe)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out

@@ -1,11 +1,13 @@
 """Metric oracles: hand-worked examples plus independent reference routes.
 
 The reference implementations here (memoized recursive edit distance,
-threshold-loop average precision) share no code with the package versions,
-so agreement on randomized inputs is meaningful evidence.
+threshold-loop average precision, segments by itertools.groupby) share no
+code with the package versions, so agreement on randomized inputs is
+meaningful evidence.
 """
 
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from surgact.metrics import (
     levenshtein,
     map_report,
     pooled_class_average_precisions,
-    run_length_segments,
     segment_labels,
 )
 
@@ -79,26 +80,23 @@ class TestFrameAccuracy:
             frame_accuracy([], [])
 
 
-class TestRunLengthSegments:
-    def test_collapses_runs(self):
-        got = run_length_segments(["A", "A", "B", "B", "B", "C"])
-        assert got == [(0, 1, "A"), (2, 4, "B"), (5, 5, "C")]
+def segments_reference(frames):
+    """The runs by itertools.groupby, less the GAP runs."""
+    return [label for label, _ in groupby(frames) if label != GAP]
 
-    def test_single_run(self):
-        assert run_length_segments([7, 7, 7]) == [(0, 2, 7)]
+
+class TestSegmentLabels:
+    @given(st.lists(st.sampled_from([GAP, 0, 1, 2]), min_size=1, max_size=12))
+    def test_ids_with_gaps_match_the_reference(self, frames):
+        assert segment_labels(frames) == segments_reference(frames)
+
+    @given(nonempty_seqs)
+    def test_labels_match_the_reference(self, frames):
+        assert segment_labels(frames) == segments_reference(frames)
 
     def test_empty(self):
         with pytest.raises(DataError, match="cannot segment an empty sequence"):
-            run_length_segments([])
-
-    @given(nonempty_seqs)
-    def test_segments_tile_the_sequence(self, frames):
-        segs = run_length_segments(frames)
-        assert segs[0][0] == 0 and segs[-1][1] == len(frames) - 1
-        for (_, e1, l1), (s2, _, l2) in zip(segs, segs[1:]):
-            assert s2 == e1 + 1 and l1 != l2
-        for s, e, label in segs:
-            assert all(frames[i] == label for i in range(s, e + 1))
+            segment_labels([])
 
 
 class TestLevenshtein:
