@@ -14,7 +14,6 @@ from pathlib import Path
 
 from ._version import __version__
 from .atomic import write_atomic
-from .crossval import TASK_COMBOS
 from .dataset import (
     ARM_SIDES,
     GRANULARITIES,
@@ -47,11 +46,9 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", help="catalog manifest path")
     p.add_argument("--granularity", choices=GRANULARITIES)
     p.add_argument("--cv", choices=CV_MODES)
-    p.add_argument("--tasks", nargs="+", help="explicit task list (louo)")
-    p.add_argument("--task-combo", choices=sorted(TASK_COMBOS),
-                   help="named task selection (louo)")
+    p.add_argument("--tasks", nargs="+", help="task or combo names (louo)")
     p.add_argument("--test-task", help="held-out task (loto)")
-    p.add_argument("--train-tasks", nargs="+", help="training tasks (loto)")
+    p.add_argument("--train-tasks", nargs="+", help="training task or combo names (loto)")
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--weight-decay", type=float)
     p.add_argument("--epochs", type=int)

@@ -12,6 +12,9 @@ Two setups:
   held-out task. `loto_suite` enumerates the canonical battery of task
   transfer plans used for reporting.
 
+A task list may name combos (`TASK_COMBOS`) as well as tasks; `louo_folds`
+and `loto_folds` read it through `expand_tasks`.
+
 Planning is pure: no kinematics or transcripts are read, only the catalog.
 """
 
@@ -94,8 +97,11 @@ def resolve_task_combo(name: str) -> tuple[str, ...]:
         raise ConfigError(f"unknown task combo {name!r}; known: {', '.join(TASK_COMBOS)}")
 
 
-def _ordered_tasks(tasks: Iterable[str]) -> tuple[str, ...]:
-    tasks = list(dict.fromkeys(tasks))
+def expand_tasks(names: Iterable[str]) -> tuple[str, ...]:
+    """The tasks a list of task or combo names selects: a `TASK_COMBOS` key
+    stands for its tasks and any other name for itself. Each task comes
+    once, in `TASK_ORDER` order, then the names it does not hold, sorted."""
+    tasks = dict.fromkeys(t for name in names for t in TASK_COMBOS.get(name, (name,)))
     known = [t for t in TASK_ORDER if t in tasks]
     extra = sorted(t for t in tasks if t not in TASK_ORDER)
     return tuple(known + extra)
@@ -108,7 +114,7 @@ def _sorted_keys(entries) -> tuple[TrialKey, ...]:
 def louo_folds(catalog: Catalog, tasks: Sequence[str]) -> list[FoldPlan]:
     """One fold per (dataset, subject) with at least one trial in `tasks`;
     fewer than two subjects leave a fold nothing to train on."""
-    tasks = _ordered_tasks(tasks)
+    tasks = expand_tasks(tasks)
     if not tasks:
         raise ConfigError("no tasks selected")
     available = set(catalog.tasks())
@@ -154,7 +160,7 @@ def loto_folds(
     granularity: Optional[str] = None,
 ) -> FoldPlan:
     """Plan a single task-transfer fold: train tasks -> held-out task."""
-    train_tasks = _ordered_tasks(train_tasks)
+    train_tasks = expand_tasks(train_tasks)
     if not train_tasks:
         raise ConfigError("no training tasks selected")
     if test_task in train_tasks:

@@ -63,51 +63,39 @@ GAP = -1  # the target of a frame that no segment covers
 # ---------------------------------------------------------------------------
 # labels
 
-_MP_PATTERN = re.compile(r"^\s*([A-Za-z]+)\s*(?:\(\s*([^,()]*?)\s*,\s*([^()]*?)\s*\))?\s*$")
+# verb, then an optional "(tool, object)"; nothing reads the object
+_MP_PATTERN = re.compile(r"^\s*([A-Za-z]+)\s*(?:\(\s*([^,()]*?)\s*,\s*[^()]*?\s*\))?\s*$")
 
 
-@dataclass(frozen=True)
-class MotionPrimitiveLabel:
-    """Structured MP label: verb, acting tool side, manipulated object."""
-
-    verb: str
-    tool: str = "none"
-    object: str = ""
-
-    def __post_init__(self):
-        if self.verb != IDLE and self.verb not in MP_VERBS:
-            raise DataError(f"unknown motion primitive verb: {self.verb!r}")
-        if self.tool not in ("L", "R", "none"):
-            raise DataError(f"unknown tool side: {self.tool!r}")
-        if self.verb == IDLE and (self.tool != "none" or self.object):
-            raise DataError("Idle takes no tool or object")
-
-    @classmethod
-    def parse(cls, text: str) -> "MotionPrimitiveLabel":
-        m = _MP_PATTERN.match(text)
-        if not m:
-            raise DataError(f"cannot parse motion primitive label: {text!r}")
-        verb, tool, obj = m.group(1), m.group(2), m.group(3)
-        if tool is None:
-            return cls(verb=verb)
-        return cls(verb=verb, tool=tool, object=obj)
+def parse_mp_label(text: str) -> tuple[str, Optional[str]]:
+    """An MP label's verb and tool side ("L" or "R"; None when the label
+    names no tool, as Idle never does)."""
+    m = _MP_PATTERN.match(text)
+    if not m:
+        raise DataError(f"cannot parse motion primitive label: {text!r}")
+    verb, tool = m.group(1), m.group(2)
+    if verb != IDLE and verb not in MP_VERBS:
+        raise DataError(f"unknown motion primitive verb: {verb!r}")
+    if tool is not None and tool not in ("L", "R"):
+        raise DataError(f"unknown tool side: {tool!r}")
+    if verb == IDLE and tool is not None:
+        raise DataError("Idle takes no tool or object")
+    return verb, tool
 
 
 def mp_verb(label: str) -> str:
     """Collapse an MP label string to its verb (used for verb-level scoring)."""
-    return MotionPrimitiveLabel.parse(label).verb
+    return parse_mp_label(label)[0]
 
 
 def arm_of(label: str) -> Optional[str]:
     """The tool side ("L" or "R") an MP label belongs to; None for Idle,
     which belongs to neither arm. A non-Idle label that names no tool side
     cannot be attributed and is an error."""
-    mp = MotionPrimitiveLabel.parse(label)
-    if mp.verb == IDLE:
-        return None
-    if mp.tool == "none":
+    verb, tool = parse_mp_label(label)
+    if verb != IDLE and tool is None:
         raise DataError(f"motion primitive {label!r} names no tool side")
-    return mp.tool
+    return tool
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +234,8 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
         label = parts[2].strip()
         try:
             if granularity != "gesture":
-                mp = MotionPrimitiveLabel.parse(label)
-                if side is not None and mp.verb != IDLE and mp.tool != side:
+                verb, tool = parse_mp_label(label)
+                if side is not None and verb != IDLE and tool != side:
                     raise DataError(
                         f"{granularity} label {label!r} is neither Idle nor "
                         f"an action of tool side {side}")
@@ -511,12 +499,12 @@ class Catalog:
 def build_catalog(manifest_path) -> Catalog:
     """Load a JSON manifest and verify every referenced file exists.
 
-    The manifest is either a list of entries or {"entries": [...]}; each
-    entry carries dataset/task/subject/trial id strings, a kinematics path,
-    and a map from granularities (`GRANULARITIES`) to transcript paths.
-    Relative paths resolve against the manifest's directory. The object
-    form may give the frame rate as "sample_rate", a positive number of Hz;
-    without it the rate is DEFAULT_SAMPLE_RATE.
+    The manifest is one object, {"entries": [...]}; each entry carries
+    dataset/task/subject/trial id strings, a kinematics path, and a map
+    from granularities (`GRANULARITIES`) to transcript paths. Relative paths
+    resolve against the manifest's directory. The object may give the frame
+    rate as "sample_rate", a positive number of Hz; without it the rate is
+    DEFAULT_SAMPLE_RATE.
     """
     mp = Path(manifest_path)
     if not mp.is_file():
@@ -525,12 +513,12 @@ def build_catalog(manifest_path) -> Catalog:
         doc = json.loads(mp.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"catalog manifest is not valid JSON: {mp}: {exc}")
-    raw_entries = doc.get("entries") if isinstance(doc, dict) else doc
+    if not isinstance(doc, dict):
+        raise DataError(f'catalog manifest must hold a JSON object {{"entries": [...]}}: {mp}')
+    raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list):
         raise DataError(f"catalog manifest must hold a list of entries: {mp}")
-    sample_rate = DEFAULT_SAMPLE_RATE
-    if isinstance(doc, dict):
-        sample_rate = doc.get("sample_rate", DEFAULT_SAMPLE_RATE)
+    sample_rate = doc.get("sample_rate", DEFAULT_SAMPLE_RATE)
     if (isinstance(sample_rate, bool) or not isinstance(sample_rate, (int, float))
             or not math.isfinite(sample_rate) or sample_rate <= 0):
         raise DataError(

@@ -49,10 +49,10 @@ from .atomic import write_atomic
 from .crossval import (
     FoldPlan,
     check_gesture_transfer,
+    expand_tasks,
     loto_folds,
     loto_suite,
     louo_folds,
-    resolve_task_combo,
 )
 from .dataset import (
     COLUMNS_PER_ARM,
@@ -125,10 +125,9 @@ class ExperimentConfig:
     catalog: str
     granularity: str
     cv: str
-    tasks: Optional[tuple[str, ...]] = None
-    task_combo: Optional[str] = None
+    tasks: Optional[tuple[str, ...]] = None  # task or combo names
     test_task: Optional[str] = None
-    train_tasks: Optional[tuple[str, ...]] = None
+    train_tasks: Optional[tuple[str, ...]] = None  # task or combo names
     learning_rate: Optional[float] = None  # None -> default for the cv mode
     weight_decay: Optional[float] = None
     epochs: int = DEFAULT_EPOCHS
@@ -161,17 +160,17 @@ class ExperimentConfig:
         if self.cv not in CV_MODES:
             raise ConfigError(f"cv must be one of {CV_MODES}, got {self.cv!r}")
         if self.cv == "louo":
-            if (self.tasks is None) == (self.task_combo is None):
-                raise ConfigError("louo needs exactly one of tasks / task_combo")
+            if self.tasks is None:
+                raise ConfigError("louo needs tasks")
             if self.test_task or self.train_tasks:
                 raise ConfigError("test_task/train_tasks are for loto runs")
         elif self.cv == "loto":
             if not self.test_task or not self.train_tasks:
                 raise ConfigError("loto needs test_task and train_tasks")
-            if self.tasks or self.task_combo:
-                raise ConfigError("tasks/task_combo are for louo runs")
+            if self.tasks:
+                raise ConfigError("tasks are for louo runs")
         else:  # loto-suite
-            if any((self.tasks, self.task_combo, self.test_task, self.train_tasks)):
+            if any((self.tasks, self.test_task, self.train_tasks)):
                 raise ConfigError("loto-suite takes no task arguments")
         for name in _FIELD_MINIMUMS:
             check_minimum(name, getattr(self, name))
@@ -203,7 +202,7 @@ class ExperimentConfig:
 # the type of each scalar field the model-setting rules do not cover; None
 # passes where it is the default
 _FIELD_TYPES = {
-    "catalog": str, "task_combo": str, "test_task": str, "output_dir": str,
+    "catalog": str, "test_task": str, "output_dir": str,
     "seed": Integral, "expected_channels": Integral,
     "left_offset": Integral, "right_offset": Integral,
 }
@@ -266,8 +265,7 @@ def derive_fold_seed(seed: int, fold_name: str) -> int:
 def plan_folds(config: ExperimentConfig, catalog: Catalog) -> list[FoldPlan]:
     """Resolve the config's cross-validation request into fold plans."""
     if config.cv == "louo":
-        tasks = (resolve_task_combo(config.task_combo)
-                 if config.task_combo else config.tasks)
+        tasks = expand_tasks(config.tasks)
         if config.granularity == "gesture":
             check_gesture_transfer(catalog, tasks)
         return louo_folds(catalog, tasks)
@@ -434,7 +432,7 @@ def run_fold(fold: FoldPlan, trials: TrialData,
     train_data = {key: trials.tensors[key] for key in fold.train_trials}
     payload = _fold_payload(fold, model_config)
     try:
-        payload["training"] = train_fold(model, fold, train_data, model_config)
+        payload["training"] = train_fold(model, fold, train_data)
     except NonFiniteLoss as exc:
         payload["status"] = "diverged"
         payload["error"] = str(exc)
@@ -722,7 +720,7 @@ def combine_reports(paths: Sequence) -> str:
             agg = payload["aggregate"]
             if exp["cv"] == "loto":
                 label = f"{exp['test_task']}<-{'+'.join(exp['train_tasks'])}"
-            elif exp["task_combo"]:
+            elif exp.get("task_combo"):  # a report from before tasks took combo names
                 label = exp["task_combo"]
             elif exp["tasks"]:
                 label = "+".join(exp["tasks"])

@@ -280,18 +280,13 @@ class TrialTensors:
     targets: np.ndarray  # (T,) int: class ids, GAP where no segment covers
 
 
-def train_fold(
-    model: TcnModel,
-    fold,
-    data: Mapping[TrialKey, TrialTensors],
-    config: ModelConfig,
-) -> dict:
-    """Train `model` in place on the fold's training trials; returns
-    `{"epoch_losses": [...], "epoch_accuracies": [...], "steps": n}`, the
-    fold report's training block.
+def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> dict:
+    """Train `model` in place, with its own `model.config`, on the fold's
+    training trials; returns `{"epoch_losses": [...], "epoch_accuracies":
+    [...], "steps": n}`, the fold report's training block.
 
     One trial is one optimization step (full-sequence batch). Trial order is
-    reshuffled each epoch from a generator seeded by config.seed, so a fold
+    reshuffled each epoch from a generator seeded by `config.seed`, so a fold
     replays exactly given the same seed. Only training trials are touched;
     the mapping may contain them exclusively. An epoch's accuracy is
     measured on each step's pre-update logits over the frames whose target
@@ -307,6 +302,7 @@ def train_fold(
     for key in keys:
         if key not in data:
             raise DataError(f"fold {fold.name}: no tensors for training trial {key}")
+    config = model.config
     optimizer = Adam([model.theta], config.learning_rate, config.weight_decay)
     # separate stream from the parameter-init draw on the same seed
     shuffle_rng = np.random.default_rng((config.seed, 1))

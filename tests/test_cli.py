@@ -230,6 +230,25 @@ class TestFoldsCommand:
         assert all(t.startswith("T01/") for p in doc for t in p["test_trials"])
 
 
+    def test_a_config_file_with_task_combo_exits_1(self, synth_manifest, tmp_path,
+                                                   capsys):
+        # a combo is named in `tasks`; `task_combo` is not a config key
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "catalog": str(synth_manifest), "granularity": "mp",
+            "cv": "louo", "tasks": ["T01"], "task_combo": "All"}))
+        rc = main(["folds", "--config", str(cfg)])
+        assert rc == 1
+        assert "unknown config keys: ['task_combo']" in capsys.readouterr().err
+
+    def test_the_task_combo_flag_is_gone(self, synth_manifest, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["folds", "--catalog", str(synth_manifest), "--granularity", "mp",
+                  "--cv", "louo", "--task-combo", "All"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --task-combo" in capsys.readouterr().err
+
+
 class TestExperimentCommand:
     def test_writes_report_and_summary(self, synth_manifest, cli_report_dir,
                                        capsys):
@@ -284,10 +303,10 @@ class TestExperimentCommand:
 
         real_train_fold = surgact.runner.train_fold
 
-        def first_diverges(model, fold, data, model_config):
+        def first_diverges(model, fold, data):
             if fold.name == "louo-SYNTH-U01":
                 raise NonFiniteLoss("synthetic divergence")
-            return real_train_fold(model, fold, data, model_config)
+            return real_train_fold(model, fold, data)
 
         monkeypatch.setattr(surgact.runner, "train_fold", first_diverges)
         rc = main(["experiment", "--catalog", str(synth_manifest),
@@ -485,6 +504,23 @@ class TestReportCommand:
                    "--out", str(target)])
         assert rc == 0
         assert "louo" in target.read_text()
+
+    def test_labels_each_row_by_its_task_names(self, cli_report_dir, tmp_path, capsys):
+        # a report written when a combo had its own `task_combo` key keeps
+        # that label; one that names a combo in `tasks` shows the combo
+        payload = json.loads((cli_report_dir / "report.json").read_text())
+        assert "task_combo" not in payload["experiment"]
+        inputs = [str(cli_report_dir / "report.json")]
+        for name, experiment in (("old", {"tasks": None, "task_combo": "ROSMA"}),
+                                 ("new", {"tasks": ["JIGSAWS"]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                {**payload, "experiment": {**payload["experiment"], **experiment}}))
+            inputs.append(str(path))
+        rc = main(["report", "--inputs", *inputs])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["T01", "ROSMA", "JIGSAWS"]
 
     def test_tampered_input_is_data_error(self, cli_report_dir, tmp_path, capsys):
         payload = json.loads((cli_report_dir / "report.json").read_text())

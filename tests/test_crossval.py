@@ -10,6 +10,7 @@ from surgact.crossval import (
     TASK_ORDER,
     FoldPlan,
     check_gesture_transfer,
+    expand_tasks,
     loto_folds,
     loto_suite,
     louo_folds,
@@ -41,6 +42,14 @@ class TestTaskCombos:
         for tasks in TASK_COMBOS.values():
             idx = [TASK_ORDER.index(t) for t in tasks]
             assert idx == sorted(idx)
+
+    def test_expand_tasks(self):
+        assert expand_tasks(["S", "JIGSAWS"]) == ("S", "NP", "KT")
+        assert expand_tasks(["ROSMA", "JIGSAWS", "PT"]) == TASK_ORDER
+        assert expand_tasks(["T02", "PaS", "T01", "T02"]) == ("PaS", "T01", "T02")
+        assert expand_tasks([]) == ()
+        for name in TASK_COMBOS:
+            assert expand_tasks([name]) == resolve_task_combo(name)
 
 
 class TestFoldPlan:

@@ -17,7 +17,6 @@ from surgact.dataset import (
     Catalog,
     CatalogEntry,
     LabelTranscript,
-    MotionPrimitiveLabel,
     Segment,
     _parse_kinematics_lines,
     arm_columns,
@@ -27,6 +26,7 @@ from surgact.dataset import (
     load_transcript,
     load_trial_kinematics,
     mp_verb,
+    parse_mp_label,
     select_features,
     split_by_arm,
 )
@@ -35,39 +35,39 @@ from surgact.errors import ConfigError, DataError
 
 class TestMotionPrimitiveLabel:
     def test_parse_full_label(self):
-        mp = MotionPrimitiveLabel.parse("Grasp(L, Needle)")
-        assert (mp.verb, mp.tool, mp.object) == ("Grasp", "L", "Needle")
+        assert parse_mp_label("Grasp(L, Needle)") == ("Grasp", "L")
 
     def test_parse_tolerates_spacing(self):
-        mp = MotionPrimitiveLabel.parse("  Push( R ,  Block 2 ) ")
-        assert (mp.verb, mp.tool, mp.object) == ("Push", "R", "Block 2")
+        assert parse_mp_label("  Push( R ,  Block 2 ) ") == ("Push", "R")
 
     def test_parse_idle(self):
-        mp = MotionPrimitiveLabel.parse("Idle")
-        assert (mp.verb, mp.tool, mp.object) == ("Idle", "none", "")
+        assert parse_mp_label("Idle") == ("Idle", None)
 
     def test_format_round_trip(self):
-        # the parsed fields spell the label again
-        for text in ("Grasp(L, Needle)", "Release(R, Thread)", "Idle"):
-            mp = MotionPrimitiveLabel.parse(text)
-            spelled = mp.verb if mp.tool == "none" else f"{mp.verb}({mp.tool}, {mp.object})"
-            assert spelled == text
+        # a label spelled from a verb and a tool side parses back to them
+        for verb in ("Grasp", "Release", "Touch", "Untouch", "Pull", "Push"):
+            for tool in ("L", "R"):
+                assert parse_mp_label(f"{verb}({tool}, Needle 2)") == (verb, tool)
+            assert parse_mp_label(verb) == (verb, None)
 
     def test_unknown_verb(self):
         with pytest.raises(DataError, match="unknown motion primitive verb"):
-            MotionPrimitiveLabel.parse("Juggle(L, Ball)")
+            parse_mp_label("Juggle(L, Ball)")
 
     def test_unknown_tool_side(self):
-        with pytest.raises(DataError, match="unknown tool side"):
-            MotionPrimitiveLabel.parse("Grasp(M, Needle)")
+        for text in ("Grasp(M, Needle)", "Grasp(none, Needle)", "Idle(M, x)"):
+            with pytest.raises(DataError, match="unknown tool side"):
+                parse_mp_label(text)
 
     def test_idle_takes_no_arguments(self):
-        with pytest.raises(DataError, match="Idle takes no tool or object"):
-            MotionPrimitiveLabel(verb="Idle", tool="L", object="x")
+        for text in ("Idle(L, x)", "Idle(R, )"):
+            with pytest.raises(DataError, match="Idle takes no tool or object"):
+                parse_mp_label(text)
 
     def test_unparseable(self):
-        with pytest.raises(DataError, match="cannot parse motion primitive label"):
-            MotionPrimitiveLabel.parse("123")
+        for text in ("123", "Grasp(L)", "Grasp(L, (x))", "Grasp(L, x) y", ""):
+            with pytest.raises(DataError, match="cannot parse motion primitive label"):
+                parse_mp_label(text)
 
     def test_mp_verb(self):
         assert mp_verb("Push(R, Block)") == "Push"
@@ -319,7 +319,7 @@ class TestSplitByArm:
         dense_right = encode_frames(right, ids)
         for f in range(pos):
             label = vocabulary[dense[f]]
-            side = "none" if label == IDLE else MotionPrimitiveLabel.parse(label).tool
+            side = parse_mp_label(label)[1]
             assert dense_left[f] == ids[label if side == "L" else IDLE]
             assert dense_right[f] == ids[label if side == "R" else IDLE]
 
@@ -678,8 +678,9 @@ class TestBuildCatalog:
         del doc["sample_rate"]
         mp.write_text(json.dumps(doc))
         assert build_catalog(mp).sample_rate == DEFAULT_SAMPLE_RATE
-        mp.write_text(json.dumps(doc["entries"]))  # bare list form
-        assert build_catalog(mp).sample_rate == DEFAULT_SAMPLE_RATE
+        mp.write_text(json.dumps(doc["entries"]))  # a bare list is not a manifest
+        with pytest.raises(DataError, match=f"must hold a JSON object .*: {mp}"):
+            build_catalog(mp)
 
     @pytest.mark.parametrize("rate", ["-5", "0", "\"120\"", "true", "NaN",
                                       "Infinity", "null", "[30]"],

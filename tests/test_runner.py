@@ -19,7 +19,7 @@ import pytest
 import surgact.atomic as atomic_mod
 import surgact.runner as runner_mod
 from surgact.cli import main as cli_main
-from surgact.crossval import TASK_ORDER, FoldPlan
+from surgact.crossval import TASK_ORDER, FoldPlan, louo_folds, resolve_task_combo
 from surgact.dataset import (
     GAP,
     GRANULARITIES,
@@ -71,9 +71,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("kwargs, message", [
         # louo needs a selection
-        ({"tasks": None}, "louo needs exactly one of tasks / task_combo"),
-        # but not two of them
-        ({"task_combo": "All"}, "louo needs exactly one of tasks / task_combo"),
+        ({"tasks": None}, "louo needs tasks"),
         # loto argument on louo
         ({"test_task": "T02"}, "test_task/train_tasks are for loto runs"),
         # loto needs both sides
@@ -95,7 +93,7 @@ class TestExperimentConfig:
         ({"epochs": -1}, "epochs must be an integer >= 0, got -1"),
         # keeps louo tasks
         ({"cv": "loto", "test_task": "T02", "train_tasks": ("T01",)},
-         "tasks/task_combo are for louo runs"),
+         "tasks are for louo runs"),
         ({"kernel_size": 4}, "kernel_size must be an odd positive integer, got 4"),
         ({"kernel_size": True}, "kernel_size must be an odd positive integer, got True"),
         # as a config file can spell them: rejected before any file is read
@@ -117,7 +115,7 @@ class TestExperimentConfig:
         ({"right_offset": 5}, r"left_offset 0 and right_offset 5 select columns \[18\] twice"),
         ({"left_offset": 19, "right_offset": 19},
          r"right_offset 19 select columns \[19, 20, 21, 31, 32, 33, 37\] twice"),
-    ], ids=[f"kwargs{i}" for i in range(35)])
+    ], ids=[f"kwargs{i}" for i in range(34)])
     def test_rejections(self, synth_manifest, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             synth_config(synth_manifest, **kwargs)
@@ -252,14 +250,45 @@ class TestPlanFolds:
 
     def test_louo_by_combo(self, study_catalog, synth_manifest):
         cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
-                               cv="louo", task_combo="JIGSAWS")
+                               cv="louo", tasks=("JIGSAWS",))
         assert len(plan_folds(cfg, study_catalog)) == 8
 
     def test_louo_gesture_guard(self, study_catalog, synth_manifest):
         cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="gesture",
-                               cv="louo", task_combo="All")
-        with pytest.raises(ConfigError, match="tasks without gesture labels"):
+                               cv="louo", tasks=("All",))
+        with pytest.raises(ConfigError,
+                           match=r"tasks without gesture labels: \['PaS', 'PoaP'\]"):
             plan_folds(cfg, study_catalog)
+
+    @pytest.mark.parametrize("combo", ["JIGSAWS", "All"])
+    def test_a_combo_name_plans_its_tasks_folds(self, study_catalog, synth_manifest, combo):
+        cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
+                               cv="louo", tasks=[combo])
+        assert cfg.tasks == (combo,)  # kept as given
+        assert plan_folds(cfg, study_catalog) == louo_folds(
+            study_catalog, resolve_task_combo(combo))
+
+    def test_a_task_and_a_combo_that_holds_it_select_it_once(self, study_catalog,
+                                                              synth_manifest):
+        cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
+                               cv="louo", tasks=("S", "JIGSAWS"))
+        plans = plan_folds(cfg, study_catalog)
+        assert plans == louo_folds(study_catalog, ("S", "NP", "KT"))
+        for plan in plans:
+            keys = plan.train_trials + plan.test_trials
+            assert len(set(keys)) == len(keys)
+            assert {k[0] for k in keys} == {"S", "NP", "KT"}
+
+    def test_loto_train_tasks_by_combo(self, study_catalog, synth_manifest):
+        def loto(test_task):
+            return ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
+                                    cv="loto", test_task=test_task,
+                                    train_tasks=("JIGSAWS",))
+        [plan] = plan_folds(loto("PT"), study_catalog)
+        assert plan.name == "loto-PT-from-S+NP+KT"
+        assert {k[0] for k in plan.train_trials} == {"S", "NP", "KT"}
+        with pytest.raises(ConfigError, match="test task 'S' also in training tasks"):
+            plan_folds(loto("S"), study_catalog)
 
     def test_loto_single_plan(self, synth_manifest):
         catalog = build_catalog(synth_manifest)
@@ -533,9 +562,9 @@ class TestRunFold:
             seen.append(("kernel", transcripts))
             return real_kernel(transcripts)
 
-        def train_spy(model, fold, data, model_config):
+        def train_spy(model, fold, data):
             seen.append(("train", sorted(data)))
-            return real_train(model, fold, data, model_config)
+            return real_train(model, fold, data)
 
         monkeypatch.setattr(runner_mod, "compute_kernel_size", kernel_spy)
         monkeypatch.setattr(runner_mod, "train_fold", train_spy)
@@ -631,10 +660,10 @@ class TestRunExperiment:
                 raise RuntimeError("disk fell over")
             return real_build_model(*args, **kwargs)
 
-        def train_fold(model, fold, data, model_config):
+        def train_fold(model, fold, data):
             if len(calls) == 2:
                 raise NonFiniteLoss("synthetic divergence")
-            return real_train_fold(model, fold, data, model_config)
+            return real_train_fold(model, fold, data)
 
         monkeypatch.setattr(runner_mod, "build_model", build_model)
         monkeypatch.setattr(runner_mod, "train_fold", train_fold)

@@ -6,11 +6,11 @@ import pytest
 
 from surgact.dataset import (
     GAP,
-    MotionPrimitiveLabel,
     build_catalog,
     encode_frames,
     load_transcript,
     load_trial_kinematics,
+    parse_mp_label,
     split_by_arm,
 )
 from surgact.errors import ConfigError
@@ -20,13 +20,12 @@ from surgact.synth import generate_synthetic_dataset, synthetic_class_labels
 class TestSyntheticClassLabels:
     def test_alternating_tool_sides(self):
         labels = synthetic_class_labels(5)
-        parsed = [MotionPrimitiveLabel.parse(lab) for lab in labels]
-        assert [mp.tool for mp in parsed] == ["L", "R", "L", "R", "L"]
+        assert [parse_mp_label(lab)[1] for lab in labels] == ["L", "R", "L", "R", "L"]
         assert len(set(labels)) == 5
 
     def test_labels_parse_cleanly(self):
         for lab in synthetic_class_labels(12):
-            MotionPrimitiveLabel.parse(lab)
+            parse_mp_label(lab)
 
 
 class TestGeneratedCorpus:

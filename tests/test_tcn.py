@@ -279,7 +279,7 @@ class TestParameterStore:
         data = {("T", "U", "001"): toy_tensors(0)}
         model = build_model(cfg, 3)
         before = model.theta.copy()
-        record = train_fold(model, toy_fold(data), data, cfg)
+        record = train_fold(model, toy_fold(data), data)
         assert record["steps"] == 1
         assert not np.array_equal(model.theta, before)
         offset = 0
@@ -496,7 +496,7 @@ class TestActivationBuffers:
         cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
                           learning_rate=1e-2, epochs=2, seed=1)
         model = build_model(cfg, 3)
-        train_fold(model, toy_fold(data), data, cfg)
+        train_fold(model, toy_fold(data), data)
         assert not holds_activations(model)
         predict_labels(model, toy_tensors(1).features)
         assert not holds_activations(model)
@@ -526,7 +526,7 @@ class TestTrainFold:
     def test_learns_the_toy_problem(self):
         data = {("T", "U", f"{i:03d}"): toy_tensors(i) for i in range(3)}
         model = build_model(TOY, 3)
-        record = train_fold(model, toy_fold(data), data, TOY)
+        record = train_fold(model, toy_fold(data), data)
         assert record["steps"] == 3 * TOY.epochs
         assert record["epoch_losses"][-1] < 0.5 * record["epoch_losses"][0]
         assert record["epoch_accuracies"][-1] > 90.0
@@ -540,7 +540,7 @@ class TestTrainFold:
         finals = []
         for _ in range(2):
             model = build_model(TOY, 3)
-            records.append(train_fold(model, toy_fold(data), data, TOY))
+            records.append(train_fold(model, toy_fold(data), data))
             finals.append(model.theta.copy())
         assert records[0] == records[1]
         np.testing.assert_array_equal(*finals)
@@ -551,7 +551,7 @@ class TestTrainFold:
         data = {("T", "U", "001"): toy_tensors(0)}
         model = build_model(cfg, 3)
         before = model.theta.copy()
-        record = train_fold(model, toy_fold(data), data, cfg)
+        record = train_fold(model, toy_fold(data), data)
         assert record == {"epoch_losses": [], "epoch_accuracies": [], "steps": 0}
         np.testing.assert_array_equal(model.theta, before)
 
@@ -561,10 +561,8 @@ class TestTrainFold:
         gapped[::4] = GAP
         data_clean = {("T", "U", "001"): t}
         data_gapped = {("T", "U", "001"): TrialTensors(features=t.features, targets=gapped)}
-        rec_clean = train_fold(build_model(TOY, 3), toy_fold(data_clean),
-                               data_clean, TOY)
-        rec_gapped = train_fold(build_model(TOY, 3), toy_fold(data_gapped),
-                                data_gapped, TOY)
+        rec_clean = train_fold(build_model(TOY, 3), toy_fold(data_clean), data_clean)
+        rec_gapped = train_fold(build_model(TOY, 3), toy_fold(data_gapped), data_gapped)
         # the gapped run averages over fewer frames, so its losses differ,
         # but both runs must converge on the toy problem
         assert rec_clean["epoch_losses"] != rec_gapped["epoch_losses"]
@@ -580,7 +578,7 @@ class TestTrainFold:
         model = build_model(cfg, 3)
         monkeypatch.setattr(tcn_mod.TcnModel, "train_step",
                             lambda self, x, targets, optimizer: (0.5, np.eye(2)[[0] * 32].T))
-        record = train_fold(model, toy_fold(data), data, cfg)
+        record = train_fold(model, toy_fold(data), data)
         assert record["epoch_accuracies"] == [pytest.approx(100.0 * 16 / 24)]
 
     def test_missing_tensors(self):
@@ -589,7 +587,7 @@ class TestTrainFold:
                         train_trials=(("T", "U", "001"), ("T", "U", "002")),
                         test_trials=())
         with pytest.raises(DataError):
-            train_fold(build_model(TOY, 3), fold, data, TOY)
+            train_fold(build_model(TOY, 3), fold, data)
 
     def test_targets_outside_vocabulary(self):
         # the loss checks the range at the trial's first step, before any
@@ -600,7 +598,7 @@ class TestTrainFold:
         model = build_model(TOY, 3)
         before = model.theta.copy()
         with pytest.raises(DataError, match=r"targets must lie in \[-1, 2\)"):
-            train_fold(model, toy_fold(data), data, TOY)
+            train_fold(model, toy_fold(data), data)
         np.testing.assert_array_equal(model.theta, before)
 
     def test_non_finite_loss_aborts_with_context(self, monkeypatch):
@@ -609,7 +607,7 @@ class TestTrainFold:
         monkeypatch.setattr(tcn_mod, "softmax_cross_entropy",
                             lambda logits, *a: (float("nan"), np.zeros_like(logits)))
         with pytest.raises(NonFiniteLoss) as caught:
-            train_fold(model, toy_fold(data), data, TOY)
+            train_fold(model, toy_fold(data), data)
         assert str(caught.value) == "fold toy: epoch 0, trial ('T', 'U', '001'): loss=nan"
 
     def test_non_finite_parameters_after_the_last_step(self, monkeypatch):
@@ -624,7 +622,7 @@ class TestTrainFold:
 
         monkeypatch.setattr(Adam, "step", poisoning_step)
         with pytest.raises(NonFiniteLoss, match="fold toy: parameters are non-finite"):
-            train_fold(build_model(cfg, 3), toy_fold(data), data, cfg)
+            train_fold(build_model(cfg, 3), toy_fold(data), data)
 
 
 class TestPredictLabels:
