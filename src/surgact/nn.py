@@ -6,10 +6,10 @@ stateless: it returns `(output, cache)`, and its backward pass takes the
 output gradient and that cache, which it only reads, so it may run again.
 `Conv1d.backward` returns the gradient with respect to the layer input
 (unless told not to compute it) and overwrites the parameter gradients
-(`grad_w`, `grad_b`), which in a `TcnModel` are views into the model's flat
-vectors `theta` and `grad`. A conv's scratch memory, a `ColumnBuffer`, may
-be shared with other convs that run one at a time. Models are not shared
-across threads.
+(`grad_w`, `grad_b`). A conv allocates none of its arrays: a `TcnModel`
+hands each of its convs views into its flat vectors `theta` and `grad`, and
+one `ColumnBuffer` for scratch memory that they share, as they run one at a
+time. Models are not shared across threads.
 
 The ED-TCN's maths between its convs is two pairs of stage functions:
 `pool_relu_norm` for an encoder stage and `relu_norm` for a decoder stage.
@@ -116,15 +116,23 @@ class Conv1d:
     back through the fold, per phase, and sums the column gradient over its
     q taps in one reduction.
 
-    The im2col matrix and the column gradient live in `columns`, a
-    `ColumnBuffer` that a model shares among its convs: the cache forward
+    The conv is handed its arrays: w (Cout, Cin, k), whose shape gives its
+    channel counts and width, b (Cout,), their gradients grad_w and grad_b,
+    and `columns`, a `ColumnBuffer` that a model shares among its convs and
+    where the im2col matrix and the column gradient live: the cache forward
     returns holds only the padded input and the kernels, and backward builds
     the im2col matrix again in the same memory.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: Optional[np.random.Generator] = None, *, phases: int = 1):
-        if kernel_size < 1 or kernel_size % 2 == 0:
+    def __init__(self, w: np.ndarray, b: np.ndarray, grad_w: np.ndarray,
+                 grad_b: np.ndarray, columns: ColumnBuffer, *, phases: int = 1):
+        if (w.ndim != 3 or b.shape != w.shape[:1]
+                or grad_w.shape != w.shape or grad_b.shape != b.shape):
+            raise ConfigError(
+                f"a conv needs w (Cout, Cin, k), b (Cout,) and gradients of their shapes, got "
+                f"w {w.shape}, b {b.shape}, grad_w {grad_w.shape}, grad_b {grad_b.shape}")
+        out_channels, in_channels, kernel_size = w.shape
+        if kernel_size % 2 == 0:
             raise ConfigError(f"kernel_size must be odd and >= 1, got {kernel_size}")
         if in_channels < 1 or out_channels < 1:
             raise ConfigError("channel counts must be positive")
@@ -134,7 +142,8 @@ class Conv1d:
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.phases = phases
-        self.columns = ColumnBuffer()
+        self.w, self.b, self.grad_w, self.grad_b = w, b, grad_w, grad_b
+        self.columns = columns
         # tap j of phase r reads input offset (r + j - k//2) // phases; slots
         # number those offsets from the smallest, lo
         taps = np.arange(kernel_size)
@@ -144,16 +153,6 @@ class Conv1d:
         self._fold_by_phase = np.zeros((phases, kernel_size, self._slots))
         for r in range(phases):
             self._fold_by_phase[r, taps, offsets[r] - self._lo] = 1.0
-        # uniform +-sqrt(1/(C_in * k)), biases drawn from the same range
-        bound = float(np.sqrt(1.0 / (in_channels * kernel_size)))
-        if rng is None:
-            self.w = np.zeros((out_channels, in_channels, kernel_size))
-            self.b = np.zeros(out_channels)
-        else:
-            self.w = rng.uniform(-bound, bound, size=(out_channels, in_channels, kernel_size))
-            self.b = rng.uniform(-bound, bound, size=out_channels)
-        self.grad_w = np.zeros_like(self.w)
-        self.grad_b = np.zeros_like(self.b)
 
     def _phase_kernels(self) -> np.ndarray:
         """(Cout*phases, Cin*q): row co*phases + r is phase r's kernel; a

@@ -84,8 +84,8 @@ from .tcn import (
     DEFAULT_EPOCHS,
     HYPERPARAM_DEFAULTS,
     ModelConfig,
+    TcnModel,
     TrialTensors,
-    build_model,
     check_model_settings,
     compute_kernel_size,
     is_a,
@@ -428,7 +428,7 @@ def run_fold(fold: FoldPlan, trials: TrialData,
     the payload records the error and the fold is skipped by aggregation.
     """
     vocab = trials.vocabulary
-    model = build_model(model_config, len(trials.feature_columns))
+    model = TcnModel(model_config, len(trials.feature_columns))
     train_data = {key: trials.tensors[key] for key in fold.train_trials}
     payload = _fold_payload(fold, model_config)
     try:

@@ -43,9 +43,11 @@ diverging fold is reported by its non-finite loss or parameters. It returns
 the fold report's training block, the per-epoch mean losses and frame
 accuracies and the step count.
 
-The parameters live in one float64 vector, `TcnModel.theta`, and their
-gradients in `TcnModel.grad`; each conv's `w`, `b`, `grad_w` and `grad_b`
-are views into them, ordered w0, b0, w1, b1, ... along the forward pass.
+A model is `TcnModel(config, input_channels)`, and it owns every array its
+convs use. It draws each conv's `w`, then its `b`, from `config.seed` into
+one float64 vector, `TcnModel.theta`, ordered w0, b0, w1, b1, ... along the
+forward pass, and hands each conv its views into `theta` and the gradient
+vector `TcnModel.grad`, and the shared column buffer.
 
 `check_model_settings` holds the rules for the training settings
 (filters, learning rate, weight decay, epochs, kernel width). An experiment
@@ -83,7 +85,6 @@ __all__ = [
     "check_model_settings",
     "is_a",
     "compute_kernel_size",
-    "build_model",
     "train_fold",
     "predict_labels",
 ]
@@ -167,39 +168,43 @@ def compute_kernel_size(transcripts: Iterable[LabelTranscript]) -> int:
 class TcnModel:
     """The encoder-decoder network with hand-written backward passes."""
 
-    def __init__(self, config: ModelConfig, input_channels: int,
-                 rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, input_channels: int):
         if input_channels < 1:
             raise ConfigError(f"input_channels must be >= 1, got {input_channels}")
         self.config = config
         self.input_channels = input_channels
         f1, f2, f3 = config.filters
         k = config.kernel_size
-        # encoder, decoder (upsampling inside) and classifier convs, built in
-        # the order theta keeps their arrays, which is the order rng draws
-        # them; each k-wide conv is listed with the stage that follows it
-        self.layers = [(Conv1d(c_in, c_out, k, rng), pool_relu_norm, pool_relu_norm_backward)
-                       for c_in, c_out in ((input_channels, f1), (f1, f2), (f2, f3))]
-        self.layers += [(Conv1d(c_in, c_out, k, rng, phases=2), relu_norm, relu_norm_backward)
-                        for c_in, c_out in ((f3, f2), (f2, f1), (f1, f1))]
-        self.convs = [conv for conv, _, _ in self.layers]
-        self.convs.append(Conv1d(f1, config.num_classes, 1, rng))
+        # (Cin, Cout, width, phases) of the encoder, decoder (upsampling
+        # inside) and classifier convs, in the order theta keeps their arrays
+        shapes = ((input_channels, f1, k, 1), (f1, f2, k, 1), (f2, f3, k, 1),
+                  (f3, f2, k, 2), (f2, f1, k, 2), (f1, f1, k, 2),
+                  (f1, config.num_classes, 1, 1))
+        size = sum(c_out * (c_in * width + 1) for c_in, c_out, width, _ in shapes)
+        self.theta = np.empty(size)
+        self.grad = np.zeros(size)
         # the convs run one at a time, so their column matrices share memory
         self.columns = ColumnBuffer()
-        for conv in self.convs:
-            conv.columns = self.columns
-        # the convs drew their arrays above, in order; they move into two
-        # flat vectors and keep their names as views
-        tensors = [(conv, name) for conv in self.convs for name in ("w", "b")]
-        self.theta = np.concatenate([getattr(conv, name).ravel() for conv, name in tensors])
-        self.grad = np.zeros_like(self.theta)
+        rng = np.random.default_rng(config.seed)
+        self.convs = []
         offset = 0
-        for conv, name in tensors:
-            shape = getattr(conv, name).shape
-            end = offset + int(np.prod(shape))
-            setattr(conv, name, self.theta[offset:end].reshape(shape))
-            setattr(conv, "grad_" + name, self.grad[offset:end].reshape(shape))
-            offset = end
+        for c_in, c_out, width, phases in shapes:
+            views = []
+            for shape in ((c_out, c_in, width), (c_out,)):
+                end = offset + math.prod(shape)
+                views += [self.theta[offset:end].reshape(shape),
+                          self.grad[offset:end].reshape(shape)]
+                offset = end
+            w, grad_w, b, grad_b = views
+            # uniform +-sqrt(1/(C_in * k)), w drawn before b
+            bound = float(np.sqrt(1.0 / (c_in * width)))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+            self.convs.append(Conv1d(w, b, grad_w, grad_b, self.columns, phases=phases))
+        # each k-wide conv with the stage that follows it
+        stages = (3 * [(pool_relu_norm, pool_relu_norm_backward)]
+                  + 3 * [(relu_norm, relu_norm_backward)])
+        self.layers = [(conv, *stage) for conv, stage in zip(self.convs, stages)]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(F, T) signal to (num_classes, T) logits and the tape `backward`
@@ -264,12 +269,6 @@ class TcnModel:
         self.backward(grad_logits, tape, input_grad=False)
         optimizer.step([self.theta], [self.grad])
         return loss, logits
-
-
-def build_model(config: ModelConfig, input_channels: int) -> TcnModel:
-    """Fresh model with parameters drawn deterministically from config.seed."""
-    rng = np.random.default_rng(config.seed)
-    return TcnModel(config, input_channels, rng)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ non-conv layers as first written, one class each. `TcnModel` runs them as
 the stage functions `pool_relu_norm` and `relu_norm` and a two-line pad,
 which are checked against these chains bit for bit.
 
+`bare_conv` builds a `Conv1d` outside a model, over arrays it allocates.
+
 `composed_train_step` is a training step as `train_fold` first composed
 it from the model's entry points (`gradient_pass`, then the optimizer),
 the oracle for `TcnModel.train_step`.
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from surgact.errors import ConfigError, DataError
-from surgact.nn import _as_signal, softmax_cross_entropy
+from surgact.nn import ColumnBuffer, Conv1d, _as_signal, softmax_cross_entropy
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
@@ -243,6 +245,20 @@ def fold_gemm_conv(w, b, x, grad_y, phases):
     for j in range(q):
         gxp[:, j:j + t] += gcols[:, j, :]
     return y, grad_w, grad_b, gxp[:, -lo:t - lo]
+
+
+def bare_conv(c_in, c_out, k, rng=None, *, phases=1, columns=None):
+    """A `Conv1d` over arrays allocated here: zero weights and biases, or,
+    given `rng`, w and then b drawn from it as a model draws them, uniform
+    +-sqrt(1/(c_in * k)). It gets its own `ColumnBuffer` unless given one."""
+    w, b = np.zeros((c_out, c_in, k)), np.zeros(c_out)
+    if rng is not None:
+        bound = float(np.sqrt(1.0 / (c_in * k)))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    if columns is None:
+        columns = ColumnBuffer()
+    return Conv1d(w, b, np.zeros_like(w), np.zeros_like(b), columns, phases=phases)
 
 
 def gradient_pass(model, x, targets):

@@ -30,7 +30,7 @@ from surgact.dataset import Catalog, CatalogEntry
 from surgact.metrics import average_precision, edit_score, levenshtein
 from surgact.runner import ExperimentConfig, run_experiment
 from surgact.synth import generate_synthetic_dataset
-from surgact.tcn import ModelConfig, build_model
+from surgact.tcn import ModelConfig, TcnModel
 
 from conftest import make_study_catalog
 from reference_nn import finite_diff_check, gradient_pass
@@ -66,7 +66,7 @@ def test_1_gradient_oracle():
         config = ModelConfig(num_classes=classes, kernel_size=3,
                              filters=(2, 3, 4),
                              seed=int(rng.integers(0, 2**31)))
-        model = build_model(config, features)
+        model = TcnModel(config, features)
         x = rng.normal(size=(features, frames))
         targets = rng.integers(0, classes, size=frames)
         point = model.theta.copy()

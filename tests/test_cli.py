@@ -272,7 +272,7 @@ class TestExperimentCommand:
         def explode(*args, **kwargs):
             raise RuntimeError("disk fell over")
 
-        monkeypatch.setattr(surgact.runner, "build_model", explode)
+        monkeypatch.setattr(surgact.runner, "TcnModel", explode)
         rc = main(["experiment", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
                    "--epochs", "0", "--output-dir", str(tmp_path / "broken")])

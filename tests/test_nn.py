@@ -46,6 +46,7 @@ from reference_nn import (
     Relu,
     RestoreLength,
     UpsampleRepeat,
+    bare_conv,
     finite_diff_check,
     fold_gemm_conv,
     im2col_conv,
@@ -72,7 +73,7 @@ def naive_conv(x, w, b):
 
 def make_conv(w, b):
     c_out, c_in, k = w.shape
-    conv = Conv1d(c_in, c_out, k, rng=None)
+    conv = bare_conv(c_in, c_out, k)
     conv.w[:] = w
     conv.b[:] = b
     return conv
@@ -107,22 +108,26 @@ class TestConv1d:
         got, _ = make_conv(w, b).forward(x)
         np.testing.assert_allclose(got, naive_conv(x, w, b), atol=1e-12)
 
-    def test_init_bound_and_determinism(self):
-        c_in, k = 3, 5
-        conv1 = Conv1d(c_in, 4, k, np.random.default_rng(7))
-        conv2 = Conv1d(c_in, 4, k, np.random.default_rng(7))
-        np.testing.assert_array_equal(conv1.w, conv2.w)
-        np.testing.assert_array_equal(conv1.b, conv2.b)
-        bound = np.sqrt(1.0 / (c_in * k))
-        assert np.abs(conv1.w).max() <= bound
-        assert np.abs(conv1.b).max() <= bound
-
-    def test_rejects_even_kernel(self):
-        with pytest.raises(ConfigError, match="kernel_size must be odd and >= 1, got 2"):
-            Conv1d(1, 1, 2)
+    @pytest.mark.parametrize("shapes, phases, message", [
+        ([(4, 15), (4,), (4, 15), (4,)], 1,
+         r"^a conv needs w \(Cout, Cin, k\), b \(Cout,\) and gradients of their shapes, "
+         r"got w \(4, 15\), b \(4,\), grad_w \(4, 15\), grad_b \(4,\)$"),
+        # a (1,) bias would broadcast in forward, so it is refused here
+        ([(4, 3, 5), (1,), (4, 3, 5), (1,)], 1, r"got w \(4, 3, 5\), b \(1,\), "),
+        ([(4, 3, 5), (4,), (4, 3, 3), (4,)], 1, r"grad_w \(4, 3, 3\), grad_b \(4,\)$"),
+        ([(4, 3, 5), (4,), (4, 3, 5), (4, 1)], 1, r"grad_w \(4, 3, 5\), grad_b \(4, 1\)$"),
+        ([(1, 1, 2), (1,), (1, 1, 2), (1,)], 1, "^kernel_size must be odd and >= 1, got 2$"),
+        ([(0, 2, 3), (0,), (0, 2, 3), (0,)], 1, "^channel counts must be positive$"),
+        ([(1, 1, 3), (1,), (1, 1, 3), (1,)], 0, "^phases must be >= 1, got 0$"),
+    ], ids=["w-not-3d", "bias-not-cout", "grad-w-shape", "grad-b-shape", "even-kernel",
+            "no-channels", "no-phases"])
+    def test_rejects_arrays_or_phases_it_cannot_run(self, shapes, phases, message):
+        w, b, grad_w, grad_b = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ConfigError, match=message):
+            Conv1d(w, b, grad_w, grad_b, ColumnBuffer(), phases=phases)
 
     def test_rejects_wrong_channels(self):
-        conv = Conv1d(2, 1, 3, np.random.default_rng(0))
+        conv = bare_conv(2, 1, 3, np.random.default_rng(0))
         with pytest.raises(DataError, match="expected 2 input channels, got 3"):
             conv.forward(np.zeros((3, 5)))
 
@@ -130,7 +135,7 @@ class TestConv1d:
         rng = np.random.default_rng(101)
         x = rng.normal(size=(2, 9))
         r = rng.normal(size=(3, 9))
-        conv = Conv1d(2, 3, 3, rng)
+        conv = bare_conv(2, 3, 3, rng)
 
         def f(w):
             conv.w[:] = w
@@ -144,7 +149,7 @@ class TestConv1d:
         rng = np.random.default_rng(102)
         x = rng.normal(size=(2, 7))
         r = rng.normal(size=(2, 7))
-        conv = Conv1d(2, 2, 5, rng)
+        conv = bare_conv(2, 2, 5, rng)
 
         def f(b):
             conv.b[:] = b
@@ -157,7 +162,7 @@ class TestConv1d:
     def test_grad_wrt_input(self):
         rng = np.random.default_rng(103)
         r = rng.normal(size=(3, 8))
-        conv = Conv1d(2, 3, 3, rng)
+        conv = bare_conv(2, 3, 3, rng)
 
         def f(x):
             y, cache = conv.forward(x)
@@ -178,7 +183,7 @@ class TestUpsampledConv:
     def test_matches_upsample_then_conv(self, k, t):
         rng = np.random.default_rng(1000 * k + t)
         c_in, c_out = 3, 4
-        fused = Conv1d(c_in, c_out, k, rng, phases=2)
+        fused = bare_conv(c_in, c_out, k, rng, phases=2)
         plain = make_conv(fused.w.copy(), fused.b.copy())
         up = UpsampleRepeat()
         x = rng.normal(size=(c_in, t))
@@ -197,7 +202,7 @@ class TestUpsampledConv:
     @pytest.mark.parametrize("t", [1, 6, 7])
     def test_one_phase_is_the_im2col_kernel_bit_for_bit(self, k, t):
         rng = np.random.default_rng(2000 * k + t)
-        conv = Conv1d(3, 4, k, rng)
+        conv = bare_conv(3, 4, k, rng)
         x = rng.normal(size=(3, t))
         grad_y = rng.normal(size=(4, t))
         y, grad_w, grad_b, grad_x = im2col_conv(conv.w, conv.b, x, grad_y)
@@ -214,7 +219,7 @@ class TestUpsampledConv:
         # with one or two phases a kernel slot sums at most two taps, so
         # the order of the sums cannot change the bits; with three it can
         rng = np.random.default_rng(3000 * k + 10 * t + phases)
-        conv = Conv1d(4, 5, k, rng, phases=phases)
+        conv = bare_conv(4, 5, k, rng, phases=phases)
         x = rng.normal(size=(4, t))
         grad_y = rng.normal(size=(5, phases * t))
         expected = fold_gemm_conv(conv.w, conv.b, x, grad_y, phases)
@@ -229,7 +234,7 @@ class TestUpsampledConv:
     @pytest.mark.parametrize("phases", [1, 2])
     def test_no_input_gradient_leaves_the_parameter_gradients(self, phases):
         rng = np.random.default_rng(130 + phases)
-        conv = Conv1d(3, 4, 5, rng, phases=phases)
+        conv = bare_conv(3, 4, 5, rng, phases=phases)
         x = rng.normal(size=(3, 11))
         grad_y = rng.normal(size=(4, phases * 11))
         _, cache = conv.forward(x)
@@ -240,25 +245,25 @@ class TestUpsampledConv:
         assert np.array_equal(conv.grad_b, grads[1])
 
     def test_one_phase_kernel_is_a_view_of_the_weights(self):
-        conv = Conv1d(3, 4, 5, np.random.default_rng(0))
+        conv = bare_conv(3, 4, 5, np.random.default_rng(0))
         assert np.shares_memory(conv._phase_kernels(), conv.w)
-        assert not np.shares_memory(Conv1d(3, 4, 5, phases=2)._phase_kernels(), conv.w)
+        assert not np.shares_memory(bare_conv(3, 4, 5, phases=2)._phase_kernels(), conv.w)
 
     @pytest.mark.parametrize("phases", [1, 2])
     def test_a_shared_buffer_gives_the_bits_of_a_fresh_one(self, phases):
         # a long signal grows the buffer that two convs share; a short one
         # then runs over the stale values the long one left in it
-        rng = np.random.default_rng(140 + phases)
-        convs = [Conv1d(3, 4, 7, rng, phases=phases), Conv1d(4, 3, 3, rng)]
-
         def run(x, buffer):
-            for conv in convs:
-                conv.columns = buffer
+            # two convs with the same weights each time, over the buffer given
+            rng = np.random.default_rng(140 + phases)
+            convs = [bare_conv(3, 4, 7, rng, phases=phases, columns=buffer),
+                     bare_conv(4, 3, 3, rng, columns=buffer)]
             h, first = convs[0].forward(x)
             y, second = convs[1].forward(h)
             g = convs[0].backward(convs[1].backward(np.cos(y), second), first)
             return [y, g] + [a.copy() for conv in convs for a in (conv.grad_w, conv.grad_b)]
 
+        rng = np.random.default_rng(150 + phases)
         shared = ColumnBuffer()
         run(rng.normal(size=(3, 50)), shared)
         grown = shared.capacity
@@ -286,14 +291,14 @@ class TestUpsampledConv:
         p = k // 2
         lo = (-p) // 2
         q = (k - p) // 2 - lo + 1
-        conv = Conv1d(1, 1, k, phases=2)
+        conv = bare_conv(1, 1, k, phases=2)
         assert conv._fold_by_phase.shape == (2, k, q)
         expected = np.zeros((2, k, q))
         for r in (0, 1):
             for j in range(k):
                 expected[r, j, (r + j - p) // 2 - lo] = 1.0
         assert np.array_equal(conv._fold_by_phase, expected)
-        assert np.array_equal(Conv1d(1, 1, k)._fold_by_phase, np.eye(k)[None])
+        assert np.array_equal(bare_conv(1, 1, k)._fold_by_phase, np.eye(k)[None])
         if k == 21:
             assert q == 11
 
@@ -303,7 +308,7 @@ class TestUpsampledConv:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 5))
         r = rng.normal(size=(3, 10))
-        return x, r, Conv1d(2, 3, 5, rng, phases=2)
+        return x, r, bare_conv(2, 3, 5, rng, phases=2)
 
     def test_grad_wrt_weights(self):
         x, r, conv = self._grad_case(111)
@@ -337,14 +342,10 @@ class TestUpsampledConv:
         assert finite_diff_check(f, x) < 1e-8
 
     def test_rejects_a_gradient_of_the_input_length(self):
-        conv = Conv1d(2, 3, 3, np.random.default_rng(0), phases=2)
+        conv = bare_conv(2, 3, 3, np.random.default_rng(0), phases=2)
         _, cache = conv.forward(np.zeros((2, 4)))
         with pytest.raises(DataError, match=r"grad_y shape \(3, 4\) != output shape \(3, 8\)"):
             conv.backward(np.zeros((3, 4)), cache)
-
-    def test_rejects_no_phases(self):
-        with pytest.raises(ConfigError, match="phases must be >= 1, got 0"):
-            Conv1d(1, 1, 3, phases=0)
 
 
 def stage_cases():

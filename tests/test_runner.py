@@ -623,16 +623,16 @@ class TestRunExperiment:
     def test_one_model_alive_at_a_time(self, synth_manifest, monkeypatch):
         # each fold's model is dropped before the next fold builds its own
         models = []
-        real_build_model = runner_mod.build_model
+        real_model = runner_mod.TcnModel
 
-        def build_model(*args, **kwargs):
+        def tracked_model(*args, **kwargs):
             gc.collect()
             assert all(ref() is None for ref in models), "an earlier fold's model is alive"
-            model = real_build_model(*args, **kwargs)
+            model = real_model(*args, **kwargs)
             models.append(weakref.ref(model))
             return model
 
-        monkeypatch.setattr(runner_mod, "build_model", build_model)
+        monkeypatch.setattr(runner_mod, "TcnModel", tracked_model)
         run_experiment(synth_config(synth_manifest, epochs=0))
         assert len(models) == 3
 
@@ -651,21 +651,21 @@ class TestRunExperiment:
     def test_every_fold_payload_has_the_same_keys(self, synth_manifest, tmp_path,
                                                   monkeypatch):
         # an ok fold, a diverged one, then a failed one that stops the run
-        real_build_model, real_train_fold = runner_mod.build_model, runner_mod.train_fold
+        real_model, real_train_fold = runner_mod.TcnModel, runner_mod.train_fold
         calls = []
 
-        def build_model(*args, **kwargs):
+        def flaky_model(*args, **kwargs):
             calls.append(None)
             if len(calls) == 3:
                 raise RuntimeError("disk fell over")
-            return real_build_model(*args, **kwargs)
+            return real_model(*args, **kwargs)
 
         def train_fold(model, fold, data):
             if len(calls) == 2:
                 raise NonFiniteLoss("synthetic divergence")
             return real_train_fold(model, fold, data)
 
-        monkeypatch.setattr(runner_mod, "build_model", build_model)
+        monkeypatch.setattr(runner_mod, "TcnModel", flaky_model)
         monkeypatch.setattr(runner_mod, "train_fold", train_fold)
         out = tmp_path / "partial"
         cfg = synth_config(synth_manifest, epochs=1, output_dir=str(out))
@@ -691,7 +691,7 @@ class TestRunExperiment:
         def explode(*args, **kwargs):
             raise RuntimeError("disk fell over")
 
-        monkeypatch.setattr(runner_mod, "build_model", explode)
+        monkeypatch.setattr(runner_mod, "TcnModel", explode)
         out = tmp_path / "partial"
         with pytest.raises(SurgactError, match="fold louo-SYNTH-U01 failed"):
             run_experiment(synth_config(synth_manifest, epochs=1,

@@ -22,8 +22,8 @@ from surgact.tcn import (
     HYPERPARAM_DEFAULTS,
     MIN_FRAMES,
     ModelConfig,
+    TcnModel,
     TrialTensors,
-    build_model,
     compute_kernel_size,
     predict_labels,
     train_fold,
@@ -35,6 +35,7 @@ from reference_nn import (
     Relu,
     RestoreLength,
     UpsampleRepeat,
+    bare_conv,
     composed_train_step,
     finite_diff_check,
     gradient_pass,
@@ -142,13 +143,13 @@ SMALL = ModelConfig(num_classes=4, kernel_size=3, filters=(4, 6, 8),
 
 class TestBuildModel:
     def test_same_seed_same_parameters(self):
-        a = build_model(SMALL, 7)
-        b = build_model(SMALL, 7)
+        a = TcnModel(SMALL, 7)
+        b = TcnModel(SMALL, 7)
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_different_seed_differs(self):
-        a = build_model(SMALL, 7)
-        b = build_model(ModelConfig(num_classes=4, kernel_size=3,
+        a = TcnModel(SMALL, 7)
+        b = TcnModel(ModelConfig(num_classes=4, kernel_size=3,
                                     filters=(4, 6, 8), learning_rate=1e-2,
                                     weight_decay=0.0, epochs=40, seed=2), 7)
         assert not np.array_equal(a.theta, b.theta)
@@ -156,7 +157,7 @@ class TestBuildModel:
     def test_parameter_count(self):
         # six k-wide convs along 7->4->6->8->6->4->4 plus the 1x1 head to 4:
         # weights c_out*c_in*k and one bias per output channel
-        model = build_model(SMALL, 7)
+        model = TcnModel(SMALL, 7)
         expected = 0
         for c_in, c_out in ((7, 4), (4, 6), (6, 8), (8, 6), (6, 4), (4, 4)):
             expected += c_out * c_in * 3 + c_out
@@ -164,25 +165,33 @@ class TestBuildModel:
         assert model.theta.size == expected
 
     def test_output_shape_tracks_input_length(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         for t in (8, 9, 13, 16, 24, 40):
             x = np.random.default_rng(t).normal(size=(3, t))
             assert model.forward(x)[0].shape == (4, t)
 
     def test_too_short(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         with pytest.raises(DataError, match="need at least 8 frames, got 7"):
             model.forward(np.zeros((3, MIN_FRAMES - 1)))
 
     def test_channel_mismatch(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         with pytest.raises(DataError, match="expected 3 channels, got 5"):
             model.forward(np.zeros((5, 16)))
+
+    def test_init_bound_and_determinism(self):
+        model = TcnModel(SMALL, 7)
+        for conv in model.convs:
+            bound = np.sqrt(1.0 / (conv.in_channels * conv.kernel_size))
+            assert np.abs(conv.w).max() <= bound
+            assert np.abs(conv.b).max() <= bound
+        assert model.theta.tobytes() == TcnModel(SMALL, 7).theta.tobytes()
 
     def test_composite_gradient_check(self):
         cfg = ModelConfig(num_classes=3, kernel_size=3, filters=(2, 3, 4),
                           learning_rate=1e-3, epochs=1, seed=5)
-        model = build_model(cfg, 2)
+        model = TcnModel(cfg, 2)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 12))
         targets = rng.integers(0, 3, size=12)
@@ -204,13 +213,15 @@ def conv_chain(config, input_channels):
 
 
 def per_array_parameters(config, input_channels):
-    """The arrays each conv draws on its own from the model seed, in the
-    order the model builds its convs: the layout the flat store must keep."""
+    """Each conv's w and then b, drawn one array at a time from the model
+    seed, uniform +-sqrt(1/(in * width)), in the order the model builds its
+    convs: the draws and the layout the flat store must keep."""
     rng = np.random.default_rng(config.seed)
     out = []
     for c_in, c_out, width in conv_chain(config, input_channels):
-        conv = Conv1d(c_in, c_out, width, rng)
-        out += [conv.w, conv.b]
+        bound = float(np.sqrt(1.0 / (c_in * width)))
+        out += [rng.uniform(-bound, bound, size=(c_out, c_in, width)),
+                rng.uniform(-bound, bound, size=c_out)]
     return out
 
 
@@ -220,7 +231,7 @@ def unfused_logits(theta, config, input_channels, x):
     convs = []
     offset = 0
     for c_in, c_out, width in conv_chain(config, input_channels):
-        conv = Conv1d(c_in, c_out, width)
+        conv = bare_conv(c_in, c_out, width)
         for name in ("w", "b"):
             arr = getattr(conv, name)
             arr[...] = theta[offset:offset + arr.size].reshape(arr.shape)
@@ -237,7 +248,7 @@ def unfused_logits(theta, config, input_channels, x):
 
 class TestParameterStore:
     def test_conv_arrays_are_views_into_the_two_vectors(self):
-        model = build_model(SMALL, 7)
+        model = TcnModel(SMALL, 7)
         assert model.theta.shape == model.grad.shape == (model.theta.size,)
         for conv in model.convs:
             for arr in (conv.w, conv.b):
@@ -248,7 +259,7 @@ class TestParameterStore:
                 assert not np.shares_memory(arr, model.theta)
 
     def test_theta_keeps_the_per_array_order_and_draws(self):
-        model = build_model(SMALL, 7)
+        model = TcnModel(SMALL, 7)
         expected = np.concatenate([a.ravel() for a in per_array_parameters(SMALL, 7)])
         assert np.array_equal(model.theta, expected)
         # the same layout, read back through the views
@@ -260,13 +271,13 @@ class TestParameterStore:
         # one theta means the same network whether the decoder upsamples
         # before its convs or inside them
         cfg = ModelConfig(num_classes=4, kernel_size=5, filters=(4, 6, 8), seed=9)
-        model = build_model(cfg, 3)
+        model = TcnModel(cfg, 3)
         x = np.random.default_rng(t).normal(size=(3, t))
         np.testing.assert_allclose(model.forward(x)[0], unfused_logits(model.theta, cfg, 3, x),
                                    rtol=0, atol=1e-12)
 
     def test_backward_fills_the_gradient_vector(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         x = np.random.default_rng(3).normal(size=(3, 16))
         gradient_pass(model, x, np.zeros(16, dtype=np.int64))
         fills = np.concatenate(
@@ -277,7 +288,7 @@ class TestParameterStore:
         cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
                           learning_rate=1e-2, epochs=1, seed=1)
         data = {("T", "U", "001"): toy_tensors(0)}
-        model = build_model(cfg, 3)
+        model = TcnModel(cfg, 3)
         before = model.theta.copy()
         record = train_fold(model, toy_fold(data), data)
         assert record["steps"] == 1
@@ -337,13 +348,13 @@ def reference_pass(model, x, grad_logits):
 class TestTrainingPass:
     def test_train_step_leaves_the_gradient_of_backward(self):
         # it skips the input gradient, and nothing else
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 37))
         targets = rng.integers(0, 4, size=37)
         loss, logits = model.train_step(x, targets, Adam([model.theta], 1e-2))
         grad = model.grad.copy()
-        fresh = build_model(SMALL, 3)
+        fresh = TcnModel(SMALL, 3)
         expected_logits, tape = fresh.forward(x)
         expected_loss, grad_logits = softmax_cross_entropy(expected_logits, targets)
         assert fresh.backward(grad_logits, tape).shape == x.shape
@@ -354,14 +365,14 @@ class TestTrainingPass:
     def test_a_shared_buffer_gives_the_bits_of_a_fresh_model(self):
         # a long trial grows the model's column buffer; a short trial then
         # runs in it as it runs in a model that never saw the long one
-        used = build_model(SMALL, 3)
+        used = TcnModel(SMALL, 3)
         rng = np.random.default_rng(9)
         long_x = rng.normal(size=(3, 203))
         gradient_pass(used, long_x, rng.integers(0, 4, size=203))
         grown = used.columns.capacity
         x = rng.normal(size=(3, 29))
         targets = rng.integers(0, 4, size=29)
-        fresh = build_model(SMALL, 3)
+        fresh = TcnModel(SMALL, 3)
         got = gradient_pass(used, x, targets)
         expected = gradient_pass(fresh, x, targets)
         assert used.columns.capacity == grown > fresh.columns.capacity
@@ -391,7 +402,7 @@ class TestTrainStep:
 
     def test_is_the_composed_step_bit_for_bit(self):
         cfg = self.CONFIG
-        model, oracle = build_model(cfg, 3), build_model(cfg, 3)
+        model, oracle = TcnModel(cfg, 3), TcnModel(cfg, 3)
         start = model.theta.copy()
         opt = Adam([model.theta], cfg.learning_rate, cfg.weight_decay)
         oracle_opt = Adam([oracle.theta], cfg.learning_rate, cfg.weight_decay)
@@ -409,7 +420,7 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_loss_raises_before_the_update(self, monkeypatch, bad):
-        model = build_model(self.CONFIG, 3)
+        model = TcnModel(self.CONFIG, 3)
         opt = Adam([model.theta], 1e-2)
         x, targets = self.trials()[0]
         model.train_step(x, targets, opt)  # the moments are now nonzero
@@ -430,7 +441,7 @@ class TestFusedStages:
     @pytest.mark.parametrize("t", [8, 9, 13, 16, 64, 301])
     def test_model_is_the_layer_chain_bit_for_bit(self, k, t):
         cfg = ModelConfig(num_classes=4, kernel_size=k, filters=(4, 6, 8), seed=t)
-        model = build_model(cfg, 3)
+        model = TcnModel(cfg, 3)
         rng = np.random.default_rng(1000 + t)
         x = rng.normal(size=(3, t))
         grad_logits = rng.normal(size=(4, t))
@@ -442,7 +453,7 @@ class TestFusedStages:
 
     @pytest.mark.parametrize("t", [8, 13])
     def test_pad_repeats_the_last_frame(self, t):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         logits, _ = model.forward(np.random.default_rng(t).normal(size=(3, t)))
         n = 8 * (t // 8)
         assert np.array_equal(logits[:, n:], np.repeat(logits[:, n - 1:n], t - n, axis=1))
@@ -453,7 +464,7 @@ class TestActivationBuffers:
         # `holds_activations` checks the model's and the convs' attributes;
         # the model holds no other layer, and its column buffer holds
         # scratch valid only within one conv call
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         assert not holds_activations(model)
         assert [type(conv) for conv in model.convs] == [Conv1d] * 7
         assert all(conv.columns is model.columns for conv in model.convs)
@@ -465,7 +476,7 @@ class TestActivationBuffers:
             [pool_relu_norm_backward] * 3 + [relu_norm_backward] * 3)
 
     def test_forward_keeps_nothing_on_the_model(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         x = np.random.default_rng(4).normal(size=(3, 21))
         logits, tape = model.forward(x)
         t, caches, _ = tape
@@ -475,7 +486,7 @@ class TestActivationBuffers:
         assert not holds_activations(model)
 
     def test_a_second_backward_over_one_tape_gives_the_same_gradients(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         x = np.random.default_rng(5).normal(size=(3, 21))
         logits, tape = model.forward(x)
         grad_x = model.backward(logits, tape)
@@ -486,7 +497,7 @@ class TestActivationBuffers:
 
     @pytest.mark.parametrize("shape", [(4, 20), (3, 21), (4,), (4, 21, 1)])
     def test_gradient_of_another_shape_is_refused(self, shape):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         _, tape = model.forward(np.random.default_rng(6).normal(size=(3, 21)))
         with pytest.raises(DataError, match="grad_logits shape"):
             model.backward(np.zeros(shape), tape)
@@ -495,7 +506,7 @@ class TestActivationBuffers:
         data = {("T", "U", "001"): toy_tensors(0)}
         cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
                           learning_rate=1e-2, epochs=2, seed=1)
-        model = build_model(cfg, 3)
+        model = TcnModel(cfg, 3)
         train_fold(model, toy_fold(data), data)
         assert not holds_activations(model)
         predict_labels(model, toy_tensors(1).features)
@@ -525,7 +536,7 @@ def toy_fold(data):
 class TestTrainFold:
     def test_learns_the_toy_problem(self):
         data = {("T", "U", f"{i:03d}"): toy_tensors(i) for i in range(3)}
-        model = build_model(TOY, 3)
+        model = TcnModel(TOY, 3)
         record = train_fold(model, toy_fold(data), data)
         assert record["steps"] == 3 * TOY.epochs
         assert record["epoch_losses"][-1] < 0.5 * record["epoch_losses"][0]
@@ -539,7 +550,7 @@ class TestTrainFold:
         records = []
         finals = []
         for _ in range(2):
-            model = build_model(TOY, 3)
+            model = TcnModel(TOY, 3)
             records.append(train_fold(model, toy_fold(data), data))
             finals.append(model.theta.copy())
         assert records[0] == records[1]
@@ -549,7 +560,7 @@ class TestTrainFold:
         cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
                           learning_rate=1e-2, epochs=0, seed=1)
         data = {("T", "U", "001"): toy_tensors(0)}
-        model = build_model(cfg, 3)
+        model = TcnModel(cfg, 3)
         before = model.theta.copy()
         record = train_fold(model, toy_fold(data), data)
         assert record == {"epoch_losses": [], "epoch_accuracies": [], "steps": 0}
@@ -561,8 +572,8 @@ class TestTrainFold:
         gapped[::4] = GAP
         data_clean = {("T", "U", "001"): t}
         data_gapped = {("T", "U", "001"): TrialTensors(features=t.features, targets=gapped)}
-        rec_clean = train_fold(build_model(TOY, 3), toy_fold(data_clean), data_clean)
-        rec_gapped = train_fold(build_model(TOY, 3), toy_fold(data_gapped), data_gapped)
+        rec_clean = train_fold(TcnModel(TOY, 3), toy_fold(data_clean), data_clean)
+        rec_gapped = train_fold(TcnModel(TOY, 3), toy_fold(data_gapped), data_gapped)
         # the gapped run averages over fewer frames, so its losses differ,
         # but both runs must converge on the toy problem
         assert rec_clean["epoch_losses"] != rec_gapped["epoch_losses"]
@@ -575,7 +586,7 @@ class TestTrainFold:
         targets = np.array([0] * 8 + [GAP] * 8 + [1] * 8 + [0] * 8)
         data = {("T", "U", "001"): TrialTensors(np.zeros((32, 3)), targets)}
         cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8), epochs=1)
-        model = build_model(cfg, 3)
+        model = TcnModel(cfg, 3)
         monkeypatch.setattr(tcn_mod.TcnModel, "train_step",
                             lambda self, x, targets, optimizer: (0.5, np.eye(2)[[0] * 32].T))
         record = train_fold(model, toy_fold(data), data)
@@ -587,7 +598,7 @@ class TestTrainFold:
                         train_trials=(("T", "U", "001"), ("T", "U", "002")),
                         test_trials=())
         with pytest.raises(DataError):
-            train_fold(build_model(TOY, 3), fold, data)
+            train_fold(TcnModel(TOY, 3), fold, data)
 
     def test_targets_outside_vocabulary(self):
         # the loss checks the range at the trial's first step, before any
@@ -595,7 +606,7 @@ class TestTrainFold:
         good = toy_tensors(0)
         bad = TrialTensors(features=good.features, targets=np.full(64, 7, dtype=np.int64))
         data = {("T", "U", "001"): bad}
-        model = build_model(TOY, 3)
+        model = TcnModel(TOY, 3)
         before = model.theta.copy()
         with pytest.raises(DataError, match=r"targets must lie in \[-1, 2\)"):
             train_fold(model, toy_fold(data), data)
@@ -603,7 +614,7 @@ class TestTrainFold:
 
     def test_non_finite_loss_aborts_with_context(self, monkeypatch):
         data = {("T", "U", "001"): toy_tensors(0)}
-        model = build_model(TOY, 3)
+        model = TcnModel(TOY, 3)
         monkeypatch.setattr(tcn_mod, "softmax_cross_entropy",
                             lambda logits, *a: (float("nan"), np.zeros_like(logits)))
         with pytest.raises(NonFiniteLoss) as caught:
@@ -622,19 +633,19 @@ class TestTrainFold:
 
         monkeypatch.setattr(Adam, "step", poisoning_step)
         with pytest.raises(NonFiniteLoss, match="fold toy: parameters are non-finite"):
-            train_fold(build_model(cfg, 3), toy_fold(data), data)
+            train_fold(TcnModel(cfg, 3), toy_fold(data), data)
 
 
 class TestPredictLabels:
     def test_scores_are_distributions(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         _, scores = predict_labels(model, np.random.default_rng(0).normal(size=(20, 3)))
         assert scores.shape == (20, 4)
         np.testing.assert_allclose(scores.sum(axis=1), np.ones(20), atol=1e-12)
         assert (scores >= 0).all()
 
     def test_tied_logits_take_lowest_id(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         model.convs[-1].w[:] = 0.0
         model.convs[-1].b[:] = 0.0
         labels, scores = predict_labels(model, np.zeros((10, 3)))
@@ -642,7 +653,7 @@ class TestPredictLabels:
         np.testing.assert_allclose(scores, 0.25)
 
     def test_rejects_bad_features(self):
-        model = build_model(SMALL, 3)
+        model = TcnModel(SMALL, 3)
         with pytest.raises(DataError, match=r"expected \(channels, frames\), got shape"):
             predict_labels(model, np.zeros(10))
         with pytest.raises(DataError, match="expected 3 channels, got 5"):
