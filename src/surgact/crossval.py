@@ -32,12 +32,6 @@ from .errors import ConfigError
 TASK_ORDER = ("S", "NP", "KT", "PT", "PaS", "PoaP")
 
 TASK_COMBOS: dict[str, tuple[str, ...]] = {
-    "S": ("S",),
-    "NP": ("NP",),
-    "KT": ("KT",),
-    "PT": ("PT",),
-    "PaS": ("PaS",),
-    "PoaP": ("PoaP",),
     "SNP": ("S", "NP"),
     "PTPaS": ("PT", "PaS"),
     "JIGSAWS": ("S", "NP", "KT"),
@@ -87,14 +81,6 @@ class FoldPlan:
         overlap = set(self.train_trials) & set(self.test_trials)
         if overlap:
             raise ConfigError(f"fold {self.name}: trials in both sides: {sorted(overlap)}")
-
-
-def resolve_task_combo(name: str) -> tuple[str, ...]:
-    """Map a combo name to its task tuple in canonical order."""
-    try:
-        return TASK_COMBOS[name]
-    except KeyError:
-        raise ConfigError(f"unknown task combo {name!r}; known: {', '.join(TASK_COMBOS)}")
 
 
 def expand_tasks(names: Iterable[str]) -> tuple[str, ...]:

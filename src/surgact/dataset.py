@@ -317,12 +317,13 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.n
 
     Accepts whitespace or comma delimiters. Every row must have the same
     number of columns, at least one, and every cell must parse to a finite
-    float.
+    float. A comma needs a value on each side in its row: a doubled,
+    leading or trailing comma marks an empty cell, which is an error.
 
     numpy parses the file; any file it rejects, or that holds a non-finite
-    cell, a row of commas alone or no data row, is parsed again line by
-    line, which either raises the error naming `path:line` or returns the
-    cells `float()` accepts and numpy does not (such as ``1_0``).
+    cell, a comma that may lack a value beside it or no data row, is parsed
+    again line by line, which either raises the error naming `path:line` or
+    returns the cells `float()` accepts and numpy does not (such as ``1_0``).
     """
     p = Path(path)
     if not p.is_file():
@@ -333,23 +334,47 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.n
     # where the line parser ends the row
     lines = text.replace(",", " ").splitlines()
     data = None
-    # a file of blank lines would make loadtxt warn "input contained no data"
-    if any(line.strip() for line in lines):
+    # a file of blank lines would make loadtxt warn "input contained no data",
+    # and loadtxt would read an empty cell's commas as one delimiter
+    if any(line.strip() for line in lines) and not ("," in text and _may_lack_value(text)):
         try:
             # comments=None: a '#' line is a bad cell, not a comment
             data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             pass
-    # loadtxt skips a row of commas alone as blank; the line parser names it
-    if data is not None and len(data) < len(lines) and any(
-            raw.strip() and not line.strip() for raw, line in zip(text.splitlines(), lines)):
-        data = None
     if data is None or not np.isfinite(data).all():
         data = _parse_kinematics_lines(p, text)
     if expected_channels is not None and data.shape[1] != expected_channels:
         raise DataError(f"{p}: {data.shape[1]} channels, expected {expected_channels}")
     data.setflags(write=False)
     return data
+
+
+def _may_lack_value(text: str) -> bool:
+    """False only if, on each side of every comma in `text`, the nearest
+    character that is not a space or tab is printable ASCII other than a
+    comma, which no line break is. True leaves the call to the line parser:
+    a false alarm costs time, never a result."""
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    commas = np.flatnonzero(b == ord(","))
+    for step in (-1, 1):
+        pos = commas + step
+        # a run of more blanks than this beside a comma is left to the line parser
+        for _ in range(16):
+            if not len(pos):
+                break
+            if pos[0] < 0 or pos[-1] >= len(b):
+                return True
+            c = b[pos]
+            blank = (c == ord(" ")) | (c == ord("\t"))
+            c = c[~blank]
+            # printable ASCII is 0x21-0x7E; uint8 wraps what lies below 0x21
+            if not ((c - 0x21 < 0x7F - 0x21) & (c != ord(","))).all():
+                return True
+            pos = pos[blank] + step
+        else:
+            return True
+    return False
 
 
 def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:
@@ -367,6 +392,8 @@ def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:
         tokens = line.replace(",", " ").split()
         if not tokens:
             raise DataError(f"{p}:{lineno}: row has delimiters but no values")
+        if "," in line and not all(cell.strip() for cell in line.split(",")):
+            raise DataError(f"{p}:{lineno}: empty cell beside a comma")
         if width is None:
             width = len(tokens)
         elif len(tokens) != width:

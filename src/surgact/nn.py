@@ -243,19 +243,17 @@ def _norm(h: np.ndarray) -> tuple[np.ndarray, tuple]:
     An all-zero frame maps to an all-zero frame. Returns y and what
     `_norm_backward` needs; h is kept, not copied.
     """
-    peak = h.max(axis=0)
-    scale = peak + NORM_EPS
-    return h / scale, (h, scale, peak)
+    scale = h.max(axis=0) + NORM_EPS
+    return h / scale, (h, scale)
 
 
-def _norm_backward(grad_y: np.ndarray, h: np.ndarray, scale: np.ndarray,
-                   peak: np.ndarray) -> np.ndarray:
+def _norm_backward(grad_y: np.ndarray, h: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """The max is piecewise smooth: the denominator's gradient goes to the
     first channel attaining it (ties broken by lowest channel index)."""
     gx = grad_y / scale
-    # d(scale)/dh is sign(h[a, t]) on the argmax channel a only
+    # d(scale)/dh is 1 on the argmax channel a only, as h >= 0
     dot = np.einsum("ct,ct->t", grad_y, h)
-    gx[np.argmax(h, axis=0), np.arange(h.shape[1])] -= dot * np.sign(peak) / (scale * scale)
+    gx[np.argmax(h, axis=0), np.arange(h.shape[1])] -= dot / (scale * scale)
     return gx
 
 

@@ -30,7 +30,8 @@ takes back and only reads.
 
 The kernel width is not fixed by hand: it is derived from the training
 transcripts as the mean duration (in frames) of the activity class whose
-mean duration is shortest, rounded to the nearest odd integer, never below 3.
+mean duration is shortest, rounded half up to an integer, lowered by one if
+that is even, never below 3: a mean of 12.2 frames gives 11.
 
 Training is full-sequence: one trial is one batch, and one step,
 `TcnModel.train_step`, is forward, a mean per-frame cross entropy over the
@@ -150,8 +151,9 @@ class ModelConfig:
 
 
 def compute_kernel_size(transcripts: Iterable[LabelTranscript]) -> int:
-    """Mean duration (frames) of the class with the shortest mean, as the
-    nearest odd integer >= 3. Uses training transcripts only."""
+    """Mean duration (frames) of the class with the shortest mean, rounded
+    half up, lowered by one if even, and at least 3: 12.2 gives 11, 12.5
+    gives 13. Uses training transcripts only."""
     durations: dict[str, list[int]] = {}
     for tr in transcripts:
         for seg in tr.segments:

@@ -24,7 +24,6 @@ from surgact.crossval import (
     loto_folds,
     loto_suite,
     louo_folds,
-    resolve_task_combo,
 )
 from surgact.dataset import Catalog, CatalogEntry
 from surgact.metrics import average_precision, edit_score, levenshtein
@@ -203,7 +202,7 @@ def test_3_fold_plan_invariants():
                     problems.append(f"seed {seed}: task leak in {plan.name}")
 
     study = make_study_catalog()
-    n_all = len(louo_folds(study, resolve_task_combo("All")))
+    n_all = len(louo_folds(study, ("All",)))
     n_s = len(louo_folds(study, ("S",)))
     if n_all != 28:
         problems.append(f"LOUO over All gave {n_all} folds, expected 28")

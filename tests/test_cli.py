@@ -374,12 +374,15 @@ class TestExperimentCommand:
          {"validate": 2, "gesture": 2}, ": gesture transcript labels no frame"),
         ("kinematics/T01_U02_001.txt", ",,,\n,,,\n",
          {"validate": 2, "mp": 2}, ":1: row has delimiters but no values"),
-    ], ids=["empty-mp-transcript", "empty-gesture-transcript", "comma-only-rows"])
+        ("kinematics/T01_U02_001.txt", "1,,3\n4,,6\n",
+         {"validate": 2, "mp": 2}, ":1: empty cell beside a comma"),
+    ], ids=["empty-mp-transcript", "empty-gesture-transcript", "comma-only-rows",
+            "doubled-comma"])
     def test_empty_transcripts_and_rows(self, tmp_path, capsys, train_calls, target,
                                         text, exits, message):
         # validate and every experiment apply one rule to the same file: an
         # MP transcript may label no frame (the trial is all Idle), a
-        # gesture transcript may not, and a row must hold a value
+        # gesture transcript may not, and a row must hold a value in every cell
         manifest = small_corpus(tmp_path / "corpus", subjects=3)
         bad = tmp_path / "corpus" / target
         bad.write_text(text)

@@ -14,7 +14,6 @@ from surgact.crossval import (
     loto_folds,
     loto_suite,
     louo_folds,
-    resolve_task_combo,
 )
 from surgact.dataset import Catalog
 from surgact.errors import ConfigError
@@ -24,19 +23,11 @@ from conftest import STUDY_SHAPE, SUBJECT_POOLS
 
 class TestTaskCombos:
     def test_known_combos(self):
-        assert resolve_task_combo("JIGSAWS") == ("S", "NP", "KT")
-        assert resolve_task_combo("ROSMA") == ("PaS", "PoaP")
-        assert resolve_task_combo("SNP") == ("S", "NP")
-        assert resolve_task_combo("PTPaS") == ("PT", "PaS")
-        assert resolve_task_combo("All") == TASK_ORDER
-
-    def test_single_task_combos_exist(self):
-        for task in TASK_ORDER:
-            assert resolve_task_combo(task) == (task,)
-
-    def test_unknown_combo(self):
-        with pytest.raises(ConfigError, match="unknown task combo"):
-            resolve_task_combo("Everything")
+        assert TASK_COMBOS["JIGSAWS"] == ("S", "NP", "KT")
+        assert TASK_COMBOS["ROSMA"] == ("PaS", "PoaP")
+        assert TASK_COMBOS["SNP"] == ("S", "NP")
+        assert TASK_COMBOS["PTPaS"] == ("PT", "PaS")
+        assert TASK_COMBOS["All"] == TASK_ORDER
 
     def test_combo_tasks_follow_canonical_order(self):
         for tasks in TASK_COMBOS.values():
@@ -48,8 +39,10 @@ class TestTaskCombos:
         assert expand_tasks(["ROSMA", "JIGSAWS", "PT"]) == TASK_ORDER
         assert expand_tasks(["T02", "PaS", "T01", "T02"]) == ("PaS", "T01", "T02")
         assert expand_tasks([]) == ()
-        for name in TASK_COMBOS:
-            assert expand_tasks([name]) == resolve_task_combo(name)
+        for name, tasks in TASK_COMBOS.items():
+            assert expand_tasks([name]) == tasks
+        for task in TASK_ORDER:
+            assert expand_tasks([task]) == (task,)
 
 
 class TestFoldPlan:
@@ -61,7 +54,7 @@ class TestFoldPlan:
 
 class TestLouoFolds:
     def test_one_fold_per_subject_across_all_tasks(self, study_catalog):
-        folds = louo_folds(study_catalog, resolve_task_combo("All"))
+        folds = louo_folds(study_catalog, ("All",))
         assert len(folds) == 28  # 8 + 8 + 12 subjects over three sources
 
     def test_single_task_fold_count(self, study_catalog):
@@ -71,11 +64,11 @@ class TestLouoFolds:
 
     def test_shared_subjects_collapse_to_shared_folds(self, study_catalog):
         # the three tasks recorded from the same eight people: still 8 folds
-        folds = louo_folds(study_catalog, resolve_task_combo("JIGSAWS"))
+        folds = louo_folds(study_catalog, ("JIGSAWS",))
         assert len(folds) == 8
 
     def test_fold_partition_invariants(self, study_catalog):
-        tasks = resolve_task_combo("All")
+        tasks = TASK_COMBOS["All"]
         pool = {e.key for e in study_catalog.entries_for_tasks(tasks)}
         folds = louo_folds(study_catalog, tasks)
         seen_test = Counter()

@@ -388,6 +388,15 @@ class TestKinematics:
         with pytest.raises(DataError, match="k.txt:2: column 0: '#'"):
             load_trial_kinematics(p)
 
+    @pytest.mark.parametrize("text", ["1,,3\n4,,6", ",1,2\n,3,4", "1,2,\n3,4,"],
+                             ids=["doubled", "leading", "trailing"])
+    def test_a_comma_without_a_value_beside_it_is_an_empty_cell(self, tmp_path, text):
+        # loadtxt would read each row as two cells, shifting the columns
+        p = tmp_path / "k.txt"
+        p.write_text(text)
+        with pytest.raises(DataError, match="k.txt:1: empty cell beside a comma"):
+            load_trial_kinematics(p)
+
     def test_clean_file_is_parsed_by_numpy(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("the line parser ran on a clean file")
@@ -452,6 +461,11 @@ KINEMATICS_EDGE_CASES = {
     "whitespace-only": "  \n\t\n",
     "comma-only": ",,,\n,,,\n",
     "comma-only-row-between-rows": "1 2\n , \n3 4\n",
+    "doubled-comma-every-row": "1,,3\n4,,6",
+    "leading-comma-every-row": ",1,2\n,3,4",
+    "trailing-comma-every-row": "1,2,\n3,4,",
+    "blanks-beside-commas": "1 ,\t2\n3\t, 4\n",
+    "blank-cell-between-commas": "1, \t,3\n",
 }
 
 

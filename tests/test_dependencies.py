@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency, each module's `__all__`
-names only what it defines or imports, every name a submodule exports is
-read somewhere in the package or the benchmark, every exception class is
+names only what it defines or imports, every name a submodule exports, and
+every public function and class of a module without `__all__`, is read
+somewhere in the package or the benchmark, every exception class is
 one of the three exit-code tiers or is caught by type in the package, each
 UPPER_CASE constant is assigned in one module, no module imports
 another's underscore name, and under the repository's pytest settings a
@@ -121,6 +122,36 @@ def test_the_read_check_sees_an_unread_name(tmp_path):
     exported, _ = exported_and_bound(probe)
     used = used_names([probe, user])
     assert [name for name in exported if name not in used] == ["Unread"]
+
+
+def public_definitions(path: Path) -> list[str]:
+    """The functions and classes a module's top level defines under a name
+    without a leading underscore."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+WITHOUT_ALL = [p for p in MODULES if not exported_and_bound(p)[0]]
+
+
+@pytest.mark.parametrize("path", WITHOUT_ALL, ids=lambda p: p.name)
+def test_every_public_definition_is_read(path):
+    # a module without __all__ exports all its public names; one nothing
+    # reads is code no result depends on
+    assert [name for name in public_definitions(path)
+            if name not in names_read_by_the_code()] == []
+
+
+def test_the_definition_check_sees_an_unread_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("LIMIT = 3\ndef used(): pass\ndef _private(): pass\n"
+                     "class Unread: pass\nclass Read: pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from . import probe\nfrom .probe import used\nused()\nprobe.Read()\n")
+    used = used_names([probe, user])
+    assert [name for name in public_definitions(probe) if name not in used] == ["Unread"]
 
 
 # the classes `cli.main` maps to exit codes 3, 1 and 2

@@ -19,7 +19,7 @@ import pytest
 import surgact.atomic as atomic_mod
 import surgact.runner as runner_mod
 from surgact.cli import main as cli_main
-from surgact.crossval import TASK_ORDER, FoldPlan, louo_folds, resolve_task_combo
+from surgact.crossval import TASK_ORDER, FoldPlan, louo_folds
 from surgact.dataset import (
     GAP,
     GRANULARITIES,
@@ -266,7 +266,7 @@ class TestPlanFolds:
                                cv="louo", tasks=[combo])
         assert cfg.tasks == (combo,)  # kept as given
         assert plan_folds(cfg, study_catalog) == louo_folds(
-            study_catalog, resolve_task_combo(combo))
+            study_catalog, (combo,))
 
     def test_a_task_and_a_combo_that_holds_it_select_it_once(self, study_catalog,
                                                               synth_manifest):
