@@ -1,12 +1,18 @@
-"""Atomic file replacement, shared by reports and CLI outputs."""
+"""What the package writes: its one JSON text and atomic file replacement."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from pathlib import Path
 
 from .errors import SurgactError
+
+
+def json_text(obj) -> str:
+    """`obj` as JSON, indented, with sorted keys and a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def write_atomic(path: Path, data: bytes) -> None:

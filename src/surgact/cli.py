@@ -7,13 +7,13 @@ Exit codes: 0 success, 1 bad request/configuration, 2 malformed input data,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Optional
 
 from ._version import __version__
-from .atomic import write_atomic
+from .atomic import json_text, write_atomic
 from .dataset import (
     ARM_SIDES,
     GRANULARITIES,
@@ -66,6 +66,15 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         **{f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)})
 
 
+def _write_result(text: str, out: Optional[str], what: str) -> None:
+    """Write `text` atomically to `out` and say so, or print it."""
+    if out:
+        write_atomic(Path(out), text.encode())
+        print(f"{what} -> {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_validate(args) -> int:
     # the loader the experiments use: each file is read once, every
     # transcript is bound to its trial's length, and a combined 'mp' one must
@@ -100,27 +109,19 @@ def _cmd_folds(args) -> int:
         }
         for p in plans
     ]
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        write_atomic(Path(args.out), text.encode())
-        print(f"{len(plans)} folds -> {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_result(json_text(doc), args.out, f"{len(plans)} folds")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
     config = _experiment_config(args)
+    # refused before the fold trains, not after
+    if args.out and Path(args.out).is_dir():
+        raise SurgactError(f"cannot write {args.out}: Is a directory")
     if args.out and not Path(args.out).parent.is_dir():
-        # refused before the fold trains, not after
         raise SurgactError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
     payload = run_single_fold(config, args.fold)
-    out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        write_atomic(Path(args.out), out.encode())
-        print(f"fold report -> {args.out}")
-    else:
-        sys.stdout.write(out)
+    _write_result(json_text(payload), args.out, "fold report")
     if payload["status"] != "ok":
         print(f"fold {payload['name']} {payload['status']}: {payload['error']}",
               file=sys.stderr)
@@ -163,12 +164,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    text = combine_reports(args.inputs)
-    if args.out:
-        write_atomic(Path(args.out), text.encode())
-        print(f"combined table -> {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_result(combine_reports(args.inputs), args.out, "combined table")
     return EXIT_OK
 
 

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from ._version import __version__
-from .atomic import write_atomic
+from .atomic import json_text, write_atomic
 from .crossval import (
     FoldPlan,
     check_gesture_transfer,
@@ -82,6 +82,7 @@ from .metrics import (
 )
 from .tcn import (
     DEFAULT_EPOCHS,
+    DEFAULT_FILTERS,
     HYPERPARAM_DEFAULTS,
     ModelConfig,
     TcnModel,
@@ -131,7 +132,7 @@ class ExperimentConfig:
     learning_rate: Optional[float] = None  # None -> default for the cv mode
     weight_decay: Optional[float] = None
     epochs: int = DEFAULT_EPOCHS
-    filters: tuple[int, int, int] = (32, 64, 96)
+    filters: tuple[int, int, int] = DEFAULT_FILTERS
     kernel_size: Optional[int] = None  # None -> derived per fold
     seed: int = 0
     expected_channels: Optional[int] = None
@@ -529,8 +530,7 @@ class ExperimentReport:
         return out
 
     def json_bytes(self, include_timing: bool = True) -> bytes:
-        return (json.dumps(self.payload(include_timing), sort_keys=True,
-                           indent=2) + "\n").encode()
+        return json_text(self.payload(include_timing)).encode()
 
 
 def _experiment_payload(config: ExperimentConfig, catalog: Catalog,

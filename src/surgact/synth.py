@@ -14,11 +14,11 @@ arguments yields byte-identical files.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import json_text
 from .dataset import (
     COLUMNS_PER_ARM,
     DEFAULT_SAMPLE_RATE,
@@ -168,7 +168,7 @@ def generate_synthetic_dataset(
         "entries": entries,
     }
     manifest_path = root / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json_text(manifest))
     return manifest_path
 
 

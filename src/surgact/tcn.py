@@ -8,7 +8,7 @@ Architecture, channels-first on (F, T) float64 signals:
               with channel progression f3 -> f2 -> f1 -> f1
     head:     1x1 conv f1 -> num_classes, then pad to the input length
 
-Defaults f = (32, 64, 96). Three pooling stages mean the input must be at
+Default f: `DEFAULT_FILTERS`. Three pooling stages mean the input must be at
 least 8 frames, and the head gives 8 * floor(T/8) <= T of them: the pad
 repeats its last frame up to T, and backward sums the pad's gradients into
 that frame. The decoder keeps the maths of the upsample-then-conv above
@@ -97,6 +97,7 @@ HYPERPARAM_DEFAULTS: dict[str, dict[str, float]] = {
 }
 
 DEFAULT_EPOCHS = 60
+DEFAULT_FILTERS = (32, 64, 96)
 
 
 def is_a(value, kind: type) -> bool:
@@ -134,7 +135,7 @@ def check_model_settings(filters, learning_rate, weight_decay, epochs,
 class ModelConfig:
     num_classes: int
     kernel_size: int
-    filters: tuple[int, int, int] = (32, 64, 96)
+    filters: tuple[int, int, int] = DEFAULT_FILTERS
     learning_rate: float = HYPERPARAM_DEFAULTS["louo"]["learning_rate"]
     weight_decay: float = HYPERPARAM_DEFAULTS["louo"]["weight_decay"]
     epochs: int = DEFAULT_EPOCHS
@@ -145,6 +146,8 @@ class ModelConfig:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes!r}")
         if self.kernel_size is None:  # a model has a kernel width; only a config derives it
             raise ConfigError("kernel_size must be an odd positive integer, got None")
+        if not (is_a(self.seed, Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "filters", check_model_settings(
             self.filters, self.learning_rate, self.weight_decay, self.epochs,
             self.kernel_size))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import surgact
+from surgact.atomic import json_text
 from surgact.cli import main
 from surgact.runner import load_report
 
@@ -67,6 +68,10 @@ class TestSynthCommand:
         printed = capsys.readouterr().out.strip()
         assert printed.endswith("manifest.json")
         assert json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+
+    def test_manifest_is_its_json_text(self, synth_manifest):
+        text = synth_manifest.read_text()
+        assert text == json_text(json.loads(text))
 
     def test_bad_shape_is_config_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "c"), "--classes", "0"])
@@ -206,6 +211,18 @@ class TestFoldsCommand:
         assert rc == 0
         assert "1 folds ->" in capsys.readouterr().out
         assert json.loads(target.read_text())[0]["held_out"] == "T01"
+
+    def test_stdout_and_out_file_are_the_json_text(self, synth_manifest, tmp_path,
+                                                   capsys):
+        argv = ["folds", "--catalog", str(synth_manifest), "--granularity", "mp",
+                "--cv", "louo", "--tasks", "T01", "T02"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == json_text(json.loads(printed))
+        target = tmp_path / "folds.json"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == f"3 folds -> {target}\n"
+        assert target.read_text() == printed
 
     def test_missing_required_options(self, capsys):
         rc = main(["folds", "--granularity", "mp", "--cv", "louo",
@@ -474,8 +491,10 @@ class TestTrainCommand:
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
                    "--epochs", "1", "--fold", "louo-SYNTH-U03", "--out", str(out)])
         assert rc == 0
-        payload = json.loads(out.read_text())
-        assert payload["name"] == "louo-SYNTH-U03"
+        assert capsys.readouterr().out == f"fold report -> {out}\n"
+        text = out.read_text()
+        assert json.loads(text)["name"] == "louo-SYNTH-U03"
+        assert text == json_text(json.loads(text))
 
     def test_diverged_fold_exits_3(self, synth_manifest, capsys):
         rc = main(["train", "--catalog", str(synth_manifest),
@@ -584,6 +603,21 @@ class TestOutFlag:
                   "--cv", "louo", "--tasks", "T01", "--epochs", "0",
                   "--fold", "louo-SYNTH-U01",
                   "--out", str(tmp_path / "missing" / "fold.json")], capsys)
+
+    def test_train_refuses_a_directory_before_training(self, synth_manifest, tmp_path,
+                                                       capsys, monkeypatch):
+        import surgact.cli
+
+        def trained(*args, **kwargs):
+            raise AssertionError("the fold trained before --out was checked")
+
+        monkeypatch.setattr(surgact.cli, "run_single_fold", trained)
+        target = tmp_path / "fold.json"
+        target.mkdir()
+        self.run(["train", "--catalog", str(synth_manifest), "--granularity", "mp",
+                  "--cv", "louo", "--tasks", "T01", "--epochs", "0",
+                  "--fold", "louo-SYNTH-U01", "--out", str(target)], capsys)
+        assert list(target.iterdir()) == []
 
     def test_report(self, cli_report_dir, tmp_path, capsys):
         self.run(["report", "--inputs", str(cli_report_dir / "report.json"),

@@ -1,11 +1,12 @@
 """numpy is the package's only runtime dependency, each module's `__all__`
-names only what it defines or imports, every name a submodule exports, and
-every public function and class of a module without `__all__`, is read
-somewhere in the package or the benchmark, every exception class is
-one of the three exit-code tiers or is caught by type in the package, each
-UPPER_CASE constant is assigned in one module, no module imports
-another's underscore name, and under the repository's pytest settings a
-failing hypothesis test fails alone instead of stopping the suite.
+names only what it defines or imports, every name a submodule exports,
+and every public function and class of a module without `__all__`, is
+read somewhere in the package or the benchmark, every exception class is
+one of the three exit-code tiers or is caught by type in the package,
+each UPPER_CASE constant is assigned in one module, only `atomic` calls
+`json.dumps`, no module imports another's underscore name, and under the
+repository's pytest settings a failing hypothesis test fails alone
+instead of stopping the suite.
 
 Every module under src/surgact is parsed, not imported, so a module that
 would fail to import is still checked.
@@ -234,6 +235,31 @@ def test_the_constant_check_sees_a_second_assignment(tmp_path):
     second.write_text("from .first import LIMIT\nGAP = -1\n"
                       "def f():\n    LIMIT = 4\n")
     assert constants_assigned_twice([first, second]) == {"GAP": ["first.py", "second.py"]}
+
+
+def calls_json_dumps(path: Path) -> bool:
+    """Whether a file calls `json.dumps` or `json.dump`."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+               and node.func.attr in ("dump", "dumps")
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+
+def test_only_atomic_writes_json_text():
+    # one owner of the JSON text the package emits: `atomic.json_text`
+    assert [path.name for path in MODULES if calls_json_dumps(path)] == ["atomic.py"]
+
+
+def test_the_json_check_sees_a_second_call_site(tmp_path):
+    atomic = tmp_path / "atomic.py"
+    atomic.write_text("import json\ndef json_text(obj):\n    return json.dumps(obj)\n")
+    second = tmp_path / "second.py"
+    second.write_text("import json\ndef f(x, fh):\n    json.dump(x, fh, indent=2)\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("import json\nfrom .atomic import json_text\n"
+                      "def g(s):\n    return json_text(json.loads(s))\n")
+    assert [path.name for path in (atomic, second, reader)
+            if calls_json_dumps(path)] == ["atomic.py", "second.py"]
 
 
 def private_names_imported(path: Path) -> list[str]:

@@ -826,6 +826,13 @@ class TestReportsOnDisk:
         with pytest.raises(SurgactError, match="cannot create output directory"):
             emit_report(report, blocker / "out")
 
+    def test_report_file_is_the_reports_json_bytes(self, synth_manifest, tmp_path):
+        report = run_experiment(synth_config(synth_manifest, epochs=0))
+        emit_report(report, tmp_path / "out")
+        written = (tmp_path / "out" / "report.json").read_bytes()
+        assert written == report.json_bytes(include_timing=True)
+        assert written == atomic_mod.json_text(report.payload()).encode()
+
     @pytest.mark.parametrize("name", ["report.json", "tables.txt"])
     def test_failed_write_keeps_the_previous_file(self, synth_manifest, tmp_path,
                                                    monkeypatch, name):

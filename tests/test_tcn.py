@@ -128,7 +128,13 @@ class TestModelConfig:
          "kernel_size must be an odd positive integer, got True"),
         ({"num_classes": 4, "kernel_size": None},
          "kernel_size must be an odd positive integer, got None"),
-    ], ids=[f"kwargs{i}" for i in range(16)])
+        ({"num_classes": 4, "kernel_size": 3, "seed": -1},
+         "seed must be an integer >= 0, got -1"),
+        ({"num_classes": 4, "kernel_size": 3, "seed": 1.5},
+         "seed must be an integer >= 0, got 1.5"),
+        ({"num_classes": 4, "kernel_size": 3, "seed": True},
+         "seed must be an integer >= 0, got True"),
+    ], ids=[f"kwargs{i}" for i in range(19)])
     def test_rejects_bad_settings(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             ModelConfig(**kwargs)
