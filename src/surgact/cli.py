@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 bad request/configuration, 2 malformed input data,
-3 runtime failure (also `experiment` when no fold trained).
+Exit codes: 0 success, 1 bad request/configuration (a usage error too),
+2 malformed input data, 3 runtime failure (also `experiment` when no fold
+trained).
 """
 
 from __future__ import annotations
@@ -38,6 +39,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit EXIT_CONFIG, not argparse's
+    2, which means malformed input data here. Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
@@ -169,7 +179,7 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surgact",
         description="Surgical activity recognition experiments on kinematic data")
     parser.add_argument("--version", action="version", version=__version__)

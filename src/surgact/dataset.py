@@ -320,8 +320,10 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.n
     float. A comma needs a value on each side in its row: a doubled,
     leading or trailing comma marks an empty cell, which is an error.
 
-    numpy parses the file; any file it rejects, or that holds a non-finite
-    cell, a comma that may lack a value beside it or no data row, is parsed
+    numpy parses the file, splitting rows at commas if the file holds one
+    and at blanks if not; with a comma delimiter numpy itself rejects an
+    empty cell. Any file it rejects, such as one that mixes comma and blank
+    delimiters, or that holds a non-finite cell or no data row, is parsed
     again line by line, which either raises the error naming `path:line` or
     returns the cells `float()` accepts and numpy does not (such as ``1_0``).
     """
@@ -332,14 +334,14 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.n
     # Python's line split, not numpy's: given the raw text, loadtxt reads
     # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029 as spaces inside a row,
     # where the line parser ends the row
-    lines = text.replace(",", " ").splitlines()
+    lines = text.splitlines()
     data = None
-    # a file of blank lines would make loadtxt warn "input contained no data",
-    # and loadtxt would read an empty cell's commas as one delimiter
-    if any(line.strip() for line in lines) and not ("," in text and _may_lack_value(text)):
+    # a file of blank lines would make loadtxt warn "input contained no data"
+    if any(line.strip() for line in lines):
         try:
             # comments=None: a '#' line is a bad cell, not a comment
-            data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+            data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2,
+                              delimiter="," if "," in text else None)
         except ValueError:
             pass
     if data is None or not np.isfinite(data).all():
@@ -348,33 +350,6 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.n
         raise DataError(f"{p}: {data.shape[1]} channels, expected {expected_channels}")
     data.setflags(write=False)
     return data
-
-
-def _may_lack_value(text: str) -> bool:
-    """False only if, on each side of every comma in `text`, the nearest
-    character that is not a space or tab is printable ASCII other than a
-    comma, which no line break is. True leaves the call to the line parser:
-    a false alarm costs time, never a result."""
-    b = np.frombuffer(text.encode(), dtype=np.uint8)
-    commas = np.flatnonzero(b == ord(","))
-    for step in (-1, 1):
-        pos = commas + step
-        # a run of more blanks than this beside a comma is left to the line parser
-        for _ in range(16):
-            if not len(pos):
-                break
-            if pos[0] < 0 or pos[-1] >= len(b):
-                return True
-            c = b[pos]
-            blank = (c == ord(" ")) | (c == ord("\t"))
-            c = c[~blank]
-            # printable ASCII is 0x21-0x7E; uint8 wraps what lies below 0x21
-            if not ((c - 0x21 < 0x7F - 0x21) & (c != ord(","))).all():
-                return True
-            pos = pos[blank] + step
-        else:
-            return True
-    return False
 
 
 def _parse_kinematics_lines(p: Path, text: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import json_text
+from .atomic import json_text, write_atomic
 from .dataset import (
     COLUMNS_PER_ARM,
     DEFAULT_SAMPLE_RATE,
@@ -28,7 +28,7 @@ from .dataset import (
     arm_columns,
     split_by_arm,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SurgactError
 
 __all__ = ["generate_synthetic_dataset", "synthetic_class_labels"]
 
@@ -82,6 +82,8 @@ def generate_synthetic_dataset(
 
     Subjects span all tasks (as in a multi-task study of the same people),
     so leave-one-user-out folds hold out a subject's trials everywhere.
+    A failed write raises SurgactError("cannot write <path>: <reason>");
+    the manifest is written last, atomically.
     """
     if num_tasks < 1 or num_subjects < 1 or trials_per_subject < 1:
         raise ConfigError("need at least one task, subject, and trial")
@@ -93,10 +95,6 @@ def generate_synthetic_dataset(
         raise ConfigError(f"bad segment_frames {segment_frames}")
 
     root = Path(out_dir)
-    (root / "kinematics").mkdir(parents=True, exist_ok=True)
-    for granularity in ("gesture", "mp", "mp-left", "mp-right"):
-        (root / "transcripts" / granularity).mkdir(parents=True, exist_ok=True)
-
     rng = np.random.default_rng(seed)
     mp_labels = synthetic_class_labels(num_classes)
     gesture_labels = [f"G{i + 1}" for i in range(num_classes)]
@@ -115,60 +113,67 @@ def generate_synthetic_dataset(
     tasks = [f"T{i + 1:02d}" for i in range(num_tasks)]
     subjects = [f"U{i + 1:02d}" for i in range(num_subjects)]
     entries = []
-    for task in tasks:
-        for subject in subjects:
-            for t in range(trials_per_subject):
-                trial = f"{t + 1:03d}"
-                stem = f"{task}_{subject}_{trial}"
-                num_frames = int(rng.integers(frames_range[0], frames_range[1] + 1))
-                segs = _make_segments(rng, num_frames, num_classes,
-                                      segment_frames[0], segment_frames[1])
+    try:
+        (root / "kinematics").mkdir(parents=True, exist_ok=True)
+        for granularity in ("gesture", "mp", "mp-left", "mp-right"):
+            (root / "transcripts" / granularity).mkdir(parents=True, exist_ok=True)
+        for task in tasks:
+            for subject in subjects:
+                for t in range(trials_per_subject):
+                    trial = f"{t + 1:03d}"
+                    stem = f"{task}_{subject}_{trial}"
+                    num_frames = int(rng.integers(frames_range[0], frames_range[1] + 1))
+                    segs = _make_segments(rng, num_frames, num_classes,
+                                          segment_frames[0], segment_frames[1])
 
-                data = rng.normal(0.0, NOISE_SCALE, size=(num_frames, num_columns))
-                for start, end, cls in segs:
-                    cols, direction = signatures[cls]
-                    data[start:end + 1, cols] += direction
+                    data = rng.normal(0.0, NOISE_SCALE, size=(num_frames, num_columns))
+                    for start, end, cls in segs:
+                        cols, direction = signatures[cls]
+                        data[start:end + 1, cols] += direction
 
-                kin_rel = f"kinematics/{stem}.txt"
-                np.savetxt(root / kin_rel, data, fmt="%.6f")
+                    kin_rel = f"kinematics/{stem}.txt"
+                    np.savetxt(root / kin_rel, data, fmt="%.6f")
 
-                mp_transcript = LabelTranscript(
-                    granularity="mp",
-                    segments=tuple(Segment(s, e, mp_labels[c]) for s, e, c in segs),
-                    length=num_frames,
-                )
-                left, right = split_by_arm(mp_transcript)
+                    mp_transcript = LabelTranscript(
+                        granularity="mp",
+                        segments=tuple(Segment(s, e, mp_labels[c]) for s, e, c in segs),
+                        length=num_frames,
+                    )
+                    left, right = split_by_arm(mp_transcript)
 
-                transcripts: dict[str, str] = {}
-                for granularity, trans in (
-                    ("mp", mp_transcript),
-                    ("mp-left", left),
-                    ("mp-right", right),
-                ):
-                    rel = f"transcripts/{granularity}/{stem}.txt"
-                    _write_transcript(root / rel, trans.segments)
-                    transcripts[granularity] = rel
-                gesture_rel = f"transcripts/gesture/{stem}.txt"
-                _write_transcript(
-                    root / gesture_rel,
-                    tuple(Segment(s, e, gesture_labels[c]) for s, e, c in segs))
-                transcripts["gesture"] = gesture_rel
+                    transcripts: dict[str, str] = {}
+                    for granularity, trans in (
+                        ("mp", mp_transcript),
+                        ("mp-left", left),
+                        ("mp-right", right),
+                    ):
+                        rel = f"transcripts/{granularity}/{stem}.txt"
+                        _write_transcript(root / rel, trans.segments)
+                        transcripts[granularity] = rel
+                    gesture_rel = f"transcripts/gesture/{stem}.txt"
+                    _write_transcript(
+                        root / gesture_rel,
+                        tuple(Segment(s, e, gesture_labels[c]) for s, e, c in segs))
+                    transcripts["gesture"] = gesture_rel
 
-                entries.append({
-                    "dataset": DATASET_NAME,
-                    "task": task,
-                    "subject": subject,
-                    "trial": trial,
-                    "kinematics": kin_rel,
-                    "transcripts": transcripts,
-                })
+                    entries.append({
+                        "dataset": DATASET_NAME,
+                        "task": task,
+                        "subject": subject,
+                        "trial": trial,
+                        "kinematics": kin_rel,
+                        "transcripts": transcripts,
+                    })
+    except OSError as exc:
+        raise SurgactError(
+            f"cannot write {exc.filename or root}: {exc.strerror or exc}") from None
 
     manifest = {
         "sample_rate": DEFAULT_SAMPLE_RATE,
         "entries": entries,
     }
     manifest_path = root / "manifest.json"
-    manifest_path.write_text(json_text(manifest))
+    write_atomic(manifest_path, json_text(manifest).encode())
     return manifest_path
 
 

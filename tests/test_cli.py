@@ -59,6 +59,10 @@ def experiment_argv(manifest, granularity, out):
             "--cv", "louo", "--tasks", "T01", "--epochs", "1", "--output-dir", str(out)]
 
 
+SMALL_SYNTH = ["--tasks", "1", "--subjects", "2", "--trials-per-subject", "1",
+               "--min-frames", "40", "--max-frames", "60"]
+
+
 class TestSynthCommand:
     def test_generates_and_prints_manifest(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "corpus"), "--tasks", "1",
@@ -77,6 +81,22 @@ class TestSynthCommand:
         rc = main(["synth", "--out", str(tmp_path / "c"), "--classes", "0"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
+        target = tmp_path / "corpus"
+        target.write_text("not a directory\n")
+        rc = main(["synth", "--out", str(target), *SMALL_SYNTH])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"failure: cannot write {target / 'kinematics'}: Not a directory\n"
+
+    def test_out_holding_a_file_named_kinematics_exits_3(self, tmp_path, capsys):
+        (tmp_path / "kinematics").write_text("a file\n")
+        rc = main(["synth", "--out", str(tmp_path), *SMALL_SYNTH])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"failure: cannot write {tmp_path / 'kinematics'}: File exists\n"
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestValidateCommand:
@@ -262,8 +282,29 @@ class TestFoldsCommand:
         with pytest.raises(SystemExit) as caught:
             main(["folds", "--catalog", str(synth_manifest), "--granularity", "mp",
                   "--cv", "louo", "--task-combo", "All"])
-        assert caught.value.code == 2
+        assert caught.value.code == 1
         assert "unrecognized arguments: --task-combo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate"], "the following arguments are required: --catalog"),
+        (["folds", "--granularity", "bogus"], "argument --granularity: invalid choice"),
+        (["folds", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    ], ids=["missing-flag", "bad-choice", "bad-int"])
+    def test_a_usage_error_exits_1_with_the_usage(self, capsys, argv, message):
+        # exit 2 is malformed input data; a usage error is a bad request
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: surgact {argv[0]} ")
+        assert f"surgact {argv[0]}: error: {message}" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["folds", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestExperimentCommand:

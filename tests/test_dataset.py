@@ -391,21 +391,45 @@ class TestKinematics:
     @pytest.mark.parametrize("text", ["1,,3\n4,,6", ",1,2\n,3,4", "1,2,\n3,4,"],
                              ids=["doubled", "leading", "trailing"])
     def test_a_comma_without_a_value_beside_it_is_an_empty_cell(self, tmp_path, text):
-        # loadtxt would read each row as two cells, shifting the columns
+        # an empty cell, not a shorter row whose later columns shift left
         p = tmp_path / "k.txt"
         p.write_text(text)
         with pytest.raises(DataError, match="k.txt:1: empty cell beside a comma"):
             load_trial_kinematics(p)
 
-    def test_clean_file_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def no_line_parser(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the line parser ran on a clean file")
 
         monkeypatch.setattr("surgact.dataset._parse_kinematics_lines", refuse)
+
+    def test_clean_file_is_parsed_by_numpy(self, tmp_path, no_line_parser):
+        p = tmp_path / "k.txt"
+        p.write_text("1.5 -2e-3\t+7\r\n\n4 5 6")
+        np.testing.assert_array_equal(load_trial_kinematics(p),
+                                      [[1.5, -2e-3, 7], [4, 5, 6]])
+
+    def test_clean_comma_file_is_parsed_by_numpy(self, tmp_path, no_line_parser):
+        p = tmp_path / "k.txt"
+        p.write_text("1.5, -2e-3,+7\r\n\n4,5, 6")
+        np.testing.assert_array_equal(load_trial_kinematics(p),
+                                      [[1.5, -2e-3, 7], [4, 5, 6]])
+
+    def test_a_file_mixing_commas_and_blanks_is_read_line_by_line(self, tmp_path,
+                                                                  monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _parse_kinematics_lines(*args)
+
+        monkeypatch.setattr("surgact.dataset._parse_kinematics_lines", spy)
         p = tmp_path / "k.txt"
         p.write_text("1.5, -2e-3\t+7\r\n\n4 5 6")
         np.testing.assert_array_equal(load_trial_kinematics(p),
                                       [[1.5, -2e-3, 7], [4, 5, 6]])
+        assert len(calls) == 1
 
 
 def parse_both(p):
@@ -466,6 +490,21 @@ KINEMATICS_EDGE_CASES = {
     "trailing-comma-every-row": "1,2,\n3,4,",
     "blanks-beside-commas": "1 ,\t2\n3\t, 4\n",
     "blank-cell-between-commas": "1, \t,3\n",
+    "comma-space": "1, 2\n3, 4\n",
+    "comma-crlf": "1,2\r\n3,4\r\n",
+    "comma-blank-lines": "\n1,2\n\n  \t \n3,4\n\n",
+    "comma-ragged": "1,2,3\n4,5\n",
+    "comma-byte-order-mark": "\ufeff1,2\n",
+    "no-break-space-beside-comma": "1\xa0,2\n3,\xa04\n",
+    "unit-separator-beside-comma": "1\x1f,2\n3,\x1f4\n",
+    "no-break-space-cell-between-commas": "1,\xa0,3\n",
+    "no-break-space-inside-comma-cell": "1\xa02,3\n",
+    "trailing-comma-before-crlf": "1,2,\r\n3,4,\r\n",
+    "quoted-cell": '"1",2\n3,4\n',
+    "decimal-comma-row": "1,5 2,5\n",
+    "comma-nan": "1,2\n3,nan\n",
+    "comma-hex": "0x1,2\n",
+    "comma-underscore-digits": "1_0,2\n3,4\n",
 }
 
 

@@ -262,6 +262,33 @@ def test_the_json_check_sees_a_second_call_site(tmp_path):
             if calls_json_dumps(path)] == ["atomic.py", "second.py"]
 
 
+def calls_loadtxt(path: Path) -> bool:
+    """Whether a file calls `loadtxt`, as an attribute (`np.loadtxt`) or a
+    bare name."""
+    return any(isinstance(node, ast.Call) and (
+                   isinstance(node.func, ast.Attribute) and node.func.attr == "loadtxt"
+                   or isinstance(node.func, ast.Name) and node.func.id == "loadtxt")
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+
+def test_only_dataset_parses_numeric_text():
+    # one owner of how kinematics text becomes an array: `load_trial_kinematics`
+    assert [path.name for path in MODULES if calls_loadtxt(path)] == ["dataset.py"]
+
+
+def test_the_loadtxt_check_sees_a_second_call_site(tmp_path):
+    dataset = tmp_path / "dataset.py"
+    dataset.write_text("import numpy as np\ndef load(lines):\n"
+                       "    return np.loadtxt(lines, ndmin=2)\n")
+    second = tmp_path / "second.py"
+    second.write_text("from numpy import loadtxt\ndef f(path):\n    return loadtxt(path)\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from .dataset import load\nloader = load\n"
+                      "def g(lines):\n    return load(lines)\n")
+    assert [path.name for path in (dataset, second, reader)
+            if calls_loadtxt(path)] == ["dataset.py", "second.py"]
+
+
 def private_names_imported(path: Path) -> list[str]:
     """The underscore names, dunders aside, a module imports from another."""
     names = []

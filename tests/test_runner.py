@@ -620,6 +620,18 @@ class TestRunExperiment:
         b = run_experiment(synth_config(synth_manifest))
         assert a.json_bytes(include_timing=False) == b.json_bytes(include_timing=False)
 
+    def test_a_comma_delimited_corpus_gives_the_same_report(self, tmp_path):
+        manifest = generate_synthetic_dataset(
+            tmp_path / "corpus", num_tasks=1, num_subjects=3, trials_per_subject=1,
+            frames_range=(40, 60), seed=3)
+        cfg = synth_config(manifest, kernel_size=3)
+        blank = run_experiment(cfg).json_bytes(include_timing=False)
+        for entry in build_catalog(manifest).entries:
+            text = entry.kinematics.read_text()
+            assert "," not in text
+            entry.kinematics.write_text(text.replace(" ", ", "))
+        assert run_experiment(cfg).json_bytes(include_timing=False) == blank
+
     def test_one_model_alive_at_a_time(self, synth_manifest, monkeypatch):
         # each fold's model is dropped before the next fold builds its own
         models = []
