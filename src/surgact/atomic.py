@@ -1,4 +1,5 @@
-"""What the package writes: its one JSON text and atomic file replacement."""
+"""What the package reads and writes: every input file as UTF-8 text, its
+one JSON text, and atomic file replacement."""
 
 from __future__ import annotations
 
@@ -7,7 +8,30 @@ import json
 import os
 from pathlib import Path
 
-from .errors import SurgactError
+from .errors import DataError, SurgactError
+
+
+def read_text(path: Path, what: str, error: type[SurgactError] = DataError) -> str:
+    """The text of the file `path`, decoded as UTF-8 whatever the locale.
+
+    A missing file, one that cannot be read, or one that is not UTF-8 raises
+    `error` naming `what` and the file."""
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {path}: byte {exc.start}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what}: {path}: {exc.strerror or exc}") from None
+
+
+def read_json(path: Path, what: str, error: type[SurgactError] = DataError):
+    """The JSON value in the file `path`, read as `read_text` reads it."""
+    try:
+        return json.loads(read_text(path, what, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {path}: {exc}") from None
 
 
 def json_text(obj) -> str:

@@ -27,7 +27,6 @@ selection is a plain tuple of column indices, arms ordered left then right.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
+from .atomic import read_json, read_text
 from .errors import ConfigError, DataError
 
 GRANULARITIES = ("gesture", "mp", "mp-left", "mp-right")
@@ -216,11 +216,10 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
     as a view `split_by_arm` derives would. Errors name the file and line.
     """
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"transcript file not found: {p}")
+    text = read_text(p, "transcript file")
     side = ARM_SIDES.get(granularity)
     segments: list[Segment] = []
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -328,9 +327,7 @@ def load_trial_kinematics(path, expected_channels: Optional[int] = None) -> np.n
     returns the cells `float()` accepts and numpy does not (such as ``1_0``).
     """
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"kinematics file not found: {p}")
-    text = p.read_text()
+    text = read_text(p, "kinematics file")
     # Python's line split, not numpy's: given the raw text, loadtxt reads
     # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029 as spaces inside a row,
     # where the line parser ends the row
@@ -509,12 +506,7 @@ def build_catalog(manifest_path) -> Catalog:
     DEFAULT_SAMPLE_RATE.
     """
     mp = Path(manifest_path)
-    if not mp.is_file():
-        raise DataError(f"catalog manifest not found: {mp}")
-    try:
-        doc = json.loads(mp.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"catalog manifest is not valid JSON: {mp}: {exc}")
+    doc = read_json(mp, "catalog manifest")
     if not isinstance(doc, dict):
         raise DataError(f'catalog manifest must hold a JSON object {{"entries": [...]}}: {mp}')
     raw_entries = doc.get("entries")
@@ -528,6 +520,8 @@ def build_catalog(manifest_path) -> Catalog:
             f"got {sample_rate!r}: {mp}")
     entries: list[CatalogEntry] = []
     for i, item in enumerate(raw_entries):
+        if not isinstance(item, dict):
+            raise DataError(f"manifest entry {i} must be a JSON object, got {item!r}")
         try:
             dataset = item["dataset"]
             task = item["task"]
@@ -535,7 +529,7 @@ def build_catalog(manifest_path) -> Catalog:
             trial = item["trial"]
             kin_rel = item["kinematics"]
             transcripts = item.get("transcripts", {})
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise DataError(f"manifest entry {i} is malformed: missing {exc}")
         for name, value in (("dataset", dataset), ("task", task),
                             ("subject", subject), ("trial", trial)):

@@ -47,9 +47,9 @@ __all__ = [
 ]
 
 
-# Adam updates each parameter array in slices of this many elements, so the
+# Adam updates the parameter vector in slices of this many elements, so the
 # temporaries of one slice stay in cache; whole-vector expressions on the
-# model's flat parameter vector were slower than the per-layer arrays.
+# model's flat parameter vector were slower.
 ADAM_BLOCK = 32768
 # Adam's moment decay rates and the denominator's guard (b1, b2, eps below)
 ADAM_BETA1 = 0.9
@@ -358,7 +358,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
 
 
 class Adam:
-    """Adam with decoupled weight decay over a list of parameter arrays.
+    """Adam with decoupled weight decay over one flat vector of `size` values.
 
     Each step first shrinks the parameters (p <- p - lr * wd * p), then
     applies the bias-corrected Adam delta computed from the raw gradients:
@@ -366,18 +366,17 @@ class Adam:
         m <- b1 m + (1-b1) g        v <- b2 v + (1-b2) g^2
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    The moment buffers hold m / (1-b1) and v / (1-b2), so they take g and
+    The moment vectors hold m / (1-b1) and v / (1-b2), so they take g and
     g^2 unscaled, and the step folds both bias corrections into one step
     size and one eps, and the decay into one multiply: 11 passes over each
     slice, equal to the textbook update to float rounding.
 
-    The moment buffers and step counter live on this object and are only
-    ever mutated by `step`, which updates the parameter arrays in place, one
-    `ADAM_BLOCK`-element slice at a time.
+    The moment vectors and step counter live on this object and are only
+    ever mutated by `step`, which updates the parameter vector in place, one
+    `ADAM_BLOCK`-element slice (a view) at a time.
     """
 
-    def __init__(self, params: Sequence[np.ndarray], learning_rate: float,
-                 weight_decay: float = 0.0):
+    def __init__(self, size: int, learning_rate: float, weight_decay: float = 0.0):
         if learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {learning_rate}")
         if weight_decay < 0:
@@ -385,22 +384,23 @@ class Adam:
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        scratch = min(ADAM_BLOCK, max((p.size for p in params), default=0))
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        scratch = min(ADAM_BLOCK, size)
         self._scratch = (np.empty(scratch), np.empty(scratch))
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+        """Update the (size,) vector `params[0]` in place from `grads[0]`. The
+        one-element lists are what `perfbench/spans.py` counts, summing sizes
+        over `params`, which over a bare vector would walk every element; they
+        go once it takes a bare vector (ROADMAP item 1)."""
+        if len(params) != 1 or len(grads) != 1:
+            raise DataError(f"expected one parameter/gradient vector, "
+                            f"got {len(params)}/{len(grads)}")
+        (p,), (g,), m, v = params, grads, self.m, self.v
+        if p.shape != m.shape or g.shape != m.shape:
             raise DataError(
-                f"expected {len(self.m)} parameter/gradient arrays, "
-                f"got {len(params)}/{len(grads)}")
-        for p, g, m in zip(params, grads, self.m):
-            if p.shape != m.shape or g.shape != m.shape:
-                raise DataError(
-                    f"parameter/gradient shape {p.shape}/{g.shape} != state shape {m.shape}")
-            if not p.flags.c_contiguous:
-                raise DataError("parameter arrays must be C-contiguous")
+                f"parameter/gradient shape {p.shape}/{g.shape} != state shape {m.shape}")
         self.step_count += 1
         t = self.step_count
         lr, wd, b1, b2 = self.learning_rate, self.weight_decay, ADAM_BETA1, ADAM_BETA2
@@ -410,21 +410,18 @@ class Adam:
         eps = ADAM_EPS * scale
         decay = 1.0 - lr * wd
         s1, s2 = self._scratch
-        for arrays in zip(params, grads, self.m, self.v):
-            p, g, m, v = (a.reshape(-1) for a in arrays)
-            for lo in range(0, p.size, ADAM_BLOCK):
-                hi = lo + ADAM_BLOCK
-                pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-                d, e = s1[:pb.size], s2[:pb.size]
-                pb *= decay
-                mb *= b1
-                mb += gb
-                vb *= b2
-                vb += np.multiply(gb, gb, out=d)
-                # p -= step * m / (sqrt(v) + eps)
-                np.sqrt(vb, out=e)
-                e += eps
-                np.divide(mb, e, out=d)
-                d *= step
-                pb -= d
-
+        for lo in range(0, p.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            d, e = s1[:pb.size], s2[:pb.size]
+            pb *= decay
+            mb *= b1
+            mb += gb
+            vb *= b2
+            vb += np.multiply(gb, gb, out=d)
+            # p -= step * m / (sqrt(v) + eps)
+            np.sqrt(vb, out=e)
+            e += eps
+            np.divide(mb, e, out=d)
+            d *= step
+            pb -= d

@@ -33,7 +33,6 @@ the rule set `ModelConfig` uses too.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
@@ -45,7 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from ._version import __version__
-from .atomic import json_text, write_atomic
+from .atomic import json_text, read_json, write_atomic
 from .crossval import (
     FoldPlan,
     check_gesture_transfer,
@@ -235,12 +234,7 @@ def load_experiment_config(path=None, **overrides) -> ExperimentConfig:
     merged: dict = {}
     if path is not None:
         p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            merged = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {p}: {exc}")
+        merged = read_json(p, "config file", ConfigError)
         if not isinstance(merged, dict):
             raise ConfigError(f"config file must hold a JSON object: {p}")
         unknown = set(merged) - names
@@ -686,12 +680,7 @@ def emit_report(report: ExperimentReport, out_dir) -> None:
 def load_report(path) -> dict:
     """Read a report.json back and re-verify its aggregate block."""
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"report not found: {p}")
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"report is not valid JSON: {p}: {exc}")
+    payload = read_json(p, "report")
     if not isinstance(payload, dict):
         raise DataError(f"report must hold a JSON object: {p}")
     try:

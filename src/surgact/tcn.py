@@ -307,7 +307,7 @@ def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> 
         if key not in data:
             raise DataError(f"fold {fold.name}: no tensors for training trial {key}")
     config = model.config
-    optimizer = Adam([model.theta], config.learning_rate, config.weight_decay)
+    optimizer = Adam(model.theta.size, config.learning_rate, config.weight_decay)
     # separate stream from the parameter-init draw on the same seed
     shuffle_rng = np.random.default_rng((config.seed, 1))
     losses: list[float] = []

@@ -617,6 +617,46 @@ class TestReportCommand:
         assert err.startswith("data error: ") and err.count("\n") == 1
 
 
+class TestNonUtf8Input:
+    """Every input file is read as UTF-8: a byte that is not UTF-8 is a data
+    error naming the file, or a bad request in the config file, never a
+    decode traceback."""
+
+    @pytest.mark.parametrize("kind", ["kinematics", "transcript", "manifest", "config",
+                                      "report"])
+    def test_a_non_utf8_byte_names_the_file(self, cli_report_dir, tmp_path, capsys, kind):
+        main(["synth", "--out", str(tmp_path / "corpus"), *SMALL_SYNTH])
+        manifest = tmp_path / "corpus" / "manifest.json"
+        entry = json.loads(manifest.read_text())["entries"][0]
+        config, report = tmp_path / "exp.json", tmp_path / "report.json"
+        config.write_text(json.dumps({"catalog": str(manifest), "granularity": "mp",
+                                      "cv": "louo", "tasks": ["T01"]}))
+        report.write_bytes((cli_report_dir / "report.json").read_bytes())
+        reading_the_corpus = [["validate", "--catalog", str(manifest)],
+                              experiment_argv(manifest, "mp", tmp_path / "out")]
+        path, what, prefix, rc, commands = {
+            "kinematics": (manifest.parent / entry["kinematics"], "kinematics file",
+                           "data error", 2, reading_the_corpus),
+            "transcript": (manifest.parent / entry["transcripts"]["mp"], "transcript file",
+                           "data error", 2, reading_the_corpus),
+            "manifest": (manifest, "catalog manifest", "data error", 2, reading_the_corpus),
+            "config": (config, "config file", "error", 1,
+                       [["folds", "--config", str(config)]]),
+            "report": (report, "report", "data error", 2,
+                       [["report", "--inputs", str(report)]]),
+        }[kind]
+        data = bytearray(path.read_bytes())
+        data[7] = 0xFF
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        for argv in commands:
+            assert main(argv) == rc
+            captured = capsys.readouterr()
+            assert captured.err == f"{prefix}: {what} is not UTF-8 text: {path}: byte 7\n"
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestOutFlag:
     """--out into a missing directory fails with exit 3 and one line."""
 

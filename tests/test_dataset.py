@@ -680,6 +680,17 @@ class TestBuildCatalog:
         with pytest.raises(DataError):
             build_catalog(mp)
 
+    @pytest.mark.parametrize("item", [1, "k.txt", None, ["JIGSAWS"]],
+                             ids=["number", "string", "null", "list"])
+    def test_an_entry_must_be_an_object(self, tmp_path, item):
+        mp = self.write_corpus(tmp_path)
+        doc = json.loads(mp.read_text())
+        doc["entries"].append(item)
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as caught:
+            build_catalog(mp)
+        assert str(caught.value) == f"manifest entry 1 must be a JSON object, got {item!r}"
+
     @pytest.mark.parametrize("field,value", [
         ("dataset", None), ("task", ["S"]), ("subject", 3), ("trial", 1.0),
     ])

@@ -4,9 +4,10 @@ and every public function and class of a module without `__all__`, is
 read somewhere in the package or the benchmark, every exception class is
 one of the three exit-code tiers or is caught by type in the package,
 each UPPER_CASE constant is assigned in one module, only `atomic` calls
-`json.dumps`, no module imports another's underscore name, and under the
-repository's pytest settings a failing hypothesis test fails alone
-instead of stopping the suite.
+`json.dumps` or reads a file, only `dataset` calls `loadtxt`, no module
+imports another's underscore name, and under the repository's pytest
+settings a failing hypothesis test fails alone instead of stopping the
+suite.
 
 Every module under src/surgact is parsed, not imported, so a module that
 would fail to import is still checked.
@@ -260,6 +261,45 @@ def test_the_json_check_sees_a_second_call_site(tmp_path):
                       "def g(s):\n    return json_text(json.loads(s))\n")
     assert [path.name for path in (atomic, second, reader)
             if calls_json_dumps(path)] == ["atomic.py", "second.py"]
+
+
+def reads_a_file(path: Path) -> bool:
+    """Whether a file calls `open` or a `.open`, `.read_text` or
+    `.read_bytes` method, or parses JSON with `json.load` or `json.loads`;
+    a bare `read_text(...)` is the call of `atomic`'s reader."""
+    def reads(func) -> bool:
+        if isinstance(func, ast.Name):
+            return func.id == "open"
+        return isinstance(func, ast.Attribute) and (
+            func.attr in ("open", "read_text", "read_bytes")
+            or isinstance(func.value, ast.Name) and func.value.id == "json"
+            and func.attr in ("load", "loads"))
+    return any(isinstance(node, ast.Call) and reads(node.func)
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+
+def test_only_atomic_reads_files():
+    # one owner of how an input file becomes text: `atomic.read_text`, which
+    # decodes UTF-8 and names the file in every error
+    assert [path.name for path in MODULES if reads_a_file(path)] == ["atomic.py"]
+
+
+def test_the_read_file_check_sees_a_second_call_site(tmp_path):
+    atomic = tmp_path / "atomic.py"
+    atomic.write_text("import json\ndef read_text(path):\n"
+                      "    return path.read_text(encoding='utf-8')\n")
+    files = {"open.py": "def f(p):\n    with open(p) as fh:\n        return fh.read()\n",
+             "path_open.py": "def f(p):\n    with p.open('rb') as fh:\n        return fh.read()\n",
+             "read_bytes.py": "def f(p):\n    return p.read_bytes()\n",
+             "json_load.py": "import json\ndef f(fh):\n    return json.load(fh)\n",
+             "json_loads.py": "import json\ndef f(s):\n    return json.loads(s)\n",
+             "reader.py": "from .atomic import read_text\n"
+                          "def g(p):\n    return read_text(p).splitlines()\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert [path.name for path in sorted(tmp_path.iterdir()) if reads_a_file(path)] == [
+        "atomic.py", "json_load.py", "json_loads.py", "open.py", "path_open.py",
+        "read_bytes.py"]
 
 
 def calls_loadtxt(path: Path) -> bool:

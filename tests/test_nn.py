@@ -799,29 +799,29 @@ class TestAdam:
     def test_first_step_oracle(self):
         # bias correction makes the first step lr * g / (|g| + eps) exactly
         p = np.array([1.0])
-        opt = Adam([p], learning_rate=1e-3)
+        opt = Adam(p.size, learning_rate=1e-3)
         opt.step([p], [np.array([1.0])])
         assert p[0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
 
     def test_decay_is_decoupled(self):
         # zero gradient: both moments stay zero, so only decay moves p
         p = np.array([2.0])
-        opt = Adam([p], learning_rate=0.01, weight_decay=0.1)
+        opt = Adam(p.size, learning_rate=0.01, weight_decay=0.1)
         opt.step([p], [np.array([0.0])])
         assert p[0] == pytest.approx(2.0 * (1.0 - 0.01 * 0.1), abs=1e-15)
 
     def test_zero_lr_is_identity(self):
         p = np.array([3.0, -1.0])
-        opt = Adam([p], learning_rate=0.0, weight_decay=0.5)
+        opt = Adam(p.size, learning_rate=0.0, weight_decay=0.5)
         opt.step([p], [np.array([1.0, -2.0])])
         np.testing.assert_allclose(p, [3.0, -1.0])
 
     def test_matches_reference_recurrence(self):
         rng = np.random.default_rng(112)
-        p = rng.normal(size=(3, 2))
+        p = rng.normal(size=(3, 2)).reshape(-1)
         q = p.copy()
         lr, wd, b1, b2, eps = 1e-2, 1e-3, 0.9, 0.999, 1e-8
-        opt = Adam([p], learning_rate=lr, weight_decay=wd)
+        opt = Adam(p.size, learning_rate=lr, weight_decay=wd)
         m = np.zeros_like(q)
         v = np.zeros_like(q)
         for t in range(1, 6):
@@ -841,7 +841,7 @@ class TestAdam:
         p = rng.normal(size=1000)
         q = p.copy()
         lr, wd, b1, b2, eps = 1e-3, 1e-3, 0.9, 0.999, 1e-8
-        opt = Adam([p], learning_rate=lr, weight_decay=wd)
+        opt = Adam(p.size, learning_rate=lr, weight_decay=wd)
         m = np.zeros_like(q)
         v = np.zeros_like(q)
         for t in range(1, 301):
@@ -855,8 +855,9 @@ class TestAdam:
 
     @pytest.mark.parametrize("wd", [0.0, 1e-3])
     def test_blockwise_step_matches_per_array_expression(self, wd):
-        # the whole-array form of the update, with the moments kept divided
-        # by (1-b1) and (1-b2): the block-wise step must give the same bits
+        # the whole-vector form of the update, with the moments kept divided
+        # by (1-b1) and (1-b2): the block-wise step must give the same bits,
+        # over full blocks and a partial last one
         def reference_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
             scale = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
             step = lr * (1.0 - b1) / (1.0 - b1 ** t) * scale
@@ -869,48 +870,58 @@ class TestAdam:
             p -= m / (np.sqrt(v) + eps * scale) * step
 
         rng = np.random.default_rng(113)
-        sizes = (2 * ADAM_BLOCK + 1237, 5, ADAM_BLOCK)
-        params = [rng.normal(size=n) for n in sizes]
-        params[1] = params[1].reshape(5, 1)
-        expected = [p.copy() for p in params]
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
+        p = rng.normal(size=3 * ADAM_BLOCK + 1242)
+        q = p.copy()
+        m = np.zeros_like(q)
+        v = np.zeros_like(q)
         lr = 1e-3
-        opt = Adam(params, learning_rate=lr, weight_decay=wd)
+        opt = Adam(p.size, learning_rate=lr, weight_decay=wd)
         for t in range(1, 4):
-            grads = [rng.normal(size=p.shape) for p in params]
-            opt.step(params, grads)
-            for q, g, mq, vq in zip(expected, grads, m, v):
-                reference_step(q, g, mq, vq, t, lr, wd)
-            for p, q in zip(params, expected):
-                assert np.array_equal(p, q)
+            g = rng.normal(size=p.size)
+            opt.step([p], [g])
+            reference_step(q, g, m, v, t, lr, wd)
+            assert np.array_equal(p, q)
 
-    def test_rejects_non_contiguous_parameters(self):
-        p = np.zeros((4, 4))
-        opt = Adam([p[:, :2]], learning_rate=1e-3)
-        with pytest.raises(DataError, match="parameter arrays must be C-contiguous"):
-            opt.step([p[:, :2]], [np.ones((4, 2))])
+    def test_a_strided_vector_is_updated_in_place(self):
+        # slices of a 1-D vector are views: a strided vector takes the same
+        # bits in place as a contiguous copy
+        rng = np.random.default_rng(115)
+        buf = rng.normal(size=2 * (ADAM_BLOCK + 9))
+        p, q, between = buf[::2], buf[::2].copy(), buf[1::2].copy()
+        strided, contiguous = (Adam(p.size, learning_rate=1e-2, weight_decay=1e-3)
+                               for _ in range(2))
+        for _ in range(3):
+            g = rng.normal(size=p.size)
+            strided.step([p], [g])
+            contiguous.step([q], [g])
+        assert np.array_equal(buf[::2], q) and np.array_equal(buf[1::2], between)
 
     def test_updates_in_place(self):
         p = np.array([1.0])
-        opt = Adam([p], learning_rate=1e-3)
+        opt = Adam(p.size, learning_rate=1e-3)
         alias = p
         opt.step([p], [np.array([1.0])])
         assert alias is p and alias[0] != 1.0
 
     def test_rejects_mismatched_state(self):
-        p = np.array([1.0])
-        opt = Adam([p], learning_rate=1e-3)
-        with pytest.raises(DataError, match="expected 1 parameter/gradient arrays, got 2/2"):
-            opt.step([p, p], [np.array([1.0]), np.array([1.0])])
-        with pytest.raises(DataError, match=r"shape \(2,\)/\(2,\) != state shape \(1,\)"):
-            opt.step([np.zeros(2)], [np.zeros(2)])
+        # one (size,) vector and its gradient, each in a one-element list
+        p = np.array([1.0, 2.0])
+        opt = Adam(p.size, learning_rate=1e-3)
+        with pytest.raises(DataError, match="expected one parameter/gradient vector, got 2/2"):
+            opt.step([p, p], [np.ones(2), np.ones(2)])
+        with pytest.raises(DataError, match=r"shape \(1, 2\)/\(1, 2\) != state shape \(2,\)"):
+            opt.step([p.reshape(1, 2)], [np.ones((1, 2))])
+        with pytest.raises(DataError, match=r"shape \(3,\)/\(3,\) != state shape \(2,\)"):
+            opt.step([np.zeros(3)], [np.zeros(3)])
+        with pytest.raises(DataError, match=r"shape \(2,\)/\(3,\) != state shape \(2,\)"):
+            opt.step([p], [np.zeros(3)])
+        assert opt.step_count == 0 and np.array_equal(p, [1.0, 2.0])
 
     def test_rejects_negative_settings(self):
         with pytest.raises(ConfigError, match="learning_rate must be >= 0, got -1.0"):
-            Adam([np.zeros(1)], learning_rate=-1.0)
+            Adam(1, learning_rate=-1.0)
         with pytest.raises(ConfigError, match="weight_decay must be >= 0, got -0.1"):
-            Adam([np.zeros(1)], learning_rate=1e-3, weight_decay=-0.1)
+            Adam(1, learning_rate=1e-3, weight_decay=-0.1)
 
 
 class TestFiniteDiffCheck:

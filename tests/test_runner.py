@@ -872,6 +872,18 @@ class TestReportsOnDisk:
         assert (out / name).read_bytes() == previous
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "tables.txt"]
 
+    def test_a_failed_read_names_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.json"
+        path.write_text("{}")
+
+        def unreadable(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        with pytest.raises(ConfigError) as caught:
+            atomic_mod.read_json(path, "config file", ConfigError)
+        assert str(caught.value) == f"cannot read config file: {path}: Permission denied"
+
     def test_written_data_is_synced_before_the_rename(self, tmp_path, monkeypatch):
         calls = []
         for name in ("fsync", "replace"):

@@ -358,7 +358,7 @@ class TestTrainingPass:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 37))
         targets = rng.integers(0, 4, size=37)
-        loss, logits = model.train_step(x, targets, Adam([model.theta], 1e-2))
+        loss, logits = model.train_step(x, targets, Adam(model.theta.size, 1e-2))
         grad = model.grad.copy()
         fresh = TcnModel(SMALL, 3)
         expected_logits, tape = fresh.forward(x)
@@ -410,8 +410,8 @@ class TestTrainStep:
         cfg = self.CONFIG
         model, oracle = TcnModel(cfg, 3), TcnModel(cfg, 3)
         start = model.theta.copy()
-        opt = Adam([model.theta], cfg.learning_rate, cfg.weight_decay)
-        oracle_opt = Adam([oracle.theta], cfg.learning_rate, cfg.weight_decay)
+        opt = Adam(model.theta.size, cfg.learning_rate, cfg.weight_decay)
+        oracle_opt = Adam(oracle.theta.size, cfg.learning_rate, cfg.weight_decay)
         for x, targets in self.trials() * 2:
             loss, logits = model.train_step(x, targets, opt)
             expected_loss, expected_logits = composed_train_step(
@@ -427,7 +427,7 @@ class TestTrainStep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_loss_raises_before_the_update(self, monkeypatch, bad):
         model = TcnModel(self.CONFIG, 3)
-        opt = Adam([model.theta], 1e-2)
+        opt = Adam(model.theta.size, 1e-2)
         x, targets = self.trials()[0]
         model.train_step(x, targets, opt)  # the moments are now nonzero
         before = [a.copy() for a in (model.theta, opt.m[0], opt.v[0])]
