@@ -419,8 +419,8 @@ class TestTrainStep:
             assert loss == expected_loss
             assert np.array_equal(logits, expected_logits)
             assert np.array_equal(model.theta, oracle.theta)
-            assert np.array_equal(opt.m[0], oracle_opt.m[0])
-            assert np.array_equal(opt.v[0], oracle_opt.v[0])
+            assert np.array_equal(opt.m, oracle_opt.m)
+            assert np.array_equal(opt.v, oracle_opt.v)
         assert opt.step_count == 8
         assert not np.array_equal(model.theta, start)
 
@@ -430,13 +430,13 @@ class TestTrainStep:
         opt = Adam(model.theta.size, 1e-2)
         x, targets = self.trials()[0]
         model.train_step(x, targets, opt)  # the moments are now nonzero
-        before = [a.copy() for a in (model.theta, opt.m[0], opt.v[0])]
+        before = [a.copy() for a in (model.theta, opt.m, opt.v)]
         # the real loss and gradient, with the loss made non-finite
         monkeypatch.setattr(tcn_mod, "softmax_cross_entropy",
                             lambda *args: (bad, softmax_cross_entropy(*args)[1]))
         with pytest.raises(NonFiniteLoss, match=f"^loss={bad}$"):
             model.train_step(x, targets, opt)
-        for got, expected in zip((model.theta, opt.m[0], opt.v[0]), before):
+        for got, expected in zip((model.theta, opt.m, opt.v), before):
             assert np.array_equal(got, expected)
         assert opt.step_count == 1
         assert not holds_activations(model)
