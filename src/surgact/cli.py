@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +31,6 @@ from .runner import (
     load_experiment_config,
     plan_folds,
     run_experiment,
-    run_single_fold,
 )
 from .synth import generate_synthetic_dataset
 
@@ -66,7 +65,6 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
                    help="override the derived kernel width (odd)")
     p.add_argument("--seed", type=int)
     p.add_argument("--expected-channels", type=int)
-    p.add_argument("--output-dir")
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -130,7 +128,9 @@ def _cmd_train(args) -> int:
         raise SurgactError(f"cannot write {args.out}: Is a directory")
     if args.out and not Path(args.out).parent.is_dir():
         raise SurgactError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
-    payload = run_single_fold(config, args.fold)
+    # the experiment's one fold loop, writing nothing but --out: a config
+    # file's output_dir is the experiment's, whose report this must not replace
+    payload = run_experiment(replace(config, output_dir=None), args.fold).folds[0]
     _write_result(json_text(payload), args.out, "fold report")
     if payload["status"] != "ok":
         print(f"fold {payload['name']} {payload['status']}: {payload['error']}",
@@ -203,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run all folds and report")
     _add_experiment_args(p)
+    p.add_argument("--output-dir", help="write report.json and tables.txt here")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

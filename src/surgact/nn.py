@@ -103,9 +103,9 @@ class Conv1d:
     y[co, t] = b[co] + sum_{ci, j} w[co, ci, j] * u[ci, t + j - k//2]
 
     with u[:, m] = x[:, m // phases] on [0, phases*T) and zero outside. With
-    `phases=1` (the default) u is x; with `phases=2` the layer is the
-    ED-TCN decoder's nearest-neighbour upsampling by 2 followed by the conv,
-    and maps T frames to 2T. Odd kernel widths only.
+    `phases=1` u is x; with `phases=2` the layer is the ED-TCN decoder's
+    nearest-neighbour upsampling by 2 followed by the conv, and maps T
+    frames to 2T. Odd kernel widths only.
 
     Output frame phases*s + r reads x only at s + (r + j - k//2) // phases,
     so a constant 0/1 fold (phases, k, q) sums the k taps of w into one
@@ -125,7 +125,7 @@ class Conv1d:
     """
 
     def __init__(self, w: np.ndarray, b: np.ndarray, grad_w: np.ndarray,
-                 grad_b: np.ndarray, columns: ColumnBuffer, *, phases: int = 1):
+                 grad_b: np.ndarray, columns: ColumnBuffer, *, phases: int):
         if (w.ndim != 3 or b.shape != w.shape[:1]
                 or grad_w.shape != w.shape or grad_b.shape != b.shape):
             raise ConfigError(

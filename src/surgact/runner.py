@@ -105,7 +105,6 @@ __all__ = [
     "fold_model_config",
     "run_fold",
     "run_experiment",
-    "run_single_fold",
     "emit_report",
     "load_report",
     "combine_reports",
@@ -542,12 +541,15 @@ def _experiment_payload(config: ExperimentConfig, catalog: Catalog,
     }
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute every fold of the configured experiment.
+def run_experiment(config: ExperimentConfig,
+                   fold_name: Optional[str] = None) -> ExperimentReport:
+    """Execute every fold of the configured experiment, or only the one
+    named `fold_name` (CLI `train`); an unknown name is a ConfigError.
 
-    Every involved trial is read and checked, and every fold's model
-    settings are derived, first, so bad input raises a DataError before any
-    fold trains; then output_dir is made, so an unusable one fails before
+    The trials the run's folds use are read and checked, and their model
+    settings derived, first, so bad input raises a DataError before any
+    fold trains; the class list is still taken over every planned trial's
+    transcript. Then output_dir is made, so an unusable one fails before
     training too. Diverged folds (non-finite loss) are recorded and skipped
     by the aggregates. Any other fold failure stops the run: the failed
     fold is recorded with its error, the partial report is persisted
@@ -557,8 +559,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     catalog = build_catalog(config.catalog)
     plans = plan_folds(config, catalog)
-    trials = read_trials(config, catalog, plans, _planned_trials(plans))
-    model_configs = [fold_model_config(plan, trials, config) for plan in plans]
+    run = [p for p in plans if fold_name in (None, p.name)]
+    if not run:
+        names = ", ".join(p.name for p in plans)
+        raise ConfigError(f"no fold named {fold_name!r}; available: {names}")
+    trials = read_trials(config, catalog, plans, _planned_trials(run))
+    model_configs = [fold_model_config(plan, trials, config) for plan in run]
     if config.output_dir:
         _make_directory(Path(config.output_dir))
     experiment = _experiment_payload(config, catalog, plans, trials)
@@ -566,7 +572,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     folds: list[dict] = []
     fold_seconds: dict[str, float] = {}
     failure: Optional[Exception] = None
-    for plan, model_config in zip(plans, model_configs):
+    for plan, model_config in zip(run, model_configs):
         t0 = time.perf_counter()
         try:
             payload = run_fold(plan, trials, model_config)
@@ -594,22 +600,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if failure is not None:
         raise SurgactError(f"fold {folds[-1]['name']} failed: {failure}") from failure
     return report
-
-
-def run_single_fold(config: ExperimentConfig, fold_name: str) -> dict:
-    """Train exactly one fold of the configured experiment (CLI `train`)
-    and return its payload. Only the fold's trials are read and checked,
-    and its model settings derived, before it trains; the class list is
-    still the experiment's, taken over every planned trial's transcript."""
-    catalog = build_catalog(config.catalog)
-    plans = plan_folds(config, catalog)
-    matches = [p for p in plans if p.name == fold_name]
-    if not matches:
-        names = ", ".join(p.name for p in plans)
-        raise ConfigError(f"no fold named {fold_name!r}; available: {names}")
-    fold = matches[0]
-    trials = read_trials(config, catalog, plans, fold.train_trials + fold.test_trials)
-    return run_fold(fold, trials, fold_model_config(fold, trials, config))
 
 
 # ---------------------------------------------------------------------------

@@ -484,7 +484,7 @@ class TestExperimentCommand:
         assert train_calls == ["louo-SYNTH-U02"]
 
     @pytest.mark.parametrize("field,value", [
-        ("filters", [4, 6]), ("epochs", "5"), ("tasks", "T01")])
+        ("filters", [4, 6]), ("epochs", "5"), ("tasks", "T01"), ("expected_channels", "3")])
     def test_mistyped_config_field_exits_1(self, synth_manifest, tmp_path, capsys,
                                            field, value):
         cfg = tmp_path / "exp.json"
@@ -545,6 +545,55 @@ class TestTrainCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("fold louo-SYNTH-U03 diverged: ") and err.count("\n") == 1
+
+    def test_a_failed_fold_exits_3_with_the_experiments_message(
+            self, synth_manifest, tmp_path, capsys, monkeypatch):
+        import surgact.runner
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("disk fell over")
+
+        monkeypatch.setattr(surgact.runner, "TcnModel", explode)
+        rc = main(["train", "--catalog", str(synth_manifest),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   "--epochs", "0", "--fold", "louo-SYNTH-U01",
+                   "--out", str(tmp_path / "fold.json")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == "failure: fold louo-SYNTH-U01 failed: disk fell over\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_config_files_output_dir_is_left_alone(self, synth_manifest, tmp_path,
+                                                      capsys):
+        # it is the experiment's, whose report a one-fold report must not replace
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"catalog": str(synth_manifest), "granularity": "mp",
+                                   "cv": "louo", "tasks": ["T01"], "epochs": 0,
+                                   "output_dir": "run"}))
+        assert main(["train", "--config", str(cfg), "--fold", "louo-SYNTH-U01"]) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == "louo-SYNTH-U01"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+    @pytest.mark.parametrize("command", ["folds", "train"])
+    def test_output_dir_is_an_experiment_flag(self, synth_manifest, tmp_path, capsys,
+                                              train_calls, command):
+        out = tmp_path / "out"
+        argv = [command, "--catalog", str(synth_manifest), "--granularity", "mp",
+                "--cv", "louo", "--tasks", "T01", "--epochs", "0"]
+        if command == "train":
+            argv += ["--fold", "louo-SYNTH-U01"]
+        with pytest.raises(SystemExit) as caught:
+            main(argv + ["--output-dir", str(out)])
+        assert caught.value.code == 1
+        captured = capsys.readouterr()
+        # the subcommand leaves the flag over, and the top-level parser refuses it
+        assert captured.err.startswith("usage: surgact ")
+        assert captured.err.endswith(
+            f"surgact: error: unrecognized arguments: --output-dir {out}\n")
+        assert captured.out == ""
+        assert train_calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_fold_name(self, synth_manifest, capsys):
         rc = main(["train", "--catalog", str(synth_manifest),
@@ -679,7 +728,7 @@ class TestOutFlag:
         def trained(*args, **kwargs):
             raise AssertionError("the fold trained before --out was checked")
 
-        monkeypatch.setattr(surgact.cli, "run_single_fold", trained)
+        monkeypatch.setattr(surgact.cli, "run_experiment", trained)
         self.run(["train", "--catalog", str(synth_manifest), "--granularity", "mp",
                   "--cv", "louo", "--tasks", "T01", "--epochs", "0",
                   "--fold", "louo-SYNTH-U01",
@@ -692,7 +741,7 @@ class TestOutFlag:
         def trained(*args, **kwargs):
             raise AssertionError("the fold trained before --out was checked")
 
-        monkeypatch.setattr(surgact.cli, "run_single_fold", trained)
+        monkeypatch.setattr(surgact.cli, "run_experiment", trained)
         target = tmp_path / "fold.json"
         target.mkdir()
         self.run(["train", "--catalog", str(synth_manifest), "--granularity", "mp",

@@ -126,6 +126,14 @@ class TestConv1d:
         with pytest.raises(ConfigError, match=message):
             Conv1d(w, b, grad_w, grad_b, ColumnBuffer(), phases=phases)
 
+    def test_phases_is_a_required_keyword(self):
+        w = np.zeros((1, 1, 3))
+        arrays = (w, np.zeros(1), np.zeros_like(w), np.zeros(1), ColumnBuffer())
+        with pytest.raises(TypeError, match="phases"):
+            Conv1d(*arrays)
+        with pytest.raises(TypeError):
+            Conv1d(*arrays, 1)
+
     def test_rejects_wrong_channels(self):
         conv = bare_conv(2, 1, 3, np.random.default_rng(0))
         with pytest.raises(DataError, match="expected 2 input channels, got 3"):
@@ -915,6 +923,15 @@ class TestAdam:
             opt.step([np.zeros(3)], [np.zeros(3)])
         with pytest.raises(DataError, match=r"shape \(2,\)/\(3,\) != state shape \(2,\)"):
             opt.step([p], [np.zeros(3)])
+        assert opt.step_count == 0 and np.array_equal(p, [1.0, 2.0])
+
+    def test_rejects_lists_of_unequal_length(self):
+        p, g = np.array([1.0, 2.0]), np.ones(2)
+        opt = Adam(p.size, learning_rate=1e-3)
+        with pytest.raises(DataError, match="expected one parameter/gradient vector, got 1/2"):
+            opt.step([p], [g, g])
+        with pytest.raises(DataError, match="expected one parameter/gradient vector, got 2/1"):
+            opt.step([p, p], [g])
         assert opt.step_count == 0 and np.array_equal(p, [1.0, 2.0])
 
     def test_rejects_negative_settings(self):

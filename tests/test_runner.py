@@ -8,6 +8,7 @@ one or two epochs because the claims under test are structural.
 import errno
 import gc
 import json
+import time
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields
@@ -46,7 +47,6 @@ from surgact.runner import (
     render_tables,
     run_experiment,
     run_fold,
-    run_single_fold,
 )
 from surgact.synth import generate_synthetic_dataset
 from surgact.tcn import HYPERPARAM_DEFAULTS, predict_labels
@@ -63,6 +63,11 @@ class TestExperimentConfig:
     def test_louo_with_tasks(self, synth_manifest):
         cfg = synth_config(synth_manifest)
         assert cfg.tasks == ("T01",)
+
+    def test_epoch_and_seed_defaults(self):
+        # the settings a config without epochs or seed runs with
+        cfg = ExperimentConfig(catalog="c.json", granularity="mp", cv="louo", tasks=("T01",))
+        assert (cfg.epochs, cfg.seed) == (60, 0)
 
     def test_tasks_list_coerced_to_tuple(self, synth_manifest):
         cfg = synth_config(synth_manifest, tasks=["T01", "T02"], filters=[8, 12, 16])
@@ -615,6 +620,20 @@ class TestRunExperiment:
         assert "timing" in with_timing and "timing" not in without
         assert set(with_timing["timing"]) == {"total_seconds", "folds"}
 
+    def test_timing_figures_are_bounded_by_the_wall_time(self, tmp_path):
+        # two folds, timed around the call: no fold takes negative time, the
+        # folds fit in the run, and the run in the time measured around it
+        manifest = generate_synthetic_dataset(
+            tmp_path, num_tasks=1, num_subjects=2, trials_per_subject=1,
+            frames_range=(40, 60), seed=3)
+        started = time.perf_counter()
+        report = run_experiment(synth_config(manifest, epochs=1, kernel_size=3))
+        wall = time.perf_counter() - started
+        seconds = report.timing["folds"]
+        assert sorted(seconds) == ["louo-SYNTH-U01", "louo-SYNTH-U02"]
+        assert all(s >= 0 for s in seconds.values())
+        assert sum(seconds.values()) <= report.timing["total_seconds"] <= wall
+
     def test_runs_are_byte_deterministic(self, synth_manifest):
         a = run_experiment(synth_config(synth_manifest))
         b = run_experiment(synth_config(synth_manifest))
@@ -714,16 +733,18 @@ class TestRunExperiment:
 
 
 class TestRunSingleFold:
+    """`run_experiment(config, fold_name)` runs the named fold alone (CLI `train`)."""
+
     def test_named_fold_is_the_experiment_fold(self, synth_manifest):
         cfg = synth_config(synth_manifest, epochs=1)
-        payload = run_single_fold(cfg, "louo-SYNTH-U02")
+        payload = run_experiment(cfg, "louo-SYNTH-U02").folds[0]
         assert payload["name"] == "louo-SYNTH-U02"
         assert payload["status"] == "ok"
         assert payload == run_experiment(cfg).folds[1]
 
     def test_diverged_fold_is_returned(self, synth_manifest):
         cfg = synth_config(synth_manifest, epochs=1, learning_rate=1e308)
-        payload = run_single_fold(cfg, "louo-SYNTH-U02")
+        payload = run_experiment(cfg, "louo-SYNTH-U02").folds[0]
         assert payload["status"] == "diverged"
         assert "louo-SYNTH-U02" in payload["error"]
 
@@ -740,7 +761,7 @@ class TestRunSingleFold:
 
         monkeypatch.setattr(Adam, "step", poisoning_step)
         cfg = synth_config(synth_manifest, epochs=1)
-        payload = run_single_fold(cfg, "louo-SYNTH-U02")
+        payload = run_experiment(cfg, "louo-SYNTH-U02").folds[0]
         assert len(steps) == 4
         assert payload["status"] == "diverged"
         assert "louo-SYNTH-U02" in payload["error"] and "non-finite" in payload["error"]
@@ -776,7 +797,7 @@ class TestRunSingleFold:
         monkeypatch.setattr(runner_mod, "experiment_vocabulary", vocabulary_spy)
         cfg = ExperimentConfig(catalog=str(manifest), granularity="mp", cv="loto-suite",
                                epochs=0, kernel_size=3)
-        payload = run_single_fold(cfg, "loto-S-from-NP")
+        payload = run_experiment(cfg, "loto-S-from-NP").folds[0]
         assert payload["status"] == "ok"
         assert sorted(read) == [f"{task}_{subject}_001.txt" for task in ("T01", "T02")
                                 for subject in ("U01", "U02")]
@@ -790,7 +811,7 @@ class TestRunSingleFold:
     def test_unknown_fold_name(self, synth_manifest):
         with pytest.raises(ConfigError,
                            match="no fold named 'louo-SYNTH-U99'; available: louo-SYNTH-U01"):
-            run_single_fold(synth_config(synth_manifest), "louo-SYNTH-U99")
+            run_experiment(synth_config(synth_manifest), "louo-SYNTH-U99")
 
 
 class TestReportsOnDisk:
@@ -805,6 +826,21 @@ class TestReportsOnDisk:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="accuracy_mean"):
             load_report(path)
+
+    def test_load_report_tolerates_a_difference_of_1e_9(self, tmp_path):
+        # a stored mean may differ from the folds' by 1e-9, not by more
+        path = tmp_path / "report.json"
+        for stored, accepted in ((1e-9, True), (2e-9, False)):
+            path.write_text(json.dumps({
+                "folds": [{"status": "ok", "map": None,
+                           "metrics": {"accuracy_mean": 0.0, "edit_score_mean": 0.0}}],
+                "aggregate": {"accuracy_mean": stored, "edit_score_mean": 0.0,
+                              "map_macro_mean": None, "map_micro_mean": None}}))
+            if accepted:
+                assert load_report(path)["aggregate"]["accuracy_mean"] == stored
+            else:
+                with pytest.raises(DataError, match="accuracy_mean"):
+                    load_report(path)
 
     def test_load_report_missing_or_invalid(self, tmp_path):
         with pytest.raises(DataError):
@@ -902,6 +938,40 @@ class TestReportsOnDisk:
         assert "louo-SYNTH-U01" in text
         assert "mean over 3 folds" in text
         assert "mAP (macro / micro)" in text
+
+    def test_render_tables_layout(self):
+        # fixed column widths, a 72-character rule, and N/A for an undefined AP
+        payload = {
+            "experiment": {"granularity": "mp", "cv": "louo", "seed": 0, "epochs": 1,
+                           "catalog": "c.json", "vocabulary": ["Grasp(L, Needle)", "Idle"]},
+            "folds": [
+                {"name": "louo-A", "held_out": "A", "kernel_size": 9, "status": "ok",
+                 "error": None, "metrics": {"accuracy_mean": 75.0, "edit_score_mean": 50.125}},
+                {"name": "louo-B", "held_out": "B", "kernel_size": 9, "status": "diverged",
+                 "error": "loss=nan"},
+            ],
+            "aggregate": {"num_ok_folds": 1, "accuracy_mean": 75.0, "edit_score_mean": 50.125,
+                          "per_class_ap_mean": {"Grasp": 80.0, "Idle": None},
+                          "per_class_support_total": {"Grasp": 3, "Idle": 0},
+                          "map_macro_mean": 80.0, "map_micro_mean": 80.0},
+        }
+        assert render_tables(payload).split("\n") == [
+            "granularity: mp   cv: louo   seed: 0   epochs: 1",
+            "catalog: c.json",
+            "classes (2): Grasp(L, Needle), Idle",
+            "",
+            "fold" + " " * 31 + "held out" + " " * 13 + "k     acc    edit",
+            "louo-A" + " " * 29 + "A" + " " * 20 + "9   75.00   50.12",
+            "louo-B" + " " * 29 + "B" + " " * 20 + "- [diverged] loss=nan",
+            "-" * 72,
+            "mean over 1 folds" + " " * 43 + "75.00   50.12",
+            "",
+            "class" + " " * 25 + "#       AP",
+            "Grasp" + " " * 25 + "3    80.00",
+            "Idle" + " " * 26 + "0      N/A",
+            "mAP (macro / micro)" + " " * 16 + "80.00 /    80.00",
+            "",
+        ]
 
     def test_combine_reports(self, synth_manifest, tmp_path):
         cfg = synth_config(synth_manifest, epochs=1,
@@ -1013,7 +1083,7 @@ class TestBadInputIsRejectedBeforeTraining:
         with pytest.raises(DataError, match=match):
             run_experiment(cfg)
         with pytest.raises(DataError, match=match):
-            run_single_fold(cfg, "louo-MINI-A")
+            run_experiment(cfg, "louo-MINI-A")
         assert trained == []
         assert not (tmp_path / "out").exists()
 

@@ -1,5 +1,7 @@
 """Model assembly, kernel derivation, parameter store and training loop tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,12 @@ class TestModelConfig:
         assert cfg.weight_decay == HYPERPARAM_DEFAULTS["louo"]["weight_decay"]
         assert cfg.epochs == DEFAULT_EPOCHS
         assert cfg.filters == (32, 64, 96)
+
+    def test_epoch_and_seed_defaults(self):
+        # 60 epochs and seed 0 are what an experiment runs without a setting
+        assert DEFAULT_EPOCHS == 60
+        cfg = ModelConfig(num_classes=4, kernel_size=9)
+        assert (cfg.epochs, cfg.seed) == (60, 0)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"num_classes": 1, "kernel_size": 3}, "need at least 2 classes, got 1"),
@@ -598,6 +606,37 @@ class TestTrainFold:
         record = train_fold(model, toy_fold(data), data)
         assert record["epoch_accuracies"] == [pytest.approx(100.0 * 16 / 24)]
 
+    def test_epoch_figures_are_the_means_of_their_steps(self, monkeypatch):
+        # an epoch's loss is the mean of its steps' losses, and its accuracy
+        # the share of its steps' labelled frames their pre-update logits got
+        # right; one trial has GAP frames, so a mean of per-step accuracies
+        # would differ
+        data = {("T", "U", f"{i:03d}"): toy_tensors(i) for i in range(3)}
+        gapped = data[("T", "U", "001")].targets.copy()
+        gapped[:40] = GAP
+        data[("T", "U", "001")] = TrialTensors(data[("T", "U", "001")].features, gapped)
+        cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
+                          learning_rate=1e-2, epochs=3, seed=1)
+        steps = []
+        real_step = TcnModel.train_step
+
+        def spy(self, x, targets, optimizer):
+            loss, logits = real_step(self, x, targets, optimizer)
+            steps.append((loss, int((np.argmax(logits, axis=0) == targets).sum()),
+                          int((targets != GAP).sum())))
+            return loss, logits
+
+        monkeypatch.setattr(TcnModel, "train_step", spy)
+        record = train_fold(TcnModel(cfg, 3), toy_fold(data), data)
+        assert len(steps) == record["steps"] == 3 * len(data)
+        expected_losses, expected_accuracies = [], []
+        for epoch in range(cfg.epochs):
+            losses, correct, counted = zip(*steps[epoch * len(data):(epoch + 1) * len(data)])
+            expected_losses.append(sum(losses) / len(losses))
+            expected_accuracies.append(100.0 * sum(correct) / sum(counted))
+        assert record["epoch_losses"] == pytest.approx(expected_losses, rel=1e-12)
+        assert record["epoch_accuracies"] == pytest.approx(expected_accuracies, rel=1e-12)
+
     def test_missing_tensors(self):
         data = {("T", "U", "001"): toy_tensors(0)}
         fold = FoldPlan(name="f", held_out="U",
@@ -649,6 +688,25 @@ class TestPredictLabels:
         assert scores.shape == (20, 4)
         np.testing.assert_allclose(scores.sum(axis=1), np.ones(20), atol=1e-12)
         assert (scores >= 0).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_scores_are_each_frames_softmax(self, scale):
+        # a stand-in model hands over fixed (classes, frames) logits; at
+        # about 1e3 an exp shifted by anything but the frame's own maximum
+        # overflows or leaves a frame of zeros
+        logits = scale * np.random.default_rng(4).uniform(-1.0, 1.0, size=(4, 12))
+
+        class FixedLogits:
+            def forward(self, x):
+                return logits, None
+
+        labels, scores = predict_labels(FixedLogits(), np.zeros((12, 3)))
+        reference = []
+        for frame in logits.T:
+            shifted = [math.exp(v - max(frame)) for v in frame]
+            reference.append([e / math.fsum(shifted) for e in shifted])
+        np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(labels, np.argmax(logits, axis=0))
 
     def test_tied_logits_take_lowest_id(self):
         model = TcnModel(SMALL, 3)
