@@ -13,7 +13,7 @@ Two setups:
   transfer plans used for reporting.
 
 A task list may name combos (`TASK_COMBOS`) as well as tasks; `louo_folds`
-and `loto_folds` read it through `expand_tasks`.
+and `loto_folds` read it through `expand_tasks`, then check it once.
 
 Planning is pure: no kinematics or transcripts are read, only the catalog.
 """
@@ -97,16 +97,24 @@ def _sorted_keys(entries) -> tuple[TrialKey, ...]:
     return tuple(sorted(e.key for e in entries))
 
 
-def louo_folds(catalog: Catalog, tasks: Sequence[str]) -> list[FoldPlan]:
+def _check_selection(catalog: Catalog, tasks: Sequence[str], granularity: Optional[str]) -> None:
+    """Every task is in the catalog; at "gesture", `check_gesture_transfer`."""
+    available = set(catalog.tasks())
+    unknown = [t for t in tasks if t not in available]
+    if unknown:
+        raise ConfigError(f"tasks not in catalog: {unknown}")
+    if granularity == "gesture":
+        check_gesture_transfer(catalog, tasks)
+
+
+def louo_folds(catalog: Catalog, tasks: Sequence[str],
+               granularity: Optional[str] = None) -> list[FoldPlan]:
     """One fold per (dataset, subject) with at least one trial in `tasks`;
     fewer than two subjects leave a fold nothing to train on."""
     tasks = expand_tasks(tasks)
     if not tasks:
         raise ConfigError("no tasks selected")
-    available = set(catalog.tasks())
-    unknown = [t for t in tasks if t not in available]
-    if unknown:
-        raise ConfigError(f"tasks not in catalog: {unknown}")
+    _check_selection(catalog, tasks, granularity)
     pool = catalog.entries_for_tasks(tasks)
     subjects = sorted({e.subject_key for e in pool})
     if len(subjects) < 2:
@@ -127,13 +135,16 @@ def louo_folds(catalog: Catalog, tasks: Sequence[str]) -> list[FoldPlan]:
 
 
 def check_gesture_transfer(catalog: Catalog, tasks: Sequence[str]) -> None:
-    """Gesture experiments need gesture labels on every involved task, and
-    gesture vocabularies are dataset-specific, so all tasks must share one
-    source dataset."""
-    no_labels = [t for t in tasks if not catalog.task_has_granularity(t, "gesture")]
+    """Gesture experiments need gesture labels on every trial of every
+    involved task, and gesture vocabularies are dataset-specific, so all
+    tasks must share one source dataset."""
+    pool = catalog.entries_for_tasks(tasks)
+    labelled = {e.task for e in pool} - {
+        e.task for e in pool if e.transcript_path("gesture") is None}
+    no_labels = [t for t in tasks if t not in labelled]
     if no_labels:
         raise ConfigError(f"tasks without gesture labels: {no_labels}")
-    datasets = catalog.datasets_of_tasks(tasks)
+    datasets = {e.dataset for e in pool}
     if len(datasets) > 1:
         raise ConfigError(
             f"gesture vocabularies do not transfer across datasets: {sorted(datasets)}")
@@ -151,12 +162,7 @@ def loto_folds(
         raise ConfigError("no training tasks selected")
     if test_task in train_tasks:
         raise ConfigError(f"test task {test_task!r} also in training tasks")
-    available = set(catalog.tasks())
-    unknown = [t for t in (test_task, *train_tasks) if t not in available]
-    if unknown:
-        raise ConfigError(f"tasks not in catalog: {unknown}")
-    if granularity == "gesture":
-        check_gesture_transfer(catalog, (test_task, *train_tasks))
+    _check_selection(catalog, (test_task, *train_tasks), granularity)
     return FoldPlan(
         name=f"loto-{test_task}-from-{'+'.join(train_tasks)}",
         held_out=test_task,
@@ -170,7 +176,7 @@ def loto_suite(catalog: Catalog, granularity: Optional[str] = None) -> list[Fold
 
     All six tasks must be present in the catalog. With granularity="gesture"
     only the rows whose tasks all carry gesture labels from one source
-    dataset survive (label vocabularies do not transfer across datasets).
+    dataset are planned (`check_gesture_transfer`), and none is a ConfigError.
     """
     available = set(catalog.tasks())
     missing = [t for t in TASK_ORDER if t not in available]
@@ -183,5 +189,8 @@ def loto_suite(catalog: Catalog, granularity: Optional[str] = None) -> list[Fold
                 check_gesture_transfer(catalog, (test_task, *train_tasks))
             except ConfigError:
                 continue
-        plans.append(loto_folds(catalog, test_task, train_tasks, granularity))
+        plans.append(loto_folds(catalog, test_task, train_tasks))
+    if not plans:
+        raise ConfigError("no row of the suite keeps the gesture rule: every task "
+                          "must carry gesture labels from one source dataset")
     return plans

@@ -27,7 +27,6 @@ selection is a plain tuple of column indices, arms ordered left then right.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +43,6 @@ ARM_SIDES = {"mp-left": "L", "mp-right": "R"}
 
 MP_VERBS = ("Grasp", "Release", "Touch", "Untouch", "Pull", "Push")
 IDLE = "Idle"
-
-DEFAULT_SAMPLE_RATE = 30.0
 
 # three pooling stages of width 2
 MIN_FRAMES = 8
@@ -455,11 +452,9 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class Catalog:
-    """All known trials, recorded at one frame rate. Keys (task, subject,
-    trial) are unique."""
+    """All known trials. Keys (task, subject, trial) are unique."""
 
     entries: tuple[CatalogEntry, ...]
-    sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         seen: dict[TrialKey, CatalogEntry] = {}
@@ -485,14 +480,14 @@ class Catalog:
         wanted = set(tasks)
         return tuple(e for e in self.entries if e.task in wanted)
 
-    def datasets_of_tasks(self, tasks: Iterable[str]) -> frozenset[str]:
-        return frozenset(e.dataset for e in self.entries_for_tasks(tasks))
 
-    def task_has_granularity(self, task: str, granularity: str) -> bool:
-        pool = self.entries_for_tasks([task])
-        if not pool:
-            return False
-        return all(e.transcript_path(granularity) is not None for e in pool)
+_ENTRY_KEYS = ("dataset", "task", "subject", "trial", "kinematics", "transcripts")
+
+
+def _reject_unknown_keys(obj: dict, known: tuple[str, ...], where: str, mp: Path) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise DataError(f"{where}: unknown key {unknown[0]!r}; known: {', '.join(known)}: {mp}")
 
 
 def build_catalog(manifest_path) -> Catalog:
@@ -501,27 +496,22 @@ def build_catalog(manifest_path) -> Catalog:
     The manifest is one object, {"entries": [...]}; each entry carries
     dataset/task/subject/trial id strings, a kinematics path, and a map
     from granularities (`GRANULARITIES`) to transcript paths. Relative paths
-    resolve against the manifest's directory. The object may give the frame
-    rate as "sample_rate", a positive number of Hz; without it the rate is
-    DEFAULT_SAMPLE_RATE.
+    resolve against the manifest's directory. The keys are closed: any
+    other key, in the object or in an entry, is a DataError, never ignored.
     """
     mp = Path(manifest_path)
     doc = read_json(mp, "catalog manifest")
     if not isinstance(doc, dict):
         raise DataError(f'catalog manifest must hold a JSON object {{"entries": [...]}}: {mp}')
+    _reject_unknown_keys(doc, ("entries",), "catalog manifest", mp)
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list):
         raise DataError(f"catalog manifest must hold a list of entries: {mp}")
-    sample_rate = doc.get("sample_rate", DEFAULT_SAMPLE_RATE)
-    if (isinstance(sample_rate, bool) or not isinstance(sample_rate, (int, float))
-            or not math.isfinite(sample_rate) or sample_rate <= 0):
-        raise DataError(
-            f"catalog manifest sample_rate must be a positive number of Hz, "
-            f"got {sample_rate!r}: {mp}")
     entries: list[CatalogEntry] = []
     for i, item in enumerate(raw_entries):
         if not isinstance(item, dict):
             raise DataError(f"manifest entry {i} must be a JSON object, got {item!r}")
+        _reject_unknown_keys(item, _ENTRY_KEYS, f"manifest entry {i}", mp)
         try:
             dataset = item["dataset"]
             task = item["task"]
@@ -559,4 +549,4 @@ def build_catalog(manifest_path) -> Catalog:
         entries.append(CatalogEntry(
             dataset=dataset, task=task, subject=subject, trial=trial,
             kinematics=kin, transcripts=tuple(tpairs)))
-    return Catalog(entries=tuple(entries), sample_rate=float(sample_rate))
+    return Catalog(entries=tuple(entries))

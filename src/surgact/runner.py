@@ -47,8 +47,6 @@ from ._version import __version__
 from .atomic import json_text, read_json, write_atomic
 from .crossval import (
     FoldPlan,
-    check_gesture_transfer,
-    expand_tasks,
     loto_folds,
     loto_suite,
     louo_folds,
@@ -259,10 +257,7 @@ def derive_fold_seed(seed: int, fold_name: str) -> int:
 def plan_folds(config: ExperimentConfig, catalog: Catalog) -> list[FoldPlan]:
     """Resolve the config's cross-validation request into fold plans."""
     if config.cv == "louo":
-        tasks = expand_tasks(config.tasks)
-        if config.granularity == "gesture":
-            check_gesture_transfer(catalog, tasks)
-        return louo_folds(catalog, tasks)
+        return louo_folds(catalog, config.tasks, config.granularity)
     if config.cv == "loto":
         return [loto_folds(catalog, config.test_task, config.train_tasks,
                            config.granularity)]
@@ -497,7 +492,7 @@ def _aggregate(fold_payloads: Sequence[dict]) -> dict:
                       if f["map"]["per_class"].get(c) is not None]
             agg["per_class_ap_mean"][c] = float(np.mean(values)) if values else None
             agg["per_class_support_total"][c] = int(sum(
-                f["map"]["support"].get(c, 0) for f in with_map))
+                f["map"]["support"][c] for f in with_map))
     return agg
 
 
@@ -526,8 +521,8 @@ class ExperimentReport:
         return json_text(self.payload(include_timing)).encode()
 
 
-def _experiment_payload(config: ExperimentConfig, catalog: Catalog,
-                        plans: Sequence[FoldPlan], trials: TrialData) -> dict:
+def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
+                        trials: TrialData) -> dict:
     """Every setting but `output_dir`, and what the run derived from the
     catalog."""
     out = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "output_dir"}
@@ -535,7 +530,6 @@ def _experiment_payload(config: ExperimentConfig, catalog: Catalog,
     return {
         **out,
         "num_features": len(trials.feature_columns),
-        "sample_rate": catalog.sample_rate,
         "vocabulary": list(trials.vocabulary),
         "fold_names": [p.name for p in plans],
     }
@@ -567,7 +561,7 @@ def run_experiment(config: ExperimentConfig,
     model_configs = [fold_model_config(plan, trials, config) for plan in run]
     if config.output_dir:
         _make_directory(Path(config.output_dir))
-    experiment = _experiment_payload(config, catalog, plans, trials)
+    experiment = _experiment_payload(config, plans, trials)
 
     folds: list[dict] = []
     fold_seconds: dict[str, float] = {}
@@ -642,7 +636,7 @@ def render_tables(payload: dict) -> str:
         lines.append(f"{'class':<24} {'#':>6} {'AP':>8}")
         for cls in sorted(agg["per_class_ap_mean"]):
             ap = agg["per_class_ap_mean"][cls]
-            sup = agg["per_class_support_total"].get(cls, 0)
+            sup = agg["per_class_support_total"][cls]
             lines.append(f"{cls:<24} {sup:>6} {_fmt(ap, 8)}")
         lines.append(
             f"{'mAP (macro / micro)':<24} {'':>6} "

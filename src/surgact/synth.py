@@ -21,7 +21,6 @@ import numpy as np
 from .atomic import json_text, write_atomic
 from .dataset import (
     COLUMNS_PER_ARM,
-    DEFAULT_SAMPLE_RATE,
     MP_VERBS,
     LabelTranscript,
     Segment,
@@ -168,12 +167,8 @@ def generate_synthetic_dataset(
         raise SurgactError(
             f"cannot write {exc.filename or root}: {exc.strerror or exc}") from None
 
-    manifest = {
-        "sample_rate": DEFAULT_SAMPLE_RATE,
-        "entries": entries,
-    }
     manifest_path = root / "manifest.json"
-    write_atomic(manifest_path, json_text(manifest).encode())
+    write_atomic(manifest_path, json_text({"entries": entries}).encode())
     return manifest_path
 
 

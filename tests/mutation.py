@@ -59,15 +59,43 @@ TIMEOUT = 600
 
 # survivors that change no result and no error, by name, with the reason
 EQUIVALENT: dict[str, str] = {
-    # runner.py, against test_runner and test_cli
-    "runner.py:_aggregate: 0 -> 1":
-        "the default of `support.get(c, 0)` is never read: `map_report` gives a fold's "
-        "support a key for each class of its per_class, whose keys are every class group "
-        "of the experiment's vocabulary in every fold; `load_report` recomputes the "
-        "aggregate of a file but compares only the four means",
-    "runner.py:render_tables: 0 -> 1":
-        "the default of `per_class_support_total.get(cls, 0)` is never read: `_aggregate` "
-        "sets that map and per_class_ap_mean, which the loop walks, for the same classes",
+    # metrics.py, against test_metrics and test_runner
+    "metrics.py:levenshtein: len(a) < len(b) -> len(a) <= len(b)":
+        "swapping two sequences of equal length changes nothing: the distance is symmetric "
+        "and the table has the same size either way",
+    "metrics.py:levenshtein: 1 -> 2 #6":
+        "`prev = list(range(len(b) + 2))` adds a last value no cell reads: the table is built "
+        "only when `a` is not empty, and its first row replaces `prev` with `len(b) + 1` values",
+    "metrics.py:levenshtein: up + 1 < best -> up + 1 <= best":
+        "on a tie the branch stores the value `best` already holds",
+    "metrics.py:levenshtein: left + 1 < best -> left + 1 <= best":
+        "on a tie the branch stores the value `best` already holds",
+    # tcn.py, against test_tcn and test_runner
+    "tcn.py:TcnModel.backward: n < t -> n <= t":
+        "when n == t the branch adds the sum over no repeated frames, +0.0, to the last "
+        "frame's gradient: every value stays equal (a -0.0 may become +0.0, which no later "
+        "sum tells apart)",
+    # nn.py, against test_nn and test_tcn
+    "nn.py:<module>: 32768 -> 32769":
+        "Adam's update is elementwise, so `ADAM_BLOCK` only sizes the slices it works in: "
+        "every block size gives the same bits",
+    "nn.py:Conv1d._phase_kernels: 1 -> 2 #2":
+        "`reshape(..., -2)`: numpy reads any negative size as the one dimension it infers",
+    "nn.py:Conv1d._phase_kernels: 1 -> 2 #3":
+        "`reshape(co, -2)`: numpy reads any negative size as the one dimension it infers",
+    "nn.py:Conv1d._im2col: 1 -> 2 #2":
+        "reserving `c * q * (t + q + 2)` values only makes the column buffer larger",
+    "nn.py:Conv1d.backward: t + q + 1 -> t + q - 1":
+        "reading the column gradient back shifts tap j left by j <= q - 1 values and the "
+        "taps' slot offsets reach at most q - 1 past a row, so q - 1 zeros between rows "
+        "suffice; forward and backward were checked to give the same bits for k in 1..21, "
+        "1 to 3 phases and 1 to 301 frames",
+    "nn.py:pool_relu_norm: 2 -> 3 #4":
+        "`y[:, 1:3 * n:2]` takes the same frames as `1:2 * n:2`, since t <= 2n + 1 puts no "
+        "odd frame at or past 2n",
+    "nn.py:pool_relu_norm_backward: 2 -> 3 #4":
+        "`gx[:, 1:3 * n:2]` is the same view as `1:2 * n:2`, since t <= 2n + 1 puts no odd "
+        "frame at or past 2n",
 }
 
 

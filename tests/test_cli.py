@@ -11,6 +11,7 @@ import pytest
 import surgact
 from surgact.atomic import json_text
 from surgact.cli import main
+from surgact.crossval import TASK_ORDER
 from surgact.runner import load_report
 
 
@@ -50,6 +51,21 @@ def small_corpus(root, subjects):
     doc = json.loads(manifest.read_text())
     for entry in doc["entries"]:
         del entry["transcripts"]["mp-left"], entry["transcripts"]["mp-right"]
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+def suite_corpus_without_gestures(root):
+    """The suite's six tasks, one trial per subject and task, and no gesture
+    transcript."""
+    main(["synth", "--out", str(root), "--tasks", "6", "--subjects", "2",
+          "--trials-per-subject", "1", "--min-frames", "40", "--max-frames", "60"])
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    names = {f"T{i + 1:02d}": task for i, task in enumerate(TASK_ORDER)}
+    for entry in doc["entries"]:
+        entry["task"] = names[entry["task"]]
+        del entry["transcripts"]["gesture"]
     manifest.write_text(json.dumps(doc))
     return manifest
 
@@ -412,6 +428,32 @@ class TestExperimentCommand:
         assert train_calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
+    @pytest.mark.parametrize("cv", [["louo", "--tasks"],
+                                    ["loto", "--test-task", "T01", "--train-tasks"]],
+                             ids=["louo", "loto"])
+    @pytest.mark.parametrize("granularity", ["gesture", "mp"])
+    def test_an_unknown_task_is_named_while_planning(self, synth_manifest, capsys,
+                                                     train_calls, cv, granularity):
+        argv = ["--catalog", str(synth_manifest), "--granularity", granularity,
+                "--cv", *cv, "Bogus"]
+        assert main(["folds", *argv]) == 1
+        assert main(["experiment", *argv, "--epochs", "1"]) == 1
+        assert capsys.readouterr() == ("", 2 * "error: tasks not in catalog: ['Bogus']\n")
+        assert train_calls == []
+
+    def test_a_gesture_suite_with_no_row_exits_1_while_planning(self, tmp_path, capsys,
+                                                               train_calls):
+        manifest = suite_corpus_without_gestures(tmp_path / "corpus")
+        capsys.readouterr()
+        argv = ["--catalog", str(manifest), "--granularity", "gesture",
+                "--cv", "loto-suite"]
+        assert main(["folds", *argv]) == 1
+        assert main(["experiment", *argv, "--epochs", "1"]) == 1
+        assert capsys.readouterr() == ("", 2 * (
+            "error: no row of the suite keeps the gesture rule: every task must "
+            "carry gesture labels from one source dataset\n"))
+        assert train_calls == []
+
     def test_output_dir_under_a_file_exits_3_before_training(self, synth_manifest,
                                                              tmp_path, capsys,
                                                              train_calls):
@@ -642,6 +684,18 @@ class TestReportCommand:
         rc = main(["report", "--inputs", str(bad)])
         assert rc == 2
         assert "edit_score_mean" in capsys.readouterr().err
+
+    def test_a_fold_support_missing_a_class_is_malformed(self, cli_report_dir, tmp_path,
+                                                         capsys):
+        payload = json.loads((cli_report_dir / "report.json").read_text())
+        support = payload["folds"][1]["map"]["support"]
+        missing = sorted(support)[0]
+        del support[missing]
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["report", "--inputs", str(bad)]) == 2
+        assert capsys.readouterr() == (
+            "", f"data error: report is malformed: {bad}: KeyError({missing!r})\n")
 
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

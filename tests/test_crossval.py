@@ -1,6 +1,7 @@
 """Fold planning invariants on a catalog shaped like the real six-task corpus."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -105,6 +106,35 @@ class TestLouoFolds:
         with pytest.raises(ConfigError, match="no tasks selected"):
             louo_folds(study_catalog, [])
 
+    def test_gesture_transfer_guard(self, study_catalog):
+        with pytest.raises(ConfigError, match=r"tasks without gesture labels: \['PaS', 'PoaP'\]"):
+            louo_folds(study_catalog, ("All",), granularity="gesture")
+        with pytest.raises(ConfigError,
+                           match="gesture vocabularies do not transfer across datasets"):
+            louo_folds(study_catalog, ("S", "PT"), granularity="gesture")
+        assert louo_folds(study_catalog, ("JIGSAWS",), granularity="gesture") == louo_folds(
+            study_catalog, ("JIGSAWS",))
+
+
+@pytest.mark.parametrize("plan", [
+    lambda catalog: louo_folds(catalog, ["S", "XX"], granularity="gesture"),
+    lambda catalog: loto_folds(catalog, "S", ["XX"], granularity="gesture"),
+    lambda catalog: loto_folds(catalog, "S", ["XX"]),
+], ids=["louo-gesture", "loto-gesture", "loto-mp"])
+def test_an_unknown_task_is_named_before_any_gesture_rule(study_catalog, plan):
+    with pytest.raises(ConfigError) as caught:
+        plan(study_catalog)
+    assert str(caught.value) == "tasks not in catalog: ['XX']"
+
+
+def without_gestures(catalog, keep=lambda entry: False):
+    """`catalog` with the gesture transcripts dropped from every entry
+    `keep` does not select."""
+    return Catalog(entries=tuple(
+        e if keep(e) else replace(e, transcripts=tuple(
+            (g, p) for g, p in e.transcripts if g != "gesture"))
+        for e in catalog.entries))
+
 
 class TestGestureTransfer:
     def test_same_source_tasks_allowed(self, study_catalog):
@@ -118,6 +148,18 @@ class TestGestureTransfer:
     def test_unlabeled_task_rejected(self, study_catalog):
         with pytest.raises(ConfigError, match="tasks without gesture labels"):
             check_gesture_transfer(study_catalog, ("PaS",))
+
+    def test_one_unlabelled_trial_leaves_its_task_without_labels(self, study_catalog):
+        first = study_catalog.entries_for_tasks(["NP"])[0]
+        catalog = without_gestures(study_catalog, keep=lambda e: e != first)
+        with pytest.raises(ConfigError) as caught:
+            check_gesture_transfer(catalog, ("S", "NP", "KT"))
+        assert str(caught.value) == "tasks without gesture labels: ['NP']"
+
+    def test_a_task_with_no_trials_has_no_labels(self, study_catalog):
+        with pytest.raises(ConfigError) as caught:
+            check_gesture_transfer(study_catalog, ("S", "XX"))
+        assert str(caught.value) == "tasks without gesture labels: ['XX']"
 
 
 class TestLotoFolds:
@@ -186,6 +228,15 @@ class TestLotoSuite:
             ("NP", ("S",)),
             ("KT", ("NP", "S")),
         }
+
+    def test_a_gesture_suite_with_no_row_left_is_refused(self, study_catalog):
+        catalog = without_gestures(study_catalog)
+        assert len(loto_suite(catalog)) == 22
+        with pytest.raises(ConfigError) as caught:
+            loto_suite(catalog, granularity="gesture")
+        assert str(caught.value) == (
+            "no row of the suite keeps the gesture rule: every task must carry "
+            "gesture labels from one source dataset")
 
     def test_missing_task_rejected(self, study_catalog):
         partial = Catalog(entries=tuple(

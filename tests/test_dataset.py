@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from surgact.dataset import (
     COLUMNS_PER_ARM,
-    DEFAULT_SAMPLE_RATE,
     IDLE,
     GAP,
     MIN_FRAMES,
@@ -176,7 +175,9 @@ class TestLoadTranscript:
          "segment starts must increase (0 after 10)"),
         (("0 10 Idle", "5 20 Idle"), DataError,
          "segment [5, 20] overlaps [0, 10]"),
-    ], ids=["range", "order", "overlap"])
+        (("0 4 Idle", "0 9 Idle"), DataError,
+         "segment starts must increase (0 after 0)"),
+    ], ids=["range", "order", "overlap", "same-start"])
     def test_segment_rules_read_alike_from_a_file_and_in_memory(self, tmp_path, lines,
                                                                 error, message):
         # one rule, one message: a file's error adds its path and line
@@ -232,6 +233,7 @@ class TestLoadTranscript:
         with pytest.raises(DataError,
                            match="t.txt: trial has 5 frames, the model needs at least 8"):
             load_transcript(p).bind(MIN_FRAMES - 3)
+        assert load_transcript(p).bind(MIN_FRAMES).length == MIN_FRAMES
 
 
 class TestDensifyAndEncode:
@@ -568,6 +570,8 @@ class TestFeatureSelection:
     def test_duplicate_column(self):
         with pytest.raises(DataError, match="selected more than once"):
             select_features(np.zeros((3, 38)), arm_columns(0) + arm_columns(0))
+        with pytest.raises(DataError, match="^column 1 selected more than once$"):
+            select_features(np.zeros((3, 38)), (0, 1, 2, 1))
 
     def test_arm_columns_at_offset(self):
         # position, linear velocity, gripper of the block starting at 19
@@ -618,10 +622,6 @@ class TestCatalog:
         ))
         assert cat.tasks() == ("NP", "S")
         assert len(cat.entries_for_tasks(["S"])) == 2
-        assert cat.datasets_of_tasks(["S", "NP"]) == {"JIGSAWS"}
-        assert cat.task_has_granularity("S", "gesture")
-        assert not cat.task_has_granularity("NP", "gesture")
-        assert not cat.task_has_granularity("KT", "mp")
 
     def test_get_unknown_trial(self):
         cat = Catalog(entries=(entry(),))
@@ -634,7 +634,6 @@ class TestBuildCatalog:
         (root / "k.txt").write_text("1 2\n3 4\n")
         (root / "t.txt").write_text("0 1 G1\n")
         manifest = {
-            "sample_rate": 30.0,
             "entries": [{
                 "dataset": "JIGSAWS", "task": "S", "subject": "B",
                 "trial": "001", "kinematics": "k.txt",
@@ -732,17 +731,9 @@ class TestBuildCatalog:
         with pytest.raises(DataError):
             build_catalog(mp)
 
-    def test_sample_rate(self, tmp_path):
+    def test_a_bare_list_is_not_a_manifest(self, tmp_path):
         mp = self.write_corpus(tmp_path)
-        assert build_catalog(mp).sample_rate == 30.0
-        doc = json.loads(mp.read_text())
-        doc["sample_rate"] = 120
-        mp.write_text(json.dumps(doc))
-        assert build_catalog(mp).sample_rate == 120.0
-        del doc["sample_rate"]
-        mp.write_text(json.dumps(doc))
-        assert build_catalog(mp).sample_rate == DEFAULT_SAMPLE_RATE
-        mp.write_text(json.dumps(doc["entries"]))  # a bare list is not a manifest
+        mp.write_text(json.dumps(json.loads(mp.read_text())["entries"]))
         with pytest.raises(DataError, match=f"must hold a JSON object .*: {mp}"):
             build_catalog(mp)
 
@@ -751,8 +742,42 @@ class TestBuildCatalog:
                              ids=["negative", "zero", "string", "bool", "nan",
                                   "infinite", "null", "list"])
     def test_bad_sample_rate(self, tmp_path, rate):
+        # nothing reads a frame rate: the key is refused by name, whatever
+        # its value
         mp = self.write_corpus(tmp_path)
-        mp.write_text(mp.read_text().replace('"sample_rate": 30.0',
-                                             f'"sample_rate": {rate}'))
-        with pytest.raises(DataError, match="sample_rate"):
+        mp.write_text(mp.read_text().replace('{"entries"', f'{{"sample_rate": {rate}, "entries"'))
+        with pytest.raises(DataError) as caught:
             build_catalog(mp)
+        assert str(caught.value) == (
+            f"catalog manifest: unknown key 'sample_rate'; known: entries: {mp}")
+
+    @pytest.mark.parametrize("key", ["sample_rate", "samplerate", "Entries"])
+    def test_the_manifest_holds_only_entries(self, tmp_path, key):
+        mp = self.write_corpus(tmp_path)
+        doc = json.loads(mp.read_text())
+        doc[key] = 30.0
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as caught:
+            build_catalog(mp)
+        assert str(caught.value) == (
+            f"catalog manifest: unknown key {key!r}; known: entries: {mp}")
+
+    @pytest.mark.parametrize("key", ["transcript", "sample_rate", "Task"])
+    def test_an_entry_holds_only_the_keys_read(self, tmp_path, key):
+        mp = self.write_corpus(tmp_path)
+        doc = json.loads(mp.read_text())
+        doc["entries"].insert(0, dict(doc["entries"][0], trial="000"))
+        doc["entries"][1][key] = {"mp": "t.txt"}
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as caught:
+            build_catalog(mp)
+        assert str(caught.value) == (
+            f"manifest entry 1: unknown key {key!r}; known: dataset, task, subject, "
+            f"trial, kinematics, transcripts: {mp}")
+
+    def test_transcripts_may_be_left_out(self, tmp_path):
+        mp = self.write_corpus(tmp_path)
+        doc = json.loads(mp.read_text())
+        del doc["entries"][0]["transcripts"]
+        mp.write_text(json.dumps(doc))
+        assert build_catalog(mp).entries[0].transcripts == ()

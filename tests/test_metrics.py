@@ -7,7 +7,7 @@ meaningful evidence.
 """
 
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -107,6 +107,14 @@ class TestLevenshtein:
         assert levenshtein("", "abc") == 3
         assert levenshtein("abc", "") == 3
         assert levenshtein("", "") == 0
+
+    def test_matches_recursive_reference_on_every_short_pair(self):
+        # every pair of up to 4 labels out of 3, so that each branch of the
+        # table's minimum decides some cell: "aba" -> "bac" costs 2
+        seqs = [s for n in range(5) for s in product("abc", repeat=n)]
+        for a in seqs:
+            for b in seqs:
+                assert levenshtein(a, b) == lev_reference(a, b), (a, b)
 
     @given(label_seqs, label_seqs)
     def test_matches_recursive_reference(self, a, b):
@@ -293,6 +301,9 @@ class TestPooledClassAP:
         with pytest.raises(DataError, match=r"targets shape \(3,\) vs 2 frames"):
             pooled_class_average_precisions(
                 [(np.ones((2, 2)), np.zeros(3, dtype=int))], ["a", "b"], SELF)
+        with pytest.raises(DataError, match=r"targets shape \(3,\) vs 4 frames$"):
+            pooled_class_average_precisions(
+                [(np.ones((4, 2)), np.zeros(3, dtype=int))], ["a", "b"], SELF)
 
 
 class TestMapReport:

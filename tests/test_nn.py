@@ -288,6 +288,8 @@ class TestUpsampledConv:
         assert isinstance(first, mmap.mmap) and len(first) == 800
         buf.reserve(50)
         assert buf._map is first and buf.capacity == 100
+        buf.reserve(100)  # a request of exactly the capacity keeps the map
+        assert buf._map is first and buf.capacity == 100
         buf.reserve(101)
         assert buf._map is not first and buf.capacity == 101
         view = buf.view((2, 3), (5, 1), 1)

@@ -374,7 +374,7 @@ def write_mini_corpus(root, *, with_gesture=True, with_arm_files=False):
                         "trial": "001", "kinematics": f"kin/{stem}.txt",
                         "transcripts": transcripts})
     manifest = root / "manifest.json"
-    manifest.write_text(json.dumps({"sample_rate": 10.0, "entries": entries}))
+    manifest.write_text(json.dumps({"entries": entries}))
     return manifest
 
 
@@ -594,7 +594,7 @@ class TestRunExperiment:
         assert report.experiment["fold_names"] == [
             "louo-SYNTH-U01", "louo-SYNTH-U02", "louo-SYNTH-U03"]
         assert report.experiment["vocabulary"][-1] != ""
-        assert report.experiment["sample_rate"] == 30.0
+        assert "sample_rate" not in report.experiment
         assert report.aggregate["num_ok_folds"] == 3
         agg_acc = np.mean([f["metrics"]["accuracy_mean"] for f in report.folds])
         assert report.aggregate["accuracy_mean"] == pytest.approx(agg_acc)
@@ -1004,6 +1004,7 @@ def keep_one_gesture(root):
 
 
 def corrupt_sample_rate(value):
+    # the manifest no longer holds a frame rate, so the key is refused
     def corrupt(root):
         doc = json.loads((root / "manifest.json").read_text())
         doc["sample_rate"] = value
@@ -1024,6 +1025,30 @@ class TestBadInputIsRejectedBeforeTraining:
         assert cli_main(["validate", "--catalog", str(manifest)]) == 2
         assert "data error:" in capsys.readouterr().err
         self.assert_nothing_trained(tmp_path, monkeypatch, manifest)
+
+    @pytest.mark.parametrize("entry, key", [
+        (None, "sample_rate"), (None, "samplerate"), (1, "transcript"),
+    ], ids=["old-sample-rate", "misspelled-manifest-key", "misspelled-entry-key"])
+    def test_a_manifest_key_that_is_not_read(self, tmp_path, monkeypatch, capsys, entry,
+                                             key):
+        manifest = write_mini_corpus(tmp_path, with_gesture=False)
+        doc = json.loads(manifest.read_text())
+        if entry is None:
+            doc[key] = 30.0
+        else:  # the entry's transcripts under a misspelled key
+            doc["entries"][entry][key] = doc["entries"][entry].pop("transcripts")
+        manifest.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--catalog", str(manifest)]) == 2
+        assert cli_main(["experiment", "--catalog", str(manifest), "--granularity", "mp",
+                         "--cv", "louo", "--tasks", "T", "--epochs", "1"]) == 2
+        where = "catalog manifest" if entry is None else f"manifest entry {entry}"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line in err:
+            assert line.startswith(f"data error: {where}: unknown key {key!r}; known: ")
+            assert line.endswith(f": {manifest}")
+        self.assert_nothing_trained(tmp_path, monkeypatch, manifest,
+                                    match=f"unknown key {key!r}")
 
     def test_feature_column_outside_a_trial(self, tmp_path, monkeypatch, capsys):
         # validate knows no feature columns; the experiment checks them

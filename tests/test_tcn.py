@@ -1,6 +1,7 @@
 """Model assembly, kernel derivation, parameter store and training loop tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,10 @@ class TestModelConfig:
     def test_filters_become_a_tuple(self):
         assert ModelConfig(num_classes=4, kernel_size=3, filters=[4, 6, 8]).filters == (4, 6, 8)
 
+    def test_one_filter_per_stage_and_a_width_1_kernel_are_allowed(self):
+        cfg = ModelConfig(num_classes=2, kernel_size=1, filters=(1, 1, 1))
+        assert (cfg.kernel_size, cfg.filters) == (1, (1, 1, 1))
+
 
 SMALL = ModelConfig(num_classes=4, kernel_size=3, filters=(4, 6, 8),
                     learning_rate=1e-2, weight_decay=0.0, epochs=40, seed=1)
@@ -188,6 +193,18 @@ class TestBuildModel:
         model = TcnModel(SMALL, 3)
         with pytest.raises(DataError, match="need at least 8 frames, got 7"):
             model.forward(np.zeros((3, MIN_FRAMES - 1)))
+
+    def test_a_one_channel_model_with_width_1_layers(self):
+        model = TcnModel(ModelConfig(num_classes=2, kernel_size=1, filters=(1, 1, 1)), 1)
+        assert [conv.kernel_size for conv in model.convs] == [1] * 7
+        x = np.random.default_rng(3).normal(size=(1, 20))
+        logits, tape = model.forward(x)
+        assert logits.shape == (2, 20)
+        assert model.backward(np.ones((2, 20)), tape).shape == (1, 20)
+
+    def test_no_input_channel(self):
+        with pytest.raises(ConfigError, match="input_channels must be >= 1, got 0"):
+            TcnModel(SMALL, 0)
 
     def test_channel_mismatch(self):
         model = TcnModel(SMALL, 3)
@@ -375,6 +392,18 @@ class TestTrainingPass:
         assert loss == expected_loss
         assert np.array_equal(logits, expected_logits)
         assert np.array_equal(grad, fresh.grad) and grad.any()
+
+    def test_no_input_gradient_leaves_the_parameter_gradients(self):
+        model = TcnModel(SMALL, 3)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(3, 29))
+        grad_logits = rng.normal(size=(4, 29))
+        logits, tape = model.forward(x)
+        model.backward(grad_logits, tape)
+        expected = model.grad.copy()
+        logits, tape = model.forward(x)
+        assert model.backward(grad_logits, tape, input_grad=False) is None
+        assert np.array_equal(model.grad, expected)
 
     def test_a_shared_buffer_gives_the_bits_of_a_fresh_model(self):
         # a long trial grows the model's column buffer; a short trial then
@@ -569,6 +598,24 @@ class TestTrainFold:
             finals.append(model.theta.copy())
         assert records[0] == records[1]
         np.testing.assert_array_equal(*finals)
+
+    def test_each_epoch_visits_the_trials_in_the_seeded_order(self, monkeypatch):
+        # the order comes from stream (seed, 1), not the parameter-init draw
+        data = {("T", "U", f"{i:03d}"): toy_tensors(i, t=16) for i in range(5)}
+        keys = sorted(data)
+        visited = []
+        real_step = TcnModel.train_step
+
+        def spy(model, x, targets, optimizer):
+            visited.append(next(k for k in keys if data[k].targets is targets))
+            return real_step(model, x, targets, optimizer)
+
+        monkeypatch.setattr(TcnModel, "train_step", spy)
+        cfg = replace(TOY, epochs=3)
+        train_fold(TcnModel(cfg, 3), toy_fold(data), data)
+        rng = np.random.default_rng((cfg.seed, 1))
+        assert visited == [keys[i] for _ in range(3) for i in rng.permutation(len(keys))]
+        assert visited[:5] != keys
 
     def test_zero_epochs_changes_nothing(self):
         cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
