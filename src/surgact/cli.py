@@ -21,6 +21,7 @@ from .dataset import (
     build_catalog,
     load_transcript,
     load_trial_kinematics,
+    split_by_arm,
 )
 from .errors import ConfigError, DataError, SurgactError
 from .runner import (
@@ -84,19 +85,21 @@ def _write_result(text: str, out: Optional[str], what: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    # the loader the experiments use: each file is read once, every
-    # transcript is bound to its trial's length, and a combined 'mp' one must
-    # yield the per-arm views an experiment reads from it
+    # the loaders the experiments use: each file is read once, every
+    # transcript against its trial's length, and a combined 'mp' one must
+    # split into the per-arm views an experiment derives from it
     check_minimum("expected_channels", args.expected_channels)
     catalog = build_catalog(args.catalog)
     for entry in catalog.entries:
         length = len(load_trial_kinematics(entry.kinematics, args.expected_channels))
         for granularity, path in entry.transcripts:
-            parsed = load_transcript(path, granularity)
-            parsed.bind(length)
+            transcript = load_transcript(path, granularity, length)
             if granularity == "mp" and any(
                     entry.transcript_source(g)[0] == "mp" for g in ARM_SIDES):
-                parsed.arm_labels()
+                try:
+                    split_by_arm(transcript)
+                except DataError as exc:
+                    raise DataError(f"{path}: {exc}") from None
     print(f"ok: {len(catalog.entries)} trials, {len(catalog.tasks())} tasks "
           f"({', '.join(catalog.tasks())})")
     return EXIT_OK

@@ -8,15 +8,16 @@ Motion-primitive (MP) labels are strings like ``Grasp(L, Needle)``; gesture
 labels are opaque strings. A catalog maps (task, subject, trial) keys to the
 files on disk.
 
-Each rule has one home. `TranscriptFile.bind` fits a transcript to its
-trial: an MP transcript that labels no frame leaves the trial all Idle, a
-gesture transcript must label one. A transcript carries no class list;
-`encode_frames` is the one check that its labels are an experiment's
-classes, and it marks a frame no segment covers as `GAP`, the one form an
-unlabelled frame takes: the loss counts it for nothing, accuracy and AP
-drop it, and it ends a segment. `CatalogEntry.transcript_source` names the
-file a granularity is read from: a per-arm granularity a trial declares no
-file for comes from its combined 'mp' file.
+Each rule has one home. `load_transcript` reads a transcript file against
+its trial's length: an MP transcript that labels no frame leaves the trial
+all Idle, a gesture transcript must label one. A transcript carries no
+class list; `encode_frames` is the one check that its labels are an
+experiment's classes, and it marks a frame no segment covers as `GAP`, the
+one form an unlabelled frame takes: the loss counts it for nothing,
+accuracy and AP drop it, and it ends a segment.
+`CatalogEntry.transcript_source` names the file a granularity is read
+from: a per-arm granularity a trial declares no file for is split from its
+combined 'mp' file by `split_by_arm`.
 
 Frame indexing is 0-based and segment ranges are inclusive on both ends, so
 a segment (start=0, end=29) covers 30 frames.
@@ -162,55 +163,18 @@ class LabelTranscript:
                     f"[{pos}, {self.length - 1}] unlabeled")
 
 
-@dataclass(frozen=True)
-class TranscriptFile:
-    """A transcript file's segments, parsed without the trial length.
-
-    `bind` checks them against a trial length.
-    """
-
-    path: Path
-    granularity: str
-    segments: tuple[Segment, ...]
-
-    @property
-    def labels(self) -> frozenset[str]:
-        return frozenset(seg.label for seg in self.segments)
-
-    def arm_labels(self) -> dict[str, frozenset[str]]:
-        """The labels of each per-arm granularity (`ARM_SIDES`) derived from
-        this combined 'mp' file by `arm_of`."""
-        try:
-            arms = {lab: arm_of(lab) for lab in self.labels}
-        except DataError as exc:
-            raise DataError(f"{self.path}: {exc}") from None
-        return {granularity: frozenset(lab for lab, arm in arms.items() if arm == side)
-                for granularity, side in ARM_SIDES.items()}
-
-    def bind(self, length: int) -> LabelTranscript:
-        """The transcript of a trial of `length` frames. A gesture
-        transcript must label a frame; an MP one may leave the trial all
-        Idle."""
-        if length < MIN_FRAMES:
-            raise DataError(
-                f"{self.path}: trial has {length} frames, the model needs at "
-                f"least {MIN_FRAMES}")
-        if self.granularity == "gesture" and not self.segments:
-            raise DataError(f"{self.path}: gesture transcript labels no frame")
-        try:
-            return LabelTranscript(
-                granularity=self.granularity, segments=self.segments, length=length)
-        except DataError as exc:
-            raise DataError(f"{self.path}: {exc}") from None
-
-
-def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
-    """Parse a `start end label` transcript file.
+def load_transcript(path, granularity: str, length: int) -> LabelTranscript:
+    """Read a `start end label` transcript file into the transcript of a
+    trial of `length` frames.
 
     Records must be ordered by start frame and must not overlap. Labels of
     the motion-primitive granularities must parse as `verb(tool, object)`
     or `Idle`; a per-arm file's must be `Idle` or name its arm's tool side,
-    as a view `split_by_arm` derives would. Errors name the file and line.
+    as a view `split_by_arm` derives would. Those errors name the file and
+    line. Then the transcript is fitted to the trial, and those errors name
+    the file: the trial needs `MIN_FRAMES` frames, a gesture transcript
+    must label a frame (an MP one may leave the trial all Idle), and
+    `LabelTranscript` checks the segments against the length.
     """
     p = Path(path)
     text = read_text(p, "transcript file")
@@ -240,7 +204,16 @@ def load_transcript(path, granularity: str = "mp") -> TranscriptFile:
         except DataError as exc:
             raise DataError(f"{p}:{lineno}: {exc}") from None
         segments.append(seg)
-    return TranscriptFile(path=p, granularity=granularity, segments=tuple(segments))
+    if length < MIN_FRAMES:
+        raise DataError(
+            f"{p}: trial has {length} frames, the model needs at least {MIN_FRAMES}")
+    if granularity == "gesture" and not segments:
+        raise DataError(f"{p}: gesture transcript labels no frame")
+    try:
+        return LabelTranscript(
+            granularity=granularity, segments=tuple(segments), length=length)
+    except DataError as exc:
+        raise DataError(f"{p}: {exc}") from None
 
 
 def encode_frames(

@@ -166,7 +166,7 @@ class Conv1d:
     def _im2col(self, xp: np.ndarray, t: int) -> np.ndarray:
         """cols[ci*q + j, s] = xp[ci, s + j], written into the column buffer."""
         c, q = self.in_channels, self._slots
-        self.columns.reserve(c * q * (t + q + 1))
+        self.columns.reserve(c * q * (t + q - 1))
         cols = self.columns.view((c, q, t), (q * t, t, 1))
         row = xp.strides[0]
         np.copyto(cols, np.ndarray((c, q, t), np.float64, xp, 0,
@@ -216,12 +216,14 @@ class Conv1d:
         if not input_grad:
             return None
         # The (Cin*q, T) column gradient goes into the buffer with row
-        # stride T+q+1. Read back with stride T+q per tap, a channel's block
-        # holds tap j's gradient for output frame s at column s + j, the
-        # padded input frame it belongs to, so the taps sum in one
-        # reduction; the q+1 values after each row are the zeros between.
-        rows = t + q + 1
-        self.columns.view((c * q, q + 1), (rows, 1), t)[...] = 0.0
+        # stride T+q-1. Read back with stride T+q-2 per tap, a channel's
+        # block holds tap j's gradient for output frame s at column s + j,
+        # the padded input frame it belongs to, so the taps sum in one
+        # reduction. Tap j is read j values left of its row, and no read
+        # leaves its row by more than q-1 values either side, so the q-1
+        # values after each row are the zeros between.
+        rows = t + q - 1
+        self.columns.view((c * q, q - 1), (rows, 1), t)[...] = 0.0
         np.matmul(wp.T, g, out=self.columns.view((c * q, t), (rows, 1)))
         taps = self.columns.view((c, q, t), (q * rows, rows - 1, 1), -lo)
         return taps.sum(axis=1)

@@ -10,8 +10,8 @@ deterministic for a given catalog and config; wall-clock numbers live in a
 separate "timing" subtree so two identical runs produce byte-identical
 payloads once timing is dropped.
 
-Every trial a run uses is read and checked once, before the first fold,
-into its bound transcript and model-ready arrays (`read_trials`), and the
+Every trial a run plans is read and checked once, before the first fold,
+into its transcript and model-ready arrays (`read_trials`), and the
 folds share the one immutable record it returns. A trial's targets hold
 `GAP` on the frames no segment covers: none for motion primitives, a
 gesture transcript's gaps. Training and evaluation read them the same way
@@ -58,7 +58,6 @@ from .dataset import (
     IDLE,
     Catalog,
     LabelTranscript,
-    TranscriptFile,
     TrialKey,
     arm_columns,
     build_catalog,
@@ -268,18 +267,14 @@ def plan_folds(config: ExperimentConfig, catalog: Catalog) -> list[FoldPlan]:
 # trial data
 
 def experiment_vocabulary(granularity: str,
-                          files: Iterable[TranscriptFile]) -> tuple[str, ...]:
-    """The fixed class list for an experiment: every label the transcript
-    files give at `granularity` (a per-arm view of a combined 'mp' file
-    gives its arm's, `TranscriptFile.arm_labels`), sorted; MP granularities
+                          transcripts: Iterable[LabelTranscript]) -> tuple[str, ...]:
+    """The fixed class list for an experiment: every label of the
+    `granularity` transcripts `read_trials` reads, sorted; MP granularities
     always include Idle (the gap/off-arm label). The output layer keeps this
     size on every fold, so a class missing from some fold's training data
     stays predictable-in-principle rather than silently dropped. Fewer than
     two classes is a data error."""
-    labels: set[str] = set()
-    for parsed in files:
-        labels |= (parsed.labels if parsed.granularity == granularity
-                   else parsed.arm_labels()[granularity])
+    labels = {seg.label for transcript in transcripts for seg in transcript.segments}
     if granularity != "gesture":
         labels.add(IDLE)
     if len(labels) < 2:
@@ -291,9 +286,9 @@ def experiment_vocabulary(granularity: str,
 
 @dataclass(frozen=True)
 class TrialData:
-    """The trials a run reads, each once, into what a fold uses: the class
-    list, and for each trial read its bound transcript (for the kernel
-    width) and its `TrialTensors`. Every fold shares it, read-only."""
+    """The planned trials, each read once, into what a fold uses: the class
+    list, and for each trial its transcript (for the kernel width) and its
+    `TrialTensors`. Every fold shares it, read-only."""
 
     granularity: str
     feature_columns: tuple[int, ...]
@@ -302,54 +297,51 @@ class TrialData:
     tensors: Mapping[TrialKey, TrialTensors]
 
 
-def _planned_trials(plans: Sequence[FoldPlan]) -> list[TrialKey]:
-    """Every trial the plans use, once each, in plan order."""
-    return list(dict.fromkeys(
-        k for plan in plans for k in plan.train_trials + plan.test_trials))
-
-
 def read_trials(config: ExperimentConfig, catalog: Catalog,
-                plans: Sequence[FoldPlan], keys: Sequence[TrialKey]) -> TrialData:
-    """Read and check the trials `keys` (planned ones) now, so that bad
-    input is rejected before any fold trains.
+                plans: Sequence[FoldPlan]) -> TrialData:
+    """Read and check every trial the plans use now, each once and in plan
+    order, so that bad input is rejected before any fold trains.
 
-    Every planned trial's transcript file (`CatalogEntry.transcript_source`)
-    is parsed, since the class list (`experiment_vocabulary`) is taken over
-    all of them, whatever `keys` holds. Then each trial of `keys` has its
-    kinematics read, its transcript bound to its length (a per-arm view of
-    a combined 'mp' file is split from it by `split_by_arm`), and its
-    feature columns and `encode_frames` targets kept: Idle fills an MP
-    transcript's gaps, and a gesture one's are GAP. The data rules are the
-    loaders' and `encode_frames`'s; the kinematics are not kept.
+    A trial's kinematics are read first, then its transcript
+    (`CatalogEntry.transcript_source`) against their length; a per-arm view
+    of a combined 'mp' file is split from it by `split_by_arm`. The class
+    list (`experiment_vocabulary`) is taken over those transcripts, and
+    each trial keeps its feature columns and its `encode_frames` targets:
+    Idle fills an MP transcript's gaps, and a gesture one's are GAP. The
+    data rules are the loaders' and `encode_frames`'s; the kinematics are
+    not kept.
     """
     granularity = config.granularity
-    files: dict[TrialKey, TranscriptFile] = {}
-    for key in _planned_trials(plans):
-        source, path = catalog.get(*key).transcript_source(granularity)
-        files[key] = load_transcript(path, source)
-    vocabulary = experiment_vocabulary(granularity, files.values())
-    label_to_id = {lab: i for i, lab in enumerate(vocabulary)}
     columns = config.feature_columns()
     transcripts: dict[TrialKey, LabelTranscript] = {}
-    tensors: dict[TrialKey, TrialTensors] = {}
-    for key in keys:
-        path = catalog.get(*key).kinematics
-        kinematics = load_trial_kinematics(path, config.expected_channels)
-        transcript = files[key].bind(len(kinematics))
-        if transcript.granularity != granularity:
-            left, right = split_by_arm(transcript)
+    features: dict[TrialKey, np.ndarray] = {}
+    planned = dict.fromkeys(k for plan in plans for k in plan.train_trials + plan.test_trials)
+    for key in planned:
+        entry = catalog.get(*key)
+        kinematics = load_trial_kinematics(entry.kinematics, config.expected_channels)
+        source, path = entry.transcript_source(granularity)
+        transcript = load_transcript(path, source, len(kinematics))
+        if source != granularity:
+            try:
+                left, right = split_by_arm(transcript)
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
             transcript = left if granularity == "mp-left" else right
         try:
-            features = select_features(kinematics, columns)
+            features[key] = select_features(kinematics, columns)
         except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+            raise DataError(f"{entry.kinematics}: {exc}") from None
+        transcripts[key] = transcript
+    vocabulary = experiment_vocabulary(granularity, transcripts.values())
+    label_to_id = {lab: i for i, lab in enumerate(vocabulary)}
+    tensors: dict[TrialKey, TrialTensors] = {}
+    for key, transcript in transcripts.items():
         targets = encode_frames(
             transcript, label_to_id, fill=None if granularity == "gesture" else IDLE)
         # every fold that uses the trial shares these arrays
-        features.setflags(write=False)
+        features[key].setflags(write=False)
         targets.setflags(write=False)
-        transcripts[key] = transcript
-        tensors[key] = TrialTensors(features, targets)
+        tensors[key] = TrialTensors(features[key], targets)
     return TrialData(granularity, columns, vocabulary,
                      MappingProxyType(transcripts), MappingProxyType(tensors))
 
@@ -361,7 +353,7 @@ def fold_model_config(fold: FoldPlan, trials: TrialData,
                       config: ExperimentConfig) -> ModelConfig:
     """One fold's model settings: the seed derived from the fold name, the
     kernel width (the config's, or derived from the fold's training
-    transcripts, which `trials` must hold) and the class count.
+    transcripts) and the class count.
 
     A fold whose kernel width cannot be derived is a data error naming it.
     """
@@ -540,10 +532,10 @@ def run_experiment(config: ExperimentConfig,
     """Execute every fold of the configured experiment, or only the one
     named `fold_name` (CLI `train`); an unknown name is a ConfigError.
 
-    The trials the run's folds use are read and checked, and their model
-    settings derived, first, so bad input raises a DataError before any
-    fold trains; the class list is still taken over every planned trial's
-    transcript. Then output_dir is made, so an unusable one fails before
+    Every planned trial is read and checked, whichever folds run, and the
+    run's model settings derived, first, so bad input raises a DataError
+    before any fold trains, and one fold rejects the input the whole
+    experiment does. Then output_dir is made, so an unusable one fails before
     training too. Diverged folds (non-finite loss) are recorded and skipped
     by the aggregates. Any other fold failure stops the run: the failed
     fold is recorded with its error, the partial report is persisted
@@ -557,7 +549,7 @@ def run_experiment(config: ExperimentConfig,
     if not run:
         names = ", ".join(p.name for p in plans)
         raise ConfigError(f"no fold named {fold_name!r}; available: {names}")
-    trials = read_trials(config, catalog, plans, _planned_trials(run))
+    trials = read_trials(config, catalog, plans)
     model_configs = [fold_model_config(plan, trials, config) for plan in run]
     if config.output_dir:
         _make_directory(Path(config.output_dir))

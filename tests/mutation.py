@@ -83,13 +83,8 @@ EQUIVALENT: dict[str, str] = {
         "`reshape(..., -2)`: numpy reads any negative size as the one dimension it infers",
     "nn.py:Conv1d._phase_kernels: 1 -> 2 #3":
         "`reshape(co, -2)`: numpy reads any negative size as the one dimension it infers",
-    "nn.py:Conv1d._im2col: 1 -> 2 #2":
-        "reserving `c * q * (t + q + 2)` values only makes the column buffer larger",
-    "nn.py:Conv1d.backward: t + q + 1 -> t + q - 1":
-        "reading the column gradient back shifts tap j left by j <= q - 1 values and the "
-        "taps' slot offsets reach at most q - 1 past a row, so q - 1 zeros between rows "
-        "suffice; forward and backward were checked to give the same bits for k in 1..21, "
-        "1 to 3 phases and 1 to 301 frames",
+    "nn.py:Conv1d._im2col: t + q - 1 -> t + q + 1":
+        "reserving `c * q * (t + q + 1)` values only makes the column buffer larger",
     "nn.py:pool_relu_norm: 2 -> 3 #4":
         "`y[:, 1:3 * n:2]` takes the same frames as `1:2 * n:2`, since t <= 2n + 1 puts no "
         "odd frame at or past 2n",

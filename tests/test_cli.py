@@ -166,10 +166,11 @@ class TestValidateCommand:
         for entry in doc["entries"]:
             entry["transcripts"] = {"mp": entry["transcripts"]["mp"]}
         manifest.write_text(json.dumps(doc))
+        message = f"data error: {mp}: motion primitive 'Touch' names no tool side\n"
         assert main(validate) == 2
-        assert f"{mp.name}: motion primitive 'Touch' names no tool side" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err == message
         assert main(experiment) == 2
+        assert capsys.readouterr().err == message
 
 
     @pytest.mark.parametrize("label", ["Grasp(R, Obj1)", "Grasp"])
@@ -636,6 +637,27 @@ class TestTrainCommand:
         assert captured.out == ""
         assert train_calls == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_fold_rejects_the_input_the_experiment_rejects(self, tmp_path, capsys,
+                                                             train_calls):
+        # fold loto-S-from-NP trains on NP and tests on S, but it reads every
+        # trial the suite plans, so a bad kinematics row in a PoaP trial
+        # stops it as it stops the experiment, before any fold trains
+        manifest = suite_corpus_without_gestures(tmp_path / "corpus")
+        doc = json.loads(manifest.read_text())
+        entry = next(e for e in doc["entries"] if e["task"] == "PoaP")
+        bad = manifest.parent / entry["kinematics"]
+        first, _, rest = bad.read_text().partition("\n")
+        bad.write_text(f"{first}\n1 2 x\n{rest}")
+        capsys.readouterr()
+        argv = ["--catalog", str(manifest), "--granularity", "mp", "--cv", "loto-suite",
+                "--epochs", "0"]
+        assert main(["train", *argv, "--fold", "loto-S-from-NP"]) == 2
+        train_err = capsys.readouterr().err
+        assert main(["experiment", *argv]) == 2
+        assert capsys.readouterr().err == train_err == (
+            f"data error: {bad}:2: 3 columns, expected 38\n")
+        assert train_calls == []
 
     def test_unknown_fold_name(self, synth_manifest, capsys):
         rc = main(["train", "--catalog", str(synth_manifest),

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from surgact.dataset import (
     COLUMNS_PER_ARM,
     IDLE,
-    GAP,
     MIN_FRAMES,
     Catalog,
     CatalogEntry,
@@ -99,6 +98,10 @@ def transcript(segments, length, granularity="mp"):
                            length=length)
 
 
+def labels(tr):
+    return {seg.label for seg in tr.segments}
+
+
 class TestLabelTranscript:
     def test_valid(self):
         tr = transcript([Segment(0, 4, "A"), Segment(10, 14, "B")], 20)
@@ -137,37 +140,37 @@ class TestLoadTranscript:
     def test_labels_may_contain_spaces(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29 Grasp(L, Needle)\n\n30 59 Push(R, Block)\n")
-        tr = load_transcript(p).bind(60)
+        tr = load_transcript(p, "mp", 60)
         assert tr.segments == (Segment(0, 29, "Grasp(L, Needle)"),
                                Segment(30, 59, "Push(R, Block)"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="transcript file not found"):
-            load_transcript(tmp_path / "nope.txt")
+            load_transcript(tmp_path / "nope.txt", "mp", 60)
 
     def test_short_row(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29\n")
         with pytest.raises(DataError, match="t.txt:1: expected 'start end label', got '0 29'"):
-            load_transcript(p).bind(60)
+            load_transcript(p, "mp", 60)
 
     def test_non_integer_frame(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 x Idle\n")
         with pytest.raises(DataError, match="frame indices must be integers"):
-            load_transcript(p).bind(60)
+            load_transcript(p, "mp", 60)
 
     def test_segment_beyond_trial(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 60 Idle\n")
         with pytest.raises(DataError, match=r"t.txt: segment \[0, 60\] exceeds trial length 60"):
-            load_transcript(p).bind(60)
+            load_transcript(p, "mp", 60)
 
     def test_overlap_rejected_by_default(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 10 Idle\n5 20 Push(R, Block)\n")
         with pytest.raises(DataError, match=r"t.txt:2: segment \[5, 20\] overlaps \[0, 10\]"):
-            load_transcript(p).bind(60)
+            load_transcript(p, "mp", 60)
 
     @pytest.mark.parametrize("lines, error, message", [
         (("0 9 Idle", "20 15 Idle"), DataError, "bad segment range [20, 15]"),
@@ -184,7 +187,7 @@ class TestLoadTranscript:
         p = tmp_path / "t.txt"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(error) as from_file:
-            load_transcript(p, "mp")
+            load_transcript(p, "mp", 60)
         assert type(from_file.value) is error
         assert str(from_file.value) == f"{p}:2: {message}"
         with pytest.raises(error) as in_memory:
@@ -197,9 +200,9 @@ class TestLoadTranscript:
         p = tmp_path / "t.txt"
         p.write_text("0 29 Grasp(L, Needle)\n30 59 Grab(L, Needle)\n")
         with pytest.raises(DataError, match="t.txt:2: unknown motion primitive verb: 'Grab'"):
-            load_transcript(p, "mp")
+            load_transcript(p, "mp", 60)
         # gesture labels are free-form tokens
-        assert load_transcript(p, "gesture").labels == {
+        assert labels(load_transcript(p, "gesture", 60)) == {
             "Grasp(L, Needle)", "Grab(L, Needle)"}
 
     @pytest.mark.parametrize("granularity, own, other", [
@@ -210,30 +213,47 @@ class TestLoadTranscript:
         # the rule a view split_by_arm derives keeps: Idle or its own side
         p = tmp_path / "t.txt"
         p.write_text(f"0 29 {own}\n30 59 Idle\n")
-        assert load_transcript(p, granularity).labels == {own, "Idle"}
+        assert labels(load_transcript(p, granularity, 60)) == {own, "Idle"}
         for label in (other, "Grasp"):
             p.write_text(f"0 29 Idle\n30 59 {label}\n")
             with pytest.raises(DataError, match=f"t.txt:2: {granularity} label .* is neither "
                                                 "Idle nor an action of tool side"):
-                load_transcript(p, granularity)
-        assert load_transcript(p, "mp").labels == {"Idle", "Grasp"}
+                load_transcript(p, granularity, 60)
+        assert labels(load_transcript(p, "mp", 60)) == {"Idle", "Grasp"}
 
-    def test_parse_needs_no_trial_length(self, tmp_path):
+    def test_a_per_arm_file_must_tile_the_trial(self, tmp_path):
         p = tmp_path / "t.txt"
-        p.write_text("0 29 Grasp(L, Needle)\n40 99 Idle\n")
-        parsed = load_transcript(p, "mp")
-        assert parsed.labels == {"Grasp(L, Needle)", "Idle"}
-        assert parsed.bind(100).length == 100
-        with pytest.raises(DataError, match=r"t.txt: segment \[40, 99\] exceeds trial length 99"):
-            parsed.bind(99)
+        p.write_text("0 29 Grasp(L, Needle)\n30 59 Idle\n")
+        assert load_transcript(p, "mp-left", 60).length == 60
+        with pytest.raises(DataError,
+                           match=r"t.txt: mp-left transcript leaves frames \[60, 60\] unlabeled"):
+            load_transcript(p, "mp-left", 61)
+        assert load_transcript(p, "mp", 61).length == 61
+
+    def test_a_gesture_file_must_label_a_frame(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("\n")
+        with pytest.raises(DataError, match="t.txt: gesture transcript labels no frame"):
+            load_transcript(p, "gesture", 60)
+        # an MP trial no segment labels is all Idle
+        assert load_transcript(p, "mp", 60).segments == ()
+
+    def test_a_bad_row_is_named_before_the_trial_is_checked(self, tmp_path):
+        # the rows are read first, so a bad row is the error even in a trial
+        # too short for the model, and one past the trial's end
+        p = tmp_path / "t.txt"
+        p.write_text("0 99 Idle\n100 x Idle\n")
+        for length in (MIN_FRAMES - 1, 60):
+            with pytest.raises(DataError, match="t.txt:2: frame indices must be integers"):
+                load_transcript(p, "mp", length)
 
     def test_trial_shorter_than_the_model_minimum(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 4 Idle\n")
         with pytest.raises(DataError,
                            match="t.txt: trial has 5 frames, the model needs at least 8"):
-            load_transcript(p).bind(MIN_FRAMES - 3)
-        assert load_transcript(p).bind(MIN_FRAMES).length == MIN_FRAMES
+            load_transcript(p, "mp", MIN_FRAMES - 3)
+        assert load_transcript(p, "mp", MIN_FRAMES).length == MIN_FRAMES
 
 
 class TestDensifyAndEncode:
@@ -246,7 +266,8 @@ class TestDensifyAndEncode:
     def test_encode_without_fill_marks_gaps(self):
         tr = transcript([Segment(1, 2, "A")], 4)
         ids = encode_frames(tr, {"A": 1})
-        np.testing.assert_array_equal(ids, [GAP, 1, 1, GAP])
+        # GAP is -1, the value README documents for an unlabelled frame
+        np.testing.assert_array_equal(ids, [-1, 1, 1, -1])
         assert ids.dtype == np.int64
 
     def test_encode_unknown_fill(self):

@@ -29,6 +29,7 @@ from surgact.dataset import (
     build_catalog,
     encode_frames,
     load_transcript,
+    load_trial_kinematics,
 )
 from surgact.errors import ConfigError, DataError, NonFiniteLoss, SurgactError
 from surgact.metrics import average_precision, map_report
@@ -309,14 +310,10 @@ class TestPlanFolds:
         assert len(plan_folds(cfg, study_catalog)) == 22
 
 
-def read_planned(cfg, keys=None):
-    """`read_trials` as `run_experiment` calls it: every planned trial, or
-    the planned trials `keys`."""
+def read_planned(cfg):
+    """`read_trials` as `run_experiment` calls it: every planned trial."""
     catalog = build_catalog(cfg.catalog)
-    plans = plan_folds(cfg, catalog)
-    if keys is None:
-        keys = sorted({k for p in plans for k in p.train_trials + p.test_trials})
-    return read_trials(cfg, catalog, plans, keys)
+    return read_trials(cfg, catalog, plan_folds(cfg, catalog))
 
 
 def synth_trials(manifest, granularity="mp"):
@@ -335,8 +332,10 @@ class TestExperimentVocabulary:
     def test_gesture_has_no_idle(self, synth_manifest):
         assert synth_trials(synth_manifest, "gesture").vocabulary == ("G1", "G2", "G3", "G4")
         entry = build_catalog(synth_manifest).entries[0]
-        parsed = load_transcript(entry.transcript_path("gesture"), "gesture")
-        assert experiment_vocabulary("gesture", [parsed]) == tuple(sorted(parsed.labels))
+        frames = len(load_trial_kinematics(entry.kinematics))
+        transcript = load_transcript(entry.transcript_path("gesture"), "gesture", frames)
+        assert experiment_vocabulary("gesture", [transcript]) == tuple(
+            sorted({seg.label for seg in transcript.segments}))
 
     def test_per_arm_vocab_keeps_own_side_plus_idle(self, synth_manifest):
         left = synth_trials(synth_manifest, "mp-left").vocabulary
@@ -385,15 +384,11 @@ def mini_config(manifest, granularity, **kwargs):
 
 class TestReadTrials:
     def test_mp_targets_label_every_frame(self, synth_manifest):
-        cfg = synth_config(synth_manifest)
-        everything = read_planned(cfg)
-        key = sorted(everything.tensors)[0]
-        trials = read_planned(cfg, [key])
-        assert trials.vocabulary == everything.vocabulary
-        tensors = trials.tensors[key]
-        assert tensors.targets.dtype == np.int64
-        assert tensors.features.shape == (tensors.targets.shape[0], 14)
-        assert set(np.unique(tensors.targets)) <= set(range(len(trials.vocabulary)))
+        trials = read_planned(synth_config(synth_manifest))
+        for tensors in trials.tensors.values():
+            assert tensors.targets.dtype == np.int64
+            assert tensors.features.shape == (tensors.targets.shape[0], 14)
+            assert set(np.unique(tensors.targets)) <= set(range(len(trials.vocabulary)))
 
     def test_gesture_gap_is_gap(self, tmp_path):
         manifest = write_mini_corpus(tmp_path)
@@ -414,7 +409,7 @@ class TestReadTrials:
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     def test_every_trial_carries_the_encoded_targets(self, tmp_path, granularity):
-        # the targets encode_frames gives the bound transcript, for every
+        # the targets encode_frames gives the transcript, for every
         # granularity: no GAP where Idle fills the gaps, GAP on a gesture
         # transcript's unlabelled frames
         manifest = write_mini_corpus(tmp_path)
@@ -441,30 +436,30 @@ class TestReadTrials:
         (tmp_path / "lab" / "T_B_001_mp.txt").write_text("0 19 Touch\n20 39 Push(R, Y)\n")
         with pytest.raises(DataError,
                            match="T_B_001_mp.txt: motion primitive 'Touch' names no tool side"):
-            read_planned(mini_config(manifest, "mp-left"), keys=[])
+            read_planned(mini_config(manifest, "mp-left"))
 
     def test_vocabulary_requires_transcripts_everywhere(self, tmp_path):
         manifest = write_mini_corpus(tmp_path, with_gesture=False)
         plan = FoldPlan(name="f", held_out="B", train_trials=(("T", "A", "001"),),
                         test_trials=(("T", "B", "001"),))
         with pytest.raises(DataError, match="declares no 'gesture' transcript"):
-            read_trials(mini_config(manifest, "gesture"), build_catalog(manifest),
-                        [plan], [])
+            read_trials(mini_config(manifest, "gesture"), build_catalog(manifest), [plan])
 
     def test_the_record_holds_what_the_folds_share_read_only(self, synth_manifest):
         cfg = synth_config(synth_manifest)
         catalog = build_catalog(synth_manifest)
         plans = plan_folds(cfg, catalog)
-        key, other = plans[0].test_trials
-        trials = read_trials(cfg, catalog, plans, [key])
+        trials = read_trials(cfg, catalog, plans)
         assert (trials.granularity, trials.feature_columns) == ("mp", cfg.feature_columns())
-        assert set(trials.tensors) == set(trials.transcripts) == {key}
-        tensors = trials.tensors[key]
-        assert trials.transcripts[key].length == tensors.features.shape[0]
-        for array in (tensors.features, tensors.targets):
-            assert not array.flags.writeable
+        assert set(trials.tensors) == set(trials.transcripts) == {
+            k for plan in plans for k in plan.train_trials + plan.test_trials}
+        for key, tensors in trials.tensors.items():
+            assert trials.transcripts[key].length == tensors.features.shape[0]
+            for array in (tensors.features, tensors.targets):
+                assert not array.flags.writeable
+        key, other = plans[0].test_trials
         with pytest.raises(TypeError):
-            trials.tensors[other] = tensors
+            trials.tensors[other] = trials.tensors[key]
         with pytest.raises(FrozenInstanceError):
             trials.vocabulary = ()
 
@@ -766,10 +761,11 @@ class TestRunSingleFold:
         assert payload["status"] == "diverged"
         assert "louo-SYNTH-U02" in payload["error"] and "non-finite" in payload["error"]
 
-    def test_reads_its_fold_kinematics_only(self, tmp_path, monkeypatch):
+    def test_reads_every_planned_trial(self, tmp_path, monkeypatch):
         # a suite plans every trial of six tasks; fold loto-S-from-NP reads
-        # the kinematics of S and NP alone, and its class list is still
-        # every planned trial's, including a label only a PoaP trial has
+        # them all, each once and in the order the experiment does, and its
+        # class list is the experiment's, including a label only a PoaP
+        # trial has
         manifest = generate_synthetic_dataset(
             tmp_path, num_tasks=len(TASK_ORDER), num_subjects=2, trials_per_subject=1,
             num_classes=3, frames_range=(40, 48), seed=5)
@@ -799,11 +795,13 @@ class TestRunSingleFold:
                                epochs=0, kernel_size=3)
         payload = run_experiment(cfg, "loto-S-from-NP").folds[0]
         assert payload["status"] == "ok"
-        assert sorted(read) == [f"{task}_{subject}_001.txt" for task in ("T01", "T02")
+        assert sorted(read) == [f"T{i:02d}_{subject}_001.txt"
+                                for i in range(1, len(TASK_ORDER) + 1)
                                 for subject in ("U01", "U02")]
+        fold_read = list(read)
         read.clear()
         report = run_experiment(cfg)
-        assert len(read) == 2 * len(TASK_ORDER)
+        assert read == fold_read
         assert vocabularies[0] == vocabularies[1] == tuple(report.experiment["vocabulary"])
         assert "Touch(L, Extra)" in vocabularies[0]
         assert payload["num_classes"] == len(vocabularies[0])

@@ -46,30 +46,27 @@ class TestGeneratedCorpus:
         cat = build_catalog(synth_manifest)
         e = cat.entries[0]
         frames = len(load_trial_kinematics(e.kinematics))
-        parsed = load_transcript(e.transcript_path("mp"), "mp")
-        tr = parsed.bind(frames)
+        tr = load_transcript(e.transcript_path("mp"), "mp", frames)
         assert sum(seg.num_frames for seg in tr.segments) == frames  # no gaps
-        ids = encode_frames(tr, {lab: i for i, lab in enumerate(sorted(parsed.labels))})
+        labels = sorted({seg.label for seg in tr.segments})
+        ids = encode_frames(tr, {lab: i for i, lab in enumerate(labels)})
         assert ids.shape == (frames,) and (ids != GAP).all()
 
     def test_per_arm_files_match_the_production_split(self, synth_manifest):
         cat = build_catalog(synth_manifest)
         for e in cat.entries[:3]:
             frames = len(load_trial_kinematics(e.kinematics))
-            parsed = load_transcript(e.transcript_path("mp"), "mp")
-            left, right = split_by_arm(parsed.bind(frames))
+            left, right = split_by_arm(load_transcript(e.transcript_path("mp"), "mp", frames))
             for granularity, expected in (("mp-left", left), ("mp-right", right)):
-                on_disk = load_transcript(e.transcript_path(granularity), granularity)
-                assert on_disk.bind(frames).segments == expected.segments
+                on_disk = load_transcript(e.transcript_path(granularity), granularity, frames)
+                assert on_disk.segments == expected.segments
 
     def test_gesture_shares_mp_boundaries(self, synth_manifest):
         cat = build_catalog(synth_manifest)
         e = cat.entries[0]
         frames = len(load_trial_kinematics(e.kinematics))
-        mp = load_transcript(e.transcript_path("mp"), "mp")
-        gesture = load_transcript(e.transcript_path("gesture"), "gesture")
-        mp.bind(frames)
-        gesture.bind(frames)
+        mp = load_transcript(e.transcript_path("mp"), "mp", frames)
+        gesture = load_transcript(e.transcript_path("gesture"), "gesture", frames)
         assert [(s.start, s.end) for s in mp.segments] == \
                [(s.start, s.end) for s in gesture.segments]
 
