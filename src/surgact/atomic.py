@@ -39,6 +39,16 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def check_writable(path: Path) -> None:
+    """Refuse, before any work whose result it would lose, a `path` that
+    `write_atomic` cannot write: a directory, or one in a missing directory.
+    Either is a SurgactError("cannot write <path>: <reason>")."""
+    if path.is_dir():
+        raise SurgactError(f"cannot write {path}: Is a directory")
+    if not path.parent.is_dir():
+        raise SurgactError(f"cannot write {path}: no directory {path.parent}")
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace `path` by `data` in one rename: readers see the old file or
     the new one, and a failed write leaves the old file and no temp file.

@@ -14,14 +14,13 @@ from pathlib import Path
 from typing import Optional
 
 from ._version import __version__
-from .atomic import json_text, write_atomic
+from .atomic import check_writable, json_text, write_atomic
 from .dataset import (
     ARM_SIDES,
     GRANULARITIES,
     build_catalog,
     load_transcript,
     load_trial_kinematics,
-    split_by_arm,
 )
 from .errors import ConfigError, DataError, SurgactError
 from .runner import (
@@ -86,20 +85,15 @@ def _write_result(text: str, out: Optional[str], what: str) -> None:
 
 def _cmd_validate(args) -> int:
     # the loaders the experiments use: each file is read once, every
-    # transcript against its trial's length, and a combined 'mp' one must
-    # split into the per-arm views an experiment derives from it
+    # transcript against its trial's length, and a combined 'mp' one that
+    # a per-arm view derives from is held to the split's rule (`arms`)
     check_minimum("expected_channels", args.expected_channels)
     catalog = build_catalog(args.catalog)
     for entry in catalog.entries:
         length = len(load_trial_kinematics(entry.kinematics, args.expected_channels))
         for granularity, path in entry.transcripts:
-            transcript = load_transcript(path, granularity, length)
-            if granularity == "mp" and any(
-                    entry.transcript_source(g)[0] == "mp" for g in ARM_SIDES):
-                try:
-                    split_by_arm(transcript)
-                except DataError as exc:
-                    raise DataError(f"{path}: {exc}") from None
+            load_transcript(path, granularity, length, arms=granularity == "mp" and any(
+                entry.transcript_source(g)[0] == "mp" for g in ARM_SIDES))
     print(f"ok: {len(catalog.entries)} trials, {len(catalog.tasks())} tasks "
           f"({', '.join(catalog.tasks())})")
     return EXIT_OK
@@ -127,10 +121,8 @@ def _cmd_folds(args) -> int:
 def _cmd_train(args) -> int:
     config = _experiment_config(args)
     # refused before the fold trains, not after
-    if args.out and Path(args.out).is_dir():
-        raise SurgactError(f"cannot write {args.out}: Is a directory")
-    if args.out and not Path(args.out).parent.is_dir():
-        raise SurgactError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
+    if args.out:
+        check_writable(Path(args.out))
     # the experiment's one fold loop, writing nothing but --out: a config
     # file's output_dir is the experiment's, whose report this must not replace
     payload = run_experiment(replace(config, output_dir=None), args.fold).folds[0]

@@ -17,7 +17,8 @@ one form an unlabelled frame takes: the loss counts it for nothing,
 accuracy and AP drop it, and it ends a segment.
 `CatalogEntry.transcript_source` names the file a granularity is read
 from: a per-arm granularity a trial declares no file for is split from its
-combined 'mp' file by `split_by_arm`.
+combined 'mp' file by `split_by_arm`, and `load_transcript(..., arms=True)`
+checks each row of that file against the split's rule, naming its line.
 
 Frame indexing is 0-based and segment ranges are inclusive on both ends, so
 a segment (start=0, end=29) covers 30 frames.
@@ -163,18 +164,19 @@ class LabelTranscript:
                     f"[{pos}, {self.length - 1}] unlabeled")
 
 
-def load_transcript(path, granularity: str, length: int) -> LabelTranscript:
+def load_transcript(path, granularity: str, length: int, *, arms: bool = False) -> LabelTranscript:
     """Read a `start end label` transcript file into the transcript of a
     trial of `length` frames.
 
     Records must be ordered by start frame and must not overlap. Labels of
     the motion-primitive granularities must parse as `verb(tool, object)`
     or `Idle`; a per-arm file's must be `Idle` or name its arm's tool side,
-    as a view `split_by_arm` derives would. Those errors name the file and
-    line. Then the transcript is fitted to the trial, and those errors name
-    the file: the trial needs `MIN_FRAMES` frames, a gesture transcript
-    must label a frame (an MP one may leave the trial all Idle), and
-    `LabelTranscript` checks the segments against the length.
+    as a view `split_by_arm` derives would, and with `arms` (a combined
+    file a view is split from) every non-Idle label must name a tool side.
+    Those errors name the file and line. Then the transcript is fitted to
+    the trial, and those errors name the file: the trial needs `MIN_FRAMES`
+    frames, a gesture transcript must label a frame (an MP one may leave
+    the trial all Idle), and `LabelTranscript` checks the segments.
     """
     p = Path(path)
     text = read_text(p, "transcript file")
@@ -199,6 +201,8 @@ def load_transcript(path, granularity: str, length: int) -> LabelTranscript:
                     raise DataError(
                         f"{granularity} label {label!r} is neither Idle nor "
                         f"an action of tool side {side}")
+                if arms:
+                    arm_of(label)
             seg = Segment(start, end, label)
             _check_follows(segments[-1] if segments else None, seg)
         except DataError as exc:

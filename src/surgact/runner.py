@@ -20,8 +20,8 @@ for every granularity: the loss counts a GAP frame for nothing, and
 the edit score on its targets' segments, which a gap ends.
 
 Every fold of a report has the same keys (`_fold_payload`), whether it is
-ok, diverged or failed; a fold that did not finish has no training,
-metrics or map.
+ok, diverged or failed, which `run_experiment`'s fold loop alone decides;
+a fold that did not finish has no training, metrics or map.
 
 Each setting is declared once, as an `ExperimentConfig` field: the field
 names are the config file's keys and the CLI flags' destinations, and
@@ -36,7 +36,7 @@ import hashlib
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from ._version import __version__
-from .atomic import json_text, read_json, write_atomic
+from .atomic import check_writable, json_text, read_json, write_atomic
 from .crossval import (
     FoldPlan,
     loto_folds,
@@ -184,6 +184,13 @@ class ExperimentConfig:
         object.__setattr__(self, "filters", check_model_settings(
             self.filters, self.learning_rate, self.weight_decay, self.epochs,
             self.kernel_size))
+        # a numpy scalar or a Fraction passes the checks, but the report's
+        # JSON holds a Python int or float; those two are kept as they are
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if is_a(value, Real) and not isinstance(value, (int, float)):
+                object.__setattr__(self, f.name, int(value) if isinstance(value, Integral)
+                                   else float(value))
 
     def feature_columns(self) -> tuple[int, ...]:
         """The model's input columns: both arms for gesture and mp, the
@@ -304,12 +311,13 @@ def read_trials(config: ExperimentConfig, catalog: Catalog,
 
     A trial's kinematics are read first, then its transcript
     (`CatalogEntry.transcript_source`) against their length; a per-arm view
-    of a combined 'mp' file is split from it by `split_by_arm`. The class
-    list (`experiment_vocabulary`) is taken over those transcripts, and
-    each trial keeps its feature columns and its `encode_frames` targets:
-    Idle fills an MP transcript's gaps, and a gesture one's are GAP. The
-    data rules are the loaders' and `encode_frames`'s; the kinematics are
-    not kept.
+    of a combined 'mp' file is split from it by `split_by_arm`, after the
+    loader (`arms`) checked each row for a tool side. The class list
+    (`experiment_vocabulary`) is taken over those transcripts, and each
+    trial keeps its feature columns and its `encode_frames` targets: Idle
+    fills an MP transcript's gaps, and a gesture one's are GAP. The data
+    rules are the loaders' and `encode_frames`'s; the kinematics are not
+    kept.
     """
     granularity = config.granularity
     columns = config.feature_columns()
@@ -320,12 +328,10 @@ def read_trials(config: ExperimentConfig, catalog: Catalog,
         entry = catalog.get(*key)
         kinematics = load_trial_kinematics(entry.kinematics, config.expected_channels)
         source, path = entry.transcript_source(granularity)
-        transcript = load_transcript(path, source, len(kinematics))
+        transcript = load_transcript(path, source, len(kinematics),
+                                     arms=source != granularity)
         if source != granularity:
-            try:
-                left, right = split_by_arm(transcript)
-            except DataError as exc:
-                raise DataError(f"{path}: {exc}") from None
+            left, right = split_by_arm(transcript)
             transcript = left if granularity == "mp-left" else right
         try:
             features[key] = select_features(kinematics, columns)
@@ -404,20 +410,14 @@ def run_fold(fold: FoldPlan, trials: TrialData,
     GAP where the target is, so a gap ends a segment in both. AP and
     support group each class by `group_of` (itself, or an MP class's verb),
     and `map` is `map_report`'s block, None when no class has a defined AP.
-
-    A non-finite training loss marks the fold "diverged" instead of raising:
-    the payload records the error and the fold is skipped by aggregation.
+    Every error propagates, a non-finite loss as `train_fold`'s
+    `NonFiniteLoss`: `run_experiment`'s fold loop decides the fold's status.
     """
     vocab = trials.vocabulary
     model = TcnModel(model_config, len(trials.feature_columns))
     train_data = {key: trials.tensors[key] for key in fold.train_trials}
     payload = _fold_payload(fold, model_config)
-    try:
-        payload["training"] = train_fold(model, fold, train_data)
-    except NonFiniteLoss as exc:
-        payload["status"] = "diverged"
-        payload["error"] = str(exc)
-        return payload
+    payload["training"] = train_fold(model, fold, train_data)
 
     # AP scores a gesture class alone and an MP class by its verb
     group_of = {lab: lab if trials.granularity == "gesture" else mp_verb(lab)
@@ -535,12 +535,12 @@ def run_experiment(config: ExperimentConfig,
     Every planned trial is read and checked, whichever folds run, and the
     run's model settings derived, first, so bad input raises a DataError
     before any fold trains, and one fold rejects the input the whole
-    experiment does. Then output_dir is made, so an unusable one fails before
-    training too. Diverged folds (non-finite loss) are recorded and skipped
-    by the aggregates. Any other fold failure stops the run: the failed
-    fold is recorded with its error, the partial report is persisted
-    (when output_dir is set), then the failure is re-raised with fold
-    context.
+    experiment does. Then output_dir is made and its report files checked,
+    so an unusable one fails before training too. The fold loop alone sets
+    a fold's status from what `run_fold` raises: `NonFiniteLoss` records it
+    diverged, skipped by the aggregates; any other error records it failed
+    and stops the run, the partial report is persisted (when output_dir is
+    set), and the failure is re-raised with fold context.
     """
     started = time.perf_counter()
     catalog = build_catalog(config.catalog)
@@ -552,7 +552,7 @@ def run_experiment(config: ExperimentConfig,
     trials = read_trials(config, catalog, plans)
     model_configs = [fold_model_config(plan, trials, config) for plan in run]
     if config.output_dir:
-        _make_directory(Path(config.output_dir))
+        _report_files(config.output_dir)
     experiment = _experiment_payload(config, plans, trials)
 
     folds: list[dict] = []
@@ -562,10 +562,10 @@ def run_experiment(config: ExperimentConfig,
         t0 = time.perf_counter()
         try:
             payload = run_fold(plan, trials, model_config)
-        except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
-            payload = {**_fold_payload(plan, model_config),
-                       "status": "failed", "error": str(exc)}
-            failure = exc
+        except Exception as exc:  # noqa: BLE001 - recorded; a failure is re-raised
+            status = "diverged" if isinstance(exc, NonFiniteLoss) else "failed"
+            payload = {**_fold_payload(plan, model_config), "status": status, "error": str(exc)}
+            failure = exc if status == "failed" else None
         folds.append(payload)
         fold_seconds[plan.name] = time.perf_counter() - t0
         if failure is not None:
@@ -637,20 +637,27 @@ def render_tables(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _make_directory(directory: Path) -> None:
+def _report_files(out_dir) -> tuple[Path, Path]:
+    """Make `out_dir` and return the paths of its `report.json` and
+    `tables.txt`, each refused now (`check_writable`) if it cannot be
+    written."""
+    out = Path(out_dir)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise SurgactError(f"cannot create output directory {directory}: {exc}")
+        raise SurgactError(f"cannot create output directory {out}: {exc}")
+    paths = out / "report.json", out / "tables.txt"
+    for path in paths:
+        check_writable(path)
+    return paths
 
 
 def emit_report(report: ExperimentReport, out_dir) -> None:
     """Write `report.json` and `tables.txt` under `out_dir`, each atomically;
     a failed write is a SurgactError naming the file."""
-    out = Path(out_dir)
-    _make_directory(out)
-    write_atomic(out / "report.json", report.json_bytes(include_timing=True))
-    write_atomic(out / "tables.txt", render_tables(report.payload()).encode())
+    report_json, tables = _report_files(out_dir)
+    write_atomic(report_json, report.json_bytes(include_timing=True))
+    write_atomic(tables, render_tables(report.payload()).encode())
 
 
 def load_report(path) -> dict:

@@ -58,6 +58,7 @@ config and a `ModelConfig` are both checked by it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable, Mapping, Optional
@@ -109,26 +110,27 @@ def is_a(value, kind: type) -> bool:
 def check_model_settings(filters, learning_rate, weight_decay, epochs,
                          kernel_size) -> tuple[int, ...]:
     """Check the settings a model is built and trained with; returns
-    `filters` as a tuple.
+    `filters` as a tuple of Python ints.
 
-    Counts are integers, and a bool is none; rates are finite numbers, so a
-    NaN or infinite rate is refused. A `kernel_size` of None is derived per
-    fold from the training transcripts.
+    Counts are integers, and a bool is none; rates are numbers a float
+    holds, so a NaN, an infinite rate or an int past `sys.float_info.max`
+    is refused. A `kernel_size` of None is derived per fold from the
+    training transcripts.
     """
     if (not isinstance(filters, (list, tuple)) or len(filters) != 3
             or not all(is_a(n, Integral) and n >= 1 for n in filters)):
         raise ConfigError(f"filters must be 3 positive counts, got {filters!r}")
     # chained comparisons refuse NaN and need no float() of a huge int
-    if not (is_a(learning_rate, Real) and 0 < learning_rate < math.inf):
+    if not (is_a(learning_rate, Real) and 0 < learning_rate <= sys.float_info.max):
         raise ConfigError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
-    if not (is_a(weight_decay, Real) and 0 <= weight_decay < math.inf):
+    if not (is_a(weight_decay, Real) and 0 <= weight_decay <= sys.float_info.max):
         raise ConfigError(f"weight_decay must be a finite number >= 0, got {weight_decay!r}")
     if not (is_a(epochs, Integral) and epochs >= 0):
         raise ConfigError(f"epochs must be an integer >= 0, got {epochs!r}")
     if kernel_size is not None and not (
             is_a(kernel_size, Integral) and kernel_size >= 1 and kernel_size % 2 == 1):
         raise ConfigError(f"kernel_size must be an odd positive integer, got {kernel_size!r}")
-    return tuple(filters)
+    return tuple(int(n) for n in filters)
 
 
 @dataclass(frozen=True)

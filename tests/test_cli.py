@@ -13,6 +13,7 @@ from surgact.atomic import json_text
 from surgact.cli import main
 from surgact.crossval import TASK_ORDER
 from surgact.runner import load_report
+from surgact.synth import generate_synthetic_dataset
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +90,26 @@ class TestSynthCommand:
         assert printed.endswith("manifest.json")
         assert json.loads((tmp_path / "corpus" / "manifest.json").read_text())
 
+    def test_its_defaults_are_the_librarys(self, tmp_path, capsys):
+        # `synth --out D` alone writes, file for file, the corpus
+        # `generate_synthetic_dataset` writes with its own defaults
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+        generate_synthetic_dataset(tmp_path / "lib")
+        files = sorted(p.relative_to(tmp_path / "cli")
+                       for p in (tmp_path / "cli").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "lib")
+                               for p in (tmp_path / "lib").rglob("*") if p.is_file())
+        for name in files:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
     def test_manifest_is_its_json_text(self, synth_manifest):
         text = synth_manifest.read_text()
         assert text == json_text(json.loads(text))
+
+    def test_the_json_text_layout(self):
+        # two-space indent, sorted keys, a final newline: the bytes the
+        # payload hashes are taken over
+        assert json_text({"b": [1], "a": None}) == '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'
 
     def test_bad_shape_is_config_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "c"), "--classes", "0"])
@@ -166,12 +184,31 @@ class TestValidateCommand:
         for entry in doc["entries"]:
             entry["transcripts"] = {"mp": entry["transcripts"]["mp"]}
         manifest.write_text(json.dumps(doc))
-        message = f"data error: {mp}: motion primitive 'Touch' names no tool side\n"
+        message = f"data error: {mp}:1: motion primitive 'Touch' names no tool side\n"
         assert main(validate) == 2
         assert capsys.readouterr().err == message
         assert main(experiment) == 2
         assert capsys.readouterr().err == message
 
+
+    def test_a_side_less_label_is_named_by_its_line(self, tmp_path, capsys, train_calls):
+        # validate, experiment and train --fold each refuse a label with no
+        # tool side on line 3 of a combined file an mp-left view derives
+        # from, naming the line, before any fold trains; an mp run trains
+        manifest = small_corpus(tmp_path / "corpus", subjects=3)
+        mp = tmp_path / "corpus" / "transcripts" / "mp" / "T01_U02_001.txt"
+        mp.write_text("0 4 Idle\n5 9 Grasp(L, Obj1)\n10 14 Touch\n15 19 Push(R, Obj2)\n")
+        capsys.readouterr()
+        message = f"data error: {mp}:3: motion primitive 'Touch' names no tool side\n"
+        run = ["--catalog", str(manifest), "--cv", "louo", "--tasks", "T01", "--epochs", "0"]
+        for argv in (["validate", "--catalog", str(manifest)],
+                     ["experiment", *run, "--granularity", "mp-left"],
+                     ["train", *run, "--granularity", "mp-left", "--fold", "louo-SYNTH-U01"]):
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr().err == message
+        assert train_calls == []
+        assert main(["experiment", *run, "--granularity", "mp"]) == 0
+        assert len(train_calls) == 3
 
     @pytest.mark.parametrize("label", ["Grasp(R, Obj1)", "Grasp"])
     def test_declared_arm_file_holds_the_arm_rule(self, tmp_path, capsys, label):
@@ -455,6 +492,19 @@ class TestExperimentCommand:
             "carry gesture labels from one source dataset\n"))
         assert train_calls == []
 
+    @pytest.mark.parametrize("name", ["report.json", "tables.txt"])
+    def test_a_report_file_that_is_a_directory_exits_3_before_training(
+            self, synth_manifest, tmp_path, capsys, train_calls, name):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        rc = main(["experiment", "--catalog", str(synth_manifest),
+                   "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
+                   "--epochs", "1", "--output-dir", str(tmp_path / "out")])
+        assert rc == 3
+        target = tmp_path / "out" / name
+        assert capsys.readouterr().err == f"failure: cannot write {target}: Is a directory\n"
+        assert train_calls == []
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
     def test_output_dir_under_a_file_exits_3_before_training(self, synth_manifest,
                                                              tmp_path, capsys,
                                                              train_calls):
@@ -566,6 +616,21 @@ class TestNonFiniteRates:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: learning_rate") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("name, bound", [("learning_rate", "> 0"),
+                                             ("weight_decay", ">= 0")])
+    def test_an_integer_past_the_float_range(self, tmp_path, capsys, name, bound):
+        # JSON reads 1 followed by 400 zeros as a Python int, which is not
+        # infinite, but no float holds it; it is refused before the catalog
+        # is read, not when each fold converts it
+        big = "1" + "0" * 400
+        cfg = tmp_path / "exp.json"
+        cfg.write_text('{"catalog": "none.json", "granularity": "mp", "cv": "louo", '
+                       f'"tasks": ["T01"], "{name}": {big}}}')
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name} must be a finite number {bound}, got {big}\n")
 
 
 class TestTrainCommand:

@@ -221,6 +221,19 @@ class TestLoadTranscript:
                 load_transcript(p, granularity, 60)
         assert labels(load_transcript(p, "mp", 60)) == {"Idle", "Grasp"}
 
+    def test_a_combined_file_an_arm_view_derives_from_names_each_side(self, tmp_path):
+        # with arms, an Idle row and a row of either tool side pass; a
+        # label with no tool side is named by its line, which an mp run
+        # without arms still accepts
+        p = tmp_path / "t.txt"
+        p.write_text("0 9 Idle\n10 19 Grasp(L, Needle)\n20 29 Push(R, Block)\n")
+        assert load_transcript(p, "mp", 60, arms=True) == load_transcript(p, "mp", 60)
+        p.write_text("0 9 Idle\n10 19 Grasp(L, Needle)\n20 29 Touch\n")
+        with pytest.raises(DataError) as caught:
+            load_transcript(p, "mp", 60, arms=True)
+        assert str(caught.value) == f"{p}:3: motion primitive 'Touch' names no tool side"
+        assert labels(load_transcript(p, "mp", 60)) == {"Idle", "Grasp(L, Needle)", "Touch"}
+
     def test_a_per_arm_file_must_tile_the_trial(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("0 29 Grasp(L, Needle)\n30 59 Idle\n")

@@ -126,6 +126,30 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=message):
             synth_config(synth_manifest, **kwargs)
 
+    def test_numpy_and_fraction_settings_are_stored_as_python_numbers(self, synth_manifest,
+                                                                     tmp_path):
+        # each passes the checks; stored as it is, it trained every fold and
+        # then failed the report's JSON
+        from fractions import Fraction
+
+        plain = synth_config(synth_manifest, seed=3, epochs=1, filters=(4, 6, 8),
+                             learning_rate=0.125, kernel_size=5, expected_channels=38)
+        odd = synth_config(synth_manifest, seed=np.int64(3), epochs=np.int32(1),
+                           filters=(4, np.int64(6), 8), learning_rate=Fraction(1, 8),
+                           kernel_size=np.int64(5), expected_channels=np.uint8(38))
+        assert odd == plain
+        for f in fields(ExperimentConfig):
+            assert type(getattr(odd, f.name)) is type(getattr(plain, f.name)), f.name
+        assert all(type(n) is int for n in odd.filters)
+        emit_report(run_experiment(odd), tmp_path / "out")
+        assert load_report(tmp_path / "out" / "report.json")["experiment"]["seed"] == 3
+        assert (run_experiment(odd).json_bytes(include_timing=False)
+                == run_experiment(plain).json_bytes(include_timing=False))
+
+    def test_an_int_rate_keeps_its_json(self, synth_manifest):
+        cfg = synth_config(synth_manifest, learning_rate=1, weight_decay=0)
+        assert (type(cfg.learning_rate), type(cfg.weight_decay)) == (int, int)
+
     def test_loto_form(self, synth_manifest):
         cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
                                cv="loto", test_task="T01", train_tasks=("T02",))
@@ -433,10 +457,13 @@ class TestReadTrials:
 
     def test_unattributed_label_cannot_be_derived(self, tmp_path):
         manifest = write_mini_corpus(tmp_path)
-        (tmp_path / "lab" / "T_B_001_mp.txt").write_text("0 19 Touch\n20 39 Push(R, Y)\n")
-        with pytest.raises(DataError,
-                           match="T_B_001_mp.txt: motion primitive 'Touch' names no tool side"):
+        mp = tmp_path / "lab" / "T_B_001_mp.txt"
+        mp.write_text("0 19 Push(R, Y)\n20 39 Touch\n")
+        with pytest.raises(DataError) as caught:
             read_planned(mini_config(manifest, "mp-left"))
+        assert str(caught.value) == f"{mp}:2: motion primitive 'Touch' names no tool side"
+        # a combined mp run takes the label as it is
+        assert "Touch" in read_planned(mini_config(manifest, "mp")).vocabulary
 
     def test_vocabulary_requires_transcripts_everywhere(self, tmp_path):
         manifest = write_mini_corpus(tmp_path, with_gesture=False)
@@ -673,6 +700,19 @@ class TestRunExperiment:
         assert report.aggregate["accuracy_mean"] is None
         assert all(f["status"] == "diverged" for f in report.folds)
         assert all("divergence" in f["error"] for f in report.folds)
+
+    def test_run_fold_raises_what_the_loop_records_as_diverged(self, synth_manifest):
+        # a rate no model survives: run_fold lets NonFiniteLoss through, and
+        # the fold loop alone turns it into the diverged payload
+        cfg = synth_config(synth_manifest, epochs=1, learning_rate=1e308)
+        plan = plan_folds(cfg, build_catalog(synth_manifest))[0]
+        trials = read_planned(cfg)
+        model_config = fold_model_config(plan, trials, cfg)
+        with pytest.raises(NonFiniteLoss) as caught:
+            run_fold(plan, trials, model_config)
+        (fold,) = run_experiment(cfg, plan.name).folds
+        assert fold == {**runner_mod._fold_payload(plan, model_config),
+                        "status": "diverged", "error": str(caught.value)}
 
     def test_every_fold_payload_has_the_same_keys(self, synth_manifest, tmp_path,
                                                   monkeypatch):

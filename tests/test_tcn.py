@@ -1,6 +1,7 @@
 """Model assembly, kernel derivation, parameter store and training loop tests."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,23 @@ class TestModelConfig:
 
     def test_filters_become_a_tuple(self):
         assert ModelConfig(num_classes=4, kernel_size=3, filters=[4, 6, 8]).filters == (4, 6, 8)
+
+    def test_filters_become_python_ints(self):
+        filters = ModelConfig(num_classes=4, kernel_size=3,
+                              filters=(np.int64(4), 6, np.int32(8))).filters
+        assert filters == (4, 6, 8) and all(type(n) is int for n in filters)
+
+    @pytest.mark.parametrize("name, bound", [("learning_rate", "> 0"),
+                                             ("weight_decay", ">= 0")])
+    def test_a_rate_is_bounded_by_the_largest_float(self, name, bound):
+        # the largest float passes; the next integer past it, finite as an
+        # int, is no float and is refused
+        top = sys.float_info.max
+        assert getattr(ModelConfig(num_classes=4, kernel_size=3, **{name: top}), name) == top
+        past = int(top) + 1
+        with pytest.raises(ConfigError) as caught:
+            ModelConfig(num_classes=4, kernel_size=3, **{name: past})
+        assert str(caught.value) == f"{name} must be a finite number {bound}, got {past}"
 
     def test_one_filter_per_stage_and_a_width_1_kernel_are_allowed(self):
         cfg = ModelConfig(num_classes=2, kernel_size=1, filters=(1, 1, 1))
