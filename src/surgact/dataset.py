@@ -371,11 +371,8 @@ def arm_columns(offset: int) -> tuple[int, ...]:
 
 def select_features(kinematics: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
     """Gather the columns of a (frames, channels) array into a (T, F) array,
-    order preserved; the columns must be distinct and inside the trial."""
-    if len(set(cols)) != len(cols):
-        seen = set()
-        dup = next(c for c in cols if c in seen or seen.add(c))
-        raise DataError(f"column {dup} selected more than once")
+    order preserved; the columns must lie inside the trial, and
+    `ExperimentConfig` refuses a column selected twice."""
     channels = kinematics.shape[1]
     for c in cols:
         if c < 0 or c >= channels:

@@ -175,6 +175,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"left_offset {self.left_offset} and right_offset {self.right_offset} "
                 f"select columns {twice} twice")
+        if self.expected_channels is not None:
+            past = [c for c in self.feature_columns() if c >= self.expected_channels]
+            if past:
+                raise ConfigError(
+                    f"left_offset {self.left_offset} and right_offset {self.right_offset} "
+                    f"select column {past[0]}, past expected_channels {self.expected_channels}")
         # a rate left None takes its cv mode's default, LOTO's for the suite
         defaults = HYPERPARAM_DEFAULTS["louo" if self.cv == "louo" else "loto"]
         for name in ("learning_rate", "weight_decay"):

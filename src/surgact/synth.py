@@ -21,6 +21,7 @@ import numpy as np
 from .atomic import json_text, write_atomic
 from .dataset import (
     COLUMNS_PER_ARM,
+    MIN_FRAMES,
     MP_VERBS,
     LabelTranscript,
     Segment,
@@ -88,7 +89,7 @@ def generate_synthetic_dataset(
         raise ConfigError("need at least one task, subject, and trial")
     if num_classes < 2:
         raise ConfigError("need at least two classes")
-    if frames_range[0] < 8 or frames_range[0] > frames_range[1]:
+    if frames_range[0] < MIN_FRAMES or frames_range[0] > frames_range[1]:
         raise ConfigError(f"bad frames_range {frames_range}")
     if segment_frames[0] < 1 or segment_frames[0] > segment_frames[1]:
         raise ConfigError(f"bad segment_frames {segment_frames}")

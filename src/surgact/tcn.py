@@ -50,9 +50,12 @@ one float64 vector, `TcnModel.theta`, ordered w0, b0, w1, b1, ... along the
 forward pass, and hands each conv its views into `theta` and the gradient
 vector `TcnModel.grad`, and the shared column buffer.
 
-`check_model_settings` holds the rules for the training settings
-(filters, learning rate, weight decay, epochs, kernel width). An experiment
-config and a `ModelConfig` are both checked by it.
+Each rule is checked once, where its value enters: `check_model_settings`
+(through `ModelConfig` and an experiment config) the training settings,
+`TcnModel.__init__` the channel count, `forward` the signal, `backward`
+the logit gradient, the loss the targets and `predict_labels` that the
+features are finite. The convs, Adam and `train_fold`'s map of training
+tensors are not checked again.
 """
 
 from __future__ import annotations
@@ -294,7 +297,7 @@ def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> 
     One trial is one optimization step (full-sequence batch). Trial order is
     reshuffled each epoch from a generator seeded by `config.seed`, so a fold
     replays exactly given the same seed. Only training trials are touched;
-    the mapping may contain them exclusively. An epoch's accuracy is
+    the mapping must hold them and may hold only them. An epoch's accuracy is
     measured on each step's pre-update logits over the frames whose target
     is not GAP, so it trails a fresh post-training evaluation slightly.
 
@@ -305,9 +308,6 @@ def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> 
     keys = sorted(fold.train_trials)
     if not keys:
         raise DataError(f"fold {fold.name}: no training trials")
-    for key in keys:
-        if key not in data:
-            raise DataError(f"fold {fold.name}: no tensors for training trial {key}")
     config = model.config
     optimizer = Adam(model.theta.size, config.learning_rate, config.weight_decay)
     # separate stream from the parameter-init draw on the same seed

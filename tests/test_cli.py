@@ -320,6 +320,21 @@ class TestFoldsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert all(t.startswith("T01/") for p in doc for t in p["test_trials"])
 
+    def test_offsets_past_the_expected_channels_exit_1(self, synth_manifest, tmp_path,
+                                                       capsys):
+        # the corpus holds the 38 channels asked for, but arm_columns(30)
+        # reaches column 48: refused before any file is read, so no report
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "catalog": str(synth_manifest), "granularity": "mp", "cv": "louo",
+            "tasks": ["T01"], "epochs": 1, "expected_channels": 38, "right_offset": 30,
+            "output_dir": str(tmp_path / "out")}))
+        for command in ("folds", "experiment"):
+            assert main([command, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == (
+                "error: left_offset 0 and right_offset 30 select column 42, "
+                "past expected_channels 38\n")
+        assert not (tmp_path / "out").exists()
 
     def test_a_config_file_with_task_combo_exits_1(self, synth_manifest, tmp_path,
                                                    capsys):

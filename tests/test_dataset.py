@@ -601,12 +601,6 @@ class TestFeatureSelection:
         with pytest.raises(DataError, match=r"column 12 outside \[0, 10\)"):
             select_features(np.zeros((3, 10)), BOTH_ARMS)
 
-    def test_duplicate_column(self):
-        with pytest.raises(DataError, match="selected more than once"):
-            select_features(np.zeros((3, 38)), arm_columns(0) + arm_columns(0))
-        with pytest.raises(DataError, match="^column 1 selected more than once$"):
-            select_features(np.zeros((3, 38)), (0, 1, 2, 1))
-
     def test_arm_columns_at_offset(self):
         # position, linear velocity, gripper of the block starting at 19
         assert arm_columns(19) == (19, 20, 21, 31, 32, 33, 37)

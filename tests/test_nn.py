@@ -108,24 +108,6 @@ class TestConv1d:
         got, _ = make_conv(w, b).forward(x)
         np.testing.assert_allclose(got, naive_conv(x, w, b), atol=1e-12)
 
-    @pytest.mark.parametrize("shapes, phases, message", [
-        ([(4, 15), (4,), (4, 15), (4,)], 1,
-         r"^a conv needs w \(Cout, Cin, k\), b \(Cout,\) and gradients of their shapes, "
-         r"got w \(4, 15\), b \(4,\), grad_w \(4, 15\), grad_b \(4,\)$"),
-        # a (1,) bias would broadcast in forward, so it is refused here
-        ([(4, 3, 5), (1,), (4, 3, 5), (1,)], 1, r"got w \(4, 3, 5\), b \(1,\), "),
-        ([(4, 3, 5), (4,), (4, 3, 3), (4,)], 1, r"grad_w \(4, 3, 3\), grad_b \(4,\)$"),
-        ([(4, 3, 5), (4,), (4, 3, 5), (4, 1)], 1, r"grad_w \(4, 3, 5\), grad_b \(4, 1\)$"),
-        ([(1, 1, 2), (1,), (1, 1, 2), (1,)], 1, "^kernel_size must be odd and >= 1, got 2$"),
-        ([(0, 2, 3), (0,), (0, 2, 3), (0,)], 1, "^channel counts must be positive$"),
-        ([(1, 1, 3), (1,), (1, 1, 3), (1,)], 0, "^phases must be >= 1, got 0$"),
-    ], ids=["w-not-3d", "bias-not-cout", "grad-w-shape", "grad-b-shape", "even-kernel",
-            "no-channels", "no-phases"])
-    def test_rejects_arrays_or_phases_it_cannot_run(self, shapes, phases, message):
-        w, b, grad_w, grad_b = (np.zeros(shape) for shape in shapes)
-        with pytest.raises(ConfigError, match=message):
-            Conv1d(w, b, grad_w, grad_b, ColumnBuffer(), phases=phases)
-
     def test_phases_is_a_required_keyword(self):
         w = np.zeros((1, 1, 3))
         arrays = (w, np.zeros(1), np.zeros_like(w), np.zeros(1), ColumnBuffer())
@@ -133,11 +115,6 @@ class TestConv1d:
             Conv1d(*arrays)
         with pytest.raises(TypeError):
             Conv1d(*arrays, 1)
-
-    def test_rejects_wrong_channels(self):
-        conv = bare_conv(2, 1, 3, np.random.default_rng(0))
-        with pytest.raises(DataError, match="expected 2 input channels, got 3"):
-            conv.forward(np.zeros((3, 5)))
 
     def test_grad_wrt_weights(self):
         rng = np.random.default_rng(101)
@@ -350,12 +327,6 @@ class TestUpsampledConv:
             return float((y * r).sum()), conv.backward(r, cache)
 
         assert finite_diff_check(f, x) < 1e-8
-
-    def test_rejects_a_gradient_of_the_input_length(self):
-        conv = bare_conv(2, 3, 3, np.random.default_rng(0), phases=2)
-        _, cache = conv.forward(np.zeros((2, 4)))
-        with pytest.raises(DataError, match=r"grad_y shape \(3, 4\) != output shape \(3, 8\)"):
-            conv.backward(np.zeros((3, 4)), cache)
 
 
 def stage_cases():
@@ -912,35 +883,6 @@ class TestAdam:
         alias = p
         opt.step([p], [np.array([1.0])])
         assert alias is p and alias[0] != 1.0
-
-    def test_rejects_mismatched_state(self):
-        # one (size,) vector and its gradient, each in a one-element list
-        p = np.array([1.0, 2.0])
-        opt = Adam(p.size, learning_rate=1e-3)
-        with pytest.raises(DataError, match="expected one parameter/gradient vector, got 2/2"):
-            opt.step([p, p], [np.ones(2), np.ones(2)])
-        with pytest.raises(DataError, match=r"shape \(1, 2\)/\(1, 2\) != state shape \(2,\)"):
-            opt.step([p.reshape(1, 2)], [np.ones((1, 2))])
-        with pytest.raises(DataError, match=r"shape \(3,\)/\(3,\) != state shape \(2,\)"):
-            opt.step([np.zeros(3)], [np.zeros(3)])
-        with pytest.raises(DataError, match=r"shape \(2,\)/\(3,\) != state shape \(2,\)"):
-            opt.step([p], [np.zeros(3)])
-        assert opt.step_count == 0 and np.array_equal(p, [1.0, 2.0])
-
-    def test_rejects_lists_of_unequal_length(self):
-        p, g = np.array([1.0, 2.0]), np.ones(2)
-        opt = Adam(p.size, learning_rate=1e-3)
-        with pytest.raises(DataError, match="expected one parameter/gradient vector, got 1/2"):
-            opt.step([p], [g, g])
-        with pytest.raises(DataError, match="expected one parameter/gradient vector, got 2/1"):
-            opt.step([p, p], [g])
-        assert opt.step_count == 0 and np.array_equal(p, [1.0, 2.0])
-
-    def test_rejects_negative_settings(self):
-        with pytest.raises(ConfigError, match="learning_rate must be >= 0, got -1.0"):
-            Adam(1, learning_rate=-1.0)
-        with pytest.raises(ConfigError, match="weight_decay must be >= 0, got -0.1"):
-            Adam(1, learning_rate=1e-3, weight_decay=-0.1)
 
 
 class TestFiniteDiffCheck:

@@ -121,7 +121,13 @@ class TestExperimentConfig:
         ({"right_offset": 5}, r"left_offset 0 and right_offset 5 select columns \[18\] twice"),
         ({"left_offset": 19, "right_offset": 19},
          r"right_offset 19 select columns \[19, 20, 21, 31, 32, 33, 37\] twice"),
-    ], ids=[f"kwargs{i}" for i in range(34)])
+        # arm_columns(30) reaches column 48; 42 is the first past the 38
+        ({"expected_channels": 38, "right_offset": 30},
+         "^left_offset 0 and right_offset 30 select column 42, past expected_channels 38$"),
+        # arm_columns(20) ends on column 38, one past the last of 38
+        ({"expected_channels": 38, "right_offset": 20},
+         "^left_offset 0 and right_offset 20 select column 38, past expected_channels 38$"),
+    ], ids=[f"kwargs{i}" for i in range(36)])
     def test_rejections(self, synth_manifest, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             synth_config(synth_manifest, **kwargs)

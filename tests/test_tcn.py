@@ -702,14 +702,6 @@ class TestTrainFold:
         assert record["epoch_losses"] == pytest.approx(expected_losses, rel=1e-12)
         assert record["epoch_accuracies"] == pytest.approx(expected_accuracies, rel=1e-12)
 
-    def test_missing_tensors(self):
-        data = {("T", "U", "001"): toy_tensors(0)}
-        fold = FoldPlan(name="f", held_out="U",
-                        train_trials=(("T", "U", "001"), ("T", "U", "002")),
-                        test_trials=())
-        with pytest.raises(DataError):
-            train_fold(TcnModel(TOY, 3), fold, data)
-
     def test_targets_outside_vocabulary(self):
         # the loss checks the range at the trial's first step, before any
         # parameter changes
