@@ -2,19 +2,19 @@
 
 Exit codes: 0 success, 1 bad request/configuration (a usage error too),
 2 malformed input data, 3 runtime failure (also `experiment` when no fold
-trained).
+trained, or when its one `--fold` diverged).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 from ._version import __version__
-from .atomic import check_writable, json_text, write_atomic
+from .atomic import json_text, write_atomic
 from .dataset import (
     ARM_SIDES,
     GRANULARITIES,
@@ -118,29 +118,21 @@ def _cmd_folds(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    config = _experiment_config(args)
-    # refused before the fold trains, not after
-    if args.out:
-        check_writable(Path(args.out))
-    # the experiment's one fold loop, writing nothing but --out: a config
-    # file's output_dir is the experiment's, whose report this must not replace
-    payload = run_experiment(replace(config, output_dir=None), args.fold).folds[0]
-    _write_result(json_text(payload), args.out, "fold report")
-    if payload["status"] != "ok":
-        print(f"fold {payload['name']} {payload['status']}: {payload['error']}",
-              file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
-
-
 def _cmd_experiment(args) -> int:
     config = _experiment_config(args)
-    # run_experiment itself persists the report when output_dir is set
-    report = run_experiment(config)
-    agg = report.aggregate
+    # run_experiment itself writes what the run makes when output_dir is set
+    report = run_experiment(config, args.fold)
     if config.output_dir:
-        print(f"report written under {config.output_dir}")
+        print(f"{'fold report' if args.fold else 'report'} written under {config.output_dir}")
+    if args.fold:
+        fold = report.folds[0]
+        if not config.output_dir:
+            sys.stdout.write(json_text(fold))
+        if fold["status"] != "ok":
+            print(f"fold {fold['name']} {fold['status']}: {fold['error']}", file=sys.stderr)
+            return EXIT_RUNTIME
+        return EXIT_OK
+    agg = report.aggregate
     summary = f"folds: {agg['num_ok_folds']}/{agg['num_folds']} ok"
     if agg["accuracy_mean"] is not None:
         summary += (f"; accuracy {agg['accuracy_mean']:.2f}"
@@ -190,15 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_folds)
 
-    p = sub.add_parser("train", help="train a single fold")
+    p = sub.add_parser("experiment", help="run all folds, or one, and report")
     _add_experiment_args(p)
-    p.add_argument("--fold", required=True, help="fold name from `folds`")
-    p.add_argument("--out", help="write the fold report JSON here")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("experiment", help="run all folds and report")
-    _add_experiment_args(p)
-    p.add_argument("--output-dir", help="write report.json and tables.txt here")
+    p.add_argument("--fold", help="run only this fold (a name from `folds`)")
+    p.add_argument("--output-dir", help="write report.json and tables.txt here, "
+                   "or folds/FOLD.json for one fold")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

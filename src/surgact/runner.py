@@ -536,17 +536,20 @@ def _experiment_payload(config: ExperimentConfig, plans: Sequence[FoldPlan],
 def run_experiment(config: ExperimentConfig,
                    fold_name: Optional[str] = None) -> ExperimentReport:
     """Execute every fold of the configured experiment, or only the one
-    named `fold_name` (CLI `train`); an unknown name is a ConfigError.
+    named `fold_name` (CLI `experiment --fold`); an unknown name is a
+    ConfigError.
 
     Every planned trial is read and checked, whichever folds run, and the
     run's model settings derived, first, so bad input raises a DataError
     before any fold trains, and one fold rejects the input the whole
-    experiment does. Then output_dir is made and its report files checked,
-    so an unusable one fails before training too. The fold loop alone sets
-    a fold's status from what `run_fold` raises: `NonFiniteLoss` records it
-    diverged, skipped by the aggregates; any other error records it failed
-    and stops the run, the partial report is persisted (when output_dir is
-    set), and the failure is re-raised with fold context.
+    experiment does. Then output_dir is made and the files the run writes
+    there (`_report_files`) checked, so an unusable one fails before
+    training too. The fold loop alone sets a fold's status from what
+    `run_fold` raises: `NonFiniteLoss` records it diverged, skipped by the
+    aggregates; any other error records it failed and stops the run, and is
+    re-raised with fold context once the files are written (when output_dir
+    is set): a full run's report, a partial one too, or the one fold's
+    payload, which a failed fold does not write.
     """
     started = time.perf_counter()
     catalog = build_catalog(config.catalog)
@@ -557,8 +560,7 @@ def run_experiment(config: ExperimentConfig,
         raise ConfigError(f"no fold named {fold_name!r}; available: {names}")
     trials = read_trials(config, catalog, plans)
     model_configs = [fold_model_config(plan, trials, config) for plan in run]
-    if config.output_dir:
-        _report_files(config.output_dir)
+    written = _report_files(config.output_dir, fold_name) if config.output_dir else ()
     experiment = _experiment_payload(config, plans, trials)
 
     folds: list[dict] = []
@@ -587,8 +589,10 @@ def run_experiment(config: ExperimentConfig,
             "folds": dict(sorted(fold_seconds.items())),
         },
     )
-    if config.output_dir:
+    if config.output_dir and fold_name is None:
         emit_report(report, config.output_dir)
+    elif written and failure is None:
+        write_atomic(written[0], json_text(folds[0]).encode())
     if failure is not None:
         raise SurgactError(f"fold {folds[-1]['name']} failed: {failure}") from failure
     return report
@@ -643,16 +647,18 @@ def render_tables(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _report_files(out_dir) -> tuple[Path, Path]:
-    """Make `out_dir` and return the paths of its `report.json` and
-    `tables.txt`, each refused now (`check_writable`) if it cannot be
-    written."""
-    out = Path(out_dir)
+def _report_files(out_dir, fold_name: Optional[str] = None) -> tuple[Path, ...]:
+    """The files a run writes under `out_dir`, their directory made and each
+    refused now (`check_writable`) if it cannot be written: a full run's
+    `report.json` and `tables.txt`, or one fold's `folds/<fold_name>.json`,
+    which never replaces a full run's report."""
+    out = Path(out_dir) if fold_name is None else Path(out_dir) / "folds"
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SurgactError(f"cannot create output directory {out}: {exc}")
-    paths = out / "report.json", out / "tables.txt"
+    paths = ((out / "report.json", out / "tables.txt") if fold_name is None
+             else (out / f"{fold_name}.json",))
     for path in paths:
         check_writable(path)
     return paths

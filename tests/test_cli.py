@@ -192,7 +192,7 @@ class TestValidateCommand:
 
 
     def test_a_side_less_label_is_named_by_its_line(self, tmp_path, capsys, train_calls):
-        # validate, experiment and train --fold each refuse a label with no
+        # validate, experiment and experiment --fold each refuse a label with no
         # tool side on line 3 of a combined file an mp-left view derives
         # from, naming the line, before any fold trains; an mp run trains
         manifest = small_corpus(tmp_path / "corpus", subjects=3)
@@ -203,7 +203,8 @@ class TestValidateCommand:
         run = ["--catalog", str(manifest), "--cv", "louo", "--tasks", "T01", "--epochs", "0"]
         for argv in (["validate", "--catalog", str(manifest)],
                      ["experiment", *run, "--granularity", "mp-left"],
-                     ["train", *run, "--granularity", "mp-left", "--fold", "louo-SYNTH-U01"]):
+                     ["experiment", *run, "--granularity", "mp-left",
+                      "--fold", "louo-SYNTH-U01"]):
             assert main(argv) == 2, argv[0]
             assert capsys.readouterr().err == message
         assert train_calls == []
@@ -583,8 +584,8 @@ class TestExperimentCommand:
             "data error: fold louo-SYNTH-U01: no labeled segments in any training transcript\n")
         assert train_calls == []
         assert not (tmp_path / "out").exists()
-        train = ["train", "--catalog", str(manifest), "--granularity", "mp", "--cv", "louo",
-                 "--tasks", "T01", "--epochs", "1", "--fold"]
+        train = ["experiment", "--catalog", str(manifest), "--granularity", "mp",
+                 "--cv", "louo", "--tasks", "T01", "--epochs", "1", "--fold"]
         assert main(train + ["louo-SYNTH-U01"]) == 2
         assert "fold louo-SYNTH-U01: no labeled segments" in capsys.readouterr().err
         assert train_calls == []
@@ -649,25 +650,33 @@ class TestNonFiniteRates:
 
 
 class TestTrainCommand:
+    """`experiment --fold NAME`, which replaced the `train` command: it runs
+    that fold alone and writes `OUTPUT_DIR/folds/NAME.json`, or prints the
+    fold payload when no output directory is set."""
+
     def test_single_fold_writes_its_report(self, synth_manifest, tmp_path, capsys):
-        out = tmp_path / "fold.json"
-        rc = main(["train", "--catalog", str(synth_manifest),
+        out = tmp_path / "out"
+        rc = main(["experiment", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
-                   "--epochs", "1", "--fold", "louo-SYNTH-U03", "--out", str(out)])
+                   "--epochs", "1", "--fold", "louo-SYNTH-U03", "--output-dir", str(out)])
         assert rc == 0
-        assert capsys.readouterr().out == f"fold report -> {out}\n"
-        text = out.read_text()
+        assert capsys.readouterr().out == f"fold report written under {out}\n"
+        text = (out / "folds" / "louo-SYNTH-U03.json").read_text()
         assert json.loads(text)["name"] == "louo-SYNTH-U03"
         assert text == json_text(json.loads(text))
+        assert sorted(p.name for p in out.iterdir()) == ["folds"]
 
     def test_diverged_fold_exits_3(self, synth_manifest, capsys):
-        rc = main(["train", "--catalog", str(synth_manifest),
+        rc = main(["experiment", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
                    "--epochs", "1", "--learning-rate", "1e308",
                    "--fold", "louo-SYNTH-U03"])
         assert rc == 3
-        err = capsys.readouterr().err
-        assert err.startswith("fold louo-SYNTH-U03 diverged: ") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("fold louo-SYNTH-U03 diverged: ")
+        assert captured.err.count("\n") == 1
+        # stdout carries the fold payload alone
+        assert json.loads(captured.out)["status"] == "diverged"
 
     def test_a_failed_fold_exits_3_with_the_experiments_message(
             self, synth_manifest, tmp_path, capsys, monkeypatch):
@@ -677,35 +686,40 @@ class TestTrainCommand:
             raise RuntimeError("disk fell over")
 
         monkeypatch.setattr(surgact.runner, "TcnModel", explode)
-        rc = main(["train", "--catalog", str(synth_manifest),
+        out = tmp_path / "out"
+        rc = main(["experiment", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
-                   "--epochs", "0", "--fold", "louo-SYNTH-U01",
-                   "--out", str(tmp_path / "fold.json")])
+                   "--epochs", "0", "--fold", "louo-SYNTH-U01", "--output-dir", str(out)])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.err == "failure: fold louo-SYNTH-U01 failed: disk fell over\n"
         assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
+        # the folds directory was made before training, and nothing written
+        assert [p.name for p in out.iterdir()] == ["folds"]
+        assert list((out / "folds").iterdir()) == []
 
-    def test_a_config_files_output_dir_is_left_alone(self, synth_manifest, tmp_path,
-                                                      capsys):
-        # it is the experiment's, whose report a one-fold report must not replace
+    def test_a_config_files_output_dir_gets_the_fold_file(self, synth_manifest, tmp_path,
+                                                          capsys):
+        # it is the experiment's: the fold goes under folds/, beside the
+        # report.json a full run writes, which it never replaces
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"catalog": str(synth_manifest), "granularity": "mp",
                                    "cv": "louo", "tasks": ["T01"], "epochs": 0,
                                    "output_dir": "run"}))
-        assert main(["train", "--config", str(cfg), "--fold", "louo-SYNTH-U01"]) == 0
-        assert json.loads(capsys.readouterr().out)["name"] == "louo-SYNTH-U01"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+        assert main(["experiment", "--config", str(cfg), "--fold", "louo-SYNTH-U01"]) == 0
+        run = tmp_path / "run"
+        assert capsys.readouterr().out == f"fold report written under {run}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "run"]
+        assert [p.name for p in run.iterdir()] == ["folds"]
+        fold = json.loads((run / "folds" / "louo-SYNTH-U01.json").read_text())
+        assert fold["name"] == "louo-SYNTH-U01" and fold["status"] == "ok"
 
-    @pytest.mark.parametrize("command", ["folds", "train"])
+    @pytest.mark.parametrize("command", ["folds"])
     def test_output_dir_is_an_experiment_flag(self, synth_manifest, tmp_path, capsys,
                                               train_calls, command):
         out = tmp_path / "out"
         argv = [command, "--catalog", str(synth_manifest), "--granularity", "mp",
                 "--cv", "louo", "--tasks", "T01", "--epochs", "0"]
-        if command == "train":
-            argv += ["--fold", "louo-SYNTH-U01"]
         with pytest.raises(SystemExit) as caught:
             main(argv + ["--output-dir", str(out)])
         assert caught.value.code == 1
@@ -732,7 +746,7 @@ class TestTrainCommand:
         capsys.readouterr()
         argv = ["--catalog", str(manifest), "--granularity", "mp", "--cv", "loto-suite",
                 "--epochs", "0"]
-        assert main(["train", *argv, "--fold", "loto-S-from-NP"]) == 2
+        assert main(["experiment", *argv, "--fold", "loto-S-from-NP"]) == 2
         train_err = capsys.readouterr().err
         assert main(["experiment", *argv]) == 2
         assert capsys.readouterr().err == train_err == (
@@ -740,11 +754,18 @@ class TestTrainCommand:
         assert train_calls == []
 
     def test_unknown_fold_name(self, synth_manifest, capsys):
-        rc = main(["train", "--catalog", str(synth_manifest),
+        rc = main(["experiment", "--catalog", str(synth_manifest),
                    "--granularity", "mp", "--cv", "louo", "--tasks", "T01",
                    "--epochs", "0", "--fold", "louo-SYNTH-U09"])
         assert rc == 1
         assert "louo-SYNTH-U09" in capsys.readouterr().err
+
+    def test_the_train_command_is_gone(self, synth_manifest, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["train", "--catalog", str(synth_manifest), "--granularity", "mp",
+                  "--cv", "louo", "--tasks", "T01", "--fold", "louo-SYNTH-U01"])
+        assert caught.value.code == 1
+        assert "invalid choice: 'train'" in capsys.readouterr().err
 
 
 class TestReportCommand:
@@ -863,7 +884,8 @@ class TestNonUtf8Input:
 
 
 class TestOutFlag:
-    """--out into a missing directory fails with exit 3 and one line."""
+    """--out into a missing directory, or an `experiment --fold` output that
+    cannot be made, fails with exit 3 and one line."""
 
     def run(self, argv, capsys):
         rc = main(argv)
@@ -879,30 +901,37 @@ class TestOutFlag:
 
     def test_train_refuses_before_training(self, synth_manifest, tmp_path, capsys,
                                            monkeypatch):
-        import surgact.cli
+        # a file where the folds directory goes: no fold trains
+        import surgact.runner
 
         def trained(*args, **kwargs):
-            raise AssertionError("the fold trained before --out was checked")
+            raise AssertionError("the fold trained before --output-dir was checked")
 
-        monkeypatch.setattr(surgact.cli, "run_experiment", trained)
-        self.run(["train", "--catalog", str(synth_manifest), "--granularity", "mp",
-                  "--cv", "louo", "--tasks", "T01", "--epochs", "0",
-                  "--fold", "louo-SYNTH-U01",
-                  "--out", str(tmp_path / "missing" / "fold.json")], capsys)
+        monkeypatch.setattr(surgact.runner, "run_fold", trained)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "folds").write_text("a file, not a directory")
+        rc = main(["experiment", "--catalog", str(synth_manifest), "--granularity", "mp",
+                   "--cv", "louo", "--tasks", "T01", "--epochs", "0",
+                   "--fold", "louo-SYNTH-U01", "--output-dir", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"failure: cannot create output directory {out / 'folds'}: ")
+        assert err.count("\n") == 1
 
     def test_train_refuses_a_directory_before_training(self, synth_manifest, tmp_path,
                                                        capsys, monkeypatch):
-        import surgact.cli
+        import surgact.runner
 
         def trained(*args, **kwargs):
-            raise AssertionError("the fold trained before --out was checked")
+            raise AssertionError("the fold trained before --output-dir was checked")
 
-        monkeypatch.setattr(surgact.cli, "run_experiment", trained)
-        target = tmp_path / "fold.json"
-        target.mkdir()
-        self.run(["train", "--catalog", str(synth_manifest), "--granularity", "mp",
+        monkeypatch.setattr(surgact.runner, "run_fold", trained)
+        target = tmp_path / "out" / "folds" / "louo-SYNTH-U01.json"
+        target.mkdir(parents=True)
+        self.run(["experiment", "--catalog", str(synth_manifest), "--granularity", "mp",
                   "--cv", "louo", "--tasks", "T01", "--epochs", "0",
-                  "--fold", "louo-SYNTH-U01", "--out", str(target)], capsys)
+                  "--fold", "louo-SYNTH-U01", "--output-dir", str(tmp_path / "out")], capsys)
         assert list(target.iterdir()) == []
 
     def test_report(self, cli_report_dir, tmp_path, capsys):

@@ -1,0 +1,250 @@
+"""Input fuzz: no bad file gets past planning.
+
+Each example copies a 6-trial synthetic corpus, changes one file in one
+drawn way, and runs `validate`, then a one-epoch `experiment` at a drawn
+granularity and split, with or without `--fold` and the split's first
+planned fold, through `cli.main` in this process. Whatever the change:
+
+- each call returns 0, 1 or 2, and no exception escapes `main` (exit 3,
+  a runtime failure, never happens);
+- a run that entered `run_fold` exits 0: bad input is refused while
+  planning, before any fold trains.
+
+The mutations are those of the throwaway fuzz runs the roadmap records:
+cells, lines, columns, delimiters, a BOM, CRLF line ends and truncation of
+a kinematics file; bounds, labels, order, tabs and an empty file of a
+transcript; keys, types, paths, and duplicated or missing entries of the
+manifest. It runs the `suite` profile's 60 examples (tests/conftest.py),
+which take 2-3 s.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import event, given, note
+from hypothesis import strategies as st
+
+import surgact.runner
+from surgact.cli import main
+from surgact.dataset import GRANULARITIES
+from surgact.synth import generate_synthetic_dataset
+
+# each split's flags and its first planned fold
+SPLITS = {
+    "louo": (["--cv", "louo", "--tasks", "T01", "T02"], "louo-SYNTH-U01"),
+    "loto": (["--cv", "loto", "--test-task", "T01", "--train-tasks", "T02"],
+             "loto-T01-from-T02"),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The pristine corpus: 2 tasks x 3 subjects x 1 trial, 40-60 frames."""
+    root = tmp_path_factory.mktemp("fuzz-corpus")
+    generate_synthetic_dataset(root, num_tasks=2, num_subjects=3, trials_per_subject=1,
+                               num_classes=3, frames_range=(40, 60), seed=11)
+    return root
+
+
+# ---------------------------------------------------------------------------
+# mutations: each changes the text of one file, drawing what it needs
+
+_CELLS = ["", "x", "nan", "inf", "-inf", "1e999", "1_0", "#", "0x10", "1,2", "--1", "1 2"]
+_LABELS = ["", "Grasp", "Touch(X, Obj1)", "Grasp(L)", "Grasp(L, Obj1) extra", "(", "Idle",
+           "G99", "Grasp(R, Obj1)", "Grasp(L, Obj1)"]
+
+
+def _line(draw, lines: list[str]) -> int:
+    return draw(st.integers(0, max(len(lines) - 1, 0)), label="line")
+
+
+def kinematics_cell(text, draw):
+    rows = [row.split(" ") for row in text.splitlines()]
+    i = _line(draw, rows)
+    rows[i][draw(st.integers(0, len(rows[i]) - 1), label="column")] = draw(
+        st.sampled_from(_CELLS), label="cell")
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+def kinematics_line(text, draw):
+    lines = text.splitlines()
+    i = _line(draw, lines)
+    how = draw(st.sampled_from(["delete", "repeat", "blank", "junk"]), label="how")
+    if how == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, {"repeat": lines[i], "blank": "   ", "junk": "frame 1"}[how])
+    return "\n".join(lines) + "\n"
+
+
+def kinematics_columns(text, draw):
+    rows = [row.split(" ") for row in text.splitlines()]
+    how = draw(st.sampled_from(["drop-one", "add-one", "drop-everywhere"]), label="how")
+    if how == "drop-everywhere":
+        col = draw(st.integers(0, len(rows[0]) - 1), label="column")
+        rows = [row[:col] + row[col + 1:] for row in rows]
+    else:
+        i = _line(draw, rows)
+        rows[i] = rows[i][:-1] if how == "drop-one" else rows[i] + ["0.5"]
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+def kinematics_delimiters(text, draw):
+    lines = text.splitlines()
+    delimiter = draw(st.sampled_from([",", "\t", ", ", ",,", ";", "  "]), label="delimiter")
+    if draw(st.booleans(), label="every line"):
+        return "\n".join(line.replace(" ", delimiter) for line in lines) + "\n"
+    i = _line(draw, lines)
+    lines[i] = lines[i].replace(" ", delimiter)
+    return "\n".join(lines) + "\n"
+
+
+def bom(text, draw):
+    return "\ufeff" + text
+
+
+def crlf(text, draw):
+    return text.replace("\n", "\r\n")
+
+
+def truncate(text, draw):
+    return text[:draw(st.integers(0, len(text)), label="length")]
+
+
+def transcript_bounds(text, draw):
+    lines = [line.split(" ", 2) for line in text.splitlines()]
+    i = _line(draw, lines)
+    lines[i][draw(st.integers(0, 1), label="bound")] = str(
+        draw(st.integers(-3, 70), label="value"))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def transcript_label(text, draw):
+    lines = [line.split(" ", 2) for line in text.splitlines()]
+    i = _line(draw, lines)
+    lines[i] = lines[i][:2] + [draw(st.sampled_from(_LABELS), label="label")]
+    return "\n".join(" ".join(line).rstrip() for line in lines) + "\n"
+
+
+def transcript_order(text, draw):
+    lines = text.splitlines()
+    i, j = _line(draw, lines), _line(draw, lines)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def tabs(text, draw):
+    return text.replace(" ", "\t")
+
+
+def empty(text, draw):
+    return ""
+
+
+def _entry(doc, draw) -> dict:
+    return doc["entries"][draw(st.integers(0, len(doc["entries"]) - 1), label="entry")]
+
+
+def manifest_keys(doc, draw):
+    entry = _entry(doc, draw)
+    key = draw(st.sampled_from(sorted(entry) + ["<unknown>"]), label="key")
+    if key == "<unknown>":
+        (doc if draw(st.booleans(), label="top level") else entry)["sample_rate"] = 30
+    else:
+        del entry[key]
+
+
+def manifest_types(doc, draw):
+    entry = _entry(doc, draw)
+    entry[draw(st.sampled_from(sorted(entry)), label="key")] = draw(
+        st.sampled_from([7, None, ["T01"], {}, True, 1.5]), label="value")
+
+
+def manifest_paths(doc, draw):
+    entry = _entry(doc, draw)
+    missing = draw(st.sampled_from(["nope.txt", "kinematics", "/no/such/file.txt", ""]),
+                   label="path")
+    if draw(st.booleans(), label="kinematics"):
+        entry["kinematics"] = missing
+    else:
+        entry["transcripts"][draw(st.sampled_from(sorted(entry["transcripts"])),
+                                  label="granularity")] = missing
+
+
+def manifest_entries(doc, draw):
+    entry = _entry(doc, draw)
+    how = draw(st.sampled_from(["duplicate", "delete", "drop-transcript"]), label="how")
+    if how == "duplicate":
+        doc["entries"].append(dict(entry))
+    elif how == "delete":
+        doc["entries"].remove(entry)
+    else:
+        del entry["transcripts"][draw(st.sampled_from(sorted(entry["transcripts"])),
+                                      label="granularity")]
+
+
+def _on_json(change):
+    def mutate(text, draw):
+        doc = json.loads(text)
+        change(doc, draw)
+        return json.dumps(doc)
+    mutate.__name__ = change.__name__
+    return mutate
+
+
+# (files the mutation applies to, the mutation)
+MUTATIONS = [
+    *(("kinematics", m) for m in (kinematics_cell, kinematics_line, kinematics_columns,
+                                  kinematics_delimiters, bom, crlf, truncate)),
+    *(("transcripts", m) for m in (transcript_bounds, transcript_label, transcript_order,
+                                   tabs, bom, crlf, empty)),
+    *(("manifest", _on_json(m)) for m in (manifest_keys, manifest_types, manifest_paths,
+                                          manifest_entries)),
+]
+
+
+@given(data=st.data())
+def test_bad_input_is_refused_before_any_fold_trains(corpus, data):
+    kind, mutate = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    flags, first_fold = SPLITS[data.draw(st.sampled_from(sorted(SPLITS)), label="split")]
+    argv = ["experiment", "--granularity", data.draw(st.sampled_from(GRANULARITIES),
+                                                     label="granularity"),
+            *flags, "--epochs", "1"]
+    if data.draw(st.booleans(), label="one fold"):
+        argv += ["--fold", first_fold]
+    files = (["manifest.json"] if kind == "manifest"
+             else sorted(p.relative_to(corpus).as_posix()
+                         for p in (corpus / kind).rglob("*.txt")))
+    name = data.draw(st.sampled_from(files), label="file")
+    with tempfile.TemporaryDirectory(prefix="surgact-fuzz-") as tmp:
+        root = Path(tmp) / "corpus"
+        shutil.copytree(corpus, root)
+        target = root / name
+        text = target.read_text(encoding="utf-8")
+        target.write_bytes(mutate(text, data.draw).encode("utf-8"))
+        manifest = str(root / "manifest.json")
+        entered = []
+        real_run_fold = surgact.runner.run_fold
+
+        def spy(*args):
+            entered.append(args[0].name)
+            return real_run_fold(*args)
+
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(surgact.runner, "run_fold", spy), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            validated = main(["validate", "--catalog", manifest])
+            ran = main([*argv, "--catalog", manifest])
+    event(f"exit codes {validated}, {ran}; a fold entered: {bool(entered)}")
+    note(f"validate -> {validated}, experiment -> {ran}, folds entered: {entered}\n"
+         f"stderr: {err.getvalue()}")
+    assert validated in (0, 1, 2)
+    assert ran in (0, 1, 2)
+    if entered:
+        assert ran == 0

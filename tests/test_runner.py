@@ -774,7 +774,8 @@ class TestRunExperiment:
 
 
 class TestRunSingleFold:
-    """`run_experiment(config, fold_name)` runs the named fold alone (CLI `train`)."""
+    """`run_experiment(config, fold_name)` runs the named fold alone (CLI
+    `experiment --fold`)."""
 
     def test_named_fold_is_the_experiment_fold(self, synth_manifest):
         cfg = synth_config(synth_manifest, epochs=1)
@@ -851,6 +852,28 @@ class TestRunSingleFold:
         assert vocabularies[0] == vocabularies[1] == tuple(report.experiment["vocabulary"])
         assert "Touch(L, Extra)" in vocabularies[0]
         assert payload["num_classes"] == len(vocabularies[0])
+
+    def test_writes_its_payload_beside_the_full_report(self, synth_manifest, tmp_path):
+        # folds/<name>.json holds the fold payload; the report.json and
+        # tables.txt of a full run into the same directory stay as they are
+        out = tmp_path / "out"
+        cfg = synth_config(synth_manifest, epochs=0, output_dir=str(out))
+        full = run_experiment(cfg)
+        before = {name: (out / name).read_bytes() for name in ("report.json", "tables.txt")}
+        payload = run_experiment(cfg, "louo-SYNTH-U02").folds[0]
+        assert (out / "folds" / "louo-SYNTH-U02.json").read_text() == (
+            atomic_mod.json_text(payload))
+        assert payload == full.folds[1]
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert sorted(p.name for p in out.iterdir()) == ["folds", "report.json", "tables.txt"]
+        assert [p.name for p in (out / "folds").iterdir()] == ["louo-SYNTH-U02.json"]
+
+    def test_a_diverged_fold_is_written(self, synth_manifest, tmp_path):
+        out = tmp_path / "out"
+        cfg = synth_config(synth_manifest, epochs=1, learning_rate=1e308, output_dir=str(out))
+        payload = run_experiment(cfg, "louo-SYNTH-U02").folds[0]
+        written = json.loads((out / "folds" / "louo-SYNTH-U02.json").read_text())
+        assert written == payload and payload["status"] == "diverged"
 
     def test_unknown_fold_name(self, synth_manifest):
         with pytest.raises(ConfigError,
