@@ -4,11 +4,16 @@
     python3 tests/pairs.py PARENT [--workload W] [--pairs N] [--seconds S]
 
 The tree of PARENT (any git revision) is exported with `git archive` into a
-temporary directory. For each pair and each workload, `perfbench/run.py
---workload W --seed 7 --seconds S --trace 0` then runs once in the parent's
-tree and once in this checkout's, each in a fresh process, the parent first
-in odd pairs and the change first in even ones, so that a host that speeds
-up or slows down over the session favours neither side.
+temporary directory, and this checkout's working tree is copied beside it
+(without `.git` and caches), so that both trees sit at paths of the same
+length on the same file system: an A/A run with this checkout in place of
+the copy read ingest-loto's `peak_rss_mb` 0.3% higher in 10 of 10 pairs
+on a 2-CPU VM.
+For each pair and each workload, `perfbench/run.py --workload W --seed 7
+--seconds S --trace 0` then runs once in each tree, each in a fresh
+process, the parent first in odd pairs and the change first in even ones,
+so that a host that speeds up or slows down over the session favours
+neither side.
 
 For each workload and each end-to-end metric that `BENCHMARK.json` lists,
 it prints both medians, both interquartile ranges (the middle half of the
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,7 +49,7 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def export(revision: str, into: Path) -> Path:
-    """The tree of `revision`, written under `into` by `git archive`."""
+    """The tree of `revision`, written to `into/parent` by `git archive`."""
     tree = into / "parent"
     tree.mkdir()
     archive = into / "parent.tar"
@@ -53,6 +59,13 @@ def export(revision: str, into: Path) -> Path:
         tar.extractall(tree, filter="data")
     archive.unlink()
     return tree
+
+
+def copy_checkout(into: Path) -> Path:
+    """This checkout's working tree, copied to `into/change`."""
+    return Path(shutil.copytree(ROOT, into / "change", ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work",
+        "*.egg-info")))
 
 
 def bench(tree: Path, workload: str, seconds: float) -> dict:
@@ -127,7 +140,8 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = args.seconds or spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="surgact-pairs-") as scratch:
-        trees = {"parent": export(args.parent, Path(scratch)), "change": ROOT}
+        trees = {"parent": export(args.parent, Path(scratch)),
+                 "change": copy_checkout(Path(scratch))}
         runs = {w: {"parent": [], "change": []} for w in workloads}
         for number in range(args.pairs):
             order = ("parent", "change") if number % 2 == 0 else ("change", "parent")
