@@ -468,8 +468,9 @@ def build_catalog(manifest_path) -> Catalog:
     """Load a JSON manifest and verify every referenced file exists.
 
     The manifest is one object, {"entries": [...]}; each entry carries
-    dataset/task/subject/trial id strings, a kinematics path, and a map
-    from granularities (`GRANULARITIES`) to transcript paths. Relative paths
+    dataset/task/subject/trial id strings, none holding '/' or NUL, a
+    kinematics path, and a map from granularities (`GRANULARITIES`) to
+    transcript paths. Relative paths
     resolve against the manifest's directory. The keys are closed: any
     other key, in the object or in an entry, is a DataError, never ignored.
     """
@@ -499,6 +500,10 @@ def build_catalog(manifest_path) -> Catalog:
                             ("subject", subject), ("trial", trial)):
             if not isinstance(value, str):
                 raise DataError(f"manifest entry {i}: {name} must be a string, got {value!r}")
+            # ids name fold files, and a report joins a trial's ids with '/'
+            if "/" in value or "\0" in value:
+                raise DataError(
+                    f"manifest entry {i}: {name} must hold no '/' or NUL, got {value!r}")
         if not isinstance(kin_rel, str):
             raise DataError(
                 f"manifest entry {i}: kinematics must be a path string, got {kin_rel!r}")

@@ -375,7 +375,7 @@ class Adam:
         """Update the (size,) vector `params[0]` in place from `grads[0]`. The
         one-element lists are what `perfbench/spans.py` counts, summing sizes
         over `params`, which over a bare vector would walk every element; they
-        go once it takes a bare vector (ROADMAP item 1)."""
+        go once it takes a bare vector (ROADMAP item 12)."""
         (p,), (g,), m, v = params, grads, self.m, self.v
         self.step_count += 1
         t = self.step_count

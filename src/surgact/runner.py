@@ -421,9 +421,8 @@ def run_fold(fold: FoldPlan, trials: TrialData,
     """
     vocab = trials.vocabulary
     model = TcnModel(model_config, len(trials.feature_columns))
-    train_data = {key: trials.tensors[key] for key in fold.train_trials}
     payload = _fold_payload(fold, model_config)
-    payload["training"] = train_fold(model, fold, train_data)
+    payload["training"] = train_fold(model, fold, trials.tensors)
 
     # AP scores a gesture class alone and an MP class by its verb
     group_of = {lab: lab if trials.granularity == "gesture" else mp_verb(lab)
@@ -431,8 +430,6 @@ def run_fold(fold: FoldPlan, trials: TrialData,
     per_trial: dict[str, dict] = {}
     pooled: list[tuple[np.ndarray, np.ndarray]] = []
     support: Counter = Counter()
-    accs: list[float] = []
-    edits: list[float] = []
     for key in fold.test_trials:
         tensors = trials.tensors[key]
         pred, scores = predict_labels(model, tensors.features)
@@ -441,8 +438,6 @@ def run_fold(fold: FoldPlan, trials: TrialData,
         acc = frame_accuracy(pred[keep].tolist(), targets.tolist())
         ref_frames = tensors.targets.tolist()
         edit = edit_score(np.where(keep, pred, GAP).tolist(), ref_frames)
-        accs.append(acc)
-        edits.append(edit)
         per_trial["/".join(key)] = {
             "accuracy": acc,
             "edit_score": edit,
@@ -453,9 +448,10 @@ def run_fold(fold: FoldPlan, trials: TrialData,
         for label_id in segment_labels(ref_frames):
             support[group_of[vocab[label_id]]] += 1
 
+    # build_catalog refuses '/' in an id: one entry per held-out trial, in order
     payload["metrics"] = {
-        "accuracy_mean": float(np.mean(accs)),
-        "edit_score_mean": float(np.mean(edits)),
+        "accuracy_mean": float(np.mean([t["accuracy"] for t in per_trial.values()])),
+        "edit_score_mean": float(np.mean([t["edit_score"] for t in per_trial.values()])),
         "per_trial": per_trial,
     }
     payload["map"] = map_report(

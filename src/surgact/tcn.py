@@ -296,8 +296,8 @@ def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> 
 
     One trial is one optimization step (full-sequence batch). Trial order is
     reshuffled each epoch from a generator seeded by `config.seed`, so a fold
-    replays exactly given the same seed. Only training trials are touched;
-    the mapping must hold them and may hold only them. An epoch's accuracy is
+    replays exactly given the same seed. `data` must hold the training
+    trials, and only they are read. An epoch's accuracy is
     measured on each step's pre-update logits over the frames whose target
     is not GAP, so it trails a fresh post-training evaluation slightly.
 
@@ -312,6 +312,8 @@ def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> 
     optimizer = Adam(model.theta.size, config.learning_rate, config.weight_decay)
     # separate stream from the parameter-init draw on the same seed
     shuffle_rng = np.random.default_rng((config.seed, 1))
+    # the frames an epoch's accuracy counts: a prediction never matches GAP
+    labelled = sum(int(np.count_nonzero(data[key].targets != GAP)) for key in keys)
     losses: list[float] = []
     accs: list[float] = []
     # a diverging fold overflows on its way to a non-finite loss; the loss
@@ -321,7 +323,6 @@ def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> 
             order = shuffle_rng.permutation(len(keys))
             epoch_loss = 0.0
             correct = 0
-            counted = 0
             for idx in order:
                 key = keys[idx]
                 tensors = data[key]
@@ -331,12 +332,10 @@ def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> 
                 except NonFiniteLoss as exc:
                     raise NonFiniteLoss(
                         f"fold {fold.name}: epoch {epoch}, trial {key}: {exc}") from None
-                # a prediction is a class id, so it never matches a GAP frame
                 correct += int((np.argmax(logits, axis=0) == tensors.targets).sum())
-                counted += int(np.count_nonzero(tensors.targets != GAP))
                 epoch_loss += loss
             losses.append(epoch_loss / len(keys))
-            accs.append(100.0 * correct / counted)
+            accs.append(100.0 * correct / labelled)
     # each loss is checked before its step, so only the last step is unchecked
     if not np.isfinite(model.theta).all():
         raise NonFiniteLoss(f"fold {fold.name}: parameters are non-finite after training")

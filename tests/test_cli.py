@@ -191,6 +191,24 @@ class TestValidateCommand:
         assert capsys.readouterr().err == message
 
 
+    def test_an_id_that_cannot_name_a_fold_file_exits_2(self, tmp_path, capsys,
+                                                         train_calls):
+        # subject 'U/01' would plan fold louo-SYNTH-U/01, which no
+        # folds/<name>.json can hold: every command refuses the manifest,
+        # naming the entry and the field, before any fold trains
+        manifest = small_corpus(tmp_path / "corpus", subjects=3)
+        doc = json.loads(manifest.read_text())
+        doc["entries"][1]["subject"] = "U/01"
+        manifest.write_text(json.dumps(doc))
+        plan = ["--granularity", "mp", "--cv", "louo", "--tasks", "T01"]
+        for argv in (["validate"], ["folds"] + plan,
+                     ["experiment"] + plan + ["--epochs", "0"]):
+            assert main(argv + ["--catalog", str(manifest)]) == 2
+            assert capsys.readouterr().err == (
+                "data error: manifest entry 1: subject must hold no '/' or NUL, "
+                "got 'U/01'\n")
+        assert train_calls == []
+
     def test_a_side_less_label_is_named_by_its_line(self, tmp_path, capsys, train_calls):
         # validate, experiment and experiment --fold each refuse a label with no
         # tool side on line 3 of a combined file an mp-left view derives

@@ -729,6 +729,23 @@ class TestBuildCatalog:
         with pytest.raises(DataError, match=f"manifest entry 0: {field} must be a string"):
             build_catalog(mp)
 
+    @pytest.mark.parametrize("field,value", [
+        ("dataset", "JIG/SAWS"), ("task", "S/"), ("subject", "U/01"), ("trial", "/001"),
+        ("subject", "U\x0001"), ("trial", "\x00"),
+    ], ids=["dataset-slash", "task-slash", "subject-slash", "trial-slash",
+            "subject-nul", "trial-nul"])
+    def test_an_id_that_cannot_name_a_file_is_refused(self, tmp_path, field, value):
+        # a fold name becomes folds/<name>.json, and a report keys a trial by
+        # its ids joined with '/'
+        mp = self.write_corpus(tmp_path)
+        doc = json.loads(mp.read_text())
+        doc["entries"][0][field] = value
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as caught:
+            build_catalog(mp)
+        assert str(caught.value) == (
+            f"manifest entry 0: {field} must hold no '/' or NUL, got {value!r}")
+
     def test_unknown_transcript_granularity(self, tmp_path):
         mp = self.write_corpus(tmp_path)
         doc = json.loads(mp.read_text())

@@ -11,6 +11,7 @@ import json
 import time
 import weakref
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -586,9 +587,25 @@ class TestRunFold:
 
     def test_training_never_touches_held_out_trials(self, synth_manifest, monkeypatch):
         # the kernel width and the training steps see exactly the fold's
-        # training trials, however many trials the record holds
+        # training trials, however many trials the record holds: training
+        # is handed the shared record and reads only those trials from it
         seen = []
         real_kernel, real_train = runner_mod.compute_kernel_size, runner_mod.train_fold
+
+        class Reads(Mapping):
+            def __init__(self, data):
+                self.data, self.read = data, set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return self.data[key]
+
+            def __iter__(self):  # iterating reads every key
+                self.read.update(self.data)
+                return iter(self.data)
+
+            def __len__(self):
+                return len(self.data)
 
         def kernel_spy(transcripts):
             transcripts = list(transcripts)
@@ -596,8 +613,10 @@ class TestRunFold:
             return real_kernel(transcripts)
 
         def train_spy(model, fold, data):
-            seen.append(("train", sorted(data)))
-            return real_train(model, fold, data)
+            reads = Reads(data)
+            record = real_train(model, fold, reads)
+            seen.append(("train", sorted(reads.read)))
+            return record
 
         monkeypatch.setattr(runner_mod, "compute_kernel_size", kernel_spy)
         monkeypatch.setattr(runner_mod, "train_fold", train_spy)

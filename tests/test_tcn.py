@@ -3,6 +3,7 @@
 import math
 import sys
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -634,6 +635,21 @@ class TestTrainFold:
         rng = np.random.default_rng((cfg.seed, 1))
         assert visited == [keys[i] for _ in range(3) for i in rng.permutation(len(keys))]
         assert visited[:5] != keys
+
+    def test_reads_the_folds_training_trials_alone(self):
+        # the runner passes every planned trial; a trial outside the fold,
+        # even one whose targets do not fit its features, changes no bit
+        data = {("T", "U", f"{i:03d}"): toy_tensors(i, t=32) for i in range(3)}
+        data[("T", "U", "001")].targets[:8] = GAP
+        shared = dict(data)
+        shared[("T", "A", "001")] = toy_tensors(3, t=32)
+        shared[("T", "V", "001")] = TrialTensors(toy_tensors(4, t=32).features,
+                                                 np.full(5, 7, dtype=np.int64))
+        cfg = replace(TOY, epochs=3)
+        exact, wider = TcnModel(cfg, 3), TcnModel(cfg, 3)
+        record = train_fold(exact, toy_fold(data), data)
+        assert train_fold(wider, toy_fold(data), MappingProxyType(shared)) == record
+        np.testing.assert_array_equal(wider.theta, exact.theta)
 
     def test_zero_epochs_changes_nothing(self):
         cfg = ModelConfig(num_classes=2, kernel_size=3, filters=(4, 6, 8),
