@@ -470,9 +470,9 @@ def build_catalog(manifest_path) -> Catalog:
     The manifest is one object, {"entries": [...]}; each entry carries
     dataset/task/subject/trial id strings, none holding '/' or NUL, a
     kinematics path, and a map from granularities (`GRANULARITIES`) to
-    transcript paths. Relative paths
-    resolve against the manifest's directory. The keys are closed: any
-    other key, in the object or in an entry, is a DataError, never ignored.
+    transcript paths. Relative paths resolve against the manifest's
+    directory. The keys are closed: any other key, in the object or in an
+    entry, is a DataError, never ignored.
     """
     mp = Path(manifest_path)
     doc = read_json(mp, "catalog manifest")
