@@ -8,9 +8,13 @@ Motion-primitive (MP) labels are strings like ``Grasp(L, Needle)``; gesture
 labels are opaque strings. A catalog maps (task, subject, trial) keys to the
 files on disk.
 
-Each rule has one home. `load_transcript` reads a transcript file against
-its trial's length: an MP transcript that labels no frame leaves the trial
-all Idle, a gesture transcript must label one. A transcript carries no
+Each rule has one home. `load_transcript` is the one place a transcript is
+checked: it reads a file row by row, then fits it to its trial's length (an
+MP transcript that labels no frame leaves the trial all Idle, a gesture
+transcript must label one, and a per-arm one must label every frame).
+`Segment` and `LabelTranscript` are plain records that check nothing;
+`split_by_arm` and the synthetic corpus build ones that are valid by
+construction. A transcript carries no
 class list; `encode_frames` is the one check that its labels are an
 experiment's classes, and it marks a frame no segment covers as `GAP`, the
 one form an unlabelled frame takes: the loss counts it for nothing,
@@ -37,7 +41,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .atomic import read_json, read_text
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 GRANULARITIES = ("gesture", "mp", "mp-left", "mp-right")
 # the per-arm granularities and the tool side each one keeps
@@ -100,7 +104,7 @@ def arm_of(label: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # transcripts
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Segment:
     """Inclusive labeled frame range [start, end]."""
 
@@ -108,75 +112,39 @@ class Segment:
     end: int
     label: str
 
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise DataError(f"bad segment range [{self.start}, {self.end}]")
-
     @property
     def num_frames(self) -> int:
         return self.end - self.start + 1
-
-
-def _check_follows(prev: Optional[Segment], seg: Segment) -> None:
-    """A segment must start after the one before it and not overlap it."""
-    if prev is None:
-        return
-    if seg.start <= prev.start:
-        raise DataError(f"segment starts must increase ({seg.start} after {prev.start})")
-    if seg.start <= prev.end:
-        raise DataError(f"segment [{seg.start}, {seg.end}] overlaps [{prev.start}, {prev.end}]")
 
 
 @dataclass(frozen=True)
 class LabelTranscript:
     """Ordered non-overlapping segments over a trial of `length` frames.
 
-    Per-arm granularities (mp-left, mp-right) must tile the trial exactly:
-    every frame labeled, no gaps, because the arm models are trained on
-    every frame. Gesture and combined-MP transcripts may leave gaps.
+    A plain record: `load_transcript` checks a file's segments, and
+    `split_by_arm` builds per-arm views that tile the trial.
     """
 
-    granularity: str
     segments: tuple[Segment, ...]
     length: int
-
-    def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise ConfigError(f"unknown granularity: {self.granularity!r}")
-        if self.length < 1:
-            raise DataError(f"transcript length must be >= 1, got {self.length}")
-        for prev, seg in zip((None, *self.segments), self.segments):
-            if seg.end >= self.length:
-                raise DataError(
-                    f"segment [{seg.start}, {seg.end}] exceeds trial length {self.length}")
-            _check_follows(prev, seg)
-        if self.granularity in ("mp-left", "mp-right"):
-            pos = 0
-            for seg in self.segments:
-                if seg.start != pos:
-                    raise DataError(
-                        f"{self.granularity} transcript leaves frames "
-                        f"[{pos}, {seg.start - 1}] unlabeled")
-                pos = seg.end + 1
-            if pos != self.length:
-                raise DataError(
-                    f"{self.granularity} transcript leaves frames "
-                    f"[{pos}, {self.length - 1}] unlabeled")
 
 
 def load_transcript(path, granularity: str, length: int, *, arms: bool = False) -> LabelTranscript:
     """Read a `start end label` transcript file into the transcript of a
-    trial of `length` frames.
+    trial of `length` frames; the one place a transcript is checked.
 
-    Records must be ordered by start frame and must not overlap. Labels of
-    the motion-primitive granularities must parse as `verb(tool, object)`
-    or `Idle`; a per-arm file's must be `Idle` or name its arm's tool side,
-    as a view `split_by_arm` derives would, and with `arms` (a combined
-    file a view is split from) every non-Idle label must name a tool side.
-    Those errors name the file and line. Then the transcript is fitted to
-    the trial, and those errors name the file: the trial needs `MIN_FRAMES`
-    frames, a gesture transcript must label a frame (an MP one may leave
-    the trial all Idle), and `LabelTranscript` checks the segments.
+    Row rules come first, and their errors name the file and line: a row
+    holds two integer frame indices and a label, its range is not reversed
+    or negative, and it starts after the row before it ends. Labels of the
+    motion-primitive granularities must parse as `verb(tool, object)` or
+    `Idle`; a per-arm file's must be `Idle` or name its arm's tool side, as
+    a view `split_by_arm` derives would, and with `arms` (a combined file a
+    view is split from) every non-Idle label must name a tool side. Then the
+    transcript is fitted to the trial, and those errors name the file: the
+    trial needs `MIN_FRAMES` frames, a gesture transcript must label a
+    frame (an MP one may leave the trial all Idle), no segment may end past
+    the trial, and a per-arm transcript must label every frame, because the
+    arm models train on every frame.
     """
     p = Path(path)
     text = read_text(p, "transcript file")
@@ -203,21 +171,36 @@ def load_transcript(path, granularity: str, length: int, *, arms: bool = False) 
                         f"an action of tool side {side}")
                 if arms:
                     arm_of(label)
-            seg = Segment(start, end, label)
-            _check_follows(segments[-1] if segments else None, seg)
         except DataError as exc:
             raise DataError(f"{p}:{lineno}: {exc}") from None
-        segments.append(seg)
+        if start < 0 or end < start:
+            raise DataError(f"{p}:{lineno}: bad segment range [{start}, {end}]")
+        if segments:
+            prev = segments[-1]
+            if start <= prev.start:
+                raise DataError(f"{p}:{lineno}: segment starts must increase "
+                                f"({start} after {prev.start})")
+            if start <= prev.end:
+                raise DataError(f"{p}:{lineno}: segment [{start}, {end}] overlaps "
+                                f"[{prev.start}, {prev.end}]")
+        segments.append(Segment(start, end, label))
     if length < MIN_FRAMES:
         raise DataError(
             f"{p}: trial has {length} frames, the model needs at least {MIN_FRAMES}")
     if granularity == "gesture" and not segments:
         raise DataError(f"{p}: gesture transcript labels no frame")
-    try:
-        return LabelTranscript(
-            granularity=granularity, segments=tuple(segments), length=length)
-    except DataError as exc:
-        raise DataError(f"{p}: {exc}") from None
+    for seg in segments:
+        if seg.end >= length:
+            raise DataError(f"{p}: segment [{seg.start}, {seg.end}] exceeds trial length {length}")
+    if side is not None:
+        pos = 0
+        # the trial's end closes the last gap
+        for start, end in [(seg.start, seg.end) for seg in segments] + [(length, length)]:
+            if start != pos:
+                raise DataError(f"{p}: {granularity} transcript leaves frames "
+                                f"[{pos}, {start - 1}] unlabeled")
+            pos = end + 1
+    return LabelTranscript(tuple(segments), length)
 
 
 def encode_frames(
@@ -260,25 +243,19 @@ def _tile_with_idle(kept: list[Segment], length: int) -> list[Segment]:
 
 
 def split_by_arm(transcript: LabelTranscript) -> tuple[LabelTranscript, LabelTranscript]:
-    """Split a bimanual MP transcript into (mp-left, mp-right) transcripts.
+    """Split a combined MP transcript into its (mp-left, mp-right) views.
 
     Each segment goes to the arm `arm_of` names; Idle segments go to
-    neither. Gaps left on either side are filled with Idle so both outputs
+    neither. Gaps left on either side are filled with Idle so both views
     tile the trial.
     """
-    if transcript.granularity != "mp":
-        raise ConfigError(
-            f"can only split combined 'mp' transcripts, got {transcript.granularity!r}")
     arms = [arm_of(seg.label) for seg in transcript.segments]
-    out = []
-    for granularity, side in ARM_SIDES.items():
-        kept = [seg for seg, arm in zip(transcript.segments, arms) if arm == side]
-        out.append(LabelTranscript(
-            granularity=granularity,
-            segments=tuple(_tile_with_idle(kept, transcript.length)),
-            length=transcript.length,
-        ))
-    return out[0], out[1]
+    left, right = (
+        LabelTranscript(tuple(_tile_with_idle(
+            [seg for seg, arm in zip(transcript.segments, arms) if arm == side],
+            transcript.length)), transcript.length)
+        for side in ARM_SIDES.values())
+    return left, right
 
 
 # ---------------------------------------------------------------------------

@@ -267,13 +267,24 @@ def derive_fold_seed(seed: int, fold_name: str) -> int:
 
 
 def plan_folds(config: ExperimentConfig, catalog: Catalog) -> list[FoldPlan]:
-    """Resolve the config's cross-validation request into fold plans."""
+    """Resolve the config's cross-validation request into fold plans.
+
+    A fold's name picks its seed and its fold file, so two folds may not
+    share one, as subjects ('A-B', 'C') and ('A', 'B-C') would."""
     if config.cv == "louo":
-        return louo_folds(catalog, config.tasks, config.granularity)
-    if config.cv == "loto":
-        return [loto_folds(catalog, config.test_task, config.train_tasks,
-                           config.granularity)]
-    return loto_suite(catalog, config.granularity)
+        plans = louo_folds(catalog, config.tasks, config.granularity)
+    elif config.cv == "loto":
+        plans = [loto_folds(catalog, config.test_task, config.train_tasks,
+                            config.granularity)]
+    else:
+        plans = loto_suite(catalog, config.granularity)
+    held_out: dict[str, str] = {}
+    for plan in plans:
+        if plan.name in held_out:
+            raise DataError(f"two folds are named {plan.name!r}: one holds out "
+                            f"{held_out[plan.name]}, the other {plan.held_out}")
+        held_out[plan.name] = plan.held_out
+    return plans
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,7 @@ def generate_synthetic_dataset(
                     np.savetxt(root / kin_rel, data, fmt="%.6f")
 
                     mp_transcript = LabelTranscript(
-                        granularity="mp",
-                        segments=tuple(Segment(s, e, mp_labels[c]) for s, e, c in segs),
-                        length=num_frames,
-                    )
+                        tuple(Segment(s, e, mp_labels[c]) for s, e, c in segs), num_frames)
                     left, right = split_by_arm(mp_transcript)
 
                     transcripts: dict[str, str] = {}

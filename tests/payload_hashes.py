@@ -9,9 +9,9 @@ seed 7, runs the workload's experiment on it (training seed 0, as the
 benchmark does) and prints the sha256 of `json_bytes(include_timing=False)`.
 A change that keeps every result bit prints the same lines as its parent.
 
-- The payload names its catalog, so each corpus goes to a fixed directory
-  under the system temp directory: two checkouts run one after the other
-  hash the same catalog path.
+- The payload names its catalog, so each corpus goes to a fixed directory,
+  `CORPORA`, that does not follow `TMPDIR`: two checkouts run one after the
+  other, in any environment, hash the same catalog path.
 - The payload bytes depend on the BLAS thread count, so each workload runs
   in a fresh process started with OPENBLAS_NUM_THREADS=1 and
   OMP_NUM_THREADS=1.
@@ -27,13 +27,13 @@ import os
 import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 NAMES = ("tiny-louo", "real-louo", "ingest-loto")
 SEED = 7  # the corpus seed the benchmark's figures are quoted at
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+CORPORA = Path("/tmp/surgact-payload-hashes")
 
 
 def payload_hash(name: str) -> str:
@@ -45,7 +45,7 @@ def payload_hash(name: str) -> str:
     from surgact.runner import ExperimentConfig, run_experiment
 
     workload = WORKLOADS[name]
-    corpus = Path(tempfile.gettempdir()) / "surgact-payload-hashes" / f"{name}-seed{SEED}"
+    corpus = CORPORA / f"{name}-seed{SEED}"
     shutil.rmtree(corpus, ignore_errors=True)
     manifest = make_corpus(workload, SEED, corpus)
     report = run_experiment(ExperimentConfig(catalog=str(manifest), seed=0,

@@ -500,6 +500,24 @@ class TestExperimentCommand:
         assert train_calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
+    def test_two_folds_of_one_name_exit_2_while_planning(self, tmp_path, capsys,
+                                                         train_calls):
+        (tmp_path / "k.txt").write_text("0.5\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"dataset": dataset, "task": "T01", "subject": subject, "trial": "001",
+             "kinematics": "k.txt"}
+            for dataset, subject in (("A-B", "C"), ("A", "B-C"), ("A", "D"))]}))
+        argv = ["--catalog", str(manifest), "--granularity", "mp", "--cv", "louo",
+                "--tasks", "T01"]
+        assert main(["folds", *argv]) == 2
+        assert main(["experiment", *argv, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", 2 * (
+            "data error: two folds are named 'louo-A-B-C': one holds out A/B-C, "
+            "the other A-B/C\n"))
+        assert train_calls == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cv", [["louo", "--tasks"],
                                     ["loto", "--test-task", "T01", "--train-tasks"]],
                              ids=["louo", "loto"])

@@ -28,7 +28,7 @@ from surgact.dataset import (
     select_features,
     split_by_arm,
 )
-from surgact.errors import ConfigError, DataError
+from surgact.errors import DataError
 
 
 class TestMotionPrimitiveLabel:
@@ -79,61 +79,94 @@ class TestMotionPrimitiveLabel:
             arm_of("Touch")
 
 
-class TestSegment:
-    def test_inclusive_frame_count(self):
-        assert Segment(0, 29, "A").num_frames == 30
-        assert Segment(5, 5, "A").num_frames == 1
-
-    def test_reversed_range(self):
-        with pytest.raises(DataError, match=r"bad segment range \[10, 9\]"):
-            Segment(10, 9, "A")
-
-    def test_negative_start(self):
-        with pytest.raises(DataError, match=r"bad segment range \[-1, 5\]"):
-            Segment(-1, 5, "A")
-
-
-def transcript(segments, length, granularity="mp"):
-    return LabelTranscript(granularity=granularity, segments=tuple(segments),
-                           length=length)
+def transcript(segments, length):
+    return LabelTranscript(tuple(segments), length)
 
 
 def labels(tr):
     return {seg.label for seg in tr.segments}
 
 
+def refusal(tmp_path, rows, granularity="mp", length=60):
+    """The message `load_transcript` refuses a file of `rows` with."""
+    p = tmp_path / "t.txt"
+    p.write_text("".join(row + "\n" for row in rows))
+    with pytest.raises(DataError) as caught:
+        load_transcript(p, granularity, length)
+    assert type(caught.value) is DataError
+    return str(caught.value).replace(str(p), "t.txt")
+
+
+# Segment and LabelTranscript are plain records: the rules of a segment's
+# range, order and fit live in load_transcript, and the tests of those
+# rules read files
+
+class TestSegment:
+    def test_inclusive_frame_count(self):
+        assert Segment(0, 29, "A").num_frames == 30
+        assert Segment(5, 5, "A").num_frames == 1
+
+    def test_reversed_range(self, tmp_path):
+        assert refusal(tmp_path, ["0 9 Idle", "20 15 Idle"]) == (
+            "t.txt:2: bad segment range [20, 15]")
+        # the range is checked before the row's order
+        assert refusal(tmp_path, ["10 19 Idle", "5 4 Idle"]) == (
+            "t.txt:2: bad segment range [5, 4]")
+
+    def test_negative_start(self, tmp_path):
+        assert refusal(tmp_path, ["-1 5 Idle"]) == "t.txt:1: bad segment range [-1, 5]"
+        assert refusal(tmp_path, ["0 -1 Idle"]) == "t.txt:1: bad segment range [0, -1]"
+        # a label error on the same row comes first
+        assert refusal(tmp_path, ["-1 5 Grab"]) == (
+            "t.txt:1: unknown motion primitive verb: 'Grab'")
+
+
 class TestLabelTranscript:
-    def test_valid(self):
-        tr = transcript([Segment(0, 4, "A"), Segment(10, 14, "B")], 20)
-        assert {seg.label for seg in tr.segments} == {"A", "B"}
+    def test_valid(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("0 4 A\n10 14 B\n")
+        tr = load_transcript(p, "gesture", 20)
+        assert tr == transcript([Segment(0, 4, "A"), Segment(10, 14, "B")], 20)
+        assert labels(tr) == {"A", "B"}
         assert sum(seg.num_frames for seg in tr.segments) == 10
 
-    def test_segment_beyond_length(self):
-        with pytest.raises(DataError, match=r"segment \[0, 10\] exceeds trial length 10"):
-            transcript([Segment(0, 10, "A")], 10)
+    def test_segment_beyond_length(self, tmp_path):
+        # the first segment past the trial is named, the last frame is length - 1
+        assert refusal(tmp_path, ["0 10 Idle"], length=10) == (
+            "t.txt: segment [0, 10] exceeds trial length 10")
+        assert refusal(tmp_path, ["0 4 Idle", "5 10 Idle", "11 12 Idle"], length=10) == (
+            "t.txt: segment [5, 10] exceeds trial length 10")
+        # before a per-arm file's gaps
+        assert refusal(tmp_path, ["2 10 Idle"], "mp-left", 10) == (
+            "t.txt: segment [2, 10] exceeds trial length 10")
 
-    def test_overlap(self):
-        with pytest.raises(DataError, match=r"segment \[5, 9\] overlaps \[0, 5\]"):
-            transcript([Segment(0, 5, "A"), Segment(5, 9, "B")], 10)
+    def test_overlap(self, tmp_path):
+        assert refusal(tmp_path, ["0 5 Idle", "5 9 Idle"]) == (
+            "t.txt:2: segment [5, 9] overlaps [0, 5]")
+        assert refusal(tmp_path, ["0 10 Idle", "5 20 Idle"]) == (
+            "t.txt:2: segment [5, 20] overlaps [0, 10]")
 
-    def test_out_of_order(self):
-        with pytest.raises(DataError, match="segment starts must increase"):
-            transcript([Segment(5, 9, "A"), Segment(0, 4, "B")], 10)
+    def test_out_of_order(self, tmp_path):
+        assert refusal(tmp_path, ["10 19 Idle", "0 4 Idle"]) == (
+            "t.txt:2: segment starts must increase (0 after 10)")
+        assert refusal(tmp_path, ["0 4 Idle", "0 9 Idle"]) == (
+            "t.txt:2: segment starts must increase (0 after 0)")
+        assert refusal(tmp_path, ["0 4 Idle", "5 9 Idle", "3 3 Idle"]) == (
+            "t.txt:3: segment starts must increase (3 after 5)")
 
-    def test_per_arm_must_tile(self):
-        with pytest.raises(DataError, match=r"transcript leaves frames \[5, 9\] unlabeled"):
-            transcript([Segment(0, 4, "A")], 10, granularity="mp-left")
-        with pytest.raises(DataError, match=r"transcript leaves frames \[0, 1\] unlabeled"):
-            transcript([Segment(2, 9, "A")], 10, granularity="mp-left")
+    def test_per_arm_must_tile(self, tmp_path):
+        for rows, gap in ((["0 4 Idle"], "[5, 9]"), (["2 9 Idle"], "[0, 1]"),
+                          (["0 3 Idle", "6 9 Idle"], "[4, 5]")):
+            assert refusal(tmp_path, rows, "mp-left", 10) == (
+                f"t.txt: mp-left transcript leaves frames {gap} unlabeled")
+            # a combined file may leave gaps
+            assert load_transcript(tmp_path / "t.txt", "mp", 10).length == 10
 
-    def test_per_arm_tiled_ok(self):
-        tr = transcript([Segment(0, 4, "A"), Segment(5, 9, "B")], 10,
-                        granularity="mp-right")
+    def test_per_arm_tiled_ok(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("0 4 Idle\n5 9 Grasp(R, Needle)\n")
+        tr = load_transcript(p, "mp-right", 10)
         assert sum(seg.num_frames for seg in tr.segments) == 10
-
-    def test_bad_granularity(self):
-        with pytest.raises(ConfigError, match="unknown granularity"):
-            transcript([Segment(0, 4, "A")], 10, granularity="frame")
 
 
 class TestLoadTranscript:
@@ -171,30 +204,6 @@ class TestLoadTranscript:
         p.write_text("0 10 Idle\n5 20 Push(R, Block)\n")
         with pytest.raises(DataError, match=r"t.txt:2: segment \[5, 20\] overlaps \[0, 10\]"):
             load_transcript(p, "mp", 60)
-
-    @pytest.mark.parametrize("lines, error, message", [
-        (("0 9 Idle", "20 15 Idle"), DataError, "bad segment range [20, 15]"),
-        (("10 19 Idle", "0 4 Idle"), DataError,
-         "segment starts must increase (0 after 10)"),
-        (("0 10 Idle", "5 20 Idle"), DataError,
-         "segment [5, 20] overlaps [0, 10]"),
-        (("0 4 Idle", "0 9 Idle"), DataError,
-         "segment starts must increase (0 after 0)"),
-    ], ids=["range", "order", "overlap", "same-start"])
-    def test_segment_rules_read_alike_from_a_file_and_in_memory(self, tmp_path, lines,
-                                                                error, message):
-        # one rule, one message: a file's error adds its path and line
-        p = tmp_path / "t.txt"
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(error) as from_file:
-            load_transcript(p, "mp", 60)
-        assert type(from_file.value) is error
-        assert str(from_file.value) == f"{p}:2: {message}"
-        with pytest.raises(error) as in_memory:
-            transcript([Segment(int(a), int(b), "Idle")
-                        for a, b, _ in (line.split() for line in lines)], 60)
-        assert type(in_memory.value) is error
-        assert str(in_memory.value) == message
 
     def test_unparseable_mp_label_names_the_line(self, tmp_path):
         p = tmp_path / "t.txt"
@@ -303,7 +312,7 @@ class TestSplitByArm:
     def test_worked_example(self):
         tr = transcript([Segment(0, 29, GRASP_L), Segment(30, 59, PUSH_R)], 60)
         left, right = split_by_arm(tr)
-        assert left.granularity == "mp-left"
+        assert (left.length, right.length) == (60, 60)
         assert left.segments == (Segment(0, 29, GRASP_L), Segment(30, 59, IDLE))
         assert right.segments == (Segment(0, 29, IDLE), Segment(30, 59, PUSH_R))
 
@@ -320,12 +329,6 @@ class TestSplitByArm:
         tr = transcript([Segment(0, 9, GRASP_L), Segment(10, 19, GRASP_L)], 20)
         left, _ = split_by_arm(tr)
         assert left.segments == (Segment(0, 19, GRASP_L),)
-
-    def test_only_combined_transcripts(self):
-        tr = transcript([Segment(0, 9, "G1")], 10, granularity="gesture")
-        with pytest.raises(ConfigError,
-                           match="can only split combined 'mp' transcripts, got 'gesture'"):
-            split_by_arm(tr)
 
     def test_toolless_segment_rejected(self):
         tr = transcript([Segment(0, 9, "Touch")], 10)

@@ -16,6 +16,10 @@ a kinematics file; bounds, labels, order, tabs and an empty file of a
 transcript; keys, types, paths, and duplicated or missing entries of the
 manifest. It runs the `suite` profile's 60 examples (tests/conftest.py),
 which take 2-3 s.
+
+A second test, also at 60 examples, draws only `transcript_bounds` changes
+that move an end to or past its trial's frame count, and checks that
+`validate` refuses each (exit 2).
 """
 
 import contextlib
@@ -117,11 +121,10 @@ def truncate(text, draw):
     return text[:draw(st.integers(0, len(text)), label="length")]
 
 
-def transcript_bounds(text, draw):
+def transcript_bounds(text, draw, bounds=st.integers(0, 1), values=st.integers(-3, 70)):
     lines = [line.split(" ", 2) for line in text.splitlines()]
     i = _line(draw, lines)
-    lines[i][draw(st.integers(0, 1), label="bound")] = str(
-        draw(st.integers(-3, 70), label="value"))
+    lines[i][draw(bounds, label="bound")] = str(draw(values, label="value"))
     return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
@@ -248,3 +251,24 @@ def test_bad_input_is_refused_before_any_fold_trains(corpus, data):
     assert ran in (0, 1, 2)
     if entered:
         assert ran == 0
+
+
+@given(data=st.data())
+def test_an_end_at_or_past_the_trial_fails_validate(corpus, data):
+    # the trial-fit rule the test above cannot single out: most moved ends
+    # also overlap the next row, but one on a file's last row breaks only it
+    name = data.draw(st.sampled_from(sorted(
+        p.relative_to(corpus).as_posix() for p in (corpus / "transcripts").rglob("*.txt"))),
+        label="file")
+    frames = len((corpus / "kinematics" / Path(name).name).read_text().splitlines())
+    with tempfile.TemporaryDirectory(prefix="surgact-fuzz-") as tmp:
+        root = Path(tmp) / "corpus"
+        shutil.copytree(corpus, root)
+        target = root / name
+        target.write_text(transcript_bounds(target.read_text(), data.draw, bounds=st.just(1),
+                                            values=st.integers(frames, frames + 10)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            validated = main(["validate", "--catalog", str(root / "manifest.json")])
+    note(f"stderr: {err.getvalue()}")
+    assert validated == 2

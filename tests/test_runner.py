@@ -26,6 +26,8 @@ from surgact.dataset import (
     GAP,
     GRANULARITIES,
     IDLE,
+    Catalog,
+    CatalogEntry,
     arm_columns,
     build_catalog,
     encode_frames,
@@ -339,6 +341,20 @@ class TestPlanFolds:
         cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
                                cv="loto-suite")
         assert len(plan_folds(cfg, study_catalog)) == 22
+
+    def test_two_folds_may_not_share_a_name(self, synth_manifest):
+        # a name picks a fold's seed and its fold file; 'A-B'/'C' and
+        # 'A'/'B-C' would both be louo-A-B-C
+        catalog = Catalog(tuple(
+            CatalogEntry(dataset=dataset, task="T01", subject=subject, trial="001",
+                         kinematics=Path("/placeholder/k.txt"), transcripts=())
+            for dataset, subject in (("A-B", "C"), ("A", "B-C"), ("A", "D"))))
+        cfg = ExperimentConfig(catalog=str(synth_manifest), granularity="mp",
+                               cv="louo", tasks=("T01",))
+        with pytest.raises(DataError) as caught:
+            plan_folds(cfg, catalog)
+        assert str(caught.value) == (
+            "two folds are named 'louo-A-B-C': one holds out A/B-C, the other A-B/C")
 
 
 def read_planned(cfg):

@@ -47,7 +47,7 @@ from reference_nn import (
 )
 
 
-def transcript(durations_by_label, granularity="gesture"):
+def transcript(durations_by_label):
     """One transcript holding, per label, segments of the given durations."""
     segments = []
     pos = 0
@@ -55,7 +55,7 @@ def transcript(durations_by_label, granularity="gesture"):
         for n in durations:
             segments.append(Segment(pos, pos + n - 1, label))
             pos += n
-    return LabelTranscript(granularity=granularity, segments=tuple(segments), length=pos)
+    return LabelTranscript(tuple(segments), pos)
 
 
 class TestComputeKernelSize:
