@@ -711,8 +711,6 @@ def combine_reports(paths: Sequence) -> str:
             agg = payload["aggregate"]
             if exp["cv"] == "loto":
                 label = f"{exp['test_task']}<-{'+'.join(exp['train_tasks'])}"
-            elif exp.get("task_combo"):  # a report from before tasks took combo names
-                label = exp["task_combo"]
             elif exp["tasks"]:
                 label = "+".join(exp["tasks"])
             else:

@@ -35,7 +35,7 @@ that is even, never below 3: a mean of 12.2 frames gives 11.
 
 Training is full-sequence: one trial is one batch, and one step,
 `TcnModel.train_step`, is forward, a mean per-frame cross entropy over the
-frames whose target is not `GAP`, backward without the input gradient, and
+frames whose target is not `GAP`, backward to the parameter gradients, and
 Adam with decoupled weight decay. A trial's targets
 (`TrialTensors.targets`) hold GAP on the frames no segment covers: none for
 motion primitives, whose gaps Idle fills, and a gesture transcript's gaps.
@@ -64,7 +64,7 @@ import math
 import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -240,11 +240,10 @@ class TcnModel:
             [logits, np.repeat(logits[:, -1:], t - logits.shape[1], axis=1)], axis=1)
         return logits, (t, caches, for_head)
 
-    def backward(self, grad_logits: np.ndarray, tape: tuple, *,
-                 input_grad: bool = True) -> Optional[np.ndarray]:
+    def backward(self, grad_logits: np.ndarray, tape: tuple) -> None:
         """Gradient of the forward pass that made `tape`; fills every conv's
-        grad_w/grad_b and returns the gradient with respect to the input
-        signal, or None when `input_grad` is false."""
+        grad_w/grad_b. The gradient with respect to the input signal is not
+        computed."""
         t, caches, for_head = tape
         grad_logits = np.asarray(grad_logits, dtype=np.float64)
         if grad_logits.shape != (self.config.num_classes, t):
@@ -259,9 +258,9 @@ class TcnModel:
         for i in reversed(range(len(self.layers))):
             (conv, _, stage_backward), (for_conv, for_stage) = self.layers[i], caches[i]
             g = stage_backward(g, for_stage)
-            # the first conv's input gradient is the model's
-            g = conv.backward(g, for_conv, input_grad=input_grad or i > 0)
-        return g
+            # the first conv's input gradient would be the model's, which no
+            # step reads
+            g = conv.backward(g, for_conv, input_grad=i > 0)
 
     def train_step(self, x: np.ndarray, targets: np.ndarray,
                    optimizer: Adam) -> tuple[float, np.ndarray]:
@@ -269,14 +268,13 @@ class TcnModel:
         the logits, both from before the update.
 
         A non-finite loss raises NonFiniteLoss before anything is updated,
-        so `theta` keeps its values. The gradient with respect to x is not
-        computed.
+        so `theta` keeps its values.
         """
         logits, tape = self.forward(x)
         loss, grad_logits = softmax_cross_entropy(logits, targets)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss={loss}")
-        self.backward(grad_logits, tape, input_grad=False)
+        self.backward(grad_logits, tape)
         optimizer.step([self.theta], [self.grad])
         return loss, logits
 
@@ -301,9 +299,9 @@ def train_fold(model: TcnModel, fold, data: Mapping[TrialKey, TrialTensors]) -> 
     measured on each step's pre-update logits over the frames whose target
     is not GAP, so it trails a fresh post-training evaluation slightly.
 
-    The loss checks each trial's targets at its first step. A
-    non-finite loss before a step, or non-finite parameters after the last
-    one, raises NonFiniteLoss naming the fold.
+    The loss checks a trial's targets at every step. A non-finite loss
+    before a step, or non-finite parameters after the last one, raises
+    NonFiniteLoss naming the fold.
     """
     keys = sorted(fold.train_trials)
     if not keys:

@@ -262,11 +262,11 @@ def bare_conv(c_in, c_out, k, rng=None, *, phases=1, columns=None):
 
 
 def gradient_pass(model, x, targets):
-    """forward, the loss and backward without the input gradient, which
-    fills model.grad; returns (loss, logits)."""
+    """forward, the loss and backward, which fills model.grad; returns
+    (loss, logits)."""
     logits, tape = model.forward(x)
     loss, grad_logits = softmax_cross_entropy(logits, targets)
-    model.backward(grad_logits, tape, input_grad=False)
+    model.backward(grad_logits, tape)
     return loss, logits
 
 

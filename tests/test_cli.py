@@ -487,6 +487,21 @@ class TestExperimentCommand:
         assert train_calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_a_column_at_the_channel_count_exits_2(self, synth_manifest, tmp_path, capsys,
+                                                   train_calls):
+        # arm_columns(20) ends at column 38, one past the synth corpus's last
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "catalog": str(synth_manifest), "granularity": "mp", "cv": "louo",
+            "tasks": ["T01"], "epochs": 1, "right_offset": 20,
+            "output_dir": str(tmp_path / "out")}))
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert err.endswith(": column 38 outside [0, 38)\n")
+        assert train_calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_one_subject_louo_exits_1_while_planning(self, tmp_path, capsys, train_calls):
         # each fold trains on the subjects it does not hold out
         manifest = small_corpus(tmp_path / "corpus", subjects=1)
@@ -819,8 +834,8 @@ class TestReportCommand:
         assert "louo" in target.read_text()
 
     def test_labels_each_row_by_its_task_names(self, cli_report_dir, tmp_path, capsys):
-        # a report written when a combo had its own `task_combo` key keeps
-        # that label; one that names a combo in `tasks` shows the combo
+        # a report written when a combo had its own `task_combo` key is
+        # labelled by its cv; one that names a combo in `tasks` shows the combo
         payload = json.loads((cli_report_dir / "report.json").read_text())
         assert "task_combo" not in payload["experiment"]
         inputs = [str(cli_report_dir / "report.json")]
@@ -833,7 +848,7 @@ class TestReportCommand:
         rc = main(["report", "--inputs", *inputs])
         assert rc == 0
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row.split()[0] for row in rows] == ["T01", "ROSMA", "JIGSAWS"]
+        assert [row.split()[0] for row in rows] == ["T01", "louo", "JIGSAWS"]
 
     def test_tampered_input_is_data_error(self, cli_report_dir, tmp_path, capsys):
         payload = json.loads((cli_report_dir / "report.json").read_text())

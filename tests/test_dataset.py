@@ -604,6 +604,10 @@ class TestFeatureSelection:
         with pytest.raises(DataError, match=r"column 12 outside \[0, 10\)"):
             select_features(np.zeros((3, 10)), BOTH_ARMS)
 
+    def test_the_column_at_the_channel_count_is_outside(self):
+        with pytest.raises(DataError, match=r"column 10 outside \[0, 10\)"):
+            select_features(np.zeros((3, 10)), (0, 10))
+
     def test_arm_columns_at_offset(self):
         # position, linear velocity, gripper of the block starting at 19
         assert arm_columns(19) == (19, 20, 21, 31, 32, 33, 37)
